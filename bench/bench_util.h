@@ -154,13 +154,10 @@ inline WindowSet WeeklyMotifWindows(FleetCache* fleet, int weeks) {
     auto active = core::ActiveAggregate(gw);
     auto sliced = active.Slice(0, weeks * ts::kMinutesPerWeek);
     if (sliced.ok()) active = std::move(sliced).value();
-    auto aggregated = ts::Aggregate(active, 480, 120, ts::AggKind::kSum);
-    if (aggregated.ok()) {
-      for (auto& window :
-           ts::SliceWindows(*aggregated, ts::kMinutesPerWeek, 120)) {
-        set.provenance.push_back({id, window.start_minute()});
-        set.windows.push_back(std::move(window));
-      }
+    for (auto& window :
+         ts::AggregateWindows(active, 480, ts::kMinutesPerWeek, 120)) {
+      set.provenance.push_back({id, window.start_minute()});
+      set.windows.push_back(std::move(window));
     }
     fleet->Evict(id);
   }
@@ -182,13 +179,10 @@ inline WindowSet DailyMotifWindows(FleetCache* fleet, int days) {
     auto active = core::ActiveAggregate(gw);
     auto sliced = active.Slice(0, days * ts::kMinutesPerDay);
     if (sliced.ok()) active = std::move(sliced).value();
-    auto aggregated = ts::Aggregate(active, 180, 0, ts::AggKind::kSum);
-    if (aggregated.ok()) {
-      for (auto& window :
-           ts::SliceWindows(*aggregated, ts::kMinutesPerDay, 0)) {
-        set.provenance.push_back({id, window.start_minute()});
-        set.windows.push_back(std::move(window));
-      }
+    for (auto& window :
+         ts::AggregateWindows(active, 180, ts::kMinutesPerDay, 0)) {
+      set.provenance.push_back({id, window.start_minute()});
+      set.windows.push_back(std::move(window));
     }
     fleet->Evict(id);
   }

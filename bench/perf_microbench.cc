@@ -32,7 +32,6 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/motif.h"
-#include "core/profiling.h"
 #include "core/similarity.h"
 #include "core/similarity_engine.h"
 #include "correlation/coefficients.h"
@@ -297,29 +296,21 @@ void RunSimilarityScenario(const std::string& path, size_t n_windows,
           manifest, StrFormat("pairwise_threads_%d", threads));
       stage.set_units(n_pairs * static_cast<size_t>(kTrials + 1));
       for (int trial = -1; trial < kTrials; ++trial) {
-        core::PhaseTimings timings;
-        options.timings = &timings;
         const core::SimilarityEngine engine(options);
         // Prepare is inside the timed region: the legacy path pays its
         // profiling per pair, so the engine must pay its one-time profiling
         // here too.
         const auto start = Clock::now();
-        std::vector<correlation::PreparedSeries> prepared;
-        {
-          core::ScopedPhaseTimer timer(&timings, "similarity_engine.prepare");
-          prepared = core::SimilarityEngine::PrepareVectors(windows);
-        }
+        const std::vector<correlation::PreparedSeries> prepared =
+            core::SimilarityEngine::PrepareVectors(windows);
+        const double trial_prepare_seconds = seconds_since(start);
         core::SimilarityMatrix trial_matrix = engine.Pairwise(prepared);
         const double trial_seconds = seconds_since(start);
         if (trial < 0) continue;  // warm-up, discard
         if (trial == 0 || trial_seconds < engine_seconds) {
           engine_seconds = trial_seconds;
-          prepare_seconds =
-              1e-9 * static_cast<double>(
-                         timings.TotalNs("similarity_engine.prepare"));
-          pairwise_seconds =
-              1e-9 * static_cast<double>(
-                         timings.TotalNs("similarity_engine.pairwise"));
+          prepare_seconds = trial_prepare_seconds;
+          pairwise_seconds = trial_seconds - trial_prepare_seconds;
           matrix = std::move(trial_matrix);
         }
       }

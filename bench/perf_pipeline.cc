@@ -35,9 +35,9 @@
 
 #include "bench_util.h"
 #include "core/aggregation.h"
-#include "core/background.h"
 #include "core/dominance.h"
 #include "core/motif.h"
+#include "core/profiling.h"
 #include "core/similarity_engine.h"
 #include "core/stationarity.h"
 #include "core/streaming.h"
@@ -212,21 +212,6 @@ class PipelineBench {
   std::vector<std::string> entries_;
 };
 
-/// Weekly windows at 3-hour bins for one active aggregate — the Figure 3 /
-/// stationarity workload shape (56 bins per window).
-std::vector<ts::TimeSeries> WeeklyWindows(const ts::TimeSeries& active) {
-  const auto aggregated = ts::Aggregate(active, 180, 0, ts::AggKind::kSum);
-  if (!aggregated.ok()) return {};
-  return ts::SliceWindows(*aggregated, ts::kMinutesPerWeek, 0);
-}
-
-/// Daily windows at 3-hour bins — the Section 7.2.2 motif workload shape.
-std::vector<ts::TimeSeries> DailyWindows(const ts::TimeSeries& active) {
-  const auto aggregated = ts::Aggregate(active, 180, 0, ts::AggKind::kSum);
-  if (!aggregated.ok()) return {};
-  return ts::SliceWindows(*aggregated, ts::kMinutesPerDay, 0);
-}
-
 void RunSize(const SizeSpec& spec, int threads_used,
              std::vector<std::string>* entries) {
   simgen::SimConfig config = bench::PaperConfig();
@@ -306,9 +291,9 @@ void RunSize(const SizeSpec& spec, int threads_used,
   for (const auto& path : homets_paths) std::remove(path.c_str());
   if (tmpdir != nullptr) rmdir(tmpdir);
 
-  // Background thresholding (Section 6.1): τ estimation + zeroing per
-  // device, summed into the gateway's active aggregate — the series every
-  // later stage consumes.
+  // The per-gateway dataflow (core::GatewayPipeline): τ estimation per
+  // device (Section 6.1), device totals, the raw aggregate and the active
+  // aggregate — the series every later stage consumes.
   std::vector<ts::TimeSeries> actives;
   bench.StageAccumulated("background", "trace_minutes", [&] {
     AccumulatedTiming timing;
@@ -316,11 +301,11 @@ void RunSize(const SizeSpec& spec, int threads_used,
       const simgen::GatewayTrace gw = generator.Generate(id);
       const double cpu_start = CpuSecondsNow();
       const auto start = Clock::now();
-      ts::TimeSeries active = core::ActiveAggregate(gw);
+      core::GatewayPipeline pipeline = core::BuildGatewayPipeline(gw);
       timing.seconds += SecondsSince(start);
       timing.cpu_seconds += CpuSecondsNow() - cpu_start;
-      timing.units += active.size();
-      actives.push_back(std::move(active));
+      timing.units += pipeline.active.size();
+      actives.push_back(std::move(pipeline.active));
     }
     return timing;
   });
@@ -341,10 +326,13 @@ void RunSize(const SizeSpec& spec, int threads_used,
     return timing;
   });
 
+  // Weekly windows at 3 h bins (56 per window): the Figure 3 / stationarity
+  // workload shape.
   std::vector<ts::TimeSeries> weekly;
   std::map<int, std::pair<size_t, size_t>> weekly_by_gateway;  // id -> range
   for (size_t g = 0; g < actives.size(); ++g) {
-    auto windows = WeeklyWindows(actives[g]);
+    auto windows =
+        ts::AggregateWindows(actives[g], 180, ts::kMinutesPerWeek, 0);
     weekly_by_gateway[static_cast<int>(g)] = {weekly.size(),
                                               weekly.size() + windows.size()};
     for (auto& w : windows) weekly.push_back(std::move(w));
@@ -389,9 +377,12 @@ void RunSize(const SizeSpec& spec, int threads_used,
     return points;
   });
 
+  // Daily windows at 3 h bins: the Section 7.2.2 motif workload shape.
   std::vector<ts::TimeSeries> daily;
   for (const auto& active : actives) {
-    for (auto& w : DailyWindows(active)) daily.push_back(std::move(w));
+    for (auto& w : ts::AggregateWindows(active, 180, ts::kMinutesPerDay, 0)) {
+      daily.push_back(std::move(w));
+    }
   }
   bench.Stage("motif_mining", "windows", [&] {
     const auto motifs = core::MotifDiscovery().Discover(daily);

@@ -31,9 +31,7 @@ void Run() {
     // Distribution similarity across days within each gateway.
     size_t ks_pairs = 0, ks_rejected = 0;
     for (const auto& series : raw) {
-      auto agg = ts::Aggregate(series, g, 0, ts::AggKind::kSum);
-      if (!agg.ok()) continue;
-      const auto days = ts::SliceWindows(*agg, ts::kMinutesPerDay, 0);
+      const auto days = ts::AggregateWindows(series, g, ts::kMinutesPerDay, 0);
       for (size_t i = 0; i < days.size(); ++i) {
         for (size_t j = i + 1; j < days.size(); ++j) {
           const auto ks = stattests::KolmogorovSmirnov(days[i].values(),

@@ -19,9 +19,8 @@ size_t CountStationary(const std::vector<ts::TimeSeries>& fleet,
                        int64_t granularity) {
   size_t stationary = 0;
   for (const auto& series : fleet) {
-    auto agg = ts::Aggregate(series, granularity, 0, ts::AggKind::kSum);
-    if (!agg.ok()) continue;
-    const auto windows = ts::SliceWindows(*agg, ts::kMinutesPerWeek, 0);
+    const auto windows =
+        ts::AggregateWindows(series, granularity, ts::kMinutesPerWeek, 0);
     if (windows.size() < 2) continue;
     const auto result = core::CheckStrongStationarity(windows);
     if (result.ok() && result->strongly_stationary) ++stationary;

@@ -51,11 +51,8 @@ int main() {
   std::vector<core::WindowProvenance> provenance;
   size_t active_index = 0;
   for (const auto& [id, gw] : fleet) {
-    const auto aggregated =
-        ts::Aggregate(active[active_index++], granularity, 0,
-                      ts::AggKind::kSum);
-    if (!aggregated.ok()) continue;
-    for (auto& window : ts::SliceWindows(*aggregated, ts::kMinutesPerDay, 0)) {
+    for (auto& window : ts::AggregateWindows(active[active_index++], granularity,
+                                             ts::kMinutesPerDay, 0)) {
       provenance.push_back({id, window.start_minute()});
       windows.push_back(std::move(window));
     }

@@ -9,24 +9,18 @@ namespace homets::core {
 
 namespace {
 
-// Re-bins and cuts into the period's windows.
+// Re-bins and cuts into the period's windows. A granularity that does not
+// divide the window yields no windows.
 Result<std::vector<ts::TimeSeries>> MakeWindows(const ts::TimeSeries& series,
                                                 int64_t granularity_minutes,
                                                 int64_t anchor_offset_minutes,
                                                 PatternPeriod period) {
-  HOMETS_ASSIGN_OR_RETURN(
-      const ts::TimeSeries aggregated,
-      ts::Aggregate(series, granularity_minutes, anchor_offset_minutes,
-                    ts::AggKind::kSum));
   const int64_t window_minutes = period == PatternPeriod::kWeekly
                                      ? ts::kMinutesPerWeek
                                      : ts::kMinutesPerDay;
-  if (window_minutes % granularity_minutes != 0) {
-    return Status::InvalidArgument(
-        "granularity does not divide the pattern window");
-  }
   std::vector<ts::TimeSeries> windows =
-      ts::SliceWindows(aggregated, window_minutes, anchor_offset_minutes);
+      ts::AggregateWindows(series, granularity_minutes, window_minutes,
+                           anchor_offset_minutes);
   if (windows.size() < 2) {
     return Status::InvalidArgument("fewer than 2 pattern windows");
   }

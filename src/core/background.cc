@@ -84,39 +84,46 @@ Result<DeviceBackground> EstimateDeviceBackground(
   return bg;
 }
 
-Result<ts::TimeSeries> ActiveTraffic(const simgen::DeviceTrace& device) {
-  HOMETS_ASSIGN_OR_RETURN(const DeviceBackground bg,
-                          EstimateDeviceBackground(device));
+Result<ts::TimeSeries> ActiveTraffic(const simgen::DeviceTrace& device,
+                                     const DeviceBackground& background) {
   static obs::Counter* const values_zeroed =
       obs::MetricsRegistry::Global().GetCounter(obs::kBackgroundValuesZeroed);
   values_zeroed->Increment(
-      CountValuesToZero(device.incoming, bg.incoming.tau_back) +
-      CountValuesToZero(device.outgoing, bg.outgoing.tau_back));
+      CountValuesToZero(device.incoming, background.incoming.tau_back) +
+      CountValuesToZero(device.outgoing, background.outgoing.tau_back));
   const ts::TimeSeries in_active =
-      device.incoming.ClipBelow(bg.incoming.tau_back);
+      device.incoming.ClipBelow(background.incoming.tau_back);
   const ts::TimeSeries out_active =
-      device.outgoing.ClipBelow(bg.outgoing.tau_back);
+      device.outgoing.ClipBelow(background.outgoing.tau_back);
   return ts::TimeSeries::Add(in_active, out_active);
 }
 
-ts::TimeSeries ActiveAggregate(const simgen::GatewayTrace& gateway) {
+ts::TimeSeries ActiveAggregate(
+    const simgen::GatewayTrace& gateway,
+    const std::vector<Result<DeviceBackground>>& backgrounds) {
   obs::ScopedSpan span("background.active_aggregate");
   ts::TimeSeries total;
-  bool first = true;
-  for (const auto& dev : gateway.devices) {
-    auto active = ActiveTraffic(dev);
-    ts::TimeSeries part =
-        active.ok() ? std::move(active).value() : dev.TotalTraffic();
-    if (part.empty()) continue;
-    if (first) {
-      total = std::move(part);
-      first = false;
-      continue;
+  for (size_t d = 0; d < gateway.devices.size(); ++d) {
+    const simgen::DeviceTrace& device = gateway.devices[d];
+    const Result<ts::TimeSeries> active =
+        backgrounds[d].ok() ? ActiveTraffic(device, *backgrounds[d])
+                            : backgrounds[d].status();
+    if (active.ok()) {
+      ts::AddInto(&total, *active);
+    } else {
+      ts::AddInto(&total, device.TotalTraffic());
     }
-    auto sum = ts::TimeSeries::Add(total, part);
-    if (sum.ok()) total = std::move(sum).value();
   }
   return total;
+}
+
+ts::TimeSeries ActiveAggregate(const simgen::GatewayTrace& gateway) {
+  std::vector<Result<DeviceBackground>> backgrounds;
+  backgrounds.reserve(gateway.devices.size());
+  for (const auto& device : gateway.devices) {
+    backgrounds.push_back(EstimateDeviceBackground(device));
+  }
+  return ActiveAggregate(gateway, backgrounds);
 }
 
 }  // namespace homets::core

@@ -2,6 +2,7 @@
 #define HOMETS_CORE_BACKGROUND_H_
 
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "simgen/types.h"
@@ -44,13 +45,23 @@ struct DeviceBackground {
 Result<DeviceBackground> EstimateDeviceBackground(
     const simgen::DeviceTrace& device);
 
-/// \brief Zeroes values below the device's τ_back (per direction) and
+/// \brief Zeroes values below `background`'s τ_back (per direction) and
 /// returns the active-only total traffic of the device.
-Result<ts::TimeSeries> ActiveTraffic(const simgen::DeviceTrace& device);
+Result<ts::TimeSeries> ActiveTraffic(const simgen::DeviceTrace& device,
+                                     const DeviceBackground& background);
 
-/// \brief Active-only aggregate of a gateway: per-device background removal,
-/// then summation. Falls back to including a device unfiltered when its τ
-/// cannot be estimated (too few observations — e.g. brief guests).
+/// \brief Active-only aggregate of a gateway: each device's ActiveTraffic
+/// under its entry of `backgrounds` (indexed like GatewayTrace::devices),
+/// summed. Falls back to including a device unfiltered, as its
+/// TotalTraffic(), when its τ cannot be estimated (too few observations —
+/// e.g. brief guests).
+ts::TimeSeries ActiveAggregate(
+    const simgen::GatewayTrace& gateway,
+    const std::vector<Result<DeviceBackground>>& backgrounds);
+
+/// \brief ActiveAggregate under each device's EstimateDeviceBackground: the
+/// same series as BuildGatewayPipeline(gateway).active, without the
+/// pipeline's device totals and raw aggregate.
 ts::TimeSeries ActiveAggregate(const simgen::GatewayTrace& gateway);
 
 }  // namespace homets::core

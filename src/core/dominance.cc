@@ -84,9 +84,10 @@ std::vector<DominantDevice> RankAndFilter(
 }  // namespace
 
 std::vector<DominantDevice> FindDominantDevices(
-    const simgen::GatewayTrace& gateway, const DominanceOptions& options) {
+    const simgen::GatewayTrace& gateway, const ts::TimeSeries& aggregate,
+    const std::vector<ts::TimeSeries>& device_totals,
+    const DominanceOptions& options) {
   obs::ScopedSpan span("dominance.find");
-  const ts::TimeSeries aggregate = gateway.AggregateTraffic();
   if (aggregate.empty()) return {};
   SimilarityOptions sim_options;
   sim_options.alpha = options.alpha;
@@ -97,7 +98,7 @@ std::vector<DominantDevice> FindDominantDevices(
   std::vector<double> device_values;
   correlation::PairWorkspace workspace;
   for (size_t d = 0; d < gateway.devices.size(); ++d) {
-    DeviceOnGrid(gateway.devices[d].TotalTraffic(), grid, &device_values);
+    DeviceOnGrid(device_totals[d], grid, &device_values);
     const SimilarityResult sim = CorrelationSimilarity(
         correlation::PreparedSeries::Make(device_values), prepared_aggregate,
         sim_options, &workspace);
@@ -108,6 +109,17 @@ std::vector<DominantDevice> FindDominantDevices(
     candidates.push_back(candidate);
   }
   return RankAndFilter(std::move(candidates), options);
+}
+
+std::vector<DominantDevice> FindDominantDevices(
+    const simgen::GatewayTrace& gateway, const DominanceOptions& options) {
+  std::vector<ts::TimeSeries> totals;
+  ts::TimeSeries aggregate;
+  for (const auto& device : gateway.devices) {
+    totals.push_back(device.TotalTraffic());
+    ts::AddInto(&aggregate, totals.back());
+  }
+  return FindDominantDevices(gateway, aggregate, totals, options);
 }
 
 std::vector<DominantDevice> FindDominantDevicesInWindow(

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "simgen/types.h"
+#include "ts/time_series.h"
 
 namespace homets::core {
 
@@ -28,7 +29,16 @@ struct DominanceOptions {
 /// gateway's aggregate traffic exceeds φ, ranked by descending similarity.
 ///
 /// Uses the raw per-minute counters over the gateway's whole trace, like the
-/// paper's 4-week dominance analysis.
+/// paper's 4-week dominance analysis: `aggregate` is the gateway's
+/// AggregateTraffic() and `device_totals[d]` is device d's TotalTraffic(),
+/// as a GatewayPipeline holds them.
+std::vector<DominantDevice> FindDominantDevices(
+    const simgen::GatewayTrace& gateway, const ts::TimeSeries& aggregate,
+    const std::vector<ts::TimeSeries>& device_totals,
+    const DominanceOptions& options = {});
+
+/// \brief FindDominantDevices on totals and aggregate computed from
+/// `gateway`.
 std::vector<DominantDevice> FindDominantDevices(
     const simgen::GatewayTrace& gateway, const DominanceOptions& options = {});
 

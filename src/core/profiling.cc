@@ -4,48 +4,52 @@
 #include <array>
 
 #include "common/strings.h"
+#include "obs/trace.h"
 
 namespace homets::core {
 
-std::string PhaseTimings::Report() const {
-  std::string out;
-  for (const auto& [phase, ns] : phases()) {
-    out += StrFormat("%s: %.3f ms\n", phase.c_str(),
-                     static_cast<double>(ns) / 1e6);
+GatewayPipeline BuildGatewayPipeline(const simgen::GatewayTrace& gateway) {
+  obs::ScopedSpan span("core.gateway_pipeline");
+  GatewayPipeline pipeline;
+  pipeline.backgrounds.reserve(gateway.devices.size());
+  pipeline.device_totals.reserve(gateway.devices.size());
+  for (const auto& device : gateway.devices) {
+    pipeline.backgrounds.push_back(EstimateDeviceBackground(device));
+    pipeline.device_totals.push_back(device.TotalTraffic());
+    ts::AddInto(&pipeline.aggregate, pipeline.device_totals.back());
   }
-  return out;
+  pipeline.active = ActiveAggregate(gateway, pipeline.backgrounds);
+  return pipeline;
 }
 
 Result<GatewayProfile> ProfileGateway(const simgen::GatewayTrace& gateway,
+                                      const GatewayPipeline& pipeline,
                                       const ProfilingOptions& options) {
   GatewayProfile profile;
   profile.gateway_id = gateway.id;
 
-  const ts::TimeSeries active = ActiveAggregate(gateway);
+  const ts::TimeSeries& active = pipeline.active;
   if (active.empty() || active.CountObserved() == 0) {
     return Status::InvalidArgument("ProfileGateway: no observations");
   }
-  for (const auto& dev : gateway.devices) {
-    if (dev.TotalTraffic().CountObserved() > 0) ++profile.devices_observed;
+  for (const auto& total : pipeline.device_totals) {
+    if (total.CountObserved() > 0) ++profile.devices_observed;
   }
 
   // Dominance + resident lower bound (Section 6.2).
-  profile.dominant_devices = FindDominantDevices(gateway, options.dominance);
+  profile.dominant_devices =
+      FindDominantDevices(gateway, pipeline.aggregate, pipeline.device_totals,
+                          options.dominance);
   profile.min_residents = std::max<size_t>(1, profile.dominant_devices.size());
 
   // Weekly strong stationarity on aggregated active traffic.
-  auto aggregated =
-      ts::Aggregate(active, options.aggregation_minutes, 0, ts::AggKind::kSum);
-  if (aggregated.ok()) {
-    const auto windows =
-        ts::SliceWindows(*aggregated, ts::kMinutesPerWeek, 0);
-    if (windows.size() >= 2) {
-      const auto result =
-          CheckStrongStationarity(windows, options.stationarity);
-      if (result.ok()) {
-        profile.weekly_stationary = result->strongly_stationary;
-        profile.min_week_pair_similarity = result->min_pair_similarity;
-      }
+  const auto windows = ts::AggregateWindows(active, options.aggregation_minutes,
+                                            ts::kMinutesPerWeek, 0);
+  if (windows.size() >= 2) {
+    const auto result = CheckStrongStationarity(windows, options.stationarity);
+    if (result.ok()) {
+      profile.weekly_stationary = result->strongly_stationary;
+      profile.min_week_pair_similarity = result->min_pair_similarity;
     }
   }
 
@@ -77,15 +81,21 @@ Result<GatewayProfile> ProfileGateway(const simgen::GatewayTrace& gateway,
   }
 
   // τ groups per device.
-  for (const auto& dev : gateway.devices) {
-    const auto bg = EstimateDeviceBackground(dev);
+  for (size_t d = 0; d < gateway.devices.size(); ++d) {
+    const auto& bg = pipeline.backgrounds[d];
     if (!bg.ok()) continue;
+    const simgen::DeviceTrace& dev = gateway.devices[d];
     profile.device_tau_groups.emplace_back(
         StrFormat("%s (%s)", dev.name.c_str(),
                   simgen::DeviceTypeName(dev.reported_type).c_str()),
         bg->incoming.group);
   }
   return profile;
+}
+
+Result<GatewayProfile> ProfileGateway(const simgen::GatewayTrace& gateway,
+                                      const ProfilingOptions& options) {
+  return ProfileGateway(gateway, BuildGatewayPipeline(gateway), options);
 }
 
 std::string FormatProfile(const GatewayProfile& profile) {

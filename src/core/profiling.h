@@ -2,80 +2,45 @@
 #define HOMETS_CORE_PROFILING_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "core/background.h"
 #include "core/dominance.h"
 #include "core/stationarity.h"
-#include "obs/trace.h"
 #include "simgen/types.h"
+#include "ts/time_series.h"
 
 namespace homets::core {
 
-/// \brief Wall-clock accumulator for named computation phases.
-///
-/// A thin obs::SpanSink adapter: every span whose timer is pointed at a
-/// PhaseTimings folds its duration into the per-phase totals, so benches and
-/// ops tooling can attribute time. Recording is thread-safe (a mutex per
-/// accumulator — phases are coarse, so contention is nil), which lets
-/// SimilarityEngine phases record from worker threads.
-class PhaseTimings : public obs::SpanSink {
- public:
-  void Record(const std::string& phase, uint64_t ns) HOMETS_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    phases_[phase] += ns;
-  }
-
-  void OnSpan(const std::string& name, uint64_t duration_ns) override {
-    Record(name, duration_ns);
-  }
-
-  /// Accumulated nanoseconds for `phase` (0 when never recorded).
-  uint64_t TotalNs(const std::string& phase) const HOMETS_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    const auto it = phases_.find(phase);
-    return it == phases_.end() ? 0 : it->second;
-  }
-
-  std::map<std::string, uint64_t> phases() const HOMETS_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return phases_;
-  }
-
-  /// One "phase: 1.234 ms" line per phase, sorted by phase name.
-  std::string Report() const;
-
- private:
-  mutable Mutex mu_;
-  std::map<std::string, uint64_t> phases_ HOMETS_GUARDED_BY(mu_);
+/// \brief The per-gateway intermediates every analysis of a gateway reads,
+/// each computed exactly once by BuildGatewayPipeline (DESIGN.md §15).
+/// `backgrounds` and `device_totals` are indexed like GatewayTrace::devices.
+struct GatewayPipeline {
+  /// τ per device and direction (Section 6.1); an error when a direction
+  /// has fewer than 8 observations.
+  std::vector<Result<DeviceBackground>> backgrounds;
+  /// DeviceTrace::TotalTraffic() per device.
+  std::vector<ts::TimeSeries> device_totals;
+  /// GatewayTrace::AggregateTraffic(): the raw sum of `device_totals`.
+  ts::TimeSeries aggregate;
+  /// ActiveAggregate(gateway, backgrounds): the background-free aggregate.
+  ts::TimeSeries active;
 };
 
-/// \brief RAII phase timer: an obs::ScopedSpan that reports into a
-/// PhaseTimings on destruction — so every timed phase also lands in the
-/// installed TraceSession (if any) under the same name. A null sink with no
-/// session installed makes it a no-op, so call sites stay branch-free.
-class ScopedPhaseTimer {
- public:
-  ScopedPhaseTimer(PhaseTimings* sink, std::string phase)
-      : span_(std::move(phase), sink) {}
-
-  ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
-  ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
-
- private:
-  obs::ScopedSpan span_;
-};
+/// \brief Computes every GatewayPipeline field from `gateway`, device by
+/// device.
+GatewayPipeline BuildGatewayPipeline(const simgen::GatewayTrace& gateway);
 
 /// \brief High-level profile of one gateway — the "high level profiling of
 /// gateways" the paper says dominant-device knowledge enables for ISPs
 /// (Section 6.2). Bundles every per-gateway output of the framework.
 struct GatewayProfile {
   int gateway_id = 0;
+  /// Devices with at least one observed minute (a device listed in the
+  /// trace but never seen is not counted).
   size_t devices_observed = 0;
 
   std::vector<DominantDevice> dominant_devices;  ///< φ = 0.6, ranked
@@ -103,8 +68,15 @@ struct ProfilingOptions {
   int64_t aggregation_minutes = 180;
 };
 
-/// \brief Computes the full profile of a gateway over its trace. Requires a
-/// trace with at least two weekly windows of observations.
+/// \brief Computes the full profile of a gateway from its trace and the
+/// trace's GatewayPipeline. Fails only when the active aggregate holds no
+/// observation; a trace shorter than two weekly windows still profiles, as
+/// not weekly stationary with a weakest week pair cor of 0.
+Result<GatewayProfile> ProfileGateway(const simgen::GatewayTrace& gateway,
+                                      const GatewayPipeline& pipeline,
+                                      const ProfilingOptions& options = {});
+
+/// \brief ProfileGateway on BuildGatewayPipeline(gateway).
 Result<GatewayProfile> ProfileGateway(const simgen::GatewayTrace& gateway,
                                       const ProfilingOptions& options = {});
 

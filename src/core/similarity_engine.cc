@@ -5,10 +5,10 @@
 
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
-#include "core/profiling.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
+#include "obs/trace.h"
 
 namespace homets::core {
 
@@ -65,7 +65,7 @@ std::vector<correlation::PreparedSeries> SimilarityEngine::PrepareVectors(
 
 std::vector<correlation::PreparedSeries> SimilarityEngine::Prepare(
     const std::vector<ts::TimeSeries>& windows) const {
-  ScopedPhaseTimer timer(options_.timings, "similarity_engine.prepare");
+  obs::ScopedSpan span("similarity_engine.prepare");
   return PrepareWindows(windows);
 }
 
@@ -119,7 +119,7 @@ SimilarityMatrix SimilarityEngine::Pairwise(
   SimilarityMatrix matrix(n);
   const size_t pairs = matrix.pair_count();
   if (pairs == 0) return matrix;
-  ScopedPhaseTimer timer(options_.timings, "similarity_engine.pairwise");
+  obs::ScopedSpan span("similarity_engine.pairwise");
   const int threads =
       pairs < options_.min_parallel_pairs ? 1 : options_.threads;
   const size_t workers = static_cast<size_t>(ResolveThreadCount(threads));
@@ -158,7 +158,7 @@ Result<SimilarityMatrix> SimilarityEngine::PairwiseChecked(
   SimilarityMatrix matrix(n);
   const size_t pairs = matrix.pair_count();
   if (pairs == 0) return matrix;
-  ScopedPhaseTimer timer(options_.timings, "similarity_engine.pairwise");
+  obs::ScopedSpan span("similarity_engine.pairwise");
   const int threads =
       pairs < options_.min_parallel_pairs ? 1 : options_.threads;
   const size_t workers = static_cast<size_t>(ResolveThreadCount(threads));
@@ -222,7 +222,7 @@ std::vector<SimilarityResult> SimilarityEngine::PairwiseSelected(
     const std::vector<std::pair<uint32_t, uint32_t>>& pairs) const {
   std::vector<SimilarityResult> results(pairs.size());
   if (pairs.empty()) return results;
-  ScopedPhaseTimer timer(options_.timings, "similarity_engine.pairwise");
+  obs::ScopedSpan span("similarity_engine.pairwise");
   const int threads =
       pairs.size() < options_.min_parallel_pairs ? 1 : options_.threads;
   const size_t workers = static_cast<size_t>(ResolveThreadCount(threads));

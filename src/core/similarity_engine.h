@@ -13,8 +13,6 @@
 
 namespace homets::core {
 
-class PhaseTimings;  // core/profiling.h
-
 /// \brief Options for the parallel pairwise similarity engine.
 struct SimilarityEngineOptions {
   SimilarityOptions similarity;  ///< Definition 1 parameters per pair
@@ -24,9 +22,6 @@ struct SimilarityEngineOptions {
   /// Workloads below this many pairs run inline — thread spawn would cost
   /// more than the work.
   size_t min_parallel_pairs = 256;
-  /// Optional sink for per-phase wall times ("similarity_engine.prepare",
-  /// "similarity_engine.pairwise"). Not owned; may be nullptr.
-  PhaseTimings* timings = nullptr;
   /// Cooperative cancellation for PairwiseChecked, polled at block
   /// granularity. Not owned; may be nullptr.
   CancellationToken* cancel = nullptr;
@@ -134,7 +129,7 @@ class SimilarityEngine {
   static std::vector<correlation::PreparedSeries> PrepareVectors(
       const std::vector<std::vector<double>>& series);
 
-  /// PrepareWindows with the prepare phase recorded into options().timings.
+  /// PrepareWindows under a "similarity_engine.prepare" span.
   std::vector<correlation::PreparedSeries> Prepare(
       const std::vector<ts::TimeSeries>& windows) const;
 

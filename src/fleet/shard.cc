@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "core/background.h"
 #include "core/motif.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -23,13 +22,16 @@ namespace {
 constexpr int64_t kDailyGranularityMinutes = 180;
 constexpr int64_t kDailyAnchorMinutes = 0;
 
-GatewaySummary Summarize(int32_t gateway_id,
-                         const simgen::GatewayTrace& trace,
-                         const core::ProfilingOptions& profiling) {
+}  // namespace
+
+GatewaySummary SummarizeGateway(int32_t gateway_id,
+                                const simgen::GatewayTrace& trace,
+                                const core::GatewayPipeline& pipeline,
+                                const core::ProfilingOptions& profiling) {
   GatewaySummary summary;
   summary.gateway_id = gateway_id;
   summary.devices_observed = static_cast<uint32_t>(trace.devices.size());
-  const auto profile = core::ProfileGateway(trace, profiling);
+  const auto profile = core::ProfileGateway(trace, pipeline, profiling);
   if (profile.ok()) {
     summary.eligible = true;
     summary.dominant_count =
@@ -54,25 +56,18 @@ GatewaySummary Summarize(int32_t gateway_id,
   }
   // Daily motifs per gateway: background-free aggregate, 3 h bins, daily
   // windows. A gateway too short to mine simply reports zero motifs.
-  const auto active = core::ActiveAggregate(trace);
-  const auto aggregated =
-      ts::Aggregate(active, kDailyGranularityMinutes, kDailyAnchorMinutes,
-                    ts::AggKind::kSum);
-  if (aggregated.ok()) {
-    const auto windows = ts::SliceWindows(*aggregated, ts::kMinutesPerDay,
-                                          kDailyAnchorMinutes);
-    summary.daily_windows = static_cast<uint32_t>(windows.size());
-    if (windows.size() >= 2) {
-      const auto motifs = core::MotifDiscovery().Discover(windows);
-      if (motifs.ok()) {
-        summary.daily_motifs = static_cast<uint32_t>(motifs->size());
-      }
+  const auto windows =
+      ts::AggregateWindows(pipeline.active, kDailyGranularityMinutes,
+                           ts::kMinutesPerDay, kDailyAnchorMinutes);
+  summary.daily_windows = static_cast<uint32_t>(windows.size());
+  if (windows.size() >= 2) {
+    const auto motifs = core::MotifDiscovery().Discover(windows);
+    if (motifs.ok()) {
+      summary.daily_motifs = static_cast<uint32_t>(motifs->size());
     }
   }
   return summary;
 }
-
-}  // namespace
 
 Result<std::vector<ShardPlan>> ShardPlanner::Plan(int n_gateways,
                                                   int n_shards) {
@@ -180,9 +175,9 @@ Result<ShardResult> ShardRunner::RunShard(const ShardPlan& plan,
     }
     HOMETS_ASSIGN_OR_RETURN(const auto trace,
                             it->second.ReadGateway(ref.gateway_index));
-    result.gateways.push_back(Summarize(g, trace, profiling_));
-    const auto aggregate = trace.AggregateTraffic();
-    for (const double v : aggregate.values()) {
+    const core::GatewayPipeline pipeline = core::BuildGatewayPipeline(trace);
+    result.gateways.push_back(SummarizeGateway(g, trace, pipeline, profiling_));
+    for (const double v : pipeline.aggregate.values()) {
       if (!(v > 0.0) || std::isnan(v)) continue;
       ++result.zipf_bins[ZipfBinIndex(v)];
       ++result.values_binned;

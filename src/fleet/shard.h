@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "core/profiling.h"
 #include "io/dataset.h"
+#include "simgen/types.h"
 
 // Sharded fleet execution (DESIGN.md §15).
 //
@@ -66,7 +67,10 @@ Result<FleetInputs> EnumerateFleetInputs(
 /// computed.
 struct GatewaySummary {
   int32_t gateway_id = 0;  ///< global gateway index in the fleet order
-  bool eligible = false;   ///< ProfileGateway succeeded (>= 2 weekly windows)
+  /// ProfileGateway succeeded: the active aggregate has an observation.
+  bool eligible = false;
+  /// Devices listed in the trace, observed or not (GatewayProfile's field
+  /// of the same name counts only devices with an observation).
   uint32_t devices_observed = 0;
   uint32_t dominant_count = 0;
   uint32_t min_residents = 0;
@@ -79,6 +83,15 @@ struct GatewaySummary {
   uint32_t daily_windows = 0;
   uint32_t daily_motifs = 0;
 };
+
+/// \brief The summary of one gateway: ProfileGateway's figures (when it
+/// succeeds) plus daily motifs mined from `pipeline.active`, which is
+/// reported even for an ineligible gateway. `pipeline` must be
+/// core::BuildGatewayPipeline(trace).
+GatewaySummary SummarizeGateway(int32_t gateway_id,
+                                const simgen::GatewayTrace& trace,
+                                const core::GatewayPipeline& pipeline,
+                                const core::ProfilingOptions& profiling);
 
 /// Number of absolute logarithmic traffic-value bins kept per shard for the
 /// fleet-wide Zipf rank-frequency fit. Bins are fixed (half-log2 steps over

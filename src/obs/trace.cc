@@ -100,12 +100,11 @@ uint64_t CurrentSpanId() {
   return depth == 0 ? 0 : tls_span_stack[depth - 1];
 }
 
-ScopedSpan::ScopedSpan(std::string name, SpanSink* sink, std::string category)
+ScopedSpan::ScopedSpan(std::string name, std::string category)
     : name_(std::move(name)),
       category_(std::move(category)),
-      sink_(sink),
       session_(GlobalTraceSession()) {
-  if (session_ == nullptr && sink_ == nullptr) return;
+  if (session_ == nullptr) return;
   id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed) + 1;
   depth_ = tls_open_spans++;
   if (depth_ < kMaxSpanStack) tls_span_stack[depth_] = id_;
@@ -113,29 +112,21 @@ ScopedSpan::ScopedSpan(std::string name, SpanSink* sink, std::string category)
 }
 
 ScopedSpan::~ScopedSpan() {
-  if (session_ == nullptr && sink_ == nullptr) return;
+  if (session_ == nullptr) return;
   const auto end = std::chrono::steady_clock::now();
   --tls_open_spans;
   if (tls_open_spans < kMaxSpanStack) tls_span_stack[tls_open_spans] = 0;
-  if (sink_ != nullptr) {
-    sink_->OnSpan(name_, static_cast<uint64_t>(
-                             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                 end - start_)
-                                 .count()));
-  }
-  if (session_ != nullptr) {
-    TraceEvent event;
-    event.name = std::move(name_);
-    event.category = std::move(category_);
-    event.ts_us = session_->SinceStartUs(start_);
-    event.dur_us = session_->SinceStartUs(end) - event.ts_us;
-    event.tid = CurrentThreadTraceId();
-    event.depth = depth_;
-    event.span_id = id_;
-    // TraceSession::Add returns void; the name collides with the
-    // Result-returning TimeSeries::Add in the linter's tree-wide match.
-    session_->Add(std::move(event));  // homets-lint: allow(discarded-status)
-  }
+  TraceEvent event;
+  event.name = std::move(name_);
+  event.category = std::move(category_);
+  event.ts_us = session_->SinceStartUs(start_);
+  event.dur_us = session_->SinceStartUs(end) - event.ts_us;
+  event.tid = CurrentThreadTraceId();
+  event.depth = depth_;
+  event.span_id = id_;
+  // TraceSession::Add returns void; the name collides with the
+  // Result-returning TimeSeries::Add in the linter's tree-wide match.
+  session_->Add(std::move(event));  // homets-lint: allow(discarded-status)
 }
 
 }  // namespace homets::obs

@@ -74,28 +74,19 @@ TraceSession* GlobalTraceSession();
 uint32_t CurrentThreadTraceId();
 
 /// \brief Id of the innermost span currently open on the calling thread, or
-/// 0 when none is. Spans receive a process-unique 1-based id whenever they
-/// are active (a TraceSession is installed or a sink is attached); the
-/// structured logger stamps this onto every record, so a log line written
-/// inside `cli.mine_motifs` carries the exact span it belongs to and the two
-/// artifacts (JSON-lines log, Chrome trace) join on `span_id`.
+/// 0 when none is. Spans receive a process-unique 1-based id whenever a
+/// TraceSession is installed; the structured logger stamps this onto every
+/// record, so a log line written inside `cli.mine_motifs` carries the exact
+/// span it belongs to and the two artifacts (JSON-lines log, Chrome trace)
+/// join on `span_id`.
 uint64_t CurrentSpanId();
 
-/// \brief Receives completed span durations; PhaseTimings is the main
-/// implementation, adapting spans onto the legacy per-phase accumulator.
-class SpanSink {
- public:
-  virtual ~SpanSink() = default;
-  virtual void OnSpan(const std::string& name, uint64_t duration_ns) = 0;
-};
-
 /// \brief RAII span: measures from construction to destruction and reports
-/// to the installed TraceSession (if any) and to `sink` (if non-null).
-/// With neither, construction is one atomic load and no clock reads.
+/// to the installed TraceSession (if any). Without one, construction is one
+/// atomic load and no clock reads.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(std::string name, SpanSink* sink = nullptr,
-                      std::string category = "homets");
+  explicit ScopedSpan(std::string name, std::string category = "homets");
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
   ~ScopedSpan();
@@ -103,7 +94,6 @@ class ScopedSpan {
  private:
   std::string name_;
   std::string category_;
-  SpanSink* sink_;
   TraceSession* session_;  ///< captured once at construction
   std::chrono::steady_clock::time_point start_;
   uint32_t depth_ = 0;

@@ -24,45 +24,22 @@ ts::TimeSeries DeviceTrace::TotalTraffic() const {
   return sum.ok() ? std::move(sum).value() : incoming;
 }
 
-namespace {
-
-ts::TimeSeries SumSeries(const std::vector<ts::TimeSeries>& parts) {
+ts::TimeSeries GatewayTrace::AggregateTraffic() const {
   ts::TimeSeries total;
-  bool first = true;
-  for (const auto& part : parts) {
-    if (part.empty()) continue;
-    if (first) {
-      total = part;
-      first = false;
-      continue;
-    }
-    auto sum = ts::TimeSeries::Add(total, part);
-    if (sum.ok()) total = std::move(sum).value();
-  }
+  for (const auto& dev : devices) ts::AddInto(&total, dev.TotalTraffic());
   return total;
 }
 
-}  // namespace
-
-ts::TimeSeries GatewayTrace::AggregateTraffic() const {
-  std::vector<ts::TimeSeries> parts;
-  parts.reserve(devices.size());
-  for (const auto& dev : devices) parts.push_back(dev.TotalTraffic());
-  return SumSeries(parts);
-}
-
 ts::TimeSeries GatewayTrace::AggregateIncoming() const {
-  std::vector<ts::TimeSeries> parts;
-  parts.reserve(devices.size());
-  for (const auto& dev : devices) parts.push_back(dev.incoming);
-  return SumSeries(parts);
+  ts::TimeSeries total;
+  for (const auto& dev : devices) ts::AddInto(&total, dev.incoming);
+  return total;
 }
 
 ts::TimeSeries GatewayTrace::AggregateOutgoing() const {
-  std::vector<ts::TimeSeries> parts;
-  parts.reserve(devices.size());
-  for (const auto& dev : devices) parts.push_back(dev.outgoing);
-  return SumSeries(parts);
+  ts::TimeSeries total;
+  for (const auto& dev : devices) ts::AddInto(&total, dev.outgoing);
+  return total;
 }
 
 ts::TimeSeries GatewayTrace::ConnectedDeviceCount() const {

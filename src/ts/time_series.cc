@@ -216,4 +216,24 @@ std::vector<TimeSeries> SliceWindows(const TimeSeries& series,
   return windows;
 }
 
+std::vector<TimeSeries> AggregateWindows(const TimeSeries& series,
+                                         int64_t granularity_minutes,
+                                         int64_t window_minutes,
+                                         int64_t anchor_offset_minutes) {
+  const auto aggregated = Aggregate(series, granularity_minutes,
+                                    anchor_offset_minutes, AggKind::kSum);
+  if (!aggregated.ok()) return {};
+  return SliceWindows(*aggregated, window_minutes, anchor_offset_minutes);
+}
+
+void AddInto(TimeSeries* total, const TimeSeries& part) {
+  if (part.empty()) return;
+  if (total->empty()) {
+    *total = part;
+    return;
+  }
+  auto sum = TimeSeries::Add(*total, part);
+  if (sum.ok()) *total = std::move(sum).value();
+}
+
 }  // namespace homets::ts

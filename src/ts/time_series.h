@@ -160,6 +160,19 @@ std::vector<TimeSeries> SliceWindows(const TimeSeries& series,
                                      int64_t window_minutes,
                                      int64_t anchor_offset_minutes);
 
+/// \brief Aggregate (kSum at `granularity_minutes`) then SliceWindows, both
+/// anchored at `anchor_offset_minutes`: the windows every analysis of the
+/// paper mines. Empty when the series cannot be aggregated.
+std::vector<TimeSeries> AggregateWindows(const TimeSeries& series,
+                                         int64_t granularity_minutes,
+                                         int64_t window_minutes,
+                                         int64_t anchor_offset_minutes);
+
+/// \brief Adds `part` into the running sum `*total` by TimeSeries::Add. An
+/// empty part is skipped, an empty total becomes a copy of `part`, and a
+/// part Add rejects (step or phase mismatch) is left out.
+void AddInto(TimeSeries* total, const TimeSeries& part);
+
 }  // namespace homets::ts
 
 #endif  // HOMETS_TS_TIME_SERIES_H_

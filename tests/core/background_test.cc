@@ -94,7 +94,8 @@ TEST(ActiveTrafficTest, RemovesBackgroundKeepsBursts) {
   simgen::DeviceTrace dev;
   dev.incoming = BackgroundWithBursts(300.0, 1e6, 5000, 9);
   dev.outgoing = BackgroundWithBursts(50.0, 1e5, 5000, 10);
-  const auto active = ActiveTraffic(dev).value();
+  const auto active =
+      ActiveTraffic(dev, EstimateDeviceBackground(dev).value()).value();
   size_t zeros = 0, bursts = 0, observed = 0;
   for (double v : active.values()) {
     if (ts::TimeSeries::IsMissing(v)) continue;
@@ -111,7 +112,8 @@ TEST(ActiveTrafficTest, ActiveNeverExceedsRaw) {
   simgen::DeviceTrace dev;
   dev.incoming = BackgroundWithBursts(300.0, 1e6, 2000, 11);
   dev.outgoing = BackgroundWithBursts(60.0, 1e5, 2000, 12);
-  const auto active = ActiveTraffic(dev).value();
+  const auto active =
+      ActiveTraffic(dev, EstimateDeviceBackground(dev).value()).value();
   const auto raw = dev.TotalTraffic();
   for (size_t i = 0; i < active.size(); ++i) {
     if (ts::TimeSeries::IsMissing(active[i])) continue;

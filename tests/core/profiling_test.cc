@@ -2,10 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "core/background.h"
 #include "simgen/fleet.h"
+#include "ts/time_series.h"
 
 namespace homets::core {
 namespace {
+
+// Same grid and bit-identical values (Missing included).
+bool SameSeries(const ts::TimeSeries& a, const ts::TimeSeries& b) {
+  return a.start_minute() == b.start_minute() &&
+         a.step_minutes() == b.step_minutes() && a.size() == b.size() &&
+         std::memcmp(a.values().data(), b.values().data(),
+                     a.size() * sizeof(double)) == 0;
+}
 
 simgen::GatewayTrace MakeGateway(int id = 0, uint64_t seed = 77) {
   simgen::SimConfig config;
@@ -73,6 +86,64 @@ TEST(ProfilingTest, DominanceOptionsRespected) {
   const auto default_profile = ProfileGateway(gw).value();
   EXPECT_LE(strict_profile.dominant_devices.size(),
             default_profile.dominant_devices.size());
+}
+
+
+TEST(GatewayPipelineTest, FieldsMatchTheirDefinitions) {
+  const simgen::GatewayTrace residents = MakeGateway(1, 55);
+  simgen::GatewayTrace gw = residents;
+  // A guest seen for 3 minutes: τ cannot be estimated, so the guest enters
+  // the active aggregate unfiltered.
+  simgen::DeviceTrace guest;
+  guest.name = "guest";
+  const int64_t start = gw.devices.front().incoming.start_minute();
+  guest.incoming = ts::TimeSeries(start, 1, {9000.0, 12000.0, 7000.0});
+  guest.outgoing = ts::TimeSeries(start, 1, {100.0, 200.0, 300.0});
+  gw.devices.push_back(guest);
+
+  const GatewayPipeline pipeline = BuildGatewayPipeline(gw);
+  ASSERT_EQ(pipeline.backgrounds.size(), gw.devices.size());
+  ASSERT_EQ(pipeline.device_totals.size(), gw.devices.size());
+  for (size_t d = 0; d < residents.devices.size(); ++d) {
+    const auto expected = EstimateDeviceBackground(gw.devices[d]).value();
+    ASSERT_TRUE(pipeline.backgrounds[d].ok());
+    EXPECT_DOUBLE_EQ(pipeline.backgrounds[d]->incoming.tau,
+                     expected.incoming.tau);
+    EXPECT_DOUBLE_EQ(pipeline.backgrounds[d]->outgoing.tau,
+                     expected.outgoing.tau);
+  }
+  EXPECT_FALSE(pipeline.backgrounds.back().ok());
+  for (size_t d = 0; d < gw.devices.size(); ++d) {
+    EXPECT_TRUE(SameSeries(pipeline.device_totals[d],
+                           gw.devices[d].TotalTraffic()));
+  }
+  EXPECT_TRUE(SameSeries(pipeline.aggregate, gw.AggregateTraffic()));
+
+  const ts::TimeSeries without_guest = ActiveAggregate(residents);
+  ASSERT_EQ(pipeline.active.start_minute(), without_guest.start_minute());
+  const double before = without_guest[0];
+  EXPECT_DOUBLE_EQ(pipeline.active[0],
+                   ts::TimeSeries::IsMissing(before) ? 9100.0
+                                                     : before + 9100.0);
+}
+
+TEST(GatewayPipelineTest, SilentGatewayHasWindowsButNoProfile) {
+  simgen::GatewayTrace silent;
+  simgen::DeviceTrace ghost;
+  ghost.name = "ghost";
+  ghost.incoming = ts::TimeSeries(
+      0, 1, std::vector<double>(2 * ts::kMinutesPerDay,
+                                ts::TimeSeries::Missing()));
+  ghost.outgoing = ghost.incoming;
+  silent.devices.push_back(ghost);
+  const GatewayPipeline pipeline = BuildGatewayPipeline(silent);
+  EXPECT_FALSE(pipeline.backgrounds[0].ok());
+  EXPECT_EQ(pipeline.active.size(), 2u * ts::kMinutesPerDay);
+  EXPECT_EQ(pipeline.active.CountObserved(), 0u);
+  EXPECT_FALSE(ProfileGateway(silent, pipeline).ok());
+  EXPECT_EQ(ts::AggregateWindows(pipeline.active, 180, ts::kMinutesPerDay, 0)
+                .size(),
+            2u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -11,8 +12,8 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/profiling.h"
 #include "core/similarity.h"
+#include "obs/trace.h"
 
 namespace homets::core {
 namespace {
@@ -230,11 +231,10 @@ TEST(SimilarityEngineCheckedTest, DegradeModeMasksFailedBlockAndContinues) {
   EXPECT_TRUE(checked->IsValid(i, i));  // diagonal is always valid
 }
 
-TEST(SimilarityEngineTest, RecordsPhaseTimings) {
-  PhaseTimings timings;
-  SimilarityEngineOptions options;
-  options.timings = &timings;
-  const SimilarityEngine engine(options);
+TEST(SimilarityEngineTest, RecordsPhaseSpans) {
+  obs::TraceSession session;
+  obs::InstallGlobalTraceSession(&session);
+  const SimilarityEngine engine;
 
   std::vector<ts::TimeSeries> series;
   for (size_t w = 0; w < 8; ++w) {
@@ -246,10 +246,11 @@ TEST(SimilarityEngineTest, RecordsPhaseTimings) {
   }
   const auto prepared = engine.Prepare(series);
   engine.Pairwise(prepared);
-  EXPECT_GT(timings.TotalNs("similarity_engine.prepare"), 0u);
-  EXPECT_GT(timings.TotalNs("similarity_engine.pairwise"), 0u);
-  EXPECT_NE(timings.Report().find("similarity_engine.pairwise"),
-            std::string::npos);
+  obs::InstallGlobalTraceSession(nullptr);
+  std::vector<std::string> names;
+  for (const auto& event : session.Events()) names.push_back(event.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"similarity_engine.prepare",
+                                             "similarity_engine.pairwise"}));
 }
 
 }  // namespace

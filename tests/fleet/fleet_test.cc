@@ -1,7 +1,7 @@
 // Fleet execution unit tests (DESIGN.md §15): shard planning, checkpoint
 // encode/decode with torn/stale rejection, checkpoint-dir lock hygiene, and
 // the deterministic merge — the report must be byte-identical across shard
-// counts and thread counts.
+// counts and thread counts — plus pinned reports, summaries and profiles.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -16,9 +16,15 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/strings.h"
+#include "core/background.h"
+#include "core/profiling.h"
 #include "fleet/checkpoint.h"
 #include "fleet/orchestrator.h"
 #include "fleet/shard.h"
+#include "io/dataset.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "simgen/fleet.h"
 #include "storage/homets_format.h"
 
@@ -401,6 +407,174 @@ TEST(FleetOrchestratorTest, EnumerateRejectsMissingAndEmptyInputs) {
                 .status()
                 .code(),
             StatusCode::kIoError);
+}
+
+
+// --- pinned outputs --------------------------------------------------------
+// Expected values were produced by the implementation that estimated each
+// device's τ three times per fleet run; the one-pass per-gateway dataflow
+// must reproduce them byte for byte.
+
+// A short-lived guest with 5 observed minutes per direction: too few for τ,
+// so it enters the active aggregate unfiltered and gets no τ group.
+simgen::DeviceTrace BriefGuest(const simgen::GatewayTrace& trace) {
+  simgen::DeviceTrace guest;
+  guest.name = "zz-guest";
+  std::vector<double> in(30, ts::TimeSeries::Missing());
+  std::vector<double> out(30, ts::TimeSeries::Missing());
+  for (size_t i = 0; i < 5; ++i) {
+    in[i * 5] = 3000.0 + 17000.0 * static_cast<double>(i);
+    out[i * 5] = 400.0 + 900.0 * static_cast<double>(i);
+  }
+  const int64_t start = trace.devices.front().incoming.start_minute() + 1200;
+  guest.incoming = ts::TimeSeries(start, 1, std::move(in));
+  guest.outgoing = ts::TimeSeries(start, 1, std::move(out));
+  return guest;
+}
+
+// Gateway `id` of a seeded 5-gateway, 2-week simgen fleet; gateway 1 also
+// hosts BriefGuest.
+simgen::GatewayTrace PinnedGateway(int id) {
+  simgen::SimConfig config;
+  config.n_gateways = 5;
+  config.weeks = 2;
+  config.seed = 4242;
+  config.surveyed_gateways = 5;
+  simgen::GatewayTrace trace = simgen::FleetGenerator(config).Generate(id);
+  if (id == 1) trace.devices.push_back(BriefGuest(trace));
+  return trace;
+}
+
+std::string WritePinnedFleet(const std::string& dir) {
+  const std::string path = dir + "/pinned.homets";
+  auto writer = storage::HometsWriter::Create(path);
+  EXPECT_TRUE(writer.ok()) << writer.status().ToString();
+  for (int id = 0; id < 5; ++id) {
+    EXPECT_TRUE(writer->Append(PinnedGateway(id)).ok());
+  }
+  EXPECT_TRUE(writer->Finish().ok());
+  return path;
+}
+
+// Every field, with evening_share's exact bits as a hex float.
+std::string SummaryLine(const GatewaySummary& g) {
+  return StrFormat(
+      "%d eligible=%d devices=%u dominant=%u residents=%u stationary=%d "
+      "quiet=%d evening=%a tau=%u/%u/%u daily=%u/%u\n",
+      g.gateway_id, g.eligible, g.devices_observed, g.dominant_count,
+      g.min_residents, g.weekly_stationary, g.quietest_slot, g.evening_share,
+      g.tau_small, g.tau_medium, g.tau_large, g.daily_windows,
+      g.daily_motifs);
+}
+
+TEST(PinnedOutputTest, FleetReportAndSummariesAreUnchanged) {
+  const std::string dir = MakeTestDir("pinned_report");
+  const std::string path = WritePinnedFleet(dir);
+  fleet::FleetOptions options;
+  options.n_shards = 3;
+  options.threads = 2;
+  fleet::FleetOrchestrator orchestrator({path}, options);
+  const auto report = orchestrator.Analyze();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(fleet::FormatFleetReport(*report),
+            "fleet report: 5 gateways in 3 shards\n"
+            "gateways analyzed: 5 (5 eligible, 0 ineligible)\n"
+            "zipf rank-frequency: exponent=1.5106 r2=0.5856 ranks=49 over 70948 values\n"
+            "dominance histogram (eligible): 0:0 1:2 2:3 3+:0\n"
+            "weekly stationary: 1 of 5 eligible\n"
+            "min residents (sum over eligible): 8\n"
+            "quietest 3h slot (mode): 1\n"
+            "mean evening share (eligible): 0.506936\n"
+            "tau groups: small=17 medium=3 large=0\n"
+            "daily motifs: 15 from 67 windows\n"
+            "quarantined shards: none\n");
+  std::string summaries;
+  for (const auto& g : report->gateways) summaries += SummaryLine(g);
+  EXPECT_EQ(summaries,
+            "0 eligible=1 devices=2 dominant=2 residents=2 stationary=0 quiet=4 evening=0x1.e7e12bac916p-1 tau=2/0/0 daily=14/3\n"
+            "1 eligible=1 devices=6 dominant=2 residents=2 stationary=0 quiet=2 evening=0x1.5153d36389ff9p-2 tau=5/0/0 daily=14/5\n"
+            "2 eligible=1 devices=3 dominant=1 residents=1 stationary=0 quiet=1 evening=0x1.15d62a563703dp-3 tau=2/1/0 daily=13/3\n"
+            "3 eligible=1 devices=6 dominant=2 residents=2 stationary=1 quiet=1 evening=0x1.77a99aa05fcb1p-1 tau=5/1/0 daily=14/3\n"
+            "4 eligible=1 devices=4 dominant=1 residents=1 stationary=0 quiet=1 evening=0x1.882eb6db8ac65p-2 tau=3/1/0 daily=12/1\n");
+  std::remove(path.c_str());
+}
+
+TEST(PinnedOutputTest, ProfilesAreUnchanged) {
+  std::string profiles;
+  for (int id = 0; id < 3; ++id) {
+    const auto profile = core::ProfileGateway(PinnedGateway(id));
+    ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+    profiles += core::FormatProfile(*profile);
+  }
+  EXPECT_EQ(profiles,
+            "gateway 0: 2 devices observed, >= 2 resident(s)\n"
+            "  weekly pattern: changing week to week (weakest week pair cor = 0.50)\n"
+            "  maintenance window: 12:00-15:00, evening traffic share 95%\n"
+            "  dominant #1: device 0 (unlabeled), cor = 0.91\n"
+            "  dominant #2: device 1 (portable), cor = 0.71\n"
+            "  background: gw000-dev0 (unlabeled) -> small tau\n"
+            "  background: gw000-dev1 (portable) -> small tau\n"
+            "gateway 1: 6 devices observed, >= 2 resident(s)\n"
+            "  weekly pattern: changing week to week (weakest week pair cor = 0.00)\n"
+            "  maintenance window: 06:00-09:00, evening traffic share 33%\n"
+            "  dominant #1: device 0 (unlabeled), cor = 0.79\n"
+            "  dominant #2: device 1 (portable), cor = 0.75\n"
+            "  background: gw001-dev0 (unlabeled) -> small tau\n"
+            "  background: gw001-dev1 (portable) -> small tau\n"
+            "  background: gw001-dev2 (portable) -> small tau\n"
+            "  background: gw001-dev3 (unlabeled) -> small tau\n"
+            "  background: gw001-dev4 (portable) -> small tau\n"
+            "gateway 2: 3 devices observed, >= 1 resident(s)\n"
+            "  weekly pattern: changing week to week (weakest week pair cor = 0.00)\n"
+            "  maintenance window: 03:00-06:00, evening traffic share 14%\n"
+            "  dominant #1: device 2 (fixed), cor = 0.91\n"
+            "  background: gw002-dev0 (unlabeled) -> small tau\n"
+            "  background: gw002-dev1 (portable) -> small tau\n"
+            "  background: gw002-dev2 (fixed) -> medium tau\n");
+}
+
+TEST(PinnedOutputTest, IneligibleGatewayStillReportsDailyWindows) {
+  // One device that never reports on a 3-day grid: ProfileGateway fails,
+  // but the all-missing active aggregate still cuts into daily windows.
+  simgen::GatewayTrace silent;
+  silent.id = 99;
+  simgen::DeviceTrace ghost;
+  ghost.name = "ghost";
+  ghost.incoming = ts::TimeSeries(
+      0, 1, std::vector<double>(3 * ts::kMinutesPerDay,
+                                ts::TimeSeries::Missing()));
+  ghost.outgoing = ghost.incoming;
+  silent.devices.push_back(ghost);
+  const core::GatewayPipeline pipeline = core::BuildGatewayPipeline(silent);
+  EXPECT_FALSE(core::ProfileGateway(silent, pipeline).ok());
+  EXPECT_EQ(SummaryLine(fleet::SummarizeGateway(7, silent, pipeline, {})),
+            "7 eligible=0 devices=1 dominant=0 residents=0 stationary=0 quiet=0 evening=0x0p+0 tau=0/0/0 daily=3/0\n");
+}
+
+TEST(PinnedOutputTest, AnalyzeEstimatesEachDeviceBackgroundOnce) {
+  const std::string dir = MakeTestDir("pinned_estimates");
+  const std::string path = WritePinnedFleet(dir);
+  obs::Counter* const estimated = obs::MetricsRegistry::Global().GetCounter(
+      obs::kBackgroundThresholdsEstimated);
+  // The reference amount: one ActiveAggregate per gateway.
+  uint64_t before = estimated->Value();
+  auto reader = io::DatasetReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  for (size_t g = 0; g < reader->gateway_count(); ++g) {
+    const auto trace = reader->ReadGateway(g);
+    ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+    core::ActiveAggregate(*trace);
+  }
+  const uint64_t per_pass = estimated->Value() - before;
+  EXPECT_EQ(per_pass, 40u);  // 20 devices x 2 directions
+
+  fleet::FleetOptions options;
+  options.n_shards = 3;
+  fleet::FleetOrchestrator orchestrator({path}, options);
+  before = estimated->Value();
+  ASSERT_TRUE(orchestrator.Analyze().ok());
+  EXPECT_EQ(estimated->Value() - before, per_pass);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "core/profiling.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -51,7 +50,7 @@ int main() {
   for (auto& t : writers) t.join();
   (void)guarded.Get();
 
-  // Annotated production types: registry, trace session, phase timings.
+  // Annotated production types: metrics registry and trace session.
   // Private registry with throwaway names, as in tests — suppressed rather
   // than polluting the canonical catalog in obs/metric_names.h.
   homets::obs::MetricsRegistry registry;
@@ -66,13 +65,12 @@ int main() {
   }
 
   homets::obs::TraceSession session;
-  homets::core::PhaseTimings timings;
   {
     homets::obs::InstallGlobalTraceSession(&session);
-    homets::core::ScopedPhaseTimer timer(&timings, "smoke.phase");
+    homets::obs::ScopedSpan span("smoke.phase");
   }
   homets::obs::InstallGlobalTraceSession(nullptr);
-  if (session.size() != 1 || timings.TotalNs("smoke.phase") == 0) {
+  if (session.size() != 1) {
     std::fprintf(stderr, "FAIL: annotated span path did not record\n");
     return 1;
   }

@@ -424,11 +424,8 @@ int RunMotifs(const ParsedArgs& args,
         }
         NarrateIngest(reader->report());
         const int id = next_id++;
-        const auto active = core::ActiveAggregate(*gw);
-        const auto aggregated =
-            ts::Aggregate(active, granularity, anchor, ts::AggKind::kSum);
-        if (!aggregated.ok()) continue;
-        for (auto& w : ts::SliceWindows(*aggregated, window, anchor)) {
+        for (auto& w : ts::AggregateWindows(core::ActiveAggregate(*gw),
+                                            granularity, window, anchor)) {
           provenance.push_back({id, w.start_minute()});
           windows.push_back(std::move(w));
         }
