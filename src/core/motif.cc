@@ -5,6 +5,7 @@
 #include <map>
 #include <unordered_map>
 
+#include "core/motif_rules.h"
 #include "core/similarity.h"
 #include "core/similarity_engine.h"
 #include "correlation/prepared_series.h"
@@ -59,6 +60,69 @@ class SimilarityCache {
 
 }  // namespace
 
+int BestAdmissibleMotif(const std::vector<MotifCandidate>& motifs,
+                        const MotifOptions& options,
+                        const std::function<double(size_t)>& cor_with_new) {
+  const double group_threshold = options.group_factor * options.phi;
+  int best_motif = -1;
+  double best_score = -2.0;
+  for (size_t m = 0; m < motifs.size(); ++m) {
+    bool individual = false;
+    bool group = true;
+    double sum = 0.0;
+    for (size_t member : motifs[m].members) {
+      const double cor = cor_with_new(member);
+      if (cor >= options.phi) individual = true;
+      if (cor < group_threshold) {
+        group = false;
+        break;
+      }
+      sum += cor;
+    }
+    if (!individual || !group) continue;
+    const double score = sum / static_cast<double>(motifs[m].members.size());
+    if (score > best_score) {
+      best_score = score;
+      best_motif = static_cast<int>(m);
+    }
+  }
+  return best_motif;
+}
+
+size_t MergeMotifs(std::vector<MotifCandidate>* motifs,
+                   const MotifOptions& options,
+                   const std::function<double(size_t, size_t)>& pair_cor) {
+  auto all_cross_pairs_high = [&](const MotifCandidate& a,
+                                  const MotifCandidate& b) {
+    for (size_t ma : a.members) {
+      for (size_t mb : b.members) {
+        if (pair_cor(ma, mb) < options.merge_threshold) return false;
+      }
+    }
+    return true;
+  };
+  std::vector<MotifCandidate>& m = *motifs;
+  size_t merges = 0;
+  bool merged = true;
+  while (merged) {
+    merged = false;
+    for (size_t a = 0; a < m.size() && !merged; ++a) {
+      for (size_t b = a + 1; b < m.size() && !merged; ++b) {
+        if (!m[a].changed && !m[b].changed) continue;
+        if (!all_cross_pairs_high(m[a], m[b])) continue;
+        m[a].members.insert(m[a].members.end(), m[b].members.begin(),
+                            m[b].members.end());
+        m[a].changed = true;
+        m.erase(m.begin() + static_cast<long>(b));
+        merged = true;
+        ++merges;
+      }
+    }
+  }
+  for (auto& motif : m) motif.changed = false;
+  return merges;
+}
+
 Result<std::vector<Motif>> MotifDiscovery::Discover(
     const std::vector<ts::TimeSeries>& windows) const {
   if (windows.empty()) {
@@ -92,78 +156,27 @@ Result<std::vector<Motif>> MotifDiscovery::Discover(
   if (progress != nullptr) progress->AddTotal(windows.size());
 
   SimilarityCache cache(windows, options_.alpha);
-  const double group_threshold = options_.group_factor * options_.phi;
-
-  // Greedy agglomeration: each window joins the best admissible motif.
-  std::vector<Motif> motifs;
+  // Greedy pass: each window joins the best admissible motif, then one merge
+  // phase over the finished motifs.
+  std::vector<MotifCandidate> motifs;
   for (size_t w = 0; w < windows.size(); ++w) {
     if (progress != nullptr) progress->Tick();
-    int best_motif = -1;
-    double best_score = -2.0;
-    for (size_t m = 0; m < motifs.size(); ++m) {
-      bool individual = false;
-      bool group = true;
-      double sum = 0.0;
-      for (size_t member : motifs[m].members) {
-        const double cor = cache.Get(w, member);
-        if (cor >= options_.phi) individual = true;
-        if (cor < group_threshold) {
-          group = false;
-          break;
-        }
-        sum += cor;
-      }
-      if (!individual || !group) continue;
-      const double score =
-          sum / static_cast<double>(motifs[m].members.size());
-      if (score > best_score) {
-        best_score = score;
-        best_motif = static_cast<int>(m);
-      }
-    }
-    if (best_motif >= 0) {
-      motifs[static_cast<size_t>(best_motif)].members.push_back(w);
+    const int best = BestAdmissibleMotif(
+        motifs, options_, [&](size_t member) { return cache.Get(w, member); });
+    if (best >= 0) {
+      motifs[static_cast<size_t>(best)].members.push_back(w);
     } else {
-      Motif fresh;
-      fresh.members.push_back(w);
-      motifs.push_back(std::move(fresh));
+      motifs.push_back({motifs.size(), {w}});
     }
   }
-
-  // Merge phase: combine motifs when all cross pairs correlate at or above
-  // the merge threshold; iterate to a fixed point.
-  bool merged = true;
-  while (merged) {
-    merged = false;
-    for (size_t a = 0; a < motifs.size() && !merged; ++a) {
-      for (size_t b = a + 1; b < motifs.size() && !merged; ++b) {
-        bool all_high = true;
-        for (size_t ma : motifs[a].members) {
-          for (size_t mb : motifs[b].members) {
-            if (cache.Get(ma, mb) < options_.merge_threshold) {
-              all_high = false;
-              break;
-            }
-          }
-          if (!all_high) break;
-        }
-        if (all_high) {
-          motifs[a].members.insert(motifs[a].members.end(),
-                                   motifs[b].members.begin(),
-                                   motifs[b].members.end());
-          motifs.erase(motifs.begin() + static_cast<long>(b));
-          merged = true;
-          motifs_merged->Increment();
-        }
-      }
-    }
-  }
+  motifs_merged->Increment(MergeMotifs(
+      &motifs, options_, [&](size_t a, size_t b) { return cache.Get(a, b); }));
 
   std::vector<Motif> reported;
   for (auto& motif : motifs) {
-    if (motif.support() >= options_.min_support) {
+    if (motif.members.size() >= options_.min_support) {
       std::sort(motif.members.begin(), motif.members.end());
-      reported.push_back(std::move(motif));
+      reported.push_back({std::move(motif.members)});
     }
   }
   // Descending support; equal-support motifs tie-break on the earliest

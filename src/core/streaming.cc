@@ -106,14 +106,6 @@ StreamingMotifMiner::StreamingMotifMiner(MotifOptions options,
     : options_(options),
       horizon_windows_(horizon_windows == 0 ? 1 : horizon_windows) {}
 
-double StreamingMotifMiner::Similarity(
-    const correlation::PreparedSeries& a,
-    const correlation::PreparedSeries& b) const {
-  SimilarityOptions sim;
-  sim.alpha = options_.alpha;
-  return CorrelationSimilarity(a, b, sim, &workspace_).value;
-}
-
 Result<size_t> StreamingMotifMiner::AddWindow(int gateway_id,
                                               const ts::TimeSeries& window) {
   if (!retained_.empty() &&
@@ -127,107 +119,42 @@ Result<size_t> StreamingMotifMiner::AddWindow(int gateway_id,
   // across its retained lifetime reuses the prepared form.
   retained_.push_back(
       {index, window, correlation::PreparedSeries::Make(window.values())});
-  const correlation::PreparedSeries& arrived = retained_.back().prepared;
-
-  auto window_by_index =
-      [this](size_t idx) -> const correlation::PreparedSeries* {
-    // retained_ is ordered by arrival index.
-    if (retained_.empty()) return nullptr;
+  // retained_ is ordered by arrival index, and Evict drops evicted indices
+  // from every motif, so every member is retained.
+  auto cor = [this](size_t a, size_t b) {
     const size_t first = retained_.front().index;
-    if (idx < first || idx > retained_.back().index) return nullptr;
-    return &retained_[idx - first].prepared;
+    return CorrelationSimilarity(retained_[a - first].prepared,
+                                 retained_[b - first].prepared,
+                                 {options_.alpha}, &workspace_)
+        .value;
   };
 
-  // Greedy Definition 5 assignment against retained members.
-  const double group_threshold = options_.group_factor * options_.phi;
-  int best_motif = -1;
-  double best_score = -2.0;
-  for (size_t m = 0; m < motifs_.size(); ++m) {
-    bool individual = false;
-    bool group = true;
-    double sum = 0.0;
-    size_t counted = 0;
-    for (size_t member : motifs_[m].members) {
-      const correlation::PreparedSeries* other = window_by_index(member);
-      if (other == nullptr) continue;
-      const double cor = Similarity(arrived, *other);
-      if (cor >= options_.phi) individual = true;
-      if (cor < group_threshold) {
-        group = false;
-        break;
-      }
-      sum += cor;
-      ++counted;
-    }
-    if (!individual || !group || counted == 0) continue;
-    const double score = sum / static_cast<double>(counted);
-    if (score > best_score) {
-      best_score = score;
-      best_motif = static_cast<int>(m);
-    }
-  }
+  const int best = BestAdmissibleMotif(
+      motifs_, options_, [&](size_t member) { return cor(index, member); });
   size_t joined_id;
-  if (best_motif >= 0) {
-    motifs_[static_cast<size_t>(best_motif)].members.push_back(index);
-    joined_id = motifs_[static_cast<size_t>(best_motif)].id;
+  if (best >= 0) {
+    MotifCandidate& joined = motifs_[static_cast<size_t>(best)];
+    joined.members.push_back(index);
+    joined.changed = true;
+    joined_id = joined.id;
   } else {
-    MotifState fresh;
-    fresh.id = next_motif_id_++;
-    fresh.members.push_back(index);
-    motifs_.push_back(std::move(fresh));
-    joined_id = motifs_.back().id;
+    joined_id = next_motif_id_++;
+    motifs_.push_back({joined_id, {index}});
   }
-  TryMerge();
+  static obs::Counter* const merges = obs::MetricsRegistry::Global().GetCounter(
+      obs::kStreamingMotifsMerged);
+  // motifs_ stays in id order (appended on creation, erased in place), so
+  // the surviving side of a merge holds the older id.
+  const size_t merged = MergeMotifs(&motifs_, options_, cor);
+  if (merged > 0) {
+    merges->Increment(merged);
+    // Assignment sums member correlations in arrival order.
+    for (auto& motif : motifs_) {
+      std::sort(motif.members.begin(), motif.members.end());
+    }
+  }
   Evict();
   return joined_id;
-}
-
-void StreamingMotifMiner::TryMerge() {
-  auto window_by_index =
-      [this](size_t idx) -> const correlation::PreparedSeries* {
-    if (retained_.empty()) return nullptr;
-    const size_t first = retained_.front().index;
-    if (idx < first || idx > retained_.back().index) return nullptr;
-    return &retained_[idx - first].prepared;
-  };
-  bool merged = true;
-  while (merged) {
-    merged = false;
-    for (size_t a = 0; a < motifs_.size() && !merged; ++a) {
-      for (size_t b = a + 1; b < motifs_.size() && !merged; ++b) {
-        bool all_high = true;
-        for (size_t ma : motifs_[a].members) {
-          const correlation::PreparedSeries* wa = window_by_index(ma);
-          if (wa == nullptr) continue;
-          for (size_t mb : motifs_[b].members) {
-            const correlation::PreparedSeries* wb = window_by_index(mb);
-            if (wb == nullptr) continue;
-            if (Similarity(*wa, *wb) < options_.merge_threshold) {
-              all_high = false;
-              break;
-            }
-          }
-          if (!all_high) break;
-        }
-        if (all_high) {
-          static obs::Counter* const merges =
-              obs::MetricsRegistry::Global().GetCounter(
-                  obs::kStreamingMotifsMerged);
-          merges->Increment();
-          // Keep the older id: stable identities across the stream.
-          if (motifs_[b].id < motifs_[a].id) {
-            std::swap(motifs_[a].id, motifs_[b].id);
-          }
-          motifs_[a].members.insert(motifs_[a].members.end(),
-                                    motifs_[b].members.begin(),
-                                    motifs_[b].members.end());
-          std::sort(motifs_[a].members.begin(), motifs_[a].members.end());
-          motifs_.erase(motifs_.begin() + static_cast<long>(b));
-          merged = true;
-        }
-      }
-    }
-  }
 }
 
 void StreamingMotifMiner::Evict() {
@@ -239,13 +166,15 @@ void StreamingMotifMiner::Evict() {
     retained_.pop_front();
     evictions->Increment();
     for (auto& motif : motifs_) {
-      motif.members.erase(
-          std::remove(motif.members.begin(), motif.members.end(), evicted),
-          motif.members.end());
+      const auto end =
+          std::remove(motif.members.begin(), motif.members.end(), evicted);
+      if (end == motif.members.end()) continue;
+      motif.members.erase(end, motif.members.end());
+      motif.changed = true;
     }
   }
   motifs_.erase(std::remove_if(motifs_.begin(), motifs_.end(),
-                               [](const MotifState& m) {
+                               [](const MotifCandidate& m) {
                                  return m.members.empty();
                                }),
                 motifs_.end());
@@ -254,10 +183,9 @@ void StreamingMotifMiner::Evict() {
 std::vector<Motif> StreamingMotifMiner::CurrentMotifs() const {
   std::vector<Motif> out;
   for (const auto& state : motifs_) {
-    if (state.members.size() < options_.min_support) continue;
-    Motif motif;
-    motif.members = state.members;
-    out.push_back(std::move(motif));
+    if (state.members.size() >= options_.min_support) {
+      out.push_back({state.members});
+    }
   }
   // Same deterministic order as MotifDiscovery::Discover: descending
   // support, ties broken by the earliest member index.

@@ -8,6 +8,7 @@
 
 #include "common/status.h"
 #include "core/motif.h"
+#include "core/motif_rules.h"
 #include "correlation/prepared_series.h"
 #include "ts/time_series.h"
 
@@ -65,9 +66,11 @@ class WindowAssembler {
 ///
 /// Applies Definition 5's membership rules online: each arriving window
 /// joins the best motif satisfying the individual- and group-similarity
-/// conditions, else seeds a new candidate; the paper's merge rule runs
-/// opportunistically. Windows older than `horizon_windows` arrivals are
-/// evicted, so memory is bounded for infinite streams.
+/// conditions, else seeds a new candidate; after every arrival the paper's
+/// merge rule runs until no pair merges. Windows older than
+/// `horizon_windows` arrivals are evicted, so the retained windows and their
+/// motifs stay bounded on an infinite stream; provenance() still grows by
+/// one entry per window seen.
 class StreamingMotifMiner {
  public:
   StreamingMotifMiner(MotifOptions options, size_t horizon_windows);
@@ -81,8 +84,8 @@ class StreamingMotifMiner {
   /// arrival order.
   std::vector<Motif> CurrentMotifs() const;
 
-  /// Provenance of a retained window by arrival index (empty optional if
-  /// evicted).
+  /// Provenance of every window seen, indexed by arrival index; entries of
+  /// evicted windows are kept.
   const std::vector<WindowProvenance>& provenance() const {
     return provenance_;
   }
@@ -98,24 +101,17 @@ class StreamingMotifMiner {
     /// participates in over its retained lifetime reuses it.
     correlation::PreparedSeries prepared;
   };
-  struct MotifState {
-    size_t id;
-    std::vector<size_t> members;  ///< arrival indices, retained only
-  };
 
-  double Similarity(const correlation::PreparedSeries& a,
-                    const correlation::PreparedSeries& b) const;
   void Evict();
-  void TryMerge();
 
   MotifOptions options_;
   size_t horizon_windows_;
   size_t next_index_ = 0;
   size_t next_motif_id_ = 0;
   std::deque<StoredWindow> retained_;
-  std::vector<MotifState> motifs_;
+  std::vector<MotifCandidate> motifs_;  ///< members: retained arrival indices
   std::vector<WindowProvenance> provenance_;  ///< by arrival index
-  mutable correlation::PairWorkspace workspace_;  ///< per-pair scratch
+  correlation::PairWorkspace workspace_;  ///< reused per-pair buffers
 };
 
 }  // namespace homets::core

@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string_view>
+#include <vector>
 
 #include "common/random.h"
+#include "core/background.h"
 #include "core/motif.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
+#include "simgen/fleet.h"
 
 namespace homets::core {
 namespace {
@@ -120,22 +127,71 @@ TEST(StreamingMotifMinerTest, GroupsStreamedFamilies) {
   }
 }
 
+uint64_t Count(std::string_view name) {
+  return obs::MetricsRegistry::Global().GetCounter(name)->Value();
+}
+
+std::vector<std::vector<size_t>> Members(const std::vector<Motif>& motifs) {
+  std::vector<std::vector<size_t>> out;
+  for (const auto& motif : motifs) out.push_back(motif.members);
+  return out;
+}
+
 TEST(StreamingMotifMinerTest, MatchesBatchDiscoveryOnSameWindows) {
+  // Without merges and evictions both miners run the same greedy
+  // assignment over the same window order, so they agree exactly.
   Rng rng(2);
   std::vector<ts::TimeSeries> windows;
   for (int i = 0; i < 18; ++i) {
     windows.push_back(ShapedWindow(i % 3, i * ts::kMinutesPerDay, &rng));
   }
+  const uint64_t stream_merges = Count(obs::kStreamingMotifsMerged);
+  const uint64_t batch_merges = Count(obs::kMotifMotifsMerged);
   StreamingMotifMiner miner(MotifOptions{}, 1000);
   for (size_t i = 0; i < windows.size(); ++i) {
     ASSERT_TRUE(miner.AddWindow(0, windows[i]).ok());
   }
   const auto streamed = miner.CurrentMotifs();
   const auto batch = MotifDiscovery().Discover(windows).value();
-  ASSERT_EQ(streamed.size(), batch.size());
-  for (size_t m = 0; m < streamed.size(); ++m) {
-    EXPECT_EQ(streamed[m].support(), batch[m].support());
+  ASSERT_EQ(Count(obs::kStreamingMotifsMerged), stream_merges);
+  ASSERT_EQ(Count(obs::kMotifMotifsMerged), batch_merges);
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_EQ(Members(streamed), Members(batch));
+}
+
+ts::TimeSeries PhaseWindow(double degrees, int64_t start) {
+  std::vector<double> v(24);
+  for (size_t i = 0; i < v.size(); ++i) {
+    v[i] = 200.0 + 100.0 * std::sin(2.0 * M_PI * static_cast<double>(i) /
+                                        24.0 +
+                                    degrees * M_PI / 180.0);
   }
+  return ts::TimeSeries(start, 60, std::move(v));
+}
+
+TEST(StreamingMotifMinerTest, EarlierMergeChangesLaterAssignment) {
+  // The named difference between the miners: streaming runs the merge
+  // rule after every arrival, batch once after the greedy pass. Phase-
+  // shifted daily sinusoids give cor = cos(shift):
+  //   cor(w0, w1) = 0.77  (below φ = 0.8, above the 0.6 merge threshold)
+  //   cor(w0, w2) = 0.91,  cor(w1, w2) = 0.42.
+  // Streaming: w1 seeds a motif that merges into {w0} at once, so w2 finds
+  // {w0, w1} inadmissible (0.42 < ¾φ) and seeds its own motif: {w0, w1}.
+  // Batch: w1 stays alone through the greedy pass, w2 joins {w0}, and the
+  // merge phase rejects {w0, w2} + {w1}: {w0, w2}.
+  const std::vector<ts::TimeSeries> windows = {
+      PhaseWindow(0.0, 0), PhaseWindow(40.0, ts::kMinutesPerDay),
+      PhaseWindow(-25.0, 2 * ts::kMinutesPerDay)};
+  StreamingMotifMiner miner(MotifOptions{}, 1000);
+  std::vector<size_t> ids;
+  for (const auto& window : windows) {
+    ids.push_back(miner.AddWindow(0, window).value());
+  }
+  EXPECT_EQ(ids, (std::vector<size_t>{0, 1, 2}));
+  EXPECT_EQ(Members(miner.CurrentMotifs()),
+            (std::vector<std::vector<size_t>>{{0, 1}}));
+  EXPECT_EQ(Members(MotifDiscovery().Discover(windows).value()),
+            (std::vector<std::vector<size_t>>{{0, 2}}));
 }
 
 TEST(StreamingMotifMinerTest, EvictionBoundsMemory) {
@@ -204,6 +260,129 @@ TEST(EndToEndStreamingTest, AssemblerFeedsMiner) {
   const auto motifs = miner.CurrentMotifs();
   ASSERT_FALSE(motifs.empty());
   EXPECT_GE(motifs[0].support(), 10u);
+}
+
+// -- Definition 5 pins -------------------------------------------------------
+// Both miners, MotifDiscovery and StreamingMotifMiner, pinned to exact
+// outputs on seeded simgen daily windows at 3 h bins (8 gateways x 2 weeks,
+// 112 windows). The expected values come from the earlier separate batch and
+// streaming implementations; a change to either rule, to the changed-flag
+// skip or to member order shows here. Horizons 5 and 60 include merges that
+// fire only because an eviction shrank a motif (arrivals 62 and 89 at
+// horizon 5, arrival 64 at horizon 60), so "eviction marks the motif
+// changed" is load-bearing.
+
+struct PinWindows {
+  std::vector<ts::TimeSeries> windows;
+  std::vector<int> gateway;
+};
+
+PinWindows MakeWindows() {
+  simgen::SimConfig config;
+  config.n_gateways = 8;
+  config.weeks = 2;
+  config.seed = 3;
+  simgen::FleetGenerator generator(config);
+  PinWindows out;
+  for (int id = 0; id < config.n_gateways; ++id) {
+    const auto active = ActiveAggregate(generator.Generate(id));
+    for (auto& w : ts::AggregateWindows(active, 180, ts::kMinutesPerDay, 0)) {
+      out.windows.push_back(std::move(w));
+      out.gateway.push_back(id);
+    }
+  }
+  return out;
+}
+
+const PinWindows& Windows() {
+  static const PinWindows pinned = MakeWindows();
+  return pinned;
+}
+
+void ExpectStream(size_t horizon, const std::vector<size_t>& expected_ids,
+                  const std::vector<std::vector<size_t>>& expected_motifs,
+                  uint64_t expected_merged, uint64_t expected_evicted) {
+  const auto& windows = Windows();
+  ASSERT_EQ(windows.windows.size(), 112u);
+  const uint64_t merged = Count(obs::kStreamingMotifsMerged);
+  const uint64_t evicted = Count(obs::kStreamingWindowsEvicted);
+  StreamingMotifMiner miner(MotifOptions{}, horizon);
+  std::vector<size_t> ids;
+  for (size_t i = 0; i < windows.windows.size(); ++i) {
+    ids.push_back(
+        miner.AddWindow(windows.gateway[i], windows.windows[i]).value());
+  }
+  EXPECT_EQ(ids, expected_ids);
+  EXPECT_EQ(Members(miner.CurrentMotifs()), expected_motifs);
+  EXPECT_EQ(Count(obs::kStreamingMotifsMerged) - merged, expected_merged);
+  EXPECT_EQ(Count(obs::kStreamingWindowsEvicted) - evicted,
+            expected_evicted);
+}
+
+TEST(Definition5PinTest, StreamingHorizon5) {
+  ExpectStream(5,
+               {0, 1, 2, 3, 4, 1, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17,
+                18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 27, 28, 29, 30, 31, 31,
+                32, 28, 33, 34, 28, 35, 35, 36, 36, 37, 36, 36, 38, 39, 36, 36,
+                40, 41, 36, 40, 36, 42, 43, 44, 45, 43, 46, 47, 48, 49, 50, 51,
+                52, 53, 54, 50, 55, 55, 56, 55, 50, 50, 57, 55, 57, 58, 55, 59,
+                55, 60, 61, 62, 63, 55, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73,
+                74, 75, 76, 77, 73, 78, 79, 80, 81, 82, 80, 83, 74},
+               {{109, 111}},
+               /*merged=*/18, /*evicted=*/107);
+}
+
+TEST(Definition5PinTest, StreamingHorizon60) {
+  ExpectStream(60,
+               {0, 1, 2, 3, 4, 1, 5, 6, 7, 0, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+                17, 18, 19, 20, 21, 22, 23, 24, 25, 7, 5, 3, 26, 27, 28, 28, 5,
+                29, 30, 7, 5, 28, 31, 32, 32, 33, 32, 32, 34, 35, 32, 32, 36,
+                37, 32, 34, 34, 38, 35, 39, 39, 40, 28, 10, 41, 42, 39, 43, 44,
+                30, 26, 26, 34, 34, 45, 28, 46, 47, 5, 31, 3, 32, 34, 48, 28,
+                49, 50, 51, 38, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 34, 29,
+                62, 47, 63, 35, 64, 29, 29, 65, 66, 29, 67, 34},
+               {{54, 55, 71, 72, 81, 98, 111}, {61, 74, 78, 83, 88},
+                {99, 105, 106, 109}, {58, 59, 65}, {64, 84, 86}, {68, 69, 70},
+                {76, 90, 101}, {53, 80}, {56, 87}, {57, 103}, {60, 75},
+                {73, 79}, {77, 82}},
+               /*merged=*/14, /*evicted=*/52);
+}
+
+TEST(Definition5PinTest, StreamingNoEviction) {
+  ExpectStream(10000,
+               {0, 1, 2, 3, 4, 1, 5, 6, 7, 0, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+                17, 18, 19, 20, 21, 22, 23, 24, 25, 7, 5, 3, 26, 27, 28, 28, 5,
+                29, 30, 7, 5, 28, 31, 32, 32, 33, 32, 32, 34, 35, 32, 32, 36,
+                37, 32, 34, 34, 38, 35, 39, 39, 40, 28, 10, 41, 42, 39, 43, 6,
+                30, 26, 26, 34, 34, 44, 28, 45, 44, 5, 31, 46, 7, 34, 47, 28,
+                48, 1, 49, 38, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 34, 7,
+                60, 44, 0, 26, 61, 62, 35, 31, 63, 64, 3, 64},
+               {{42, 43, 45, 46, 49, 50, 53}, {47, 54, 55, 71, 72, 81, 98},
+                {33, 34, 40, 61, 74, 83}, {6, 29, 35, 39, 77},
+                {8, 28, 38, 80, 99}, {31, 32, 69, 70, 103}, {3, 10, 30, 110},
+                {73, 76, 90, 101}, {0, 9, 102}, {1, 5, 85}, {41, 78, 107},
+                {48, 57, 106}, {58, 59, 65}, {64, 84, 86}, {7, 67}, {12, 62},
+                {36, 51}, {37, 68}, {56, 87}, {60, 75}, {104, 105}, {109, 111}},
+               /*merged=*/8, /*evicted=*/0);
+}
+
+TEST(Definition5PinTest, BatchDiscovery) {
+  const auto& windows = Windows();
+  const uint64_t merged = Count(obs::kMotifMotifsMerged);
+  const uint64_t hits = Count(obs::kMotifCacheHits);
+  const uint64_t misses = Count(obs::kMotifCacheMisses);
+  const auto motifs = MotifDiscovery().Discover(windows.windows).value();
+  EXPECT_EQ(Members(motifs),
+            (std::vector<std::vector<size_t>>{
+                {42, 43, 45, 49, 50, 51, 53, 106}, {31, 46, 55, 69, 98, 103},
+                {33, 34, 40, 61, 74, 83}, {70, 73, 75, 76, 90, 101},
+                {8, 28, 38, 80, 99}, {47, 54, 71, 72, 81}, {3, 10, 30, 110},
+                {6, 29, 35, 39}, {32, 58, 59, 65}, {0, 9, 102}, {1, 5, 85},
+                {36, 77, 79}, {41, 78, 107}, {64, 84, 86}, {105, 109, 111},
+                {7, 67}, {12, 62}, {37, 68}, {48, 57}, {56, 87}}));
+  EXPECT_EQ(Count(obs::kMotifMotifsMerged) - merged, 3u);
+  EXPECT_EQ(Count(obs::kMotifCacheHits) - hits, 4803u);
+  EXPECT_EQ(Count(obs::kMotifCacheMisses) - misses, 4117u);
 }
 
 }  // namespace
