@@ -52,9 +52,8 @@ Result<BackgroundThreshold> EstimateBackgroundThreshold(
   }
   BackgroundThreshold result;
   result.observations = observed.size();
-  HOMETS_ASSIGN_OR_RETURN(const stats::Boxplot box,
-                          stats::ComputeBoxplot(std::move(observed)));
-  result.tau = box.upper_whisker;
+  HOMETS_ASSIGN_OR_RETURN(result.tau,
+                          stats::UpperWhisker(std::move(observed)));
   result.tau_back = std::min(result.tau, kBackgroundCapBytes);
   result.group = ClassifyTau(result.tau);
   auto& registry = obs::MetricsRegistry::Global();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -44,6 +45,7 @@ double PearsonPValue(double r, size_t n) {
 // place and returns the number of exchanges (discordant pairs).
 uint64_t CountSwaps(std::vector<double>* y, std::vector<double>* buffer) {
   const size_t n = y->size();
+  buffer->resize(n);
   uint64_t swaps = 0;
   for (size_t width = 1; width < n; width *= 2) {
     for (size_t lo = 0; lo + width < n; lo += 2 * width) {
@@ -66,15 +68,17 @@ uint64_t CountSwaps(std::vector<double>* y, std::vector<double>* buffer) {
   return swaps;
 }
 
+void AddTieGroup(size_t size, TieSums* s) {
+  const double t = static_cast<double>(size);
+  s->pairs += t * (t - 1.0) / 2.0;
+  s->triple += t * (t - 1.0) * (t - 2.0);
+  s->weighted += t * (t - 1.0) * (2.0 * t + 5.0);
+  s->pair_raw += t * (t - 1.0);
+}
+
 TieSums TieSumsFromGroups(const std::vector<size_t>& groups) {
   TieSums s;
-  for (size_t g : groups) {
-    const double t = static_cast<double>(g);
-    s.pairs += t * (t - 1.0) / 2.0;
-    s.triple += t * (t - 1.0) * (t - 2.0);
-    s.weighted += t * (t - 1.0) * (2.0 * t + 5.0);
-    s.pair_raw += t * (t - 1.0);
-  }
+  for (size_t g : groups) AddTieGroup(g, &s);
   return s;
 }
 
@@ -145,18 +149,12 @@ Result<CorrelationTest> SpearmanGathered(const std::vector<double>& xc,
   return test;
 }
 
-// Kendall's τ-b given the y values permuted into x-sorted order (with y
-// ascending within x-tie groups), the joint-tie pair count, and both sides'
-// tie sums. `ys` is consumed (sorted in place by the inversion count).
-Result<CorrelationTest> KendallFromProfiles(std::vector<double>* ys,
-                                            std::vector<double>* buffer,
+// Kendall's τ-b over n pairs given the discordant pair count `swaps`, the
+// joint-tie pair count, and the tie sums of x and of y.
+Result<CorrelationTest> KendallFromProfiles(size_t n, uint64_t swaps,
                                             double joint_pairs,
                                             const TieSums& tx,
                                             const TieSums& ty) {
-  const size_t n = ys->size();
-  buffer->resize(n);
-  const uint64_t swaps = CountSwaps(ys, buffer);
-
   const double nf = static_cast<double>(n);
   const double n0 = nf * (nf - 1.0) / 2.0;
   const double denom_x = n0 - tx.pairs;
@@ -224,9 +222,10 @@ Result<CorrelationTest> KendallGathered(const std::vector<double>& xc,
     }
   }
 
+  const uint64_t swaps = CountSwaps(&ws->ys, &ws->buffer);
   const TieSums tx = TieSumsFromGroups(stats::TieGroupSizes(xc));
   const TieSums ty = TieSumsFromGroups(stats::TieGroupSizes(yc));
-  return KendallFromProfiles(&ws->ys, &ws->buffer, joint_pairs, tx, ty);
+  return KendallFromProfiles(n, swaps, joint_pairs, tx, ty);
 }
 
 }  // namespace
@@ -258,26 +257,41 @@ PreparedSeries PreparedSeries::Make(std::vector<double> values,
     MomentsOf(p.values_, &p.mean_, &p.centered_ss_);
     p.constant_ = p.centered_ss_ <= 0.0;
   }
-  if (profiles & kRankProfile) {
-    p.ranks_ = stats::AverageRanks(p.values_);
-    MomentsOf(p.ranks_, &p.rank_mean_, &p.rank_centered_ss_);
-  }
-  if (profiles & kSortProfile) {
-    p.sort_order_.resize(n);
-    std::iota(p.sort_order_.begin(), p.sort_order_.end(), 0u);
-    std::stable_sort(p.sort_order_.begin(), p.sort_order_.end(),
-                     [&v = p.values_](uint32_t a, uint32_t b) {
-                       return v[a] < v[b];
-                     });
-    p.group_offsets_.clear();
-    p.group_offsets_.push_back(0);
-    for (uint32_t i = 1; i < n; ++i) {
-      if (p.values_[p.sort_order_[i]] != p.values_[p.sort_order_[i - 1]]) {
-        p.group_offsets_.push_back(i);
-      }
+  if (profiles & (kRankProfile | kSortProfile)) {
+    // One sort serves both profiles. Sorting (value, index) pairs yields the
+    // stable ascending permutation, and its runs of equal values are the tie
+    // groups in ascending order: exactly the groups AverageRanks and
+    // TieGroupSizes find with their own sorts (-0.0 and 0.0 compare equal
+    // everywhere), so ranks and tie sums come out bit-identical.
+    std::vector<std::pair<double, uint32_t>> keyed(n);
+    for (uint32_t i = 0; i < n; ++i) keyed[i] = {p.values_[i], i};
+    std::stable_sort(
+        keyed.begin(), keyed.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    const bool ranks = profiles & kRankProfile;
+    const bool sorted = profiles & kSortProfile;
+    if (ranks) p.ranks_.resize(n);
+    if (sorted) {
+      p.sort_order_.resize(n);
+      for (size_t i = 0; i < n; ++i) p.sort_order_[i] = keyed[i].second;
     }
-    p.group_offsets_.push_back(static_cast<uint32_t>(n));
-    p.tie_sums_ = TieSumsFromGroups(stats::TieGroupSizes(p.values_));
+    for (size_t i = 0; i < n;) {
+      size_t j = i + 1;
+      while (j < n && keyed[j].first == keyed[i].first) ++j;
+      // Sort positions [i, j) tie.
+      if (ranks) {
+        const double avg =
+            (static_cast<double>(i) + static_cast<double>(j - 1)) / 2.0 + 1.0;
+        for (size_t k = i; k < j; ++k) p.ranks_[keyed[k].second] = avg;
+      }
+      if (sorted) {
+        p.group_offsets_.push_back(static_cast<uint32_t>(i));
+        if (j - i >= 2) AddTieGroup(j - i, &p.tie_sums_);
+      }
+      i = j;
+    }
+    if (ranks) MomentsOf(p.ranks_, &p.rank_mean_, &p.rank_centered_ss_);
+    if (sorted) p.group_offsets_.push_back(static_cast<uint32_t>(n));
   }
   return p;
 }
@@ -326,23 +340,30 @@ Result<CorrelationTest> Kendall(const PreparedSeries& x,
     return KendallGathered(ws->xc, ws->yc, ws);
   }
 
+  // The discordant and joint-tie counts are symmetric in x and y, so order
+  // the pairs by the side with more tie groups. Its groups are small, which
+  // keeps the in-group sorts cheap, and the partner's big tie group (the
+  // zero minutes of a dominance device grid) is split off below.
+  const bool by_x = x.group_offsets().size() >= y.group_offsets().size();
+  const PreparedSeries& lead = by_x ? x : y;
+  const PreparedSeries& partner = by_x ? y : x;
   const size_t n = x.size();
-  const std::vector<uint32_t>& order = x.sort_order();
-  const std::vector<double>& yv = y.values();
+  const std::vector<uint32_t>& order = lead.sort_order();
+  const std::vector<double>& pv = partner.values();
 
-  // Partner values in x-sorted order; sorting each x-tie group ascending
-  // reproduces the (x, y) lexicographic order of the vector path.
+  // Partner values in lead-sorted order; sorting each lead-tie group
+  // ascending reproduces the (lead, partner) lexicographic order.
   ws->ys.resize(n);
-  for (size_t i = 0; i < n; ++i) ws->ys[i] = yv[order[i]];
-  const std::vector<uint32_t>& groups = x.group_offsets();
+  for (size_t i = 0; i < n; ++i) ws->ys[i] = pv[order[i]];
+  const std::vector<uint32_t>& groups = lead.group_offsets();
   for (size_t g = 0; g + 1 < groups.size(); ++g) {
     if (groups[g + 1] - groups[g] > 1) {
       std::sort(ws->ys.begin() + groups[g], ws->ys.begin() + groups[g + 1]);
     }
   }
 
-  // Joint ties: equal-y runs never cross an x-group boundary, so scanning
-  // per group visits exactly the runs of consecutive equal (x, y) pairs.
+  // Joint ties: equal-partner runs never cross a lead-group boundary, so
+  // scanning per group visits exactly the runs of consecutive equal pairs.
   double joint_pairs = 0.0;
   for (size_t g = 0; g + 1 < groups.size(); ++g) {
     size_t i = groups[g];
@@ -356,7 +377,43 @@ Result<CorrelationTest> Kendall(const PreparedSeries& x,
     }
   }
 
-  return KendallFromProfiles(&ws->ys, &ws->buffer, joint_pairs, x.tie_sums(),
+  // Discordant pairs are the inversions of ws->ys. Those that involve the
+  // partner's most frequent value m are counted in one pass: an m at i
+  // inverts with every earlier value above m, a value below m with every
+  // earlier m. Only the remaining values go through the merge count, and a
+  // partner without ties skips the search and split altogether.
+  uint64_t swaps = 0;
+  if (partner.tie_sums().pairs > 0.0) {
+    const std::vector<uint32_t>& pg = partner.group_offsets();
+    size_t mode_group = 0;
+    for (size_t g = 1; g + 1 < pg.size(); ++g) {
+      if (pg[g + 1] - pg[g] > pg[mode_group + 1] - pg[mode_group]) {
+        mode_group = g;
+      }
+    }
+    const double mode = pv[partner.sort_order()[pg[mode_group]]];
+    uint64_t above_seen = 0;
+    uint64_t mode_seen = 0;
+    size_t kept = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const double v = ws->ys[i];
+      if (v == mode) {
+        swaps += above_seen;
+        ++mode_seen;
+        continue;
+      }
+      if (v < mode) {
+        swaps += mode_seen;
+      } else {
+        ++above_seen;
+      }
+      ws->ys[kept++] = v;
+    }
+    ws->ys.resize(kept);
+  }
+  swaps += CountSwaps(&ws->ys, &ws->buffer);
+
+  return KendallFromProfiles(n, swaps, joint_pairs, x.tie_sums(),
                              y.tie_sums());
 }
 

@@ -47,7 +47,8 @@ class PreparedSeries {
  public:
   PreparedSeries() = default;
 
-  /// Profiles `values` (one O(n log n) pass per requested profile).
+  /// Profiles `values`: one O(n) pass for the moments, one O(n log n) sort
+  /// shared by the rank and sort profiles.
   static PreparedSeries Make(std::vector<double> values,
                              uint32_t profiles = kAllProfiles);
 
@@ -123,7 +124,9 @@ Result<CorrelationTest> Spearman(const PreparedSeries& x,
 
 /// \brief Kendall's τ-b over two prepared series; the per-pair work is the
 /// O(n log n) inversion count only — the sort permutation and all tie sums
-/// come from the profiles. Bit-identical to Kendall(x, y).
+/// come from the profiles. Pairs are ordered by the side with more tie
+/// groups, and pairs involving the other side's most frequent value are
+/// counted in one linear pass. Bit-identical to Kendall(x, y).
 Result<CorrelationTest> Kendall(const PreparedSeries& x,
                                 const PreparedSeries& y,
                                 PairWorkspace* workspace = nullptr);

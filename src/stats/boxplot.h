@@ -36,6 +36,12 @@ struct Boxplot {
 Result<Boxplot> ComputeBoxplot(std::vector<double> xs,
                                double whisker_factor = 1.5);
 
+/// \brief ComputeBoxplot(xs, whisker_factor).upper_whisker, bit for bit, by
+/// selection instead of a full sort: O(n) expected, for callers (the paper's
+/// per-device τ) that need nothing else from the boxplot.
+Result<double> UpperWhisker(std::vector<double> xs,
+                            double whisker_factor = 1.5);
+
 }  // namespace homets::stats
 
 #endif  // HOMETS_STATS_BOXPLOT_H_

@@ -5,9 +5,6 @@
 
 namespace homets::stats {
 
-namespace {
-
-// Quantile of an already-sorted vector (R type 7).
 double SortedQuantile(const std::vector<double>& sorted, double q) {
   const size_t n = sorted.size();
   if (n == 1) return sorted[0];
@@ -17,8 +14,6 @@ double SortedQuantile(const std::vector<double>& sorted, double q) {
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
-
-}  // namespace
 
 Result<double> Mean(const std::vector<double>& xs) {
   if (xs.empty()) return Status::InvalidArgument("Mean: empty input");

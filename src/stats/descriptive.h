@@ -22,6 +22,10 @@ Result<double> StdDev(const std::vector<double>& xs);
 /// non-empty input. The input need not be sorted.
 Result<double> Quantile(std::vector<double> xs, double q);
 
+/// \brief Quantile(xs, q) of an already ascending-sorted, non-empty vector,
+/// without the copy and sort; q must be in [0, 1].
+double SortedQuantile(const std::vector<double>& sorted, double q);
+
 /// \brief Median, equivalent to Quantile(xs, 0.5).
 Result<double> Median(std::vector<double> xs);
 

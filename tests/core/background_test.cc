@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/random.h"
 #include "core/similarity.h"
 #include "simgen/fleet.h"
+#include "stats/boxplot.h"
 
 namespace homets::core {
 namespace {
@@ -80,6 +82,120 @@ TEST(BackgroundThresholdTest, MissingValuesIgnored) {
 TEST(BackgroundThresholdTest, TooFewObservationsError) {
   ts::TimeSeries tiny(0, 1, {1, 2, 3});
   EXPECT_FALSE(EstimateBackgroundThreshold(tiny).ok());
+}
+
+TEST(BackgroundThresholdTest, TauMatchesFullBoxplotOnFleet) {
+  // τ comes from stats::UpperWhisker (selection, no sort); on every device
+  // direction of a simgen fleet it must be the full boxplot's whisker bits.
+  simgen::SimConfig config;
+  config.n_gateways = 6;
+  config.weeks = 2;
+  config.seed = 4243;
+  simgen::FleetGenerator gen(config);
+  size_t checked = 0;
+  for (int id = 0; id < config.n_gateways; ++id) {
+    const auto gw = gen.Generate(id);
+    for (const auto& device : gw.devices) {
+      for (const ts::TimeSeries* series :
+           {&device.incoming, &device.outgoing}) {
+        const std::vector<double> observed = series->ObservedValues();
+        if (observed.empty()) continue;
+        const double boxplot =
+            stats::ComputeBoxplot(observed).value().upper_whisker;
+        const double tau = stats::UpperWhisker(observed).value();
+        EXPECT_EQ(std::memcmp(&tau, &boxplot, sizeof(double)), 0)
+            << device.name << ": " << tau << " vs " << boxplot;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 20u);
+}
+
+TEST(BackgroundThresholdTest, PinnedFleetThresholds) {
+  // τ, τ_back and the group of every device direction of one seeded fleet,
+  // as the sort-based boxplot computed them (hex literals: exact bits).
+  enum Direction { kIn, kOut };
+  struct Pin {
+    int gateway;
+    size_t device;
+    Direction direction;
+    double tau;
+    double tau_back;
+    TauGroup group;
+    size_t observations;
+  };
+  const std::vector<Pin> pins = {
+      {0, 0, kIn, 0x1.a352b55c12f8fp+7, 0x1.a352b55c12f8fp+7,
+       TauGroup::kSmall, 16440},
+      {0, 0, kOut, 0x1.3f980f25669b1p+6, 0x1.3f980f25669b1p+6,
+       TauGroup::kSmall, 16440},
+      {0, 1, kIn, 0x1.09608dc30fa4dp+9, 0x1.09608dc30fa4dp+9,
+       TauGroup::kSmall, 16320},
+      {0, 1, kOut, 0x1.110e08833f80ep+6, 0x1.110e08833f80ep+6,
+       TauGroup::kSmall, 16320},
+      {1, 0, kIn, 0x1.fc63d9a1ad23bp+6, 0x1.fc63d9a1ad23bp+6,
+       TauGroup::kSmall, 20160},
+      {1, 0, kOut, 0x1.91ddca79d1d13p+5, 0x1.91ddca79d1d13p+5,
+       TauGroup::kSmall, 20160},
+      {1, 1, kIn, 0x1.0333220bc0565p+9, 0x1.0333220bc0565p+9,
+       TauGroup::kSmall, 20160},
+      {1, 1, kOut, 0x1.8113705846191p+6, 0x1.8113705846191p+6,
+       TauGroup::kSmall, 20160},
+      {1, 2, kIn, 0x1.7f6068aa85618p+5, 0x1.7f6068aa85618p+5,
+       TauGroup::kSmall, 300},
+      {1, 2, kOut, 0x1.343a7123f4d5p+4, 0x1.343a7123f4d5p+4,
+       TauGroup::kSmall, 300},
+      {1, 3, kIn, 0x1.4437e737c247cp+7, 0x1.4437e737c247cp+7,
+       TauGroup::kSmall, 300},
+      {1, 3, kOut, 0x1.4ddaff4330a0bp+6, 0x1.4ddaff4330a0bp+6,
+       TauGroup::kSmall, 300},
+      {1, 4, kIn, 0x1.d6c90533311ecp+7, 0x1.d6c90533311ecp+7,
+       TauGroup::kSmall, 240},
+      {1, 4, kOut, 0x1.1616353472154p+6, 0x1.1616353472154p+6,
+       TauGroup::kSmall, 240},
+      {2, 0, kIn, 0x1.7f9572b2930c2p+6, 0x1.7f9572b2930c2p+6,
+       TauGroup::kSmall, 17280},
+      {2, 0, kOut, 0x1.b9ca5a6b6cdcfp+4, 0x1.b9ca5a6b6cdcfp+4,
+       TauGroup::kSmall, 17280},
+      {2, 1, kIn, 0x1.6012bf223778bp+7, 0x1.6012bf223778bp+7,
+       TauGroup::kSmall, 17280},
+      {2, 1, kOut, 0x1.2b40cfc38d0a2p+6, 0x1.2b40cfc38d0a2p+6,
+       TauGroup::kSmall, 17280},
+      {2, 2, kIn, 0x1.4dc230214a6dbp+12, 0x1.388p+12,
+       TauGroup::kMedium, 17280},
+      {2, 2, kOut, 0x1.a69134a89c1c9p+11, 0x1.a69134a89c1c9p+11,
+       TauGroup::kSmall, 17280},
+  };
+  simgen::SimConfig config;
+  config.n_gateways = 3;
+  config.weeks = 2;
+  config.seed = 4242;
+  simgen::FleetGenerator gen(config);
+  size_t next = 0;
+  for (int id = 0; id < config.n_gateways; ++id) {
+    const auto gw = gen.Generate(id);
+    for (size_t d = 0; d < gw.devices.size(); ++d) {
+      for (const Direction direction : {kIn, kOut}) {
+        ASSERT_LT(next, pins.size());
+        const Pin& pin = pins[next++];
+        ASSERT_EQ(pin.gateway, id);
+        ASSERT_EQ(pin.device, d);
+        ASSERT_EQ(pin.direction, direction);
+        const auto bg = EstimateBackgroundThreshold(
+            direction == kIn ? gw.devices[d].incoming
+                             : gw.devices[d].outgoing).value();
+        SCOPED_TRACE(next);
+        EXPECT_EQ(std::memcmp(&bg.tau, &pin.tau, sizeof(double)), 0)
+            << bg.tau << " vs " << pin.tau;
+        EXPECT_EQ(std::memcmp(&bg.tau_back, &pin.tau_back, sizeof(double)), 0)
+            << bg.tau_back << " vs " << pin.tau_back;
+        EXPECT_EQ(bg.group, pin.group);
+        EXPECT_EQ(bg.observations, pin.observations);
+      }
+    }
+  }
+  EXPECT_EQ(next, pins.size());
 }
 
 TEST(DeviceBackgroundTest, PerDirectionEstimates) {

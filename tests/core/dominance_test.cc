@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/random.h"
+#include "simgen/fleet.h"
 
 namespace homets::core {
 namespace {
@@ -76,6 +79,60 @@ TEST(DominanceTest, MaxDevicesCapRespected) {
   options.phi = -1.0;  // admit everything
   options.max_devices = 2;
   EXPECT_EQ(FindDominantDevices(gw, options).size(), 2u);
+}
+
+TEST(DominanceTest, PinnedFleetSimilaritiesAndRanking) {
+  // Every device of a seeded 4-gateway x 2-week fleet, ranked by its
+  // Definition 1 similarity to the aggregate (week-scale n, zero-heavy
+  // device grids): pinned ranking and exact similarity bits.
+  struct Pin {
+    int gateway;
+    size_t device;
+    double similarity;
+  };
+  const std::vector<Pin> pins = {
+      {0, 0, 0x1.eb294905ae6d9p-1},
+      {0, 2, 0x1.954254f79ac4fp-1},
+      {0, 1, 0x1.5bc86b98e4a03p-2},
+      {1, 2, 0x1.c09e160a0bf96p-1},
+      {1, 0, 0x1.93a49ef35c8ep-1},
+      {1, 4, 0x1.be3e9bbd0c0efp-3},
+      {1, 3, 0x1.352d117e2ac49p-3},
+      {1, 1, 0x1.3190bf70d8702p-3},
+      {2, 0, 0x1.53b6e448867ffp-1},
+      {2, 4, 0x1.2965bf8735089p-1},
+      {2, 1, 0x1.228c9fdf5d157p-1},
+      {2, 2, 0x1.979b4dfacea56p-2},
+      {2, 3, 0x1.6b52d5d131274p-2},
+      {3, 0, 0x1.8c9ece9e72f7fp-1},
+      {3, 1, 0x1.6a6653fa234ecp-1},
+  };
+  simgen::SimConfig config;
+  config.n_gateways = 4;
+  config.weeks = 2;
+  config.seed = 777;
+  simgen::FleetGenerator gen(config);
+  DominanceOptions options;
+  options.phi = -std::numeric_limits<double>::infinity();
+  options.max_devices = std::numeric_limits<size_t>::max();
+  size_t next = 0;
+  for (int id = 0; id < config.n_gateways; ++id) {
+    const auto gw = gen.Generate(id);
+    const auto ranked = FindDominantDevices(gw, options);
+    ASSERT_EQ(ranked.size(), gw.devices.size());
+    for (const DominantDevice& device : ranked) {
+      ASSERT_LT(next, pins.size());
+      const Pin& pin = pins[next++];
+      SCOPED_TRACE(next);
+      ASSERT_EQ(pin.gateway, id);
+      EXPECT_EQ(device.device_index, pin.device);
+      EXPECT_EQ(std::memcmp(&device.similarity, &pin.similarity,
+                            sizeof(double)),
+                0)
+          << device.similarity << " vs " << pin.similarity;
+    }
+  }
+  EXPECT_EQ(next, pins.size());
 }
 
 TEST(DominanceTest, EmptyGatewayHasNoDominants) {
