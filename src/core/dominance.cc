@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "core/dominance_grid.h"
 #include "core/similarity.h"
 #include "correlation/prepared_series.h"
 #include "distance/distance.h"
@@ -12,20 +13,10 @@
 
 namespace homets::core {
 
-namespace {
-
 // The paper compares every device on the gateway's full observation grid
-// (Section 6.2 uses one n for all devices of a gateway): minutes where the
-// gateway reported but the device did not are zero traffic, not missing.
-// Only gateway-offline minutes are dropped. The grid — and with it the
-// aggregate side's similarity profile — is identical for every device of a
-// gateway, so it is built (and prepared) once and reused across devices.
-struct AggregateGrid {
-  std::vector<int64_t> minutes;  ///< observed aggregate bins, in order
-  std::vector<double> values;    ///< aggregate traffic at those bins
-  int64_t step = 1;
-};
-
+// (Section 6.2 uses one n for all devices of a gateway). The grid — and with
+// it the aggregate side's similarity profile — is identical for every device
+// of a gateway, so it is built (and prepared) once and reused across devices.
 AggregateGrid MakeAggregateGrid(const ts::TimeSeries& aggregate) {
   AggregateGrid grid;
   grid.step = aggregate.step_minutes();
@@ -58,6 +49,8 @@ void DeviceOnGrid(const ts::TimeSeries& device_total,
     device_values->push_back(dev);
   }
 }
+
+namespace {
 
 std::vector<DominantDevice> RankAndFilter(
     std::vector<DominantDevice> candidates, const DominanceOptions& options) {
