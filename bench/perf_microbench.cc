@@ -364,7 +364,7 @@ void RunSimilarityScenario(const std::string& path, size_t n_windows,
   {
     // A null manifest makes the timer a no-op, so the un-instrumented run
     // pays nothing here.
-    obs::RunManifestBuilder::StageTimer stage(manifest, "legacy_pairwise");
+    obs::StageTimer stage("legacy_pairwise", manifest);
     stage.set_units(n_pairs);
     size_t k = 0;
     for (size_t i = 0; i < n_windows; ++i) {
@@ -401,8 +401,8 @@ void RunSimilarityScenario(const std::string& path, size_t n_windows,
       // bit-compare verification below): the manifest's per-stage
       // cpu/lock/queue deltas are what homets_profile turns into the
       // thread-scaling diagnosis.
-      obs::RunManifestBuilder::StageTimer stage(
-          manifest, StrFormat("pairwise_threads_%d", threads));
+      obs::StageTimer stage(StrFormat("pairwise_threads_%d", threads),
+                            manifest);
       stage.set_units(n_pairs * static_cast<size_t>(kTrials + 1));
       for (int trial = -1; trial < kTrials; ++trial) {
         const core::SimilarityEngine engine(options);

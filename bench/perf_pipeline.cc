@@ -6,9 +6,10 @@
 // several fleet sizes, and writes the schema-versioned BENCH_pipeline.json
 // trajectory artifact.
 //
-// Each entry couples a stage's wall time with the delta of the process
-// metrics registry across the stage (pairs computed, KS rejections, values
-// zeroed, …) so the artifact carries *per-unit* costs (ns/pair,
+// Each entry is printed from the stage's obs::StageRecord (the same record
+// run manifests carry): wall time, CPU and peak RSS, and the delta of the
+// process metrics registry across the stage (pairs computed, KS rejections,
+// values zeroed, …), so the artifact carries *per-unit* costs (ns/pair,
 // windows/sec), not just seconds. tools/bench_compare diffs two such
 // artifacts and gates regressions.
 //
@@ -43,9 +44,9 @@
 #include "core/streaming.h"
 #include "fleet/orchestrator.h"
 #include "io/dataset.h"
-#include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/progress.h"
+#include "obs/report.h"
 #include "simgen/fleet.h"
 #include "storage/homets_format.h"
 #include "ts/time_series.h"
@@ -79,134 +80,68 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Process CPU time (user+sys) consumed so far. getrusage advances in
-/// scheduler ticks (1–4 ms), so deltas over sub-tick regions can read zero —
-/// Emit only derives parallel_efficiency when the stage's wall time clears
-/// the same floor the run-manifest writer uses.
-double CpuSecondsNow() {
-  const obs::ResourceUsage usage = obs::CaptureRusage();
-  return usage.user_seconds + usage.sys_seconds;
-}
-
-constexpr double kEfficiencyWallFloorSeconds = 0.01;
-
-/// What a StageAccumulated callback hands back: its own fine-grained wall +
-/// CPU timing (both summed over the timed regions only) and the unit count.
-struct AccumulatedTiming {
-  double seconds = 0.0;
-  double cpu_seconds = 0.0;
-  size_t units = 0;
-};
-
-/// Counter/histogram-count deltas across a stage, as an inline JSON object.
-/// Gauges are instantaneous (queue depth) and meaningless as deltas, so only
-/// monotonic values are recorded.
-std::string MetricsDeltaJson(const obs::MetricsSnapshot& before,
-                             const obs::MetricsSnapshot& after) {
-  bench::JsonWriter delta;
-  for (const auto& [name, value] : after.counters) {
-    const auto it = before.counters.find(name);
-    const uint64_t prior = it == before.counters.end() ? 0 : it->second;
-    if (value > prior) delta.Set(name, static_cast<size_t>(value - prior));
-  }
-  for (const auto& [name, h] : after.histograms) {
-    const auto it = before.histograms.find(name);
-    const uint64_t prior =
-        it == before.histograms.end() ? 0 : it->second.count;
-    if (h.count > prior) {
-      delta.Set(name + ".count", static_cast<size_t>(h.count - prior));
-    }
-  }
-  return delta.Inline();
-}
-
-/// Collects one timed stage entry: `fn` returns the unit count (windows,
-/// pairs, rows, …) it processed.
+/// Collects one fleet size's entries, each printed from the
+/// obs::StageRecord of one stage.
 class PipelineBench {
  public:
   PipelineBench(const std::string& size, int threads_used)
       : size_(size), threads_used_(threads_used) {}
 
-  /// Times `fn` as one contiguous region.
+  /// Times `fn` as one contiguous stage; `fn` returns the unit count
+  /// (windows, pairs, rows, …) it processed.
   template <typename Fn>
   void Stage(const std::string& stage, const std::string& unit, Fn&& fn) {
-    const obs::MetricsSnapshot before = SnapshotWithProf();
     // Registering up front makes the stage visible as "active" in any
     // heartbeat that fires while fn() runs; without --progress the accessor
     // returns nullptr and the stage path costs one relaxed load.
-    obs::ProgressTracker::Stage* progress =
-        obs::ProgressStage(size_ + "/" + stage);
-    const double cpu_start = CpuSecondsNow();
-    const auto start = Clock::now();
-    const size_t units = fn();
-    const double seconds = SecondsSince(start);
-    const double cpu_seconds = CpuSecondsNow() - cpu_start;
-    if (progress != nullptr) {
-      progress->AddTotal(units);
+    obs::ProgressStage(size_ + "/" + stage);
+    obs::StageRecord record;
+    {
+      obs::StageTimer timer(stage, &record);
+      timer.set_units(fn());
+    }
+    AddEntry(unit, record);
+  }
+
+  /// Adds the entry of a finished stage. A stage interleaved with untimed
+  /// setup (trace regeneration) times each piece with an obs::StageTimer
+  /// into one record and adds it here.
+  void AddEntry(const std::string& unit, const obs::StageRecord& record) {
+    if (auto* progress = obs::ProgressStage(size_ + "/" + record.stage)) {
+      progress->AddTotal(record.units);
       progress->Finish();  // homets-lint: allow(discarded-status)
     }
-    Emit(stage, unit, seconds, cpu_seconds, units, before);
-  }
-
-  /// For stages interleaved with untimed setup (trace regeneration): `fn`
-  /// does its own fine-grained wall + CPU timing and returns an
-  /// AccumulatedTiming. The metrics delta still brackets the whole pass —
-  /// setup (simgen, CSV writes) moves no counters, so the delta is the
-  /// stage's alone.
-  template <typename Fn>
-  void StageAccumulated(const std::string& stage, const std::string& unit,
-                        Fn&& fn) {
-    const obs::MetricsSnapshot before = SnapshotWithProf();
-    obs::ProgressTracker::Stage* progress =
-        obs::ProgressStage(size_ + "/" + stage);
-    const AccumulatedTiming result = fn();
-    if (progress != nullptr) {
-      progress->AddTotal(result.units);
-      progress->Finish();  // homets-lint: allow(discarded-status)
-    }
-    Emit(stage, unit, result.seconds, result.cpu_seconds, result.units,
-         before);
-  }
-
-  const std::vector<std::string>& entries() const { return entries_; }
-
- private:
-  /// Registry snapshot with the profiler's lock/alloc accumulators flushed
-  /// first, so per-stage counter deltas attribute homets.prof.* movement to
-  /// the stage that caused it (a no-op while the profiler is off).
-  static obs::MetricsSnapshot SnapshotWithProf() {
-    if (obs::ProfilerEnabled()) obs::PublishProfMetrics();
-    return obs::MetricsRegistry::Global().Snapshot();
-  }
-
-  void Emit(const std::string& stage, const std::string& unit,
-            double seconds, double cpu_seconds, size_t units,
-            const obs::MetricsSnapshot& before) {
-    const obs::MetricsSnapshot after = SnapshotWithProf();
+    const double seconds = record.seconds;
+    const size_t units = record.units;
     bench::JsonWriter entry;
-    entry.Set("stage", stage).Set("size", size_).Set("seconds", seconds);
+    entry.Set("stage", record.stage).Set("size", size_).Set("seconds", seconds);
     entry.Set("unit", unit).Set("units", units);
     if (units > 0 && seconds > 0.0) {
       entry.Set("ns_per_unit", seconds * 1e9 / static_cast<double>(units));
       entry.Set("units_per_sec", static_cast<double>(units) / seconds);
     }
-    entry.Set("cpu_seconds", cpu_seconds < 0.0 ? 0.0 : cpu_seconds);
+    entry.Set("cpu_seconds", record.cpu_seconds());
     entry.Set("peak_rss_bytes",
-              static_cast<size_t>(obs::CaptureRusage().max_rss_bytes));
-    // Only meaningful once the wall time clears the rusage tick floor;
-    // bench_compare treats the field as optional (informational when absent).
-    if (threads_used_ > 0 && seconds >= kEfficiencyWallFloorSeconds &&
-        cpu_seconds > 0.0) {
-      entry.Set("parallel_efficiency",
-                cpu_seconds / (seconds * threads_used_));
+              static_cast<size_t>(record.resources.max_rss_bytes));
+    // bench_compare treats the field as optional (informational when
+    // absent).
+    if (const auto efficiency = record.parallel_efficiency(threads_used_)) {
+      entry.Set("parallel_efficiency", *efficiency);
     }
-    entry.SetRaw("metrics", MetricsDeltaJson(before, after));
+    bench::JsonWriter metrics;
+    for (const auto& [name, delta] : record.metric_deltas) {
+      metrics.Set(name, static_cast<size_t>(delta));
+    }
+    entry.SetRaw("metrics", metrics.Inline());
     entries_.push_back(entry.Inline());
-    std::cout << "  " << size_ << "/" << stage << ": "
+    std::cout << "  " << size_ << "/" << record.stage << ": "
               << bench::Fmt(seconds) << " s, " << units << " " << unit
               << "\n";
   }
 
+  const std::vector<std::string>& entries() const { return entries_; }
+
+ private:
   std::string size_;
   int threads_used_;
   std::vector<std::string> entries_;
@@ -295,36 +230,26 @@ void RunSize(const SizeSpec& spec, int threads_used,
   // device (Section 6.1), device totals, the raw aggregate and the active
   // aggregate — the series every later stage consumes.
   std::vector<ts::TimeSeries> actives;
-  bench.StageAccumulated("background", "trace_minutes", [&] {
-    AccumulatedTiming timing;
-    for (int id = 0; id < config.n_gateways; ++id) {
-      const simgen::GatewayTrace gw = generator.Generate(id);
-      const double cpu_start = CpuSecondsNow();
-      const auto start = Clock::now();
-      core::GatewayPipeline pipeline = core::BuildGatewayPipeline(gw);
-      timing.seconds += SecondsSince(start);
-      timing.cpu_seconds += CpuSecondsNow() - cpu_start;
-      timing.units += pipeline.active.size();
-      actives.push_back(std::move(pipeline.active));
-    }
-    return timing;
-  });
+  obs::StageRecord background;
+  for (int id = 0; id < config.n_gateways; ++id) {
+    const simgen::GatewayTrace gw = generator.Generate(id);
+    obs::StageTimer timer("background", &background);
+    core::GatewayPipeline pipeline = core::BuildGatewayPipeline(gw);
+    timer.set_units(pipeline.active.size());
+    actives.push_back(std::move(pipeline.active));
+  }
+  bench.AddEntry("trace_minutes", background);
 
   // φ-dominance (Definition 4) over the raw per-minute traces.
-  bench.StageAccumulated("dominance", "devices", [&] {
-    AccumulatedTiming timing;
-    for (int id = 0; id < config.n_gateways; ++id) {
-      const simgen::GatewayTrace gw = generator.Generate(id);
-      const double cpu_start = CpuSecondsNow();
-      const auto start = Clock::now();
-      const auto dominant = core::FindDominantDevices(gw);
-      timing.seconds += SecondsSince(start);
-      timing.cpu_seconds += CpuSecondsNow() - cpu_start;
-      timing.units += gw.devices.size();
-      (void)dominant;
-    }
-    return timing;
-  });
+  obs::StageRecord dominance;
+  for (int id = 0; id < config.n_gateways; ++id) {
+    const simgen::GatewayTrace gw = generator.Generate(id);
+    obs::StageTimer timer("dominance", &dominance);
+    const auto dominant = core::FindDominantDevices(gw);
+    timer.set_units(gw.devices.size());
+    (void)dominant;
+  }
+  bench.AddEntry("devices", dominance);
 
   // Weekly windows at 3 h bins (56 per window): the Figure 3 / stationarity
   // workload shape.

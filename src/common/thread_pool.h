@@ -28,6 +28,126 @@ inline int ResolveThreadCount(int threads) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+namespace thread_pool_internal {
+
+/// \brief One loop's dispatch metrics and block clock, shared by ParallelFor
+/// and ParallelForStatus: the loop/task counters and queue depth at
+/// dispatch, one task-latency observation per block and, behind one relaxed
+/// profiler load, the per-block queue wait and run time plus the loop's
+/// busy/idle totals. Atomic increments only — this header runs under TSan
+/// via the `threads` ctest label.
+class LoopClock {
+ public:
+  explicit LoopClock(size_t n_blocks)
+      : n_blocks_(n_blocks), prof_on_(prof::ProfilerEnabled()) {
+    // With --prof off the loop pays no extra clock reads or atomic traffic.
+    if (prof_on_) loop_start_ = Clock::now();
+    const Metrics& m = GetMetrics();
+    m.loops->Increment();
+    m.tasks->Increment(n_blocks);
+    m.queue_depth->Set(static_cast<int64_t>(n_blocks));
+  }
+
+  /// Hands out the next block index, or n_blocks once all are taken.
+  size_t NextBlock() {
+    const size_t b = next_.fetch_add(1, std::memory_order_relaxed);
+    if (b < n_blocks_) {
+      GetMetrics().queue_depth->Set(static_cast<int64_t>(n_blocks_ - b - 1));
+    }
+    return b;
+  }
+
+  /// Runs `fn()` as one block executed by `worker` and times it.
+  template <typename Fn>
+  void TimeBlock(int worker, const Fn& fn) {
+    const auto start = Clock::now();
+    fn();
+    const auto stop = Clock::now();
+    GetMetrics().task_latency_us->Observe(static_cast<double>(
+        std::chrono::duration_cast<std::chrono::microseconds>(stop - start)
+            .count()));
+    if (!prof_on_) return;
+    const uint64_t run = NsBetween(start, stop);
+    // Queue wait for a batch-submitted block: dispatch start -> block start.
+    // With more blocks than cores this grows over the loop and is exactly
+    // the serialization the profiler wants to show.
+    const uint64_t waited = NsBetween(loop_start_, start);
+    prof::RecordPoolBlock(worker, waited, run);
+    GetMetrics().queue_wait_us->Observe(static_cast<double>(waited) / 1000.0);
+    busy_ns_.fetch_add(run, std::memory_order_relaxed);
+    wait_ns_.fetch_add(waited, std::memory_order_relaxed);
+  }
+
+  /// Closes the loop after `used_workers` workers joined.
+  void Close(int used_workers) {
+    const Metrics& m = GetMetrics();
+    m.queue_depth->Set(0);
+    if (!prof_on_) return;
+    const uint64_t wall = NsBetween(loop_start_, Clock::now());
+    const uint64_t busy = busy_ns_.load(std::memory_order_relaxed);
+    prof::RecordPoolLoop(used_workers, wall, busy);
+    m.prof_busy_us->Increment(busy / 1000);
+    const uint64_t capacity = static_cast<uint64_t>(used_workers) * wall;
+    m.prof_idle_us->Increment(capacity > busy ? (capacity - busy) / 1000 : 0);
+    m.prof_queue_wait_us->Increment(
+        wait_ns_.load(std::memory_order_relaxed) / 1000);
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+
+  struct Metrics {
+    obs::Counter* loops;
+    obs::Counter* tasks;
+    obs::Gauge* queue_depth;
+    obs::Histogram* task_latency_us;
+    obs::Histogram* queue_wait_us;
+    obs::Counter* prof_busy_us;
+    obs::Counter* prof_idle_us;
+    obs::Counter* prof_queue_wait_us;
+  };
+
+  static const Metrics& GetMetrics() {
+    static const Metrics metrics = [] {
+      auto& registry = obs::MetricsRegistry::Global();
+      return Metrics{registry.GetCounter(obs::kThreadPoolLoops),
+                     registry.GetCounter(obs::kThreadPoolTasks),
+                     registry.GetGauge(obs::kThreadPoolQueueDepth),
+                     registry.GetHistogram(obs::kThreadPoolTaskLatencyUs),
+                     registry.GetHistogram(obs::kThreadPoolQueueWaitUs),
+                     registry.GetCounter(obs::kProfPoolBusyUs),
+                     registry.GetCounter(obs::kProfPoolIdleUs),
+                     registry.GetCounter(obs::kProfQueueWaitUs)};
+    }();
+    return metrics;
+  }
+
+  static uint64_t NsBetween(Clock::time_point a, Clock::time_point b) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
+  }
+
+  const size_t n_blocks_;
+  const bool prof_on_;
+  Clock::time_point loop_start_{};
+  std::atomic<size_t> next_{0};
+  std::atomic<uint64_t> busy_ns_{0};
+  std::atomic<uint64_t> wait_ns_{0};
+};
+
+/// Runs `drain(worker)` on `workers` threads, the caller being worker 0
+/// (so one worker spawns no thread).
+template <typename Drain>
+void RunWorkers(int workers, const Drain& drain) {
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<size_t>(workers) - 1);
+  for (int w = 1; w < workers; ++w) pool.emplace_back(drain, w);
+  drain(0);
+  for (auto& t : pool) t.join();
+}
+
+}  // namespace thread_pool_internal
+
 /// \brief Chunked parallel loop over [0, n).
 ///
 /// The range is cut into fixed-size blocks handed out by an atomic counter
@@ -47,98 +167,23 @@ inline void ParallelFor(size_t n, int threads, size_t block,
                         const std::function<void(size_t, size_t, int)>& fn) {
   if (n == 0) return;
   if (block == 0) block = 1;
-  // Dispatch metrics: loops/tasks counters, the pending-block queue depth at
-  // dispatch, and a per-block wall-time histogram. Atomic increments only —
-  // this header runs under TSan via the `threads` ctest label.
-  auto& registry = obs::MetricsRegistry::Global();
-  static obs::Counter* const loops = registry.GetCounter(obs::kThreadPoolLoops);
-  static obs::Counter* const tasks = registry.GetCounter(obs::kThreadPoolTasks);
-  static obs::Gauge* const queue_depth =
-      registry.GetGauge(obs::kThreadPoolQueueDepth);
-  static obs::Histogram* const task_latency_us =
-      registry.GetHistogram(obs::kThreadPoolTaskLatencyUs);
-  static obs::Histogram* const queue_wait_us =
-      registry.GetHistogram(obs::kThreadPoolQueueWaitUs);
-  static obs::Counter* const prof_busy_us =
-      registry.GetCounter(obs::kProfPoolBusyUs);
-  static obs::Counter* const prof_idle_us =
-      registry.GetCounter(obs::kProfPoolIdleUs);
-  static obs::Counter* const prof_queue_wait_us =
-      registry.GetCounter(obs::kProfQueueWaitUs);
-  using Clock = std::chrono::steady_clock;
-  const auto ns_between = [](Clock::time_point a, Clock::time_point b) {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
-  };
-  // Profiler accounting is fully gated on this one relaxed load: with --prof
-  // off, the loop pays no extra clock reads or atomic traffic.
-  const bool prof_on = prof::ProfilerEnabled();
-  Clock::time_point loop_start{};
-  if (prof_on) loop_start = Clock::now();
-  std::atomic<uint64_t> busy_ns{0};
-  std::atomic<uint64_t> wait_ns{0};
-  const auto timed_block = [&](size_t begin, size_t end, int worker) {
-    const auto start = Clock::now();
-    fn(begin, end, worker);
-    const auto stop = Clock::now();
-    task_latency_us->Observe(
-        static_cast<double>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                stop - start)
-                                .count()));
-    if (prof_on) {
-      const uint64_t run = ns_between(start, stop);
-      // Queue wait for a batch-submitted block: dispatch start -> block
-      // start. With more blocks than cores this grows over the loop and is
-      // exactly the serialization the profiler wants to show.
-      const uint64_t waited = ns_between(loop_start, start);
-      prof::RecordPoolBlock(worker, waited, run);
-      queue_wait_us->Observe(static_cast<double>(waited) / 1000.0);
-      busy_ns.fetch_add(run, std::memory_order_relaxed);
-      wait_ns.fetch_add(waited, std::memory_order_relaxed);
-    }
-  };
-  const int requested = ResolveThreadCount(threads);
   const size_t n_blocks = (n + block - 1) / block;
-  loops->Increment();
-  tasks->Increment(n_blocks);
-  queue_depth->Set(static_cast<int64_t>(n_blocks));
-  const int workers =
-      static_cast<int>(std::min<size_t>(static_cast<size_t>(requested),
-                                        n_blocks));
-  const auto finish_prof = [&](int used_workers) {
-    if (!prof_on) return;
-    const uint64_t wall = ns_between(loop_start, Clock::now());
-    const uint64_t busy = busy_ns.load(std::memory_order_relaxed);
-    prof::RecordPoolLoop(used_workers, wall, busy);
-    prof_busy_us->Increment(busy / 1000);
-    const uint64_t capacity = static_cast<uint64_t>(used_workers) * wall;
-    prof_idle_us->Increment(capacity > busy ? (capacity - busy) / 1000 : 0);
-    prof_queue_wait_us->Increment(wait_ns.load(std::memory_order_relaxed) /
-                                  1000);
-  };
+  thread_pool_internal::LoopClock clock(n_blocks);
+  const int workers = static_cast<int>(std::min<size_t>(
+      static_cast<size_t>(ResolveThreadCount(threads)), n_blocks));
   if (workers <= 1) {
-    timed_block(0, n, 0);
-    queue_depth->Set(0);
-    finish_prof(1);
+    clock.TimeBlock(0, [&] { fn(0, n, 0); });
+    clock.Close(1);
     return;
   }
-  std::atomic<size_t> next{0};
-  auto drain = [&](int worker) {
-    for (;;) {
-      const size_t b = next.fetch_add(1, std::memory_order_relaxed);
-      if (b >= n_blocks) return;
-      queue_depth->Set(static_cast<int64_t>(n_blocks - std::min(b + 1, n_blocks)));
+  thread_pool_internal::RunWorkers(workers, [&](int worker) {
+    for (size_t b = clock.NextBlock(); b < n_blocks; b = clock.NextBlock()) {
       const size_t begin = b * block;
-      timed_block(begin, std::min(begin + block, n), worker);
+      const size_t end = std::min(begin + block, n);
+      clock.TimeBlock(worker, [&] { fn(begin, end, worker); });
     }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(workers) - 1);
-  for (int w = 1; w < workers; ++w) pool.emplace_back(drain, w);
-  drain(0);
-  for (auto& t : pool) t.join();
-  queue_depth->Set(0);
-  finish_prof(workers);
+  });
+  clock.Close(workers);
 }
 
 /// \brief Hardened variant of ParallelFor: tasks return Status instead of
@@ -162,66 +207,16 @@ inline Status ParallelForStatus(
     const std::function<Status(size_t, size_t, int)>& fn) {
   if (n == 0) return Status::OK();
   if (block == 0) block = 1;
-  auto& registry = obs::MetricsRegistry::Global();
-  static obs::Counter* const loops = registry.GetCounter(obs::kThreadPoolLoops);
-  static obs::Counter* const tasks = registry.GetCounter(obs::kThreadPoolTasks);
-  static obs::Gauge* const queue_depth =
-      registry.GetGauge(obs::kThreadPoolQueueDepth);
-  static obs::Histogram* const task_latency_us =
-      registry.GetHistogram(obs::kThreadPoolTaskLatencyUs);
-  static obs::Histogram* const queue_wait_us =
-      registry.GetHistogram(obs::kThreadPoolQueueWaitUs);
-  static obs::Counter* const prof_busy_us =
-      registry.GetCounter(obs::kProfPoolBusyUs);
-  static obs::Counter* const prof_idle_us =
-      registry.GetCounter(obs::kProfPoolIdleUs);
-  static obs::Counter* const prof_queue_wait_us =
-      registry.GetCounter(obs::kProfQueueWaitUs);
-  using Clock = std::chrono::steady_clock;
-  const auto ns_between = [](Clock::time_point a, Clock::time_point b) {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
-  };
-  const bool prof_on = prof::ProfilerEnabled();
-  Clock::time_point loop_start{};
-  if (prof_on) loop_start = Clock::now();
-  std::atomic<uint64_t> busy_ns{0};
-  std::atomic<uint64_t> wait_ns{0};
-  const auto run_block = [&](size_t begin, size_t end,
-                             int worker) -> Status {
-    const auto start = Clock::now();
-    Status st = Failpoints::Global().armed()
-                    ? Failpoints::Global().InjectedError(kFailpointThreadPoolTask)
-                    : Status::OK();
-    if (st.ok()) st = fn(begin, end, worker);
-    const auto stop = Clock::now();
-    task_latency_us->Observe(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::microseconds>(stop - start)
-            .count()));
-    if (prof_on) {
-      const uint64_t run = ns_between(start, stop);
-      const uint64_t waited = ns_between(loop_start, start);
-      prof::RecordPoolBlock(worker, waited, run);
-      queue_wait_us->Observe(static_cast<double>(waited) / 1000.0);
-      busy_ns.fetch_add(run, std::memory_order_relaxed);
-      wait_ns.fetch_add(waited, std::memory_order_relaxed);
-    }
-    return st;
-  };
-  const int requested = ResolveThreadCount(threads);
   const size_t n_blocks = (n + block - 1) / block;
-  loops->Increment();
-  tasks->Increment(n_blocks);
-  queue_depth->Set(static_cast<int64_t>(n_blocks));
-  const int workers = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(requested), n_blocks));
+  thread_pool_internal::LoopClock clock(n_blocks);
+  const int workers = static_cast<int>(std::min<size_t>(
+      static_cast<size_t>(ResolveThreadCount(threads)), n_blocks));
   // Each worker remembers the lowest-index failing block it saw; the merge
   // after the join picks the global minimum, so the returned error does not
   // depend on scheduling.
   std::vector<std::pair<size_t, Status>> worker_errors(
-      static_cast<size_t>(std::max(workers, 1)), {SIZE_MAX, Status::OK()});
+      static_cast<size_t>(workers), {SIZE_MAX, Status::OK()});
   std::atomic<bool> saw_cancel{false};
-  std::atomic<size_t> next{0};
   auto drain = [&](int worker) {
     auto& first_error = worker_errors[static_cast<size_t>(worker)];
     for (;;) {
@@ -229,38 +224,24 @@ inline Status ParallelForStatus(
         saw_cancel.store(true, std::memory_order_relaxed);
         return;
       }
-      const size_t b = next.fetch_add(1, std::memory_order_relaxed);
+      const size_t b = clock.NextBlock();
       if (b >= n_blocks) return;
-      queue_depth->Set(
-          static_cast<int64_t>(n_blocks - std::min(b + 1, n_blocks)));
       const size_t begin = b * block;
-      Status st = run_block(begin, std::min(begin + block, n), worker);
+      const size_t end = std::min(begin + block, n);
+      Status st;
+      clock.TimeBlock(worker, [&] {
+        st = Failpoints::Global().armed()
+                 ? Failpoints::Global().InjectedError(kFailpointThreadPoolTask)
+                 : Status::OK();
+        if (st.ok()) st = fn(begin, end, worker);
+      });
       if (!st.ok() && b < first_error.first) {
         first_error = {b, std::move(st)};
       }
     }
   };
-  if (workers <= 1) {
-    drain(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(workers) - 1);
-    for (int w = 1; w < workers; ++w) pool.emplace_back(drain, w);
-    drain(0);
-    for (auto& t : pool) t.join();
-  }
-  queue_depth->Set(0);
-  if (prof_on) {
-    const uint64_t wall = ns_between(loop_start, Clock::now());
-    const uint64_t busy = busy_ns.load(std::memory_order_relaxed);
-    const int used_workers = std::max(workers, 1);
-    prof::RecordPoolLoop(used_workers, wall, busy);
-    prof_busy_us->Increment(busy / 1000);
-    const uint64_t capacity = static_cast<uint64_t>(used_workers) * wall;
-    prof_idle_us->Increment(capacity > busy ? (capacity - busy) / 1000 : 0);
-    prof_queue_wait_us->Increment(wait_ns.load(std::memory_order_relaxed) /
-                                  1000);
-  }
+  thread_pool_internal::RunWorkers(workers, drain);
+  clock.Close(workers);
   size_t min_block = SIZE_MAX;
   Status result = Status::OK();
   for (auto& [failed_block, status] : worker_errors) {

@@ -75,41 +75,11 @@ namespace {
 // hand-off, fine enough to balance tie-heavy vs degenerate pairs.
 constexpr size_t kPairsPerBlock = 64;
 
-// Per-worker busy nanoseconds, owned by the worker during the loop (no
-// synchronization needed: workers never share a slot) and folded into the
-// utilization histogram afterwards.
-class WorkerUtilization {
- public:
-  explicit WorkerUtilization(size_t workers) : busy_ns_(workers, 0) {}
-
-  template <typename Fn>
-  void Timed(int worker, const Fn& fn) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    busy_ns_[static_cast<size_t>(worker)] +=
-        static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count());
-  }
-
-  void Publish(size_t pairs) const {
-    auto& registry = obs::MetricsRegistry::Global();
-    static obs::Counter* const pairs_computed =
-        registry.GetCounter(obs::kEnginePairsComputed);
-    static obs::Gauge* const workers_gauge =
-        registry.GetGauge(obs::kEngineWorkers);
-    static obs::Histogram* const worker_busy_us =
-        registry.GetHistogram(obs::kEngineWorkerBusyUs);
-    pairs_computed->Increment(pairs);
-    workers_gauge->Set(static_cast<int64_t>(busy_ns_.size()));
-    for (const uint64_t ns : busy_ns_) {
-      if (ns > 0) worker_busy_us->Observe(static_cast<double>(ns) / 1e3);
-    }
-  }
-
- private:
-  std::vector<uint64_t> busy_ns_;
-};
+void CountPairsComputed(size_t pairs) {
+  static obs::Counter* const pairs_computed =
+      obs::MetricsRegistry::Global().GetCounter(obs::kEnginePairsComputed);
+  pairs_computed->Increment(pairs);
+}
 
 }  // namespace
 
@@ -124,7 +94,6 @@ SimilarityMatrix SimilarityEngine::Pairwise(
       pairs < options_.min_parallel_pairs ? 1 : options_.threads;
   const size_t workers = static_cast<size_t>(ResolveThreadCount(threads));
   std::vector<correlation::PairWorkspace> workspaces(workers);
-  WorkerUtilization utilization(workers);
   // One stage lookup up front; per-block ticks are then two relaxed adds
   // (nullptr when no tracker is installed — every run without --progress).
   obs::ProgressTracker::Stage* progress =
@@ -133,22 +102,20 @@ SimilarityMatrix SimilarityEngine::Pairwise(
   SimilarityResult* cells = matrix.mutable_cells();
   ParallelFor(pairs, threads, kPairsPerBlock,
               [&](size_t begin, size_t end, int worker) {
-                utilization.Timed(worker, [&] {
-                  correlation::PairWorkspace& ws =
-                      workspaces[static_cast<size_t>(worker)];
-                  auto [i, j] = SimilarityMatrix::PairAt(n, begin);
-                  for (size_t k = begin; k < end; ++k) {
-                    cells[k] = CorrelationSimilarity(prepared[i], prepared[j],
-                                                     options_.similarity, &ws);
-                    if (++j == n) {
-                      ++i;
-                      j = i + 1;
-                    }
+                correlation::PairWorkspace& ws =
+                    workspaces[static_cast<size_t>(worker)];
+                auto [i, j] = SimilarityMatrix::PairAt(n, begin);
+                for (size_t k = begin; k < end; ++k) {
+                  cells[k] = CorrelationSimilarity(prepared[i], prepared[j],
+                                                   options_.similarity, &ws);
+                  if (++j == n) {
+                    ++i;
+                    j = i + 1;
                   }
-                });
+                }
                 if (progress != nullptr) progress->Tick(end - begin);
               });
-  utilization.Publish(pairs);
+  CountPairsComputed(pairs);
   return matrix;
 }
 
@@ -163,7 +130,6 @@ Result<SimilarityMatrix> SimilarityEngine::PairwiseChecked(
       pairs < options_.min_parallel_pairs ? 1 : options_.threads;
   const size_t workers = static_cast<size_t>(ResolveThreadCount(threads));
   std::vector<correlation::PairWorkspace> workspaces(workers);
-  WorkerUtilization utilization(workers);
   // The mask must exist before workers can mark blocks concurrently.
   if (options_.degrade_on_failure) matrix.EnsureValidityMask();
   obs::ProgressTracker::Stage* progress =
@@ -196,23 +162,21 @@ Result<SimilarityMatrix> SimilarityEngine::PairwiseChecked(
           for (size_t k = begin; k < end; ++k) matrix.MarkInvalid(k);
           return Status::OK();
         }
-        utilization.Timed(worker, [&] {
-          correlation::PairWorkspace& ws =
-              workspaces[static_cast<size_t>(worker)];
-          auto [i, j] = SimilarityMatrix::PairAt(n, begin);
-          for (size_t k = begin; k < end; ++k) {
-            cells[k] = CorrelationSimilarity(prepared[i], prepared[j],
-                                             options_.similarity, &ws);
-            if (++j == n) {
-              ++i;
-              j = i + 1;
-            }
+        correlation::PairWorkspace& ws =
+            workspaces[static_cast<size_t>(worker)];
+        auto [i, j] = SimilarityMatrix::PairAt(n, begin);
+        for (size_t k = begin; k < end; ++k) {
+          cells[k] = CorrelationSimilarity(prepared[i], prepared[j],
+                                           options_.similarity, &ws);
+          if (++j == n) {
+            ++i;
+            j = i + 1;
           }
-        });
+        }
         if (progress != nullptr) progress->Tick(end - begin);
         return Status::OK();
       });
-  utilization.Publish(pairs);
+  CountPairsComputed(pairs);
   HOMETS_RETURN_IF_ERROR(status);
   return matrix;
 }
@@ -227,24 +191,21 @@ std::vector<SimilarityResult> SimilarityEngine::PairwiseSelected(
       pairs.size() < options_.min_parallel_pairs ? 1 : options_.threads;
   const size_t workers = static_cast<size_t>(ResolveThreadCount(threads));
   std::vector<correlation::PairWorkspace> workspaces(workers);
-  WorkerUtilization utilization(workers);
   obs::ProgressTracker::Stage* progress =
       obs::ProgressStage("engine.pairwise");
   if (progress != nullptr) progress->AddTotal(pairs.size());
   ParallelFor(pairs.size(), threads, kPairsPerBlock,
               [&](size_t begin, size_t end, int worker) {
-                utilization.Timed(worker, [&] {
-                  correlation::PairWorkspace& ws =
-                      workspaces[static_cast<size_t>(worker)];
-                  for (size_t k = begin; k < end; ++k) {
-                    results[k] = CorrelationSimilarity(
-                        prepared[pairs[k].first], prepared[pairs[k].second],
-                        options_.similarity, &ws);
-                  }
-                });
+                correlation::PairWorkspace& ws =
+                    workspaces[static_cast<size_t>(worker)];
+                for (size_t k = begin; k < end; ++k) {
+                  results[k] = CorrelationSimilarity(
+                      prepared[pairs[k].first], prepared[pairs[k].second],
+                      options_.similarity, &ws);
+                }
                 if (progress != nullptr) progress->Tick(end - begin);
               });
-  utilization.Publish(pairs.size());
+  CountPairsComputed(pairs.size());
   return results;
 }
 

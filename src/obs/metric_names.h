@@ -5,8 +5,8 @@
 
 // Canonical registry of every metric name the library exports.
 //
-// Naming scheme (enforced by tools/check_metrics_names.sh, registered as the
-// `check_metrics_names` ctest): `homets.<layer>.<name>` where `<layer>` is
+// Naming scheme (enforced by the homets_lint metric rules, which the
+// `homets_lint_tree` ctest runs): `homets.<layer>.<name>` where `<layer>` is
 // the source module (threadpool, engine, correlation, stationarity,
 // dominance, motif, background, io, cli) and both segments are
 // lower_snake_case. Instrumentation sites must use these constants — raw
@@ -27,9 +27,6 @@ inline constexpr std::string_view kThreadPoolTaskLatencyUs =
 // core/similarity_engine — parallel pairwise Definition 1.
 inline constexpr std::string_view kEnginePairsComputed =
     "homets.engine.pairs_computed";
-inline constexpr std::string_view kEngineWorkers = "homets.engine.workers";
-inline constexpr std::string_view kEngineWorkerBusyUs =
-    "homets.engine.worker_busy_us";
 
 // correlation/prepared_series — windows that cannot take the profiled fast
 // path (NaNs or < 3 values) and fall back to pairwise-complete gathering.

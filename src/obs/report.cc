@@ -90,11 +90,9 @@ void AppendDouble(double v, std::string* out) {
   *out += buf;
 }
 
-// parallel_efficiency = cpu_seconds / (wall_seconds * threads_used) is only
-// emitted for stages at least this long: getrusage CPU time advances in
-// scheduler ticks (1-4 ms), so on sub-centisecond stages the ratio flips
-// between 0 and >1 on tick luck and would poison the bench-compare gate.
-constexpr double kEfficiencyWallFloorSeconds = 0.01;
+uint64_t DeltaSince(uint64_t before, uint64_t after) {
+  return after > before ? after - before : 0;
+}
 
 }  // namespace
 
@@ -160,22 +158,9 @@ void RunManifestBuilder::RecordIngest(
   ingest_.files_quarantined += counters.files_quarantined;
 }
 
-void RunManifestBuilder::AddStage(
-    std::string stage, double seconds, uint64_t units,
-    std::map<std::string, uint64_t> metric_deltas) {
+void RunManifestBuilder::AddStage(StageRecord record) {
   MutexLock lock(&mu_);
-  stages_.push_back(StageEntry{std::move(stage), seconds, units,
-                               std::move(metric_deltas), false,
-                               StageResources{}});
-}
-
-void RunManifestBuilder::AddStage(
-    std::string stage, double seconds, uint64_t units,
-    std::map<std::string, uint64_t> metric_deltas,
-    const StageResources& resources) {
-  MutexLock lock(&mu_);
-  stages_.push_back(StageEntry{std::move(stage), seconds, units,
-                               std::move(metric_deltas), true, resources});
+  stages_.push_back(std::move(record));
 }
 
 void RunManifestBuilder::MarkFailed(std::string_view stage,
@@ -284,7 +269,7 @@ std::string RunManifestBuilder::ToJson() const {
   }
   out += ",\n  \"stages\": [";
   for (size_t i = 0; i < stages_.size(); ++i) {
-    const StageEntry& s = stages_[i];
+    const StageRecord& s = stages_[i];
     if (i > 0) out += ',';
     out += "\n    {\"stage\": ";
     AppendQuoted(s.stage, &out);
@@ -300,31 +285,25 @@ std::string RunManifestBuilder::ToJson() const {
       out += ": ";
       AppendUint(delta, &out);
     }
-    out += '}';
-    if (s.has_resources) {
-      const double cpu_seconds =
-          s.resources.cpu_user_seconds + s.resources.cpu_sys_seconds;
-      out += ", \"resources\": {\"cpu_user_seconds\": ";
-      AppendSeconds(s.resources.cpu_user_seconds, &out);
-      out += ", \"cpu_sys_seconds\": ";
-      AppendSeconds(s.resources.cpu_sys_seconds, &out);
-      out += ", \"cpu_seconds\": ";
-      AppendSeconds(cpu_seconds, &out);
-      out += ", \"max_rss_bytes\": ";
-      AppendUint(s.resources.max_rss_bytes, &out);
-      out += ", \"minor_faults\": ";
-      AppendUint(s.resources.minor_faults, &out);
-      out += ", \"major_faults\": ";
-      AppendUint(s.resources.major_faults, &out);
-      out += ", \"alloc_bytes\": ";
-      AppendUint(s.resources.alloc_bytes, &out);
-      if (threads_used_ > 0 && s.seconds >= kEfficiencyWallFloorSeconds) {
-        out += ", \"parallel_efficiency\": ";
-        AppendDouble(cpu_seconds / (s.seconds * threads_used_), &out);
-      }
-      out += '}';
+    out += "}, \"resources\": {\"cpu_user_seconds\": ";
+    AppendSeconds(s.resources.cpu_user_seconds, &out);
+    out += ", \"cpu_sys_seconds\": ";
+    AppendSeconds(s.resources.cpu_sys_seconds, &out);
+    out += ", \"cpu_seconds\": ";
+    AppendSeconds(s.cpu_seconds(), &out);
+    out += ", \"max_rss_bytes\": ";
+    AppendUint(s.resources.max_rss_bytes, &out);
+    out += ", \"minor_faults\": ";
+    AppendUint(s.resources.minor_faults, &out);
+    out += ", \"major_faults\": ";
+    AppendUint(s.resources.major_faults, &out);
+    out += ", \"alloc_bytes\": ";
+    AppendUint(s.resources.alloc_bytes, &out);
+    if (const auto efficiency = s.parallel_efficiency(threads_used_)) {
+      out += ", \"parallel_efficiency\": ";
+      AppendDouble(*efficiency, &out);
     }
-    out += '}';
+    out += "}}";
   }
   out += stages_.empty() ? "]" : "\n  ]";
   // Degraded runs list every quarantined fleet shard with its final Status,
@@ -411,12 +390,44 @@ Status RunManifestBuilder::WriteJson(const std::string& path) const {
   return Status::OK();
 }
 
-RunManifestBuilder::StageTimer::StageTimer(RunManifestBuilder* builder,
-                                           std::string stage)
-    : builder_(builder), stage_(std::move(stage)) {
-  // A null builder makes the timer inert; skip the snapshots so instrumented
-  // call sites cost nothing when no manifest is requested.
-  if (builder_ == nullptr) return;
+StageRecord& StageRecord::operator+=(const StageRecord& piece) {
+  if (stage.empty()) stage = piece.stage;
+  seconds += piece.seconds;
+  units += piece.units;
+  for (const auto& [name, delta] : piece.metric_deltas) {
+    metric_deltas[name] += delta;
+  }
+  resources.cpu_user_seconds += piece.resources.cpu_user_seconds;
+  resources.cpu_sys_seconds += piece.resources.cpu_sys_seconds;
+  resources.max_rss_bytes =
+      std::max(resources.max_rss_bytes, piece.resources.max_rss_bytes);
+  resources.minor_faults += piece.resources.minor_faults;
+  resources.major_faults += piece.resources.major_faults;
+  resources.alloc_bytes += piece.resources.alloc_bytes;
+  return *this;
+}
+
+std::optional<double> StageRecord::parallel_efficiency(
+    int threads_used) const {
+  constexpr double kEfficiencyWallFloorSeconds = 0.01;
+  if (threads_used <= 0 || seconds < kEfficiencyWallFloorSeconds) {
+    return std::nullopt;
+  }
+  return cpu_seconds() / (seconds * threads_used);
+}
+
+StageTimer::StageTimer(std::string_view stage, RunManifestBuilder* manifest)
+    : span_(stage), manifest_(manifest) {
+  if (manifest_ != nullptr) Start(stage);
+}
+
+StageTimer::StageTimer(std::string_view stage, StageRecord* into)
+    : span_(stage), into_(into) {
+  if (into_ != nullptr) Start(stage);
+}
+
+void StageTimer::Start(std::string_view stage) {
+  record_.stage = stage;
   // Fold the profiler accumulators into the registry first, so the before
   // snapshot carries the published prefix and the stage delta is exactly
   // what this stage contributes.
@@ -428,39 +439,44 @@ RunManifestBuilder::StageTimer::StageTimer(RunManifestBuilder* builder,
   start_ = std::chrono::steady_clock::now();
 }
 
-RunManifestBuilder::StageTimer::~StageTimer() {
-  if (builder_ == nullptr) return;
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start_)
-          .count();
+StageTimer::~StageTimer() {
+  if (manifest_ == nullptr && into_ == nullptr) return;
+  record_.seconds = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start_)
+                        .count();
   PublishProfMetrics();
   const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
-  std::map<std::string, uint64_t> deltas;
   for (const auto& [name, value] : after.counters) {
-    uint64_t previous = 0;
     const auto it = before_.counters.find(name);
-    if (it != before_.counters.end()) previous = it->second;
-    if (value > previous) deltas[name] = value - previous;
+    const uint64_t delta =
+        DeltaSince(it == before_.counters.end() ? 0 : it->second, value);
+    if (delta > 0) record_.metric_deltas[name] = delta;
+  }
+  for (const auto& [name, h] : after.histograms) {
+    const auto it = before_.histograms.find(name);
+    const uint64_t delta = DeltaSince(
+        it == before_.histograms.end() ? 0 : it->second.count, h.count);
+    if (delta > 0) record_.metric_deltas[name + ".count"] = delta;
   }
   const ResourceUsage now = CaptureRusage();
-  StageResources resources;
+  StageResources& resources = record_.resources;
   resources.cpu_user_seconds =
       std::max(0.0, now.user_seconds - rusage_before_.user_seconds);
   resources.cpu_sys_seconds =
       std::max(0.0, now.sys_seconds - rusage_before_.sys_seconds);
   resources.max_rss_bytes = now.max_rss_bytes;
-  resources.minor_faults = now.minor_faults >= rusage_before_.minor_faults
-                               ? now.minor_faults - rusage_before_.minor_faults
-                               : 0;
-  resources.major_faults = now.major_faults >= rusage_before_.major_faults
-                               ? now.major_faults - rusage_before_.major_faults
-                               : 0;
-  const uint64_t alloc_now =
-      homets::prof::g_alloc_bytes.load(std::memory_order_relaxed);
-  resources.alloc_bytes =
-      alloc_now >= alloc_bytes_before_ ? alloc_now - alloc_bytes_before_ : 0;
-  builder_->AddStage(stage_, seconds, units_, std::move(deltas), resources);
+  resources.minor_faults =
+      DeltaSince(rusage_before_.minor_faults, now.minor_faults);
+  resources.major_faults =
+      DeltaSince(rusage_before_.major_faults, now.major_faults);
+  resources.alloc_bytes = DeltaSince(
+      alloc_bytes_before_,
+      homets::prof::g_alloc_bytes.load(std::memory_order_relaxed));
+  if (manifest_ != nullptr) {
+    manifest_->AddStage(std::move(record_));
+  } else {
+    *into_ += record_;
+  }
 }
 
 }  // namespace homets::obs

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -14,15 +15,17 @@
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
+#include "obs/trace.h"
 
 // Run manifests: a schema-versioned machine-readable record of what a run
 // was (config, inputs, failpoint schedule, read policy), what it did
 // (per-stage wall times + metric deltas, ingest counters, thread counts) and
 // how it ended (success / failure / cancelled, failing stage, Status) —
 // written as RUN_MANIFEST.json on success AND on failure, so a fleet
-// orchestrator can audit every shard afterwards. Stage entries deliberately
-// mirror the BENCH_pipeline.json shape ({"stage", "seconds", "units",
-// "metrics": {counter deltas}}) so the same tooling reads both.
+// orchestrator can audit every shard afterwards. Run-manifest stage entries
+// and BENCH_pipeline.json entries are printed from the same StageRecord
+// ({"stage", "seconds", "units", "metrics": {deltas}}), so the same tooling
+// reads both.
 //
 // Layering: homets_obs links only the standard library, so the builder takes
 // plain counters (the CLI copies them out of io::IngestReport) and maps
@@ -51,6 +54,71 @@ struct StageResources {
   uint64_t minor_faults = 0;
   uint64_t major_faults = 0;
   uint64_t alloc_bytes = 0;  ///< opt-in operator-new tally; 0 when off
+};
+
+/// \brief What one stage did: the run manifest's stage entry and the
+/// BENCH_pipeline.json entry are both printed from it.
+struct StageRecord {
+  std::string stage;
+  double seconds = 0.0;  ///< wall time
+  uint64_t units = 0;
+  /// Counters that grew during the stage, plus "<histogram>.count" for
+  /// histograms that took observations. Gauges are instantaneous and
+  /// meaningless as deltas, so they are left out.
+  std::map<std::string, uint64_t> metric_deltas;
+  StageResources resources;
+
+  /// Folds in another piece of the same stage (a stage timed around untimed
+  /// setup): sums time, units, CPU, faults, allocations and metric deltas,
+  /// and keeps the larger peak RSS.
+  StageRecord& operator+=(const StageRecord& piece);
+
+  double cpu_seconds() const {
+    return resources.cpu_user_seconds + resources.cpu_sys_seconds;
+  }
+
+  /// cpu_seconds / (seconds * threads_used), or nothing when no threads are
+  /// recorded or the stage ran under 10 ms: getrusage CPU time advances in
+  /// scheduler ticks (1-4 ms), so on shorter stages the ratio flips between
+  /// 0 and >1 on tick luck and would poison the bench-compare gate.
+  std::optional<double> parallel_efficiency(int threads_used) const;
+};
+
+class RunManifestBuilder;
+
+/// \brief The one stage clock. It opens a ScopedSpan named after the stage
+/// (so log lines inside carry its span id), and when a destination is given
+/// it also reads the metrics registry, getrusage and the alloc tally at both
+/// edges and, on destruction, hands the stage's StageRecord over. The
+/// profiler accumulators are published into the registry at both edges, so
+/// the deltas attribute lock waits and allocation volume to this stage.
+class StageTimer {
+ public:
+  /// Appends the record to `manifest`. A null manifest leaves only the span,
+  /// one relaxed load when no TraceSession is installed, so call sites stay
+  /// unconditional.
+  StageTimer(std::string_view stage, RunManifestBuilder* manifest);
+  /// Adds the record into `*into` with `+=`, so a stage timed in pieces
+  /// sums up in one record.
+  StageTimer(std::string_view stage, StageRecord* into);
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+  ~StageTimer();
+
+  /// The stage's unit count, once known.
+  void set_units(uint64_t units) { record_.units = units; }
+
+ private:
+  void Start(std::string_view stage);
+
+  ScopedSpan span_;  // first member: opens first, closes last
+  RunManifestBuilder* manifest_ = nullptr;
+  StageRecord* into_ = nullptr;
+  StageRecord record_;
+  std::chrono::steady_clock::time_point start_;
+  MetricsSnapshot before_;
+  ResourceUsage rusage_before_;
+  uint64_t alloc_bytes_before_ = 0;
 };
 
 /// \brief Accumulates one run's manifest; thread-safe, write-mostly.
@@ -86,16 +154,8 @@ class RunManifestBuilder {
   void RecordIngest(const ManifestIngestCounters& counters)
       HOMETS_EXCLUDES(mu_);
 
-  /// Appends a completed stage. `metric_deltas` holds counters that changed
-  /// while the stage ran (StageTimer computes them automatically).
-  void AddStage(std::string stage, double seconds, uint64_t units,
-                std::map<std::string, uint64_t> metric_deltas)
-      HOMETS_EXCLUDES(mu_);
-  /// Same, with resource accounting (StageTimer captures it via
-  /// CaptureRusage + the prof alloc tally).
-  void AddStage(std::string stage, double seconds, uint64_t units,
-                std::map<std::string, uint64_t> metric_deltas,
-                const StageResources& resources) HOMETS_EXCLUDES(mu_);
+  /// Appends a completed stage (StageTimer calls this when it closes).
+  void AddStage(StageRecord record) HOMETS_EXCLUDES(mu_);
 
   /// Records the failing stage and Status; flips the outcome to "failure"
   /// (or "cancelled" for kCancelled/kDeadlineExceeded). First failure wins.
@@ -120,32 +180,6 @@ class RunManifestBuilder {
   /// Writes ToJson() to `path` (truncating); IoError on failure.
   Status WriteJson(const std::string& path) const HOMETS_EXCLUDES(mu_);
 
-  /// \brief RAII stage clock: captures a metrics snapshot and a
-  /// getrusage reading at construction and records the stage (wall seconds +
-  /// counter deltas + resource deltas + `units`) into the builder at
-  /// destruction. Publishes the profiler accumulators into the registry at
-  /// both edges, so the counter deltas attribute lock waits / pool busy time
-  /// to this stage. `set_units` lets the stage report its unit count once
-  /// known.
-  class StageTimer {
-   public:
-    StageTimer(RunManifestBuilder* builder, std::string stage);
-    StageTimer(const StageTimer&) = delete;
-    StageTimer& operator=(const StageTimer&) = delete;
-    ~StageTimer();
-
-    void set_units(uint64_t units) { units_ = units; }
-
-   private:
-    RunManifestBuilder* builder_;
-    std::string stage_;
-    uint64_t units_ = 0;
-    std::chrono::steady_clock::time_point start_;
-    MetricsSnapshot before_;
-    ResourceUsage rusage_before_;
-    uint64_t alloc_bytes_before_ = 0;
-  };
-
  private:
   mutable Mutex mu_{"obs.run_manifest"};
   std::chrono::steady_clock::time_point run_start_;
@@ -154,14 +188,6 @@ class RunManifestBuilder {
     std::string path;
     std::string format;
     uint64_t bytes = 0;
-  };
-  struct StageEntry {
-    std::string stage;
-    double seconds = 0.0;
-    uint64_t units = 0;
-    std::map<std::string, uint64_t> metric_deltas;
-    bool has_resources = false;
-    StageResources resources;
   };
 
   std::string tool_ HOMETS_GUARDED_BY(mu_);
@@ -184,7 +210,7 @@ class RunManifestBuilder {
     int attempts = 0;
   };
 
-  std::vector<StageEntry> stages_ HOMETS_GUARDED_BY(mu_);
+  std::vector<StageRecord> stages_ HOMETS_GUARDED_BY(mu_);
   std::vector<QuarantineEntry> quarantine_ HOMETS_GUARDED_BY(mu_);
   bool degraded_ HOMETS_GUARDED_BY(mu_) = false;
   bool failed_ HOMETS_GUARDED_BY(mu_) = false;

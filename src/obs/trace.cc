@@ -100,11 +100,11 @@ uint64_t CurrentSpanId() {
   return depth == 0 ? 0 : tls_span_stack[depth - 1];
 }
 
-ScopedSpan::ScopedSpan(std::string name, std::string category)
-    : name_(std::move(name)),
-      category_(std::move(category)),
-      session_(GlobalTraceSession()) {
+ScopedSpan::ScopedSpan(std::string_view name, std::string_view category)
+    : session_(GlobalTraceSession()) {
   if (session_ == nullptr) return;
+  name_ = name;
+  category_ = category;
   id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed) + 1;
   depth_ = tls_open_spans++;
   if (depth_ < kMaxSpanStack) tls_span_stack[depth_] = id_;

@@ -76,25 +76,26 @@ uint32_t CurrentThreadTraceId();
 /// \brief Id of the innermost span currently open on the calling thread, or
 /// 0 when none is. Spans receive a process-unique 1-based id whenever a
 /// TraceSession is installed; the structured logger stamps this onto every
-/// record, so a log line written inside `cli.mine_motifs` carries the exact
-/// span it belongs to and the two artifacts (JSON-lines log, Chrome trace)
-/// join on `span_id`.
+/// record, so a log line written inside the `mine_motifs` stage carries the
+/// exact span it belongs to and the two artifacts (JSON-lines log, Chrome
+/// trace) join on `span_id`.
 uint64_t CurrentSpanId();
 
 /// \brief RAII span: measures from construction to destruction and reports
 /// to the installed TraceSession (if any). Without one, construction is one
-/// atomic load and no clock reads.
+/// atomic load: no clock reads, and the name and category are not copied.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(std::string name, std::string category = "homets");
+  explicit ScopedSpan(std::string_view name,
+                      std::string_view category = "homets");
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
   ~ScopedSpan();
 
  private:
-  std::string name_;
-  std::string category_;
   TraceSession* session_;  ///< captured once at construction
+  std::string name_;       ///< copied only while a session is installed
+  std::string category_;
   std::chrono::steady_clock::time_point start_;
   uint32_t depth_ = 0;
   uint64_t id_ = 0;  ///< process-unique span id, assigned when active

@@ -64,7 +64,7 @@ TEST_F(TelemetryChaosTest, EngineFaultLandsInManifestAsFailure) {
   const core::SimilarityEngine engine(options);
   Status failed = Status::OK();
   {
-    obs::RunManifestBuilder::StageTimer stage(&manifest, "pairwise");
+    obs::StageTimer stage("pairwise", &manifest);
     const auto result =
         engine.PairwiseChecked(core::SimilarityEngine::PrepareWindows(windows));
     ASSERT_FALSE(result.ok());
@@ -117,7 +117,7 @@ TEST_F(TelemetryChaosTest, ColumnarChunkFaultLandsInManifestAndLog) {
   manifest.SetTool("telemetry_chaos");
   Status failed = Status::OK();
   {
-    obs::RunManifestBuilder::StageTimer stage(&manifest, "read_chunks");
+    obs::StageTimer stage("read_chunks", &manifest);
     const auto reader = storage::HometsReader::Open(path);
     if (reader.ok()) {
       const auto read = reader->ReadGateway(0);

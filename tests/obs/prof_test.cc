@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/report.h"
+#include "obs/trace.h"
 
 namespace homets::obs {
 namespace {
@@ -206,7 +207,7 @@ TEST_F(ProfTest, StageTimerRecordsResourcesIntoTheManifest) {
   builder.SetTool("prof_test");
   builder.SetThreads(1, 1);
   {
-    RunManifestBuilder::StageTimer timer(&builder, "burn");
+    StageTimer timer("burn", &builder);
     // Burn enough CPU for getrusage ticks (1-4 ms) to resolve.
     volatile double x = 1.0;
     const auto deadline =
@@ -223,6 +224,23 @@ TEST_F(ProfTest, StageTimerRecordsResourcesIntoTheManifest) {
         "\"alloc_bytes\"", "\"parallel_efficiency\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
+}
+
+// An inactive span is one relaxed load: with no TraceSession installed it
+// copies neither its name nor its category, however long they are.
+TEST_F(ProfTest, InactiveSpansDoNotAllocate) {
+  if (!AllocTallyAvailable()) {
+    GTEST_SKIP() << "the alloc tally is compiled out under sanitizers";
+  }
+  ASSERT_EQ(GlobalTraceSession(), nullptr);
+  EnableAllocTally(true);
+  const uint64_t before = prof::g_alloc_bytes.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i) {
+    ScopedSpan span("similarity_engine.pairwise", "a_category_past_sso_size");
+  }
+  const uint64_t after = prof::g_alloc_bytes.load(std::memory_order_relaxed);
+  EnableAllocTally(false);
+  EXPECT_EQ(after - before, 0u);
 }
 
 }  // namespace

@@ -1,14 +1,18 @@
 #include "obs/report.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/json.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace homets::obs {
 namespace {
@@ -86,12 +90,20 @@ TEST(RunManifestTest, ConfigInputsAndCountersRoundTrip) {
 }
 
 // Stage entries mirror the BENCH_pipeline.json shape: name, seconds, units,
-// and a map of counter deltas.
+// and a map of metric deltas.
 TEST(RunManifestTest, StagesMirrorBenchShape) {
   RunManifestBuilder builder;
-  builder.AddStage("read_traces", 1.5, 28,
-                   {{"homets.io.rows_parsed", 1000}});
-  builder.AddStage("mine_motifs", 0.25, 28, {});
+  StageRecord read;
+  read.stage = "read_traces";
+  read.seconds = 1.5;
+  read.units = 28;
+  read.metric_deltas = {{"homets.io.rows_parsed", 1000}};
+  builder.AddStage(read);
+  StageRecord mine;
+  mine.stage = "mine_motifs";
+  mine.seconds = 0.25;
+  mine.units = 28;
+  builder.AddStage(mine);
   const JsonValue doc = Parse(builder);
   const JsonValue* stages = doc.Find("stages");
   ASSERT_NE(stages, nullptr);
@@ -103,6 +115,7 @@ TEST(RunManifestTest, StagesMirrorBenchShape) {
   const JsonValue* metrics = first.Find("metrics");
   ASSERT_NE(metrics, nullptr);
   EXPECT_EQ(metrics->NumberOr("homets.io.rows_parsed", -1), 1000);
+  EXPECT_NE(first.Find("resources"), nullptr);
 }
 
 TEST(RunManifestTest, FirstFailureWinsAndMapsToFailureOutcome) {
@@ -151,14 +164,19 @@ TEST(RunManifestTest, WriteJsonLandsOnDiskAndFailsCleanly) {
 TEST(RunManifestTest, StageTimerRecordsPositiveCounterDeltas) {
   auto& registry = MetricsRegistry::Global();
   Counter* counter = registry.GetCounter("homets.test.report_stage_units");
+  Histogram* histogram =
+      registry.GetHistogram("homets.test.report_stage_latency_us");
   RunManifestBuilder builder;
   {
-    RunManifestBuilder::StageTimer timer(&builder, "timed");
+    StageTimer timer("timed", &builder);
     counter->Increment(5);
+    histogram->Observe(3.0);
+    histogram->Observe(4.0);
     timer.set_units(2);
   }
   {
-    RunManifestBuilder::StageTimer noop(nullptr, "ignored");
+    RunManifestBuilder* no_manifest = nullptr;
+    StageTimer noop("ignored", no_manifest);
     counter->Increment(1);
   }
   const JsonValue doc = Parse(builder);
@@ -171,6 +189,103 @@ TEST(RunManifestTest, StageTimerRecordsPositiveCounterDeltas) {
   const JsonValue* metrics = stage.Find("metrics");
   ASSERT_NE(metrics, nullptr);
   EXPECT_EQ(metrics->NumberOr("homets.test.report_stage_units", -1), 5);
+  EXPECT_EQ(
+      metrics->NumberOr("homets.test.report_stage_latency_us.count", -1), 2);
+}
+
+// The one stage clock opens exactly one span, named after the stage, with
+// or without a manifest; code inside the stage sees that span's id.
+TEST(StageTimerTest, OpensOneSpanNamedAfterTheStage) {
+  TraceSession session;
+  InstallGlobalTraceSession(&session);
+  RunManifestBuilder builder;
+  uint64_t inside_timed = 0;
+  uint64_t inside_span_only = 0;
+  {
+    StageTimer timer("mine_motifs", &builder);
+    inside_timed = CurrentSpanId();
+  }
+  {
+    RunManifestBuilder* no_manifest = nullptr;
+    StageTimer timer("read_traces", no_manifest);
+    inside_span_only = CurrentSpanId();
+  }
+  InstallGlobalTraceSession(nullptr);
+  const std::vector<TraceEvent> events = session.Events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].name, "mine_motifs");
+  EXPECT_NE(inside_timed, 0u);
+  EXPECT_EQ(events[0].span_id, inside_timed);
+  EXPECT_EQ(events[1].name, "read_traces");
+  EXPECT_EQ(events[1].span_id, inside_span_only);
+  EXPECT_EQ(CurrentSpanId(), 0u);
+}
+
+// A stage timed in pieces: `+=` sums the additive fields and keeps the
+// larger peak RSS (a process peak, not a per-piece amount).
+TEST(StageRecordTest, PiecesSumAndKeepTheLargerPeakRss) {
+  StageRecord first;
+  first.stage = "dominance";
+  first.seconds = 0.5;
+  first.units = 3;
+  first.metric_deltas = {{"homets.a", 2}, {"homets.b", 1}};
+  first.resources = {1.0, 0.25, 4096, 10, 1, 64};
+  StageRecord second;
+  second.stage = "dominance";
+  second.seconds = 0.25;
+  second.units = 4;
+  second.metric_deltas = {{"homets.a", 5}, {"homets.c", 7}};
+  second.resources = {0.5, 0.125, 2048, 5, 2, 36};
+
+  StageRecord total;
+  total += first;
+  total += second;
+  EXPECT_EQ(total.stage, "dominance");
+  EXPECT_DOUBLE_EQ(total.seconds, 0.75);
+  EXPECT_EQ(total.units, 7u);
+  const std::map<std::string, uint64_t> expected = {
+      {"homets.a", 7}, {"homets.b", 1}, {"homets.c", 7}};
+  EXPECT_EQ(total.metric_deltas, expected);
+  EXPECT_DOUBLE_EQ(total.resources.cpu_user_seconds, 1.5);
+  EXPECT_DOUBLE_EQ(total.resources.cpu_sys_seconds, 0.375);
+  EXPECT_DOUBLE_EQ(total.cpu_seconds(), 1.875);
+  EXPECT_EQ(total.resources.max_rss_bytes, 4096u);
+  EXPECT_EQ(total.resources.minor_faults, 15u);
+  EXPECT_EQ(total.resources.major_faults, 3u);
+  EXPECT_EQ(total.resources.alloc_bytes, 100u);
+}
+
+// parallel_efficiency needs 10 ms of wall time (getrusage ticks are 1-4 ms)
+// and a thread count; the manifest prints exactly what the record says.
+TEST(StageRecordTest, ParallelEfficiencyHasATenMillisecondFloor) {
+  StageRecord record;
+  record.resources.cpu_user_seconds = 0.006;
+  record.resources.cpu_sys_seconds = 0.002;
+  record.seconds = 0.0099;
+  EXPECT_FALSE(record.parallel_efficiency(4).has_value());
+  record.seconds = 0.01;
+  ASSERT_TRUE(record.parallel_efficiency(4).has_value());
+  EXPECT_DOUBLE_EQ(*record.parallel_efficiency(4), 0.008 / (0.01 * 4));
+  EXPECT_FALSE(record.parallel_efficiency(0).has_value());
+
+  RunManifestBuilder builder;
+  builder.SetThreads(4, 4);
+  record.stage = "long";
+  builder.AddStage(record);
+  record.stage = "short";
+  record.seconds = 0.0099;
+  builder.AddStage(record);
+  const JsonValue doc = Parse(builder);
+  const JsonValue* stages = doc.Find("stages");
+  ASSERT_NE(stages, nullptr);
+  ASSERT_EQ(stages->array_items().size(), 2u);
+  const JsonValue* long_resources = stages->array_items()[0].Find("resources");
+  const JsonValue* short_resources =
+      stages->array_items()[1].Find("resources");
+  ASSERT_NE(long_resources, nullptr);
+  ASSERT_NE(short_resources, nullptr);
+  EXPECT_DOUBLE_EQ(long_resources->NumberOr("parallel_efficiency", -1), 0.2);
+  EXPECT_EQ(short_resources->Find("parallel_efficiency"), nullptr);
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ check "trace is Chrome trace_event JSON" \
     grep -q '"traceEvents"' "$workdir/trace.json"
 check "trace contains complete events" grep -q '"ph": "X"' "$workdir/trace.json"
 check "trace records the mining span" \
-    grep -q '"cli.mine_motifs"' "$workdir/trace.json"
+    grep -q '"mine_motifs"' "$workdir/trace.json"
 
 check "metrics file written" test -s "$workdir/metrics.json"
 check "metrics summary on stderr" grep -q 'metrics summary:' "$workdir/motifs.err"

@@ -259,8 +259,7 @@ int RunGenerate(const ParsedArgs& args) {
     std::cerr << "generate: --format must be csv or homets\n";
     return 2;
   }
-  obs::ScopedSpan span("cli.generate");
-  obs::RunManifestBuilder::StageTimer stage(g_manifest, "generate");
+  obs::StageTimer stage("generate", g_manifest);
   stage.set_units(static_cast<uint64_t>(config.n_gateways));
   simgen::FleetGenerator generator(config);
   if (format == "homets") {
@@ -314,8 +313,7 @@ int RunConvert(const ParsedArgs& args,
     std::cerr << "convert: --to homets|csv is required\n";
     return 2;
   }
-  obs::ScopedSpan span("cli.convert");
-  obs::RunManifestBuilder::StageTimer stage(g_manifest, "convert");
+  obs::StageTimer stage("convert", g_manifest);
   stage.set_units(args.positional.size());
   for (const std::string& path : args.positional) {
     std::string dir, stem;
@@ -371,8 +369,7 @@ int RunProfile(const ParsedArgs& args,
   const auto gw = reader->ReadGateway(0);
   if (!gw.ok()) return FailWith("read failed", gw.status());
   NarrateIngest(reader->report());
-  obs::ScopedSpan span("cli.profile");
-  obs::RunManifestBuilder::StageTimer stage(g_manifest, "profile");
+  obs::StageTimer stage("profile", g_manifest);
   stage.set_units(1);
   const auto profile = core::ProfileGateway(*gw);
   if (!profile.ok()) {
@@ -402,8 +399,7 @@ int RunMotifs(const ParsedArgs& args,
   std::vector<core::WindowProvenance> provenance;
   int next_id = 0;
   {
-    obs::ScopedSpan span("cli.read_traces");
-    obs::RunManifestBuilder::StageTimer stage(g_manifest, "read_traces");
+    obs::StageTimer stage("read_traces", g_manifest);
     obs::ProgressTracker::Stage* progress =
         obs::ProgressStage("cli.read_traces");
     if (progress != nullptr) progress->AddTotal(args.positional.size());
@@ -445,8 +441,7 @@ int RunMotifs(const ParsedArgs& args,
   // funnel, so the per-stage metrics (pairs computed, KS rejections) account
   // for the whole input even when mining itself converges early.
   {
-    obs::ScopedSpan span("cli.stationarity");
-    obs::RunManifestBuilder::StageTimer stage(g_manifest, "stationarity");
+    obs::StageTimer stage("stationarity", g_manifest);
     stage.set_units(windows.size());
     std::map<int, std::vector<ts::TimeSeries>> by_gateway;
     for (size_t w = 0; w < windows.size(); ++w) {
@@ -466,8 +461,7 @@ int RunMotifs(const ParsedArgs& args,
   }
 
   const auto motifs = [&] {
-    obs::ScopedSpan span("cli.mine_motifs");
-    obs::RunManifestBuilder::StageTimer stage(g_manifest, "mine_motifs");
+    obs::StageTimer stage("mine_motifs", g_manifest);
     stage.set_units(windows.size());
     return core::MotifDiscovery().Discover(windows);
   }();
@@ -517,8 +511,7 @@ int RunStream(const ParsedArgs& args,
   const int64_t anchor = weekly ? 120 : 0;
   const int64_t window = weekly ? ts::kMinutesPerWeek : ts::kMinutesPerDay;
 
-  obs::ScopedSpan span("cli.stream");
-  obs::RunManifestBuilder::StageTimer stage(g_manifest, "stream");
+  obs::StageTimer stage("stream", g_manifest);
   obs::ProgressTracker::Stage* progress = obs::ProgressStage("cli.stream");
   if (progress != nullptr) progress->AddTotal(args.positional.size());
   auto assembler = core::WindowAssembler::Make(window, granularity, anchor);
@@ -659,8 +652,7 @@ int RunAnalyze(const ParsedArgs& args,
     std::cerr << "analyze: --resume requires --checkpoint-dir\n";
     return 2;
   }
-  obs::ScopedSpan span("cli.analyze");
-  obs::RunManifestBuilder::StageTimer stage(g_manifest, "analyze");
+  obs::StageTimer stage("analyze", g_manifest);
   stage.set_units(static_cast<uint64_t>(shards));
   fleet::FleetOrchestrator orchestrator(args.positional, options);
   const auto report = orchestrator.Analyze();
