@@ -16,10 +16,6 @@
 // Flags:
 //   --pipeline_json=PATH   output path (default BENCH_pipeline.json)
 //   --sizes=a,b,c          subset of small,medium,large (default all)
-//   --progress             narrate live stage progress + heartbeats on
-//                          stderr (default off; the timed stages only touch
-//                          the tracker when one is installed, so the flag
-//                          costs nothing when absent)
 //   --prof                 enable the execution profiler: stage metric
 //                          deltas gain homets.prof.* lock-wait and pool
 //                          busy/idle/queue-wait counters (default off; the
@@ -45,7 +41,6 @@
 #include "fleet/orchestrator.h"
 #include "io/dataset.h"
 #include "obs/prof.h"
-#include "obs/progress.h"
 #include "obs/report.h"
 #include "simgen/fleet.h"
 #include "storage/homets_format.h"
@@ -91,10 +86,6 @@ class PipelineBench {
   /// (windows, pairs, rows, …) it processed.
   template <typename Fn>
   void Stage(const std::string& stage, const std::string& unit, Fn&& fn) {
-    // Registering up front makes the stage visible as "active" in any
-    // heartbeat that fires while fn() runs; without --progress the accessor
-    // returns nullptr and the stage path costs one relaxed load.
-    obs::ProgressStage(size_ + "/" + stage);
     obs::StageRecord record;
     {
       obs::StageTimer timer(stage, &record);
@@ -107,10 +98,6 @@ class PipelineBench {
   /// setup (trace regeneration) times each piece with an obs::StageTimer
   /// into one record and adds it here.
   void AddEntry(const std::string& unit, const obs::StageRecord& record) {
-    if (auto* progress = obs::ProgressStage(size_ + "/" + record.stage)) {
-      progress->AddTotal(record.units);
-      progress->Finish();  // homets-lint: allow(discarded-status)
-    }
     const double seconds = record.seconds;
     const size_t units = record.units;
     bench::JsonWriter entry;
@@ -368,7 +355,6 @@ void RunSize(const SizeSpec& spec, int threads_used,
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_pipeline.json";
   std::string sizes_csv = "small,medium,large";
-  bool progress = false;
   bool prof = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -376,8 +362,6 @@ int main(int argc, char** argv) {
       json_path = arg.substr(std::string("--pipeline_json=").size());
     } else if (arg.rfind("--sizes=", 0) == 0) {
       sizes_csv = arg.substr(std::string("--sizes=").size());
-    } else if (arg == "--progress") {
-      progress = true;
     } else if (arg == "--prof") {
       prof = true;
     } else {
@@ -387,12 +371,6 @@ int main(int argc, char** argv) {
   }
 
   if (prof) obs::EnableProfiler(true);
-
-  obs::ProgressTracker tracker;
-  if (progress) {
-    obs::InstallGlobalProgressTracker(&tracker);
-    tracker.StartHeartbeat(2.0);
-  }
 
   // hardware_threads is what the machine offers; threads_used is what the
   // similarity engine actually runs with (its default of 0 resolves to
@@ -412,10 +390,6 @@ int main(int argc, char** argv) {
     if (!selected) continue;
     size_names.push_back(StrFormat("\"%s\"", spec.name));
     RunSize(spec, threads_used, &entries);
-  }
-  if (progress) {
-    tracker.StopHeartbeat();
-    obs::InstallGlobalProgressTracker(nullptr);
   }
   if (entries.empty()) {
     std::cerr << "no sizes selected from --sizes=" << sizes_csv << "\n";

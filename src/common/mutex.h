@@ -15,9 +15,9 @@
 // flagged on every access even when correctly locked. homets::Mutex is a
 // zero-overhead wrapper (one std::mutex, all methods inline) whose
 // Lock/Unlock are annotated as acquire/release, and homets::MutexLock is the
-// annotated std::lock_guard equivalent. Code that must hand the native
-// handle to std::condition_variable uses native() and opts that one wait
-// loop out with HOMETS_NO_THREAD_SAFETY_ANALYSIS (see obs/flusher.cc).
+// annotated std::lock_guard equivalent. The wrapped std::mutex is not
+// exposed, so every lock the tree takes through this type is one the
+// analysis can see.
 //
 // Header-only and standard-library-only on purpose: obs/ sits below
 // homets_common in the link graph but may include this freely (which is also
@@ -47,11 +47,6 @@ class HOMETS_CAPABILITY("mutex") Mutex {
   }
   void Unlock() HOMETS_RELEASE() { mu_.unlock(); }
   bool TryLock() HOMETS_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  /// The wrapped std::mutex, for std::condition_variable interop only. The
-  /// analysis cannot follow locks taken through this handle; callers must be
-  /// HOMETS_NO_THREAD_SAFETY_ANALYSIS and keep the unlocked window obvious.
-  std::mutex& native() { return mu_; }
 
  private:
   // Cold path, kept out of line of the inline Lock: time the blocking

@@ -16,9 +16,7 @@
 //   - private helpers that assume the lock is held take HOMETS_REQUIRES(mu_);
 //   - public entry points that take the lock are HOMETS_EXCLUDES(mu_) so
 //     self-deadlock through re-entry is caught;
-//   - the rare function the analysis cannot model (condition-variable wait
-//     loops through a native handle) is HOMETS_NO_THREAD_SAFETY_ANALYSIS
-//     with a comment explaining why.
+//   - no macro opts a function out of the analysis.
 // Prefer homets::Mutex / homets::MutexLock (common/mutex.h) over raw
 // std::mutex: the standard mutex carries no capability annotation, so the
 // analysis can only see locks taken through the annotated wrapper.
@@ -87,11 +85,5 @@
 /// cannot follow, e.g. callbacks invoked under a caller's lock).
 #define HOMETS_ASSERT_CAPABILITY(x) \
   HOMETS_THREAD_ANNOTATION_ATTRIBUTE_(assert_capability(x))
-
-/// Opts a function out of the analysis entirely. Use sparingly, with a
-/// comment: the only sanctioned case in this repo is a condition-variable
-/// wait loop that must manipulate the native std::mutex directly.
-#define HOMETS_NO_THREAD_SAFETY_ANALYSIS \
-  HOMETS_THREAD_ANNOTATION_ATTRIBUTE_(no_thread_safety_analysis)
 
 #endif  // HOMETS_COMMON_THREAD_ANNOTATIONS_H_

@@ -31,31 +31,23 @@ inline int ResolveThreadCount(int threads) {
 namespace thread_pool_internal {
 
 /// \brief One loop's dispatch metrics and block clock, shared by ParallelFor
-/// and ParallelForStatus: the loop/task counters and queue depth at
-/// dispatch, one task-latency observation per block and, behind one relaxed
+/// and ParallelForStatus: the loop/task counters at dispatch, one
+/// task-latency observation per block and, behind one relaxed
 /// profiler load, the per-block queue wait and run time plus the loop's
 /// busy/idle totals. Atomic increments only — this header runs under TSan
 /// via the `threads` ctest label.
 class LoopClock {
  public:
-  explicit LoopClock(size_t n_blocks)
-      : n_blocks_(n_blocks), prof_on_(prof::ProfilerEnabled()) {
+  explicit LoopClock(size_t n_blocks) : prof_on_(prof::ProfilerEnabled()) {
     // With --prof off the loop pays no extra clock reads or atomic traffic.
     if (prof_on_) loop_start_ = Clock::now();
     const Metrics& m = GetMetrics();
     m.loops->Increment();
     m.tasks->Increment(n_blocks);
-    m.queue_depth->Set(static_cast<int64_t>(n_blocks));
   }
 
-  /// Hands out the next block index, or n_blocks once all are taken.
-  size_t NextBlock() {
-    const size_t b = next_.fetch_add(1, std::memory_order_relaxed);
-    if (b < n_blocks_) {
-      GetMetrics().queue_depth->Set(static_cast<int64_t>(n_blocks_ - b - 1));
-    }
-    return b;
-  }
+  /// Hands out the next block index; >= n_blocks once all are taken.
+  size_t NextBlock() { return next_.fetch_add(1, std::memory_order_relaxed); }
 
   /// Runs `fn()` as one block executed by `worker` and times it.
   template <typename Fn>
@@ -80,9 +72,8 @@ class LoopClock {
 
   /// Closes the loop after `used_workers` workers joined.
   void Close(int used_workers) {
-    const Metrics& m = GetMetrics();
-    m.queue_depth->Set(0);
     if (!prof_on_) return;
+    const Metrics& m = GetMetrics();
     const uint64_t wall = NsBetween(loop_start_, Clock::now());
     const uint64_t busy = busy_ns_.load(std::memory_order_relaxed);
     prof::RecordPoolLoop(used_workers, wall, busy);
@@ -99,7 +90,6 @@ class LoopClock {
   struct Metrics {
     obs::Counter* loops;
     obs::Counter* tasks;
-    obs::Gauge* queue_depth;
     obs::Histogram* task_latency_us;
     obs::Histogram* queue_wait_us;
     obs::Counter* prof_busy_us;
@@ -112,7 +102,6 @@ class LoopClock {
       auto& registry = obs::MetricsRegistry::Global();
       return Metrics{registry.GetCounter(obs::kThreadPoolLoops),
                      registry.GetCounter(obs::kThreadPoolTasks),
-                     registry.GetGauge(obs::kThreadPoolQueueDepth),
                      registry.GetHistogram(obs::kThreadPoolTaskLatencyUs),
                      registry.GetHistogram(obs::kThreadPoolQueueWaitUs),
                      registry.GetCounter(obs::kProfPoolBusyUs),
@@ -127,7 +116,6 @@ class LoopClock {
         std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
   }
 
-  const size_t n_blocks_;
   const bool prof_on_;
   Clock::time_point loop_start_{};
   std::atomic<size_t> next_{0};

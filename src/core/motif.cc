@@ -11,7 +11,6 @@
 #include "correlation/prepared_series.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 
 namespace homets::core {
@@ -152,15 +151,12 @@ Result<std::vector<Motif>> MotifDiscovery::Discover(
       registry.GetCounter(obs::kMotifCacheMisses);
   obs::ScopedSpan span("motif.discover");
   windows_mined->Increment(windows.size());
-  obs::ProgressTracker::Stage* progress = obs::ProgressStage("motif.mine");
-  if (progress != nullptr) progress->AddTotal(windows.size());
 
   SimilarityCache cache(windows, options_.alpha);
   // Greedy pass: each window joins the best admissible motif, then one merge
   // phase over the finished motifs.
   std::vector<MotifCandidate> motifs;
   for (size_t w = 0; w < windows.size(); ++w) {
-    if (progress != nullptr) progress->Tick();
     const int best = BestAdmissibleMotif(
         motifs, options_, [&](size_t member) { return cache.Get(w, member); });
     if (best >= 0) {

@@ -7,7 +7,6 @@
 #include "common/thread_pool.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 
 namespace homets::core {
@@ -94,11 +93,6 @@ SimilarityMatrix SimilarityEngine::Pairwise(
       pairs < options_.min_parallel_pairs ? 1 : options_.threads;
   const size_t workers = static_cast<size_t>(ResolveThreadCount(threads));
   std::vector<correlation::PairWorkspace> workspaces(workers);
-  // One stage lookup up front; per-block ticks are then two relaxed adds
-  // (nullptr when no tracker is installed — every run without --progress).
-  obs::ProgressTracker::Stage* progress =
-      obs::ProgressStage("engine.pairwise");
-  if (progress != nullptr) progress->AddTotal(pairs);
   SimilarityResult* cells = matrix.mutable_cells();
   ParallelFor(pairs, threads, kPairsPerBlock,
               [&](size_t begin, size_t end, int worker) {
@@ -113,7 +107,6 @@ SimilarityMatrix SimilarityEngine::Pairwise(
                     j = i + 1;
                   }
                 }
-                if (progress != nullptr) progress->Tick(end - begin);
               });
   CountPairsComputed(pairs);
   return matrix;
@@ -132,9 +125,6 @@ Result<SimilarityMatrix> SimilarityEngine::PairwiseChecked(
   std::vector<correlation::PairWorkspace> workspaces(workers);
   // The mask must exist before workers can mark blocks concurrently.
   if (options_.degrade_on_failure) matrix.EnsureValidityMask();
-  obs::ProgressTracker::Stage* progress =
-      obs::ProgressStage("engine.pairwise");
-  if (progress != nullptr) progress->AddTotal(pairs);
   SimilarityResult* cells = matrix.mutable_cells();
   const auto start = std::chrono::steady_clock::now();
   const auto deadline_expired = [&] {
@@ -173,7 +163,6 @@ Result<SimilarityMatrix> SimilarityEngine::PairwiseChecked(
             j = i + 1;
           }
         }
-        if (progress != nullptr) progress->Tick(end - begin);
         return Status::OK();
       });
   CountPairsComputed(pairs);
@@ -191,9 +180,6 @@ std::vector<SimilarityResult> SimilarityEngine::PairwiseSelected(
       pairs.size() < options_.min_parallel_pairs ? 1 : options_.threads;
   const size_t workers = static_cast<size_t>(ResolveThreadCount(threads));
   std::vector<correlation::PairWorkspace> workspaces(workers);
-  obs::ProgressTracker::Stage* progress =
-      obs::ProgressStage("engine.pairwise");
-  if (progress != nullptr) progress->AddTotal(pairs.size());
   ParallelFor(pairs.size(), threads, kPairsPerBlock,
               [&](size_t begin, size_t end, int worker) {
                 correlation::PairWorkspace& ws =
@@ -203,7 +189,6 @@ std::vector<SimilarityResult> SimilarityEngine::PairwiseSelected(
                       prepared[pairs[k].first], prepared[pairs[k].second],
                       options_.similarity, &ws);
                 }
-                if (progress != nullptr) progress->Tick(end - begin);
               });
   CountPairsComputed(pairs.size());
   return results;

@@ -5,7 +5,6 @@
 #include "core/similarity_engine.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 #include "stattests/ks_test.h"
 
@@ -29,12 +28,6 @@ Result<StationarityResult> CheckStrongStationarity(
       registry.GetCounter(obs::kStationarityPairsBelowPhi);
   obs::ScopedSpan span("stationarity.check");
   windows_tested->Increment(windows.size());
-  obs::ProgressTracker::Stage* progress =
-      obs::ProgressStage("stationarity.windows");
-  if (progress != nullptr) {
-    progress->AddTotal(windows.size());
-    progress->Tick(windows.size());
-  }
   StationarityResult result;
   result.min_pair_similarity = 1.0;
   result.correlation_ok = true;

@@ -13,7 +13,6 @@
 #include "obs/log.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "stats/zipf_fit.h"
 
 namespace homets::fleet {
@@ -148,8 +147,6 @@ Result<FleetReport> FleetOrchestrator::Analyze(CancellationToken* cancel) {
   const ShardRunner runner(&inputs, options_.dataset, options_.profiling);
   Mutex quarantine_mu{"fleet.quarantine"};
   std::vector<QuarantinedShard> quarantined;
-  obs::ProgressTracker::Stage* progress = obs::ProgressStage("fleet.shards");
-  if (progress != nullptr) progress->AddTotal(pending.size());
   const Status run_status = ParallelForStatus(
       pending.size(), options_.threads, 1, cancel,
       [&](size_t begin, size_t end, int) -> Status {
@@ -223,11 +220,9 @@ Result<FleetReport> FleetOrchestrator::Analyze(CancellationToken* cancel) {
             quarantined.push_back(QuarantinedShard{
                 plan.shard_index, last, options_.max_attempts});
           }
-          if (progress != nullptr) progress->Tick();
         }
         return Status::OK();
       });
-  if (progress != nullptr) progress->Finish();
   HOMETS_RETURN_IF_ERROR(run_status);
 
   // Phase 3: merge strictly by shard index — never completion order — so

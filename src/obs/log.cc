@@ -247,7 +247,11 @@ Logger::Logger(size_t queue_capacity)
       rate_capacity_(20.0),
       rate_per_sec_(5.0),
       slots_(RoundUpPow2(std::max<size_t>(queue_capacity, 2))),
-      slot_mask_(slots_.size() - 1) {}
+      slot_mask_(slots_.size() - 1) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    slots_[i].seq.store(i, std::memory_order_relaxed);
+  }
+}
 
 Logger::~Logger() { Close(); }
 
@@ -328,52 +332,55 @@ void Logger::LogAt(int64_t ts_us, LogLevel level, std::string_view component,
   static Counter* records_metric =
       MetricsRegistry::Global().GetCounter(kLogRecords);
   records_metric->Increment();
-  Enqueue(record, level);
+  Enqueue(record);
 }
 
-void Logger::Enqueue(LogRecord* record, LogLevel level) {
-  const uint64_t pos = head_.fetch_add(1, std::memory_order_relaxed);
-  std::atomic<LogRecord*>& slot = slots_[pos & slot_mask_];
-  LogRecord* expected = nullptr;
-  if (!slot.compare_exchange_strong(expected, record,
-                                    std::memory_order_release,
-                                    std::memory_order_relaxed)) {
-    // Drainer lapped: the slot still holds an older record. Drop the new
-    // one (counted) rather than block the producer.
-    delete record;
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    static Counter* dropped_metric =
-        MetricsRegistry::Global().GetCounter(kLogDropped);
-    dropped_metric->Increment();
-    return;
+void Logger::Enqueue(LogRecord* record) {
+  uint64_t pos = head_.load(std::memory_order_relaxed);
+  for (;;) {
+    Slot& slot = slots_[pos & slot_mask_];
+    const uint64_t seq = slot.seq.load(std::memory_order_acquire);
+    if (seq == pos) {
+      if (head_.compare_exchange_weak(pos, pos + 1,
+                                      std::memory_order_relaxed)) {
+        slot.record = record;
+        slot.seq.store(pos + 1, std::memory_order_release);
+        break;
+      }
+    } else if (static_cast<int64_t>(seq - pos) < 0) {
+      // Full: the slot still holds the previous lap's record. Drop the new
+      // one (counted) rather than block the producer.
+      delete record;
+      dropped_.fetch_add(1, std::memory_order_relaxed);
+      static Counter* dropped_metric =
+          MetricsRegistry::Global().GetCounter(kLogDropped);
+      dropped_metric->Increment();
+      return;
+    } else {
+      pos = head_.load(std::memory_order_relaxed);  // another producer won
+    }
   }
-  // Problems should surface even in runs with no background drainer; a
-  // failed TryLock means someone else is already draining.
-  if (level >= LogLevel::kWarn && drain_mu_.TryLock()) {
+  // A failed TryLock means another thread is draining; it or the next
+  // record's drain (or Close) emits this one.
+  if (drain_mu_.TryLock()) {
     DrainLocked();
     drain_mu_.Unlock();
   }
 }
 
-size_t Logger::Drain() {
-  MutexLock lock(&drain_mu_);
-  return DrainLocked();
-}
-
-size_t Logger::DrainLocked() {
-  size_t emitted = 0;
-  const uint64_t head = head_.load(std::memory_order_acquire);
-  while (tail_ != head) {
-    LogRecord* record =
-        slots_[tail_ & slot_mask_].exchange(nullptr, std::memory_order_acq_rel);
+void Logger::DrainLocked() {
+  const uint64_t first = tail_;
+  for (;;) {
+    Slot& slot = slots_[tail_ & slot_mask_];
+    // Stops at an empty slot and at one claimed but not yet published.
+    if (slot.seq.load(std::memory_order_acquire) != tail_ + 1) break;
+    LogRecord* record = slot.record;
+    slot.seq.store(tail_ + slots_.size(), std::memory_order_release);
     ++tail_;
-    if (record == nullptr) continue;  // claimed but not yet published
     Emit(*record);
     delete record;
-    ++emitted;
   }
-  if (file_ != nullptr && emitted > 0) std::fflush(file_);
-  return emitted;
+  if (file_ != nullptr && tail_ != first) std::fflush(file_);
 }
 
 void Logger::Emit(const LogRecord& record) {

@@ -11,7 +11,7 @@
 
 // common/mutex.h and common/status.h are header-only for everything used
 // here, so homets_obs stays free of link dependencies even though obs sits
-// below homets_common in the layering (same contract as obs/flusher.h).
+// below homets_common in the layering (same contract as obs/metrics.h).
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -25,11 +25,11 @@
 // relaxed atomic load and an immediate return, so library instrumentation is
 // compiled in everywhere (the default level is kWarn — narration costs
 // nothing unless a run opts in). An accepted record is rate-limited under a
-// short mutex, then enqueued into a lock-free MPSC ring; the expensive work
-// (formatting, stderr/file I/O) happens only in Drain(), which the CLI runs
-// on the MetricsFlusher/heartbeat cadence and at exit. Warn/error records
-// additionally attempt an opportunistic try-lock drain so problems surface
-// promptly even in runs with no background drainer.
+// short mutex, then enqueued into a lock-free MPSC ring, and the producer
+// drains the ring if the drain lock is free (TryLock, never a wait). The
+// expensive work (formatting, stderr/file I/O) happens only in that drain,
+// so a record waits in the ring only while another thread is draining, and
+// is dropped (counted) only when producers outrun that drain by a full ring.
 namespace homets::obs {
 
 /// \brief Record severity, ordered so `level >= min_level` is the filter.
@@ -114,7 +114,7 @@ class TokenBucket {
 };
 
 /// \brief Logger configuration; Configure() swaps the whole set atomically
-/// with respect to Drain().
+/// with respect to a drain.
 struct LoggerOptions {
   /// Records below this are dropped at the call site (one relaxed load).
   LogLevel min_level = LogLevel::kWarn;
@@ -163,11 +163,8 @@ class Logger {
   void LogAt(int64_t ts_us, LogLevel level, std::string_view component,
              std::string_view message, std::vector<LogField> fields = {});
 
-  /// Dequeues and emits everything currently published; returns the number
-  /// of records emitted. Serialized internally; safe from any thread.
-  size_t Drain() HOMETS_EXCLUDES(drain_mu_);
-
-  /// Drain + close the file sink (stderr sink stays). Idempotent.
+  /// Emits every record still in the ring and closes the file sink (stderr
+  /// sink stays). Idempotent.
   void Close() HOMETS_EXCLUDES(drain_mu_);
 
   LogLevel min_level() const {
@@ -211,9 +208,9 @@ class Logger {
     }
   };
 
-  void Enqueue(LogRecord* record, LogLevel level);
+  void Enqueue(LogRecord* record);
   void Emit(const LogRecord& record) HOMETS_REQUIRES(drain_mu_);
-  size_t DrainLocked() HOMETS_REQUIRES(drain_mu_);
+  void DrainLocked() HOMETS_REQUIRES(drain_mu_);
 
   std::atomic<int> min_level_;
   std::atomic<int> stderr_level_;
@@ -227,13 +224,21 @@ class Logger {
   double rate_capacity_ HOMETS_GUARDED_BY(rate_mu_);
   double rate_per_sec_ HOMETS_GUARDED_BY(rate_mu_);
 
-  // Lock-free MPSC ring: producers claim a position with fetch_add and
-  // publish with a CAS; an occupied slot (drainer lapped) drops the record.
-  std::vector<std::atomic<LogRecord*>> slots_;
+  // Lock-free bounded MPSC ring with per-slot sequence numbers: slot i is
+  // free for position p when seq == p, published when seq == p + 1, and
+  // freed for the next lap (seq = p + size) by the drainer. A producer
+  // claims a position only when its slot is free, so a full ring drops the
+  // record without claiming, and the drainer stops at a claimed slot whose
+  // record is not yet published instead of skipping it.
+  struct Slot {
+    std::atomic<uint64_t> seq{0};
+    LogRecord* record = nullptr;
+  };
+  std::vector<Slot> slots_;
   size_t slot_mask_;
   std::atomic<uint64_t> head_{0};
 
-  Mutex drain_mu_;  ///< serializes Drain/Configure/Close and sink writes
+  Mutex drain_mu_;  ///< serializes drains, Configure, Close and sink writes
   uint64_t tail_ HOMETS_GUARDED_BY(drain_mu_) = 0;
   std::FILE* file_ HOMETS_GUARDED_BY(drain_mu_) = nullptr;
 

@@ -19,8 +19,6 @@ inline constexpr std::string_view kThreadPoolLoops =
     "homets.threadpool.parallel_loops";
 inline constexpr std::string_view kThreadPoolTasks =
     "homets.threadpool.tasks";
-inline constexpr std::string_view kThreadPoolQueueDepth =
-    "homets.threadpool.queue_depth";
 inline constexpr std::string_view kThreadPoolTaskLatencyUs =
     "homets.threadpool.task_latency_us";
 
@@ -78,13 +76,6 @@ inline constexpr std::string_view kStreamingWindowsEvicted =
 inline constexpr std::string_view kStreamingMotifsMerged =
     "homets.streaming.motifs_merged";
 
-// obs/flusher — periodic Prometheus exposition metering itself.
-inline constexpr std::string_view kObsFlushes = "homets.obs.flushes";
-inline constexpr std::string_view kObsFlushErrors =
-    "homets.obs.flush_errors";
-inline constexpr std::string_view kObsFlushWriteUs =
-    "homets.obs.flush_write_us";
-
 // io/csv — trace ingestion.
 inline constexpr std::string_view kIoRowsParsed = "homets.io.rows_parsed";
 inline constexpr std::string_view kIoRowsSkipped = "homets.io.rows_skipped";
@@ -108,7 +99,9 @@ inline constexpr std::string_view kIngestFilesQuarantined =
 // storage/homets_format — columnar chunk IO. raw_bytes is the uncompressed
 // size of what chunks_written encoded (8 bytes/bin), so
 // raw_bytes / bytes_written is the compression ratio; chunks_skipped counts
-// chunks a read left untouched (the mmap pages never faulted in).
+// the chunks of a ReadSeries request's series that fall outside its minute
+// range (time-range pruning; their mmap pages are never faulted in).
+// ReadGateway decodes whole series and skips nothing.
 inline constexpr std::string_view kStorageChunksWritten =
     "homets.storage.chunks_written";
 inline constexpr std::string_view kStorageChunksRead =
@@ -135,18 +128,6 @@ inline constexpr std::string_view kLogRecords = "homets.log.records";
 inline constexpr std::string_view kLogSuppressed = "homets.log.suppressed";
 inline constexpr std::string_view kLogDropped = "homets.log.dropped";
 
-// obs/progress — heartbeat/progress substrate. units_done/units_total are
-// gauges summed across live stages (a fleet orchestrator scrapes them for
-// per-shard progress); heartbeats counts emitted heartbeat lines.
-inline constexpr std::string_view kProgressHeartbeats =
-    "homets.progress.heartbeats";
-inline constexpr std::string_view kProgressUnitsDone =
-    "homets.progress.units_done";
-inline constexpr std::string_view kProgressUnitsTotal =
-    "homets.progress.units_total";
-inline constexpr std::string_view kProgressActiveStages =
-    "homets.progress.active_stages";
-
 // common/thread_pool.h + obs/prof — execution-profiler surface. All of these
 // advance only while the profiler is enabled (--prof), so they read zero in
 // ordinary runs. queue_wait_us is a histogram of block time-in-queue
@@ -169,12 +150,6 @@ inline constexpr std::string_view kProfLockWaitUs =
 inline constexpr std::string_view kProfAllocs = "homets.prof.allocs";
 inline constexpr std::string_view kProfAllocBytes =
     "homets.prof.alloc_bytes";
-// obs/progress heartbeat mirrors (gauges, live even between stage
-// boundaries): current peak RSS and the contended-lock total.
-inline constexpr std::string_view kProfPeakRssBytes =
-    "homets.prof.peak_rss_bytes";
-inline constexpr std::string_view kProfLockContention =
-    "homets.prof.lock_contention";
 
 // fleet — shard orchestration funnel: plan → run/resume → checkpoint →
 // quarantine. shards_resumed counts shards satisfied from valid checkpoints;

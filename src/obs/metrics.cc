@@ -21,12 +21,6 @@ std::string FormatU64(uint64_t v) {
   return buf;
 }
 
-std::string FormatI64(int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  return buf;
-}
-
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -135,15 +129,6 @@ Counter* MetricsRegistry::GetCounter(std::string_view name) {
   return it->second.get();
 }
 
-Gauge* MetricsRegistry::GetGauge(std::string_view name) {
-  MutexLock lock(&mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return it->second.get();
-}
-
 Histogram* MetricsRegistry::GetHistogram(std::string_view name,
                                          std::vector<double> bounds) {
   MutexLock lock(&mu_);
@@ -164,9 +149,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, counter] : counters_) {
     snapshot.counters[name] = counter->Value();
   }
-  for (const auto& [name, gauge] : gauges_) {
-    snapshot.gauges[name] = gauge->Value();
-  }
   for (const auto& [name, histogram] : histograms_) {
     HistogramSnapshot h;
     h.bounds = histogram->bounds();
@@ -178,36 +160,11 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snapshot;
 }
 
-std::string MetricsRegistry::ExportText() const {
-  const MetricsSnapshot snapshot = Snapshot();
-  // One sorted stream across all kinds: merge the three sorted maps.
-  std::map<std::string, std::string> lines;
-  for (const auto& [name, value] : snapshot.counters) {
-    lines[name] = name + " " + FormatU64(value);
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    lines[name] = name + " " + FormatI64(value);
-  }
-  for (const auto& [name, h] : snapshot.histograms) {
-    lines[name] = name + " count=" + FormatU64(h.count) +
-                  " sum=" + FormatDouble(h.sum);
-  }
-  std::string out;
-  for (const auto& [name, line] : lines) {
-    out += line;
-    out += '\n';
-  }
-  return out;
-}
-
 std::string MetricsRegistry::ExportJson() const {
   const MetricsSnapshot snapshot = Snapshot();
   std::map<std::string, std::string> entries;
   for (const auto& [name, value] : snapshot.counters) {
     entries[name] = FormatU64(value);
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    entries[name] = FormatI64(value);
   }
   for (const auto& [name, h] : snapshot.histograms) {
     entries[name] = HistogramJson(h);
@@ -222,26 +179,6 @@ std::string MetricsRegistry::ExportJson() const {
   out += "}\n";
   return out;
 }
-
-namespace {
-
-// Prometheus metric names allow [a-zA-Z0-9_:] and must not start with a
-// digit; our `homets.<layer>.<name>` scheme mangles cleanly by replacing
-// every other character with '_'. Colons are reserved for recording rules,
-// so they are not emitted here.
-std::string PrometheusName(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
-  }
-  if (!out.empty() && out[0] >= '0' && out[0] <= '9') out.insert(0, 1, '_');
-  return out;
-}
-
-}  // namespace
 
 double HistogramPercentile(const HistogramSnapshot& hist, double quantile) {
   if (hist.count == 0 || hist.buckets.empty()) return 0.0;
@@ -270,56 +207,9 @@ double HistogramPercentile(const HistogramSnapshot& hist, double quantile) {
   return hist.bounds.empty() ? 0.0 : hist.bounds.back();
 }
 
-std::string MetricsRegistry::ExportPrometheus() const {
-  const MetricsSnapshot snapshot = Snapshot();
-  std::string out;
-  for (const auto& [name, value] : snapshot.counters) {
-    const std::string prom = PrometheusName(name);
-    out += "# TYPE " + prom + " counter\n";
-    out += prom + " " + FormatU64(value) + "\n";
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    const std::string prom = PrometheusName(name);
-    out += "# TYPE " + prom + " gauge\n";
-    out += prom + " " + FormatI64(value) + "\n";
-  }
-  for (const auto& [name, h] : snapshot.histograms) {
-    const std::string prom = PrometheusName(name);
-    out += "# TYPE " + prom + " histogram\n";
-    uint64_t cumulative = 0;
-    for (size_t b = 0; b < h.buckets.size(); ++b) {
-      cumulative += h.buckets[b];
-      const std::string le =
-          b < h.bounds.size() ? FormatDouble(h.bounds[b]) : "+Inf";
-      out += prom + "_bucket{le=\"" + le + "\"} " + FormatU64(cumulative) +
-             "\n";
-    }
-    out += prom + "_sum " + FormatDouble(h.sum) + "\n";
-    out += prom + "_count " + FormatU64(h.count) + "\n";
-    // Percentile estimates as derived gauges: a histogram family may only
-    // contain _bucket/_sum/_count samples, so these get their own names.
-    // Skipped for empty histograms — an interpolated quantile of nothing is
-    // noise, not data.
-    if (h.count > 0) {
-      static constexpr struct {
-        const char* suffix;
-        double quantile;
-      } kPercentiles[] = {
-          {"_p50", 0.50}, {"_p95", 0.95}, {"_p99", 0.99}};
-      for (const auto& p : kPercentiles) {
-        out += "# TYPE " + prom + p.suffix + " gauge\n";
-        out += prom + p.suffix + " " +
-               FormatDouble(HistogramPercentile(h, p.quantile)) + "\n";
-      }
-    }
-  }
-  return out;
-}
-
 void MetricsRegistry::Reset() {
   MutexLock lock(&mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, histogram] : histograms_) histogram->Reset();
 }
 

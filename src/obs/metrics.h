@@ -12,14 +12,14 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 
-// Process-wide metrics: named counters, gauges and fixed-bucket histograms.
+// Process-wide metrics: named counters and fixed-bucket histograms.
 //
-// The hot path (Increment/Set/Observe) is lock-free — plain relaxed atomics —
+// The hot path (Increment/Observe) is lock-free — plain relaxed atomics —
 // so instrumentation is safe from any thread, including TSan-checked worker
 // pools, and cheap enough for per-block accounting inside ParallelFor.
 // Registration (GetCounter & co.) takes a mutex but returns a pointer that
 // stays valid and hot for the registry's lifetime; call sites cache it in a
-// function-local static. Reading (Snapshot/Export*) locks only the name maps,
+// function-local static. Reading (Snapshot/ExportJson) locks only the name maps,
 // never the increments: values are sampled with relaxed loads, so a snapshot
 // is a consistent-enough view for telemetry, not a linearization point.
 //
@@ -40,18 +40,6 @@ class Counter {
 
  private:
   std::atomic<uint64_t> value_{0};
-};
-
-/// \brief Last-write-wins instantaneous value (queue depth, worker count).
-class Gauge {
- public:
-  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
 };
 
 /// \brief Fixed-bucket histogram with Prometheus-style `le` (inclusive upper
@@ -106,7 +94,6 @@ double HistogramPercentile(const HistogramSnapshot& hist, double quantile);
 /// \brief Point-in-time copy of every registered metric.
 struct MetricsSnapshot {
   std::map<std::string, uint64_t> counters;
-  std::map<std::string, int64_t> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
 };
 
@@ -125,7 +112,6 @@ class MetricsRegistry {
   /// Returns the counter registered under `name`, creating it on first use.
   /// The pointer is stable for the registry's lifetime.
   Counter* GetCounter(std::string_view name) HOMETS_EXCLUDES(mu_);
-  Gauge* GetGauge(std::string_view name) HOMETS_EXCLUDES(mu_);
   /// First registration fixes the bucket bounds; later calls with the same
   /// name return the existing histogram regardless of `bounds`. Empty bounds
   /// mean LatencyBucketsUs().
@@ -135,20 +121,7 @@ class MetricsRegistry {
 
   MetricsSnapshot Snapshot() const HOMETS_EXCLUDES(mu_);
 
-  /// One `name value` (or `name count=… sum=…` for histograms) line per
-  /// metric, sorted by name.
-  std::string ExportText() const;
-  /// Prometheus text exposition format (version 0.0.4): metric names are
-  /// mangled to [a-zA-Z0-9_] (dots become underscores), each metric gets a
-  /// `# TYPE` line, and histograms expand to cumulative `_bucket{le="…"}`
-  /// series plus `_sum` and `_count`, ending with the mandatory
-  /// `le="+Inf"` bucket. Non-empty histograms additionally export
-  /// `<name>_p50`/`_p95`/`_p99` gauges (HistogramPercentile estimates —
-  /// derived series, since a native histogram family may only contain
-  /// _bucket/_sum/_count samples). Suitable for a node-exporter-style
-  /// textfile collector or an HTTP /metrics endpoint.
-  std::string ExportPrometheus() const;
-  /// Flat JSON object: counters and gauges as numbers, histograms as
+  /// Flat JSON object: counters as numbers, histograms as
   /// {"count", "sum", "buckets": [{"le", "count"}, …]} objects.
   std::string ExportJson() const;
 
@@ -160,8 +133,6 @@ class MetricsRegistry {
   /// reached through pointers handed out under the lock.
   mutable Mutex mu_{"obs.metrics_registry"};
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
-      HOMETS_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
       HOMETS_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       HOMETS_GUARDED_BY(mu_);

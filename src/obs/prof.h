@@ -12,7 +12,7 @@
 // common/mutex.h and common/thread_pool.h hot paths) are lock-free atomics
 // that know nothing about the metrics registry, because registry calls lock
 // the very Mutex being profiled. This module reads the accumulators from
-// cold paths only — stage boundaries, heartbeats, teardown — and turns them
+// cold paths only — stage boundaries and teardown — and turns them
 // into homets.prof.* metrics, manifest fields, and the --prof-out report.
 //
 // Enablement surface:

@@ -63,8 +63,7 @@ struct StageRecord {
   double seconds = 0.0;  ///< wall time
   uint64_t units = 0;
   /// Counters that grew during the stage, plus "<histogram>.count" for
-  /// histograms that took observations. Gauges are instantaneous and
-  /// meaningless as deltas, so they are left out.
+  /// histograms that took observations.
   std::map<std::string, uint64_t> metric_deltas;
   StageResources resources;
 

@@ -70,7 +70,8 @@ TraceSession* GlobalTraceSession();
 
 /// \brief Small dense id for the calling thread (0, 1, 2, … in first-use
 /// order), stable for the thread's lifetime — the "tid" spans are tagged
-/// with, chosen over std::thread::id so Perfetto rows sort sensibly.
+/// with, chosen over the opaque standard thread id so Perfetto rows sort
+/// sensibly.
 uint32_t CurrentThreadTraceId();
 
 /// \brief Id of the innermost span currently open on the calling thread, or

@@ -679,7 +679,6 @@ Result<simgen::GatewayTrace> HometsReader::ReadGateway(size_t gateway) const {
   trace.id = meta.id;
   trace.surveyed_residents = meta.surveyed_residents;
   trace.regular_home = meta.regular_home;
-  size_t decoded = 0;
   for (uint32_t d = 0; d < meta.devices.size(); ++d) {
     simgen::DeviceTrace dev;
     dev.name = meta.devices[d].name;
@@ -695,12 +694,10 @@ Result<simgen::GatewayTrace> HometsReader::ReadGateway(size_t gateway) const {
       HOMETS_ASSIGN_OR_RETURN(
           ts::TimeSeries series,
           AssembleSeries(rep, it->second, 0, it->second.size()));
-      decoded += it->second.size();
       (direction == 0 ? dev.incoming : dev.outgoing) = std::move(series);
     }
     trace.devices.push_back(std::move(dev));
   }
-  Metrics().chunks_skipped->Increment(rep.chunks.size() - decoded);
   return trace;
 }
 
@@ -734,12 +731,12 @@ Result<ts::TimeSeries> HometsReader::ReadSeries(size_t gateway, size_t device,
     }
   }
   if (first >= last) {
-    Metrics().chunks_skipped->Increment(rep.chunks.size());
+    Metrics().chunks_skipped->Increment(refs.size());
     return ts::TimeSeries();  // no overlap: an empty series, not an error
   }
   HOMETS_ASSIGN_OR_RETURN(const ts::TimeSeries assembled,
                           AssembleSeries(rep, refs, first, last));
-  Metrics().chunks_skipped->Increment(rep.chunks.size() - (last - first));
+  Metrics().chunks_skipped->Increment(refs.size() - (last - first));
   const int64_t clip_begin = std::max(begin_minute, assembled.start_minute());
   const int64_t clip_end = std::min(end_minute, assembled.EndMinute());
   return assembled.Slice(clip_begin, clip_end);

@@ -168,9 +168,10 @@ class HometsReader {
 
   /// Decodes only the chunks of (gateway, device, direction) overlapping
   /// [begin_minute, end_minute) and returns that range clipped to the
-  /// series' coverage; bounds must be minute-aligned ints. The
-  /// homets.storage.chunks_read / chunks_skipped counters account for what
-  /// was and was not decoded.
+  /// series' coverage; bounds must be minute-aligned ints.
+  /// homets.storage.chunks_read counts the chunks decoded and
+  /// homets.storage.chunks_skipped the series' other chunks, the ones
+  /// outside the range.
   Result<ts::TimeSeries> ReadSeries(size_t gateway, size_t device,
                                     uint8_t direction, int64_t begin_minute,
                                     int64_t end_minute) const;

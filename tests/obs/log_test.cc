@@ -26,6 +26,14 @@ std::string ReadAll(const std::string& path) {
   return out.str();
 }
 
+uint64_t CountLines(const std::string& path) {
+  std::ifstream in(path);
+  std::string line;
+  uint64_t lines = 0;
+  while (std::getline(in, line)) ++lines;
+  return lines;
+}
+
 // --- level names ----------------------------------------------------------
 
 TEST(LogLevelTest, NamesRoundTripThroughParse) {
@@ -146,7 +154,6 @@ TEST(LoggerTest, RecordsLandInTheFileSinkOnDrain) {
   logger.Log(LogLevel::kInfo, "test", "first",
              {LogField::Uint("n", 1)});
   logger.Log(LogLevel::kDebug, "test", "second");
-  EXPECT_EQ(logger.Drain(), 2u);
   logger.Close();
 
   std::ifstream in(path);
@@ -169,7 +176,6 @@ TEST(LoggerTest, MinLevelFiltersAtTheCallSite) {
   logger.Log(LogLevel::kDebug, "test", "invisible");
   logger.Log(LogLevel::kInfo, "test", "invisible");
   logger.Log(LogLevel::kError, "test", "visible");
-  logger.Drain();
   logger.Close();
   EXPECT_EQ(logger.records_logged(), 1u);
   const std::string text = ReadAll(path);
@@ -209,8 +215,6 @@ TEST(LoggerTest, RateLimiterSuppressionIsDeterministic) {
   // Burst of 3 accepted, the rest of the first 8 suppressed, then 1 more.
   EXPECT_EQ(a.back(), 4u);
   EXPECT_EQ(first.records_suppressed(), 5u);
-  first.Drain();
-  second.Drain();
 }
 
 // Distinct (component, severity) keys rate-limit independently.
@@ -228,25 +232,52 @@ TEST(LoggerTest, RateLimiterKeysAreIndependent) {
   logger.LogAt(0, LogLevel::kInfo, "beta", "x");   // other component: admitted
   EXPECT_EQ(logger.records_logged(), 3u);
   EXPECT_EQ(logger.records_suppressed(), 1u);
-  logger.Drain();
 }
 
-// A ring smaller than the burst drops the overflow and counts it; nothing
-// crashes and the drained records are intact.
+// Every admitted record drains the ring when the drain lock is free, so a
+// single producer never overflows even a ring far smaller than its burst.
+TEST(LoggerTest, SingleProducerDrainsItselfWithoutDropping) {
+  const std::string path = TempPath("logger_self_drain.jsonl");
+  Logger logger(16);
+  LoggerOptions options = QuietFileOptions(path);
+  options.min_level = LogLevel::kInfo;
+  ASSERT_TRUE(logger.Configure(options).ok());
+  for (int i = 0; i < 100; ++i) {
+    // Distinct components keep every record clear of the rate limiter.
+    logger.Log(LogLevel::kInfo, "test.c" + std::to_string(i), "record");
+  }
+  EXPECT_EQ(logger.records_dropped(), 0u);
+  EXPECT_EQ(CountLines(path), 100u);
+  logger.Close();
+  EXPECT_EQ(CountLines(path), 100u);
+  std::remove(path.c_str());
+}
+
+// Two producers of 64 KiB records: escaping and writing one takes far longer
+// than building the next, so while one thread drains, the other fills the
+// four-slot ring. The overflow is dropped and counted, and every record not
+// dropped reaches the file.
 TEST(LoggerTest, RingOverflowDropsAndCounts) {
   const std::string path = TempPath("logger_overflow.jsonl");
   Logger logger(4);
   LoggerOptions options = QuietFileOptions(path);
-  options.rate_capacity = 1000.0;  // rate limiter out of the way
-  options.rate_per_sec = 1000.0;
+  options.rate_capacity = 1e9;  // rate limiter out of the way
+  options.rate_per_sec = 1e9;
   ASSERT_TRUE(logger.Configure(options).ok());
-  for (int i = 0; i < 10; ++i) {
-    logger.Log(LogLevel::kInfo, "test", "burst");
-  }
-  EXPECT_GT(logger.records_dropped(), 0u);
-  const size_t drained = logger.Drain();
-  EXPECT_EQ(drained + logger.records_dropped(), 10u);
+  const auto produce = [&logger] {
+    const std::string pad(1 << 16, 'x');
+    for (int i = 0; i < 1000 && logger.records_dropped() == 0; ++i) {
+      logger.Log(LogLevel::kInfo, "test", "burst",
+                 {LogField::Str("pad", pad)});
+    }
+  };
+  std::thread other(produce);
+  produce();
+  other.join();
   logger.Close();
+  EXPECT_GT(logger.records_dropped(), 0u);
+  EXPECT_EQ(CountLines(path) + logger.records_dropped(),
+            logger.records_logged());
   std::remove(path.c_str());
 }
 
@@ -272,7 +303,6 @@ TEST(LoggerTest, RecordsCarryTheCurrentSpanId) {
   }
   InstallGlobalTraceSession(nullptr);
   logger.Log(LogLevel::kInfo, "test", "outside");
-  logger.Drain();
   logger.Close();
 
   std::ifstream in(path);
@@ -288,8 +318,8 @@ TEST(LoggerTest, RecordsCarryTheCurrentSpanId) {
   std::remove(path.c_str());
 }
 
-// Concurrent producers against one drainer: every record is either emitted
-// or counted as dropped, never lost silently.
+// Concurrent producers, each draining when the lock is free: every record is
+// either written to the file or counted as dropped, never lost silently.
 TEST(LoggerTest, ConcurrentProducersAccountForEveryRecord) {
   const std::string path = TempPath("logger_mpsc.jsonl");
   Logger logger(1024);
@@ -302,7 +332,6 @@ TEST(LoggerTest, ConcurrentProducersAccountForEveryRecord) {
   constexpr int kPerThread = 500;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
-  size_t drained = 0;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&logger, t] {
       for (int i = 0; i < kPerThread; ++i) {
@@ -312,13 +341,12 @@ TEST(LoggerTest, ConcurrentProducersAccountForEveryRecord) {
     });
   }
   for (auto& thread : threads) thread.join();
-  drained += logger.Drain();
   logger.Close();
 
   EXPECT_EQ(logger.records_logged(),
             static_cast<uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(drained + logger.records_dropped(),
-            static_cast<size_t>(kThreads * kPerThread));
+  EXPECT_EQ(CountLines(path) + logger.records_dropped(),
+            static_cast<uint64_t>(kThreads * kPerThread));
   std::remove(path.c_str());
 }
 

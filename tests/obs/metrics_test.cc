@@ -36,16 +36,6 @@ TEST(CounterTest, ConcurrentIncrementsSumExactly) {
   EXPECT_EQ(c.Value(), static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(GaugeTest, SetAddAndReset) {
-  Gauge g;
-  g.Set(7);
-  EXPECT_EQ(g.Value(), 7);
-  g.Add(-10);
-  EXPECT_EQ(g.Value(), -3);
-  g.Reset();
-  EXPECT_EQ(g.Value(), 0);
-}
-
 TEST(HistogramTest, BucketBoundariesAreInclusiveUpperBounds) {
   // Prometheus `le` semantics: a value equal to a bound lands in that bound's
   // bucket; anything above the last bound lands in the overflow bucket.
@@ -99,7 +89,6 @@ TEST(MetricsRegistryTest, SameNameReturnsSamePointer) {
   Counter* a = registry.GetCounter("homets.test.counter");
   Counter* b = registry.GetCounter("homets.test.counter");
   EXPECT_EQ(a, b);
-  EXPECT_NE(registry.GetGauge("homets.test.gauge"), nullptr);
   Histogram* h1 = registry.GetHistogram("homets.test.hist", {1.0, 2.0});
   Histogram* h2 = registry.GetHistogram("homets.test.hist", {99.0});
   EXPECT_EQ(h1, h2);  // first registration fixes the bounds
@@ -127,32 +116,17 @@ TEST(MetricsRegistryTest, ConcurrentRegistrationAndIncrement) {
 TEST(MetricsRegistryTest, SnapshotReflectsValues) {
   MetricsRegistry registry;
   registry.GetCounter("homets.test.count")->Increment(3);
-  registry.GetGauge("homets.test.depth")->Set(-2);
   registry.GetHistogram("homets.test.lat", {10.0})->Observe(4.0);
   const MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.counters.at("homets.test.count"), 3u);
-  EXPECT_EQ(snap.gauges.at("homets.test.depth"), -2);
   EXPECT_EQ(snap.histograms.at("homets.test.lat").count, 1u);
   EXPECT_EQ(snap.histograms.at("homets.test.lat").buckets,
             (std::vector<uint64_t>{1, 0}));
 }
 
-TEST(MetricsRegistryTest, ExportTextListsEveryMetricSorted) {
-  MetricsRegistry registry;
-  registry.GetCounter("homets.b.count")->Increment(2);
-  registry.GetCounter("homets.a.count")->Increment(1);
-  const std::string text = registry.ExportText();
-  const size_t a = text.find("homets.a.count 1");
-  const size_t b = text.find("homets.b.count 2");
-  ASSERT_NE(a, std::string::npos) << text;
-  ASSERT_NE(b, std::string::npos) << text;
-  EXPECT_LT(a, b);
-}
-
 TEST(MetricsRegistryTest, ExportJsonIsWellFormed) {
   MetricsRegistry registry;
   registry.GetCounter("homets.test.count")->Increment(5);
-  registry.GetGauge("homets.test.gauge")->Set(9);
   registry.GetHistogram("homets.test.lat", {1.0})->Observe(0.5);
   const std::string json = registry.ExportJson();
   // Structural checks: balanced braces/brackets, expected keys and values.
@@ -173,8 +147,26 @@ TEST(MetricsRegistryTest, ExportJsonIsWellFormed) {
   EXPECT_EQ(brackets, 0);
   EXPECT_FALSE(in_string);
   EXPECT_NE(json.find("\"homets.test.count\": 5"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"homets.test.gauge\": 9"), std::string::npos) << json;
   EXPECT_NE(json.find("\"+inf\""), std::string::npos) << json;
+}
+
+TEST(MetricsRegistryTest, MismatchedBoundsReturnTheExistingHistogram) {
+  // GetHistogram is get-or-create keyed on name alone: a second caller with
+  // different bounds gets the registered instance, not a new histogram that
+  // would export twice under one name.
+  MetricsRegistry registry;
+  Histogram* first =
+      registry.GetHistogram("homets.io.read_us", {1.0, 10.0});
+  Histogram* second =
+      registry.GetHistogram("homets.io.read_us", {5.0, 50.0, 500.0});
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(second->bounds(), (std::vector<double>{1.0, 10.0}));
+  first->Observe(3.0);
+  const std::string json = registry.ExportJson();
+  // Exactly one histogram under the name, with the original bounds.
+  EXPECT_NE(json.find("{\"le\": 10, \"count\": 1}"), std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"le\": 50"), std::string::npos) << json;
 }
 
 TEST(MetricsRegistryTest, ResetZeroesButKeepsPointers) {
@@ -188,6 +180,37 @@ TEST(MetricsRegistryTest, ResetZeroesButKeepsPointers) {
 
 TEST(MetricsRegistryTest, GlobalIsASingleton) {
   EXPECT_EQ(&MetricsRegistry::Global(), &MetricsRegistry::Global());
+}
+
+TEST(HistogramPercentileTest, EmptyHistogramIsZero) {
+  HistogramSnapshot hist;
+  hist.bounds = {1.0, 10.0};
+  hist.buckets = {0, 0, 0};
+  hist.count = 0;
+  EXPECT_EQ(HistogramPercentile(hist, 0.5), 0.0);
+}
+
+TEST(HistogramPercentileTest, InterpolatesWithinTheWinningBucket) {
+  // 10 observations in (10, 20]: p50 lands halfway through the bucket.
+  HistogramSnapshot hist;
+  hist.bounds = {10.0, 20.0};
+  hist.buckets = {0, 10, 0};
+  hist.count = 10;
+  EXPECT_DOUBLE_EQ(HistogramPercentile(hist, 0.5), 15.0);
+  // The first bucket interpolates from a lower edge of 0.
+  HistogramSnapshot low;
+  low.bounds = {10.0, 20.0};
+  low.buckets = {10, 0, 0};
+  low.count = 10;
+  EXPECT_DOUBLE_EQ(HistogramPercentile(low, 0.5), 5.0);
+}
+
+TEST(HistogramPercentileTest, OverflowBucketClampsToHighestFiniteBound) {
+  HistogramSnapshot hist;
+  hist.bounds = {1.0, 10.0};
+  hist.buckets = {1, 0, 9};  // 90% of the mass beyond the last bound
+  hist.count = 10;
+  EXPECT_DOUBLE_EQ(HistogramPercentile(hist, 0.99), 10.0);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #   3. Columnar storage: convert round-trips CSV through .homets without
 #      changing a byte, and the motifs output is byte-identical whichever
 #      format feeds it.
+#   4. Telemetry at exit only: the removed flusher and progress flags exit 2,
+#      and stream stdout is byte-identical with and without --metrics-out.
 #
 # Usage: cli_usage_test.sh /path/to/homets_cli
 set -eu
@@ -102,28 +104,29 @@ rc=0
     >"$workdir/out" 2>"$workdir/err" || rc=$?
 check "unknown convert target exits 2" test "$rc" -eq 2
 
-# --- stream subcommand + periodic metrics flushing ------------------------
+# --- stream subcommand, telemetry at exit only ---------------------------
 "$cli" stream "$workdir"/gateway_*.csv \
     >"$workdir/stream_plain.out" 2>"$workdir/stream_plain.err"
 check "stream prints a summary" \
     grep -q 'streamed .* minutes of .* gateways into' "$workdir/stream_plain.out"
 
-rc=0
-"$cli" stream --metrics-flush-interval-sec 1 "$workdir"/gateway_*.csv \
-    >"$workdir/out" 2>"$workdir/err" || rc=$?
-check "flush interval without output file exits 2" test "$rc" -eq 2
+# Telemetry is written at exit only; the interval-flusher and heartbeat
+# flags are unknown flags.
+for flag in --metrics-flush-out --metrics-flush-interval-sec \
+        --progress --progress-interval-sec; do
+    rc=0
+    "$cli" stream "$flag" 1 "$workdir"/gateway_*.csv \
+        >"$workdir/out" 2>"$workdir/err" || rc=$?
+    check "removed flag $flag exits 2" test "$rc" -eq 2
+done
 
-"$cli" stream --metrics-flush-out "$workdir/flush.prom" \
-    --metrics-flush-interval-sec 1 "$workdir"/gateway_*.csv \
-    >"$workdir/stream_flush.out" 2>"$workdir/stream_flush.err"
-flushes=$(grep -c '# HOMETS flush seq=' "$workdir/flush.prom" || true)
-check "at least two Prometheus flush blocks" test "$flushes" -ge 2
-check "flush blocks carry streaming counters" \
-    grep -q 'homets_streaming_observations_ingested [1-9]' \
-    "$workdir/flush.prom"
-check "flusher meters itself" \
-    grep -q 'homets_obs_flushes [1-9]' "$workdir/flush.prom"
-check "stdout identical with and without flushing" \
-    cmp -s "$workdir/stream_plain.out" "$workdir/stream_flush.out"
+"$cli" stream --metrics-out "$workdir/stream_metrics.json" \
+    "$workdir"/gateway_*.csv \
+    >"$workdir/stream_metrics.out" 2>"$workdir/stream_metrics.err"
+check "stream metrics carry streaming counters" \
+    grep -q '"homets.streaming.observations_ingested": [1-9]' \
+    "$workdir/stream_metrics.json"
+check "stdout identical with and without telemetry" \
+    cmp -s "$workdir/stream_plain.out" "$workdir/stream_metrics.out"
 
 exit "$fail"

@@ -23,10 +23,6 @@
 //   --metrics-out FILE   write the end-of-run metrics registry as JSON
 //   --trace-out FILE     record spans and write Chrome trace_event JSON
 //                        (open in about:tracing or https://ui.perfetto.dev)
-//   --metrics-flush-out FILE           append periodic Prometheus-text
-//                                      exposition blocks during the run
-//   --metrics-flush-interval-sec SEC   flush period (default 60); requires
-//                                      --metrics-flush-out
 // the resilience flags
 //   --input-format auto|csv|homets     how to decode TRACE args (default
 //                                      auto: by extension)
@@ -37,16 +33,12 @@
 // and the run-telemetry flags (DESIGN.md §12)
 //   --log-out FILE       write structured JSON-lines logs to FILE
 //   --log-level LEVEL    debug|info|warn|error|off; default warn on stderr,
-//                        info when --log-out or --progress is given
-//   --progress           emit periodic heartbeat lines (percent, rate, ETA,
-//                        queue depth) per pipeline stage
-//   --progress-interval-sec SEC        heartbeat period (default 2);
-//                                      requires --progress
+//                        info when --log-out is given
 //   --run-manifest-out FILE            write a schema-versioned
 //                                      RUN_MANIFEST.json describing the run
-// and prints a metrics summary on stderr when the run succeeds. The flusher,
-// logger, and heartbeats write only to stderr or their own files, so
-// analytical stdout is byte-identical with and without telemetry.
+// and prints a metrics summary on stderr when the run succeeds. Telemetry
+// is exported once, at exit; the logger writes only to stderr or its own
+// file, so analytical stdout is byte-identical with and without telemetry.
 //
 // The manifest is written on success AND on failure/cancellation (partial
 // stages plus the first failing Status), so an orchestrator can audit a
@@ -82,11 +74,9 @@
 #include "fleet/orchestrator.h"
 #include "io/dataset.h"
 #include "io/table.h"
-#include "obs/flusher.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
-#include "obs/progress.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "simgen/fleet.h"
@@ -115,9 +105,6 @@ int Usage() {
          "common flags (all subcommands):\n"
          "  --metrics-out FILE   write end-of-run metrics as JSON\n"
          "  --trace-out FILE     write a Chrome/Perfetto trace of the run\n"
-         "  --metrics-flush-out FILE          append Prometheus-text "
-         "flushes during the run\n"
-         "  --metrics-flush-interval-sec SEC  flush period (default 60)\n"
          "  --input-format auto|csv|homets    TRACE decoding (default "
          "auto: by extension)\n"
          "  --read-policy strict|skip|repair  bad-row handling (default "
@@ -127,8 +114,6 @@ int Usage() {
          "  --failpoints-seed N  seed for probabilistic failpoints\n"
          "  --log-out FILE       write structured JSON-lines logs\n"
          "  --log-level LEVEL    debug|info|warn|error|off (default warn)\n"
-         "  --progress           heartbeat lines (rate, ETA, queue depth)\n"
-         "  --progress-interval-sec SEC  heartbeat period (default 2)\n"
          "  --run-manifest-out FILE      write a run manifest JSON\n"
          "  --prof               enable the execution profiler (lock\n"
          "                       contention, pool accounting, alloc tally)\n"
@@ -139,16 +124,12 @@ int Usage() {
 
 // The observability and resilience flags every subcommand accepts.
 const std::set<std::string> kObsFlags = {
-    "metrics-out",  "trace-out",    "metrics-flush-out",
-    "metrics-flush-interval-sec",   "input-format", "read-policy",
-    "read-retries", "failpoints",   "failpoints-seed",
-    "log-out",      "log-level",    "progress",
-    "progress-interval-sec",        "run-manifest-out",
-    "prof",         "prof-out"};
+    "metrics-out",  "trace-out",        "input-format",    "read-policy",
+    "read-retries", "failpoints",       "failpoints-seed", "log-out",
+    "log-level",    "run-manifest-out", "prof",            "prof-out"};
 
-// Flags that take no value (bare `--progress`; `--progress=0` still parses).
-const std::set<std::string> kBoolFlags = {"progress", "prof", "resume",
-                                          "fail-fast"};
+// Flags that take no value (bare `--prof`; `--prof=0` still parses).
+const std::set<std::string> kBoolFlags = {"prof", "resume", "fail-fast"};
 
 std::set<std::string> WithObsFlags(std::set<std::string> flags) {
   flags.insert(kObsFlags.begin(), kObsFlags.end());
@@ -400,15 +381,11 @@ int RunMotifs(const ParsedArgs& args,
   int next_id = 0;
   {
     obs::StageTimer stage("read_traces", g_manifest);
-    obs::ProgressTracker::Stage* progress =
-        obs::ProgressStage("cli.read_traces");
-    if (progress != nullptr) progress->AddTotal(args.positional.size());
     for (const std::string& path : args.positional) {
       auto reader = io::DatasetReader::Open(path, dataset_options);
       if (!reader.ok()) {
         std::cerr << "skipping " << path << ": "
                   << reader.status().ToString() << "\n";
-        if (progress != nullptr) progress->Tick();
         continue;
       }
       for (size_t g = 0; g < reader->gateway_count(); ++g) {
@@ -426,9 +403,7 @@ int RunMotifs(const ParsedArgs& args,
           windows.push_back(std::move(w));
         }
       }
-      if (progress != nullptr) progress->Tick();
     }
-    if (progress != nullptr) progress->Finish();
     stage.set_units(windows.size());
   }
   if (windows.empty()) {
@@ -487,8 +462,7 @@ int RunMotifs(const ParsedArgs& args,
 
 // Replays traces observation by observation through WindowAssembler →
 // StreamingMotifMiner — the paper's "integrate into a streaming analytics
-// platform" mode, and the long-running workload the periodic metrics
-// flusher exists for.
+// platform" mode.
 int RunStream(const ParsedArgs& args,
               const io::DatasetOptions& dataset_options) {
   if (args.positional.empty()) {
@@ -512,8 +486,6 @@ int RunStream(const ParsedArgs& args,
   const int64_t window = weekly ? ts::kMinutesPerWeek : ts::kMinutesPerDay;
 
   obs::StageTimer stage("stream", g_manifest);
-  obs::ProgressTracker::Stage* progress = obs::ProgressStage("cli.stream");
-  if (progress != nullptr) progress->AddTotal(args.positional.size());
   auto assembler = core::WindowAssembler::Make(window, granularity, anchor);
   if (!assembler.ok()) return FailWith("stream", assembler.status());
   core::StreamingMotifMiner miner(core::MotifOptions{},
@@ -525,7 +497,6 @@ int RunStream(const ParsedArgs& args,
     if (!reader.ok()) {
       std::cerr << "skipping " << path << ": " << reader.status().ToString()
                 << "\n";
-      if (progress != nullptr) progress->Tick();
       continue;
     }
     for (size_t g = 0; g < reader->gateway_count(); ++g) {
@@ -552,12 +523,10 @@ int RunStream(const ParsedArgs& args,
       // Close this gateway's final window before moving to the next trace.
       feed(active.EndMinute(), ts::TimeSeries::Missing());
     }
-    if (progress != nullptr) progress->Tick();
   }
   for (auto& [id, w] : assembler->Flush()) {
     if (miner.AddWindow(id, w).ok()) ++windows_streamed;
   }
-  if (progress != nullptr) progress->Finish();
   stage.set_units(windows_streamed);
   if (windows_streamed == 0) {
     std::cerr << "stream: no usable windows\n";
@@ -584,16 +553,13 @@ int RunStream(const ParsedArgs& args,
   return 0;
 }
 
-// Nonzero counters/gauges plus histogram count/mean — the at-a-glance
+// Nonzero counters plus histogram count/mean — the at-a-glance
 // per-stage funnel for the run.
 void PrintMetricsSummary(std::ostream& out) {
   const obs::MetricsSnapshot snapshot =
       obs::MetricsRegistry::Global().Snapshot();
   out << "metrics summary:\n";
   for (const auto& [name, value] : snapshot.counters) {
-    if (value != 0) out << "  " << name << " = " << value << "\n";
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
     if (value != 0) out << "  " << name << " = " << value << "\n";
   }
   for (const auto& [name, h] : snapshot.histograms) {
@@ -705,8 +671,8 @@ int main(int argc, char** argv) {
 
   // --- run telemetry (DESIGN.md §12): structured logger policy ---
   // Defaults keep the run byte-identical with telemetry off: only warn+
-  // reaches stderr, nothing reaches a file. A file sink or --progress
-  // raises the record level to info; an explicit --log-level wins.
+  // reaches stderr, nothing reaches a file. A file sink raises the record
+  // level to info; an explicit --log-level wins.
   obs::LogLevel flag_level = obs::LogLevel::kWarn;
   const bool level_given = args.Has("log-level");
   if (level_given &&
@@ -716,21 +682,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string log_path = args.GetString("log-out");
-  const bool progress_on =
-      args.Has("progress") && args.GetString("progress") != "0";
-  int64_t progress_interval_sec = 0;
-  if (FlagIntOr(args, "progress-interval-sec", 2, &progress_interval_sec) !=
-      0) {
-    return 2;
-  }
-  if (args.Has("progress-interval-sec") && !args.Has("progress")) {
-    std::cerr << "error: --progress-interval-sec requires --progress\n";
-    return 2;
-  }
-  if (progress_interval_sec <= 0) {
-    std::cerr << "error: --progress-interval-sec must be positive\n";
-    return 2;
-  }
   // Execution profiler (DESIGN.md §13): gate the mutex/pool hot-path
   // instrumentation and the operator-new tally before any work runs, so
   // every stage is covered. Off (the default), the hot paths cost one
@@ -749,16 +700,9 @@ int main(int argc, char** argv) {
   log_options.file_path = log_path;
   log_options.min_level =
       level_given ? flag_level
-                  : (log_path.empty() && !progress_on ? obs::LogLevel::kWarn
-                                                      : obs::LogLevel::kInfo);
+                  : (log_path.empty() ? obs::LogLevel::kWarn
+                                      : obs::LogLevel::kInfo);
   log_options.stderr_level = level_given ? flag_level : obs::LogLevel::kWarn;
-  if (progress_on) {
-    // Heartbeats are info records; make sure they are recorded and visible.
-    log_options.min_level = std::min(log_options.min_level,
-                                     obs::LogLevel::kInfo);
-    log_options.stderr_level = std::min(log_options.stderr_level,
-                                        obs::LogLevel::kInfo);
-  }
   {
     const Status configured = obs::Logger::Global().Configure(log_options);
     if (!configured.ok()) return FailWith("log-out", configured);
@@ -822,42 +766,6 @@ int main(int argc, char** argv) {
   const std::string trace_path = args.GetString("trace-out");
   if (!trace_path.empty()) obs::InstallGlobalTraceSession(&session);
 
-  // In-flight exposition: flushes once at start, every interval, and once at
-  // stop, so even short runs leave at least two Prometheus blocks behind.
-  const std::string flush_path = args.GetString("metrics-flush-out");
-  int64_t flush_interval_sec = 0;
-  if (FlagIntOr(args, "metrics-flush-interval-sec", 60,
-                &flush_interval_sec) != 0) {
-    return 2;
-  }
-  if (args.Has("metrics-flush-interval-sec") && flush_path.empty()) {
-    std::cerr << "error: --metrics-flush-interval-sec requires "
-                 "--metrics-flush-out\n";
-    return 2;
-  }
-  if (flush_interval_sec <= 0) {
-    std::cerr << "error: --metrics-flush-interval-sec must be positive\n";
-    return 2;
-  }
-  obs::MetricsFlusherOptions flush_options;
-  flush_options.path = flush_path;
-  flush_options.interval_sec = static_cast<double>(flush_interval_sec);
-  flush_options.truncate = true;
-  obs::MetricsFlusher flusher(flush_options);
-  if (!flush_path.empty()) {
-    const Status started = flusher.Start();
-    if (!started.ok()) return FailWith("metrics-flush-out", started);
-  }
-
-  // Live progress: stages tick the tracker; a heartbeat thread turns the
-  // ticks into info log lines and homets.progress.* gauges.
-  obs::ProgressTracker progress_tracker;
-  if (progress_on) {
-    obs::InstallGlobalProgressTracker(&progress_tracker);
-    progress_tracker.StartHeartbeat(
-        static_cast<double>(progress_interval_sec));
-  }
-
   int rc = 1;
   if (command == "generate") rc = RunGenerate(args);
   if (command == "convert") rc = RunConvert(args, *dataset_options);
@@ -866,16 +774,6 @@ int main(int argc, char** argv) {
   if (command == "stream") rc = RunStream(args, *dataset_options);
   if (command == "analyze") rc = RunAnalyze(args, *dataset_options);
 
-  if (progress_on) {
-    progress_tracker.StopHeartbeat();  // emits one final heartbeat
-    obs::InstallGlobalProgressTracker(nullptr);
-  }
-  if (!flush_path.empty()) {
-    const Status stopped = flusher.Stop();
-    if (!stopped.ok() && rc == 0) {
-      rc = FailWith("metrics-flush-out", stopped);
-    }
-  }
   obs::InstallGlobalTraceSession(nullptr);
   if (!trace_path.empty() && rc == 0) {
     const Status status = WriteFile(trace_path, session.ToChromeJson());
