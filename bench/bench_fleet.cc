@@ -25,6 +25,7 @@
 #include "bench_util.h"
 #include "fleet/checkpoint.h"
 #include "fleet/orchestrator.h"
+#include "obs/json_encoder.h"
 #include "simgen/fleet.h"
 #include "storage/homets_format.h"
 
@@ -85,7 +86,17 @@ int main(int argc, char** argv) {
   std::cout << "fleet: " << written->gateways << " gateways x "
             << config.weeks << " weeks -> " << fleet_path << "\n";
 
-  std::vector<std::string> entries;
+  obs::JsonEncoder json;
+  json.BeginObject()
+      .Member("schema", "homets.bench_fleet")
+      .Member("schema_version", kSchemaVersion)
+      .Member("scenario", "fleet_scaling")
+      .Member("gateways", config.n_gateways)
+      .Member("weeks", config.weeks)
+      .Member("hardware_threads", bench::HardwareThreads())
+      .Key("entries")
+      .BeginArray();
+  size_t n_entries = 0;
   std::string reference_report;
   int rc = 0;
   for (const bool checkpointed : {false, true}) {
@@ -118,18 +129,19 @@ int main(int argc, char** argv) {
         break;
       }
       const size_t n_gateways = report->gateways.size();
-      bench::JsonWriter entry;
-      entry.Set("stage",
-                checkpointed ? std::string("fleet_checkpointed")
-                             : std::string("fleet_analyze"));
-      entry.Set("shards", shards).Set("seconds", seconds);
-      entry.Set("gateways", n_gateways);
+      json.BeginObject()
+          .Member("stage",
+                  checkpointed ? "fleet_checkpointed" : "fleet_analyze")
+          .Member("shards", shards)
+          .Member("seconds", seconds)
+          .Member("gateways", n_gateways);
       if (seconds > 0.0) {
-        entry.Set("shards_per_sec", static_cast<double>(shards) / seconds);
-        entry.Set("gateways_per_sec",
-                  static_cast<double>(n_gateways) / seconds);
+        json.Member("shards_per_sec", static_cast<double>(shards) / seconds)
+            .Member("gateways_per_sec",
+                    static_cast<double>(n_gateways) / seconds);
       }
-      entries.push_back(entry.Inline());
+      json.EndObject();
+      ++n_entries;
       std::cout << "  " << (checkpointed ? "ckpt" : "bare") << " shards="
                 << shards << ": " << bench::Fmt(seconds) << " s ("
                 << bench::Fmt(seconds > 0.0
@@ -141,21 +153,14 @@ int main(int argc, char** argv) {
   }
 
   if (rc == 0) {
-    bench::JsonWriter json;
-    json.Set("schema", "homets.bench_fleet")
-        .Set("schema_version", kSchemaVersion)
-        .Set("scenario", "fleet_scaling")
-        .Set("gateways", config.n_gateways)
-        .Set("weeks", config.weeks)
-        .Set("hardware_threads", bench::HardwareThreads())
-        .SetRaw("entries", bench::JsonWriter::Array(entries));
+    json.EndArray().EndObject();
     std::ofstream out(json_path);
-    out << json.Dump();
+    out << json.str();
     if (!out) {
       std::cerr << "write failed: " << json_path << "\n";
       rc = 1;
     } else {
-      std::cout << entries.size() << " fleet entries -> " << json_path
+      std::cout << n_entries << " fleet entries -> " << json_path
                 << "\n";
     }
   }

@@ -197,93 +197,6 @@ inline std::string FmtInt(size_t v) {
   return StrFormat("%zu", v);
 }
 
-inline std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Minimal JSON object writer for the machine-readable bench artifacts
-/// (BENCH_*.json). Keys print in insertion order. Nested objects and arrays
-/// are composed textually: Inline() a child writer into SetRaw()/Array().
-class JsonWriter {
- public:
-  JsonWriter& Set(const std::string& key, const std::string& value) {
-    return SetRaw(key, StrFormat("\"%s\"", JsonEscape(value).c_str()));
-  }
-  JsonWriter& Set(const std::string& key, const char* value) {
-    return Set(key, std::string(value));
-  }
-  JsonWriter& Set(const std::string& key, double value) {
-    return SetRaw(key, StrFormat("%.9g", value));
-  }
-  JsonWriter& Set(const std::string& key, int value) {
-    return SetRaw(key, StrFormat("%d", value));
-  }
-  JsonWriter& Set(const std::string& key, size_t value) {
-    return SetRaw(key, StrFormat("%zu", value));
-  }
-  JsonWriter& Set(const std::string& key, bool value) {
-    return SetRaw(key, value ? "true" : "false");
-  }
-  JsonWriter& SetRaw(const std::string& key, std::string json) {
-    entries_.emplace_back(key, std::move(json));
-    return *this;
-  }
-
-  static std::string Array(const std::vector<std::string>& items) {
-    return StrFormat("[%s]", StrJoin(items, ", ").c_str());
-  }
-
-  /// Compact single-line object, for nesting.
-  std::string Inline() const {
-    std::vector<std::string> parts;
-    parts.reserve(entries_.size());
-    for (const auto& [key, value] : entries_) {
-      parts.push_back(
-          StrFormat("\"%s\": %s", JsonEscape(key).c_str(), value.c_str()));
-    }
-    return StrFormat("{%s}", StrJoin(parts, ", ").c_str());
-  }
-
-  /// Top-level document: one key per line.
-  std::string Dump() const {
-    std::string out = "{\n";
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      out += StrFormat("  \"%s\": %s%s\n", JsonEscape(entries_[i].first).c_str(),
-                       entries_[i].second.c_str(),
-                       i + 1 < entries_.size() ? "," : "");
-    }
-    out += "}\n";
-    return out;
-  }
-
- private:
-  std::vector<std::pair<std::string, std::string>> entries_;
-};
-
 }  // namespace homets::bench
 
 #endif  // HOMETS_BENCH_BENCH_UTIL_H_

@@ -43,6 +43,7 @@
 #include "correlation/coefficients.h"
 #include "correlation/prepared_series.h"
 #include "distance/distance.h"
+#include "obs/json_encoder.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/report.h"
@@ -247,8 +248,9 @@ double MedianOf(std::vector<double> xs) {
 // nearly the whole kWeeks x 10 080-minute horizon: only the minutes where
 // no device reported drop out. Each kernel runs kTrials timed calls after
 // one warm-up call; the entry reports the fastest call (min), the median
-// and the median absolute deviation, in microseconds.
-std::string RunDominanceKernelScenario() {
+// and the median absolute deviation, in microseconds. Writes one object to
+// `out`.
+void RunDominanceKernelScenario(obs::JsonEncoder* out) {
   constexpr int kWeeks = 6;
   simgen::SimConfig config;
   config.n_gateways = 1;
@@ -280,6 +282,18 @@ std::string RunDominanceKernelScenario() {
   const PreparedSeries px = PreparedSeries::Make(device);
   const PreparedSeries py = PreparedSeries::Make(agg);
   correlation::PairWorkspace workspace;
+  out->BeginObject()
+      .Member("weeks", kWeeks)
+      .Member("horizon_minutes", static_cast<size_t>(kWeeks) *
+                                     static_cast<size_t>(ts::kMinutesPerWeek))
+      .Member("n", device.size())
+      .Member("device_zero_share", static_cast<double>(device_zeros) /
+                                       static_cast<double>(device.size()))
+      .Member("device_tie_groups", px.group_offsets().size() - 1)
+      .Member("aggregate_tie_groups", py.group_offsets().size() - 1)
+      .Member("trials", kTrials)
+      .Key("kernels")
+      .BeginArray();
   const auto time_kernel = [&](const char* name, const auto& call) {
     std::vector<double> us;
     for (int trial = -1; trial < kTrials; ++trial) {
@@ -294,45 +308,32 @@ std::string RunDominanceKernelScenario() {
     const double median = MedianOf(us);
     std::vector<double> deviations;
     for (const double t : us) deviations.push_back(std::fabs(t - median));
-    bench::JsonWriter entry;
-    entry.Set("kernel", name)
-        .Set("min_us", min)
-        .Set("median_us", median)
-        .Set("mad_us", MedianOf(deviations));
+    out->BeginObject()
+        .Member("kernel", name)
+        .Member("min_us", min)
+        .Member("median_us", median)
+        .Member("mad_us", MedianOf(deviations))
+        .EndObject();
     std::cout << "dominance kernel " << name << ": min " << bench::Fmt(min, 1)
               << " us, median " << bench::Fmt(median, 1) << " us\n";
-    return entry.Inline();
   };
-  std::vector<std::string> kernels;
-  kernels.push_back(time_kernel("prepare", [&] {
+  time_kernel("prepare", [&] {
     benchmark::DoNotOptimize(PreparedSeries::Make(device));
-  }));
-  kernels.push_back(time_kernel("pearson", [&] {
+  });
+  time_kernel("pearson", [&] {
     benchmark::DoNotOptimize(correlation::Pearson(px, py, &workspace));
-  }));
-  kernels.push_back(time_kernel("spearman", [&] {
+  });
+  time_kernel("spearman", [&] {
     benchmark::DoNotOptimize(correlation::Spearman(px, py, &workspace));
-  }));
-  kernels.push_back(time_kernel("kendall", [&] {
+  });
+  time_kernel("kendall", [&] {
     benchmark::DoNotOptimize(correlation::Kendall(px, py, &workspace));
-  }));
-  kernels.push_back(time_kernel("similarity", [&] {
+  });
+  time_kernel("similarity", [&] {
     benchmark::DoNotOptimize(core::CorrelationSimilarity(
         px, py, core::SimilarityOptions{}, &workspace));
-  }));
-
-  bench::JsonWriter json;
-  json.Set("weeks", kWeeks)
-      .Set("horizon_minutes", static_cast<size_t>(kWeeks) *
-                                  static_cast<size_t>(ts::kMinutesPerWeek))
-      .Set("n", device.size())
-      .Set("device_zero_share", static_cast<double>(device_zeros) /
-                                    static_cast<double>(device.size()))
-      .Set("device_tie_groups", px.group_offsets().size() - 1)
-      .Set("aggregate_tie_groups", py.group_offsets().size() - 1)
-      .Set("trials", kTrials)
-      .SetRaw("kernels", bench::JsonWriter::Array(kernels));
-  return json.Inline();
+  });
+  out->EndArray().EndObject();
 }
 
 // The acceptance scenario: all pairs of 1000 weekly windows (56 bins,
@@ -380,10 +381,23 @@ void RunSimilarityScenario(const std::string& path, size_t n_windows,
   std::vector<int> thread_counts = {1, 4};
   if (hardware != 1 && hardware != 4) thread_counts.push_back(hardware);
 
+  obs::JsonEncoder json;
+  json.BeginObject()
+      .Member("scenario", "pairwise_correlation_similarity")
+      .Member("windows", n_windows)
+      .Member("bins_per_window", kBins)
+      .Member("pairs", n_pairs)
+      .Member("hardware_threads", hardware)
+      .Key("legacy_per_pair")
+      .BeginObject()
+      .Member("seconds", legacy_seconds)
+      .Member("pairs_per_sec", static_cast<double>(n_pairs) / legacy_seconds)
+      .EndObject()
+      .Key("engine")
+      .BeginArray();
   bool deterministic = true;
   bool matches_legacy = true;
   std::vector<core::SimilarityResult> reference;
-  std::vector<std::string> engine_entries;
   double best_speedup = 0.0;
   constexpr int kTrials = 3;
   for (const int threads : thread_counts) {
@@ -445,36 +459,26 @@ void RunSimilarityScenario(const std::string& path, size_t n_windows,
 
     const double speedup = legacy_seconds / engine_seconds;
     best_speedup = std::max(best_speedup, speedup);
-    bench::JsonWriter entry;
-    entry.Set("threads", threads)
-        .Set("seconds", engine_seconds)
-        .Set("prepare_seconds", prepare_seconds)
-        .Set("pairwise_seconds", pairwise_seconds)
-        .Set("trials", kTrials)
-        .Set("pairs_per_sec", static_cast<double>(n_pairs) / engine_seconds)
-        .Set("speedup_vs_legacy", speedup);
-    engine_entries.push_back(entry.Inline());
+    json.BeginObject()
+        .Member("threads", threads)
+        .Member("seconds", engine_seconds)
+        .Member("prepare_seconds", prepare_seconds)
+        .Member("pairwise_seconds", pairwise_seconds)
+        .Member("trials", kTrials)
+        .Member("pairs_per_sec", static_cast<double>(n_pairs) / engine_seconds)
+        .Member("speedup_vs_legacy", speedup)
+        .EndObject();
   }
-
-  bench::JsonWriter legacy_entry;
-  legacy_entry.Set("seconds", legacy_seconds)
-      .Set("pairs_per_sec", static_cast<double>(n_pairs) / legacy_seconds);
-
-  bench::JsonWriter json;
-  json.Set("scenario", "pairwise_correlation_similarity")
-      .Set("windows", n_windows)
-      .Set("bins_per_window", kBins)
-      .Set("pairs", n_pairs)
-      .Set("hardware_threads", hardware)
-      .SetRaw("legacy_per_pair", legacy_entry.Inline())
-      .SetRaw("engine", bench::JsonWriter::Array(engine_entries))
-      .Set("best_speedup_vs_legacy", best_speedup)
-      .Set("engine_matches_legacy_bitwise", matches_legacy)
-      .Set("deterministic_across_threads", deterministic)
-      .SetRaw("dominance_kernels", RunDominanceKernelScenario());
+  json.EndArray()
+      .Member("best_speedup_vs_legacy", best_speedup)
+      .Member("engine_matches_legacy_bitwise", matches_legacy)
+      .Member("deterministic_across_threads", deterministic)
+      .Key("dominance_kernels");
+  RunDominanceKernelScenario(&json);
+  json.EndObject();
 
   std::ofstream out(path);
-  out << json.Dump();
+  out << json.str();
   std::cout << "similarity scenario: " << n_pairs << " pairs, legacy "
             << bench::Fmt(legacy_seconds) << " s, best engine speedup "
             << bench::Fmt(best_speedup, 2) << "x, deterministic="

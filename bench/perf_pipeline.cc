@@ -40,6 +40,7 @@
 #include "core/streaming.h"
 #include "fleet/orchestrator.h"
 #include "io/dataset.h"
+#include "obs/json_encoder.h"
 #include "obs/prof.h"
 #include "obs/report.h"
 #include "simgen/fleet.h"
@@ -75,12 +76,46 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Collects one fleet size's entries, each printed from the
-/// obs::StageRecord of one stage.
+/// One BENCH_pipeline.json entry: a stage of one fleet size, printed from
+/// the stage's obs::StageRecord.
+struct Entry {
+  std::string size;
+  std::string unit;
+  obs::StageRecord record;
+};
+
+void EncodeEntry(const Entry& e, int threads_used, obs::JsonEncoder* out) {
+  const double seconds = e.record.seconds;
+  const uint64_t units = e.record.units;
+  out->BeginObject()
+      .Member("stage", e.record.stage)
+      .Member("size", e.size)
+      .Member("seconds", seconds)
+      .Member("unit", e.unit)
+      .Member("units", units);
+  if (units > 0 && seconds > 0.0) {
+    out->Member("ns_per_unit", seconds * 1e9 / static_cast<double>(units))
+        .Member("units_per_sec", static_cast<double>(units) / seconds);
+  }
+  out->Member("cpu_seconds", e.record.cpu_seconds())
+      .Member("peak_rss_bytes", e.record.resources.max_rss_bytes);
+  // bench_compare treats the field as optional (informational when
+  // absent).
+  if (const auto efficiency = e.record.parallel_efficiency(threads_used)) {
+    out->Member("parallel_efficiency", *efficiency);
+  }
+  out->Key("metrics").BeginObject();
+  for (const auto& [name, delta] : e.record.metric_deltas) {
+    out->Member(name, delta);
+  }
+  out->EndObject().EndObject();
+}
+
+/// Collects one fleet size's entries.
 class PipelineBench {
  public:
-  PipelineBench(const std::string& size, int threads_used)
-      : size_(size), threads_used_(threads_used) {}
+  PipelineBench(const std::string& size, std::vector<Entry>* entries)
+      : size_(size), entries_(entries) {}
 
   /// Times `fn` as one contiguous stage; `fn` returns the unit count
   /// (windows, pairs, rows, …) it processed.
@@ -98,50 +133,24 @@ class PipelineBench {
   /// setup (trace regeneration) times each piece with an obs::StageTimer
   /// into one record and adds it here.
   void AddEntry(const std::string& unit, const obs::StageRecord& record) {
-    const double seconds = record.seconds;
-    const size_t units = record.units;
-    bench::JsonWriter entry;
-    entry.Set("stage", record.stage).Set("size", size_).Set("seconds", seconds);
-    entry.Set("unit", unit).Set("units", units);
-    if (units > 0 && seconds > 0.0) {
-      entry.Set("ns_per_unit", seconds * 1e9 / static_cast<double>(units));
-      entry.Set("units_per_sec", static_cast<double>(units) / seconds);
-    }
-    entry.Set("cpu_seconds", record.cpu_seconds());
-    entry.Set("peak_rss_bytes",
-              static_cast<size_t>(record.resources.max_rss_bytes));
-    // bench_compare treats the field as optional (informational when
-    // absent).
-    if (const auto efficiency = record.parallel_efficiency(threads_used_)) {
-      entry.Set("parallel_efficiency", *efficiency);
-    }
-    bench::JsonWriter metrics;
-    for (const auto& [name, delta] : record.metric_deltas) {
-      metrics.Set(name, static_cast<size_t>(delta));
-    }
-    entry.SetRaw("metrics", metrics.Inline());
-    entries_.push_back(entry.Inline());
+    entries_->push_back(Entry{size_, unit, record});
     std::cout << "  " << size_ << "/" << record.stage << ": "
-              << bench::Fmt(seconds) << " s, " << units << " " << unit
-              << "\n";
+              << bench::Fmt(record.seconds) << " s, " << record.units << " "
+              << unit << "\n";
   }
-
-  const std::vector<std::string>& entries() const { return entries_; }
 
  private:
   std::string size_;
-  int threads_used_;
-  std::vector<std::string> entries_;
+  std::vector<Entry>* entries_;
 };
 
-void RunSize(const SizeSpec& spec, int threads_used,
-             std::vector<std::string>* entries) {
+void RunSize(const SizeSpec& spec, std::vector<Entry>* entries) {
   simgen::SimConfig config = bench::PaperConfig();
   config.n_gateways = spec.gateways;
   config.weeks = spec.weeks;
   bench::ApplySmokeClamps(&config);
   simgen::FleetGenerator generator(config);
-  PipelineBench bench(spec.name, threads_used);
+  PipelineBench bench(spec.name, entries);
   std::cout << spec.name << ": " << config.n_gateways << " gateways x "
             << config.weeks << " weeks\n";
 
@@ -346,8 +355,6 @@ void RunSize(const SizeSpec& spec, int threads_used,
     for (auto& [id, w] : assembler.Flush()) (void)miner.AddWindow(id, w);
     return observations;
   });
-
-  for (const auto& entry : bench.entries()) entries->push_back(entry);
 }
 
 }  // namespace
@@ -381,33 +388,40 @@ int main(int argc, char** argv) {
                                : bench::HardwareThreads();
 
   const std::vector<std::string> wanted = StrSplit(sizes_csv, ',');
-  std::vector<std::string> entries;
+  std::vector<Entry> entries;
   std::vector<std::string> size_names;
   const auto start = Clock::now();
   for (const SizeSpec& spec : kSizes) {
     bool selected = false;
     for (const auto& w : wanted) selected = selected || w == spec.name;
     if (!selected) continue;
-    size_names.push_back(StrFormat("\"%s\"", spec.name));
-    RunSize(spec, threads_used, &entries);
+    size_names.push_back(spec.name);
+    RunSize(spec, &entries);
   }
   if (entries.empty()) {
     std::cerr << "no sizes selected from --sizes=" << sizes_csv << "\n";
     return 2;
   }
 
-  bench::JsonWriter json;
-  json.Set("schema", "homets.bench_pipeline")
-      .Set("schema_version", kSchemaVersion)
-      .Set("scenario", "full_pipeline")
-      .Set("hardware_threads", bench::HardwareThreads())
-      .Set("threads_used", threads_used)
-      .SetRaw("sizes", bench::JsonWriter::Array(size_names))
-      .Set("total_seconds", SecondsSince(start))
-      .SetRaw("entries", bench::JsonWriter::Array(entries));
+  obs::JsonEncoder json;
+  json.BeginObject()
+      .Member("schema", "homets.bench_pipeline")
+      .Member("schema_version", kSchemaVersion)
+      .Member("scenario", "full_pipeline")
+      .Member("hardware_threads", bench::HardwareThreads())
+      .Member("threads_used", threads_used)
+      .Key("sizes")
+      .BeginArray();
+  for (const std::string& name : size_names) json.Value(name);
+  json.EndArray()
+      .Member("total_seconds", SecondsSince(start))
+      .Key("entries")
+      .BeginArray();
+  for (const Entry& entry : entries) EncodeEntry(entry, threads_used, &json);
+  json.EndArray().EndObject();
 
   std::ofstream out(json_path);
-  out << json.Dump();
+  out << json.str();
   if (!out) {
     std::cerr << "write failed: " << json_path << "\n";
     return 1;

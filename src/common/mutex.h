@@ -46,7 +46,6 @@ class HOMETS_CAPABILITY("mutex") Mutex {
     LockProfiled();
   }
   void Unlock() HOMETS_RELEASE() { mu_.unlock(); }
-  bool TryLock() HOMETS_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   // Cold path, kept out of line of the inline Lock: time the blocking

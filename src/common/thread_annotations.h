@@ -76,11 +76,6 @@
 #define HOMETS_RETURN_CAPABILITY(x) \
   HOMETS_THREAD_ANNOTATION_ATTRIBUTE_(lock_returned(x))
 
-/// Try-lock: acquires the capability only when returning `success`.
-#define HOMETS_TRY_ACQUIRE(success, ...) \
-  HOMETS_THREAD_ANNOTATION_ATTRIBUTE_(    \
-      try_acquire_capability(success, __VA_ARGS__))
-
 /// Runtime assertion that the capability is held (for code the analysis
 /// cannot follow, e.g. callbacks invoked under a caller's lock).
 #define HOMETS_ASSERT_CAPABILITY(x) \

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <utility>
 
+#include "obs/json_encoder.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -13,72 +13,22 @@ namespace homets::obs {
 
 namespace {
 
-// JSON string escaping (same rules as obs/trace.cc — kept local so the two
-// files stay independently readable).
-void AppendJsonEscaped(std::string_view s, std::string* out) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      *out += '\\';
-      *out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
-    } else {
-      *out += c;
-    }
-  }
-}
-
-void AppendQuoted(std::string_view s, std::string* out) {
-  *out += '"';
-  AppendJsonEscaped(s, out);
-  *out += '"';
-}
-
-// Shortest-round-trip double for JSON; bare NaN/Inf are not valid JSON, so
-// they are emitted as null (log fields carry measurements, not payloads
-// worth inventing an encoding for).
-void AppendDouble(double v, std::string* out) {
-  if (!(v == v) || v > 1.7976931348623157e308 || v < -1.7976931348623157e308) {
-    *out += "null";
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  double round_trip = 0.0;
-  std::sscanf(buf, "%lf", &round_trip);
-  if (round_trip == v) {
-    char shorter[40];
-    std::snprintf(shorter, sizeof(shorter), "%g", v);
-    std::sscanf(shorter, "%lf", &round_trip);
-    if (round_trip == v) {
-      *out += shorter;
-      return;
-    }
-  }
-  *out += buf;
-}
-
-void AppendFieldValue(const LogField& f, std::string* out) {
-  char buf[32];
+void EncodeFieldValue(const LogField& f, JsonEncoder* out) {
   switch (f.kind) {
     case LogField::Kind::kInt:
-      std::snprintf(buf, sizeof(buf), "%" PRId64, f.int_value);
-      *out += buf;
+      out->Value(f.int_value);
       break;
     case LogField::Kind::kUint:
-      std::snprintf(buf, sizeof(buf), "%" PRIu64, f.uint_value);
-      *out += buf;
+      out->Value(f.uint_value);
       break;
     case LogField::Kind::kDouble:
-      AppendDouble(f.double_value, out);
+      out->Value(f.double_value);
       break;
     case LogField::Kind::kBool:
-      *out += f.bool_value ? "true" : "false";
+      out->Value(f.bool_value);
       break;
     case LogField::Kind::kString:
-      AppendQuoted(f.string_value, out);
+      out->Value(f.string_value);
       break;
   }
 }
@@ -97,12 +47,6 @@ char LevelLetter(LogLevel level) {
       break;
   }
   return '?';
-}
-
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
 }
 
 }  // namespace
@@ -176,28 +120,20 @@ LogField LogField::Str(std::string key, std::string v) {
 }
 
 std::string FormatJsonLine(const LogRecord& record) {
-  std::string out;
-  out.reserve(96 + record.message.size());
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "{\"ts_us\":%lld,\"level\":",
-                static_cast<long long>(record.ts_us));
-  out += buf;
-  AppendQuoted(LogLevelName(record.level), &out);
-  out += ",\"component\":";
-  AppendQuoted(record.component, &out);
-  out += ",\"msg\":";
-  AppendQuoted(record.message, &out);
-  std::snprintf(buf, sizeof(buf), ",\"span\":%llu,\"tid\":%u",
-                static_cast<unsigned long long>(record.span_id), record.tid);
-  out += buf;
+  JsonEncoder out(JsonEncoder::Layout::kSingleLine);
+  out.BeginObject()
+      .Member("ts_us", record.ts_us)
+      .Member("level", LogLevelName(record.level))
+      .Member("component", record.component)
+      .Member("msg", record.message)
+      .Member("span", record.span_id)
+      .Member("tid", record.tid);
   for (const LogField& f : record.fields) {
-    out += ',';
-    AppendQuoted(f.key, &out);
-    out += ':';
-    AppendFieldValue(f, &out);
+    out.Key(f.key);
+    EncodeFieldValue(f, &out);
   }
-  out += '}';
-  return out;
+  out.EndObject();
+  return out.str();
 }
 
 std::string FormatHumanLine(const LogRecord& record) {
@@ -214,7 +150,9 @@ std::string FormatHumanLine(const LogRecord& record) {
     out += ' ';
     out += f.key;
     out += '=';
-    AppendFieldValue(f, &out);
+    JsonEncoder value(JsonEncoder::Layout::kSingleLine);
+    EncodeFieldValue(f, &value);
+    out += value.str();
   }
   if (record.span_id != 0) {
     std::snprintf(buf, sizeof(buf), " [span %llu]",
@@ -241,18 +179,6 @@ bool TokenBucket::Allow(int64_t now_us) {
   return false;
 }
 
-Logger::Logger(size_t queue_capacity)
-    : min_level_(static_cast<int>(LogLevel::kWarn)),
-      stderr_level_(static_cast<int>(LogLevel::kWarn)),
-      rate_capacity_(20.0),
-      rate_per_sec_(5.0),
-      slots_(RoundUpPow2(std::max<size_t>(queue_capacity, 2))),
-      slot_mask_(slots_.size() - 1) {
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    slots_[i].seq.store(i, std::memory_order_relaxed);
-  }
-}
-
 Logger::~Logger() { Close(); }
 
 Logger& Logger::Global() {
@@ -269,8 +195,7 @@ int64_t Logger::NowUs() {
 }
 
 Status Logger::Configure(LoggerOptions options) {
-  MutexLock lock(&drain_mu_);
-  DrainLocked();  // flush what the old sinks were promised
+  MutexLock lock(&mu_);
   std::FILE* file = nullptr;
   if (!options.file_path.empty()) {
     file = std::fopen(options.file_path.c_str(),
@@ -285,12 +210,9 @@ Status Logger::Configure(LoggerOptions options) {
                    std::memory_order_relaxed);
   stderr_level_.store(static_cast<int>(options.stderr_level),
                       std::memory_order_relaxed);
-  {
-    MutexLock rate_lock(&rate_mu_);
-    rate_capacity_ = options.rate_capacity;
-    rate_per_sec_ = options.rate_per_sec;
-    buckets_.clear();
-  }
+  rate_capacity_ = options.rate_capacity;
+  rate_per_sec_ = options.rate_per_sec;
+  buckets_.clear();
   return Status::OK();
 }
 
@@ -307,80 +229,30 @@ void Logger::LogAt(int64_t ts_us, LogLevel level, std::string_view component,
   if (static_cast<int>(level) < min_level_.load(std::memory_order_relaxed)) {
     return;
   }
-  {
-    MutexLock lock(&rate_mu_);
-    auto [it, inserted] = buckets_.try_emplace(
-        RateKey{std::string(component), static_cast<int>(level)},
-        rate_capacity_, rate_per_sec_);
-    if (!it->second.Allow(ts_us)) {
-      suppressed_.fetch_add(1, std::memory_order_relaxed);
-      static Counter* suppressed_metric =
-          MetricsRegistry::Global().GetCounter(kLogSuppressed);
-      suppressed_metric->Increment();
-      return;
-    }
+  MutexLock lock(&mu_);
+  auto [it, inserted] = buckets_.try_emplace(
+      RateKey{std::string(component), static_cast<int>(level)},
+      rate_capacity_, rate_per_sec_);
+  if (!it->second.Allow(ts_us)) {
+    suppressed_.fetch_add(1, std::memory_order_relaxed);
+    static Counter* suppressed_metric =
+        MetricsRegistry::Global().GetCounter(kLogSuppressed);
+    suppressed_metric->Increment();
+    return;
   }
-  auto* record = new LogRecord;
-  record->ts_us = ts_us;
-  record->level = level;
-  record->component = std::string(component);
-  record->message = std::string(message);
-  record->span_id = CurrentSpanId();
-  record->tid = CurrentThreadTraceId();
-  record->fields = std::move(fields);
+  LogRecord record;
+  record.ts_us = ts_us;
+  record.level = level;
+  record.component = std::string(component);
+  record.message = std::string(message);
+  record.span_id = CurrentSpanId();
+  record.tid = CurrentThreadTraceId();
+  record.fields = std::move(fields);
   records_.fetch_add(1, std::memory_order_relaxed);
   static Counter* records_metric =
       MetricsRegistry::Global().GetCounter(kLogRecords);
   records_metric->Increment();
-  Enqueue(record);
-}
-
-void Logger::Enqueue(LogRecord* record) {
-  uint64_t pos = head_.load(std::memory_order_relaxed);
-  for (;;) {
-    Slot& slot = slots_[pos & slot_mask_];
-    const uint64_t seq = slot.seq.load(std::memory_order_acquire);
-    if (seq == pos) {
-      if (head_.compare_exchange_weak(pos, pos + 1,
-                                      std::memory_order_relaxed)) {
-        slot.record = record;
-        slot.seq.store(pos + 1, std::memory_order_release);
-        break;
-      }
-    } else if (static_cast<int64_t>(seq - pos) < 0) {
-      // Full: the slot still holds the previous lap's record. Drop the new
-      // one (counted) rather than block the producer.
-      delete record;
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      static Counter* dropped_metric =
-          MetricsRegistry::Global().GetCounter(kLogDropped);
-      dropped_metric->Increment();
-      return;
-    } else {
-      pos = head_.load(std::memory_order_relaxed);  // another producer won
-    }
-  }
-  // A failed TryLock means another thread is draining; it or the next
-  // record's drain (or Close) emits this one.
-  if (drain_mu_.TryLock()) {
-    DrainLocked();
-    drain_mu_.Unlock();
-  }
-}
-
-void Logger::DrainLocked() {
-  const uint64_t first = tail_;
-  for (;;) {
-    Slot& slot = slots_[tail_ & slot_mask_];
-    // Stops at an empty slot and at one claimed but not yet published.
-    if (slot.seq.load(std::memory_order_acquire) != tail_ + 1) break;
-    LogRecord* record = slot.record;
-    slot.seq.store(tail_ + slots_.size(), std::memory_order_release);
-    ++tail_;
-    Emit(*record);
-    delete record;
-  }
-  if (file_ != nullptr && tail_ != first) std::fflush(file_);
+  Emit(record);
 }
 
 void Logger::Emit(const LogRecord& record) {
@@ -392,12 +264,12 @@ void Logger::Emit(const LogRecord& record) {
   if (file_ != nullptr) {
     const std::string line = FormatJsonLine(record);
     std::fprintf(file_, "%s\n", line.c_str());
+    std::fflush(file_);
   }
 }
 
 void Logger::Close() {
-  MutexLock lock(&drain_mu_);
-  DrainLocked();
+  MutexLock lock(&mu_);
   if (file_ != nullptr) {
     std::fclose(file_);
     file_ = nullptr;

@@ -24,12 +24,10 @@
 // Hot-path contract: a call below the configured minimum level is a single
 // relaxed atomic load and an immediate return, so library instrumentation is
 // compiled in everywhere (the default level is kWarn — narration costs
-// nothing unless a run opts in). An accepted record is rate-limited under a
-// short mutex, then enqueued into a lock-free MPSC ring, and the producer
-// drains the ring if the drain lock is free (TryLock, never a wait). The
-// expensive work (formatting, stderr/file I/O) happens only in that drain,
-// so a record waits in the ring only while another thread is draining, and
-// is dropped (counted) only when producers outrun that drain by a full ring.
+// nothing unless a run opts in). An admitted record is handled synchronously
+// under one mutex: the rate limiter, formatting and both sink writes (the
+// file is flushed per record). Records come from error, retry and file-open
+// paths, so the lock is never hot.
 namespace homets::obs {
 
 /// \brief Record severity, ordered so `level >= min_level` is the filter.
@@ -114,7 +112,7 @@ class TokenBucket {
 };
 
 /// \brief Logger configuration; Configure() swaps the whole set atomically
-/// with respect to a drain.
+/// with respect to a record being written.
 struct LoggerOptions {
   /// Records below this are dropped at the call site (one relaxed load).
   LogLevel min_level = LogLevel::kWarn;
@@ -136,24 +134,20 @@ struct LoggerOptions {
 /// their own.
 class Logger {
  public:
-  /// `queue_capacity` is the ring size (rounded up to a power of two),
-  /// fixed for the logger's lifetime — resizing live would race with
-  /// producers holding claimed positions. Overflow drops (counted).
-  explicit Logger(size_t queue_capacity = 4096);
+  Logger() = default;
   ~Logger();
   Logger(const Logger&) = delete;
   Logger& operator=(const Logger&) = delete;
 
   static Logger& Global();
 
-  /// Applies `options`: drains pending records under the old sinks, then
-  /// swaps levels/sinks/rate parameters. IoError when file_path cannot be
-  /// opened (sinks are left as before on failure).
-  Status Configure(LoggerOptions options) HOMETS_EXCLUDES(drain_mu_);
+  /// Applies `options`: swaps levels/sinks/rate parameters. IoError when
+  /// file_path cannot be opened (sinks are left as before on failure).
+  Status Configure(LoggerOptions options) HOMETS_EXCLUDES(mu_);
 
   /// Stamps the monotonic clock, current span id and thread id, applies the
-  /// level filter and rate limiter, and enqueues. Cheap no-op below
-  /// min_level.
+  /// level filter and rate limiter, and writes the record to both sinks
+  /// before returning. Cheap no-op below min_level.
   void Log(LogLevel level, std::string_view component,
            std::string_view message, std::vector<LogField> fields = {});
 
@@ -161,11 +155,11 @@ class Logger {
   /// driving both the record and the rate limiter. Tests use this to pin
   /// down suppression sequences without real clocks.
   void LogAt(int64_t ts_us, LogLevel level, std::string_view component,
-             std::string_view message, std::vector<LogField> fields = {});
+             std::string_view message, std::vector<LogField> fields = {})
+      HOMETS_EXCLUDES(mu_);
 
-  /// Emits every record still in the ring and closes the file sink (stderr
-  /// sink stays). Idempotent.
-  void Close() HOMETS_EXCLUDES(drain_mu_);
+  /// Closes the file sink (stderr sink stays). Idempotent.
+  void Close() HOMETS_EXCLUDES(mu_);
 
   LogLevel min_level() const {
     return static_cast<LogLevel>(min_level_.load(std::memory_order_relaxed));
@@ -186,9 +180,6 @@ class Logger {
   uint64_t records_suppressed() const {
     return suppressed_.load(std::memory_order_relaxed);
   }
-  uint64_t records_dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
 
   /// µs on the logger's process-wide monotonic clock (0 at first use).
   static int64_t NowUs();
@@ -208,43 +199,20 @@ class Logger {
     }
   };
 
-  void Enqueue(LogRecord* record);
-  void Emit(const LogRecord& record) HOMETS_REQUIRES(drain_mu_);
-  void DrainLocked() HOMETS_REQUIRES(drain_mu_);
+  void Emit(const LogRecord& record) HOMETS_REQUIRES(mu_);
 
-  std::atomic<int> min_level_;
-  std::atomic<int> stderr_level_;
+  std::atomic<int> min_level_{static_cast<int>(LogLevel::kWarn)};
+  std::atomic<int> stderr_level_{static_cast<int>(LogLevel::kWarn)};
 
-  // Rate limiter: keyed buckets under a short mutex. Only reached by
-  // records that already passed the level filter, so contention tracks the
-  // (rate-limited) accepted volume, not call volume.
-  Mutex rate_mu_;
+  Mutex mu_;  ///< serializes the rate limiter, Configure, Close and sinks
   std::unordered_map<RateKey, TokenBucket, RateKeyHash> buckets_
-      HOMETS_GUARDED_BY(rate_mu_);
-  double rate_capacity_ HOMETS_GUARDED_BY(rate_mu_);
-  double rate_per_sec_ HOMETS_GUARDED_BY(rate_mu_);
-
-  // Lock-free bounded MPSC ring with per-slot sequence numbers: slot i is
-  // free for position p when seq == p, published when seq == p + 1, and
-  // freed for the next lap (seq = p + size) by the drainer. A producer
-  // claims a position only when its slot is free, so a full ring drops the
-  // record without claiming, and the drainer stops at a claimed slot whose
-  // record is not yet published instead of skipping it.
-  struct Slot {
-    std::atomic<uint64_t> seq{0};
-    LogRecord* record = nullptr;
-  };
-  std::vector<Slot> slots_;
-  size_t slot_mask_;
-  std::atomic<uint64_t> head_{0};
-
-  Mutex drain_mu_;  ///< serializes drains, Configure, Close and sink writes
-  uint64_t tail_ HOMETS_GUARDED_BY(drain_mu_) = 0;
-  std::FILE* file_ HOMETS_GUARDED_BY(drain_mu_) = nullptr;
+      HOMETS_GUARDED_BY(mu_);
+  double rate_capacity_ HOMETS_GUARDED_BY(mu_) = 20.0;
+  double rate_per_sec_ HOMETS_GUARDED_BY(mu_) = 5.0;
+  std::FILE* file_ HOMETS_GUARDED_BY(mu_) = nullptr;
 
   std::atomic<uint64_t> records_{0};
   std::atomic<uint64_t> suppressed_{0};
-  std::atomic<uint64_t> dropped_{0};
 };
 
 // Convenience wrappers over Logger::Global().

@@ -8,10 +8,11 @@
 // Naming scheme (enforced by the homets_lint metric rules, which the
 // `homets_lint_tree` ctest runs): `homets.<layer>.<name>` where `<layer>` is
 // the source module (threadpool, engine, correlation, stationarity,
-// dominance, motif, background, io, cli) and both segments are
-// lower_snake_case. Instrumentation sites must use these constants — raw
-// "homets.*" literals at registration sites fail the lint — so the full
-// metric surface is readable in one file.
+// dominance, motif, background, streaming, io, ingest, storage, log, prof,
+// fleet, failpoint) and both segments are lower_snake_case.
+// Instrumentation sites must use these constants — raw "homets.*" literals
+// at registration sites fail the lint — so the full metric surface is
+// readable in one file.
 namespace homets::obs {
 
 // common/thread_pool.h — ParallelFor dispatch.
@@ -121,12 +122,10 @@ inline constexpr std::string_view kStorageFilesOpened =
 inline constexpr std::string_view kStorageCrcFailures =
     "homets.storage.crc_failures";
 
-// obs/log — structured logger funnel: records accepted into the ring,
-// records the per-(component, severity) token bucket suppressed, and
-// records dropped because the ring was full (drainer lapped).
+// obs/log — structured logger funnel: records admitted and written to the
+// sinks, and records the per-(component, severity) token bucket suppressed.
 inline constexpr std::string_view kLogRecords = "homets.log.records";
 inline constexpr std::string_view kLogSuppressed = "homets.log.suppressed";
-inline constexpr std::string_view kLogDropped = "homets.log.dropped";
 
 // common/thread_pool.h + obs/prof — execution-profiler surface. All of these
 // advance only while the profiler is enabled (--prof), so they read zero in

@@ -1,58 +1,10 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "obs/json_encoder.h"
 
 namespace homets::obs {
-
-namespace {
-
-// Local formatting helpers: this library sits below homets_common, so it
-// cannot use StrFormat.
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string FormatU64(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string HistogramJson(const HistogramSnapshot& h) {
-  std::string out = "{\"count\": " + FormatU64(h.count) +
-                    ", \"sum\": " + FormatDouble(h.sum) + ", \"buckets\": [";
-  for (size_t b = 0; b < h.buckets.size(); ++b) {
-    if (b > 0) out += ", ";
-    const std::string le =
-        b < h.bounds.size() ? FormatDouble(h.bounds[b]) : "\"+inf\"";
-    out += "{\"le\": " + le + ", \"count\": " + FormatU64(h.buckets[b]) + "}";
-  }
-  out += "]}";
-  return out;
-}
-
-}  // namespace
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
@@ -162,22 +114,41 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 
 std::string MetricsRegistry::ExportJson() const {
   const MetricsSnapshot snapshot = Snapshot();
-  std::map<std::string, std::string> entries;
+  // Counters and histograms share one name-sorted member list; a counter
+  // entry carries no histogram.
+  std::map<std::string_view, std::pair<uint64_t, const HistogramSnapshot*>>
+      entries;
   for (const auto& [name, value] : snapshot.counters) {
-    entries[name] = FormatU64(value);
+    entries[name] = {value, nullptr};
   }
-  for (const auto& [name, h] : snapshot.histograms) {
-    entries[name] = HistogramJson(h);
+  for (const auto& [name, h] : snapshot.histograms) entries[name] = {0, &h};
+  JsonEncoder out;
+  out.BeginObject();
+  for (const auto& [name, entry] : entries) {
+    const auto& [counter, h] = entry;
+    out.Key(name);
+    if (h == nullptr) {
+      out.Value(counter);
+      continue;
+    }
+    out.BeginObject()
+        .Member("count", h->count)
+        .Member("sum", h->sum)
+        .Key("buckets")
+        .BeginArray();
+    for (size_t b = 0; b < h->buckets.size(); ++b) {
+      out.BeginObject().Key("le");
+      if (b < h->bounds.size()) {
+        out.Value(h->bounds[b]);
+      } else {
+        out.Value("+inf");
+      }
+      out.Member("count", h->buckets[b]).EndObject();
+    }
+    out.EndArray().EndObject();
   }
-  std::string out = "{\n";
-  size_t i = 0;
-  for (const auto& [name, value] : entries) {
-    out += "  \"" + JsonEscape(name) + "\": " + value;
-    if (++i < entries.size()) out += ',';
-    out += '\n';
-  }
-  out += "}\n";
-  return out;
+  out.EndObject();
+  return out.str();
 }
 
 double HistogramPercentile(const HistogramSnapshot& hist, double quantile) {

@@ -1,11 +1,11 @@
 #include "obs/prof.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <new>
 
 #include "common/prof_hooks.h"
+#include "obs/json_encoder.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 
@@ -72,43 +72,6 @@ void operator delete[](void* ptr, const std::nothrow_t&) noexcept {
 
 namespace homets::obs {
 namespace {
-
-void AppendEscaped(std::string* out, const std::string& text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-void AppendUint(std::string* out, uint64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(value));
-  *out += buf;
-}
-
-void AppendSeconds(std::string* out, double seconds) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", seconds);
-  *out += buf;
-}
 
 /// Delta-increments `name` up to `total`: the counter carries the published
 /// prefix of a monotonic accumulator, so stage-boundary snapshots see the
@@ -231,67 +194,61 @@ void PublishProfMetrics() {
 
 std::string ProfReportJson() {
   const ProfSnapshot snap = CaptureProfSnapshot();
-  std::string out;
-  out += "{\n  \"schema\": \"homets.prof_report\",\n";
-  out += "  \"schema_version\": 1,\n";
-  out += "  \"profiler_enabled\": ";
-  out += ProfilerEnabled() ? "true" : "false";
-  out += ",\n  \"rusage\": {\"user_seconds\": ";
-  AppendSeconds(&out, snap.rusage.user_seconds);
-  out += ", \"sys_seconds\": ";
-  AppendSeconds(&out, snap.rusage.sys_seconds);
-  out += ", \"max_rss_bytes\": ";
-  AppendUint(&out, snap.rusage.max_rss_bytes);
-  out += ", \"minor_faults\": ";
-  AppendUint(&out, snap.rusage.minor_faults);
-  out += ", \"major_faults\": ";
-  AppendUint(&out, snap.rusage.major_faults);
-  out += "},\n  \"locks\": {\"contended\": ";
-  AppendUint(&out, snap.contended_locks);
-  out += ", \"wait_ns\": ";
-  AppendUint(&out, snap.lock_wait_ns);
-  out += ", \"by_name\": [";
-  for (size_t i = 0; i < snap.locks.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += "{\"name\": \"";
-    AppendEscaped(&out, snap.locks[i].name);
-    out += "\", \"contended\": ";
-    AppendUint(&out, snap.locks[i].contended);
-    out += ", \"wait_ns\": ";
-    AppendUint(&out, snap.locks[i].wait_ns);
-    out += "}";
+  JsonEncoder out;
+  out.BeginObject()
+      .Member("schema", "homets.prof_report")
+      .Member("schema_version", 1)
+      .Member("profiler_enabled", ProfilerEnabled())
+      .Key("rusage")
+      .BeginObject()
+      .Member("user_seconds", snap.rusage.user_seconds)
+      .Member("sys_seconds", snap.rusage.sys_seconds)
+      .Member("max_rss_bytes", snap.rusage.max_rss_bytes)
+      .Member("minor_faults", snap.rusage.minor_faults)
+      .Member("major_faults", snap.rusage.major_faults)
+      .EndObject()
+      .Key("locks")
+      .BeginObject()
+      .Member("contended", snap.contended_locks)
+      .Member("wait_ns", snap.lock_wait_ns)
+      .Key("by_name")
+      .BeginArray();
+  for (const ProfSnapshot::LockEntry& lock : snap.locks) {
+    out.BeginObject()
+        .Member("name", lock.name)
+        .Member("contended", lock.contended)
+        .Member("wait_ns", lock.wait_ns)
+        .EndObject();
   }
-  out += "]},\n  \"pool\": {\"loops\": ";
-  AppendUint(&out, snap.pool_loops);
-  out += ", \"blocks\": ";
-  AppendUint(&out, snap.pool_blocks);
-  out += ", \"busy_ns\": ";
-  AppendUint(&out, snap.pool_busy_ns);
-  out += ", \"idle_ns\": ";
-  AppendUint(&out, snap.pool_idle_ns);
-  out += ", \"queue_wait_ns\": ";
-  AppendUint(&out, snap.pool_queue_wait_ns);
-  out += ", \"workers\": [";
-  for (size_t i = 0; i < snap.workers.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += "{\"worker\": ";
-    AppendUint(&out, static_cast<uint64_t>(snap.workers[i].worker));
-    out += ", \"blocks\": ";
-    AppendUint(&out, snap.workers[i].blocks);
-    out += ", \"run_ns\": ";
-    AppendUint(&out, snap.workers[i].run_ns);
-    out += ", \"queue_wait_ns\": ";
-    AppendUint(&out, snap.workers[i].queue_wait_ns);
-    out += "}";
+  out.EndArray()
+      .EndObject()
+      .Key("pool")
+      .BeginObject()
+      .Member("loops", snap.pool_loops)
+      .Member("blocks", snap.pool_blocks)
+      .Member("busy_ns", snap.pool_busy_ns)
+      .Member("idle_ns", snap.pool_idle_ns)
+      .Member("queue_wait_ns", snap.pool_queue_wait_ns)
+      .Key("workers")
+      .BeginArray();
+  for (const ProfSnapshot::WorkerEntry& worker : snap.workers) {
+    out.BeginObject()
+        .Member("worker", worker.worker)
+        .Member("blocks", worker.blocks)
+        .Member("run_ns", worker.run_ns)
+        .Member("queue_wait_ns", worker.queue_wait_ns)
+        .EndObject();
   }
-  out += "]},\n  \"alloc\": {\"available\": ";
-  out += AllocTallyAvailable() ? "true" : "false";
-  out += ", \"count\": ";
-  AppendUint(&out, snap.alloc_count);
-  out += ", \"bytes\": ";
-  AppendUint(&out, snap.alloc_bytes);
-  out += "}\n}\n";
-  return out;
+  out.EndArray()
+      .EndObject()
+      .Key("alloc")
+      .BeginObject()
+      .Member("available", AllocTallyAvailable())
+      .Member("count", snap.alloc_count)
+      .Member("bytes", snap.alloc_bytes)
+      .EndObject()
+      .EndObject();
+  return out.str();
 }
 
 }  // namespace homets::obs

@@ -2,19 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
 
 #include "common/prof_hooks.h"
+#include "obs/json_encoder.h"
 
 namespace homets::obs {
 
 namespace {
 
 // Local code → canonical name map: StatusCodeToString lives in
-// homets_common, which obs must not link (same reasoning as the snprintf
-// formatting throughout this file vs. common/strings.h).
+// homets_common, which obs must not link.
 std::string_view CodeName(StatusCode code) {
   switch (code) {
     case StatusCode::kOk:
@@ -43,51 +41,6 @@ std::string_view CodeName(StatusCode code) {
       return "DeadlineExceeded";
   }
   return "Unknown";
-}
-
-void AppendEscaped(std::string_view s, std::string* out) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      *out += '\\';
-      *out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
-    } else {
-      *out += c;
-    }
-  }
-}
-
-void AppendQuoted(std::string_view s, std::string* out) {
-  *out += '"';
-  AppendEscaped(s, out);
-  *out += '"';
-}
-
-void AppendUint(uint64_t v, std::string* out) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  *out += buf;
-}
-
-void AppendInt(int64_t v, std::string* out) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  *out += buf;
-}
-
-void AppendSeconds(double v, std::string* out) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  *out += buf;
-}
-
-void AppendDouble(double v, std::string* out) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  *out += buf;
 }
 
 uint64_t DeltaSince(uint64_t before, uint64_t after) {
@@ -202,154 +155,116 @@ std::string RunManifestBuilder::ToJson() const {
     if (h.count > 0) histograms.emplace(name, std::move(h));
   }
   MutexLock lock(&mu_);
-  std::string out;
-  out.reserve(1024);
-  out += "{\n  \"schema_version\": ";
-  AppendInt(kSchemaVersion, &out);
-  out += ",\n  \"tool\": ";
-  AppendQuoted(tool_, &out);
-  out += ",\n  \"command\": ";
-  AppendQuoted(command_, &out);
-  out += ",\n  \"config\": {";
-  for (size_t i = 0; i < config_.size(); ++i) {
-    if (i > 0) out += ',';
-    out += "\n    ";
-    AppendQuoted(config_[i].first, &out);
-    out += ": ";
-    AppendQuoted(config_[i].second, &out);
+  const auto status_object = [](const Status& status, JsonEncoder* out) {
+    out->BeginObject()
+        .Member("code", CodeName(status.code()))
+        .Member("message", status.message())
+        .EndObject();
+  };
+  JsonEncoder out;
+  out.BeginObject()
+      .Member("schema_version", kSchemaVersion)
+      .Member("tool", tool_)
+      .Member("command", command_)
+      .Key("config")
+      .BeginObject();
+  for (const auto& [key, value] : config_) out.Member(key, value);
+  out.EndObject().Key("inputs").BeginArray();
+  for (const Input& input : inputs_) {
+    out.BeginObject()
+        .Member("path", input.path)
+        .Member("format", input.format)
+        .Member("bytes", input.bytes)
+        .EndObject();
   }
-  out += config_.empty() ? "}" : "\n  }";
-  out += ",\n  \"inputs\": [";
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    if (i > 0) out += ',';
-    out += "\n    {\"path\": ";
-    AppendQuoted(inputs_[i].path, &out);
-    out += ", \"format\": ";
-    AppendQuoted(inputs_[i].format, &out);
-    out += ", \"bytes\": ";
-    AppendUint(inputs_[i].bytes, &out);
-    out += '}';
-  }
-  out += inputs_.empty() ? "]" : "\n  ]";
+  out.EndArray();
   if (has_failpoints_) {
-    out += ",\n  \"failpoints\": {\"spec\": ";
-    AppendQuoted(failpoint_spec_, &out);
-    out += ", \"seed\": ";
-    AppendUint(failpoint_seed_, &out);
-    out += '}';
+    out.Key("failpoints")
+        .BeginObject()
+        .Member("spec", failpoint_spec_)
+        .Member("seed", failpoint_seed_)
+        .EndObject();
   }
-  out += ",\n  \"threads\": {\"hardware\": ";
-  AppendInt(threads_hardware_, &out);
-  out += ", \"used\": ";
-  AppendInt(threads_used_, &out);
-  out += '}';
+  out.Key("threads")
+      .BeginObject()
+      .Member("hardware", threads_hardware_)
+      .Member("used", threads_used_)
+      .EndObject();
   if (!read_policy_.empty()) {
-    out += ",\n  \"read_policy\": {\"policy\": ";
-    AppendQuoted(read_policy_, &out);
-    out += ", \"retries\": ";
-    AppendInt(read_retries_, &out);
-    out += '}';
+    out.Key("read_policy")
+        .BeginObject()
+        .Member("policy", read_policy_)
+        .Member("retries", read_retries_)
+        .EndObject();
   }
   if (has_ingest_) {
-    out += ",\n  \"ingest\": {\"rows_parsed\": ";
-    AppendUint(ingest_.rows_parsed, &out);
-    out += ", \"rows_malformed\": ";
-    AppendUint(ingest_.rows_malformed, &out);
-    out += ", \"rows_duplicate\": ";
-    AppendUint(ingest_.rows_duplicate, &out);
-    out += ", \"rows_out_of_order\": ";
-    AppendUint(ingest_.rows_out_of_order, &out);
-    out += ", \"gaps_repaired\": ";
-    AppendUint(ingest_.gaps_repaired, &out);
-    out += ", \"retries\": ";
-    AppendUint(ingest_.retries, &out);
-    out += ", \"files_quarantined\": ";
-    AppendUint(ingest_.files_quarantined, &out);
-    out += '}';
+    out.Key("ingest")
+        .BeginObject()
+        .Member("rows_parsed", ingest_.rows_parsed)
+        .Member("rows_malformed", ingest_.rows_malformed)
+        .Member("rows_duplicate", ingest_.rows_duplicate)
+        .Member("rows_out_of_order", ingest_.rows_out_of_order)
+        .Member("gaps_repaired", ingest_.gaps_repaired)
+        .Member("retries", ingest_.retries)
+        .Member("files_quarantined", ingest_.files_quarantined)
+        .EndObject();
   }
-  out += ",\n  \"stages\": [";
-  for (size_t i = 0; i < stages_.size(); ++i) {
-    const StageRecord& s = stages_[i];
-    if (i > 0) out += ',';
-    out += "\n    {\"stage\": ";
-    AppendQuoted(s.stage, &out);
-    out += ", \"seconds\": ";
-    AppendSeconds(s.seconds, &out);
-    out += ", \"units\": ";
-    AppendUint(s.units, &out);
-    out += ", \"metrics\": {";
-    size_t j = 0;
-    for (const auto& [name, delta] : s.metric_deltas) {
-      if (j++ > 0) out += ", ";
-      AppendQuoted(name, &out);
-      out += ": ";
-      AppendUint(delta, &out);
-    }
-    out += "}, \"resources\": {\"cpu_user_seconds\": ";
-    AppendSeconds(s.resources.cpu_user_seconds, &out);
-    out += ", \"cpu_sys_seconds\": ";
-    AppendSeconds(s.resources.cpu_sys_seconds, &out);
-    out += ", \"cpu_seconds\": ";
-    AppendSeconds(s.cpu_seconds(), &out);
-    out += ", \"max_rss_bytes\": ";
-    AppendUint(s.resources.max_rss_bytes, &out);
-    out += ", \"minor_faults\": ";
-    AppendUint(s.resources.minor_faults, &out);
-    out += ", \"major_faults\": ";
-    AppendUint(s.resources.major_faults, &out);
-    out += ", \"alloc_bytes\": ";
-    AppendUint(s.resources.alloc_bytes, &out);
+  out.Key("stages").BeginArray();
+  for (const StageRecord& s : stages_) {
+    out.BeginObject()
+        .Member("stage", s.stage)
+        .Member("seconds", s.seconds)
+        .Member("units", s.units)
+        .Key("metrics")
+        .BeginObject();
+    for (const auto& [name, delta] : s.metric_deltas) out.Member(name, delta);
+    out.EndObject()
+        .Key("resources")
+        .BeginObject()
+        .Member("cpu_user_seconds", s.resources.cpu_user_seconds)
+        .Member("cpu_sys_seconds", s.resources.cpu_sys_seconds)
+        .Member("cpu_seconds", s.cpu_seconds())
+        .Member("max_rss_bytes", s.resources.max_rss_bytes)
+        .Member("minor_faults", s.resources.minor_faults)
+        .Member("major_faults", s.resources.major_faults)
+        .Member("alloc_bytes", s.resources.alloc_bytes);
     if (const auto efficiency = s.parallel_efficiency(threads_used_)) {
-      out += ", \"parallel_efficiency\": ";
-      AppendDouble(*efficiency, &out);
+      out.Member("parallel_efficiency", *efficiency);
     }
-    out += "}}";
+    out.EndObject().EndObject();
   }
-  out += stages_.empty() ? "]" : "\n  ]";
+  out.EndArray();
   // Degraded runs list every quarantined fleet shard with its final Status,
   // so an operator can audit exactly which slices of the fleet are missing
   // from the (still-written) outputs.
   if (degraded_) {
-    out += ",\n  \"degraded\": true";
-    out += ",\n  \"quarantine\": [";
-    for (size_t i = 0; i < quarantine_.size(); ++i) {
-      const QuarantineEntry& q = quarantine_[i];
-      if (i > 0) out += ',';
-      out += "\n    {\"shard\": ";
-      AppendInt(q.shard_index, &out);
-      out += ", \"attempts\": ";
-      AppendInt(q.attempts, &out);
-      out += ", \"status\": {\"code\": ";
-      AppendQuoted(CodeName(q.status.code()), &out);
-      out += ", \"message\": ";
-      AppendQuoted(q.status.message(), &out);
-      out += "}}";
+    out.Member("degraded", true).Key("quarantine").BeginArray();
+    for (const QuarantineEntry& q : quarantine_) {
+      out.BeginObject()
+          .Member("shard", q.shard_index)
+          .Member("attempts", q.attempts)
+          .Key("status");
+      status_object(q.status, &out);
+      out.EndObject();
     }
-    out += quarantine_.empty() ? "]" : "\n  ]";
+    out.EndArray();
   }
-  // Percentile digest of every non-empty histogram (satellite of the
-  // profiler PR): manifests carry the latency distribution shape, not just
-  // count/sum, without inlining full bucket arrays.
+  // Percentile digest of every non-empty histogram: manifests carry the
+  // latency distribution shape, not just count/sum, without inlining full
+  // bucket arrays.
   if (!histograms.empty()) {
-    out += ",\n  \"histograms\": {";
-    size_t h_index = 0;
+    out.Key("histograms").BeginObject();
     for (const auto& [name, h] : histograms) {
-      if (h_index++ > 0) out += ',';
-      out += "\n    ";
-      AppendQuoted(name, &out);
-      out += ": {\"count\": ";
-      AppendUint(h.count, &out);
-      out += ", \"sum\": ";
-      AppendDouble(h.sum, &out);
-      out += ", \"p50\": ";
-      AppendDouble(HistogramPercentile(h, 0.50), &out);
-      out += ", \"p95\": ";
-      AppendDouble(HistogramPercentile(h, 0.95), &out);
-      out += ", \"p99\": ";
-      AppendDouble(HistogramPercentile(h, 0.99), &out);
-      out += '}';
+      out.Key(name)
+          .BeginObject()
+          .Member("count", h.count)
+          .Member("sum", h.sum)
+          .Member("p50", HistogramPercentile(h, 0.50))
+          .Member("p95", HistogramPercentile(h, 0.95))
+          .Member("p99", HistogramPercentile(h, 0.99))
+          .EndObject();
     }
-    out += "\n  }";
+    out.EndObject();
   }
   const std::string_view outcome =
       !failed_ ? "success"
@@ -357,23 +272,13 @@ std::string RunManifestBuilder::ToJson() const {
          final_status_.code() == StatusCode::kDeadlineExceeded)
           ? "cancelled"
           : "failure";
-  out += ",\n  \"outcome\": ";
-  AppendQuoted(outcome, &out);
-  if (failed_) {
-    out += ",\n  \"failed_stage\": ";
-    AppendQuoted(failed_stage_, &out);
-  }
-  out += ",\n  \"status\": {\"code\": ";
-  AppendQuoted(CodeName(final_status_.code()), &out);
-  out += ", \"message\": ";
-  AppendQuoted(final_status_.message(), &out);
-  out += '}';
-  out += ",\n  \"exit_code\": ";
-  AppendInt(exit_code_, &out);
-  out += ",\n  \"wall_seconds\": ";
-  AppendSeconds(wall_seconds, &out);
-  out += "\n}\n";
-  return out;
+  out.Member("outcome", outcome);
+  if (failed_) out.Member("failed_stage", failed_stage_);
+  out.Key("status");
+  status_object(final_status_, &out);
+  out.Member("exit_code", exit_code_).Member("wall_seconds", wall_seconds);
+  out.EndObject();
+  return out.str();
 }
 
 Status RunManifestBuilder::WriteJson(const std::string& path) const {

@@ -1,6 +1,6 @@
 #include "obs/trace.h"
 
-#include <cstdio>
+#include "obs/json_encoder.h"
 
 namespace homets::obs {
 
@@ -23,24 +23,6 @@ thread_local uint64_t tls_span_stack[kMaxSpanStack] = {};
 // Process-unique span ids, 1-based so 0 means "no span open".
 std::atomic<uint64_t> g_next_span_id{0};
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 void TraceSession::Add(TraceEvent event) {
@@ -59,25 +41,26 @@ std::vector<TraceEvent> TraceSession::Events() const {
 }
 
 std::string TraceSession::ToChromeJson() const {
-  const std::vector<TraceEvent> events = Events();
-  std::string out = "{\"traceEvents\": [\n";
-  char buf[160];
-  for (size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
-    out += "  {\"name\": \"" + JsonEscape(e.name) + "\", \"cat\": \"" +
-           JsonEscape(e.category) + "\", ";
-    std::snprintf(buf, sizeof(buf),
-                  "\"ph\": \"X\", \"ts\": %lld, \"dur\": %lld, \"pid\": 1, "
-                  "\"tid\": %u, \"args\": {\"depth\": %u, \"span_id\": %llu}}",
-                  static_cast<long long>(e.ts_us),
-                  static_cast<long long>(e.dur_us), e.tid, e.depth,
-                  static_cast<unsigned long long>(e.span_id));
-    out += buf;
-    if (i + 1 < events.size()) out += ',';
-    out += '\n';
+  JsonEncoder out;
+  out.BeginObject().Key("traceEvents").BeginArray();
+  for (const TraceEvent& e : Events()) {
+    out.BeginObject()
+        .Member("name", e.name)
+        .Member("cat", e.category)
+        .Member("ph", "X")
+        .Member("ts", e.ts_us)
+        .Member("dur", e.dur_us)
+        .Member("pid", 1)
+        .Member("tid", e.tid)
+        .Key("args")
+        .BeginObject()
+        .Member("depth", e.depth)
+        .Member("span_id", e.span_id)
+        .EndObject()
+        .EndObject();
   }
-  out += "]}\n";
-  return out;
+  out.EndArray().EndObject();
+  return out.str();
 }
 
 void InstallGlobalTraceSession(TraceSession* session) {

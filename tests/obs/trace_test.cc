@@ -7,6 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
+
 namespace homets::obs {
 namespace {
 
@@ -93,7 +95,12 @@ TEST(TraceSessionTest, ChromeJsonIsWellFormed) {
     ScopedSpan inner("inner");
   }
   const std::string json = session.ToChromeJson();
-  EXPECT_EQ(json.find("{\"traceEvents\""), 0u) << json;
+  // Chrome's object form: the document's first member is traceEvents.
+  const auto parsed = ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << json;
+  ASSERT_FALSE(parsed->object_items().empty()) << json;
+  EXPECT_EQ(parsed->object_items().front().first, "traceEvents") << json;
+  EXPECT_EQ(parsed->object_items().front().second.array_items().size(), 2u);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"pid\": 1"), std::string::npos) << json;
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos)

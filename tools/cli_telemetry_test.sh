@@ -9,6 +9,8 @@
 #      outcome, the armed spec, and the process exit code.
 #   4. stdout is byte-identical with the telemetry flags off — observability
 #      must never leak into the analysis output contract.
+#   5. The manifest's threads.used is the thread count that ran: 1 for
+#      generate, min(--threads, --shards) for analyze.
 #
 # Usage: cli_telemetry_test.sh /path/to/homets_cli
 set -eu
@@ -30,6 +32,7 @@ check() {
 }
 
 "$cli" generate --out "$workdir" --gateways 3 --weeks 2 --seed 7 \
+    --run-manifest-out "$workdir/gen_manifest.json" \
     >"$workdir/gen.log" 2>"$workdir/gen.err"
 
 # --- baseline: no telemetry flags ----------------------------------------
@@ -141,6 +144,20 @@ assert "failed_stage" in doc
 assert doc["failpoints"]["spec"] == "io.csv.open=error*99"
 assert doc["status"]["code"] != "OK"
 assert doc["exit_code"] == int(sys.argv[2])
+EOF
+
+# --- threads.used -----------------------------------------------------------
+"$cli" analyze --threads 3 --shards 2 \
+    --run-manifest-out "$workdir/analyze_manifest.json" \
+    "$workdir"/gateway_*.csv >"$workdir/out" 2>"$workdir/err"
+check "threads.used is the count that ran" \
+    python3 - "$workdir"/gen_manifest.json "$workdir"/analyze_manifest.json \
+    <<'EOF'
+import json, sys
+generate = json.load(open(sys.argv[1]))["threads"]
+assert generate["used"] == 1, generate
+analyze = json.load(open(sys.argv[2]))["threads"]
+assert analyze["used"] == 2, analyze
 EOF
 
 # --log-level validation stays a strict-flag error.

@@ -66,6 +66,7 @@
 #include "common/failpoint.h"
 #include "common/flags.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "core/background.h"
 #include "core/motif.h"
 #include "core/profiling.h"
@@ -618,6 +619,13 @@ int RunAnalyze(const ParsedArgs& args,
     std::cerr << "analyze: --resume requires --checkpoint-dir\n";
     return 2;
   }
+  if (g_manifest != nullptr) {
+    // The shard pool runs min(threads, shards) workers; each gateway's
+    // engine stays serial (fewer weeks than min_parallel_pairs).
+    g_manifest->SetThreads(
+        static_cast<int>(std::thread::hardware_concurrency()),
+        std::min(ResolveThreadCount(options.threads), options.n_shards));
+  }
   obs::StageTimer stage("analyze", g_manifest);
   stage.set_units(static_cast<uint64_t>(shards));
   fleet::FleetOrchestrator orchestrator(args.positional, options);
@@ -723,8 +731,12 @@ int main(int argc, char** argv) {
     manifest.SetCommand(std::move(cmdline));
   }
   for (const auto& [flag, value] : args.flags) manifest.SetConfig(flag, value);
+  // threads.used is the count the subcommand runs on: generate and convert
+  // are serial, analyze records its shard pool (RunAnalyze), and profile,
+  // motifs and stream run the similarity engine at its default count.
   const int hardware = static_cast<int>(std::thread::hardware_concurrency());
-  manifest.SetThreads(hardware, hardware);
+  const bool serial = command == "generate" || command == "convert";
+  manifest.SetThreads(hardware, serial ? 1 : ResolveThreadCount(0));
 
   // Arm fault injection before any work: the flag wins over the
   // HOMETS_FAILPOINTS environment variable; a malformed spec is a usage

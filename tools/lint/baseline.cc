@@ -1,47 +1,28 @@
 #include "baseline.h"
 
 #include "common/json.h"
-#include "common/strings.h"
+#include "obs/json_encoder.h"
 
 namespace homets::lint {
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string RenderBaseline(const std::vector<Violation>& violations) {
   std::map<std::pair<std::string, std::string>, size_t> counts;
   for (const Violation& v : violations) ++counts[{v.file, v.rule}];
-  std::string out = "{\n  \"schema_version\": 1,\n"
-                    "  \"tool\": \"homets_lint\",\n  \"entries\": [";
-  bool first = true;
+  obs::JsonEncoder out;
+  out.BeginObject()
+      .Member("schema_version", 1)
+      .Member("tool", "homets_lint")
+      .Key("entries")
+      .BeginArray();
   for (const auto& [key, count] : counts) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"file\": \"" + JsonEscape(key.first) + "\", \"rule\": \"" +
-           JsonEscape(key.second) + "\", \"count\": " +
-           std::to_string(count) + "}";
+    out.BeginObject()
+        .Member("file", key.first)
+        .Member("rule", key.second)
+        .Member("count", count)
+        .EndObject();
   }
-  out += first ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
+  out.EndArray().EndObject();
+  return out.str();
 }
 
 Result<Baseline> LoadBaseline(const std::string& path) {

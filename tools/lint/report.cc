@@ -3,31 +3,9 @@
 #include <map>
 #include <set>
 
-#include "common/strings.h"
+#include "obs/json_encoder.h"
 
 namespace homets::lint {
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string RenderText(const std::vector<Violation>& violations) {
   std::string out;
@@ -40,20 +18,21 @@ std::string RenderText(const std::vector<Violation>& violations) {
 
 std::string RenderJson(const std::vector<Violation>& violations,
                        size_t files_scanned, size_t metric_names) {
-  std::string out = "{\n  \"schema_version\": 1,\n  \"violations\": [";
-  bool first = true;
+  obs::JsonEncoder out;
+  out.BeginObject().Member("schema_version", 1).Key("violations").BeginArray();
   for (const Violation& v : violations) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"file\": \"" + JsonEscape(v.file) +
-           "\", \"line\": " + std::to_string(v.line) + ", \"rule\": \"" +
-           JsonEscape(v.rule) + "\", \"message\": \"" + JsonEscape(v.message) +
-           "\"}";
+    out.BeginObject()
+        .Member("file", v.file)
+        .Member("line", v.line)
+        .Member("rule", v.rule)
+        .Member("message", v.message)
+        .EndObject();
   }
-  out += first ? "],\n" : "\n  ],\n";
-  out += "  \"files_scanned\": " + std::to_string(files_scanned) +
-         ",\n  \"metric_names\": " + std::to_string(metric_names) + "\n}\n";
-  return out;
+  out.EndArray()
+      .Member("files_scanned", files_scanned)
+      .Member("metric_names", metric_names)
+      .EndObject();
+  return out.str();
 }
 
 std::string RenderDot(const IncludeGraph& graph, const LayerGraph* layers) {
