@@ -1,5 +1,6 @@
 #include "common/failpoint.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 
@@ -70,6 +71,11 @@ Status Failpoints::Configure(std::string_view spec, uint64_t seed) {
           "'");
     }
     const std::string site{StrTrim(entry.substr(0, eq))};
+    if (std::find(kFailpointSites.begin(), kFailpointSites.end(), site) ==
+        kFailpointSites.end()) {
+      return Status::InvalidArgument("failpoints: unknown site '" + site +
+                                     "' in '" + std::string(entry) + "'");
+    }
     std::string_view mode = StrTrim(entry.substr(eq + 1));
     Rule rule;
     // The action word runs up to the first modifier character.

@@ -1,6 +1,7 @@
 #ifndef HOMETS_COMMON_FAILPOINT_H_
 #define HOMETS_COMMON_FAILPOINT_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -22,7 +23,7 @@ enum class FailpointAction : uint8_t {
   kError,      ///< inject an IoError Status (transient, retryable)
   kCorrupt,    ///< mangle the data flowing through the site (e.g. a CSV row)
   kTruncate,   ///< cut the data stream short (e.g. mid-file EOF)
-  kFail,       ///< fail the unit of work (e.g. a thread-pool task)
+  kFail,       ///< fail the unit of work (e.g. a block of similarity pairs)
 };
 
 /// \brief Counters for one failpoint site, for tests and reports.
@@ -50,7 +51,7 @@ struct FailpointStats {
 ///                           a SplitMix64 stream seeded with
 ///                           seed ^ hash(site) — deterministic per spec+seed
 ///
-/// e.g. `io.csv.open=error*2;io.csv.row=corrupt@3;threadpool.task=fail~0.25`.
+/// e.g. `io.csv.open=error*2;io.csv.row=corrupt@3;engine.pair_block=fail~0.25`.
 /// Counted and windowed rules are exactly reproducible wherever the site's
 /// hits are sequenced (all IO sites); probabilistic rules are reproducible
 /// per hit index, so under a multi-threaded site the set of firing hit
@@ -62,8 +63,9 @@ class Failpoints {
   static Failpoints& Global();
 
   /// Parses `spec` and replaces the installed rules. An empty spec disarms
-  /// the registry. On a malformed spec the registry is left unchanged and
-  /// InvalidArgument is returned.
+  /// the registry. On a malformed spec, or one naming a site outside
+  /// kFailpointSites, the registry is left unchanged and InvalidArgument is
+  /// returned.
   Status Configure(std::string_view spec, uint64_t seed = 0);
 
   /// Configure() from the HOMETS_FAILPOINTS / HOMETS_FAILPOINTS_SEED
@@ -132,14 +134,19 @@ inline constexpr std::string_view kFailpointColOpen = "io.col.open";
 inline constexpr std::string_view kFailpointColChunk = "io.col.chunk";
 inline constexpr std::string_view kFailpointColWrite = "io.col.write";
 inline constexpr std::string_view kFailpointTablePrint = "io.table.print";
-inline constexpr std::string_view kFailpointThreadPoolTask =
-    "threadpool.task";
 inline constexpr std::string_view kFailpointEnginePairBlock =
     "engine.pair_block";
 inline constexpr std::string_view kFailpointFleetShardRun =
     "fleet.shard.run";
 inline constexpr std::string_view kFailpointCkptWrite = "io.ckpt.write";
 inline constexpr std::string_view kFailpointCkptRead = "io.ckpt.read";
+
+/// Every site above; Configure() rejects a spec that names any other.
+inline constexpr std::array kFailpointSites{
+    kFailpointCsvOpen,       kFailpointCsvRow,     kFailpointCsvWrite,
+    kFailpointColOpen,       kFailpointColChunk,   kFailpointColWrite,
+    kFailpointTablePrint,    kFailpointEnginePairBlock,
+    kFailpointFleetShardRun, kFailpointCkptWrite,  kFailpointCkptRead};
 
 /// Evaluates `site` with zero cost when fault injection is disarmed.
 inline FailpointAction EvaluateFailpoint(std::string_view site) {

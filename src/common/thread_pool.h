@@ -8,13 +8,9 @@
 #include <cstdint>
 #include <functional>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include "common/cancellation.h"
-#include "common/failpoint.h"
 #include "common/prof_hooks.h"
-#include "common/status.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 
@@ -30,12 +26,11 @@ inline int ResolveThreadCount(int threads) {
 
 namespace thread_pool_internal {
 
-/// \brief One loop's dispatch metrics and block clock, shared by ParallelFor
-/// and ParallelForStatus: the loop/task counters at dispatch, one
-/// task-latency observation per block and, behind one relaxed
-/// profiler load, the per-block queue wait and run time plus the loop's
-/// busy/idle totals. Atomic increments only — this header runs under TSan
-/// via the `threads` ctest label.
+/// \brief One loop's dispatch metrics and block clock: the loop/task
+/// counters at dispatch, one task-latency observation per block and, behind
+/// one relaxed profiler load, the per-block queue wait and run time plus the
+/// loop's busy/idle totals. Atomic increments only — this header runs under
+/// TSan via the `threads` ctest label.
 class LoopClock {
  public:
   explicit LoopClock(size_t n_blocks) : prof_on_(prof::ProfilerEnabled()) {
@@ -172,77 +167,6 @@ inline void ParallelFor(size_t n, int threads, size_t block,
     }
   });
   clock.Close(workers);
-}
-
-/// \brief Hardened variant of ParallelFor: tasks return Status instead of
-/// crashing the loop, and the loop honors cooperative cancellation.
-///
-/// Semantics:
-///  - `fn(begin, end, worker)` runs per block exactly as in ParallelFor and
-///    returns a Status. A failing block does NOT stop the other blocks (so
-///    side effects, and therefore the winning error, stay deterministic);
-///    the loop runs everything and then returns the error of the failing
-///    block with the LOWEST index — bit-identical across thread counts.
-///  - `cancel` (may be nullptr) is polled before each block. Once cancelled,
-///    no new blocks are handed out and the loop returns kCancelled — unless
-///    a block that did run failed, in which case that (lowest-block) error
-///    wins. Cancellation timing is inherently scheduling-dependent.
-///  - The `threadpool.task` failpoint is evaluated per block while armed;
-///    a kFail fire replaces the block's execution with an injected
-///    ComputeError, modelling a task that died before running.
-inline Status ParallelForStatus(
-    size_t n, int threads, size_t block, CancellationToken* cancel,
-    const std::function<Status(size_t, size_t, int)>& fn) {
-  if (n == 0) return Status::OK();
-  if (block == 0) block = 1;
-  const size_t n_blocks = (n + block - 1) / block;
-  thread_pool_internal::LoopClock clock(n_blocks);
-  const int workers = static_cast<int>(std::min<size_t>(
-      static_cast<size_t>(ResolveThreadCount(threads)), n_blocks));
-  // Each worker remembers the lowest-index failing block it saw; the merge
-  // after the join picks the global minimum, so the returned error does not
-  // depend on scheduling.
-  std::vector<std::pair<size_t, Status>> worker_errors(
-      static_cast<size_t>(workers), {SIZE_MAX, Status::OK()});
-  std::atomic<bool> saw_cancel{false};
-  auto drain = [&](int worker) {
-    auto& first_error = worker_errors[static_cast<size_t>(worker)];
-    for (;;) {
-      if (cancel != nullptr && cancel->cancelled()) {
-        saw_cancel.store(true, std::memory_order_relaxed);
-        return;
-      }
-      const size_t b = clock.NextBlock();
-      if (b >= n_blocks) return;
-      const size_t begin = b * block;
-      const size_t end = std::min(begin + block, n);
-      Status st;
-      clock.TimeBlock(worker, [&] {
-        st = Failpoints::Global().armed()
-                 ? Failpoints::Global().InjectedError(kFailpointThreadPoolTask)
-                 : Status::OK();
-        if (st.ok()) st = fn(begin, end, worker);
-      });
-      if (!st.ok() && b < first_error.first) {
-        first_error = {b, std::move(st)};
-      }
-    }
-  };
-  thread_pool_internal::RunWorkers(workers, drain);
-  clock.Close(workers);
-  size_t min_block = SIZE_MAX;
-  Status result = Status::OK();
-  for (auto& [failed_block, status] : worker_errors) {
-    if (failed_block < min_block) {
-      min_block = failed_block;
-      result = std::move(status);
-    }
-  }
-  if (!result.ok()) return result;
-  if (saw_cancel.load(std::memory_order_relaxed)) {
-    return Status::Cancelled("parallel loop cancelled before completion");
-  }
-  return Status::OK();
 }
 
 }  // namespace homets

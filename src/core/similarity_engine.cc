@@ -1,7 +1,8 @@
 #include "core/similarity_engine.h"
 
-#include <chrono>
+#include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
@@ -74,9 +75,29 @@ namespace {
 // hand-off, fine enough to balance tie-heavy vs degenerate pairs.
 constexpr size_t kPairsPerBlock = 64;
 
-void CountPairsComputed(size_t pairs) {
+// The one pair loop: runs `block(begin, end, workspace)` over [0, pairs) in
+// blocks of kPairsPerBlock on the pool, one PairWorkspace per worker. Blocks
+// are cut the same way for every thread count (the inline single-worker
+// range is split too), so a per-block decision sees the same blocks.
+void ForEachPairBlock(
+    size_t pairs, const SimilarityEngineOptions& options,
+    const std::function<void(size_t, size_t, correlation::PairWorkspace&)>&
+        block) {
+  if (pairs == 0) return;
   static obs::Counter* const pairs_computed =
       obs::MetricsRegistry::Global().GetCounter(obs::kEnginePairsComputed);
+  obs::ScopedSpan span("similarity_engine.pairwise");
+  const int threads = pairs < options.min_parallel_pairs ? 1 : options.threads;
+  std::vector<correlation::PairWorkspace> workspaces(
+      static_cast<size_t>(ResolveThreadCount(threads)));
+  ParallelFor(pairs, threads, kPairsPerBlock,
+              [&](size_t begin, size_t end, int worker) {
+                correlation::PairWorkspace& ws =
+                    workspaces[static_cast<size_t>(worker)];
+                for (size_t b = begin; b < end; b += kPairsPerBlock) {
+                  block(b, std::min(b + kPairsPerBlock, end), ws);
+                }
+              });
   pairs_computed->Increment(pairs);
 }
 
@@ -86,74 +107,19 @@ SimilarityMatrix SimilarityEngine::Pairwise(
     const std::vector<correlation::PreparedSeries>& prepared) const {
   const size_t n = prepared.size();
   SimilarityMatrix matrix(n);
-  const size_t pairs = matrix.pair_count();
-  if (pairs == 0) return matrix;
-  obs::ScopedSpan span("similarity_engine.pairwise");
-  const int threads =
-      pairs < options_.min_parallel_pairs ? 1 : options_.threads;
-  const size_t workers = static_cast<size_t>(ResolveThreadCount(threads));
-  std::vector<correlation::PairWorkspace> workspaces(workers);
+  // Read once: the mask must exist before workers can mark blocks
+  // concurrently, and only blocks of an armed run may mark.
+  const bool armed = Failpoints::Global().armed();
+  if (armed) matrix.EnsureValidityMask();
   SimilarityResult* cells = matrix.mutable_cells();
-  ParallelFor(pairs, threads, kPairsPerBlock,
-              [&](size_t begin, size_t end, int worker) {
-                correlation::PairWorkspace& ws =
-                    workspaces[static_cast<size_t>(worker)];
-                auto [i, j] = SimilarityMatrix::PairAt(n, begin);
-                for (size_t k = begin; k < end; ++k) {
-                  cells[k] = CorrelationSimilarity(prepared[i], prepared[j],
-                                                   options_.similarity, &ws);
-                  if (++j == n) {
-                    ++i;
-                    j = i + 1;
-                  }
-                }
-              });
-  CountPairsComputed(pairs);
-  return matrix;
-}
-
-Result<SimilarityMatrix> SimilarityEngine::PairwiseChecked(
-    const std::vector<correlation::PreparedSeries>& prepared) const {
-  const size_t n = prepared.size();
-  SimilarityMatrix matrix(n);
-  const size_t pairs = matrix.pair_count();
-  if (pairs == 0) return matrix;
-  obs::ScopedSpan span("similarity_engine.pairwise");
-  const int threads =
-      pairs < options_.min_parallel_pairs ? 1 : options_.threads;
-  const size_t workers = static_cast<size_t>(ResolveThreadCount(threads));
-  std::vector<correlation::PairWorkspace> workspaces(workers);
-  // The mask must exist before workers can mark blocks concurrently.
-  if (options_.degrade_on_failure) matrix.EnsureValidityMask();
-  SimilarityResult* cells = matrix.mutable_cells();
-  const auto start = std::chrono::steady_clock::now();
-  const auto deadline_expired = [&] {
-    if (options_.deadline_ms <= 0.0) return false;
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    return elapsed_ms > options_.deadline_ms;
-  };
-  const Status status = ParallelForStatus(
-      pairs, threads, kPairsPerBlock, options_.cancel,
-      [&](size_t begin, size_t end, int worker) -> Status {
-        if (deadline_expired()) {
-          return Status::DeadlineExceeded(
-              "similarity engine exceeded its deadline");
-        }
-        const FailpointAction injected =
-            EvaluateFailpoint(kFailpointEnginePairBlock);
-        if (injected == FailpointAction::kFail) {
-          if (!options_.degrade_on_failure) {
-            return Status::ComputeError(
-                "injected by failpoint 'engine.pair_block'");
-          }
+  ForEachPairBlock(
+      matrix.pair_count(), options_,
+      [&](size_t begin, size_t end, correlation::PairWorkspace& ws) {
+        if (armed && Failpoints::Global().Evaluate(kFailpointEnginePairBlock) ==
+                         FailpointAction::kFail) {
           for (size_t k = begin; k < end; ++k) matrix.MarkInvalid(k);
-          return Status::OK();
+          return;
         }
-        correlation::PairWorkspace& ws =
-            workspaces[static_cast<size_t>(worker)];
         auto [i, j] = SimilarityMatrix::PairAt(n, begin);
         for (size_t k = begin; k < end; ++k) {
           cells[k] = CorrelationSimilarity(prepared[i], prepared[j],
@@ -163,10 +129,7 @@ Result<SimilarityMatrix> SimilarityEngine::PairwiseChecked(
             j = i + 1;
           }
         }
-        return Status::OK();
       });
-  CountPairsComputed(pairs);
-  HOMETS_RETURN_IF_ERROR(status);
   return matrix;
 }
 
@@ -174,23 +137,15 @@ std::vector<SimilarityResult> SimilarityEngine::PairwiseSelected(
     const std::vector<correlation::PreparedSeries>& prepared,
     const std::vector<std::pair<uint32_t, uint32_t>>& pairs) const {
   std::vector<SimilarityResult> results(pairs.size());
-  if (pairs.empty()) return results;
-  obs::ScopedSpan span("similarity_engine.pairwise");
-  const int threads =
-      pairs.size() < options_.min_parallel_pairs ? 1 : options_.threads;
-  const size_t workers = static_cast<size_t>(ResolveThreadCount(threads));
-  std::vector<correlation::PairWorkspace> workspaces(workers);
-  ParallelFor(pairs.size(), threads, kPairsPerBlock,
-              [&](size_t begin, size_t end, int worker) {
-                correlation::PairWorkspace& ws =
-                    workspaces[static_cast<size_t>(worker)];
-                for (size_t k = begin; k < end; ++k) {
-                  results[k] = CorrelationSimilarity(
-                      prepared[pairs[k].first], prepared[pairs[k].second],
-                      options_.similarity, &ws);
-                }
-              });
-  CountPairsComputed(pairs.size());
+  ForEachPairBlock(
+      pairs.size(), options_,
+      [&](size_t begin, size_t end, correlation::PairWorkspace& ws) {
+        for (size_t k = begin; k < end; ++k) {
+          results[k] = CorrelationSimilarity(prepared[pairs[k].first],
+                                             prepared[pairs[k].second],
+                                             options_.similarity, &ws);
+        }
+      });
   return results;
 }
 

@@ -5,8 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/cancellation.h"
-#include "common/status.h"
 #include "core/similarity.h"
 #include "correlation/prepared_series.h"
 #include "ts/time_series.h"
@@ -22,18 +20,6 @@ struct SimilarityEngineOptions {
   /// Workloads below this many pairs run inline — thread spawn would cost
   /// more than the work.
   size_t min_parallel_pairs = 256;
-  /// Cooperative cancellation for PairwiseChecked, polled at block
-  /// granularity. Not owned; may be nullptr.
-  CancellationToken* cancel = nullptr;
-  /// Wall-clock budget for one PairwiseChecked call in milliseconds;
-  /// 0 disables the deadline. Checked at block granularity, so a call stops
-  /// within one block of the deadline and returns kDeadlineExceeded.
-  double deadline_ms = 0.0;
-  /// PairwiseChecked under an injected task failure (`engine.pair_block`
-  /// failpoint): false returns the failing block's error; true marks the
-  /// block's cells invalid in the matrix validity mask and keeps going, so
-  /// downstream stages degrade over partial results instead of aborting.
-  bool degrade_on_failure = false;
 };
 
 /// \brief Condensed symmetric matrix of Definition 1 results over n windows:
@@ -67,10 +53,11 @@ class SimilarityMatrix {
   const std::vector<SimilarityResult>& cells() const { return cells_; }
 
   /// \name Validity mask
-  /// PairwiseChecked marks cells whose task failed (degrade mode) invalid;
-  /// a default-constructed matrix has every cell valid and allocates no
-  /// mask. Downstream consumers must skip invalid cells rather than read
-  /// their (zero-initialized) results.
+  /// Pairwise marks the cells of a block that failed under the
+  /// `engine.pair_block` failpoint invalid; a matrix built with fault
+  /// injection disarmed has every cell valid and allocates no mask.
+  /// Downstream consumers must skip invalid cells rather than read their
+  /// (zero-initialized) results.
   ///@{
   /// Allocates the mask (all-valid). Must be called before MarkInvalid and
   /// before any concurrent marking starts.
@@ -133,19 +120,13 @@ class SimilarityEngine {
   std::vector<correlation::PreparedSeries> Prepare(
       const std::vector<ts::TimeSeries>& windows) const;
 
-  /// Full condensed pairwise matrix over the prepared windows.
+  /// Full condensed pairwise matrix over the prepared windows. The
+  /// `engine.pair_block` failpoint is evaluated once per block of pairs; a
+  /// block it fails is flagged in the validity mask and the run goes on, so
+  /// downstream stages degrade over partial results instead of aborting.
+  /// With fault injection disarmed no mask is allocated and the matrix is
+  /// bit-identical for every thread count.
   SimilarityMatrix Pairwise(
-      const std::vector<correlation::PreparedSeries>& prepared) const;
-
-  /// Hardened Pairwise: honors options().cancel and options().deadline_ms at
-  /// block granularity and survives injected task failures (the
-  /// `engine.pair_block` failpoint). Returns kCancelled / kDeadlineExceeded
-  /// when stopped early; under a task failure, returns the deterministic
-  /// lowest-block error, or — with options().degrade_on_failure — an OK
-  /// matrix whose failed cells are flagged in the validity mask. With no
-  /// cancellation, deadline, or fault in play the result is bit-identical
-  /// to Pairwise() for every thread count.
-  Result<SimilarityMatrix> PairwiseChecked(
       const std::vector<correlation::PreparedSeries>& prepared) const;
 
   /// Definition 1 for an explicit pair list (e.g. the same-weekday pairs of

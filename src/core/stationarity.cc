@@ -33,16 +33,13 @@ Result<StationarityResult> CheckStrongStationarity(
   result.correlation_ok = true;
   result.distribution_ok = true;
   // Each window is profiled once; Definition 2's all-pairs comparison then
-  // runs on the prepared kernels (parallel for large window sets). Degrade
-  // mode: a pair whose similarity task failed is skipped (and counted)
-  // rather than aborting the whole gateway's verdict.
+  // runs on the prepared kernels (parallel for large window sets). A pair
+  // whose similarity block failed is skipped (and counted) rather than
+  // aborting the whole gateway's verdict.
   SimilarityEngineOptions engine_options;
   engine_options.similarity.alpha = options.alpha;
-  engine_options.degrade_on_failure = true;
-  const SimilarityEngine engine(engine_options);
-  HOMETS_ASSIGN_OR_RETURN(
-      const SimilarityMatrix sims,
-      engine.PairwiseChecked(SimilarityEngine::PrepareWindows(windows)));
+  const SimilarityMatrix sims = SimilarityEngine(engine_options).Pairwise(
+      SimilarityEngine::PrepareWindows(windows));
   for (size_t i = 0; i < windows.size(); ++i) {
     for (size_t j = i + 1; j < windows.size(); ++j) {
       if (!sims.IsValid(i, j)) {

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <thread>
 #include <utility>
 
-#include "common/mutex.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "fleet/checkpoint.h"
@@ -45,7 +43,7 @@ const FleetMetrics& Metrics() {
 }
 
 /// Removes the LOCK sentinel when the run leaves the directory, however it
-/// leaves (success, fail-fast abort, cancellation). A SIGKILL skips this —
+/// leaves (success or fail-fast abort). A SIGKILL skips this —
 /// that is the stale-lock reclaim path in AcquireFleetLock.
 class FleetLockGuard {
  public:
@@ -66,7 +64,7 @@ FleetOrchestrator::FleetOrchestrator(std::vector<std::string> inputs,
                                      FleetOptions options)
     : inputs_(std::move(inputs)), options_(std::move(options)) {}
 
-Result<FleetReport> FleetOrchestrator::Analyze(CancellationToken* cancel) {
+Result<FleetReport> FleetOrchestrator::Analyze() {
   if (options_.n_shards < 1) {
     return Status::InvalidArgument("fleet: --shards must be >= 1");
   }
@@ -140,98 +138,81 @@ Result<FleetReport> FleetOrchestrator::Analyze(CancellationToken* cancel) {
     if (!done[s]) pending.push_back(s);
   }
 
-  // Phase 2: run the remainder on the pool, one shard per block. Shard
-  // failures stay local (retry, then quarantine) unless fail-fast is on;
-  // ParallelForStatus still surfaces the lowest-index error
-  // deterministically when they do propagate.
+  // Phase 2: run the remainder on the pool, one shard per block. Each shard
+  // retries locally and leaves its final Status and attempt count in its own
+  // slot of `outcomes`; workers write only their own shards' slots.
   const ShardRunner runner(&inputs, options_.dataset, options_.profiling);
-  Mutex quarantine_mu{"fleet.quarantine"};
-  std::vector<QuarantinedShard> quarantined;
-  const Status run_status = ParallelForStatus(
-      pending.size(), options_.threads, 1, cancel,
-      [&](size_t begin, size_t end, int) -> Status {
-        for (size_t p = begin; p < end; ++p) {
-          const size_t slot = pending[p];
-          const ShardPlan& plan = plans[slot];
-          Status last = Status::OK();
-          for (int attempt = 1; attempt <= options_.max_attempts; ++attempt) {
-            if (attempt > 1) {
-              Metrics().shard_retries->Increment();
-              if (options_.retry_backoff_ms > 0.0) {
-                // Cap the doubling exponent: --shard-attempts is unbounded
-                // and a shift past 63 would be UB (and the sleep absurd).
-                const double factor = static_cast<double>(
-                    1ull << std::min(attempt - 2, 20));
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double, std::milli>(
-                        options_.retry_backoff_ms * factor));
-              }
-            }
-            // Each attempt gets a fresh child token: the run-level cancel
-            // shows through it, while a per-attempt deadline cancels only
-            // this shard.
-            CancellationToken shard_token(cancel);
-            std::optional<DeadlineWatchdog> watchdog;
-            if (options_.shard_deadline_ms > 0.0) {
-              watchdog.emplace(&shard_token, options_.shard_deadline_ms);
-            }
-            auto result = runner.RunShard(plan, &shard_token,
-                                     static_cast<uint64_t>(attempt));
-            const bool deadline_fired =
-                watchdog.has_value() && watchdog->fired();
-            if (watchdog.has_value()) watchdog->Disarm();
-            if (result.ok()) {
-              Status persisted = Status::OK();
-              if (checkpointing) {
-                persisted = WriteShardCheckpoint(
-                    options_.checkpoint_dir, *result, fingerprint,
-                    static_cast<uint64_t>(attempt));
-              }
-              if (persisted.ok()) {
-                results[slot] = std::move(*result);
-                done[slot] = 1;
-                Metrics().shards_run->Increment();
-                last = Status::OK();
-                break;
-              }
-              last = persisted;  // checkpoint write failures are retryable
-            } else {
-              last = result.status();
-            }
-            if (cancel != nullptr && cancel->cancelled()) {
-              // The whole run is being cancelled — don't burn retries.
-              return cancel->AsStatus();
-            }
-            if (deadline_fired) {
-              last = Status::DeadlineExceeded(
-                  StrFormat("fleet: shard %d exceeded its %.0f ms deadline",
-                            plan.shard_index, options_.shard_deadline_ms));
-            }
-          }
-          if (!last.ok()) {
-            if (!options_.quarantine) return last;  // fail-fast
-            obs::LogWarn("fleet", "quarantining shard",
-                         {obs::LogField::Int("shard", plan.shard_index),
-                          obs::LogField::Int("attempts",
-                                             options_.max_attempts),
-                          obs::LogField::Str("status", last.ToString())});
-            Metrics().shards_quarantined->Increment();
-            MutexLock lock(&quarantine_mu);
-            quarantined.push_back(QuarantinedShard{
-                plan.shard_index, last, options_.max_attempts});
-          }
+  std::vector<QuarantinedShard> outcomes(plans.size());
+  const auto run_shard = [&](size_t slot) {
+    const ShardPlan& plan = plans[slot];
+    QuarantinedShard& outcome = outcomes[slot];
+    outcome.shard_index = plan.shard_index;
+    for (int attempt = 1; attempt <= options_.max_attempts; ++attempt) {
+      outcome.attempts = attempt;
+      if (attempt > 1) {
+        Metrics().shard_retries->Increment();
+        if (options_.retry_backoff_ms > 0.0) {
+          // Cap the doubling exponent: --shard-attempts is unbounded and a
+          // shift past 63 would be UB (and the sleep absurd).
+          const double factor =
+              static_cast<double>(1ull << std::min(attempt - 2, 20));
+          std::this_thread::sleep_for(
+              std::chrono::duration<double, std::milli>(
+                  options_.retry_backoff_ms * factor));
         }
-        return Status::OK();
-      });
-  HOMETS_RETURN_IF_ERROR(run_status);
+      }
+      // The per-attempt deadline is checked inline at each gateway
+      // boundary; no thread watches the clock.
+      const auto deadline =
+          std::chrono::steady_clock::now() +
+          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+              std::chrono::duration<double, std::milli>(
+                  options_.shard_deadline_ms));
+      auto result = runner.RunShard(
+          plan, options_.shard_deadline_ms > 0.0 ? &deadline : nullptr,
+          static_cast<uint64_t>(attempt));
+      if (result.ok()) {
+        Status persisted = Status::OK();
+        if (checkpointing) {
+          persisted = WriteShardCheckpoint(options_.checkpoint_dir, *result,
+                                           fingerprint,
+                                           static_cast<uint64_t>(attempt));
+        }
+        if (persisted.ok()) {
+          results[slot] = std::move(*result);
+          done[slot] = 1;
+          Metrics().shards_run->Increment();
+          outcome.status = Status::OK();
+          break;
+        }
+        outcome.status = persisted;  // checkpoint write failures are retryable
+      } else if (result.status().code() == StatusCode::kDeadlineExceeded) {
+        outcome.status = Status::DeadlineExceeded(
+            StrFormat("fleet: shard %d exceeded its %.0f ms deadline",
+                      plan.shard_index, options_.shard_deadline_ms));
+      } else {
+        outcome.status = result.status();
+      }
+    }
+  };
+  ParallelFor(pending.size(), options_.threads, 1,
+              [&](size_t begin, size_t end, int) {
+                for (size_t p = begin; p < end; ++p) run_shard(pending[p]);
+              });
 
   // Phase 3: merge strictly by shard index — never completion order — so
   // the report is bit-identical across thread counts and resume patterns.
-  std::sort(quarantined.begin(), quarantined.end(),
-            [](const QuarantinedShard& a, const QuarantinedShard& b) {
-              return a.shard_index < b.shard_index;
-            });
-  report.quarantined = std::move(quarantined);
+  // Under fail-fast the lowest-index failure aborts the run.
+  for (const QuarantinedShard& outcome : outcomes) {
+    if (outcome.status.ok()) continue;
+    if (!options_.quarantine) return outcome.status;
+    obs::LogWarn("fleet", "quarantining shard",
+                 {obs::LogField::Int("shard", outcome.shard_index),
+                  obs::LogField::Int("attempts", outcome.attempts),
+                  obs::LogField::Str("status", outcome.status.ToString())});
+    Metrics().shards_quarantined->Increment();
+    report.quarantined.push_back(outcome);
+  }
   report.degraded = !report.quarantined.empty();
   for (size_t s = 0; s < plans.size(); ++s) {
     if (!done[s]) continue;

@@ -5,16 +5,15 @@
 #include <string>
 #include <vector>
 
-#include "common/cancellation.h"
 #include "common/status.h"
 #include "core/profiling.h"
 #include "fleet/shard.h"
 #include "io/dataset.h"
 
 // Fleet orchestration (DESIGN.md §15): plan shards, run them on the thread
-// pool with per-shard retry/deadline/cancellation, checkpoint completed
-// shards, quarantine poison shards, and merge everything into one
-// deterministic fleet report.
+// pool with per-shard retry and deadline, checkpoint completed shards,
+// quarantine poison shards, and merge everything into one deterministic
+// fleet report.
 namespace homets::fleet {
 
 /// \brief Knobs of a fleet run.
@@ -66,10 +65,7 @@ class FleetOrchestrator {
  public:
   FleetOrchestrator(std::vector<std::string> inputs, FleetOptions options);
 
-  /// `cancel` (may be nullptr) aborts the run; each in-flight shard watches
-  /// it through a child token, so a shard-level deadline never leaks into
-  /// its siblings.
-  Result<FleetReport> Analyze(CancellationToken* cancel = nullptr);
+  Result<FleetReport> Analyze();
 
  private:
   std::vector<std::string> inputs_;

@@ -138,9 +138,10 @@ ShardRunner::ShardRunner(const FleetInputs* inputs,
       options_(std::move(options)),
       profiling_(profiling) {}
 
-Result<ShardResult> ShardRunner::RunShard(const ShardPlan& plan,
-                                     const CancellationToken* cancel,
-                                     uint64_t attempt) const {
+Result<ShardResult> ShardRunner::RunShard(
+    const ShardPlan& plan,
+    const std::chrono::steady_clock::time_point* deadline,
+    uint64_t attempt) const {
   static obs::Counter* const gateways_analyzed =
       obs::MetricsRegistry::Global().GetCounter(obs::kFleetGatewaysAnalyzed);
   if (Failpoints::Global().armed()) {
@@ -162,8 +163,8 @@ Result<ShardResult> ShardRunner::RunShard(const ShardPlan& plan,
   // shards that actually read it.
   std::map<size_t, io::DatasetReader> readers;
   for (int g = plan.begin_gateway; g < plan.end_gateway; ++g) {
-    if (cancel != nullptr && cancel->cancelled()) {
-      return Status::Cancelled("fleet: shard cancelled");
+    if (deadline != nullptr && std::chrono::steady_clock::now() >= *deadline) {
+      return Status::DeadlineExceeded("fleet: shard deadline passed");
     }
     const GatewaySourceRef& ref = inputs_->gateways[static_cast<size_t>(g)];
     auto it = readers.find(ref.input_index);

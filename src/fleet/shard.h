@@ -1,11 +1,11 @@
 #ifndef HOMETS_FLEET_SHARD_H_
 #define HOMETS_FLEET_SHARD_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/cancellation.h"
 #include "common/status.h"
 #include "core/profiling.h"
 #include "io/dataset.h"
@@ -122,11 +122,14 @@ class ShardRunner {
   ShardRunner(const FleetInputs* inputs, io::DatasetOptions options,
               core::ProfilingOptions profiling = {});
 
-  /// Runs the shard; `cancel` (may be nullptr) is polled per gateway;
-  /// `attempt` is the 1-based retry attempt, forwarded to the failpoint.
-  Result<ShardResult> RunShard(const ShardPlan& plan,
-                          const CancellationToken* cancel,
-                          uint64_t attempt = 1) const;
+  /// Runs the shard. `deadline` (may be nullptr) is compared with the
+  /// steady clock before each gateway; once it has passed the run stops
+  /// with kDeadlineExceeded. `attempt` is the 1-based retry attempt,
+  /// forwarded to the failpoint.
+  Result<ShardResult> RunShard(
+      const ShardPlan& plan,
+      const std::chrono::steady_clock::time_point* deadline,
+      uint64_t attempt = 1) const;
 
  private:
   const FleetInputs* inputs_;

@@ -15,7 +15,7 @@
 #include "common/failpoint.h"
 #include "common/json.h"
 #include "common/status.h"
-#include "core/similarity_engine.h"
+#include "core/stationarity.h"
 #include "obs/log.h"
 #include "obs/report.h"
 #include "simgen/types.h"
@@ -40,54 +40,51 @@ class TelemetryChaosTest : public ::testing::Test {
   }
 };
 
-// An engine task failpoint aborts the pairwise run; the manifest written
-// afterwards must carry the partial stages and the injected Status verbatim.
+// With every engine block failed, Definition 2 has no evidence and the
+// stationarity check fails; the manifest written afterwards must carry the
+// failed stage and the Status verbatim.
 TEST_F(TelemetryChaosTest, EngineFaultLandsInManifestAsFailure) {
-  ASSERT_TRUE(
-      Failpoints::Global().Configure("engine.pair_block=fail*1").ok());
+  ASSERT_TRUE(Failpoints::Global().Configure("engine.pair_block=fail").ok());
 
   obs::RunManifestBuilder manifest;
   manifest.SetTool("telemetry_chaos");
-  manifest.SetFailpoints("engine.pair_block=fail*1", 0);
+  manifest.SetFailpoints("engine.pair_block=fail", 0);
 
   std::vector<ts::TimeSeries> windows;
-  for (int w = 0; w < 24; ++w) {
+  for (int w = 0; w < 12; ++w) {
     std::vector<double> values;
     for (int i = 0; i < 64; ++i) {
       values.push_back(static_cast<double>((w * 7 + i * 13) % 29));
     }
     windows.emplace_back(0, 1, values);
   }
-  core::SimilarityEngineOptions options;
-  options.threads = 2;
-  options.min_parallel_pairs = 1;
-  const core::SimilarityEngine engine(options);
   Status failed = Status::OK();
   {
-    obs::StageTimer stage("pairwise", &manifest);
-    const auto result =
-        engine.PairwiseChecked(core::SimilarityEngine::PrepareWindows(windows));
+    obs::StageTimer stage("stationarity", &manifest);
+    const auto result = core::CheckStrongStationarity(windows);
     ASSERT_FALSE(result.ok());
     failed = result.status();
-    manifest.MarkFailed("pairwise", failed);
+    manifest.MarkFailed("stationarity", failed);
   }
+  EXPECT_EQ(failed.code(), StatusCode::kComputeError);
   manifest.SetExitCode(10 + static_cast<int>(failed.code()));
 
-  const std::string path = testing::TempDir() + "/chaos_manifest_pool.json";
+  const std::string path = testing::TempDir() + "/chaos_manifest_engine.json";
   ASSERT_TRUE(manifest.WriteJson(path).ok());
   const JsonValue doc = ReadManifest(path);
   EXPECT_EQ(doc.StringOr("outcome", ""), "failure");
-  EXPECT_EQ(doc.StringOr("failed_stage", ""), "pairwise");
+  EXPECT_EQ(doc.StringOr("failed_stage", ""), "stationarity");
   const JsonValue* status = doc.Find("status");
   ASSERT_NE(status, nullptr);
-  EXPECT_NE(status->StringOr("message", "").find("failpoint"),
-            std::string::npos)
-      << status->StringOr("message", "");
+  EXPECT_EQ(status->StringOr("code", ""), "ComputeError");
+  EXPECT_EQ(status->StringOr("message", ""), failed.message());
+  EXPECT_EQ(status->StringOr("message", ""),
+            "CheckStrongStationarity: all window pairs failed");
   // The aborted stage still appears, with its wall time, in `stages`.
   const JsonValue* stages = doc.Find("stages");
   ASSERT_NE(stages, nullptr);
   ASSERT_EQ(stages->array_items().size(), 1u);
-  EXPECT_EQ(stages->array_items()[0].StringOr("stage", ""), "pairwise");
+  EXPECT_EQ(stages->array_items()[0].StringOr("stage", ""), "stationarity");
   std::remove(path.c_str());
 }
 

@@ -32,7 +32,7 @@ TEST_F(FailpointTest, ConfigureArmsAndResetDisarms) {
   EXPECT_TRUE(Failpoints::Global().armed());
   EXPECT_EQ(Failpoints::Global().Evaluate(kFailpointCsvOpen),
             FailpointAction::kError);
-  // Unknown sites never fire.
+  // Sites without a rule never fire.
   EXPECT_EQ(Failpoints::Global().Evaluate(kFailpointCsvRow),
             FailpointAction::kNone);
   Failpoints::Global().Reset();
@@ -48,12 +48,12 @@ TEST_F(FailpointTest, EmptySpecDisarms) {
 TEST_F(FailpointTest, InjectedErrorMapsActions) {
   ASSERT_TRUE(
       Failpoints::Global()
-          .Configure("io.csv.open=error;threadpool.task=fail")
+          .Configure("io.csv.open=error;engine.pair_block=fail")
           .ok());
   const Status io = Failpoints::Global().InjectedError(kFailpointCsvOpen);
   EXPECT_EQ(io.code(), StatusCode::kIoError);
   const Status task =
-      Failpoints::Global().InjectedError(kFailpointThreadPoolTask);
+      Failpoints::Global().InjectedError(kFailpointEnginePairBlock);
   EXPECT_EQ(task.code(), StatusCode::kComputeError);
 }
 
@@ -83,11 +83,11 @@ TEST_F(FailpointTest, StartModifierSkipsEarlyHits) {
 TEST_F(FailpointTest, ProbabilityIsDeterministicPerSeed) {
   const auto firing_pattern = [](uint64_t seed) {
     EXPECT_TRUE(Failpoints::Global()
-                    .Configure("threadpool.task=fail~0.5", seed)
+                    .Configure("engine.pair_block=fail~0.5", seed)
                     .ok());
     std::string pattern;
     for (int i = 0; i < 64; ++i) {
-      pattern += Failpoints::Global().Evaluate(kFailpointThreadPoolTask) ==
+      pattern += Failpoints::Global().Evaluate(kFailpointEnginePairBlock) ==
                          FailpointAction::kFail
                      ? 'F'
                      : '.';
@@ -108,7 +108,8 @@ TEST_F(FailpointTest, MalformedSpecsRejectedRegistryUnchanged) {
   ASSERT_TRUE(Failpoints::Global().Configure("io.csv.open=error").ok());
   for (const char* bad :
        {"io.csv.open", "io.csv.open=explode", "io.csv.open=error*x",
-        "io.csv.open=error~1.5", "=error", "io.csv.open=error@"}) {
+        "io.csv.open=error~1.5", "=error", "io.csv.open=error@",
+        "threadpool.task=fail"}) {
     EXPECT_EQ(Failpoints::Global().Configure(bad).code(),
               StatusCode::kInvalidArgument)
         << bad;

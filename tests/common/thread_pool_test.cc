@@ -3,15 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <mutex>
 #include <set>
-#include <thread>
 #include <vector>
 
-#include "common/cancellation.h"
-#include "common/failpoint.h"
-#include "common/status.h"
 
 namespace homets {
 namespace {
@@ -103,153 +98,6 @@ TEST(ParallelForTest, ZeroBlockSizeIsTreatedAsOne) {
     covered.fetch_add(end - begin, std::memory_order_relaxed);
   });
   EXPECT_EQ(covered.load(), 25u);
-}
-
-TEST(ParallelForStatusTest, AllOkCoversEveryIndexExactlyOnce) {
-  for (const int threads : {1, 2, 4}) {
-    std::vector<std::atomic<int>> hits(100);
-    for (auto& h : hits) h.store(0);
-    const Status st =
-        ParallelForStatus(100, threads, 8, nullptr,
-                          [&](size_t begin, size_t end, int) {
-                            for (size_t i = begin; i < end; ++i) {
-                              hits[i].fetch_add(1, std::memory_order_relaxed);
-                            }
-                            return Status::OK();
-                          });
-    ASSERT_TRUE(st.ok()) << st.ToString();
-    for (size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-    }
-  }
-}
-
-TEST(ParallelForStatusTest, LowestFailingBlockWinsAcrossThreadCounts) {
-  // Blocks 3 and 7 fail; whatever the scheduling, the error from block 3
-  // (the lowest index) must be returned, and every block must still run.
-  for (const int threads : {1, 2, 4, 8}) {
-    std::atomic<size_t> blocks_run{0};
-    const Status st = ParallelForStatus(
-        100, threads, 10, nullptr, [&](size_t begin, size_t, int) -> Status {
-          blocks_run.fetch_add(1, std::memory_order_relaxed);
-          const size_t block_index = begin / 10;
-          if (block_index == 3) return Status::ComputeError("block 3");
-          if (block_index == 7) return Status::IoError("block 7");
-          return Status::OK();
-        });
-    EXPECT_EQ(blocks_run.load(), 10u) << threads << " threads";
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.code(), StatusCode::kComputeError) << threads << " threads";
-    EXPECT_EQ(st.message(), "block 3") << threads << " threads";
-  }
-}
-
-TEST(ParallelForStatusTest, PreCancelledTokenRunsNothing) {
-  CancellationToken cancel;
-  cancel.Cancel();
-  std::atomic<size_t> blocks_run{0};
-  const Status st = ParallelForStatus(100, 4, 10, &cancel,
-                                      [&](size_t, size_t, int) {
-                                        blocks_run.fetch_add(1);
-                                        return Status::OK();
-                                      });
-  EXPECT_EQ(st.code(), StatusCode::kCancelled);
-  EXPECT_EQ(blocks_run.load(), 0u);
-}
-
-TEST(ParallelForStatusTest, CancelMidLoopStopsHandingOutBlocks) {
-  CancellationToken cancel;
-  std::atomic<size_t> blocks_run{0};
-  const Status st = ParallelForStatus(
-      1000, 2, 1, &cancel, [&](size_t begin, size_t, int) {
-        if (begin == 5) cancel.Cancel();
-        blocks_run.fetch_add(1, std::memory_order_relaxed);
-        return Status::OK();
-      });
-  EXPECT_EQ(st.code(), StatusCode::kCancelled);
-  // Some blocks ran before the flag flipped, but nowhere near all 1000.
-  EXPECT_GT(blocks_run.load(), 0u);
-  EXPECT_LT(blocks_run.load(), 1000u);
-}
-
-TEST(ParallelForStatusTest, BlockErrorBeatsCancellation) {
-  // A real failure observed before cancellation must not be masked by the
-  // kCancelled that follows it.
-  CancellationToken cancel;
-  const Status st = ParallelForStatus(
-      100, 1, 10, &cancel, [&](size_t begin, size_t, int) -> Status {
-        if (begin == 20) {
-          cancel.Cancel();
-          return Status::IoError("failed then cancelled");
-        }
-        return Status::OK();
-      });
-  EXPECT_EQ(st.code(), StatusCode::kIoError);
-}
-
-TEST(ParallelForStatusTest, EmptyRangeIsOk) {
-  const Status st = ParallelForStatus(
-      0, 4, 8, nullptr,
-      [&](size_t, size_t, int) { return Status::ComputeError("never"); });
-  EXPECT_TRUE(st.ok());
-}
-
-TEST(ParallelForStatusTest, TaskFailpointInjectsComputeError) {
-  Failpoints::Global().Reset();
-  ASSERT_TRUE(Failpoints::Global().Configure("threadpool.task=fail*1").ok());
-  std::atomic<size_t> blocks_run{0};
-  const Status st = ParallelForStatus(40, 1, 10, nullptr,
-                                      [&](size_t, size_t, int) {
-                                        blocks_run.fetch_add(1);
-                                        return Status::OK();
-                                      });
-  Failpoints::Global().Reset();
-  EXPECT_EQ(st.code(), StatusCode::kComputeError);
-  // The injected failure replaces the first block's body; the rest run.
-  EXPECT_EQ(blocks_run.load(), 3u);
-}
-
-TEST(CancellationTokenTest, StickyUntilReset) {
-  CancellationToken token;
-  EXPECT_FALSE(token.cancelled());
-  EXPECT_TRUE(token.AsStatus().ok());
-  token.Cancel();
-  EXPECT_TRUE(token.cancelled());
-  EXPECT_EQ(token.AsStatus().code(), StatusCode::kCancelled);
-  token.Cancel();  // idempotent
-  EXPECT_TRUE(token.cancelled());
-  token.Reset();
-  EXPECT_FALSE(token.cancelled());
-  EXPECT_TRUE(token.AsStatus().ok());
-}
-
-TEST(DeadlineWatchdogTest, FiresAfterDeadline) {
-  CancellationToken token;
-  DeadlineWatchdog watchdog(&token, 5.0);
-  // Poll rather than sleep a fixed time: CI machines stall arbitrarily.
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!token.cancelled() && std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(token.cancelled());
-  EXPECT_TRUE(watchdog.fired());
-}
-
-TEST(DeadlineWatchdogTest, DisarmBeforeDeadlineLeavesTokenAlone) {
-  CancellationToken token;
-  {
-    DeadlineWatchdog watchdog(&token, 60'000.0);
-    watchdog.Disarm();
-    EXPECT_FALSE(watchdog.fired());
-  }
-  EXPECT_FALSE(token.cancelled());
-}
-
-TEST(DeadlineWatchdogTest, DestructionDisarms) {
-  CancellationToken token;
-  { DeadlineWatchdog watchdog(&token, 60'000.0); }
-  EXPECT_FALSE(token.cancelled());
 }
 
 }  // namespace

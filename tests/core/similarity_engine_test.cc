@@ -7,10 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "common/cancellation.h"
 #include "common/failpoint.h"
 #include "common/random.h"
-#include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/similarity.h"
 #include "obs/trace.h"
@@ -145,59 +143,27 @@ TEST(SimilarityEngineTest, CondensedDistancesMatchCorrelationDistance) {
 }
 
 TEST(SimilarityEngineCheckedTest, MatchesPairwiseBitwiseWithNoFaults) {
+  // Armed on another site: every block evaluates the failpoint and the
+  // validity mask is allocated, yet no cell may change.
   Failpoints::Global().Reset();
   const auto windows = RandomWindows(48, 56, 12);
   const auto prepared = SimilarityEngine::PrepareVectors(windows);
   const SimilarityMatrix reference = SimilarityEngine().Pairwise(prepared);
+  ASSERT_TRUE(Failpoints::Global().Configure("io.csv.open=error").ok());
   for (const int threads : {1, 4}) {
     SimilarityEngineOptions options;
     options.threads = threads;
-    const Result<SimilarityMatrix> checked =
-        SimilarityEngine(options).PairwiseChecked(prepared);
-    ASSERT_TRUE(checked.ok()) << checked.status().ToString();
-    EXPECT_TRUE(checked->complete());
-    ASSERT_EQ(checked->cells().size(), reference.cells().size());
+    const SimilarityMatrix checked =
+        SimilarityEngine(options).Pairwise(prepared);
+    EXPECT_TRUE(checked.complete());
+    ASSERT_EQ(checked.cells().size(), reference.cells().size());
     for (size_t k = 0; k < reference.cells().size(); ++k) {
       EXPECT_TRUE(
-          SameBits(checked->cells()[k].value, reference.cells()[k].value))
+          SameBits(checked.cells()[k].value, reference.cells()[k].value))
           << "pair " << k << " at " << threads << " threads";
     }
   }
-}
-
-TEST(SimilarityEngineCheckedTest, PreCancelledTokenReturnsCancelled) {
-  const auto prepared =
-      SimilarityEngine::PrepareVectors(RandomWindows(10, 21, 13));
-  CancellationToken cancel;
-  cancel.Cancel();
-  SimilarityEngineOptions options;
-  options.cancel = &cancel;
-  const Result<SimilarityMatrix> checked =
-      SimilarityEngine(options).PairwiseChecked(prepared);
-  EXPECT_EQ(checked.status().code(), StatusCode::kCancelled);
-}
-
-TEST(SimilarityEngineCheckedTest, ExpiredDeadlineReturnsDeadlineExceeded) {
-  const auto prepared =
-      SimilarityEngine::PrepareVectors(RandomWindows(10, 21, 14));
-  SimilarityEngineOptions options;
-  options.deadline_ms = 1e-9;  // expired before the first block is checked
-  const Result<SimilarityMatrix> checked =
-      SimilarityEngine(options).PairwiseChecked(prepared);
-  EXPECT_EQ(checked.status().code(), StatusCode::kDeadlineExceeded);
-}
-
-TEST(SimilarityEngineCheckedTest, InjectedBlockFailureIsAnErrorByDefault) {
   Failpoints::Global().Reset();
-  ASSERT_TRUE(Failpoints::Global().Configure("engine.pair_block=fail*1").ok());
-  // 20 windows -> 190 pairs < min_parallel_pairs, so this runs single
-  // threaded and the failing block is deterministically block 0.
-  const auto prepared =
-      SimilarityEngine::PrepareVectors(RandomWindows(20, 21, 15));
-  const Result<SimilarityMatrix> checked =
-      SimilarityEngine().PairwiseChecked(prepared);
-  Failpoints::Global().Reset();
-  EXPECT_EQ(checked.status().code(), StatusCode::kComputeError);
 }
 
 TEST(SimilarityEngineCheckedTest, DegradeModeMasksFailedBlockAndContinues) {
@@ -205,30 +171,26 @@ TEST(SimilarityEngineCheckedTest, DegradeModeMasksFailedBlockAndContinues) {
   ASSERT_TRUE(Failpoints::Global().Configure("engine.pair_block=fail*1").ok());
   const auto windows = RandomWindows(20, 21, 15);
   const auto prepared = SimilarityEngine::PrepareVectors(windows);
-  SimilarityEngineOptions options;
-  options.degrade_on_failure = true;
-  const Result<SimilarityMatrix> checked =
-      SimilarityEngine(options).PairwiseChecked(prepared);
+  const SimilarityMatrix checked = SimilarityEngine().Pairwise(prepared);
   Failpoints::Global().Reset();
-  ASSERT_TRUE(checked.ok()) << checked.status().ToString();
   // Single-threaded (190 pairs), so exactly the first 64-pair block is lost.
-  EXPECT_FALSE(checked->complete());
-  EXPECT_EQ(checked->invalid_count(), 64u);
+  EXPECT_FALSE(checked.complete());
+  EXPECT_EQ(checked.invalid_count(), 64u);
   const SimilarityMatrix reference = SimilarityEngine().Pairwise(prepared);
-  const std::vector<double> distances = checked->CondensedDistances();
-  for (size_t k = 0; k < checked->pair_count(); ++k) {
+  const std::vector<double> distances = checked.CondensedDistances();
+  for (size_t k = 0; k < checked.pair_count(); ++k) {
     if (k < 64) {
-      EXPECT_FALSE(checked->IsValidIndex(k));
+      EXPECT_FALSE(checked.IsValidIndex(k));
       EXPECT_DOUBLE_EQ(distances[k], 1.0);  // invalid -> maximum distance
     } else {
-      EXPECT_TRUE(checked->IsValidIndex(k));
+      EXPECT_TRUE(checked.IsValidIndex(k));
       EXPECT_TRUE(
-          SameBits(checked->cells()[k].value, reference.cells()[k].value));
+          SameBits(checked.cells()[k].value, reference.cells()[k].value));
     }
   }
   const auto [i, j] = SimilarityMatrix::PairAt(prepared.size(), 0);
-  EXPECT_FALSE(checked->IsValid(i, j));
-  EXPECT_TRUE(checked->IsValid(i, i));  // diagonal is always valid
+  EXPECT_FALSE(checked.IsValid(i, j));
+  EXPECT_TRUE(checked.IsValid(i, i));  // diagonal is always valid
 }
 
 TEST(SimilarityEngineTest, RecordsPhaseSpans) {

@@ -399,6 +399,52 @@ TEST(FleetOrchestratorTest, ResumeLoadsCheckpointsWithoutRecomputation) {
   std::remove(path.c_str());
 }
 
+// 6 gateways in 3 shards: every shard polls its deadline again after a
+// whole gateway's work (milliseconds), so a 1 us budget always expires.
+TEST(FleetOrchestratorTest, ExpiredShardDeadlineQuarantinesEveryShard) {
+  const std::string dir = MakeTestDir("deadline_expired");
+  const std::string path = WriteSmallFleet(dir);
+  fleet::FleetOptions options;
+  options.n_shards = 3;
+  options.max_attempts = 1;
+  options.shard_deadline_ms = 0.001;
+  fleet::FleetOrchestrator orchestrator({path}, options);
+  const auto report = orchestrator.Analyze();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->degraded);
+  EXPECT_TRUE(report->gateways.empty());
+  ASSERT_EQ(report->quarantined.size(), 3u);
+  for (int s = 0; s < 3; ++s) {
+    const fleet::QuarantinedShard& q =
+        report->quarantined[static_cast<size_t>(s)];
+    EXPECT_EQ(q.shard_index, s);
+    EXPECT_EQ(q.attempts, 1);
+    EXPECT_EQ(q.status.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(q.status.message(),
+              StrFormat("fleet: shard %d exceeded its 0 ms deadline", s));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FleetOrchestratorTest, GenerousShardDeadlineLeavesTheReportUnchanged) {
+  const std::string dir = MakeTestDir("deadline_generous");
+  const std::string path = WriteSmallFleet(dir);
+  fleet::FleetOptions options;
+  options.n_shards = 3;
+  options.max_attempts = 1;
+  fleet::FleetOrchestrator plain({path}, options);
+  const auto baseline = plain.Analyze();
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  options.shard_deadline_ms = 60000.0;
+  fleet::FleetOrchestrator bounded({path}, options);
+  const auto report = bounded.Analyze();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report->degraded);
+  EXPECT_EQ(fleet::FormatFleetReport(*report),
+            fleet::FormatFleetReport(*baseline));
+  std::remove(path.c_str());
+}
+
 TEST(FleetOrchestratorTest, EnumerateRejectsMissingAndEmptyInputs) {
   io::DatasetOptions options;
   EXPECT_EQ(fleet::EnumerateFleetInputs({}, options).status().code(),

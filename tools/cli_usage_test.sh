@@ -1,7 +1,7 @@
 #!/bin/sh
 # End-to-end CLI contract test, registered as the `cli_usage` ctest.
-#   1. Strict flags: unknown --flags and a dangling --flag exit 2 with a
-#      diagnostic, never run the command.
+#   1. Strict flags: unknown --flags, a dangling --flag and an unknown
+#      failpoint site exit 2 with a diagnostic, never run the command.
 #   2. Observability: a generate + motifs run with --trace-out/--metrics-out
 #      writes a Chrome trace and a metrics JSON whose per-stage counters
 #      (pairs computed, KS rejections, values zeroed) are nonzero.
@@ -44,6 +44,14 @@ check "dangling flag is diagnosed" grep -q 'flag --seed expects a value' "$workd
 rc=0
 "$cli" frobnicate >"$workdir/out" 2>"$workdir/err" || rc=$?
 check "unknown command exits 2" test "$rc" -eq 2
+
+# A failpoint site outside the catalogue would arm nothing; it is refused.
+rc=0
+"$cli" motifs --failpoints 'threadpool.task=fail' "$workdir/none.csv" \
+    >"$workdir/out" 2>"$workdir/err" || rc=$?
+check "unknown failpoint site exits 2" test "$rc" -eq 2
+check "unknown failpoint site is diagnosed" \
+    grep -q "unknown site 'threadpool.task'" "$workdir/err"
 
 # --- observability outputs ------------------------------------------------
 "$cli" generate --out "$workdir" --gateways 3 --weeks 3 --seed 7 \
