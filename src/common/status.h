@@ -36,8 +36,10 @@ std::string_view StatusCodeToString(StatusCode code);
 ///
 /// The library does not throw exceptions across public API boundaries; every
 /// fallible function returns `Status` or `Result<T>`. `Status` is cheap to
-/// copy in the OK case (no message allocation).
-class Status {
+/// copy in the OK case (no message allocation). `[[nodiscard]]` makes a
+/// dropped `Status` a warning, which the top-level build turns into an
+/// error (`-Werror=unused-result`); discard one on purpose with `(void)`.
+class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.
   Status() : code_(StatusCode::kOk) {}
@@ -101,9 +103,10 @@ class Status {
 ///
 /// A lightweight `std::expected` stand-in (the toolchain targets C++20).
 /// Accessing the value of an errored result aborts, so callers must check
-/// `ok()` first; `ValueOr` provides a non-aborting accessor.
+/// `ok()` first; `ValueOr` provides a non-aborting accessor. Like `Status`,
+/// a dropped `Result` does not compile in the top-level build.
 template <typename T>
-class Result {
+class [[nodiscard]] Result {
  public:
   /// Implicit construction from a value: enables `return value;` in functions
   /// returning `Result<T>`.
@@ -150,9 +153,6 @@ class Result {
     ::homets::Status _st = (expr);              \
     if (!_st.ok()) return _st;                  \
   } while (false)
-
-/// Older spelling of HOMETS_RETURN_IF_ERROR, kept for source compatibility.
-#define HOMETS_RETURN_NOT_OK(expr) HOMETS_RETURN_IF_ERROR(expr)
 
 /// Assigns the value of a `Result<T>` expression to `lhs`, or propagates its
 /// error status.

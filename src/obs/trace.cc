@@ -107,9 +107,7 @@ ScopedSpan::~ScopedSpan() {
   event.tid = CurrentThreadTraceId();
   event.depth = depth_;
   event.span_id = id_;
-  // TraceSession::Add returns void; the name collides with the
-  // Result-returning TimeSeries::Add in the linter's tree-wide match.
-  session_->Add(std::move(event));  // homets-lint: allow(discarded-status)
+  session_->Add(std::move(event));
 }
 
 }  // namespace homets::obs

@@ -109,8 +109,7 @@ Status FailWhenNegative(int x) {
 
 Status Check(int a, int b) {
   HOMETS_RETURN_IF_ERROR(FailWhenNegative(a));
-  // The historical spelling stays a strict alias of HOMETS_RETURN_IF_ERROR.
-  HOMETS_RETURN_NOT_OK(FailWhenNegative(b));
+  HOMETS_RETURN_IF_ERROR(FailWhenNegative(b));
   return Status::OK();
 }
 

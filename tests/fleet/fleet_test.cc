@@ -399,22 +399,25 @@ TEST(FleetOrchestratorTest, ResumeLoadsCheckpointsWithoutRecomputation) {
   std::remove(path.c_str());
 }
 
-// 6 gateways in 3 shards: every shard polls its deadline again after a
-// whole gateway's work (milliseconds), so a 1 us budget always expires.
+// At least 2 gateways per shard: every shard polls its deadline again after
+// a whole gateway's work (milliseconds), so a 1 us budget always expires. A
+// one-gateway shard polls only once, before any work, and that poll can
+// land inside the 1 us.
 TEST(FleetOrchestratorTest, ExpiredShardDeadlineQuarantinesEveryShard) {
   const std::string dir = MakeTestDir("deadline_expired");
   const std::string path = WriteSmallFleet(dir);
   fleet::FleetOptions options;
-  options.n_shards = 3;
+  options.n_shards = 2;
   options.max_attempts = 1;
   options.shard_deadline_ms = 0.001;
   fleet::FleetOrchestrator orchestrator({path}, options);
   const auto report = orchestrator.Analyze();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_GE(report->n_gateways, 2 * options.n_shards);
   EXPECT_TRUE(report->degraded);
   EXPECT_TRUE(report->gateways.empty());
-  ASSERT_EQ(report->quarantined.size(), 3u);
-  for (int s = 0; s < 3; ++s) {
+  ASSERT_EQ(report->quarantined.size(), 2u);
+  for (int s = 0; s < 2; ++s) {
     const fleet::QuarantinedShard& q =
         report->quarantined[static_cast<size_t>(s)];
     EXPECT_EQ(q.shard_index, s);

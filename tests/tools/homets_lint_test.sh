@@ -122,17 +122,6 @@ check "metrics: 1 metric-dead-constant hit" \
     test "$(hits metric-dead-constant)" -eq 1
 check "metrics: dead constant named" grep -q kFixtureDead "$workdir/out"
 
-# --- discarded-status -----------------------------------------------------
-run_case discarded_status
-check "discarded_status exits 1" test "$rc" -eq 1
-check "discarded_status: 3 hits" test "$(hits discarded-status)" -eq 3
-check "discarded_status flags the member call" \
-    grep -q "bad.cc:8: discarded-status: result of 'Flush'" "$workdir/out"
-check "discarded_status: assigned and inspected calls are fine" \
-    sh -c "! grep -qE 'bad.cc:(10|12):' '$workdir/out'"
-check "discarded_status: suppressed variant is silent" \
-    sh -c "! grep -q suppressed.cc '$workdir/out'"
-
 # --- clock-discipline -----------------------------------------------------
 run_case clock_discipline
 check "clock_discipline exits 1" test "$rc" -eq 1
@@ -171,7 +160,19 @@ rc=0
 check "unknown rule id exits 2" test "$rc" -eq 2
 
 check "--list-rules names every rule" \
-    test "$("$lint" --list-rules | wc -l)" -eq 21
+    test "$("$lint" --list-rules | wc -l)" -eq 20
+
+# Flags removed with the baseline ratchet, the JSON report and --timing are
+# unknown flags now; --format json is an unknown format.
+for removed in "--baseline $workdir/bl.json" "--baseline-check $workdir/bl.json" \
+    "--timing" "--config $workdir/c.json" "--layers $workdir/l.json" \
+    "--format json"; do
+    rc=0
+    # shellcheck disable=SC2086  # split "--flag value" into two words
+    "$lint" --root "$fixtures/clean" $removed \
+        >"$workdir/out" 2>"$workdir/err" || rc=$?
+    check "removed '$removed' exits 2" test "$rc" -eq 2
+done
 
 # --- comment-only suppressions reach past blank lines ---------------------
 run_case suppression_gap

@@ -101,8 +101,9 @@ FileViews BuildViews(const std::string& text) {
     const char c = text[i];
     const char next = i + 1 < text.size() ? text[i + 1] : '\0';
     if (c == '\n') {
-      // Strings and char literals do not survive a newline in this lexer;
-      // multi-line raw strings would, but the tree has none.
+      // Strings and char literals do not survive a newline in this lexer,
+      // so the continuation lines of a multi-line raw string lex as code
+      // (tests/common/json_test.cc has one, holding JSON no rule matches).
       in_string = in_char = false;
       flush_line();
       continue;

@@ -10,8 +10,8 @@
 //                                        unused and transitive includes
 //   determinism pass  (determinism_pass.h) — unordered-container iteration
 //
-// Every pass appends to one shared violation list; the driver then applies
-// the optional baseline (baseline.h) and renders the result (report.h).
+// Every pass appends to one shared violation list; the driver prints it
+// one line per violation, or renders the layer graph instead (report.h).
 // Scanning stays lexical, not semantic: each file is split into a `code`
 // view (comments blanked) and a `pure` view (comments and string/char
 // literals blanked), and each rule matches the view that cannot be fooled
@@ -67,7 +67,8 @@ bool IsSuppressed(const FileViews& views, size_t line, const std::string& rule);
 
 /// Lexes `text` into the two views and collects suppressions. Handles //,
 /// /*…*/, "…", '…' and the common escape sequences; raw string literals are
-/// treated as plain strings (good enough for this tree, which has none).
+/// treated as plain strings, so the continuation lines of a multi-line one
+/// lex as code.
 ///
 /// Suppression placement: an allow(rule-id) comment with the homets-lint
 /// tag on a code line covers that line; alone on a line it covers the next

@@ -13,6 +13,9 @@
 //                       transitive includes
 //   determinism pass  — iteration over unordered containers
 //
+// A dropped Status or Result<T> is the compiler's to catch, not a rule
+// here: both are [[nodiscard]] and the build adds -Werror=unused-result.
+//
 // Violations print `<file>:<line>: <rule-id>: <message>` and the process
 // exits 1 (0 clean, 2 usage/config error). A site can opt out of one rule
 // for one line with the suppression comment
@@ -21,21 +24,18 @@
 // that the registry does not know are themselves flagged (bad-suppression).
 //
 // Usage:
-//   homets_lint [--root DIR] [--config FILE] [--rules id,...] [--list-rules]
-//               [--layers FILE] [--format text|json|dot]
-//               [--baseline FILE | --baseline-check FILE] [--timing]
+//   homets_lint [--root DIR] [--rules id,...] [--list-rules]
+//               [--format text|dot]
 //
 // --root defaults to the current directory; the walker visits src/ bench/
-// tools/ tests/ and skips build*/ and lint_fixtures/ directories. --config
-// points at a JSON file (default <root>/tools/homets_lint.json when
-// present) whose "allow_paths" object maps rule ids to exempt path
-// substrings. --layers overrides the layer contract (default
-// <root>/tools/lint/layers.json when present; without one the layer-dag
-// rule is skipped). --baseline freezes the current violations to FILE;
-// --baseline-check gates only on violations beyond FILE's budget.
+// tools/ tests/ and skips build*/ and lint_fixtures/ directories. The
+// per-rule path exemptions come from <root>/tools/homets_lint.json (its
+// "allow_paths" object maps rule ids to exempt path substrings) and the
+// layer contract from <root>/tools/lint/layers.json; without the latter
+// the layer-dag rule is skipped. --format dot prints the observed layer
+// graph instead of violations.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "arch_pass.h"
-#include "baseline.h"
 #include "config.h"
 #include "determinism_pass.h"
 #include "hygiene_pass.h"
@@ -102,27 +101,17 @@ std::vector<fs::path> CollectFiles(const fs::path& root) {
 
 int Usage(FILE* out) {
   std::fputs(
-      "usage: homets_lint [--root DIR] [--config FILE] [--rules id,...]\n"
-      "                   [--list-rules] [--layers FILE]\n"
-      "                   [--format text|json|dot]\n"
-      "                   [--baseline FILE | --baseline-check FILE]"
-      " [--timing]\n"
+      "usage: homets_lint [--root DIR] [--rules id,...] [--list-rules]\n"
+      "                   [--format text|dot]\n"
       "Scans DIR/{src,bench,tools,tests} for project-invariant violations\n"
       "and prints 'file:line: rule-id: message' per hit; exits 1 when any\n"
       "are found, 2 on usage/config errors. Suppress one line with\n"
       // The literal is split so the scanner never reads this usage text as
       // a suppression naming the placeholder id.
-      "'// homets-lint: all" "ow(<rule-id>)'. --baseline FILE freezes the\n"
-      "current violations; --baseline-check FILE fails only on violations\n"
-      "beyond that budget. --format dot prints the observed layer graph.\n",
+      "'// homets-lint: all" "ow(<rule-id>)'. --format dot prints the\n"
+      "observed layer graph.\n",
       out);
   return 2;
-}
-
-/// Milliseconds between two steady_clock points, for --timing.
-double MsBetween(std::chrono::steady_clock::time_point a,
-                 std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
 int Run(int argc, char** argv) {
@@ -140,10 +129,7 @@ int Run(int argc, char** argv) {
     return 0;
   }
   const Result<ParsedArgs> parsed =
-      ParseFlags(args,
-                 {"root", "config", "rules", "layers", "format", "baseline",
-                  "baseline-check", "timing"},
-                 {"timing"});
+      ParseFlags(args, {"root", "rules", "format"});
   if (!parsed.ok()) {
     std::fprintf(stderr, "homets_lint: %s\n",
                  parsed.status().message().c_str());
@@ -164,15 +150,9 @@ int Run(int argc, char** argv) {
   }
 
   const std::string format = parsed->GetString("format", "text");
-  if (format != "text" && format != "json" && format != "dot") {
+  if (format != "text" && format != "dot") {
     std::fprintf(stderr, "homets_lint: unknown --format '%s'\n",
                  format.c_str());
-    return Usage(stderr);
-  }
-  if (parsed->Has("baseline") && parsed->Has("baseline-check")) {
-    std::fprintf(stderr,
-                 "homets_lint: --baseline and --baseline-check are "
-                 "mutually exclusive\n");
     return Usage(stderr);
   }
 
@@ -192,13 +172,9 @@ int Run(int argc, char** argv) {
   }
 
   LintConfig config;
-  std::string config_path = parsed->GetString("config");
-  if (config_path.empty()) {
-    const fs::path implicit = root / "tools" / "homets_lint.json";
-    if (fs::is_regular_file(implicit, ec)) config_path = implicit.string();
-  }
-  if (!config_path.empty()) {
-    Result<LintConfig> loaded = LoadConfig(config_path);
+  const fs::path config_path = root / "tools" / "homets_lint.json";
+  if (fs::is_regular_file(config_path, ec)) {
+    Result<LintConfig> loaded = LoadConfig(config_path.string());
     if (!loaded.ok()) {
       std::fprintf(stderr, "homets_lint: %s\n",
                    loaded.status().ToString().c_str());
@@ -209,13 +185,9 @@ int Run(int argc, char** argv) {
 
   LayerGraph layer_graph;
   bool have_layers = false;
-  std::string layers_path = parsed->GetString("layers");
-  if (layers_path.empty()) {
-    const fs::path implicit = root / "tools" / "lint" / "layers.json";
-    if (fs::is_regular_file(implicit, ec)) layers_path = implicit.string();
-  }
-  if (!layers_path.empty()) {
-    Result<LayerGraph> loaded = LoadLayers(layers_path);
+  const fs::path layers_path = root / "tools" / "lint" / "layers.json";
+  if (fs::is_regular_file(layers_path, ec)) {
+    Result<LayerGraph> loaded = LoadLayers(layers_path.string());
     if (!loaded.ok()) {
       std::fprintf(stderr, "homets_lint: %s\n",
                    loaded.status().ToString().c_str());
@@ -226,7 +198,6 @@ int Run(int argc, char** argv) {
   }
 
   // Lex every file once; all passes share the views.
-  const auto t_start = std::chrono::steady_clock::now();
   std::vector<SourceFile> files;
   for (const fs::path& path : CollectFiles(root)) {
     std::ifstream in(path, std::ios::binary);
@@ -245,23 +216,19 @@ int Run(int argc, char** argv) {
     files.push_back(std::move(file));
   }
   const IncludeGraph graph = IncludeGraph::Build(files);
-  const auto t_lex = std::chrono::steady_clock::now();
 
   // Text pass first: its violation order (per-file, then the cross-file
   // Finish batch) is the frozen report prefix.
   TextPass text_pass(&config, &enabled);
   for (const SourceFile& file : files) text_pass.ScanFile(file);
-  text_pass.Finish();  // homets-lint: allow(discarded-status) — returns void
+  text_pass.Finish();
   std::vector<Violation> violations = text_pass.violations();
-  const auto t_text = std::chrono::steady_clock::now();
 
   // The graph-based passes append in (file, line, rule) order.
   std::vector<Violation> extra;
   RunArchPass(files, graph, have_layers ? &layer_graph : nullptr, config,
               enabled, &extra);
-  const auto t_arch = std::chrono::steady_clock::now();
   RunHygienePass(files, graph, config, enabled, &extra);
-  const auto t_hygiene = std::chrono::steady_clock::now();
   RunDeterminismPass(files, config, enabled, &extra);
   // Driver-level rule: every suppression must name a rule the registry
   // knows, or a typo silently suppresses nothing.
@@ -285,57 +252,12 @@ int Run(int argc, char** argv) {
                      return a.rule < b.rule;
                    });
   violations.insert(violations.end(), extra.begin(), extra.end());
-  const auto t_end = std::chrono::steady_clock::now();
-
-  if (parsed->GetString("timing") == "1") {
-    std::fprintf(stderr,
-                 "homets_lint: pass timings: lex %.1fms, text %.1fms, "
-                 "arch %.1fms, hygiene %.1fms, determinism %.1fms\n",
-                 MsBetween(t_start, t_lex), MsBetween(t_lex, t_text),
-                 MsBetween(t_text, t_arch), MsBetween(t_arch, t_hygiene),
-                 MsBetween(t_hygiene, t_end));
-  }
 
   if (format == "dot") {
     const std::string dot =
         RenderDot(graph, have_layers ? &layer_graph : nullptr);
     std::fwrite(dot.data(), 1, dot.size(), stdout);
     return 0;
-  }
-
-  if (parsed->Has("baseline")) {
-    const std::string out_path = parsed->GetString("baseline");
-    std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "homets_lint: cannot write %s\n",
-                   out_path.c_str());
-      return 2;
-    }
-    out << RenderBaseline(violations);
-    std::fprintf(stdout, "baseline: froze %zu violation(s) to %s\n",
-                 violations.size(), out_path.c_str());
-    return 0;
-  }
-
-  if (parsed->Has("baseline-check")) {
-    const Result<Baseline> baseline =
-        LoadBaseline(parsed->GetString("baseline-check"));
-    if (!baseline.ok()) {
-      std::fprintf(stderr, "homets_lint: %s\n",
-                   baseline.status().ToString().c_str());
-      return 2;
-    }
-    violations = SubtractBaseline(violations, *baseline);
-  }
-
-  if (format == "json") {
-    const std::string json =
-        RenderJson(violations, files.size(), text_pass.metric_names());
-    std::fwrite(json.data(), 1, json.size(), stdout);
-    if (violations.empty()) return 0;
-    std::fprintf(stderr, "homets_lint: %zu violation(s) in %zu file(s)\n",
-                 violations.size(), files.size());
-    return 1;
   }
 
   for (const Violation& v : violations) {

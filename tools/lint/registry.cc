@@ -6,13 +6,13 @@ namespace homets::lint {
 
 const std::vector<std::string>& AllRules() {
   static const std::vector<std::string> rules = {
-      // Text pass (PR 4/5/7/8; ids frozen).
+      // Text pass (ids frozen).
       "no-raw-random",    "float-equality",       "no-stdout-in-lib",
       "no-raw-stderr-in-lib",
       "no-cc-include",    "csv-include",          "unsafe-call",
       "metric-name-format",    "metric-name-duplicate",
       "metric-raw-literal",    "metric-dead-constant",
-      "discarded-status",      "clock-discipline",
+      "clock-discipline",
       // Hygiene pass.
       "self-include-first",    "include-guard",
       "unused-include",        "transitive-include",

@@ -11,10 +11,10 @@
 
 namespace homets::lint {
 
-/// Every rule id, in `--list-rules` order: the 13 original text-pass rules
-/// first (their ids and relative order are frozen — scripts depend on
-/// them), then the architecture/hygiene/determinism rules added with the
-/// multi-pass framework.
+/// Every rule id, in `--list-rules` order: the 12 text-pass rules first
+/// (their ids and relative order are frozen — scripts depend on them), then
+/// the architecture/hygiene/determinism rules added with the multi-pass
+/// framework.
 const std::vector<std::string>& AllRules();
 
 bool IsKnownRule(const std::string& rule);

@@ -3,37 +3,7 @@
 #include <map>
 #include <set>
 
-#include "obs/json_encoder.h"
-
 namespace homets::lint {
-
-std::string RenderText(const std::vector<Violation>& violations) {
-  std::string out;
-  for (const Violation& v : violations) {
-    out += v.file + ":" + std::to_string(v.line) + ": " + v.rule + ": " +
-           v.message + "\n";
-  }
-  return out;
-}
-
-std::string RenderJson(const std::vector<Violation>& violations,
-                       size_t files_scanned, size_t metric_names) {
-  obs::JsonEncoder out;
-  out.BeginObject().Member("schema_version", 1).Key("violations").BeginArray();
-  for (const Violation& v : violations) {
-    out.BeginObject()
-        .Member("file", v.file)
-        .Member("line", v.line)
-        .Member("rule", v.rule)
-        .Member("message", v.message)
-        .EndObject();
-  }
-  out.EndArray()
-      .Member("files_scanned", files_scanned)
-      .Member("metric_names", metric_names)
-      .EndObject();
-  return out.str();
-}
 
 std::string RenderDot(const IncludeGraph& graph, const LayerGraph* layers) {
   std::set<std::string> nodes;

@@ -1,28 +1,16 @@
-// Output rendering for the lint driver: the frozen text format, a
-// machine-readable JSON report, and a Graphviz view of the observed layer
+// Output rendering for the lint driver beyond the one-line-per-violation
+// text the driver prints itself: a Graphviz view of the observed layer
 // graph (--format dot).
 
 #ifndef HOMETS_TOOLS_LINT_REPORT_H_
 #define HOMETS_TOOLS_LINT_REPORT_H_
 
-#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "config.h"
 #include "include_graph.h"
-#include "lint.h"
 
 namespace homets::lint {
-
-/// The frozen one-line-per-violation text block:
-///   <file>:<line>: <rule-id>: <message>\n
-std::string RenderText(const std::vector<Violation>& violations);
-
-/// JSON report: schema_version, the violation list, and the two scan
-/// counters that the text format folds into its OK line.
-std::string RenderJson(const std::vector<Violation>& violations,
-                       size_t files_scanned, size_t metric_names);
 
 /// Graphviz digraph of the layer-level include graph: one node per layer
 /// (declared or observed), one edge per observed cross-layer include.

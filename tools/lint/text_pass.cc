@@ -454,113 +454,6 @@ void TextPass::CollectMetricReferences(const FileViews& views,
   }
 }
 
-/// Harvests names of functions declared to return Status or Result<…> from
-/// the pure view: `Status Name(` and `Result<…> Name(`. Names are collected
-/// tree-wide (not per class), so an unchecked call to any same-named
-/// overload is flagged — the conservative reading.
-void TextPass::CollectStatusDecls(const FileViews& views) {
-  const auto word_ends_at = [](const std::string& line, size_t pos,
-                               size_t len) {
-    return pos + len >= line.size() || !IsWordChar(line[pos + len]);
-  };
-  const auto harvest_name_at = [this](const std::string& line, size_t pos) {
-    while (pos < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[pos]))) {
-      ++pos;
-    }
-    std::string name;
-    while (pos < line.size() && IsWordChar(line[pos])) name += line[pos++];
-    if (!name.empty() && pos < line.size() && line[pos] == '(' &&
-        !std::isdigit(static_cast<unsigned char>(name[0]))) {
-      status_returning_.insert(name);
-    }
-  };
-  for (const std::string& line : views.pure) {
-    for (size_t pos = FindWord(line, "Status"); pos != std::string::npos;
-         pos = FindWord(line, "Status", pos + 6)) {
-      if (word_ends_at(line, pos, 6)) harvest_name_at(line, pos + 6);
-    }
-    for (size_t pos = FindWord(line, "Result"); pos != std::string::npos;
-         pos = FindWord(line, "Result", pos + 6)) {
-      size_t j = pos + 6;
-      if (j >= line.size() || line[j] != '<') continue;
-      int depth = 0;
-      while (j < line.size()) {
-        if (line[j] == '<') ++depth;
-        if (line[j] == '>' && --depth == 0) break;
-        ++j;
-      }
-      // `Result<…>` split across lines never declares a one-line name.
-      if (j < line.size() && depth == 0) harvest_name_at(line, j + 1);
-    }
-  }
-}
-
-/// Statement-start calls whose value is dropped: an identifier chain
-/// (`a::b`, `a.b`, `a->b`) opening a call directly after `;`, `{`, `}` or
-/// `:` — i.e. not returned, assigned, wrapped in a macro, or part of a
-/// larger expression. Matched against the declaration set in Finish().
-void TextPass::CollectStatusCallSites(const FileViews& views,
-                                      const std::string& rel_path) {
-  if (!Enabled("discarded-status", rel_path)) return;
-  static const std::set<std::string> kKeywords = {
-      "if",     "while",  "for",    "switch", "return", "case",
-      "else",   "do",     "new",    "delete", "sizeof", "throw",
-      "catch",  "goto",   "using",  "namespace", "operator",
-      "static_assert", "co_return", "co_await", "co_yield"};
-  char prev = ';';  // the start of a file is a statement boundary
-  for (size_t i = 0; i < views.code.size(); ++i) {
-    const std::string& line = views.code[i];
-    size_t col = 0;
-    while (col < line.size()) {
-      const char c = line[col];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        ++col;
-        continue;
-      }
-      // ':' is deliberately not a boundary: a ternary's second arm wrapped
-      // onto its own line (`: Status::OK();`) is indistinguishable from a
-      // case label here, and the former is far more common in this tree.
-      const bool boundary = prev == ';' || prev == '{' || prev == '}';
-      if (!IsWordChar(c) || std::isdigit(static_cast<unsigned char>(c))) {
-        prev = c;
-        ++col;
-        continue;
-      }
-      // Always consume the whole identifier chain — char-by-char skipping
-      // would leave prev on a '::' separator and fake a label boundary.
-      // `last` is the called name.
-      size_t j = col;
-      std::string first;
-      std::string last;
-      while (j < line.size() && IsWordChar(line[j])) {
-        std::string word;
-        while (j < line.size() && IsWordChar(line[j])) word += line[j++];
-        if (first.empty()) first = word;
-        last = word;
-        if (j + 1 < line.size() && line[j] == ':' && line[j + 1] == ':') {
-          j += 2;
-        } else if (j + 1 < line.size() && line[j] == '-' &&
-                   line[j + 1] == '>') {
-          j += 2;
-        } else if (j < line.size() && line[j] == '.') {
-          ++j;
-        } else {
-          break;
-        }
-      }
-      if (boundary && j < line.size() && line[j] == '(' &&
-          kKeywords.count(first) == 0 && kKeywords.count(last) == 0) {
-        if (!IsSuppressed(views, i + 1, "discarded-status")) {
-          dropped_calls_.push_back(DroppedCall{rel_path, i + 1, last});
-        }
-      }
-      prev = line[j > col ? j - 1 : col];
-      col = j > col ? j : col + 1;
-    }
-  }
-}
-
 void TextPass::Finish() {
   const bool enabled =
       !metric_header_path_.empty() &&
@@ -574,16 +467,6 @@ void TextPass::Finish() {
                  " is declared in metric_names.h but referenced nowhere in "
                  "src/, tools/, bench/ or tests/");
     }
-  }
-  // discarded-status: suppressions and path exemptions were applied at
-  // collection time; what remains only needs the declaration set.
-  for (const DroppedCall& call : dropped_calls_) {
-    if (status_returning_.count(call.name) == 0) continue;
-    violations_.push_back(
-        {call.file, call.line, "discarded-status",
-         "result of '" + call.name +
-             "' is discarded — it returns Status/Result; wrap the call in "
-             "HOMETS_RETURN_IF_ERROR or inspect .ok()"});
   }
 }
 
@@ -601,8 +484,6 @@ void TextPass::ScanFile(const SourceFile& file) {
   CheckMetricCatalog(views, rel_path);
   CheckMetricRawLiterals(views, rel_path);
   CollectMetricReferences(views, rel_path);
-  CollectStatusDecls(views);
-  CollectStatusCallSites(views, rel_path);
 }
 
 }  // namespace homets::lint

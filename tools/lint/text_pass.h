@@ -4,7 +4,9 @@
 //
 // Rules: no-raw-random, float-equality, no-stdout-in-lib,
 // no-raw-stderr-in-lib, no-cc-include, csv-include, unsafe-call, the four
-// metric-catalog rules, discarded-status and clock-discipline.
+// metric-catalog rules and clock-discipline. A dropped Status or Result is
+// not a lint rule: both types are [[nodiscard]] and the build compiles with
+// -Werror=unused-result.
 
 #ifndef HOMETS_TOOLS_LINT_TEXT_PASS_H_
 #define HOMETS_TOOLS_LINT_TEXT_PASS_H_
@@ -25,8 +27,7 @@ class TextPass {
       : config_(config), enabled_(enabled) {}
 
   void ScanFile(const SourceFile& file);
-  /// Cross-file rules (metric-dead-constant, discarded-status); call after
-  /// every ScanFile.
+  /// Cross-file rule (metric-dead-constant); call after every ScanFile.
   void Finish();
 
   const std::vector<Violation>& violations() const { return violations_; }
@@ -61,9 +62,6 @@ class TextPass {
                               const std::string& rel_path);
   void CollectMetricReferences(const FileViews& views,
                                const std::string& rel_path);
-  void CollectStatusDecls(const FileViews& views);
-  void CollectStatusCallSites(const FileViews& views,
-                              const std::string& rel_path);
 
   const LintConfig* config_;
   const std::set<std::string>* enabled_;
@@ -77,19 +75,6 @@ class TextPass {
   std::string metric_header_path_;
   /// The views of metric_names.h, kept so Finish() can honor suppressions.
   FileViews metric_header_views_;
-
-  /// discarded-status state: every function name declared anywhere with a
-  /// Status or Result<…> return, plus statement-start call sites whose
-  /// result is dropped. A call site only becomes a violation in Finish(),
-  /// once all declarations have been seen (files scan in path order, so a
-  /// caller may precede the header that declares its callee).
-  struct DroppedCall {
-    std::string file;
-    size_t line = 0;
-    std::string name;
-  };
-  std::set<std::string> status_returning_;
-  std::vector<DroppedCall> dropped_calls_;
 };
 
 }  // namespace homets::lint

@@ -1,9 +1,10 @@
 #!/bin/sh
 # One-command CI gate: configure, build, then run the lint, lint-arch,
 # threads, chaos, chaos-fleet, storage, telemetry and bench-smoke ctest
-# tiers — the exact sequence a pre-merge check should run — plus a direct
-# linter pass over the tree with per-pass timing. The telemetry tier includes the run-manifest
-# schema check (cli_telemetry), so a manifest field drift fails the gate.
+# tiers — the exact sequence a pre-merge check should run. The lint tier
+# runs the linter over the tree (homets_lint_tree). The telemetry tier
+# includes the run-manifest schema check (cli_telemetry), so a manifest
+# field drift fails the gate.
 # Smoke-tested by the `run_all_gates_smoke` ctest via --dry-run, which prints
 # the commands without executing them.
 #
@@ -54,11 +55,6 @@ fi
 jobs=$( (nproc || sysctl -n hw.ncpu || echo 2) 2>/dev/null | head -n1 )
 run cmake --build "$build" -j "$jobs"
 run ctest --test-dir "$build" --output-on-failure -L "lint|lint-arch|threads|chaos|chaos-fleet|storage|telemetry|bench-smoke|prof"
-
-# Architecture tier: run the linter once against the real tree with per-pass
-# timing, so the gate log records the layer-DAG verdict and where the lint
-# wall-clock goes (lex / text / arch / hygiene / determinism).
-run "$build/tools/lint/homets_lint" --root "$root" --timing
 
 # Concurrency under TSan: the `threads` label (thread pool, similarity
 # engine, and the obs registry, trace and logger tests), the `prof` label
