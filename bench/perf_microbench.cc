@@ -15,8 +15,6 @@
 //   --similarity_json=PATH     output path (default BENCH_similarity.json)
 //   --similarity_windows=N     scenario size (default 1000 windows)
 //   --similarity_only          skip the google-benchmark suite
-//   --prof                     enable the execution profiler (lock/pool
-//                              accounting feeds the manifest stage deltas)
 //   --similarity_manifest=PATH write a run manifest with one StageTimer per
 //                              engine thread count (pairwise_threads_N) —
 //                              the input tools/homets_profile diagnoses
@@ -45,7 +43,6 @@
 #include "distance/distance.h"
 #include "obs/json_encoder.h"
 #include "obs/metrics.h"
-#include "obs/prof.h"
 #include "obs/report.h"
 #include "sax/sax.h"
 #include "simgen/fleet.h"
@@ -494,7 +491,6 @@ int main(int argc, char** argv) {
   std::string metrics_path;
   size_t n_windows = 1000;
   bool similarity_only = false;
-  bool prof = false;
   std::vector<char*> passthrough;
   passthrough.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
@@ -506,8 +502,6 @@ int main(int argc, char** argv) {
           arg.substr(std::string("--similarity_manifest=").size());
     } else if (arg.rfind("--similarity_metrics=", 0) == 0) {
       metrics_path = arg.substr(std::string("--similarity_metrics=").size());
-    } else if (arg == "--prof") {
-      prof = true;
     } else if (arg.rfind("--similarity_windows=", 0) == 0) {
       const long parsed =
           std::atol(arg.c_str() + std::string("--similarity_windows=").size());
@@ -530,7 +524,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (prof) obs::EnableProfiler(true);
   obs::RunManifestBuilder manifest;
   const bool want_manifest = !manifest_path.empty();
   if (want_manifest) {
@@ -543,7 +536,6 @@ int main(int argc, char** argv) {
     manifest.SetCommand(std::move(command));
     manifest.SetConfig("similarity_windows",
                        StrFormat("%zu", n_windows));
-    manifest.SetConfig("prof", prof ? "1" : "0");
     // "used" is the widest thread count the scenario exercises: on a box
     // with fewer hardware threads, homets_profile's efficiency ceiling
     // diagnosis keys off exactly this pair of numbers.

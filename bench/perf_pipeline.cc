@@ -16,10 +16,6 @@
 // Flags:
 //   --pipeline_json=PATH   output path (default BENCH_pipeline.json)
 //   --sizes=a,b,c          subset of small,medium,large (default all)
-//   --prof                 enable the execution profiler: stage metric
-//                          deltas gain homets.prof.* lock-wait and pool
-//                          busy/idle/queue-wait counters (default off; the
-//                          per-stage rusage accounting below is always on)
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -41,7 +37,6 @@
 #include "fleet/orchestrator.h"
 #include "io/dataset.h"
 #include "obs/json_encoder.h"
-#include "obs/prof.h"
 #include "obs/report.h"
 #include "simgen/fleet.h"
 #include "storage/homets_format.h"
@@ -362,22 +357,17 @@ void RunSize(const SizeSpec& spec, std::vector<Entry>* entries) {
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_pipeline.json";
   std::string sizes_csv = "small,medium,large";
-  bool prof = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--pipeline_json=", 0) == 0) {
       json_path = arg.substr(std::string("--pipeline_json=").size());
     } else if (arg.rfind("--sizes=", 0) == 0) {
       sizes_csv = arg.substr(std::string("--sizes=").size());
-    } else if (arg == "--prof") {
-      prof = true;
     } else {
       std::cerr << "unknown flag: " << arg << "\n";
       return 2;
     }
   }
-
-  if (prof) obs::EnableProfiler(true);
 
   // hardware_threads is what the machine offers; threads_used is what the
   // similarity engine actually runs with (its default of 0 resolves to

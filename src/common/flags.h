@@ -40,7 +40,7 @@ struct ParsedArgs {
 ///
 /// Flags in `bool_flags` (must also be in `known_flags`) take no value:
 /// bare `--name` records "1", and an explicit `--name=VALUE` is still
-/// honored (so `--prof=0` can switch one off).
+/// honored (so `--resume=0` can switch one off).
 Result<ParsedArgs> ParseFlags(const std::vector<std::string>& args,
                               const std::set<std::string>& known_flags,
                               const std::set<std::string>& bool_flags = {});

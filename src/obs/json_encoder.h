@@ -8,7 +8,7 @@
 #include <vector>
 
 // The one JSON writer of the tree: run manifests, --metrics-out, Chrome
-// traces, --prof-out, JSON-lines log records, the lint reports and the
+// traces, JSON-lines log records, the lint reports and the
 // BENCH_*.json artifacts are all written through it, so one value prints
 // the same way in every artifact. It owns four rules:
 //   - strings: `"` and `\` are backslash-escaped, \n \r \t use their short

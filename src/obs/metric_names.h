@@ -8,7 +8,7 @@
 // Naming scheme (enforced by the homets_lint metric rules, which the
 // `homets_lint_tree` ctest runs): `homets.<layer>.<name>` where `<layer>` is
 // the source module (threadpool, engine, correlation, stationarity,
-// dominance, motif, background, streaming, io, ingest, storage, log, prof,
+// dominance, motif, background, streaming, io, ingest, storage, log,
 // fleet, failpoint) and both segments are lower_snake_case.
 // Instrumentation sites must use these constants — raw "homets.*" literals
 // at registration sites fail the lint — so the full metric surface is
@@ -126,29 +126,6 @@ inline constexpr std::string_view kStorageCrcFailures =
 // sinks, and records the per-(component, severity) token bucket suppressed.
 inline constexpr std::string_view kLogRecords = "homets.log.records";
 inline constexpr std::string_view kLogSuppressed = "homets.log.suppressed";
-
-// common/thread_pool.h + obs/prof — execution-profiler surface. All of these
-// advance only while the profiler is enabled (--prof), so they read zero in
-// ordinary runs. queue_wait_us is a histogram of block time-in-queue
-// (dispatch start -> block start); pool_busy_us/pool_idle_us split worker
-// wall-time so a stage's parallel efficiency is busy/(busy+idle); the
-// contended-lock and alloc counters are published from the prof_hooks
-// accumulators at stage boundaries.
-inline constexpr std::string_view kThreadPoolQueueWaitUs =
-    "homets.threadpool.queue_wait_us";
-inline constexpr std::string_view kProfPoolBusyUs =
-    "homets.prof.pool_busy_us";
-inline constexpr std::string_view kProfPoolIdleUs =
-    "homets.prof.pool_idle_us";
-inline constexpr std::string_view kProfQueueWaitUs =
-    "homets.prof.queue_wait_us";
-inline constexpr std::string_view kProfContendedLocks =
-    "homets.prof.contended_locks";
-inline constexpr std::string_view kProfLockWaitUs =
-    "homets.prof.lock_wait_us";
-inline constexpr std::string_view kProfAllocs = "homets.prof.allocs";
-inline constexpr std::string_view kProfAllocBytes =
-    "homets.prof.alloc_bytes";
 
 // fleet — shard orchestration funnel: plan → run/resume → checkpoint →
 // quarantine. shards_resumed counts shards satisfied from valid checkpoints;

@@ -131,7 +131,7 @@ class MetricsRegistry {
  private:
   /// Guards the name maps only — never the metric values, which are atomics
   /// reached through pointers handed out under the lock.
-  mutable Mutex mu_{"obs.metrics_registry"};
+  mutable Mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
       HOMETS_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_

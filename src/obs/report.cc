@@ -1,11 +1,17 @@
 #include "obs/report.h"
 
 #include <algorithm>
-#include <atomic>
+#include <cstring>
 #include <fstream>
 
-#include "common/prof_hooks.h"
 #include "obs/json_encoder.h"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/resource.h>
+#define HOMETS_OBS_HAS_RUSAGE 1
+#else
+#define HOMETS_OBS_HAS_RUSAGE 0
+#endif
 
 namespace homets::obs {
 
@@ -48,6 +54,28 @@ uint64_t DeltaSince(uint64_t before, uint64_t after) {
 }
 
 }  // namespace
+
+ResourceUsage CaptureRusage() {
+  ResourceUsage out;
+#if HOMETS_OBS_HAS_RUSAGE
+  struct rusage ru;
+  std::memset(&ru, 0, sizeof(ru));
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return out;
+  out.user_seconds = static_cast<double>(ru.ru_utime.tv_sec) +
+                     static_cast<double>(ru.ru_utime.tv_usec) / 1e6;
+  out.sys_seconds = static_cast<double>(ru.ru_stime.tv_sec) +
+                    static_cast<double>(ru.ru_stime.tv_usec) / 1e6;
+#if defined(__APPLE__)
+  out.max_rss_bytes = static_cast<uint64_t>(ru.ru_maxrss);
+#else
+  // Linux reports ru_maxrss in kilobytes.
+  out.max_rss_bytes = static_cast<uint64_t>(ru.ru_maxrss) * 1024;
+#endif
+  out.minor_faults = static_cast<uint64_t>(ru.ru_minflt);
+  out.major_faults = static_cast<uint64_t>(ru.ru_majflt);
+#endif
+  return out;
+}
 
 RunManifestBuilder::RunManifestBuilder()
     : run_start_(std::chrono::steady_clock::now()) {}
@@ -226,8 +254,7 @@ std::string RunManifestBuilder::ToJson() const {
         .Member("cpu_seconds", s.cpu_seconds())
         .Member("max_rss_bytes", s.resources.max_rss_bytes)
         .Member("minor_faults", s.resources.minor_faults)
-        .Member("major_faults", s.resources.major_faults)
-        .Member("alloc_bytes", s.resources.alloc_bytes);
+        .Member("major_faults", s.resources.major_faults);
     if (const auto efficiency = s.parallel_efficiency(threads_used_)) {
       out.Member("parallel_efficiency", *efficiency);
     }
@@ -308,7 +335,6 @@ StageRecord& StageRecord::operator+=(const StageRecord& piece) {
       std::max(resources.max_rss_bytes, piece.resources.max_rss_bytes);
   resources.minor_faults += piece.resources.minor_faults;
   resources.major_faults += piece.resources.major_faults;
-  resources.alloc_bytes += piece.resources.alloc_bytes;
   return *this;
 }
 
@@ -333,14 +359,8 @@ StageTimer::StageTimer(std::string_view stage, StageRecord* into)
 
 void StageTimer::Start(std::string_view stage) {
   record_.stage = stage;
-  // Fold the profiler accumulators into the registry first, so the before
-  // snapshot carries the published prefix and the stage delta is exactly
-  // what this stage contributes.
-  PublishProfMetrics();
   before_ = MetricsRegistry::Global().Snapshot();
   rusage_before_ = CaptureRusage();
-  alloc_bytes_before_ =
-      homets::prof::g_alloc_bytes.load(std::memory_order_relaxed);
   start_ = std::chrono::steady_clock::now();
 }
 
@@ -349,7 +369,6 @@ StageTimer::~StageTimer() {
   record_.seconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - start_)
                         .count();
-  PublishProfMetrics();
   const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
   for (const auto& [name, value] : after.counters) {
     const auto it = before_.counters.find(name);
@@ -374,9 +393,6 @@ StageTimer::~StageTimer() {
       DeltaSince(rusage_before_.minor_faults, now.minor_faults);
   resources.major_faults =
       DeltaSince(rusage_before_.major_faults, now.major_faults);
-  resources.alloc_bytes = DeltaSince(
-      alloc_bytes_before_,
-      homets::prof::g_alloc_bytes.load(std::memory_order_relaxed));
   if (manifest_ != nullptr) {
     manifest_->AddStage(std::move(record_));
   } else {

@@ -14,7 +14,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
-#include "obs/prof.h"
 #include "obs/trace.h"
 
 // Run manifests: a schema-versioned machine-readable record of what a run
@@ -44,16 +43,27 @@ struct ManifestIngestCounters {
   uint64_t files_quarantined = 0;
 };
 
-/// \brief Per-stage OS resource accounting (schema v2): CPU, fault and
-/// allocation figures are deltas over the stage; max_rss_bytes is the
-/// process peak as of stage end (RSS peaks never come back down).
+/// \brief Point-in-time getrusage(RUSAGE_SELF) reading. Zeroes on platforms
+/// without <sys/resource.h>.
+struct ResourceUsage {
+  double user_seconds = 0.0;
+  double sys_seconds = 0.0;
+  uint64_t max_rss_bytes = 0;  ///< peak RSS of the process so far
+  uint64_t minor_faults = 0;
+  uint64_t major_faults = 0;
+};
+
+ResourceUsage CaptureRusage();
+
+/// \brief Per-stage OS resource accounting: CPU and fault figures are deltas
+/// over the stage; max_rss_bytes is the process peak as of stage end (RSS
+/// peaks never come back down).
 struct StageResources {
   double cpu_user_seconds = 0.0;
   double cpu_sys_seconds = 0.0;
   uint64_t max_rss_bytes = 0;
   uint64_t minor_faults = 0;
   uint64_t major_faults = 0;
-  uint64_t alloc_bytes = 0;  ///< opt-in operator-new tally; 0 when off
 };
 
 /// \brief What one stage did: the run manifest's stage entry and the
@@ -68,8 +78,8 @@ struct StageRecord {
   StageResources resources;
 
   /// Folds in another piece of the same stage (a stage timed around untimed
-  /// setup): sums time, units, CPU, faults, allocations and metric deltas,
-  /// and keeps the larger peak RSS.
+  /// setup): sums time, units, CPU, faults and metric deltas, and keeps the
+  /// larger peak RSS.
   StageRecord& operator+=(const StageRecord& piece);
 
   double cpu_seconds() const {
@@ -87,10 +97,8 @@ class RunManifestBuilder;
 
 /// \brief The one stage clock. It opens a ScopedSpan named after the stage
 /// (so log lines inside carry its span id), and when a destination is given
-/// it also reads the metrics registry, getrusage and the alloc tally at both
-/// edges and, on destruction, hands the stage's StageRecord over. The
-/// profiler accumulators are published into the registry at both edges, so
-/// the deltas attribute lock waits and allocation volume to this stage.
+/// it also reads the metrics registry and getrusage at both edges and, on
+/// destruction, hands the stage's StageRecord over.
 class StageTimer {
  public:
   /// Appends the record to `manifest`. A null manifest leaves only the span,
@@ -117,7 +125,6 @@ class StageTimer {
   std::chrono::steady_clock::time_point start_;
   MetricsSnapshot before_;
   ResourceUsage rusage_before_;
-  uint64_t alloc_bytes_before_ = 0;
 };
 
 /// \brief Accumulates one run's manifest; thread-safe, write-mostly.
@@ -128,10 +135,10 @@ class StageTimer {
 class RunManifestBuilder {
  public:
   /// Bump on any incompatible change to the JSON shape; readers check it
-  /// (versioning policy in DESIGN.md §12). v2 adds per-stage "resources"
-  /// (CPU/RSS/faults/allocs + parallel_efficiency) and the top-level
-  /// "histograms" percentile digest.
-  static constexpr int kSchemaVersion = 2;
+  /// (versioning policy in DESIGN.md §12). v2 added per-stage "resources"
+  /// (CPU/RSS/faults + parallel_efficiency) and the top-level "histograms"
+  /// percentile digest; v3 drops "resources.alloc_bytes".
+  static constexpr int kSchemaVersion = 3;
 
   RunManifestBuilder();
   RunManifestBuilder(const RunManifestBuilder&) = delete;
@@ -180,7 +187,7 @@ class RunManifestBuilder {
   Status WriteJson(const std::string& path) const HOMETS_EXCLUDES(mu_);
 
  private:
-  mutable Mutex mu_{"obs.run_manifest"};
+  mutable Mutex mu_;
   std::chrono::steady_clock::time_point run_start_;
 
   struct Input {

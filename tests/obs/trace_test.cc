@@ -3,11 +3,45 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/json.h"
+
+// Counts the bytes this test binary allocates, for
+// InactiveSpansDoNotAllocate. Compiled out under ASan/TSan, whose runtimes
+// own the allocator. Only the base new and the plain and sized deletes are
+// replaced: the standard makes the array and nothrow forms call them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define HOMETS_TEST_COUNT_NEW 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define HOMETS_TEST_COUNT_NEW 0
+#endif
+#endif
+#ifndef HOMETS_TEST_COUNT_NEW
+#define HOMETS_TEST_COUNT_NEW 1
+#endif
+
+#if HOMETS_TEST_COUNT_NEW
+namespace {
+std::atomic<uint64_t> g_new_bytes{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* ptr) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
+#endif  // HOMETS_TEST_COUNT_NEW
 
 namespace homets::obs {
 namespace {
@@ -85,6 +119,21 @@ TEST(ScopedSpanTest, ThreadsGetDistinctDenseIds) {
   std::sort(tids.begin(), tids.end());
   EXPECT_EQ(std::unique(tids.begin(), tids.end()), tids.end())
       << "each thread must get its own trace id";
+}
+
+// An inactive span is one relaxed load: with no TraceSession installed it
+// copies neither its name nor its category, however long they are.
+TEST(ScopedSpanTest, InactiveSpansDoNotAllocate) {
+#if HOMETS_TEST_COUNT_NEW
+  ASSERT_EQ(GlobalTraceSession(), nullptr);
+  const uint64_t before = g_new_bytes.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i) {
+    ScopedSpan span("similarity_engine.pairwise", "a_category_past_sso_size");
+  }
+  EXPECT_EQ(g_new_bytes.load(std::memory_order_relaxed) - before, 0u);
+#else
+  GTEST_SKIP() << "the allocation counter is compiled out under sanitizers";
+#endif
 }
 
 TEST(TraceSessionTest, ChromeJsonIsWellFormed) {

@@ -85,7 +85,7 @@ for key in ("schema_version", "tool", "command", "config", "inputs",
             "threads", "stages", "outcome", "status", "exit_code",
             "wall_seconds"):
     assert key in doc, f"missing {key!r}"
-assert doc["schema_version"] == 2
+assert doc["schema_version"] == 3
 assert doc["tool"] == "homets_cli"
 assert doc["outcome"] == "success" and doc["exit_code"] == 0
 assert doc["inputs"] and all(
@@ -94,38 +94,14 @@ assert doc["stages"], "no stages recorded"
 for stage in doc["stages"]:
     for key in ("stage", "seconds", "units", "metrics"):
         assert key in stage, f"stage missing {key!r}"
-    # v2: every StageTimer-recorded stage carries resource accounting.
+    # Every StageTimer-recorded stage carries resource accounting.
     res = stage["resources"]
     for key in ("cpu_user_seconds", "cpu_sys_seconds", "cpu_seconds",
-                "max_rss_bytes", "minor_faults", "major_faults",
-                "alloc_bytes"):
+                "max_rss_bytes", "minor_faults", "major_faults"):
         assert key in res, f"resources missing {key!r}"
 names = [s["stage"] for s in doc["stages"]]
 assert "mine_motifs" in names, names
 EOF
-
-# --- profiler flags -------------------------------------------------------
-"$cli" motifs --prof --prof-out "$workdir/prof.json" \
-    --run-manifest-out "$workdir/prof_manifest.json" \
-    "$workdir"/gateway_*.csv >"$workdir/prof.out" 2>"$workdir/prof.err"
-check "prof run stdout still byte-identical" \
-    cmp -s "$workdir/plain.out" "$workdir/prof.out"
-check "prof report written and well-formed" \
-    python3 - "$workdir/prof.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "homets.prof_report"
-assert doc["profiler_enabled"] is True
-for key in ("rusage", "locks", "pool", "alloc"):
-    assert key in doc, f"missing {key!r}"
-assert doc["rusage"]["max_rss_bytes"] > 0
-EOF
-
-rc=0
-"$cli" motifs --prof-out "$workdir/orphan.json" "$workdir"/gateway_*.csv \
-    >"$workdir/out" 2>"$workdir/err" || rc=$?
-check "--prof-out without --prof exits 2" test "$rc" -eq 2
-check "--prof-out without --prof is diagnosed" grep -q 'prof' "$workdir/err"
 
 # --- manifest on failure --------------------------------------------------
 rc=0

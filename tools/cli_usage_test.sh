@@ -10,6 +10,8 @@
 #      format feeds it.
 #   4. Telemetry at exit only: the removed flusher and progress flags exit 2,
 #      and stream stdout is byte-identical with and without --metrics-out.
+#   5. No execution profiler: --prof and --prof-out are unknown flags, and a
+#      metrics export carries no homets.prof.* key.
 #
 # Usage: cli_usage_test.sh /path/to/homets_cli
 set -eu
@@ -28,6 +30,10 @@ check() {
         echo "FAIL: $desc" >&2
         fail=1
     fi
+}
+
+not_grep() {
+    ! grep -qF "$1" "$2"
 }
 
 # --- strict flag handling -------------------------------------------------
@@ -81,6 +87,8 @@ check "stationarity KS rejections" nonzero homets.stationarity.ks_rejections
 check "background values zeroed" nonzero homets.background.values_zeroed
 check "io rows parsed" nonzero homets.io.rows_parsed
 check "motif windows mined" nonzero homets.motif.windows_mined
+check "metrics carry no profiler counters" \
+    not_grep '"homets.prof.' "$workdir/metrics.json"
 
 # --- columnar convert + byte-identical analysis ---------------------------
 mkdir -p "$workdir/col" "$workdir/back"
@@ -118,14 +126,16 @@ check "unknown convert target exits 2" test "$rc" -eq 2
 check "stream prints a summary" \
     grep -q 'streamed .* minutes of .* gateways into' "$workdir/stream_plain.out"
 
-# Telemetry is written at exit only; the interval-flusher and heartbeat
-# flags are unknown flags.
+# Telemetry is written at exit only; the interval-flusher, heartbeat and
+# execution-profiler flags are unknown flags.
 for flag in --metrics-flush-out --metrics-flush-interval-sec \
-        --progress --progress-interval-sec; do
+        --progress --progress-interval-sec --prof --prof-out; do
     rc=0
     "$cli" stream "$flag" 1 "$workdir"/gateway_*.csv \
         >"$workdir/out" 2>"$workdir/err" || rc=$?
     check "removed flag $flag exits 2" test "$rc" -eq 2
+    check "removed flag $flag is unknown" \
+        grep -q "unknown flag $flag\$" "$workdir/err"
 done
 
 "$cli" stream --metrics-out "$workdir/stream_metrics.json" \

@@ -77,7 +77,6 @@
 #include "io/table.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/prof.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "simgen/fleet.h"
@@ -115,11 +114,7 @@ int Usage() {
          "  --failpoints-seed N  seed for probabilistic failpoints\n"
          "  --log-out FILE       write structured JSON-lines logs\n"
          "  --log-level LEVEL    debug|info|warn|error|off (default warn)\n"
-         "  --run-manifest-out FILE      write a run manifest JSON\n"
-         "  --prof               enable the execution profiler (lock\n"
-         "                       contention, pool accounting, alloc tally)\n"
-         "  --prof-out FILE      write the profiler report JSON (needs "
-         "--prof)\n";
+         "  --run-manifest-out FILE      write a run manifest JSON\n";
   return 2;
 }
 
@@ -127,10 +122,10 @@ int Usage() {
 const std::set<std::string> kObsFlags = {
     "metrics-out",  "trace-out",        "input-format",    "read-policy",
     "read-retries", "failpoints",       "failpoints-seed", "log-out",
-    "log-level",    "run-manifest-out", "prof",            "prof-out"};
+    "log-level",    "run-manifest-out"};
 
-// Flags that take no value (bare `--prof`; `--prof=0` still parses).
-const std::set<std::string> kBoolFlags = {"prof", "resume", "fail-fast"};
+// Flags that take no value (bare `--resume`; `--resume=0` still parses).
+const std::set<std::string> kBoolFlags = {"resume", "fail-fast"};
 
 std::set<std::string> WithObsFlags(std::set<std::string> flags) {
   flags.insert(kObsFlags.begin(), kObsFlags.end());
@@ -690,20 +685,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string log_path = args.GetString("log-out");
-  // Execution profiler (DESIGN.md §13): gate the mutex/pool hot-path
-  // instrumentation and the operator-new tally before any work runs, so
-  // every stage is covered. Off (the default), the hot paths cost one
-  // relaxed atomic load.
-  const bool prof_on = args.Has("prof") && args.GetString("prof") != "0";
-  const std::string prof_path = args.GetString("prof-out");
-  if (!prof_path.empty() && !prof_on) {
-    std::cerr << "error: --prof-out requires --prof\n";
-    return 2;
-  }
-  if (prof_on) {
-    obs::EnableProfiler(true);
-    obs::EnableAllocTally(true);
-  }
   obs::LoggerOptions log_options;
   log_options.file_path = log_path;
   log_options.min_level =
@@ -791,18 +772,11 @@ int main(int argc, char** argv) {
     const Status status = WriteFile(trace_path, session.ToChromeJson());
     if (!status.ok()) rc = FailWith("trace-out", status);
   }
-  // Fold the profiler accumulators into homets.prof.* before the registry is
-  // exported, so --metrics-out carries the run totals.
-  if (prof_on) obs::PublishProfMetrics();
   const std::string metrics_path = args.GetString("metrics-out");
   if (!metrics_path.empty() && rc == 0) {
     const Status status =
         WriteFile(metrics_path, obs::MetricsRegistry::Global().ExportJson());
     if (!status.ok()) rc = FailWith("metrics-out", status);
-  }
-  if (!prof_path.empty() && rc == 0) {
-    const Status status = WriteFile(prof_path, obs::ProfReportJson());
-    if (!status.ok()) rc = FailWith("prof-out", status);
   }
   // Flush any buffered log records (and close the file sink) before the
   // summary, so the JSONL file is complete whatever the outcome was.

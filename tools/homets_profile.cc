@@ -1,25 +1,21 @@
 // homets_profile: turn a run manifest (+ optional metrics export) into a
 // per-stage scaling diagnosis.
 //
-//   homets_profile RUN_MANIFEST.json [--metrics METRICS.json] [--min-wall-sec S]
+//   homets_profile RUN_MANIFEST.json [--metrics METRICS.json]
 //
-// For every stage recorded by StageTimer (manifest schema v2) it prints:
-//   - wall seconds, cpu seconds (user+sys from getrusage deltas)
-//   - parallel efficiency = cpu_seconds / (wall_seconds * threads_used)
-//   - lock share = lock wait seconds per available core-second
-//   - queue pressure = block queue-wait seconds per available core-second
-//     (can exceed 1: with more blocks than execution slots, many blocks wait
-//     concurrently — high pressure means dispatch serialization, not a bug)
-// and a verdict: scales / partial / core-bound / lock-bound /
-// under-utilized / too-short. With --metrics it adds p50/p95/p99 for the
-// thread-pool task-run and queue-wait histograms. The lock/queue figures
-// come from the homets.prof.* counter deltas, so the run must have been
-// profiled (--prof) for them to be non-zero.
+// For every stage recorded by StageTimer it prints wall seconds, cpu
+// seconds (user+sys from getrusage deltas), peak RSS and the manifest's own
+// parallel_efficiency = cpu_seconds / (wall_seconds * threads_used). The
+// manifest omits that figure for stages under 10 ms (getrusage ticks are too
+// coarse there); such a stage reads "n/a" and the verdict too-short. The
+// other verdicts are scales / partial / core-bound / under-utilized, or
+// no-data for a manifest without per-stage resources. With --metrics it adds
+// p50/p95/p99 for the thread-pool task-latency histogram.
 //
 // Exit codes: 0 report printed, 2 usage or artifact error.
-#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,39 +28,23 @@ namespace {
 struct StageRow {
   std::string stage;
   double wall = 0.0;
-  uint64_t units = 0;
-  bool has_cpu = false;
+  bool has_resources = false;
   double cpu = 0.0;
   uint64_t max_rss = 0;
-  uint64_t major_faults = 0;
-  double lock_wait_sec = 0.0;
-  double queue_wait_sec = 0.0;
-  double pool_busy_sec = 0.0;
+  std::optional<double> efficiency;  ///< as the manifest recorded it
 };
 
-double MetricDelta(const JsonValue& entry, const char* name) {
-  const JsonValue* metrics = entry.Find("metrics");
-  if (metrics == nullptr) return 0.0;
-  const JsonValue* v = metrics->Find(name);
-  return (v != nullptr && v->is_number()) ? v->number_value() : 0.0;
-}
-
-const char* Verdict(const StageRow& row, int threads, double efficiency,
-                    double lock_share, double queue_pressure,
-                    double min_wall_sec) {
-  if (row.wall < min_wall_sec) return "too-short";
-  if (lock_share > 0.15) return "lock-bound";
-  if (threads > 1 && efficiency > 0.0 && efficiency < 0.5) {
+const char* Verdict(const StageRow& row, int threads) {
+  if (!row.has_resources) return "no-data";
+  if (!row.efficiency) return "too-short";
+  const double efficiency = *row.efficiency;
+  if (threads > 1 && efficiency < 0.5) {
     // Distinguish "the machine has no more cores" from "the workers are
     // starved": if total CPU burnt is about one core's worth of the wall
     // time, the stage ran serially no matter how many threads it asked for.
-    if (row.has_cpu && row.cpu <= row.wall * 1.25) return "core-bound";
-    return "under-utilized";
+    return row.cpu <= row.wall * 1.25 ? "core-bound" : "under-utilized";
   }
-  if (efficiency >= 0.75) return "scales";
-  if (efficiency > 0.0) return "partial";
-  (void)queue_pressure;
-  return "no-data";
+  return efficiency >= 0.75 ? "scales" : "partial";
 }
 
 // Percentile from an ExportJson histogram node ({"count", "sum",
@@ -97,18 +77,6 @@ double JsonHistogramPercentile(const JsonValue& hist, double quantile) {
 
 int Run(const ParsedArgs& args) {
   const std::string& manifest_path = args.positional[0];
-  double min_wall_sec = 0.01;
-  if (args.Has("min-wall-sec")) {
-    char* end = nullptr;
-    const std::string raw = args.GetString("min-wall-sec");
-    min_wall_sec = std::strtod(raw.c_str(), &end);
-    if (end == raw.c_str() || *end != '\0' || min_wall_sec < 0) {
-      std::fprintf(stderr, "homets_profile: bad --min-wall-sec %s\n",
-                   raw.c_str());
-      return 2;
-    }
-  }
-
   auto parsed = ReadJsonFile(manifest_path);
   if (!parsed.ok()) {
     std::fprintf(stderr, "homets_profile: %s\n",
@@ -151,64 +119,53 @@ int Run(const ParsedArgs& args) {
     StageRow row;
     row.stage = entry.StringOr("stage", "?");
     row.wall = entry.NumberOr("seconds", 0);
-    row.units = static_cast<uint64_t>(entry.NumberOr("units", 0));
     if (const JsonValue* res = entry.Find("resources")) {
-      row.has_cpu = res->Find("cpu_seconds") != nullptr;
+      row.has_resources = true;
       row.cpu = res->NumberOr("cpu_seconds", 0);
       row.max_rss = static_cast<uint64_t>(res->NumberOr("max_rss_bytes", 0));
-      row.major_faults =
-          static_cast<uint64_t>(res->NumberOr("major_faults", 0));
+      const JsonValue* efficiency = res->Find("parallel_efficiency");
+      if (efficiency != nullptr && efficiency->is_number()) {
+        row.efficiency = efficiency->number_value();
+      }
     }
-    row.lock_wait_sec =
-        MetricDelta(entry, "homets.prof.lock_wait_us") / 1e6;
-    row.queue_wait_sec =
-        MetricDelta(entry, "homets.prof.queue_wait_us") / 1e6;
-    row.pool_busy_sec =
-        MetricDelta(entry, "homets.prof.pool_busy_us") / 1e6;
     rows.push_back(std::move(row));
   }
 
-  std::printf("%-28s %9s %9s %6s %6s %7s %8s  %s\n", "stage", "wall_s",
-              "cpu_s", "eff", "lock%", "queue_p", "rss_mb", "verdict");
+  std::printf("%-28s %9s %9s %6s %8s  %s\n", "stage", "wall_s", "cpu_s",
+              "eff", "rss_mb", "verdict");
   double total_wall = 0.0;
   double total_cpu = 0.0;
-  double total_lock = 0.0;
-  bool any_cpu = false;
+  // Wall-weighted mean of the stages that carry an efficiency, so the run
+  // figure follows the manifest's 10 ms rule too.
+  double timed_wall = 0.0;
+  double weighted_efficiency = 0.0;
   for (const StageRow& row : rows) {
     total_wall += row.wall;
-    total_lock += row.lock_wait_sec;
-    const double core_seconds = row.wall * used;
-    const double efficiency =
-        row.has_cpu && core_seconds > 0 ? row.cpu / core_seconds : 0.0;
-    const double lock_share =
-        core_seconds > 0 ? row.lock_wait_sec / core_seconds : 0.0;
-    const double queue_pressure =
-        core_seconds > 0 ? row.queue_wait_sec / core_seconds : 0.0;
+    total_cpu += row.cpu;
     char cpu_buf[32];
     char eff_buf[16];
-    if (row.has_cpu) {
-      total_cpu += row.cpu;
-      any_cpu = true;
+    if (row.has_resources) {
       std::snprintf(cpu_buf, sizeof(cpu_buf), "%9.3f", row.cpu);
-      std::snprintf(eff_buf, sizeof(eff_buf), "%6.2f", efficiency);
     } else {
       std::snprintf(cpu_buf, sizeof(cpu_buf), "%9s", "n/a");
+    }
+    if (row.efficiency) {
+      timed_wall += row.wall;
+      weighted_efficiency += *row.efficiency * row.wall;
+      std::snprintf(eff_buf, sizeof(eff_buf), "%6.2f", *row.efficiency);
+    } else {
       std::snprintf(eff_buf, sizeof(eff_buf), "%6s", "n/a");
     }
-    std::printf("%-28s %9.3f %s %s %6.1f %7.2f %8.1f  %s\n",
-                row.stage.c_str(), row.wall, cpu_buf, eff_buf,
-                lock_share * 100.0, queue_pressure,
+    std::printf("%-28s %9.3f %s %s %8.1f  %s\n", row.stage.c_str(), row.wall,
+                cpu_buf, eff_buf,
                 static_cast<double>(row.max_rss) / (1024.0 * 1024.0),
-                Verdict(row, used, efficiency, lock_share, queue_pressure,
-                        min_wall_sec));
+                Verdict(row, used));
   }
-  const double overall_core_seconds = total_wall * used;
+  const bool any_efficiency = timed_wall > 0.0;
   const double overall_eff =
-      any_cpu && overall_core_seconds > 0 ? total_cpu / overall_core_seconds
-                                          : 0.0;
-  std::printf("totals: wall=%.3fs cpu=%.3fs efficiency=%.2f "
-              "lock_wait=%.3fs\n",
-              total_wall, total_cpu, overall_eff, total_lock);
+      any_efficiency ? weighted_efficiency / timed_wall : 0.0;
+  std::printf("totals: wall=%.3fs cpu=%.3fs efficiency=%.2f\n", total_wall,
+              total_cpu, overall_eff);
 
   // The headline diagnosis: what bounds this run's scaling.
   if (used > hardware && hardware > 0) {
@@ -218,21 +175,16 @@ int Run(const ParsedArgs& args) {
         "core and cannot speed anything up\n",
         used, hardware, hardware, used,
         static_cast<double>(hardware) / used);
-  } else if (any_cpu && overall_eff < 0.5 &&
-             total_lock > 0.1 * overall_core_seconds) {
-    std::printf("diagnosis: lock contention dominates (%.0f%% of core "
-                "time) — shrink critical sections before adding threads\n",
-                100.0 * total_lock / overall_core_seconds);
-  } else if (any_cpu && overall_eff < 0.5) {
-    std::printf("diagnosis: low efficiency without matching lock wait — "
-                "workers are starved or memory-stalled; check queue "
-                "pressure and per-worker block counts (--prof-out)\n");
-  } else if (any_cpu) {
+  } else if (any_efficiency && overall_eff < 0.5) {
+    std::printf("diagnosis: low efficiency — the workers are starved or "
+                "memory-stalled, or the stage runs serially; see the "
+                "per-stage verdicts\n");
+  } else if (any_efficiency) {
     std::printf("diagnosis: scaling is healthy at this thread count\n");
   } else {
-    std::printf("diagnosis: no per-stage cpu accounting in this manifest — "
-                "rerun with a schema v2 manifest (current build) to get "
-                "efficiency figures\n");
+    std::printf("diagnosis: no stage carries parallel_efficiency (every "
+                "stage ran under 10 ms, or the manifest has no per-stage "
+                "resources)\n");
   }
 
   if (args.Has("metrics")) {
@@ -244,11 +196,9 @@ int Run(const ParsedArgs& args) {
       return 2;
     }
     const JsonValue metrics = std::move(metrics_parsed).value();
-    for (const char* name :
-         {"homets.threadpool.task_latency_us",
-          "homets.threadpool.queue_wait_us"}) {
-      const JsonValue* hist = metrics.Find(name);
-      if (hist == nullptr || !hist->is_object()) continue;
+    const char* name = "homets.threadpool.task_latency_us";
+    const JsonValue* hist = metrics.Find(name);
+    if (hist != nullptr && hist->is_object()) {
       std::printf("%s: count=%.0f p50=%.1fus p95=%.1fus p99=%.1fus\n", name,
                   hist->NumberOr("count", 0),
                   JsonHistogramPercentile(*hist, 0.50),
@@ -264,7 +214,7 @@ int Run(const ParsedArgs& args) {
 
 int main(int argc, char** argv) {
   std::vector<std::string> raw(argv + 1, argv + argc);
-  auto parsed = homets::ParseFlags(raw, {"metrics", "min-wall-sec"});
+  auto parsed = homets::ParseFlags(raw, {"metrics"});
   if (!parsed.ok()) {
     std::fprintf(stderr, "homets_profile: %s\n",
                  parsed.status().message().c_str());
@@ -273,7 +223,7 @@ int main(int argc, char** argv) {
   if (parsed.value().positional.size() != 1) {
     std::fprintf(stderr,
                  "usage: homets_profile RUN_MANIFEST.json "
-                 "[--metrics METRICS.json] [--min-wall-sec S]\n");
+                 "[--metrics METRICS.json]\n");
     return 2;
   }
   return homets::Run(parsed.value());

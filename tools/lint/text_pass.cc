@@ -311,9 +311,8 @@ void TextPass::CheckClockDiscipline(const FileViews& views,
   // Wall-clock reads are an observability concern: timestamps flow through
   // obs (Logger::NowUs, StageTimer, CaptureRusage) and durations through
   // steady_clock. Only the src/ engine layers are in scope — src/obs owns
-  // the clock, and src/common hosts the low-level timing the profiler and
-  // pool instrumentation write through. bench/, tools/ and tests/ time
-  // whatever they like.
+  // the clock, and src/common hosts the thread pool's task-latency timing.
+  // bench/, tools/ and tests/ time whatever they like.
   if (rel_path.rfind("src/", 0) != 0 ||
       rel_path.rfind("src/obs/", 0) == 0 ||
       rel_path.rfind("src/common/", 0) == 0) {

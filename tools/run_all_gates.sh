@@ -54,21 +54,20 @@ fi
 
 jobs=$( (nproc || sysctl -n hw.ncpu || echo 2) 2>/dev/null | head -n1 )
 run cmake --build "$build" -j "$jobs"
-run ctest --test-dir "$build" --output-on-failure -L "lint|lint-arch|threads|chaos|chaos-fleet|storage|telemetry|bench-smoke|prof"
+run ctest --test-dir "$build" --output-on-failure -L "lint|lint-arch|threads|chaos|chaos-fleet|storage|telemetry|bench-smoke"
 
 # Concurrency under TSan: the `threads` label (thread pool, similarity
-# engine, and the obs registry, trace and logger tests), the `prof` label
-# (the mutex-contention and pool-worker hooks, lock-free hot-path writes) and
-# the `chaos-fleet` label (the orchestrator's threaded shard loop, with
-# retries, checkpoints and quarantine) get their own ThreadSanitizer pass
-# (the alloc-tally test self-skips there — the operator-new replacement is
-# compiled out under sanitizers).
+# engine, and the obs registry, trace and logger tests) and the
+# `chaos-fleet` label (the orchestrator's threaded shard loop, with retries,
+# checkpoints and quarantine) get their own ThreadSanitizer pass (the
+# inactive-span allocation test self-skips there — its operator-new counter
+# is compiled out under sanitizers).
 tsan_build="$root/build-gates-tsan"
 run cmake -S "$root" -B "$tsan_build" -DHOMETS_SANITIZE=thread
 run cmake --build "$tsan_build" -j "$jobs" \
-    --target obs_test threading_test prof_test fleet_chaos_test
+    --target obs_test threading_test fleet_chaos_test
 run ctest --test-dir "$tsan_build" --output-on-failure \
-    -L "threads|prof|chaos-fleet"
+    -L "threads|chaos-fleet"
 
 if [ "$dry_run" -eq 1 ]; then
     echo "DRY RUN: no commands executed"
