@@ -1,15 +1,19 @@
 #include "io/csv.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
-#include <set>
+#include <memory>
+#include <optional>
+#include <string_view>
 #include <thread>
-#include <tuple>
+#include <unordered_set>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -26,14 +30,22 @@ namespace {
 /// Quarantine samples kept verbatim per file; counters stay exact beyond it.
 constexpr size_t kQuarantineSampleCap = 16;
 
+/// Bytes read per block. A line longer than this grows the buffer; the file
+/// as a whole is never held in memory.
+constexpr size_t kReadBlockBytes = size_t{256} * 1024;
+
+constexpr std::string_view kGatewayHeader =
+    "device,true_type,reported_type,minute,incoming,outgoing";
+
+/// Fields per gateway row: the header's six columns.
+constexpr size_t kGatewayFields = 6;
+
 struct IoMetrics {
   obs::Counter* rows_parsed;
   obs::Counter* rows_skipped;
   obs::Counter* files_read;
   obs::Counter* rows_malformed;
   obs::Counter* rows_duplicate;
-  obs::Counter* rows_out_of_order;
-  obs::Counter* gaps_repaired;
   obs::Counter* retries;
   obs::Counter* files_quarantined;
 };
@@ -46,8 +58,6 @@ const IoMetrics& Metrics() {
                      registry.GetCounter(obs::kIoFilesRead),
                      registry.GetCounter(obs::kIngestRowsMalformed),
                      registry.GetCounter(obs::kIngestRowsDuplicate),
-                     registry.GetCounter(obs::kIngestRowsOutOfOrder),
-                     registry.GetCounter(obs::kIngestGapsRepaired),
                      registry.GetCounter(obs::kIngestRetries),
                      registry.GetCounter(obs::kIngestFilesQuarantined)};
   }();
@@ -58,21 +68,17 @@ void PublishIngest(const IngestReport& report, bool file_quarantined) {
   const IoMetrics& m = Metrics();
   if (report.rows_malformed > 0) m.rows_malformed->Increment(report.rows_malformed);
   if (report.rows_duplicate > 0) m.rows_duplicate->Increment(report.rows_duplicate);
-  if (report.rows_out_of_order > 0) {
-    m.rows_out_of_order->Increment(report.rows_out_of_order);
-  }
-  if (report.gaps_repaired > 0) m.gaps_repaired->Increment(report.gaps_repaired);
   if (report.retries > 0) m.retries->Increment(report.retries);
   if (file_quarantined) m.files_quarantined->Increment();
 }
 
-Result<simgen::DeviceType> ParseDeviceType(const std::string& name) {
+Result<simgen::DeviceType> ParseDeviceType(std::string_view name) {
   if (name == "portable") return simgen::DeviceType::kPortable;
   if (name == "fixed") return simgen::DeviceType::kFixed;
   if (name == "network_equipment") return simgen::DeviceType::kNetworkEquipment;
   if (name == "game_console") return simgen::DeviceType::kGameConsole;
   if (name == "unlabeled") return simgen::DeviceType::kUnlabeled;
-  return Status::InvalidArgument("unknown device type: " + name);
+  return Status::InvalidArgument("unknown device type: " + std::string(name));
 }
 
 /// Whole-field integer parse; never throws (std::stoll would).
@@ -101,7 +107,7 @@ Result<double> ParseValue(std::string_view field) {
   return value;
 }
 
-/// Per-file quarantine bookkeeping shared by both readers.
+/// Per-file quarantine bookkeeping.
 class RowQuarantine {
  public:
   RowQuarantine(const ReadOptions& options, const std::string& path,
@@ -110,11 +116,12 @@ class RowQuarantine {
 
   /// Records one unusable row against `counter` (a field of the report);
   /// fails the read once the per-file cap is exhausted.
-  Status Add(size_t* counter, size_t line_no, const std::string& text,
+  Status Add(size_t* counter, size_t line_no, std::string_view text,
              const char* reason) {
     ++*counter;
     if (report_->quarantine.size() < kQuarantineSampleCap) {
-      report_->quarantine.push_back(QuarantinedRow{line_no, text, reason});
+      report_->quarantine.push_back(
+          QuarantinedRow{line_no, std::string(text), reason});
     }
     if (report_->SkippedTotal() > options_.max_errors) {
       return Status::InvalidArgument(
@@ -131,8 +138,9 @@ class RowQuarantine {
 };
 
 /// Applies the `io.csv.row` failpoint to one raw line. kCorrupt mangles the
-/// line so it parses as malformed; kTruncate simulates the file ending
-/// mid-stream; kError is a transient (retryable) read failure.
+/// line so it parses as malformed (a leading extra field); kTruncate
+/// simulates the file ending mid-stream; kError is a transient (retryable)
+/// read failure.
 enum class RowFate { kKeep, kTruncateStream };
 
 Result<RowFate> ApplyRowFailpoint(std::string* line) {
@@ -140,7 +148,7 @@ Result<RowFate> ApplyRowFailpoint(std::string* line) {
     case FailpointAction::kError:
       return Status::IoError("injected by failpoint 'io.csv.row'");
     case FailpointAction::kCorrupt:
-      line->insert(0, "\x01corrupt\x01");
+      line->insert(0, "\x01corrupt\x01,");
       return RowFate::kKeep;
     case FailpointAction::kTruncate:
       return RowFate::kTruncateStream;
@@ -149,137 +157,150 @@ Result<RowFate> ApplyRowFailpoint(std::string* line) {
   }
 }
 
-/// One read attempt of a `minute,value` series file under `options`.
-Result<ts::TimeSeries> ReadTimeSeriesCsvOnce(const std::string& path,
-                                             const ReadOptions& options,
-                                             IngestReport* report) {
-  obs::ScopedSpan span("io.read_time_series_csv");
-  HOMETS_FAILPOINT(kFailpointCsvOpen);
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  Metrics().files_read->Increment();
-  const bool strict = options.policy == ErrorPolicy::kStrict;
-  const bool repair = options.policy == ErrorPolicy::kRepair;
-  RowQuarantine quarantine(options, path, report);
-  std::string line;
-  size_t line_no = 1;
-  if (!std::getline(in, line)) {
-    return Status::IoError("empty file: " + path);
-  }
-  if (StrTrim(line) != "minute,value") {
-    if (strict) {
-      return Status::InvalidArgument("bad header in " + path + ": " + line);
-    }
-    HOMETS_RETURN_IF_ERROR(
-        quarantine.Add(&report->rows_malformed, line_no, line, "bad header"));
-  }
-  // Accepted rows in file order (strict/skip) plus a key set for duplicate
-  // and order detection; repair re-sorts via the map at the end.
-  std::vector<std::pair<int64_t, double>> rows;
-  std::set<int64_t> seen;
-  int64_t last_minute = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (Failpoints::Global().armed()) {
-      HOMETS_ASSIGN_OR_RETURN(const RowFate fate, ApplyRowFailpoint(&line));
-      if (fate == RowFate::kTruncateStream) {
-        report->truncated = true;
-        break;
+/// Splits a file into lines on '\n' through one read buffer, as std::getline
+/// does: a trailing '\r' stays in the line, and a final '\n' ends the last
+/// line rather than starting an empty one. Memory is one block plus the
+/// longest line, whatever the file size.
+class LineReader {
+ public:
+  explicit LineReader(std::FILE* file)
+      : file_(file), buffer_(kReadBlockBytes) {}
+
+  /// The next line, valid until the following call; false at end of file
+  /// or on a read error (then failed() is true).
+  bool ReadLine(std::string_view* line) {
+    for (;;) {
+      const char* begin = buffer_.data() + begin_;
+      const size_t available = end_ - begin_;
+      if (const void* newline = std::memchr(begin, '\n', available)) {
+        const size_t length =
+            static_cast<size_t>(static_cast<const char*>(newline) - begin);
+        *line = std::string_view(begin, length);
+        begin_ += length + 1;
+        return true;
       }
-    }
-    if (StrTrim(line).empty()) {
-      Metrics().rows_skipped->Increment();
-      continue;
-    }
-    const auto fields = StrSplit(line, ',');
-    if (fields.size() != 2) {
-      if (strict) {
-        return Status::IoError("malformed row in " + path + ": " + line);
+      if (eof_) {
+        if (available == 0) return false;
+        *line = std::string_view(begin, available);
+        begin_ = end_;
+        return true;
       }
-      HOMETS_RETURN_IF_ERROR(quarantine.Add(&report->rows_malformed, line_no,
-                                            line, "wrong field count"));
-      continue;
-    }
-    const auto minute = ParseMinute(fields[0]);
-    const auto value = minute.ok() ? ParseValue(fields[1])
-                                   : Result<double>(minute.status());
-    if (!value.ok()) {
-      if (strict) return value.status();
-      HOMETS_RETURN_IF_ERROR(quarantine.Add(&report->rows_malformed, line_no,
-                                            line, "non-numeric cell"));
-      continue;
-    }
-    if (!strict) {
-      if (!seen.insert(*minute).second) {
-        HOMETS_RETURN_IF_ERROR(quarantine.Add(&report->rows_duplicate, line_no,
-                                              line, "duplicate minute"));
-        continue;
-      }
-      if (!rows.empty() && *minute < last_minute) {
-        if (!repair) {
-          HOMETS_RETURN_IF_ERROR(quarantine.Add(&report->rows_out_of_order,
-                                                line_no, line,
-                                                "out-of-order minute"));
-          continue;
-        }
-        // kRepair keeps the row; the sort below moves it into place.
-        ++report->rows_out_of_order;
-      }
-    }
-    Metrics().rows_parsed->Increment();
-    rows.emplace_back(*minute, *value);
-    last_minute = std::max(last_minute, *minute);
-  }
-  if (report->truncated && strict) {
-    return Status::IoError("truncated stream in " + path);
-  }
-  if (rows.empty()) return Status::IoError("no data rows in " + path);
-  report->rows_parsed = rows.size();
-  if (repair) {
-    std::sort(rows.begin(), rows.end());
-    // Grid step = smallest positive minute delta; every other delta must be
-    // a multiple of it or there is no grid to repair onto.
-    int64_t step = 1;
-    if (rows.size() >= 2) {
-      step = rows[1].first - rows[0].first;
-      for (size_t i = 2; i < rows.size(); ++i) {
-        step = std::min(step, rows[i].first - rows[i - 1].first);
-      }
-      for (size_t i = 1; i < rows.size(); ++i) {
-        if ((rows[i].first - rows[0].first) % step != 0) {
-          return Status::InvalidArgument("cannot infer minute grid in " +
-                                         path);
-        }
-      }
-    }
-    const size_t n =
-        static_cast<size_t>((rows.back().first - rows.front().first) / step) +
-        1;
-    std::vector<double> values(n, ts::TimeSeries::Missing());
-    for (const auto& [minute, value] : rows) {
-      values[static_cast<size_t>((minute - rows.front().first) / step)] =
-          value;
-    }
-    report->gaps_repaired = n - rows.size();
-    return ts::TimeSeries(rows.front().first, step, std::move(values));
-  }
-  // kStrict and kSkipAndReport require the (surviving) rows to already form
-  // an increasing constant-step grid — the historical contract.
-  int64_t step = 1;
-  if (rows.size() >= 2) {
-    step = rows[1].first - rows[0].first;
-    if (step <= 0) return Status::IoError("non-increasing minutes in " + path);
-    for (size_t i = 2; i < rows.size(); ++i) {
-      if (rows[i].first - rows[i - 1].first != step) {
-        return Status::IoError("irregular minute step in " + path);
-      }
+      Refill();
     }
   }
-  std::vector<double> values;
-  values.reserve(rows.size());
-  for (const auto& [minute, value] : rows) values.push_back(value);
-  return ts::TimeSeries(rows[0].first, step, std::move(values));
+
+  bool failed() const { return failed_; }
+
+ private:
+  /// Moves the partial last line to the front and reads the next block
+  /// behind it, doubling the buffer only when that line fills it.
+  void Refill() {
+    std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+    if (end_ == buffer_.size()) buffer_.resize(buffer_.size() * 2);
+    const size_t got =
+        std::fread(buffer_.data() + end_, 1, buffer_.size() - end_, file_);
+    end_ += got;
+    if (got == 0) {
+      eof_ = true;
+      failed_ = std::ferror(file_) != 0;
+    }
+  }
+
+  std::FILE* file_;
+  std::vector<char> buffer_;
+  size_t begin_ = 0;  ///< first unread byte
+  size_t end_ = 0;    ///< one past the last byte read
+  bool eof_ = false;
+  bool failed_ = false;
+};
+
+/// Cuts `line` at its commas; false unless it has exactly kGatewayFields
+/// fields (the same count StrSplit would give).
+bool SplitGatewayRow(std::string_view line,
+                     std::array<std::string_view, kGatewayFields>* fields) {
+  size_t start = 0;
+  for (size_t i = 0; i + 1 < kGatewayFields; ++i) {
+    const size_t comma = line.find(',', start);
+    if (comma == std::string_view::npos) return false;
+    (*fields)[i] = line.substr(start, comma - start);
+    start = comma + 1;
+  }
+  const std::string_view last = line.substr(start);
+  if (last.find(',') != std::string_view::npos) return false;
+  fields->back() = last;
+  return true;
 }
+
+struct GatewayRow {
+  simgen::DeviceType true_type = simgen::DeviceType::kUnlabeled;
+  simgen::DeviceType reported_type = simgen::DeviceType::kUnlabeled;
+  int64_t minute = 0;
+  double in = 0.0;
+  double out = 0.0;
+};
+
+Result<GatewayRow> ParseGatewayRow(
+    const std::array<std::string_view, kGatewayFields>& fields) {
+  GatewayRow row;
+  HOMETS_ASSIGN_OR_RETURN(row.true_type, ParseDeviceType(fields[1]));
+  HOMETS_ASSIGN_OR_RETURN(row.reported_type, ParseDeviceType(fields[2]));
+  HOMETS_ASSIGN_OR_RETURN(row.minute, ParseMinute(fields[3]));
+  HOMETS_ASSIGN_OR_RETURN(row.in, ParseValue(fields[4]));
+  HOMETS_ASSIGN_OR_RETURN(row.out, ParseValue(fields[5]));
+  return row;
+}
+
+/// One device's accepted observations, in file order.
+struct DeviceRows {
+  struct Observation {
+    int64_t minute;
+    double in;
+    double out;
+  };
+  simgen::DeviceType true_type = simgen::DeviceType::kUnlabeled;
+  simgen::DeviceType reported_type = simgen::DeviceType::kUnlabeled;
+  std::vector<Observation> rows;
+  /// Every minute seen, built at the first minute that does not increase;
+  /// while minutes strictly increase no row can repeat one.
+  std::optional<std::unordered_set<int64_t>> seen;
+
+  /// True, and `minute` recorded as seen, unless the device already has it.
+  bool Claim(int64_t minute) {
+    if (!seen.has_value()) {
+      if (rows.empty() || minute > rows.back().minute) return true;
+      seen.emplace();
+      seen->reserve(rows.size() * 2);
+      for (const Observation& row : rows) seen->insert(row.minute);
+    }
+    return seen->insert(minute).second;
+  }
+};
+
+/// Row counts of one read attempt. They reach the report and the
+/// `homets.io.*` counters once, on whichever path the attempt returns by.
+class AttemptCounts {
+ public:
+  explicit AttemptCounts(IngestReport* report) : report_(report) {}
+  AttemptCounts(const AttemptCounts&) = delete;
+  AttemptCounts& operator=(const AttemptCounts&) = delete;
+  ~AttemptCounts() {
+    report_->rows_parsed = parsed;
+    if (parsed > 0) Metrics().rows_parsed->Increment(parsed);
+    if (skipped > 0) Metrics().rows_skipped->Increment(skipped);
+  }
+
+  size_t parsed = 0;   ///< rows accepted into the result
+  size_t skipped = 0;  ///< blank lines
+
+ private:
+  IngestReport* report_;
+};
+
+struct FileCloser {
+  void operator()(std::FILE* file) const { std::fclose(file); }
+};
 
 /// One read attempt of a gateway long-format file under `options`.
 Result<simgen::GatewayTrace> ReadGatewayCsvOnce(const std::string& path,
@@ -287,66 +308,63 @@ Result<simgen::GatewayTrace> ReadGatewayCsvOnce(const std::string& path,
                                                 IngestReport* report) {
   obs::ScopedSpan span("io.read_gateway_csv");
   HOMETS_FAILPOINT(kFailpointCsvOpen);
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for read: " + path);
+  const std::unique_ptr<std::FILE, FileCloser> file(
+      std::fopen(path.c_str(), "rb"));
+  if (!file) return Status::IoError("cannot open for read: " + path);
   Metrics().files_read->Increment();
   const bool strict = options.policy == ErrorPolicy::kStrict;
   RowQuarantine quarantine(options, path, report);
-  std::string line;
+  AttemptCounts counts(report);
+  LineReader lines(file.get());
+  std::string_view line;
   size_t line_no = 1;
-  if (!std::getline(in, line)) return Status::IoError("empty file: " + path);
-  if (StrTrim(line) !=
-      "device,true_type,reported_type,minute,incoming,outgoing") {
+  if (!lines.ReadLine(&line)) {
+    return Status::IoError((lines.failed() ? "read failed: " : "empty file: ") +
+                           path);
+  }
+  if (StrTrim(line) != kGatewayHeader) {
     if (strict) {
-      return Status::InvalidArgument("bad header in " + path + ": " + line);
+      return Status::InvalidArgument("bad header in " + path + ": " +
+                                     std::string(line));
     }
     HOMETS_RETURN_IF_ERROR(
         quarantine.Add(&report->rows_malformed, line_no, line, "bad header"));
   }
 
-  struct Accum {
-    simgen::DeviceType true_type;
-    simgen::DeviceType reported_type;
-    std::map<int64_t, std::pair<double, double>> rows;
-  };
-  std::map<std::string, Accum> devices;
+  std::map<std::string, DeviceRows, std::less<>> devices;
+  // The writer groups rows by device, so most rows hit the last device.
+  DeviceRows* last = nullptr;
+  std::string_view last_name;
+  bool any_row = false;
   int64_t min_minute = 0;
-  int64_t max_minute = -1;
-  while (std::getline(in, line)) {
+  int64_t max_minute = 0;
+  std::string owned;  // the line, when a failpoint may rewrite it
+  std::array<std::string_view, kGatewayFields> fields;
+  while (lines.ReadLine(&line)) {
     ++line_no;
     if (Failpoints::Global().armed()) {
-      HOMETS_ASSIGN_OR_RETURN(const RowFate fate, ApplyRowFailpoint(&line));
+      owned.assign(line);
+      HOMETS_ASSIGN_OR_RETURN(const RowFate fate, ApplyRowFailpoint(&owned));
       if (fate == RowFate::kTruncateStream) {
         report->truncated = true;
         break;
       }
+      line = owned;
     }
     if (StrTrim(line).empty()) {
-      Metrics().rows_skipped->Increment();
+      ++counts.skipped;
       continue;
     }
-    const auto fields = StrSplit(line, ',');
-    if (fields.size() != 6) {
+    if (!SplitGatewayRow(line, &fields)) {
       if (strict) {
-        return Status::IoError("malformed row in " + path + ": " + line);
+        return Status::IoError("malformed row in " + path + ": " +
+                               std::string(line));
       }
       HOMETS_RETURN_IF_ERROR(quarantine.Add(&report->rows_malformed, line_no,
                                             line, "wrong field count"));
       continue;
     }
-    const auto parse_row =
-        [&]() -> Result<std::tuple<simgen::DeviceType, simgen::DeviceType,
-                                   int64_t, double, double>> {
-      HOMETS_ASSIGN_OR_RETURN(const auto true_type,
-                              ParseDeviceType(fields[1]));
-      HOMETS_ASSIGN_OR_RETURN(const auto reported_type,
-                              ParseDeviceType(fields[2]));
-      HOMETS_ASSIGN_OR_RETURN(const int64_t minute, ParseMinute(fields[3]));
-      HOMETS_ASSIGN_OR_RETURN(const double in_v, ParseValue(fields[4]));
-      HOMETS_ASSIGN_OR_RETURN(const double out_v, ParseValue(fields[5]));
-      return std::make_tuple(true_type, reported_type, minute, in_v, out_v);
-    };
-    const auto parsed = parse_row();
+    const auto parsed = ParseGatewayRow(fields);
     if (!parsed.ok()) {
       if (strict) return parsed.status();
       HOMETS_RETURN_IF_ERROR(quarantine.Add(&report->rows_malformed, line_no,
@@ -354,33 +372,43 @@ Result<simgen::GatewayTrace> ReadGatewayCsvOnce(const std::string& path,
                                             "unparseable cell or type"));
       continue;
     }
-    const auto& [true_type, reported_type, minute, in_v, out_v] = *parsed;
-    auto& acc = devices[fields[0]];
-    acc.true_type = true_type;
-    acc.reported_type = reported_type;
-    if (!acc.rows.emplace(minute, std::make_pair(in_v, out_v)).second) {
+    const GatewayRow& row = *parsed;
+    const std::string_view name = fields[0];
+    if (last == nullptr || name != last_name) {
+      auto it = devices.find(name);
+      if (it == devices.end()) {
+        it = devices.emplace(std::string(name), DeviceRows{}).first;
+      }
+      last = &it->second;
+      last_name = it->first;
+    }
+    if (!last->Claim(row.minute)) {
       // First observation wins; a repeated (device, minute) key means the
       // exporter misbehaved and strict mode refuses to guess.
       if (strict) {
         return Status::InvalidArgument(
             StrFormat("duplicate observation in %s: device %s minute %lld",
-                      path.c_str(), fields[0].c_str(),
-                      static_cast<long long>(minute)));
+                      path.c_str(), std::string(name).c_str(),
+                      static_cast<long long>(row.minute)));
       }
       HOMETS_RETURN_IF_ERROR(quarantine.Add(&report->rows_duplicate, line_no,
                                             line, "duplicate minute"));
       continue;
     }
-    Metrics().rows_parsed->Increment();
-    ++report->rows_parsed;
-    if (max_minute < 0) {
-      min_minute = minute;
-      max_minute = minute;
+    last->true_type = row.true_type;
+    last->reported_type = row.reported_type;
+    last->rows.push_back({row.minute, row.in, row.out});
+    ++counts.parsed;
+    if (!any_row) {
+      any_row = true;
+      min_minute = row.minute;
+      max_minute = row.minute;
     } else {
-      min_minute = std::min(min_minute, minute);
-      max_minute = std::max(max_minute, minute);
+      min_minute = std::min(min_minute, row.minute);
+      max_minute = std::max(max_minute, row.minute);
     }
   }
+  if (lines.failed()) return Status::IoError("read failed: " + path);
   if (report->truncated && strict) {
     return Status::IoError("truncated stream in " + path);
   }
@@ -395,10 +423,10 @@ Result<simgen::GatewayTrace> ReadGatewayCsvOnce(const std::string& path,
     dev.reported_type = acc.reported_type;
     std::vector<double> in_vals(n, ts::TimeSeries::Missing());
     std::vector<double> out_vals(n, ts::TimeSeries::Missing());
-    for (const auto& [minute, pair] : acc.rows) {
-      const size_t idx = static_cast<size_t>(minute - min_minute);
-      in_vals[idx] = pair.first;
-      out_vals[idx] = pair.second;
+    for (const DeviceRows::Observation& observed : acc.rows) {
+      const size_t idx = static_cast<size_t>(observed.minute - min_minute);
+      in_vals[idx] = observed.in;
+      out_vals[idx] = observed.out;
     }
     dev.incoming = ts::TimeSeries(min_minute, 1, std::move(in_vals));
     dev.outgoing = ts::TimeSeries(min_minute, 1, std::move(out_vals));
@@ -407,90 +435,12 @@ Result<simgen::GatewayTrace> ReadGatewayCsvOnce(const std::string& path,
   return gw;
 }
 
-/// Retry harness shared by both readers: transient failures (kIoError) are
-/// retried with deterministic exponential backoff, each attempt on a fresh
-/// report; parse/content failures are never retried. Publishes the ingest
-/// metrics exactly once per call.
-template <typename T, typename Fn>
-Result<T> ReadWithRetries(const std::string& path, const ReadOptions& options,
-                          IngestReport* report, const Fn& attempt) {
-  IngestReport local;
-  Result<T> result = Status::Unknown("read never attempted");
-  for (int attempt_no = 0;; ++attempt_no) {
-    const size_t retries_so_far = local.retries;
-    local = IngestReport{};
-    local.path = path;
-    local.retries = retries_so_far;
-    result = attempt(path, options, &local);
-    if (result.ok() || result.status().code() != StatusCode::kIoError ||
-        attempt_no >= options.max_retries) {
-      break;
-    }
-    ++local.retries;
-    obs::LogWarn("io.csv", "transient read failure, retrying",
-                 {obs::LogField::Str("path", path),
-                  obs::LogField::Int("attempt", attempt_no + 1),
-                  obs::LogField::Str("error", result.status().message())});
-    if (options.backoff_ms > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          options.backoff_ms * static_cast<double>(int64_t{1} << attempt_no)));
-    }
-  }
-  const bool quarantined_file =
-      !result.ok() && options.policy != ErrorPolicy::kStrict;
-  if (local.SkippedTotal() > 0 || local.gaps_repaired > 0 ||
-      quarantined_file) {
-    obs::LogWarn("io.csv",
-                 quarantined_file ? "file quarantined" : "rows quarantined",
-                 {obs::LogField::Str("path", path),
-                  obs::LogField::Uint("rows_malformed", local.rows_malformed),
-                  obs::LogField::Uint("rows_duplicate", local.rows_duplicate),
-                  obs::LogField::Uint("rows_out_of_order",
-                                      local.rows_out_of_order),
-                  obs::LogField::Uint("gaps_repaired", local.gaps_repaired)});
-  }
-  PublishIngest(local, quarantined_file);
-  if (report != nullptr) *report = std::move(local);
-  return result;
-}
-
 }  // namespace
 
 std::string IngestReport::Summary() const {
-  return StrFormat(
-      "%s: %zu rows, %zu malformed, %zu duplicate, %zu out-of-order, "
-      "%zu gaps repaired, %zu retries%s",
-      path.c_str(), rows_parsed, rows_malformed, rows_duplicate,
-      rows_out_of_order, gaps_repaired, retries,
-      truncated ? ", truncated" : "");
-}
-
-Status WriteTimeSeriesCsv(const std::string& path,
-                          const ts::TimeSeries& series) {
-  HOMETS_FAILPOINT(kFailpointCsvWrite);
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open for write: " + path);
-  out << "minute,value\n";
-  for (size_t i = 0; i < series.size(); ++i) {
-    out << series.MinuteAt(i) << ',';
-    if (!ts::TimeSeries::IsMissing(series[i])) {
-      out << StrFormat("%.6f", series[i]);
-    }
-    out << '\n';
-  }
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
-Result<ts::TimeSeries> ReadTimeSeriesCsv(const std::string& path,
-                                         const ReadOptions& options,
-                                         IngestReport* report) {
-  return ReadWithRetries<ts::TimeSeries>(path, options, report,
-                                         ReadTimeSeriesCsvOnce);
-}
-
-Result<ts::TimeSeries> ReadTimeSeriesCsv(const std::string& path) {
-  return ReadTimeSeriesCsv(path, ReadOptions{}, nullptr);
+  return StrFormat("%s: %zu rows, %zu malformed, %zu duplicate, %zu retries%s",
+                   path.c_str(), rows_parsed, rows_malformed, rows_duplicate,
+                   retries, truncated ? ", truncated" : "");
 }
 
 Status WriteGatewayCsv(const std::string& path,
@@ -498,7 +448,7 @@ Status WriteGatewayCsv(const std::string& path,
   HOMETS_FAILPOINT(kFailpointCsvWrite);
   std::ofstream out(path);
   if (!out) return Status::IoError("cannot open for write: " + path);
-  out << "device,true_type,reported_type,minute,incoming,outgoing\n";
+  out << kGatewayHeader << '\n';
   for (const auto& dev : gateway.devices) {
     for (size_t i = 0; i < dev.incoming.size(); ++i) {
       const double in_v = dev.incoming[i];
@@ -521,11 +471,46 @@ Status WriteGatewayCsv(const std::string& path,
   return Status::OK();
 }
 
+/// Transient failures (kIoError) are retried with deterministic exponential
+/// backoff, each attempt on a fresh report; parse/content failures are never
+/// retried. Publishes the ingest metrics exactly once per call.
 Result<simgen::GatewayTrace> ReadGatewayCsv(const std::string& path,
                                             const ReadOptions& options,
                                             IngestReport* report) {
-  return ReadWithRetries<simgen::GatewayTrace>(path, options, report,
-                                               ReadGatewayCsvOnce);
+  IngestReport local;
+  Result<simgen::GatewayTrace> result = Status::Unknown("read never attempted");
+  for (int attempt_no = 0;; ++attempt_no) {
+    const size_t retries_so_far = local.retries;
+    local = IngestReport{};
+    local.path = path;
+    local.retries = retries_so_far;
+    result = ReadGatewayCsvOnce(path, options, &local);
+    if (result.ok() || result.status().code() != StatusCode::kIoError ||
+        attempt_no >= options.max_retries) {
+      break;
+    }
+    ++local.retries;
+    obs::LogWarn("io.csv", "transient read failure, retrying",
+                 {obs::LogField::Str("path", path),
+                  obs::LogField::Int("attempt", attempt_no + 1),
+                  obs::LogField::Str("error", result.status().message())});
+    if (options.backoff_ms > 0.0) {
+      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+          options.backoff_ms * static_cast<double>(int64_t{1} << attempt_no)));
+    }
+  }
+  const bool quarantined_file =
+      !result.ok() && options.policy != ErrorPolicy::kStrict;
+  if (local.SkippedTotal() > 0 || quarantined_file) {
+    obs::LogWarn("io.csv",
+                 quarantined_file ? "file quarantined" : "rows quarantined",
+                 {obs::LogField::Str("path", path),
+                  obs::LogField::Uint("rows_malformed", local.rows_malformed),
+                  obs::LogField::Uint("rows_duplicate", local.rows_duplicate)});
+  }
+  PublishIngest(local, quarantined_file);
+  if (report != nullptr) *report = std::move(local);
+  return result;
 }
 
 Result<simgen::GatewayTrace> ReadGatewayCsv(const std::string& path) {

@@ -8,12 +8,11 @@
 
 #include "common/status.h"
 #include "simgen/types.h"
-#include "ts/time_series.h"
 
 namespace homets::io {
 
-/// \brief What a reader does with a row it cannot use as-is (malformed,
-/// duplicate minute, out-of-order minute, off-grid minute).
+/// \brief What the reader does with a row it cannot use as-is (malformed,
+/// unknown device type, repeated (device, minute) observation).
 enum class ErrorPolicy : uint8_t {
   /// Any bad row fails the whole read — the historical behavior, and the
   /// right one for data that is supposed to be machine-generated.
@@ -21,19 +20,15 @@ enum class ErrorPolicy : uint8_t {
   /// Bad rows are quarantined (dropped, counted, sampled into the report)
   /// and the read succeeds if what remains is usable.
   kSkipAndReport,
-  /// kSkipAndReport plus structural repair: out-of-order rows are sorted
-  /// back into place and minute gaps are filled with explicit missing
-  /// markers, so downstream stages see a contiguous grid.
-  kRepair,
 };
 
 /// \brief Knobs for resilient ingestion. The defaults reproduce the strict
 /// historical behavior exactly.
 struct ReadOptions {
   ErrorPolicy policy = ErrorPolicy::kStrict;
-  /// Per-file cap on quarantined rows (malformed + duplicate + out-of-order);
-  /// exceeding it fails the read even under kSkipAndReport/kRepair, so a
-  /// thoroughly corrupt file cannot silently dwindle to three usable rows.
+  /// Per-file cap on quarantined rows (malformed + duplicate); exceeding it
+  /// fails the read even under kSkipAndReport, so a thoroughly corrupt file
+  /// cannot silently dwindle to three usable rows.
   size_t max_errors = 256;
   /// Transient-IO retry budget: a read failing with kIoError is retried up
   /// to this many times (parse errors are never retried).
@@ -47,7 +42,7 @@ struct ReadOptions {
 struct QuarantinedRow {
   size_t line = 0;     ///< 1-based line number in the file
   std::string text;    ///< the raw row
-  std::string reason;  ///< e.g. "non-numeric minute", "duplicate minute"
+  std::string reason;  ///< e.g. "wrong field count", "duplicate minute"
 };
 
 /// \brief What resilient ingestion did to one file.
@@ -55,9 +50,7 @@ struct IngestReport {
   std::string path;
   size_t rows_parsed = 0;       ///< rows accepted into the result
   size_t rows_malformed = 0;    ///< wrong arity / non-numeric / bad header
-  size_t rows_duplicate = 0;    ///< minute (or device+minute) seen before
-  size_t rows_out_of_order = 0; ///< minute moved backwards
-  size_t gaps_repaired = 0;     ///< grid slots filled with missing markers
+  size_t rows_duplicate = 0;    ///< (device, minute) seen before
   size_t retries = 0;           ///< transient-IO retries that were needed
   bool truncated = false;       ///< the file ended mid-stream (failpoint)
   /// First few quarantined rows verbatim (capped; the counters above are
@@ -66,32 +59,11 @@ struct IngestReport {
 
   /// Total quarantined rows, the quantity capped by ReadOptions::max_errors.
   size_t SkippedTotal() const {
-    return rows_malformed + rows_duplicate + rows_out_of_order;
+    return rows_malformed + rows_duplicate;
   }
   /// One-line human summary for logs ("3 malformed, 1 duplicate, ...").
   std::string Summary() const;
 };
-
-/// \brief Writes a time series as CSV with header `minute,value`; missing
-/// values are written as empty fields.
-Status WriteTimeSeriesCsv(const std::string& path,
-                          const ts::TimeSeries& series);
-
-/// \brief Reads a series written by WriteTimeSeriesCsv under `options`.
-///
-/// kStrict requires a contiguous constant-step minute column and fully
-/// numeric cells. kSkipAndReport quarantines unusable rows and requires the
-/// survivors to form a constant-step grid. kRepair additionally re-sorts
-/// out-of-order rows and fills minute gaps with explicit missing markers
-/// (step inferred as the smallest positive minute delta). `report` (may be
-/// nullptr) receives what happened; the `homets.ingest.*` metrics aggregate
-/// the same counts across files.
-Result<ts::TimeSeries> ReadTimeSeriesCsv(const std::string& path,
-                                         const ReadOptions& options,
-                                         IngestReport* report = nullptr);
-
-/// \brief Strict read — `ReadOptions{}` semantics, kept for existing callers.
-Result<ts::TimeSeries> ReadTimeSeriesCsv(const std::string& path);
 
 /// \brief Writes one gateway's per-device traces in long format:
 /// `device,true_type,reported_type,minute,incoming,outgoing` — the shape a
@@ -101,10 +73,15 @@ Status WriteGatewayCsv(const std::string& path,
 
 /// \brief Reads a gateway trace written by WriteGatewayCsv under `options`.
 ///
-/// The long format names minutes explicitly, so missing minutes are always
-/// implicit and need no repair; the policies differ on malformed rows,
-/// unknown device types, and duplicate (device, minute) observations (first
-/// row wins under kSkipAndReport/kRepair).
+/// The long format names minutes explicitly, so a minute with no row reads
+/// as Missing and rows may come in any order; the policies differ on
+/// malformed rows, unknown device types, and duplicate (device, minute)
+/// observations (the first row wins under kSkipAndReport, and a quarantined
+/// row changes nothing in the result). Devices come back in name order, each
+/// on the span from the file's first to its last minute; a device's types
+/// are those of its last accepted row. `report` (may be nullptr) receives
+/// what happened; the `homets.ingest.*` metrics aggregate the same counts
+/// across files.
 Result<simgen::GatewayTrace> ReadGatewayCsv(const std::string& path,
                                             const ReadOptions& options,
                                             IngestReport* report = nullptr);

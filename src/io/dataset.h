@@ -69,7 +69,7 @@ class DatasetReader {
   Result<simgen::GatewayTrace> ReadGateway(size_t index);
 
   /// The resilient-ingest report of the last CSV ReadGateway (empty for
-  /// columnar files, which fail hard on corruption instead of repairing).
+  /// columnar files, which fail hard on corruption instead of skipping).
   const IngestReport& report() const { return report_; }
 
  private:
@@ -97,7 +97,7 @@ struct ConvertStats {
 
 /// \brief Compacts one gateway CSV into a .homets file through the resilient
 /// CSV reader — the ingest-edge → columnar hot-path hand-off. `report` (may
-/// be nullptr) receives what the CSV edge had to skip or repair.
+/// be nullptr) receives what the CSV edge had to skip.
 Result<ConvertStats> CompactCsvToHomets(const std::string& csv_path,
                                         const std::string& homets_path,
                                         const ReadOptions& options = {},

@@ -83,16 +83,12 @@ inline constexpr std::string_view kIoRowsSkipped = "homets.io.rows_skipped";
 inline constexpr std::string_view kIoFilesRead = "homets.io.files_read";
 
 // io/csv resilient ingestion — ReadOptions error-policy funnel (rows
-// quarantined by class, minute-gap repairs, transient-error retries, and
-// reads abandoned at the per-file error cap).
+// quarantined by class, transient-error retries, and reads abandoned at the
+// per-file error cap).
 inline constexpr std::string_view kIngestRowsMalformed =
     "homets.ingest.rows_malformed";
 inline constexpr std::string_view kIngestRowsDuplicate =
     "homets.ingest.rows_duplicate";
-inline constexpr std::string_view kIngestRowsOutOfOrder =
-    "homets.ingest.rows_out_of_order";
-inline constexpr std::string_view kIngestGapsRepaired =
-    "homets.ingest.gaps_repaired";
 inline constexpr std::string_view kIngestRetries = "homets.ingest.retries";
 inline constexpr std::string_view kIngestFilesQuarantined =
     "homets.ingest.files_quarantined";

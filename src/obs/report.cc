@@ -133,8 +133,6 @@ void RunManifestBuilder::RecordIngest(
   ingest_.rows_parsed += counters.rows_parsed;
   ingest_.rows_malformed += counters.rows_malformed;
   ingest_.rows_duplicate += counters.rows_duplicate;
-  ingest_.rows_out_of_order += counters.rows_out_of_order;
-  ingest_.gaps_repaired += counters.gaps_repaired;
   ingest_.retries += counters.retries;
   ingest_.files_quarantined += counters.files_quarantined;
 }
@@ -231,8 +229,6 @@ std::string RunManifestBuilder::ToJson() const {
         .Member("rows_parsed", ingest_.rows_parsed)
         .Member("rows_malformed", ingest_.rows_malformed)
         .Member("rows_duplicate", ingest_.rows_duplicate)
-        .Member("rows_out_of_order", ingest_.rows_out_of_order)
-        .Member("gaps_repaired", ingest_.gaps_repaired)
         .Member("retries", ingest_.retries)
         .Member("files_quarantined", ingest_.files_quarantined)
         .EndObject();

@@ -37,8 +37,6 @@ struct ManifestIngestCounters {
   uint64_t rows_parsed = 0;
   uint64_t rows_malformed = 0;
   uint64_t rows_duplicate = 0;
-  uint64_t rows_out_of_order = 0;
-  uint64_t gaps_repaired = 0;
   uint64_t retries = 0;
   uint64_t files_quarantined = 0;
 };

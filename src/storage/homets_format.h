@@ -26,8 +26,8 @@
 //             %.3f cells), or
 //   kRaw64    raw little-endian IEEE-754 bits — the lossless fallback.
 // Missing bins (NaN) are carried by a presence bitmap, so decoded series are
-// bit-identical to what the resilient CSV reader produces, including
-// explicit Missing markers from kRepair.
+// bit-identical to what the resilient CSV reader produces, including the
+// Missing values of minutes that have no row.
 //
 // The file ends with a varint-encoded index footer (gateway/device metadata
 // plus one entry per chunk) and a fixed 16-byte trailer locating it, so

@@ -31,11 +31,16 @@ class ChaosTest : public ::testing::Test {
   void SetUp() override { Failpoints::Global().Reset(); }
   void TearDown() override { Failpoints::Global().Reset(); }
 
-  /// A clean five-row series file on disk, plus its fault-free read.
-  std::string WriteCleanSeries() {
-    const std::string path = testing::TempDir() + "/chaos_series.csv";
-    const ts::TimeSeries series(0, 1, {1.0, 2.0, 3.0, 4.0, 5.0});
-    EXPECT_TRUE(io::WriteTimeSeriesCsv(path, series).ok());
+  /// A clean gateway file on disk: one device, five rows at minutes 0..4.
+  std::string WriteCleanGateway() {
+    const std::string path = testing::TempDir() + "/chaos_gateway.csv";
+    simgen::GatewayTrace gw;
+    simgen::DeviceTrace dev;
+    dev.name = "cam";
+    dev.incoming = ts::TimeSeries(0, 1, {1.0, 2.0, 3.0, 4.0, 5.0});
+    dev.outgoing = ts::TimeSeries(0, 1, {0.5, 1.5, 2.5, 3.5, 4.5});
+    gw.devices = {dev};
+    EXPECT_TRUE(io::WriteGatewayCsv(path, gw).ok());
     return path;
   }
 };
@@ -44,11 +49,21 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+bool SameBits(const ts::TimeSeries& a, const ts::TimeSeries& b) {
+  if (a.start_minute() != b.start_minute() || a.size() != b.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!SameBits(a[i], b[i])) return false;
+  }
+  return true;
+}
+
 // Schedule 1: two transient open errors, absorbed by a retry budget of two.
 // The result must be bit-identical to the fault-free read.
 TEST_F(ChaosTest, TransientOpenErrorsAbsorbedByRetries) {
-  const std::string path = WriteCleanSeries();
-  const auto clean = io::ReadTimeSeriesCsv(path);
+  const std::string path = WriteCleanGateway();
+  const auto clean = io::ReadGatewayCsv(path);
   ASSERT_TRUE(clean.ok());
   const uint64_t retries_before =
       obs::MetricsRegistry::Global().GetCounter(obs::kIngestRetries)->Value();
@@ -57,12 +72,15 @@ TEST_F(ChaosTest, TransientOpenErrorsAbsorbedByRetries) {
   io::ReadOptions options;
   options.max_retries = 2;
   io::IngestReport report;
-  const auto retried = io::ReadTimeSeriesCsv(path, options, &report);
+  const auto retried = io::ReadGatewayCsv(path, options, &report);
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   EXPECT_EQ(report.retries, 2u);
-  ASSERT_EQ(retried->size(), clean->size());
-  for (size_t i = 0; i < clean->size(); ++i) {
-    EXPECT_TRUE(SameBits((*retried)[i], (*clean)[i])) << "index " << i;
+  ASSERT_EQ(retried->devices.size(), clean->devices.size());
+  for (size_t d = 0; d < clean->devices.size(); ++d) {
+    EXPECT_TRUE(
+        SameBits(retried->devices[d].incoming, clean->devices[d].incoming));
+    EXPECT_TRUE(
+        SameBits(retried->devices[d].outgoing, clean->devices[d].outgoing));
   }
   EXPECT_EQ(
       obs::MetricsRegistry::Global().GetCounter(obs::kIngestRetries)->Value(),
@@ -73,12 +91,12 @@ TEST_F(ChaosTest, TransientOpenErrorsAbsorbedByRetries) {
 // Schedule 1b: the same faults with a retry budget of one — the error must
 // surface as a clean, retryable IoError, not a crash or a mangled result.
 TEST_F(ChaosTest, TransientErrorsBeyondBudgetPropagateCleanly) {
-  const std::string path = WriteCleanSeries();
+  const std::string path = WriteCleanGateway();
   ASSERT_TRUE(Failpoints::Global().Configure("io.csv.open=error*2").ok());
   io::ReadOptions options;
   options.max_retries = 1;
   io::IngestReport report;
-  const auto failed = io::ReadTimeSeriesCsv(path, options, &report);
+  const auto failed = io::ReadGatewayCsv(path, options, &report);
   EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
   EXPECT_NE(failed.status().message().find("io.csv.open"),
             std::string::npos);
@@ -86,47 +104,50 @@ TEST_F(ChaosTest, TransientErrorsBeyondBudgetPropagateCleanly) {
   std::remove(path.c_str());
 }
 
-// Schedule 2: one corrupted row, observed under all three error policies.
+// Schedule 2: one corrupted row, observed under both error policies.
 TEST_F(ChaosTest, CorruptRowUnderEveryPolicy) {
-  const std::string path = WriteCleanSeries();
+  const std::string path = WriteCleanGateway();
 
   // Strict: corruption of the first data row fails the read.
   ASSERT_TRUE(Failpoints::Global().Configure("io.csv.row=corrupt*1").ok());
-  EXPECT_EQ(io::ReadTimeSeriesCsv(path).status().code(),
-            StatusCode::kInvalidArgument);
+  const auto strict = io::ReadGatewayCsv(path);
+  EXPECT_FALSE(strict.ok());
+  EXPECT_NE(strict.status().message().find("malformed row"),
+            std::string::npos);
 
   // Skip: the corrupted first row is quarantined; the surviving four rows
-  // still form a grid, now starting at minute 1.
+  // now start at minute 1.
   ASSERT_TRUE(Failpoints::Global().Configure("io.csv.row=corrupt*1").ok());
   io::ReadOptions skip;
   skip.policy = io::ErrorPolicy::kSkipAndReport;
   io::IngestReport report;
-  const auto skipped = io::ReadTimeSeriesCsv(path, skip, &report);
+  const auto skipped = io::ReadGatewayCsv(path, skip, &report);
   ASSERT_TRUE(skipped.ok()) << skipped.status().ToString();
-  EXPECT_EQ(skipped->size(), 4u);
-  EXPECT_EQ(skipped->start_minute(), 1);
+  ASSERT_EQ(skipped->devices.size(), 1u);
+  EXPECT_EQ(skipped->devices[0].incoming.size(), 4u);
+  EXPECT_EQ(skipped->devices[0].incoming.start_minute(), 1);
   EXPECT_EQ(report.rows_malformed, 1u);
 
-  // Repair: corrupting a row in the middle leaves a hole that only kRepair
-  // can bridge — with an explicit missing marker, not an invented value.
+  // Skip, corrupting a row in the middle: the hole reads as an explicit
+  // Missing value, not an invented one.
   ASSERT_TRUE(Failpoints::Global().Configure("io.csv.row=corrupt@3*1").ok());
-  io::ReadOptions repair;
-  repair.policy = io::ErrorPolicy::kRepair;
-  io::IngestReport repair_report;
-  const auto repaired = io::ReadTimeSeriesCsv(path, repair, &repair_report);
-  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
-  ASSERT_EQ(repaired->size(), 5u);
-  EXPECT_TRUE(ts::TimeSeries::IsMissing((*repaired)[2]));
-  EXPECT_DOUBLE_EQ((*repaired)[3], 4.0);
-  EXPECT_EQ(repair_report.gaps_repaired, 1u);
+  io::IngestReport middle_report;
+  const auto middle = io::ReadGatewayCsv(path, skip, &middle_report);
+  ASSERT_TRUE(middle.ok()) << middle.status().ToString();
+  ASSERT_EQ(middle->devices.size(), 1u);
+  const ts::TimeSeries& in = middle->devices[0].incoming;
+  ASSERT_EQ(in.size(), 5u);
+  EXPECT_TRUE(ts::TimeSeries::IsMissing(in[2]));
+  EXPECT_DOUBLE_EQ(in[3], 4.0);
+  EXPECT_EQ(middle_report.rows_malformed, 1u);
   std::remove(path.c_str());
 }
 
 // Schedule 3: the stream ends mid-file.
 TEST_F(ChaosTest, TruncatedStreamStrictFailsSkipKeepsPrefix) {
-  const std::string path = WriteCleanSeries();
+  const std::string path = WriteCleanGateway();
   ASSERT_TRUE(Failpoints::Global().Configure("io.csv.row=truncate@4").ok());
-  const auto strict = io::ReadTimeSeriesCsv(path);
+  const auto strict = io::ReadGatewayCsv(path);
   EXPECT_EQ(strict.status().code(), StatusCode::kIoError);
   EXPECT_NE(strict.status().message().find("truncated stream"),
             std::string::npos);
@@ -135,9 +156,11 @@ TEST_F(ChaosTest, TruncatedStreamStrictFailsSkipKeepsPrefix) {
   io::ReadOptions skip;
   skip.policy = io::ErrorPolicy::kSkipAndReport;
   io::IngestReport report;
-  const auto partial = io::ReadTimeSeriesCsv(path, skip, &report);
+  const auto partial = io::ReadGatewayCsv(path, skip, &report);
   ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-  EXPECT_EQ(partial->size(), 3u);  // rows before the cut survive
+  // Rows before the cut survive.
+  EXPECT_EQ(partial->devices[0].incoming.size(), 3u);
+  EXPECT_EQ(report.rows_parsed, 3u);
   EXPECT_TRUE(report.truncated);
   std::remove(path.c_str());
 }
@@ -187,12 +210,17 @@ TEST_F(ChaosTest, EngineDegradesDeterministicallyUnderRandomTaskFailures) {
 TEST_F(ChaosTest, WriteFailpointPropagates) {
   ASSERT_TRUE(Failpoints::Global().Configure("io.csv.write=error*1").ok());
   const std::string path = testing::TempDir() + "/chaos_write.csv";
-  const ts::TimeSeries series(0, 1, {1.0, 2.0, 3.0});
-  const Status st = io::WriteTimeSeriesCsv(path, series);
+  simgen::GatewayTrace gw;
+  simgen::DeviceTrace dev;
+  dev.name = "cam";
+  dev.incoming = ts::TimeSeries(0, 1, {1.0, 2.0, 3.0});
+  dev.outgoing = ts::TimeSeries(0, 1, {1.0, 2.0, 3.0});
+  gw.devices = {dev};
+  const Status st = io::WriteGatewayCsv(path, gw);
   EXPECT_EQ(st.code(), StatusCode::kIoError);
   // The budget is spent; the very next write goes through untouched.
-  ASSERT_TRUE(io::WriteTimeSeriesCsv(path, series).ok());
-  EXPECT_TRUE(io::ReadTimeSeriesCsv(path).ok());
+  ASSERT_TRUE(io::WriteGatewayCsv(path, gw).ok());
+  EXPECT_TRUE(io::ReadGatewayCsv(path).ok());
   std::remove(path.c_str());
 }
 

@@ -15,32 +15,51 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
 }
 
+// TimeSeriesCsvTest: how one device's time series comes back through the
+// long-format gateway CSV.
 TEST(TimeSeriesCsvTest, RoundTrip) {
   const std::string path = TempPath("series.csv");
-  ts::TimeSeries original(120, 5, {1.5, ts::TimeSeries::Missing(), 3.25});
-  ASSERT_TRUE(WriteTimeSeriesCsv(path, original).ok());
-  const auto loaded = ReadTimeSeriesCsv(path).value();
-  EXPECT_EQ(loaded.start_minute(), 120);
-  EXPECT_EQ(loaded.step_minutes(), 5);
-  ASSERT_EQ(loaded.size(), 3u);
-  EXPECT_DOUBLE_EQ(loaded[0], 1.5);
-  EXPECT_TRUE(ts::TimeSeries::IsMissing(loaded[1]));
-  EXPECT_DOUBLE_EQ(loaded[2], 3.25);
+  simgen::GatewayTrace gw;
+  simgen::DeviceTrace dev;
+  dev.name = "cam";
+  dev.incoming =
+      ts::TimeSeries(120, 1, {1.5, ts::TimeSeries::Missing(), 3.25});
+  dev.outgoing =
+      ts::TimeSeries(120, 1, {0.5, ts::TimeSeries::Missing(), 0.75});
+  gw.devices.push_back(dev);
+  ASSERT_TRUE(WriteGatewayCsv(path, gw).ok());
+  const auto loaded = ReadGatewayCsv(path).value();
+  ASSERT_EQ(loaded.devices.size(), 1u);
+  const ts::TimeSeries& in = loaded.devices[0].incoming;
+  EXPECT_EQ(in.start_minute(), 120);
+  EXPECT_EQ(in.step_minutes(), 1);
+  ASSERT_EQ(in.size(), 3u);
+  EXPECT_DOUBLE_EQ(in[0], 1.5);
+  EXPECT_TRUE(ts::TimeSeries::IsMissing(in[1]));
+  EXPECT_DOUBLE_EQ(in[2], 3.25);
+  EXPECT_DOUBLE_EQ(loaded.devices[0].outgoing[2], 0.75);
   std::remove(path.c_str());
 }
 
 TEST(TimeSeriesCsvTest, SingleValueSeries) {
   const std::string path = TempPath("single.csv");
-  ts::TimeSeries original(0, 1, {42.0});
-  ASSERT_TRUE(WriteTimeSeriesCsv(path, original).ok());
-  const auto loaded = ReadTimeSeriesCsv(path).value();
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_DOUBLE_EQ(loaded[0], 42.0);
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs(
+        "device,true_type,reported_type,minute,incoming,outgoing\n"
+        "d,fixed,fixed,0,42.0,1.0\n",
+        f);
+    std::fclose(f);
+  }
+  const auto loaded = ReadGatewayCsv(path).value();
+  ASSERT_EQ(loaded.devices.size(), 1u);
+  ASSERT_EQ(loaded.devices[0].incoming.size(), 1u);
+  EXPECT_DOUBLE_EQ(loaded.devices[0].incoming[0], 42.0);
   std::remove(path.c_str());
 }
 
 TEST(TimeSeriesCsvTest, MissingFileErrors) {
-  EXPECT_EQ(ReadTimeSeriesCsv("/nonexistent/nope.csv").status().code(),
+  EXPECT_EQ(ReadGatewayCsv("/nonexistent/nope.csv").status().code(),
             StatusCode::kIoError);
 }
 
@@ -48,21 +67,13 @@ TEST(TimeSeriesCsvTest, MalformedRowErrors) {
   const std::string path = TempPath("bad.csv");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
-    std::fputs("minute,value\n1,2,3\n", f);
+    std::fputs(
+        "device,true_type,reported_type,minute,incoming,outgoing\n"
+        "d,fixed,fixed,1,2,3,4\n",
+        f);
     std::fclose(f);
   }
-  EXPECT_FALSE(ReadTimeSeriesCsv(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(TimeSeriesCsvTest, IrregularStepErrors) {
-  const std::string path = TempPath("irregular.csv");
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    std::fputs("minute,value\n0,1\n1,2\n5,3\n", f);
-    std::fclose(f);
-  }
-  EXPECT_FALSE(ReadTimeSeriesCsv(path).ok());
+  EXPECT_FALSE(ReadGatewayCsv(path).ok());
   std::remove(path.c_str());
 }
 

@@ -1,6 +1,7 @@
-// Resilient-ingestion tests: the malformed-CSV fixture corpus under
-// tests/io/fixtures/ run through all three ErrorPolicy values, plus the
-// per-file error cap and the ingest metric counters. The corpus path comes
+// Resilient-ingestion tests: the malformed gateway-CSV fixture corpus under
+// tests/io/fixtures/ run through both ErrorPolicy values, plus the per-file
+// error cap and the ingest metric counters. IngestSeriesTest checks one
+// device's series; IngestGatewayTest checks device-level outcomes. The corpus path comes
 // in via HOMETS_IO_FIXTURES_DIR (set in tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
@@ -26,124 +27,82 @@ ReadOptions Policy(ErrorPolicy policy) {
 }
 
 TEST(IngestSeriesTest, BadHeaderStrictFailsOthersQuarantine) {
-  EXPECT_EQ(ReadTimeSeriesCsv(Fixture("bad_header.csv")).status().code(),
-            StatusCode::kInvalidArgument);
-  for (const ErrorPolicy policy :
-       {ErrorPolicy::kSkipAndReport, ErrorPolicy::kRepair}) {
-    IngestReport report;
-    const auto loaded =
-        ReadTimeSeriesCsv(Fixture("bad_header.csv"), Policy(policy), &report);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded->size(), 4u);
-    EXPECT_EQ(report.rows_malformed, 1u);
-    ASSERT_FALSE(report.quarantine.empty());
-    EXPECT_EQ(report.quarantine[0].line, 1u);
-    EXPECT_EQ(report.quarantine[0].reason, "bad header");
-  }
-}
-
-TEST(IngestSeriesTest, NonNumericCellsQuarantinedWithSamples) {
-  EXPECT_EQ(ReadTimeSeriesCsv(Fixture("non_numeric.csv")).status().code(),
+  EXPECT_EQ(ReadGatewayCsv(Fixture("bad_header.csv")).status().code(),
             StatusCode::kInvalidArgument);
   IngestReport report;
   const auto loaded =
-      ReadTimeSeriesCsv(Fixture("non_numeric.csv"),
-                        Policy(ErrorPolicy::kSkipAndReport), &report);
+      ReadGatewayCsv(Fixture("bad_header.csv"),
+                     Policy(ErrorPolicy::kSkipAndReport), &report);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->size(), 4u);  // minutes 0..3 survive
-  EXPECT_DOUBLE_EQ((*loaded)[2], 2.5);
+  ASSERT_EQ(loaded->devices.size(), 1u);
+  EXPECT_EQ(loaded->devices[0].incoming.size(), 4u);
+  EXPECT_EQ(report.rows_malformed, 1u);
+  ASSERT_FALSE(report.quarantine.empty());
+  EXPECT_EQ(report.quarantine[0].line, 1u);
+  EXPECT_EQ(report.quarantine[0].reason, "bad header");
+}
+
+TEST(IngestSeriesTest, NonNumericCellsQuarantinedWithSamples) {
+  EXPECT_EQ(ReadGatewayCsv(Fixture("non_numeric.csv")).status().code(),
+            StatusCode::kInvalidArgument);
+  IngestReport report;
+  const auto loaded =
+      ReadGatewayCsv(Fixture("non_numeric.csv"),
+                     Policy(ErrorPolicy::kSkipAndReport), &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const ts::TimeSeries& in = loaded->devices[0].incoming;
+  ASSERT_EQ(in.size(), 4u);  // minutes 0..3 survive
+  EXPECT_DOUBLE_EQ(in[2], 2.5);
   EXPECT_EQ(report.rows_parsed, 4u);
   EXPECT_EQ(report.rows_malformed, 2u);
   ASSERT_EQ(report.quarantine.size(), 2u);
-  EXPECT_EQ(report.quarantine[0].text, "oops,9.9");
-  EXPECT_EQ(report.quarantine[0].reason, "non-numeric cell");
+  EXPECT_EQ(report.quarantine[0].text, "cam,fixed,unlabeled,oops,9.9,0.1");
+  EXPECT_EQ(report.quarantine[0].reason, "unparseable cell or type");
   EXPECT_EQ(report.quarantine[1].line, 5u);
 }
 
 TEST(IngestSeriesTest, DuplicateMinuteFirstRowWins) {
-  EXPECT_FALSE(ReadTimeSeriesCsv(Fixture("duplicate_minute.csv")).ok());
+  EXPECT_FALSE(ReadGatewayCsv(Fixture("duplicate_minute.csv")).ok());
   IngestReport report;
   const auto loaded =
-      ReadTimeSeriesCsv(Fixture("duplicate_minute.csv"),
-                        Policy(ErrorPolicy::kSkipAndReport), &report);
+      ReadGatewayCsv(Fixture("duplicate_minute.csv"),
+                     Policy(ErrorPolicy::kSkipAndReport), &report);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->size(), 4u);
-  EXPECT_DOUBLE_EQ((*loaded)[1], 2.0);  // not the 2.5 from the repeat
+  const ts::TimeSeries& in = loaded->devices[0].incoming;
+  ASSERT_EQ(in.size(), 4u);
+  EXPECT_DOUBLE_EQ(in[1], 2.0);  // not the 2.5 from the repeat
+  EXPECT_DOUBLE_EQ(loaded->devices[0].outgoing[1], 0.2);
   EXPECT_EQ(report.rows_duplicate, 1u);
   EXPECT_EQ(report.SkippedTotal(), 1u);
 }
 
-TEST(IngestSeriesTest, OutOfOrderNeedsRepair) {
-  // Strict and skip both fail (the quarantined row leaves an irregular
-  // grid); repair re-sorts and recovers every row.
-  EXPECT_FALSE(ReadTimeSeriesCsv(Fixture("out_of_order.csv")).ok());
-  EXPECT_FALSE(ReadTimeSeriesCsv(Fixture("out_of_order.csv"),
-                                 Policy(ErrorPolicy::kSkipAndReport))
-                   .ok());
-  IngestReport report;
-  const auto loaded = ReadTimeSeriesCsv(Fixture("out_of_order.csv"),
-                                        Policy(ErrorPolicy::kRepair), &report);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->size(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_DOUBLE_EQ((*loaded)[i], static_cast<double>(i) + 1.0);
-  }
-  EXPECT_EQ(report.rows_out_of_order, 1u);
-  EXPECT_EQ(report.gaps_repaired, 0u);
-}
-
 TEST(IngestSeriesTest, GapsFilledWithMissingMarkers) {
-  EXPECT_FALSE(ReadTimeSeriesCsv(Fixture("gapped.csv")).ok());
-  IngestReport report;
-  const auto loaded = ReadTimeSeriesCsv(Fixture("gapped.csv"),
-                                        Policy(ErrorPolicy::kRepair), &report);
+  // The long format names minutes, so a gap is simply minutes with no row:
+  // every policy reads them as explicit Missing values.
+  const auto loaded = ReadGatewayCsv(Fixture("gapped.csv"));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->size(), 7u);  // minutes 0..6 on a step-1 grid
-  EXPECT_EQ(loaded->step_minutes(), 1);
-  EXPECT_TRUE(ts::TimeSeries::IsMissing((*loaded)[3]));
-  EXPECT_TRUE(ts::TimeSeries::IsMissing((*loaded)[4]));
-  EXPECT_DOUBLE_EQ((*loaded)[5], 6.0);
-  EXPECT_EQ(report.gaps_repaired, 2u);
-}
-
-TEST(IngestSeriesTest, OffGridMinutesCannotBeRepaired) {
-  const auto loaded =
-      ReadTimeSeriesCsv(Fixture("off_grid.csv"), Policy(ErrorPolicy::kRepair));
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("cannot infer minute grid"),
-            std::string::npos);
-}
-
-TEST(IngestSeriesTest, RepairRecoversCombinedMess) {
-  IngestReport report;
-  const auto loaded = ReadTimeSeriesCsv(Fixture("mess.csv"),
-                                        Policy(ErrorPolicy::kRepair), &report);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->size(), 6u);  // minutes 0..5
-  EXPECT_DOUBLE_EQ((*loaded)[1], 2.0);
-  EXPECT_DOUBLE_EQ((*loaded)[3], 4.0);
-  EXPECT_TRUE(ts::TimeSeries::IsMissing((*loaded)[2]));
-  EXPECT_TRUE(ts::TimeSeries::IsMissing((*loaded)[4]));
-  EXPECT_EQ(report.rows_parsed, 4u);
-  EXPECT_EQ(report.rows_malformed, 1u);
-  EXPECT_EQ(report.rows_duplicate, 1u);
-  EXPECT_EQ(report.rows_out_of_order, 1u);
-  EXPECT_EQ(report.gaps_repaired, 2u);
-  const std::string summary = report.Summary();
-  EXPECT_NE(summary.find("4 rows"), std::string::npos);
-  EXPECT_NE(summary.find("1 malformed"), std::string::npos);
-  EXPECT_NE(summary.find("2 gaps repaired"), std::string::npos);
+  const ts::TimeSeries& in = loaded->devices[0].incoming;
+  ASSERT_EQ(in.size(), 7u);  // minutes 0..6 on a step-1 grid
+  EXPECT_EQ(in.step_minutes(), 1);
+  EXPECT_TRUE(ts::TimeSeries::IsMissing(in[3]));
+  EXPECT_TRUE(ts::TimeSeries::IsMissing(in[4]));
+  EXPECT_DOUBLE_EQ(in[5], 6.0);
 }
 
 TEST(IngestSeriesTest, EmbeddedNulByteIsMalformedNotFatal) {
-  EXPECT_FALSE(ReadTimeSeriesCsv(Fixture("embedded_nul.csv")).ok());
+  EXPECT_FALSE(ReadGatewayCsv(Fixture("embedded_nul.csv")).ok());
   IngestReport report;
   const auto loaded =
-      ReadTimeSeriesCsv(Fixture("embedded_nul.csv"),
-                        Policy(ErrorPolicy::kSkipAndReport), &report);
+      ReadGatewayCsv(Fixture("embedded_nul.csv"),
+                     Policy(ErrorPolicy::kSkipAndReport), &report);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->size(), 2u);  // minutes 0 and 2 form a step-2 grid
+  const ts::TimeSeries& in = loaded->devices[0].incoming;
+  ASSERT_EQ(in.size(), 3u);  // minutes 0 and 2, with minute 1 Missing
+  EXPECT_TRUE(ts::TimeSeries::IsMissing(in[1]));
+  EXPECT_DOUBLE_EQ(in[2], 3.0);
   EXPECT_EQ(report.rows_malformed, 1u);
+  ASSERT_EQ(report.quarantine.size(), 1u);
+  EXPECT_EQ(report.quarantine[0].text.size(), 31u);  // the NUL is kept
 }
 
 TEST(IngestSeriesTest, ErrorCapFailsThoroughlyCorruptFile) {
@@ -151,13 +110,14 @@ TEST(IngestSeriesTest, ErrorCapFailsThoroughlyCorruptFile) {
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
-    std::fputs("minute,value\n", f);
+    std::fputs("device,true_type,reported_type,minute,incoming,outgoing\n",
+               f);
     for (int i = 0; i < 8; ++i) std::fputs("garbage\n", f);
     std::fclose(f);
   }
   ReadOptions options = Policy(ErrorPolicy::kSkipAndReport);
   options.max_errors = 3;
-  const auto loaded = ReadTimeSeriesCsv(path, options);
+  const auto loaded = ReadGatewayCsv(path, options);
   // InvalidArgument, not IoError: a content problem must never be retried.
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find("too many bad rows"),
@@ -170,17 +130,20 @@ TEST(IngestSeriesTest, QuarantineSampleIsCappedButCountsAreExact) {
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
-    std::fputs("minute,value\n", f);
+    std::fputs("device,true_type,reported_type,minute,incoming,outgoing\n",
+               f);
     for (int i = 0; i < 30; ++i) std::fputs("junk\n", f);
-    std::fputs("0,1.0\n1,2.0\n", f);
+    std::fputs("d,fixed,fixed,0,1.0,1.0\nd,fixed,fixed,1,2.0,2.0\n", f);
     std::fclose(f);
   }
   IngestReport report;
-  const auto loaded = ReadTimeSeriesCsv(
-      path, Policy(ErrorPolicy::kSkipAndReport), &report);
+  const auto loaded =
+      ReadGatewayCsv(path, Policy(ErrorPolicy::kSkipAndReport), &report);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(report.rows_malformed, 30u);
-  EXPECT_LT(report.quarantine.size(), 30u);
+  EXPECT_EQ(report.rows_parsed, 2u);
+  EXPECT_EQ(report.quarantine.size(), 16u);
+  EXPECT_EQ(report.quarantine.back().line, 17u);
   std::remove(path.c_str());
 }
 
@@ -188,14 +151,21 @@ TEST(IngestSeriesTest, IngestMetricsAggregateAcrossReads) {
   auto& registry = obs::MetricsRegistry::Global();
   obs::Counter* const malformed =
       registry.GetCounter(obs::kIngestRowsMalformed);
-  obs::Counter* const gaps = registry.GetCounter(obs::kIngestGapsRepaired);
+  obs::Counter* const duplicate =
+      registry.GetCounter(obs::kIngestRowsDuplicate);
   const uint64_t malformed_before = malformed->Value();
-  const uint64_t gaps_before = gaps->Value();
-  ASSERT_TRUE(
-      ReadTimeSeriesCsv(Fixture("mess.csv"), Policy(ErrorPolicy::kRepair))
-          .ok());
+  const uint64_t duplicate_before = duplicate->Value();
+  IngestReport report;
+  ASSERT_TRUE(ReadGatewayCsv(Fixture("mess.csv"),
+                             Policy(ErrorPolicy::kSkipAndReport), &report)
+                  .ok());
   EXPECT_EQ(malformed->Value(), malformed_before + 1);
-  EXPECT_EQ(gaps->Value(), gaps_before + 2);
+  EXPECT_EQ(duplicate->Value(), duplicate_before + 1);
+  EXPECT_EQ(report.rows_parsed, 4u);
+  const std::string summary = report.Summary();
+  EXPECT_NE(summary.find("4 rows"), std::string::npos);
+  EXPECT_NE(summary.find("1 malformed"), std::string::npos);
+  EXPECT_NE(summary.find("1 duplicate"), std::string::npos);
 }
 
 TEST(IngestGatewayTest, DuplicateObservationFirstRowWins) {
@@ -230,6 +200,50 @@ TEST(IngestGatewayTest, UnknownDeviceTypeQuarantined) {
   EXPECT_EQ(report.rows_parsed, 2u);
   ASSERT_FALSE(report.quarantine.empty());
   EXPECT_EQ(report.quarantine[0].reason, "unparseable cell or type");
+}
+
+TEST(IngestGatewayTest, QuarantinedDuplicateLeavesDeviceTypes) {
+  const std::string path = testing::TempDir() + "/dup_types.csv";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(
+        "device,true_type,reported_type,minute,incoming,outgoing\n"
+        "cam,fixed,unlabeled,0,1.0,2.0\n"
+        "cam,fixed,unlabeled,1,3.0,4.0\n"
+        "cam,portable,game_console,1,9.0,9.0\n",
+        f);
+    std::fclose(f);
+  }
+  IngestReport report;
+  const auto loaded =
+      ReadGatewayCsv(path, Policy(ErrorPolicy::kSkipAndReport), &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(report.rows_duplicate, 1u);
+  ASSERT_EQ(loaded->devices.size(), 1u);
+  EXPECT_EQ(loaded->devices[0].true_type, simgen::DeviceType::kFixed);
+  EXPECT_EQ(loaded->devices[0].reported_type, simgen::DeviceType::kUnlabeled);
+  std::remove(path.c_str());
+}
+
+TEST(IngestGatewayTest, LastAcceptedRowTypesWin) {
+  const std::string path = testing::TempDir() + "/retyped.csv";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(
+        "device,true_type,reported_type,minute,incoming,outgoing\n"
+        "cam,fixed,unlabeled,0,1.0,2.0\n"
+        "cam,portable,game_console,1,3.0,4.0\n",
+        f);
+    std::fclose(f);
+  }
+  const auto loaded = ReadGatewayCsv(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->devices[0].true_type, simgen::DeviceType::kPortable);
+  EXPECT_EQ(loaded->devices[0].reported_type,
+            simgen::DeviceType::kGameConsole);
+  std::remove(path.c_str());
 }
 
 TEST(IngestGatewayTest, StrictOverloadMatchesDefaultOptions) {

@@ -49,12 +49,12 @@ TEST(RunManifestTest, ConfigInputsAndCountersRoundTrip) {
   RunManifestBuilder builder;
   builder.SetConfig("period", "daily");
   builder.SetConfig("period", "weekly");  // overwrite, not duplicate
-  builder.SetConfig("read-policy", "repair");
+  builder.SetConfig("read-policy", "skip");
   builder.AddInput("a.csv", "csv", 123);
   builder.AddInput("b.homets", "homets", 456);
   builder.SetFailpoints("io.csv.open=error*2", 7);
   builder.SetThreads(8, 4);
-  builder.SetReadPolicy("repair", 2);
+  builder.SetReadPolicy("skip", 2);
   ManifestIngestCounters counters;
   counters.rows_parsed = 100;
   counters.rows_malformed = 3;

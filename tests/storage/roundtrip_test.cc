@@ -1,6 +1,6 @@
 // Property-style fidelity tests for the columnar store: whatever the CSV
-// edge can produce — clean simgen fleets, repair-policy output with explicit
-// Missing markers, duplicate/out-of-order rows — must survive
+// edge can produce — clean simgen fleets, skip-policy output with explicit
+// Missing markers, duplicate and out-of-order rows — must survive
 // CSV → homets → CSV without changing a byte. These are the tests behind the
 // PR's "pipeline outputs are byte-identical across --input-format" claim.
 #include <gtest/gtest.h>
@@ -137,24 +137,17 @@ TEST(RoundTripTest, CsvHometsCsvIsByteIdentical) {
   }
 }
 
-// PR-5 resilience output feeds straight into the columnar store: the repair
-// policy's explicit Missing markers and duplicate-row resolutions round-trip
-// unchanged through homets.
+// Resilient-ingestion output feeds straight into the columnar store: the
+// skip policy's duplicate-row resolutions, quarantined rows and the Missing
+// values of minute gaps round-trip unchanged through homets.
 TEST(RoundTripTest, RepairedFixtureOutputRoundTrips) {
-  for (const auto policy :
-       {io::ErrorPolicy::kSkipAndReport, io::ErrorPolicy::kRepair}) {
-    io::ReadOptions options;
-    options.policy = policy;
-    const auto gw = io::ReadGatewayCsv(Fixture("gateway_dup.csv"), options);
-    ASSERT_TRUE(gw.ok()) << gw.status().ToString();
-    ExpectHometsRoundTripExact(
-        *gw, policy == io::ErrorPolicy::kRepair ? "dup_repair" : "dup_skip");
-
-    const auto bad =
-        io::ReadGatewayCsv(Fixture("gateway_badtype.csv"), options);
-    ASSERT_TRUE(bad.ok()) << bad.status().ToString();
-    ExpectHometsRoundTripExact(
-        *bad, policy == io::ErrorPolicy::kRepair ? "bad_repair" : "bad_skip");
+  io::ReadOptions options;
+  options.policy = io::ErrorPolicy::kSkipAndReport;
+  for (const char* fixture :
+       {"gateway_dup.csv", "gateway_badtype.csv", "gapped.csv", "mess.csv"}) {
+    const auto gw = io::ReadGatewayCsv(Fixture(fixture), options);
+    ASSERT_TRUE(gw.ok()) << fixture << ": " << gw.status().ToString();
+    ExpectHometsRoundTripExact(*gw, fixture);
   }
 }
 

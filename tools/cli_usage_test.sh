@@ -1,7 +1,8 @@
 #!/bin/sh
 # End-to-end CLI contract test, registered as the `cli_usage` ctest.
-#   1. Strict flags: unknown --flags, a dangling --flag and an unknown
-#      failpoint site exit 2 with a diagnostic, never run the command.
+#   1. Strict flags: unknown --flags, a dangling --flag, an unknown
+#      failpoint site and an unknown --read-policy exit 2 with a
+#      diagnostic, never run the command.
 #   2. Observability: a generate + motifs run with --trace-out/--metrics-out
 #      writes a Chrome trace and a metrics JSON whose per-stage counters
 #      (pairs computed, KS rejections, values zeroed) are nonzero.
@@ -58,6 +59,14 @@ rc=0
 check "unknown failpoint site exits 2" test "$rc" -eq 2
 check "unknown failpoint site is diagnosed" \
     grep -q "unknown site 'threadpool.task'" "$workdir/err"
+
+# Two read policies: a third name (the retired `repair`) is a usage error.
+rc=0
+"$cli" profile --read-policy repair "$workdir/none.csv" \
+    >"$workdir/out" 2>"$workdir/err" || rc=$?
+check "--read-policy repair exits 2" test "$rc" -eq 2
+check "--read-policy error lists the policies" \
+    grep -qF 'strict|skip' "$workdir/err"
 
 # --- observability outputs ------------------------------------------------
 "$cli" generate --out "$workdir" --gateways 3 --weeks 3 --seed 7 \

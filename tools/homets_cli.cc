@@ -26,7 +26,7 @@
 // the resilience flags
 //   --input-format auto|csv|homets     how to decode TRACE args (default
 //                                      auto: by extension)
-//   --read-policy strict|skip|repair   bad-row handling for trace ingestion
+//   --read-policy strict|skip          bad-row handling for trace ingestion
 //   --read-retries N                   retry transient IO failures N times
 //   --failpoints SPEC                  arm fault injection (DESIGN.md §8)
 //   --failpoints-seed N                seed for probabilistic failpoints
@@ -107,8 +107,7 @@ int Usage() {
          "  --trace-out FILE     write a Chrome/Perfetto trace of the run\n"
          "  --input-format auto|csv|homets    TRACE decoding (default "
          "auto: by extension)\n"
-         "  --read-policy strict|skip|repair  bad-row handling (default "
-         "strict)\n"
+         "  --read-policy strict|skip  bad-row handling (default strict)\n"
          "  --read-retries N     retry transient IO failures N times\n"
          "  --failpoints SPEC    arm fault injection (see tools/README.md)\n"
          "  --failpoints-seed N  seed for probabilistic failpoints\n"
@@ -156,11 +155,8 @@ Result<io::DatasetOptions> DatasetOptionsFromFlags(const ParsedArgs& args) {
   const std::string policy = args.GetString("read-policy", "strict");
   if (policy == "skip") {
     options.read.policy = io::ErrorPolicy::kSkipAndReport;
-  } else if (policy == "repair") {
-    options.read.policy = io::ErrorPolicy::kRepair;
   } else if (policy != "strict") {
-    return Status::InvalidArgument(
-        "--read-policy must be strict, skip, or repair");
+    return Status::InvalidArgument("--read-policy must be strict|skip");
   }
   HOMETS_ASSIGN_OR_RETURN(const int64_t retries,
                           args.GetInt("read-retries", 0));
@@ -171,7 +167,7 @@ Result<io::DatasetOptions> DatasetOptionsFromFlags(const ParsedArgs& args) {
   return options;
 }
 
-// Narrates quarantine/repair activity of the CSV edge to stderr so lenient
+// Narrates quarantine and retry activity of the CSV edge to stderr so lenient
 // runs stay auditable (stdout stays byte-identical across formats), and
 // accumulates the counters into the run manifest.
 void NarrateIngest(const io::IngestReport& report) {
@@ -180,14 +176,11 @@ void NarrateIngest(const io::IngestReport& report) {
     counters.rows_parsed = report.rows_parsed;
     counters.rows_malformed = report.rows_malformed;
     counters.rows_duplicate = report.rows_duplicate;
-    counters.rows_out_of_order = report.rows_out_of_order;
-    counters.gaps_repaired = report.gaps_repaired;
     counters.retries = report.retries;
     counters.files_quarantined = report.truncated ? 1 : 0;
     g_manifest->RecordIngest(counters);
   }
-  if (report.SkippedTotal() > 0 || report.gaps_repaired > 0 ||
-      report.retries > 0 || report.truncated) {
+  if (report.SkippedTotal() > 0 || report.retries > 0 || report.truncated) {
     std::cerr << "ingest: " << report.Summary() << "\n";
   }
 }
