@@ -138,7 +138,8 @@ class RowQuarantine {
 };
 
 /// Applies the `io.csv.row` failpoint to one raw line. kCorrupt mangles the
-/// line so it parses as malformed (a leading extra field); kTruncate
+/// line's last cell so the row is malformed (a parse error, never retried);
+/// kTruncate
 /// simulates the file ending mid-stream; kError is a transient (retryable)
 /// read failure.
 enum class RowFate { kKeep, kTruncateStream };
@@ -148,7 +149,7 @@ Result<RowFate> ApplyRowFailpoint(std::string* line) {
     case FailpointAction::kError:
       return Status::IoError("injected by failpoint 'io.csv.row'");
     case FailpointAction::kCorrupt:
-      line->insert(0, "\x01corrupt\x01,");
+      line->append("\x01corrupt\x01");
       return RowFate::kKeep;
     case FailpointAction::kTruncate:
       return RowFate::kTruncateStream;
@@ -335,7 +336,6 @@ Result<simgen::GatewayTrace> ReadGatewayCsvOnce(const std::string& path,
   // The writer groups rows by device, so most rows hit the last device.
   DeviceRows* last = nullptr;
   std::string_view last_name;
-  bool any_row = false;
   int64_t min_minute = 0;
   int64_t max_minute = 0;
   std::string owned;  // the line, when a failpoint may rewrite it
@@ -398,15 +398,13 @@ Result<simgen::GatewayTrace> ReadGatewayCsvOnce(const std::string& path,
     last->true_type = row.true_type;
     last->reported_type = row.reported_type;
     last->rows.push_back({row.minute, row.in, row.out});
-    ++counts.parsed;
-    if (!any_row) {
-      any_row = true;
+    if (counts.parsed == 0) {
       min_minute = row.minute;
       max_minute = row.minute;
-    } else {
-      min_minute = std::min(min_minute, row.minute);
-      max_minute = std::max(max_minute, row.minute);
     }
+    ++counts.parsed;
+    min_minute = std::min(min_minute, row.minute);
+    max_minute = std::max(max_minute, row.minute);
   }
   if (lines.failed()) return Status::IoError("read failed: " + path);
   if (report->truncated && strict) {

@@ -135,8 +135,9 @@ class RunManifestBuilder {
   /// Bump on any incompatible change to the JSON shape; readers check it
   /// (versioning policy in DESIGN.md §12). v2 added per-stage "resources"
   /// (CPU/RSS/faults + parallel_efficiency) and the top-level "histograms"
-  /// percentile digest; v3 drops "resources.alloc_bytes".
-  static constexpr int kSchemaVersion = 3;
+  /// percentile digest; v3 drops "resources.alloc_bytes"; v4 drops
+  /// "ingest.rows_out_of_order" and "ingest.gaps_repaired".
+  static constexpr int kSchemaVersion = 4;
 
   RunManifestBuilder();
   RunManifestBuilder(const RunManifestBuilder&) = delete;

@@ -110,10 +110,18 @@ TEST_F(ChaosTest, CorruptRowUnderEveryPolicy) {
 
   // Strict: corruption of the first data row fails the read.
   ASSERT_TRUE(Failpoints::Global().Configure("io.csv.row=corrupt*1").ok());
-  const auto strict = io::ReadGatewayCsv(path);
-  EXPECT_FALSE(strict.ok());
-  EXPECT_NE(strict.status().message().find("malformed row"),
-            std::string::npos);
+  EXPECT_EQ(io::ReadGatewayCsv(path).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // Strict with a retry budget: a corrupt row is a parse error, so it is
+  // not retried away.
+  ASSERT_TRUE(Failpoints::Global().Configure("io.csv.row=corrupt*1").ok());
+  io::ReadOptions retrying;
+  retrying.max_retries = 3;
+  io::IngestReport retry_report;
+  EXPECT_EQ(io::ReadGatewayCsv(path, retrying, &retry_report).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(retry_report.retries, 0u);
 
   // Skip: the corrupted first row is quarantined; the surviving four rows
   // now start at minute 1.

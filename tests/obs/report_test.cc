@@ -88,6 +88,9 @@ TEST(RunManifestTest, ConfigInputsAndCountersRoundTrip) {
   ASSERT_NE(ingest, nullptr);
   EXPECT_EQ(ingest->NumberOr("rows_parsed", -1), 200);
   EXPECT_EQ(ingest->NumberOr("rows_malformed", -1), 6);
+  // Schema v4 dropped the two counters only the series reader could set.
+  EXPECT_EQ(ingest->Find("rows_out_of_order"), nullptr);
+  EXPECT_EQ(ingest->Find("gaps_repaired"), nullptr);
 }
 
 // Stage entries mirror the BENCH_pipeline.json shape: name, seconds, units,

@@ -85,7 +85,7 @@ for key in ("schema_version", "tool", "command", "config", "inputs",
             "threads", "stages", "outcome", "status", "exit_code",
             "wall_seconds"):
     assert key in doc, f"missing {key!r}"
-assert doc["schema_version"] == 3
+assert doc["schema_version"] == 4
 assert doc["tool"] == "homets_cli"
 assert doc["outcome"] == "success" and doc["exit_code"] == 0
 assert doc["inputs"] and all(
