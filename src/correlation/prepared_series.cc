@@ -1,6 +1,8 @@
 #include "correlation/prepared_series.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <utility>
@@ -74,6 +76,54 @@ void AddTieGroup(size_t size, TieSums* s) {
   s->triple += t * (t - 1.0) * (t - 2.0);
   s->weighted += t * (t - 1.0) * (2.0 * t + 5.0);
   s->pair_raw += t * (t - 1.0);
+}
+
+// A non-zero, non-NaN value and its index. The key orders like the value:
+// a negative value's bits are flipped (larger magnitude, smaller key), a
+// positive value gets its sign bit set (above every negative). Equal keys
+// are equal doubles, since only the two zeros share a value across bit
+// patterns and zeros never get a key.
+struct KeyedIndex {
+  uint64_t key;
+  uint32_t index;
+};
+
+uint64_t RadixKey(double v) {
+  const uint64_t bits = std::bit_cast<uint64_t>(v);
+  return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+}
+
+// Stable LSD radix sort of `items` by key, one byte per pass. A pass whose
+// byte is the same in every key would keep the order, so it is skipped:
+// integer byte counts leave the low mantissa bytes all zero. The scratch
+// buffer is freed on return, before the caller allocates the profiles.
+void RadixSortByKey(std::vector<KeyedIndex>* items) {
+  const size_t m = items->size();
+  if (m < 2) return;
+  std::array<std::array<uint32_t, 256>, 8> counts{};
+  for (const KeyedIndex& item : *items) {
+    for (size_t d = 0; d < 8; ++d) ++counts[d][(item.key >> (8 * d)) & 0xFF];
+  }
+  std::vector<KeyedIndex> scratch(m);
+  KeyedIndex* src = items->data();
+  KeyedIndex* dst = scratch.data();
+  for (size_t d = 0; d < 8; ++d) {
+    const size_t shift = 8 * d;
+    std::array<uint32_t, 256>& next = counts[d];
+    if (next[(src[0].key >> shift) & 0xFF] == m) continue;
+    uint32_t offset = 0;
+    for (uint32_t& slot : next) {
+      const uint32_t count = slot;
+      slot = offset;
+      offset += count;
+    }
+    for (size_t i = 0; i < m; ++i) {
+      const KeyedIndex item = src[i];
+      dst[next[(item.key >> shift) & 0xFF]++] = item;
+    }
+    std::swap(src, dst);
+  }
+  if (src != items->data()) items->swap(scratch);
 }
 
 TieSums TieSumsFromGroups(const std::vector<size_t>& groups) {
@@ -257,7 +307,70 @@ PreparedSeries PreparedSeries::Make(std::vector<double> values,
     MomentsOf(p.values_, &p.mean_, &p.centered_ss_);
     p.constant_ = p.centered_ss_ <= 0.0;
   }
-  if (profiles & (kRankProfile | kSortProfile)) {
+  if ((profiles & (kRankProfile | kSortProfile)) && n >= kRadixMinSize) {
+    // The permutation, groups, ranks and tie sums of the comparison sort
+    // below, in near-linear time. The zeros (either sign) are one tie group
+    // already in index order, so they are placed without sorting; the other
+    // values are radix sorted by key. LSD radix is stable and equal keys are
+    // equal values, so the order and its runs are the stable sort's own.
+    size_t negatives = 0;
+    size_t zeros = 0;
+    for (const double v : p.values_) {
+      negatives += v < 0.0 ? 1 : 0;
+      zeros += v == 0.0 ? 1 : 0;
+    }
+    // Sort positions: negatives [0, negatives), then the zeros, then the
+    // positives. Negative keys sort below positive ones.
+    std::vector<uint32_t> order(n);
+    std::vector<KeyedIndex> items(n - zeros);
+    size_t zero_pos = negatives;
+    size_t item = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+      const double v = p.values_[i];
+      if (v == 0.0) {
+        order[zero_pos++] = i;
+      } else {
+        items[item++] = {RadixKey(v), i};
+      }
+    }
+    RadixSortByKey(&items);
+    for (size_t k = 0; k < items.size(); ++k) {
+      order[k < negatives ? k : k + zeros] = items[k].index;
+    }
+
+    const bool ranks = profiles & kRankProfile;
+    const bool sorted = profiles & kSortProfile;
+    if (ranks) p.ranks_.resize(n);
+    const auto tie_group = [&](size_t i, size_t j) {  // sort positions [i, j)
+      if (ranks) {
+        const double avg =
+            (static_cast<double>(i) + static_cast<double>(j - 1)) / 2.0 + 1.0;
+        for (size_t k = i; k < j; ++k) p.ranks_[order[k]] = avg;
+      }
+      if (sorted) {
+        p.group_offsets_.push_back(static_cast<uint32_t>(i));
+        if (j - i >= 2) AddTieGroup(j - i, &p.tie_sums_);
+      }
+    };
+    // The runs of equal keys in items [begin, end), at sort position
+    // `shift` past their item position.
+    const auto key_runs = [&](size_t begin, size_t end, size_t shift) {
+      for (size_t i = begin; i < end;) {
+        size_t j = i + 1;
+        while (j < end && items[j].key == items[i].key) ++j;
+        tie_group(i + shift, j + shift);
+        i = j;
+      }
+    };
+    key_runs(0, negatives, 0);
+    if (zeros > 0) tie_group(negatives, negatives + zeros);
+    key_runs(negatives, items.size(), zeros);
+    if (ranks) MomentsOf(p.ranks_, &p.rank_mean_, &p.rank_centered_ss_);
+    if (sorted) {
+      p.group_offsets_.push_back(static_cast<uint32_t>(n));
+      p.sort_order_ = std::move(order);
+    }
+  } else if (profiles & (kRankProfile | kSortProfile)) {
     // One sort serves both profiles. Sorting (value, index) pairs yields the
     // stable ascending permutation, and its runs of equal values are the tie
     // groups in ascending order: exactly the groups AverageRanks and

@@ -47,8 +47,15 @@ class PreparedSeries {
  public:
   PreparedSeries() = default;
 
-  /// Profiles `values`: one O(n) pass for the moments, one O(n log n) sort
-  /// shared by the rank and sort profiles.
+  /// Series at least this long sort by radix, shorter ones by comparison,
+  /// with the same profiles bit for bit. 160 sits just above the measured
+  /// crossover (DESIGN.md §5), so the n = 8 motif windows and 56-bin weekly
+  /// windows keep the comparison sort.
+  static constexpr size_t kRadixMinSize = 160;
+
+  /// Profiles `values`: one O(n) pass for the moments, one sort shared by
+  /// the rank and sort profiles (O(n log n) below kRadixMinSize values,
+  /// near-linear from there).
   static PreparedSeries Make(std::vector<double> values,
                              uint32_t profiles = kAllProfiles);
 

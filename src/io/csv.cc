@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -357,8 +358,8 @@ Result<simgen::GatewayTrace> ReadGatewayCsvOnce(const std::string& path,
     }
     if (!SplitGatewayRow(line, &fields)) {
       if (strict) {
-        return Status::IoError("malformed row in " + path + ": " +
-                               std::string(line));
+        return Status::InvalidArgument("malformed row in " + path + ": " +
+                                       std::string(line));
       }
       HOMETS_RETURN_IF_ERROR(quarantine.Add(&report->rows_malformed, line_no,
                                             line, "wrong field count"));
@@ -412,8 +413,21 @@ Result<simgen::GatewayTrace> ReadGatewayCsvOnce(const std::string& path,
   }
   if (devices.empty()) return Status::IoError("no data rows in " + path);
 
+  // Unsigned subtraction is exact for max_minute >= min_minute, where the
+  // signed one can overflow. The series' end minute, max_minute + 1, must
+  // exist too.
+  const uint64_t last_offset =
+      static_cast<uint64_t>(max_minute) - static_cast<uint64_t>(min_minute);
+  if (last_offset >= static_cast<uint64_t>(kMaxMinuteSpan) ||
+      max_minute == std::numeric_limits<int64_t>::max()) {
+    return Status::InvalidArgument(StrFormat(
+        "minutes %lld to %lld in %s exceed the %lld-minute span of a gateway "
+        "file",
+        static_cast<long long>(min_minute), static_cast<long long>(max_minute),
+        path.c_str(), static_cast<long long>(kMaxMinuteSpan)));
+  }
   simgen::GatewayTrace gw;
-  const size_t n = static_cast<size_t>(max_minute - min_minute + 1);
+  const size_t n = static_cast<size_t>(last_offset) + 1;
   for (auto& [name, acc] : devices) {
     simgen::DeviceTrace dev;
     dev.name = name;

@@ -11,6 +11,12 @@
 
 namespace homets::io {
 
+/// \brief The most minutes a gateway CSV may span, first row to last: four
+/// years. The reader puts every device on the whole span (16 bytes a minute,
+/// in and out), so a file whose minutes spread further is refused with
+/// InvalidArgument before anything that size is allocated.
+inline constexpr int64_t kMaxMinuteSpan = int64_t{4} * 366 * 24 * 60;
+
 /// \brief What the reader does with a row it cannot use as-is (malformed,
 /// unknown device type, repeated (device, minute) observation).
 enum class ErrorPolicy : uint8_t {
@@ -78,7 +84,8 @@ Status WriteGatewayCsv(const std::string& path,
 /// malformed rows, unknown device types, and duplicate (device, minute)
 /// observations (the first row wins under kSkipAndReport, and a quarantined
 /// row changes nothing in the result). Devices come back in name order, each
-/// on the span from the file's first to its last minute; a device's types
+/// on the span from the file's first to its last minute (at most
+/// kMaxMinuteSpan minutes, else InvalidArgument); a device's types
 /// are those of its last accepted row. `report` (may be nullptr) receives
 /// what happened; the `homets.ingest.*` metrics aggregate the same counts
 /// across files.

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -276,6 +279,202 @@ TEST(PreparedSeriesParity, DominanceGridSeries) {
   // Two zero-heavy devices against each other: big tie groups on both sides.
   ExpectParity(zero_heavy, signed_zeros);
   ExpectParity(mode_not_zero, zero_heavy);
+}
+
+// The rank and sort profiles as the comparison sort makes them: a stable
+// sort of (value, index) pairs, then one scan over its runs of equal values.
+struct ReferenceProfiles {
+  std::vector<uint32_t> sort_order;
+  std::vector<uint32_t> group_offsets;
+  std::vector<double> ranks;
+  TieSums tie_sums;
+  double rank_mean = 0.0;
+  double rank_centered_ss = 0.0;
+};
+
+ReferenceProfiles ReferenceProfilesOf(const std::vector<double>& values) {
+  const size_t n = values.size();
+  std::vector<std::pair<double, uint32_t>> keyed(n);
+  for (uint32_t i = 0; i < n; ++i) keyed[i] = {values[i], i};
+  std::stable_sort(
+      keyed.begin(), keyed.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  ReferenceProfiles ref;
+  ref.ranks.resize(n);
+  for (const auto& [value, index] : keyed) ref.sort_order.push_back(index);
+  for (size_t i = 0; i < n;) {
+    size_t j = i + 1;
+    while (j < n && keyed[j].first == keyed[i].first) ++j;
+    const double avg =
+        (static_cast<double>(i) + static_cast<double>(j - 1)) / 2.0 + 1.0;
+    for (size_t k = i; k < j; ++k) ref.ranks[keyed[k].second] = avg;
+    ref.group_offsets.push_back(static_cast<uint32_t>(i));
+    if (j - i >= 2) {
+      const double t = static_cast<double>(j - i);
+      ref.tie_sums.pairs += t * (t - 1.0) / 2.0;
+      ref.tie_sums.triple += t * (t - 1.0) * (t - 2.0);
+      ref.tie_sums.weighted += t * (t - 1.0) * (2.0 * t + 5.0);
+      ref.tie_sums.pair_raw += t * (t - 1.0);
+    }
+    i = j;
+  }
+  ref.group_offsets.push_back(static_cast<uint32_t>(n));
+  for (const double r : ref.ranks) ref.rank_mean += r;
+  ref.rank_mean /= static_cast<double>(n);
+  for (const double r : ref.ranks) {
+    const double d = r - ref.rank_mean;
+    ref.rank_centered_ss += d * d;
+  }
+  return ref;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Make's rank and sort profiles, under every mask that asks for them, match
+// the reference bit for bit, whichever sort Make picks for this length.
+void ExpectProfilesMatchReference(const std::vector<double>& values) {
+  ASSERT_GE(values.size(), 3u);
+  const ReferenceProfiles ref = ReferenceProfilesOf(values);
+  const PreparedSeries all = PreparedSeries::Make(values);
+  EXPECT_EQ(all.sort_order(), ref.sort_order);
+  EXPECT_EQ(all.group_offsets(), ref.group_offsets);
+  EXPECT_TRUE(SameBits(all.ranks(), ref.ranks));
+  EXPECT_TRUE(SameBits(all.tie_sums().pairs, ref.tie_sums.pairs));
+  EXPECT_TRUE(SameBits(all.tie_sums().triple, ref.tie_sums.triple));
+  EXPECT_TRUE(SameBits(all.tie_sums().weighted, ref.tie_sums.weighted));
+  EXPECT_TRUE(SameBits(all.tie_sums().pair_raw, ref.tie_sums.pair_raw));
+  EXPECT_TRUE(SameBits(all.rank_mean(), ref.rank_mean));
+  EXPECT_TRUE(SameBits(all.rank_centered_ss(), ref.rank_centered_ss));
+
+  const PreparedSeries ranks_only = PreparedSeries::Make(values, kRankProfile);
+  EXPECT_TRUE(SameBits(ranks_only.ranks(), ref.ranks));
+  EXPECT_TRUE(SameBits(ranks_only.rank_mean(), ref.rank_mean));
+  EXPECT_TRUE(ranks_only.sort_order().empty());
+  EXPECT_TRUE(ranks_only.group_offsets().empty());
+  const PreparedSeries sort_only = PreparedSeries::Make(values, kSortProfile);
+  EXPECT_EQ(sort_only.sort_order(), ref.sort_order);
+  EXPECT_EQ(sort_only.group_offsets(), ref.group_offsets);
+  EXPECT_TRUE(sort_only.ranks().empty());
+}
+
+// Lengths on both sides of the radix cutoff, and a week of minutes.
+const size_t kProfileLengths[] = {3,
+                                  8,
+                                  56,
+                                  PreparedSeries::kRadixMinSize - 1,
+                                  PreparedSeries::kRadixMinSize,
+                                  PreparedSeries::kRadixMinSize + 1,
+                                  1000,
+                                  static_cast<size_t>(ts::kMinutesPerWeek)};
+
+TEST(PreparedSeriesParity, ProfilesOverSmallAlphabets) {
+  // Few distinct values: big tie groups, zeros of either sign among them,
+  // and alphabets with no zero, no negative, or no positive at all.
+  const std::vector<std::vector<double>> alphabets = {
+      {-2.0, -1.0, -0.0, 0.0, 1.0, 2.5},
+      {0.0, 1.0},
+      {-0.0, -3.0},
+      {1.0, 2.0, 3.0},
+      {-1.0, -0.5},
+      {-7.25, 7.25, 1e300, -1e-300}};
+  Rng rng(106);
+  for (const size_t n : kProfileLengths) {
+    for (size_t a = 0; a < alphabets.size(); ++a) {
+      const std::vector<double>& alphabet = alphabets[a];
+      std::vector<double> values(n);
+      for (double& v : values) {
+        v = alphabet[static_cast<size_t>(rng.UniformInt(alphabet.size()))];
+      }
+      SCOPED_TRACE(testing::Message() << "n " << n << " alphabet " << a);
+      ExpectProfilesMatchReference(values);
+    }
+  }
+}
+
+TEST(PreparedSeriesParity, ProfilesOverSpecialValues) {
+  // Every key boundary the radix sort has to order: both infinities, both
+  // zeros, subnormals of either sign, the extremes of the normal range, and
+  // values one ulp apart.
+  const std::vector<double> specials = {
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      -std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      1.0,
+      std::nextafter(1.0, 2.0),
+      -1.0,
+      std::nextafter(-1.0, -2.0)};
+  Rng rng(107);
+  for (const size_t n : kProfileLengths) {
+    std::vector<double> values(n);
+    for (double& v : values) {
+      v = rng.Bernoulli(0.5)
+              ? specials[static_cast<size_t>(rng.UniformInt(specials.size()))]
+              : rng.Normal() * 1e3;
+    }
+    SCOPED_TRACE(n);
+    ExpectProfilesMatchReference(values);
+  }
+}
+
+TEST(PreparedSeriesParity, ProfilesOfAllZeroAndZeroFreeSeries) {
+  Rng rng(108);
+  for (const size_t n : kProfileLengths) {
+    SCOPED_TRACE(n);
+    ExpectProfilesMatchReference(std::vector<double>(n, 0.0));
+    std::vector<double> signed_zeros(n);
+    for (size_t i = 0; i < n; ++i) signed_zeros[i] = i % 2 == 0 ? -0.0 : 0.0;
+    ExpectProfilesMatchReference(signed_zeros);
+    std::vector<double> positive(n), mixed(n);
+    for (size_t i = 0; i < n; ++i) {
+      positive[i] = rng.LogNormal(std::log(500.0), 1.5);
+      mixed[i] = rng.Normal();
+    }
+    ExpectProfilesMatchReference(positive);
+    ExpectProfilesMatchReference(mixed);
+    ExpectProfilesMatchReference(std::vector<double>(n, -4.0));
+  }
+}
+
+TEST(PreparedSeriesParity, ProfilesOfZeroInflatedDeviceGrids) {
+  // The dominance inputs: every device of a simgen gateway on its aggregate's
+  // week-scale grid (mostly zeros), the aggregate itself, and windows of
+  // them cut at the lengths around the radix cutoff.
+  simgen::SimConfig config;
+  config.n_gateways = 1;
+  config.weeks = 2;
+  config.seed = 4242;
+  const simgen::GatewayTrace gateway =
+      simgen::FleetGenerator(config).Generate(0);
+  const core::AggregateGrid grid =
+      core::MakeAggregateGrid(gateway.AggregateTraffic());
+  std::vector<std::vector<double>> series = {grid.values};
+  for (const auto& device : gateway.devices) {
+    std::vector<double> on_grid;
+    core::DeviceOnGrid(device.TotalTraffic(), grid, &on_grid);
+    series.push_back(std::move(on_grid));
+  }
+  ASSERT_GE(series.size(), 3u);
+  ASSERT_GT(ZeroShare(series[1]), 0.5);
+  for (size_t s = 0; s < series.size(); ++s) {
+    SCOPED_TRACE(s);
+    ExpectProfilesMatchReference(series[s]);
+    for (const size_t n : kProfileLengths) {
+      if (n > series[s].size()) continue;
+      const auto begin = series[s].begin() + (series[s].size() - n) / 2;
+      ExpectProfilesMatchReference(std::vector<double>(begin, begin + n));
+    }
+  }
 }
 
 // Kendall's τ-b from its definition, by visiting all n(n−1)/2 pairs.

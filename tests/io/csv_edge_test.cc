@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -285,9 +286,16 @@ TEST_F(GatewayCsvEdgeTest, FiveOrSevenFieldsAreMalformed) {
                                  "cam,fixed,unlabeled,2,1,2,\n"
                                  "cam,fixed,unlabeled,3,5,6\n");
   const auto strict = ReadGatewayCsv(path);
-  EXPECT_EQ(strict.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(strict.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(strict.status().message().find("malformed row"),
             std::string::npos);
+  // A parse error, so a retry budget is never spent on it.
+  ReadOptions retrying;
+  retrying.max_retries = 2;
+  IngestReport strict_report;
+  EXPECT_EQ(ReadGatewayCsv(path, retrying, &strict_report).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(strict_report.retries, 0u);
   IngestReport report;
   const auto loaded = ReadGatewayCsv(path, Skip(), &report);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -297,6 +305,50 @@ TEST_F(GatewayCsvEdgeTest, FiveOrSevenFieldsAreMalformed) {
   EXPECT_EQ(report.quarantine[0].reason, "wrong field count");
   EXPECT_EQ(report.quarantine[2].text, "cam,fixed,unlabeled,2,1,2,");
   EXPECT_EQ(loaded->devices[0].incoming.start_minute(), 3);
+}
+
+// Every device is materialized on the file's whole minute span, so a span
+// from untrusted minutes is checked before it is allocated.
+TEST_F(GatewayCsvEdgeTest, MinuteSpanBeyondBoundIsInvalidArgument) {
+  const auto read = [](const std::string& name, int64_t first, int64_t last) {
+    return ReadGatewayCsv(WriteFile(
+        name, std::string(kHeader) + "cam,fixed,unlabeled," +
+                  std::to_string(first) + ",1,2\n" + "cam,fixed,unlabeled," +
+                  std::to_string(last) + ",3,4\n"));
+  };
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const struct {
+    const char* name;
+    int64_t first;
+    int64_t last;
+  } refused[] = {{"span_1e15.csv", 0, 1000000000000000},
+                 {"span_full_range.csv", kMin, kMax},
+                 {"span_min_to_zero.csv", kMin, 0},
+                 {"span_zero_to_max.csv", 0, kMax},
+                 {"span_ends_at_max.csv", kMax - 1, kMax},
+                 {"span_one_past_bound.csv", 0, kMaxMinuteSpan}};
+  for (const auto& c : refused) {
+    SCOPED_TRACE(c.name);
+    const auto loaded = read(c.name, c.first, c.last);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("-minute span"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+  // Extreme minutes with a short span are read as they are.
+  const auto low = read("span_near_min.csv", kMin, kMin + 2);
+  ASSERT_TRUE(low.ok()) << low.status().ToString();
+  EXPECT_EQ(low->devices[0].incoming.start_minute(), kMin);
+  EXPECT_EQ(low->devices[0].incoming.size(), 3u);
+  const auto high = read("span_near_max.csv", kMax - 3, kMax - 1);
+  ASSERT_TRUE(high.ok()) << high.status().ToString();
+  EXPECT_EQ(high->devices[0].incoming.EndMinute(), kMax);
+  // The bound itself is a readable span.
+  const auto widest = read("span_at_bound.csv", 0, kMaxMinuteSpan - 1);
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest->devices[0].incoming.size(),
+            static_cast<size_t>(kMaxMinuteSpan));
 }
 
 TEST_F(GatewayCsvEdgeTest, RowsParsedCounterMatchesReportOnCleanRead) {
