@@ -308,8 +308,7 @@ void RunSize(const SizeSpec& spec, std::vector<Entry>* entries) {
 
   // Sharded fleet execution (DESIGN.md §15): the whole per-gateway pipeline
   // again, but through the shard orchestrator over one out-of-core .homets
-  // fleet — units are shards, so units_per_sec is the shards/sec figure the
-  // scaling story quotes (bench_fleet sweeps the shard count).
+  // fleet — units are shards, so units_per_sec is the shards/sec figure.
   {
     char fleet_tmpl[] = "/tmp/homets_pipeline_fleet_XXXXXX";
     const char* fleet_tmpdir = mkdtemp(fleet_tmpl);

@@ -23,7 +23,7 @@ enum class FailpointAction : uint8_t {
   kError,      ///< inject an IoError Status (transient, retryable)
   kCorrupt,    ///< mangle the data flowing through the site (e.g. a CSV row)
   kTruncate,   ///< cut the data stream short (e.g. mid-file EOF)
-  kFail,       ///< fail the unit of work (e.g. a block of similarity pairs)
+  kFail,       ///< fail the unit of work (e.g. a fleet shard)
 };
 
 /// \brief Counters for one failpoint site, for tests and reports.
@@ -51,7 +51,7 @@ struct FailpointStats {
 ///                           a SplitMix64 stream seeded with
 ///                           seed ^ hash(site) — deterministic per spec+seed
 ///
-/// e.g. `io.csv.open=error*2;io.csv.row=corrupt@3;engine.pair_block=fail~0.25`.
+/// e.g. `io.csv.open=error*2;io.csv.row=corrupt@3;fleet.shard.run=fail~0.25`.
 /// Counted and windowed rules are exactly reproducible wherever the site's
 /// hits are sequenced (all IO sites); probabilistic rules are reproducible
 /// per hit index, so under a multi-threaded site the set of firing hit
@@ -133,9 +133,6 @@ inline constexpr std::string_view kFailpointCsvWrite = "io.csv.write";
 inline constexpr std::string_view kFailpointColOpen = "io.col.open";
 inline constexpr std::string_view kFailpointColChunk = "io.col.chunk";
 inline constexpr std::string_view kFailpointColWrite = "io.col.write";
-inline constexpr std::string_view kFailpointTablePrint = "io.table.print";
-inline constexpr std::string_view kFailpointEnginePairBlock =
-    "engine.pair_block";
 inline constexpr std::string_view kFailpointFleetShardRun =
     "fleet.shard.run";
 inline constexpr std::string_view kFailpointCkptWrite = "io.ckpt.write";
@@ -143,10 +140,9 @@ inline constexpr std::string_view kFailpointCkptRead = "io.ckpt.read";
 
 /// Every site above; Configure() rejects a spec that names any other.
 inline constexpr std::array kFailpointSites{
-    kFailpointCsvOpen,       kFailpointCsvRow,     kFailpointCsvWrite,
-    kFailpointColOpen,       kFailpointColChunk,   kFailpointColWrite,
-    kFailpointTablePrint,    kFailpointEnginePairBlock,
-    kFailpointFleetShardRun, kFailpointCkptWrite,  kFailpointCkptRead};
+    kFailpointCsvOpen,       kFailpointCsvRow,    kFailpointCsvWrite,
+    kFailpointColOpen,       kFailpointColChunk,  kFailpointColWrite,
+    kFailpointFleetShardRun, kFailpointCkptWrite, kFailpointCkptRead};
 
 /// Evaluates `site` with zero cost when fault injection is disarmed.
 inline FailpointAction EvaluateFailpoint(std::string_view site) {

@@ -1,6 +1,7 @@
 #include "core/dominance.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
 #include "core/dominance_grid.h"
@@ -74,13 +75,13 @@ std::vector<DominantDevice> RankAndFilter(
   return dominants;
 }
 
-}  // namespace
-
-std::vector<DominantDevice> FindDominantDevices(
+// The one Definition 4 device scan: every device's series (from
+// `device_series`, null to skip the device) on `aggregate`'s grid against
+// the aggregate, prepared once.
+std::vector<DominantDevice> ScanDevices(
     const simgen::GatewayTrace& gateway, const ts::TimeSeries& aggregate,
-    const std::vector<ts::TimeSeries>& device_totals,
+    const std::function<const ts::TimeSeries*(size_t)>& device_series,
     const DominanceOptions& options) {
-  obs::ScopedSpan span("dominance.find");
   if (aggregate.empty()) return {};
   SimilarityOptions sim_options;
   sim_options.alpha = options.alpha;
@@ -91,7 +92,9 @@ std::vector<DominantDevice> FindDominantDevices(
   std::vector<double> device_values;
   correlation::PairWorkspace workspace;
   for (size_t d = 0; d < gateway.devices.size(); ++d) {
-    DeviceOnGrid(device_totals[d], grid, &device_values);
+    const ts::TimeSeries* series = device_series(d);
+    if (series == nullptr) continue;
+    DeviceOnGrid(*series, grid, &device_values);
     const SimilarityResult sim = CorrelationSimilarity(
         correlation::PreparedSeries::Make(device_values), prepared_aggregate,
         sim_options, &workspace);
@@ -102,6 +105,18 @@ std::vector<DominantDevice> FindDominantDevices(
     candidates.push_back(candidate);
   }
   return RankAndFilter(std::move(candidates), options);
+}
+
+}  // namespace
+
+std::vector<DominantDevice> FindDominantDevices(
+    const simgen::GatewayTrace& gateway, const ts::TimeSeries& aggregate,
+    const std::vector<ts::TimeSeries>& device_totals,
+    const DominanceOptions& options) {
+  obs::ScopedSpan span("dominance.find");
+  return ScanDevices(
+      gateway, aggregate, [&](size_t d) { return &device_totals[d]; },
+      options);
 }
 
 std::vector<DominantDevice> FindDominantDevices(
@@ -120,8 +135,6 @@ std::vector<DominantDevice> FindDominantDevicesInWindow(
     int64_t end_minute, int64_t granularity_minutes,
     int64_t anchor_offset_minutes, const DominanceOptions& options) {
   obs::ScopedSpan span("dominance.find_in_window");
-  const ts::TimeSeries aggregate = gateway.AggregateTraffic();
-  if (aggregate.empty()) return {};
   auto window_of = [&](const ts::TimeSeries& series) -> ts::TimeSeries {
     auto aggregated = ts::Aggregate(series, granularity_minutes,
                                     anchor_offset_minutes, ts::AggKind::kSum);
@@ -132,31 +145,15 @@ std::vector<DominantDevice> FindDominantDevicesInWindow(
     auto slice = aggregated->Slice(begin, end);
     return slice.ok() ? std::move(slice).value() : ts::TimeSeries();
   };
-  const ts::TimeSeries agg_window = window_of(aggregate);
-  if (agg_window.empty()) return {};
-  SimilarityOptions sim_options;
-  sim_options.alpha = options.alpha;
-  const AggregateGrid grid = MakeAggregateGrid(agg_window);
-  const correlation::PreparedSeries prepared_aggregate =
-      correlation::PreparedSeries::Make(grid.values);
-  std::vector<DominantDevice> candidates;
-  std::vector<double> device_values;
-  correlation::PairWorkspace workspace;
-  for (size_t d = 0; d < gateway.devices.size(); ++d) {
-    const ts::TimeSeries dev_window =
-        window_of(gateway.devices[d].TotalTraffic());
-    if (dev_window.empty()) continue;
-    DeviceOnGrid(dev_window, grid, &device_values);
-    const SimilarityResult sim = CorrelationSimilarity(
-        correlation::PreparedSeries::Make(device_values), prepared_aggregate,
-        sim_options, &workspace);
-    DominantDevice candidate;
-    candidate.device_index = d;
-    candidate.similarity = sim.value;
-    candidate.reported_type = gateway.devices[d].reported_type;
-    candidates.push_back(candidate);
-  }
-  return RankAndFilter(std::move(candidates), options);
+  // A device whose series does not reach into the window is not ranked.
+  ts::TimeSeries device_window;
+  return ScanDevices(
+      gateway, window_of(gateway.AggregateTraffic()),
+      [&](size_t d) -> const ts::TimeSeries* {
+        device_window = window_of(gateway.devices[d].TotalTraffic());
+        return device_window.empty() ? nullptr : &device_window;
+      },
+      options);
 }
 
 std::vector<size_t> RankDevicesByEuclidean(

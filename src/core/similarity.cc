@@ -18,13 +18,17 @@ std::string SimilaritySourceName(SimilaritySource source) {
   return "none";
 }
 
-namespace {
+SimilarityResult CorrelationSimilarity(const std::vector<double>& x,
+                                       const std::vector<double>& y,
+                                       const SimilarityOptions& options) {
+  return CorrelationSimilarity(correlation::PreparedSeries::Make(x),
+                               correlation::PreparedSeries::Make(y), options);
+}
 
-// Definition 1 over any pair of coefficient results: the maximum
-// statistically significant coefficient wins.
-template <typename TestFn>
-SimilarityResult MaxSignificantCoefficient(const SimilarityOptions& options,
-                                           TestFn&& run) {
+SimilarityResult CorrelationSimilarity(const correlation::PreparedSeries& x,
+                                       const correlation::PreparedSeries& y,
+                                       const SimilarityOptions& options,
+                                       correlation::PairWorkspace* workspace) {
   SimilarityResult result;
   const auto consider = [&](Result<correlation::CorrelationTest> test,
                             SimilaritySource source) {
@@ -38,34 +42,11 @@ SimilarityResult MaxSignificantCoefficient(const SimilarityOptions& options,
     }
     result.significant = true;
   };
-  run(consider);
+  consider(correlation::Pearson(x, y, workspace), SimilaritySource::kPearson);
+  consider(correlation::Spearman(x, y, workspace),
+           SimilaritySource::kSpearman);
+  consider(correlation::Kendall(x, y, workspace), SimilaritySource::kKendall);
   return result;
-}
-
-}  // namespace
-
-SimilarityResult CorrelationSimilarity(const std::vector<double>& x,
-                                       const std::vector<double>& y,
-                                       const SimilarityOptions& options) {
-  return MaxSignificantCoefficient(options, [&](const auto& consider) {
-    consider(correlation::Pearson(x, y), SimilaritySource::kPearson);
-    consider(correlation::Spearman(x, y), SimilaritySource::kSpearman);
-    consider(correlation::Kendall(x, y), SimilaritySource::kKendall);
-  });
-}
-
-SimilarityResult CorrelationSimilarity(const correlation::PreparedSeries& x,
-                                       const correlation::PreparedSeries& y,
-                                       const SimilarityOptions& options,
-                                       correlation::PairWorkspace* workspace) {
-  return MaxSignificantCoefficient(options, [&](const auto& consider) {
-    consider(correlation::Pearson(x, y, workspace),
-             SimilaritySource::kPearson);
-    consider(correlation::Spearman(x, y, workspace),
-             SimilaritySource::kSpearman);
-    consider(correlation::Kendall(x, y, workspace),
-             SimilaritySource::kKendall);
-  });
 }
 
 SimilarityResult CorrelationSimilarity(const ts::TimeSeries& x,

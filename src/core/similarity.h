@@ -36,16 +36,16 @@ struct SimilarityOptions {
 /// Insignificant and incomputable (constant series, too few pairs)
 /// coefficients are skipped; all three failing yields value 0 with
 /// `significant = false` — by design, not an error, since zeroed-out
-/// background-free windows are routine inputs.
+/// background-free windows are routine inputs. Prepares each side once and
+/// runs the prepared-series form below.
 SimilarityResult CorrelationSimilarity(const std::vector<double>& x,
                                        const std::vector<double>& y,
                                        const SimilarityOptions& options = {});
 
 /// \brief Prepared-series form: reuses each side's one-time profile
 /// (correlation::PreparedSeries) so a window compared against many partners
-/// is never re-ranked or re-sorted. Bit-identical to the vector overload on
-/// the same values. `workspace` (optional) avoids per-pair allocations in
-/// batch loops; see correlation::PairWorkspace.
+/// is never re-ranked or re-sorted. `workspace` (optional) avoids per-pair
+/// allocations in batch loops; see correlation::PairWorkspace.
 SimilarityResult CorrelationSimilarity(
     const correlation::PreparedSeries& x, const correlation::PreparedSeries& y,
     const SimilarityOptions& options = {},

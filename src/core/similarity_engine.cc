@@ -1,10 +1,8 @@
 #include "core/similarity_engine.h"
 
-#include <algorithm>
 #include <cmath>
 #include <functional>
 
-#include "common/failpoint.h"
 #include "common/thread_pool.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -15,15 +13,9 @@ namespace homets::core {
 std::vector<double> SimilarityMatrix::CondensedDistances() const {
   std::vector<double> distances(cells_.size());
   for (size_t k = 0; k < cells_.size(); ++k) {
-    distances[k] = IsValidIndex(k) ? 1.0 - cells_[k].value : 1.0;
+    distances[k] = 1.0 - cells_[k].value;
   }
   return distances;
-}
-
-size_t SimilarityMatrix::invalid_count() const {
-  size_t count = 0;
-  for (const uint8_t flag : invalid_) count += flag;
-  return count;
 }
 
 std::pair<size_t, size_t> SimilarityMatrix::PairAt(size_t n, size_t k) {
@@ -75,10 +67,12 @@ namespace {
 // hand-off, fine enough to balance tie-heavy vs degenerate pairs.
 constexpr size_t kPairsPerBlock = 64;
 
-// The one pair loop: runs `block(begin, end, workspace)` over [0, pairs) in
-// blocks of kPairsPerBlock on the pool, one PairWorkspace per worker. Blocks
-// are cut the same way for every thread count (the inline single-worker
-// range is split too), so a per-block decision sees the same blocks.
+// Workloads below this many pairs run inline: spawning threads would cost
+// more than the work.
+constexpr size_t kMinParallelPairs = 256;
+
+// The one pair loop: runs `block(begin, end, workspace)` over ranges of
+// [0, pairs) on the pool, one PairWorkspace per worker.
 void ForEachPairBlock(
     size_t pairs, const SimilarityEngineOptions& options,
     const std::function<void(size_t, size_t, correlation::PairWorkspace&)>&
@@ -87,16 +81,12 @@ void ForEachPairBlock(
   static obs::Counter* const pairs_computed =
       obs::MetricsRegistry::Global().GetCounter(obs::kEnginePairsComputed);
   obs::ScopedSpan span("similarity_engine.pairwise");
-  const int threads = pairs < options.min_parallel_pairs ? 1 : options.threads;
+  const int threads = pairs < kMinParallelPairs ? 1 : options.threads;
   std::vector<correlation::PairWorkspace> workspaces(
       static_cast<size_t>(ResolveThreadCount(threads)));
   ParallelFor(pairs, threads, kPairsPerBlock,
               [&](size_t begin, size_t end, int worker) {
-                correlation::PairWorkspace& ws =
-                    workspaces[static_cast<size_t>(worker)];
-                for (size_t b = begin; b < end; b += kPairsPerBlock) {
-                  block(b, std::min(b + kPairsPerBlock, end), ws);
-                }
+                block(begin, end, workspaces[static_cast<size_t>(worker)]);
               });
   pairs_computed->Increment(pairs);
 }
@@ -107,19 +97,10 @@ SimilarityMatrix SimilarityEngine::Pairwise(
     const std::vector<correlation::PreparedSeries>& prepared) const {
   const size_t n = prepared.size();
   SimilarityMatrix matrix(n);
-  // Read once: the mask must exist before workers can mark blocks
-  // concurrently, and only blocks of an armed run may mark.
-  const bool armed = Failpoints::Global().armed();
-  if (armed) matrix.EnsureValidityMask();
   SimilarityResult* cells = matrix.mutable_cells();
   ForEachPairBlock(
       matrix.pair_count(), options_,
       [&](size_t begin, size_t end, correlation::PairWorkspace& ws) {
-        if (armed && Failpoints::Global().Evaluate(kFailpointEnginePairBlock) ==
-                         FailpointAction::kFail) {
-          for (size_t k = begin; k < end; ++k) matrix.MarkInvalid(k);
-          return;
-        }
         auto [i, j] = SimilarityMatrix::PairAt(n, begin);
         for (size_t k = begin; k < end; ++k) {
           cells[k] = CorrelationSimilarity(prepared[i], prepared[j],

@@ -17,9 +17,6 @@ struct SimilarityEngineOptions {
   /// Worker threads: 0 means hardware concurrency. Output is deterministic
   /// (bit-identical) for every thread count.
   int threads = 0;
-  /// Workloads below this many pairs run inline — thread spawn would cost
-  /// more than the work.
-  size_t min_parallel_pairs = 256;
 };
 
 /// \brief Condensed symmetric matrix of Definition 1 results over n windows:
@@ -44,39 +41,11 @@ class SimilarityMatrix {
   }
 
   /// 1 − cor(i, j) for every i < j, row-major — the Figure 3 clustering
-  /// distance, ready for cluster::DistanceMatrix::FromCondensed. Invalid
-  /// cells (see the validity mask) map to the maximum distance 1.0, the
-  /// conservative "not similar" reading of a pair that could not be computed.
+  /// distance, ready for cluster::DistanceMatrix::FromCondensed.
   std::vector<double> CondensedDistances() const;
 
   SimilarityResult* mutable_cells() { return cells_.data(); }
   const std::vector<SimilarityResult>& cells() const { return cells_; }
-
-  /// \name Validity mask
-  /// Pairwise marks the cells of a block that failed under the
-  /// `engine.pair_block` failpoint invalid; a matrix built with fault
-  /// injection disarmed has every cell valid and allocates no mask.
-  /// Downstream consumers must skip invalid cells rather than read their
-  /// (zero-initialized) results.
-  ///@{
-  /// Allocates the mask (all-valid). Must be called before MarkInvalid and
-  /// before any concurrent marking starts.
-  void EnsureValidityMask() {
-    if (invalid_.size() != cells_.size()) invalid_.assign(cells_.size(), 0);
-  }
-  /// Marks condensed cell `k` invalid. Distinct `k` may be marked from
-  /// different threads once the mask is allocated.
-  void MarkInvalid(size_t k) { invalid_[k] = 1; }
-  bool IsValidIndex(size_t k) const {
-    return invalid_.empty() || invalid_[k] == 0;
-  }
-  bool IsValid(size_t i, size_t j) const {
-    return i == j || IsValidIndex(CondensedIndex(n_, i, j));
-  }
-  /// Number of invalid cells; 0 means the matrix is complete.
-  size_t invalid_count() const;
-  bool complete() const { return invalid_count() == 0; }
-  ///@}
 
   /// Index of (i, j), i < j, in the condensed layout.
   static size_t CondensedIndex(size_t n, size_t i, size_t j) {
@@ -90,9 +59,6 @@ class SimilarityMatrix {
  private:
   size_t n_ = 0;
   std::vector<SimilarityResult> cells_;
-  /// Empty = all cells valid; else one flag per condensed cell (1 = the
-  /// pair's task failed and the cell holds no result).
-  std::vector<uint8_t> invalid_;
 };
 
 /// \brief Parallel pairwise similarity over prepared windows.
@@ -120,12 +86,8 @@ class SimilarityEngine {
   std::vector<correlation::PreparedSeries> Prepare(
       const std::vector<ts::TimeSeries>& windows) const;
 
-  /// Full condensed pairwise matrix over the prepared windows. The
-  /// `engine.pair_block` failpoint is evaluated once per block of pairs; a
-  /// block it fails is flagged in the validity mask and the run goes on, so
-  /// downstream stages degrade over partial results instead of aborting.
-  /// With fault injection disarmed no mask is allocated and the matrix is
-  /// bit-identical for every thread count.
+  /// Full condensed pairwise matrix over the prepared windows, every cell
+  /// computed; bit-identical for every thread count.
   SimilarityMatrix Pairwise(
       const std::vector<correlation::PreparedSeries>& prepared) const;
 

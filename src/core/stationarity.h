@@ -19,16 +19,11 @@ struct StationarityResult {
   bool strongly_stationary = false;
   double min_pair_similarity = 0.0;  ///< weakest window-pair cor(·,·)
   double min_ks_p_value = 1.0;       ///< strongest distribution difference
-  size_t window_pairs = 0;           ///< pairs with evidence (valid cells)
+  size_t window_pairs = 0;           ///< window pairs compared, n(n−1)/2
 
   /// Which of the two conditions failed (both true when stationary).
   bool correlation_ok = false;
   bool distribution_ok = false;
-
-  /// Pairs whose similarity task failed (invalid matrix cells) and were
-  /// excluded from the evidence — nonzero only under fault injection or
-  /// partial engine results. The verdict then covers the surviving pairs.
-  size_t pairs_skipped = 0;
 };
 
 /// \brief Definition 2: a series is strongly stationary for a window size if

@@ -132,22 +132,6 @@ TieSums TieSumsFromGroups(const std::vector<size_t>& groups) {
   return s;
 }
 
-// Pairwise-complete gather (CompletePairs semantics): keeps index pairs
-// where neither input is NaN, over the overlapping length.
-void Gather(const std::vector<double>& x, const std::vector<double>& y,
-            std::vector<double>* xc, std::vector<double>* yc) {
-  const size_t n = std::min(x.size(), y.size());
-  xc->clear();
-  yc->clear();
-  xc->reserve(n);
-  yc->reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (std::isnan(x[i]) || std::isnan(y[i])) continue;
-    xc->push_back(x[i]);
-    yc->push_back(y[i]);
-  }
-}
-
 // Pearson over NaN-free equal-length vectors given each side's moments.
 Result<CorrelationTest> PearsonFromMoments(const std::vector<double>& x,
                                            const std::vector<double>& y,
@@ -419,7 +403,7 @@ Result<CorrelationTest> Pearson(const PreparedSeries& x,
   }
   PairWorkspace local;
   PairWorkspace* ws = workspace != nullptr ? workspace : &local;
-  Gather(x.values(), y.values(), &ws->xc, &ws->yc);
+  CompletePairs(x.values(), y.values(), &ws->xc, &ws->yc);
   return PearsonGathered(ws->xc, ws->yc);
 }
 
@@ -438,7 +422,7 @@ Result<CorrelationTest> Spearman(const PreparedSeries& x,
   }
   PairWorkspace local;
   PairWorkspace* ws = workspace != nullptr ? workspace : &local;
-  Gather(x.values(), y.values(), &ws->xc, &ws->yc);
+  CompletePairs(x.values(), y.values(), &ws->xc, &ws->yc);
   return SpearmanGathered(ws->xc, ws->yc);
 }
 
@@ -449,7 +433,7 @@ Result<CorrelationTest> Kendall(const PreparedSeries& x,
   PairWorkspace* ws = workspace != nullptr ? workspace : &local;
   if (!(x.PairableWith(y) && (x.profiles() & kSortProfile) &&
         (y.profiles() & kSortProfile))) {
-    Gather(x.values(), y.values(), &ws->xc, &ws->yc);
+    CompletePairs(x.values(), y.values(), &ws->xc, &ws->yc);
     return KendallGathered(ws->xc, ws->yc, ws);
   }
 

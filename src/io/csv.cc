@@ -31,9 +31,12 @@ namespace {
 /// Quarantine samples kept verbatim per file; counters stay exact beyond it.
 constexpr size_t kQuarantineSampleCap = 16;
 
-/// Bytes read per block. A line longer than this grows the buffer; the file
-/// as a whole is never held in memory.
+/// Bytes read per block. A line longer than this grows the buffer, up to
+/// kMaxLineBytes; the file as a whole is never held in memory.
 constexpr size_t kReadBlockBytes = size_t{256} * 1024;
+
+/// Bytes of an overlong line kept for its quarantine sample.
+constexpr size_t kOverlongSampleBytes = 64;
 
 constexpr std::string_view kGatewayHeader =
     "device,true_type,reported_type,minute,incoming,outgoing";
@@ -161,16 +164,20 @@ Result<RowFate> ApplyRowFailpoint(std::string* line) {
 
 /// Splits a file into lines on '\n' through one read buffer, as std::getline
 /// does: a trailing '\r' stays in the line, and a final '\n' ends the last
-/// line rather than starting an empty one. Memory is one block plus the
-/// longest line, whatever the file size.
+/// line rather than starting an empty one. The buffer holds one block, or
+/// the longest line when that is longer, and never more than
+/// kMaxLineBytes + 1 bytes, whatever the file size.
 class LineReader {
  public:
   explicit LineReader(std::FILE* file)
       : file_(file), buffer_(kReadBlockBytes) {}
 
   /// The next line, valid until the following call; false at end of file
-  /// or on a read error (then failed() is true).
+  /// or on a read error (then failed() is true). A line longer than
+  /// kMaxLineBytes comes back as its first kOverlongSampleBytes bytes with
+  /// overlong() true; the rest of it is read past, not kept.
   bool ReadLine(std::string_view* line) {
+    overlong_ = false;
     for (;;) {
       const char* begin = buffer_.data() + begin_;
       const size_t available = end_ - begin_;
@@ -179,6 +186,13 @@ class LineReader {
             static_cast<size_t>(static_cast<const char*>(newline) - begin);
         *line = std::string_view(begin, length);
         begin_ += length + 1;
+        return true;
+      }
+      if (available > kMaxLineBytes) {
+        overlong_ = true;
+        sample_.assign(begin, kOverlongSampleBytes);
+        *line = sample_;
+        SkipLine();
         return true;
       }
       if (eof_) {
@@ -192,15 +206,20 @@ class LineReader {
   }
 
   bool failed() const { return failed_; }
+  /// True when the line ReadLine returned last ran past kMaxLineBytes.
+  bool overlong() const { return overlong_; }
 
  private:
   /// Moves the partial last line to the front and reads the next block
-  /// behind it, doubling the buffer only when that line fills it.
+  /// behind it, doubling the buffer (up to kMaxLineBytes + 1, one byte more
+  /// than the longest line) only when that line fills it.
   void Refill() {
     std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
     end_ -= begin_;
     begin_ = 0;
-    if (end_ == buffer_.size()) buffer_.resize(buffer_.size() * 2);
+    if (end_ == buffer_.size()) {
+      buffer_.resize(std::min(buffer_.size() * 2, kMaxLineBytes + 1));
+    }
     const size_t got =
         std::fread(buffer_.data() + end_, 1, buffer_.size() - end_, file_);
     end_ += got;
@@ -210,12 +229,30 @@ class LineReader {
     }
   }
 
+  /// Drops the buffered part of a line that has no '\n' yet, then reads
+  /// blocks until one holds the '\n' (the next line starts after it) or the
+  /// file ends.
+  void SkipLine() {
+    const void* newline = nullptr;
+    while (newline == nullptr && !eof_) {
+      begin_ = end_;
+      Refill();
+      newline = std::memchr(buffer_.data(), '\n', end_);
+    }
+    if (newline != nullptr) {
+      begin_ = static_cast<size_t>(static_cast<const char*>(newline) -
+                                   buffer_.data()) + 1;
+    }
+  }
+
   std::FILE* file_;
   std::vector<char> buffer_;
   size_t begin_ = 0;  ///< first unread byte
   size_t end_ = 0;    ///< one past the last byte read
   bool eof_ = false;
   bool failed_ = false;
+  bool overlong_ = false;
+  std::string sample_;  ///< the start of the last overlong line
 };
 
 /// Cuts `line` at its commas; false unless it has exactly kGatewayFields
@@ -343,6 +380,17 @@ Result<simgen::GatewayTrace> ReadGatewayCsvOnce(const std::string& path,
   std::array<std::string_view, kGatewayFields> fields;
   while (lines.ReadLine(&line)) {
     ++line_no;
+    if (lines.overlong()) {
+      // Only the line's start was kept.
+      if (strict) {
+        return Status::InvalidArgument(
+            StrFormat("line %zu of %s is longer than %zu bytes", line_no,
+                      path.c_str(), kMaxLineBytes));
+      }
+      HOMETS_RETURN_IF_ERROR(quarantine.Add(&report->rows_malformed, line_no,
+                                            line, "line too long"));
+      continue;
+    }
     if (Failpoints::Global().armed()) {
       owned.assign(line);
       HOMETS_ASSIGN_OR_RETURN(const RowFate fate, ApplyRowFailpoint(&owned));

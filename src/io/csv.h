@@ -17,6 +17,11 @@ namespace homets::io {
 /// InvalidArgument before anything that size is allocated.
 inline constexpr int64_t kMaxMinuteSpan = int64_t{4} * 366 * 24 * 60;
 
+/// \brief The longest line a gateway CSV may hold, without its '\n': 1 MiB.
+/// A longer line is a malformed row, and the reader skips past it without
+/// holding more than this much of it in memory.
+inline constexpr size_t kMaxLineBytes = size_t{1} << 20;
+
 /// \brief What the reader does with a row it cannot use as-is (malformed,
 /// unknown device type, repeated (device, minute) observation).
 enum class ErrorPolicy : uint8_t {
@@ -83,7 +88,8 @@ Status WriteGatewayCsv(const std::string& path,
 /// as Missing and rows may come in any order; the policies differ on
 /// malformed rows, unknown device types, and duplicate (device, minute)
 /// observations (the first row wins under kSkipAndReport, and a quarantined
-/// row changes nothing in the result). Devices come back in name order, each
+/// row changes nothing in the result). A line longer than kMaxLineBytes is
+/// a malformed row. Devices come back in name order, each
 /// on the span from the file's first to its last minute (at most
 /// kMaxMinuteSpan minutes, else InvalidArgument); a device's types
 /// are those of its last accepted row. `report` (may be nullptr) receives

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/failpoint.h"
-
 namespace homets::io {
 
 TextTable::TextTable(std::vector<std::string> headers)
@@ -15,12 +13,6 @@ void TextTable::AddRow(std::vector<std::string> cells) {
 }
 
 void TextTable::Print(std::ostream& os) const {
-  if (EvaluateFailpoint(kFailpointTablePrint) == FailpointAction::kError) {
-    // Reported the way a real sink failure would be: callers see failbit on
-    // the stream, nothing half-rendered.
-    os.setstate(std::ios_base::failbit);
-    return;
-  }
   std::vector<size_t> widths(headers_.size(), 0);
   for (size_t c = 0; c < headers_.size(); ++c) {
     widths[c] = headers_[c].size();

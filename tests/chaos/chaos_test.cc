@@ -1,21 +1,18 @@
 // Chaos suite (`ctest -L chaos`): whole-subsystem failpoint schedules
 // asserting the three resilience contracts — no crash, clean Status
 // propagation, and bit-identical output when retries absorb transient
-// faults. Each test installs a schedule, drives a real read or engine run,
-// and disarms; everything else in the process must behave as if the
+// faults. Each test installs a schedule, drives a real read or write, and
+// disarms; everything else in the process must behave as if the
 // schedule never existed.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/failpoint.h"
-#include "common/random.h"
 #include "common/status.h"
-#include "core/similarity_engine.h"
 #include "io/csv.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -171,46 +168,6 @@ TEST_F(ChaosTest, TruncatedStreamStrictFailsSkipKeepsPrefix) {
   EXPECT_EQ(report.rows_parsed, 3u);
   EXPECT_TRUE(report.truncated);
   std::remove(path.c_str());
-}
-
-// Schedule 4: probabilistic block failures inside the similarity engine.
-// The run must finish with a masked matrix, and the same seed must mask the
-// same cells on a re-run (single-threaded schedules are exactly
-// reproducible).
-TEST_F(ChaosTest, EngineDegradesDeterministicallyUnderRandomTaskFailures) {
-  Rng rng(21);
-  std::vector<std::vector<double>> windows(40);
-  for (auto& w : windows) {
-    w.resize(21);
-    for (auto& v : w) v = rng.LogNormal(std::log(500.0), 1.0);
-  }
-  const auto prepared = core::SimilarityEngine::PrepareVectors(windows);
-  core::SimilarityEngineOptions options;
-  options.threads = 1;
-  const auto run = [&] {
-    EXPECT_TRUE(Failpoints::Global()
-                    .Configure("engine.pair_block=fail~0.5", 99)
-                    .ok());
-    return core::SimilarityEngine(options).Pairwise(prepared);
-  };
-  const auto first = run();
-  const auto second = run();
-  EXPECT_GT(first.invalid_count(), 0u);
-  EXPECT_LT(first.invalid_count(), first.pair_count());
-  ASSERT_EQ(first.pair_count(), second.pair_count());
-  for (size_t k = 0; k < first.pair_count(); ++k) {
-    ASSERT_EQ(first.IsValidIndex(k), second.IsValidIndex(k)) << "cell " << k;
-    if (first.IsValidIndex(k)) {
-      EXPECT_TRUE(
-          SameBits(first.cells()[k].value, second.cells()[k].value));
-    }
-  }
-  // Every distance stays usable for clustering: invalid cells read 1.0.
-  for (const double d : first.CondensedDistances()) {
-    EXPECT_TRUE(std::isfinite(d));
-    EXPECT_GE(d, 0.0);
-    EXPECT_LE(d, 2.0);
-  }
 }
 
 // Schedule 5: write-side injection — the writer reports the fault instead

@@ -15,7 +15,7 @@
 #include "common/failpoint.h"
 #include "common/json.h"
 #include "common/status.h"
-#include "core/stationarity.h"
+#include "io/csv.h"
 #include "obs/log.h"
 #include "obs/report.h"
 #include "simgen/types.h"
@@ -40,52 +40,51 @@ class TelemetryChaosTest : public ::testing::Test {
   }
 };
 
-// With every engine block failed, Definition 2 has no evidence and the
-// stationarity check fails; the manifest written afterwards must carry the
-// failed stage and the Status verbatim.
+// An injected open error kills the read stage; the manifest written
+// afterwards must carry the failed stage and the Status verbatim.
 TEST_F(TelemetryChaosTest, EngineFaultLandsInManifestAsFailure) {
-  ASSERT_TRUE(Failpoints::Global().Configure("engine.pair_block=fail").ok());
+  simgen::GatewayTrace gw;
+  simgen::DeviceTrace dev;
+  dev.name = "cam";
+  dev.incoming = ts::TimeSeries(0, 1, {1.0, 2.0, 3.0});
+  dev.outgoing = ts::TimeSeries(0, 1, {3.0, 2.0, 1.0});
+  gw.devices.push_back(dev);
+  const std::string csv_path = testing::TempDir() + "/chaos_telemetry.csv";
+  ASSERT_TRUE(io::WriteGatewayCsv(csv_path, gw).ok());
+  ASSERT_TRUE(Failpoints::Global().Configure("io.csv.open=error").ok());
 
   obs::RunManifestBuilder manifest;
   manifest.SetTool("telemetry_chaos");
-  manifest.SetFailpoints("engine.pair_block=fail", 0);
-
-  std::vector<ts::TimeSeries> windows;
-  for (int w = 0; w < 12; ++w) {
-    std::vector<double> values;
-    for (int i = 0; i < 64; ++i) {
-      values.push_back(static_cast<double>((w * 7 + i * 13) % 29));
-    }
-    windows.emplace_back(0, 1, values);
-  }
+  manifest.SetFailpoints("io.csv.open=error", 0);
   Status failed = Status::OK();
   {
-    obs::StageTimer stage("stationarity", &manifest);
-    const auto result = core::CheckStrongStationarity(windows);
-    ASSERT_FALSE(result.ok());
-    failed = result.status();
-    manifest.MarkFailed("stationarity", failed);
+    obs::StageTimer stage("read_traces", &manifest);
+    const auto trace = io::ReadGatewayCsv(csv_path);
+    ASSERT_FALSE(trace.ok());
+    failed = trace.status();
+    manifest.MarkFailed("read_traces", failed);
   }
-  EXPECT_EQ(failed.code(), StatusCode::kComputeError);
+  EXPECT_EQ(failed.code(), StatusCode::kIoError);
   manifest.SetExitCode(10 + static_cast<int>(failed.code()));
 
   const std::string path = testing::TempDir() + "/chaos_manifest_engine.json";
   ASSERT_TRUE(manifest.WriteJson(path).ok());
   const JsonValue doc = ReadManifest(path);
   EXPECT_EQ(doc.StringOr("outcome", ""), "failure");
-  EXPECT_EQ(doc.StringOr("failed_stage", ""), "stationarity");
+  EXPECT_EQ(doc.StringOr("failed_stage", ""), "read_traces");
   const JsonValue* status = doc.Find("status");
   ASSERT_NE(status, nullptr);
-  EXPECT_EQ(status->StringOr("code", ""), "ComputeError");
+  EXPECT_EQ(status->StringOr("code", ""), "IoError");
   EXPECT_EQ(status->StringOr("message", ""), failed.message());
   EXPECT_EQ(status->StringOr("message", ""),
-            "CheckStrongStationarity: all window pairs failed");
+            "injected by failpoint 'io.csv.open'");
   // The aborted stage still appears, with its wall time, in `stages`.
   const JsonValue* stages = doc.Find("stages");
   ASSERT_NE(stages, nullptr);
   ASSERT_EQ(stages->array_items().size(), 1u);
-  EXPECT_EQ(stages->array_items()[0].StringOr("stage", ""), "stationarity");
+  EXPECT_EQ(stages->array_items()[0].StringOr("stage", ""), "read_traces");
   std::remove(path.c_str());
+  std::remove(csv_path.c_str());
 }
 
 // A corrupted columnar chunk: the storage layer logs the CRC mismatch

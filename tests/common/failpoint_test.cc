@@ -48,12 +48,12 @@ TEST_F(FailpointTest, EmptySpecDisarms) {
 TEST_F(FailpointTest, InjectedErrorMapsActions) {
   ASSERT_TRUE(
       Failpoints::Global()
-          .Configure("io.csv.open=error;engine.pair_block=fail")
+          .Configure("io.csv.open=error;fleet.shard.run=fail")
           .ok());
   const Status io = Failpoints::Global().InjectedError(kFailpointCsvOpen);
   EXPECT_EQ(io.code(), StatusCode::kIoError);
   const Status task =
-      Failpoints::Global().InjectedError(kFailpointEnginePairBlock);
+      Failpoints::Global().InjectedError(kFailpointFleetShardRun);
   EXPECT_EQ(task.code(), StatusCode::kComputeError);
 }
 
@@ -83,11 +83,11 @@ TEST_F(FailpointTest, StartModifierSkipsEarlyHits) {
 TEST_F(FailpointTest, ProbabilityIsDeterministicPerSeed) {
   const auto firing_pattern = [](uint64_t seed) {
     EXPECT_TRUE(Failpoints::Global()
-                    .Configure("engine.pair_block=fail~0.5", seed)
+                    .Configure("fleet.shard.run=fail~0.5", seed)
                     .ok());
     std::string pattern;
     for (int i = 0; i < 64; ++i) {
-      pattern += Failpoints::Global().Evaluate(kFailpointEnginePairBlock) ==
+      pattern += Failpoints::Global().Evaluate(kFailpointFleetShardRun) ==
                          FailpointAction::kFail
                      ? 'F'
                      : '.';
@@ -109,7 +109,8 @@ TEST_F(FailpointTest, MalformedSpecsRejectedRegistryUnchanged) {
   for (const char* bad :
        {"io.csv.open", "io.csv.open=explode", "io.csv.open=error*x",
         "io.csv.open=error~1.5", "=error", "io.csv.open=error@",
-        "threadpool.task=fail"}) {
+        "threadpool.task=fail", "engine.pair_block=fail",
+        "io.table.print=error"}) {
     EXPECT_EQ(Failpoints::Global().Configure(bad).code(),
               StatusCode::kInvalidArgument)
         << bad;

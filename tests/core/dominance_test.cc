@@ -140,6 +140,90 @@ TEST(DominanceTest, EmptyGatewayHasNoDominants) {
   EXPECT_TRUE(FindDominantDevices(gw).empty());
 }
 
+TEST(DominanceInWindowTest, PinnedFleetSimilaritiesAndRanking) {
+  // Every device of a seeded 4-gateway x 2-week fleet, ranked in two windows
+  // (day 3 at hourly bins; days 9.25-11 at 30-minute bins): pinned ranking
+  // and exact similarity bits. Gateway 1's device 3 stops after two days, so
+  // neither window reaches it and it is not ranked.
+  struct Pin {
+    int window;
+    int gateway;
+    size_t device;
+    double similarity;
+  };
+  const std::vector<Pin> pins = {
+      {0, 0, 0, 0x1.f6128f4b9005ap-1},
+      {0, 0, 1, 0x1.2883c8cb04e5cp-1},
+      {0, 0, 2, 0x1.d70a3d70a3d71p-2},
+      {1, 0, 0, 0x1.f029e5751b696p-1},
+      {1, 0, 2, 0x1.be9687532f98fp-1},
+      {1, 0, 1, 0x1.3fdffbcbf49a2p-2},
+      {0, 1, 1, 0x1.cd7b9b1f9a38dp-1},
+      {0, 1, 2, 0x1.7ae147ae147aep-1},
+      {0, 1, 0, 0x1.4b1b36102299p-1},
+      {0, 1, 4, 0x0p+0},
+      {1, 1, 2, 0x1.ffd59e68b840ep-1},
+      {1, 1, 0, 0x0p+0},
+      {1, 1, 1, 0x0p+0},
+      {1, 1, 4, 0x0p+0},
+      {0, 2, 1, 0x1.d981a2832117cp-1},
+      {0, 2, 0, 0x1.c022ae06a75fap-1},
+      {0, 2, 2, 0x0p+0},
+      {0, 2, 3, 0x0p+0},
+      {0, 2, 4, 0x0p+0},
+      {1, 2, 0, 0x0p+0},
+      {1, 2, 1, 0x0p+0},
+      {1, 2, 2, 0x0p+0},
+      {1, 2, 3, 0x0p+0},
+      {1, 2, 4, 0x0p+0},
+      {0, 3, 0, 0x1.fffc57a470548p-1},
+      {0, 3, 1, 0x1.a36510791960ap-1},
+      {1, 3, 0, 0x1.b5821c200e05cp-1},
+      {1, 3, 1, 0x1.7002767cb0e46p-1},
+  };
+  struct Window {
+    int64_t begin, end, granularity;
+  };
+  const Window windows[] = {
+      {3 * ts::kMinutesPerDay, 4 * ts::kMinutesPerDay, 60},
+      {9 * ts::kMinutesPerDay + 360, 11 * ts::kMinutesPerDay, 30}};
+  simgen::SimConfig config;
+  config.n_gateways = 4;
+  config.weeks = 2;
+  config.seed = 777;
+  simgen::FleetGenerator gen(config);
+  DominanceOptions options;
+  options.phi = -std::numeric_limits<double>::infinity();
+  options.max_devices = std::numeric_limits<size_t>::max();
+  size_t next = 0;
+  for (int id = 0; id < config.n_gateways; ++id) {
+    auto gw = gen.Generate(id);
+    if (id == 1) {
+      auto& dev = gw.devices[3];
+      dev.incoming = dev.incoming.Slice(0, 2 * ts::kMinutesPerDay).value();
+      dev.outgoing = dev.outgoing.Slice(0, 2 * ts::kMinutesPerDay).value();
+    }
+    for (int w = 0; w < 2; ++w) {
+      const auto ranked = FindDominantDevicesInWindow(
+          gw, windows[w].begin, windows[w].end, windows[w].granularity, 0,
+          options);
+      for (const DominantDevice& device : ranked) {
+        ASSERT_LT(next, pins.size());
+        const Pin& pin = pins[next++];
+        SCOPED_TRACE(next);
+        ASSERT_EQ(pin.window, w);
+        ASSERT_EQ(pin.gateway, id);
+        EXPECT_EQ(device.device_index, pin.device);
+        EXPECT_EQ(std::memcmp(&device.similarity, &pin.similarity,
+                              sizeof(double)),
+                  0)
+            << device.similarity << " vs " << pin.similarity;
+      }
+    }
+  }
+  EXPECT_EQ(next, pins.size());
+}
+
 TEST(DominanceInWindowTest, WindowRestrictedDominance) {
   const auto gw = PlantedGateway(5, 4320);  // 3 days
   // Dominance over the second day at hourly bins.

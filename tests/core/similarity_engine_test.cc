@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/failpoint.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/similarity.h"
@@ -66,7 +65,8 @@ TEST(SimilarityEngineTest, MatchesLegacyVectorPathBitwise) {
 }
 
 TEST(SimilarityEngineTest, DeterministicAcrossThreadCounts) {
-  // 48 windows -> 1128 pairs, above min_parallel_pairs so the pool engages.
+  // 48 windows -> 1128 pairs, above the engine's inline cutoff (256), so
+  // the pool engages.
   const auto windows = RandomWindows(48, 56, 8);
   const auto prepared = SimilarityEngine::PrepareVectors(windows);
   std::vector<SimilarityResult> reference;
@@ -140,57 +140,6 @@ TEST(SimilarityEngineTest, CondensedDistancesMatchCorrelationDistance) {
     }
   }
   EXPECT_DOUBLE_EQ(matrix.Value(3, 3), 1.0);  // diagonal convention
-}
-
-TEST(SimilarityEngineCheckedTest, MatchesPairwiseBitwiseWithNoFaults) {
-  // Armed on another site: every block evaluates the failpoint and the
-  // validity mask is allocated, yet no cell may change.
-  Failpoints::Global().Reset();
-  const auto windows = RandomWindows(48, 56, 12);
-  const auto prepared = SimilarityEngine::PrepareVectors(windows);
-  const SimilarityMatrix reference = SimilarityEngine().Pairwise(prepared);
-  ASSERT_TRUE(Failpoints::Global().Configure("io.csv.open=error").ok());
-  for (const int threads : {1, 4}) {
-    SimilarityEngineOptions options;
-    options.threads = threads;
-    const SimilarityMatrix checked =
-        SimilarityEngine(options).Pairwise(prepared);
-    EXPECT_TRUE(checked.complete());
-    ASSERT_EQ(checked.cells().size(), reference.cells().size());
-    for (size_t k = 0; k < reference.cells().size(); ++k) {
-      EXPECT_TRUE(
-          SameBits(checked.cells()[k].value, reference.cells()[k].value))
-          << "pair " << k << " at " << threads << " threads";
-    }
-  }
-  Failpoints::Global().Reset();
-}
-
-TEST(SimilarityEngineCheckedTest, DegradeModeMasksFailedBlockAndContinues) {
-  Failpoints::Global().Reset();
-  ASSERT_TRUE(Failpoints::Global().Configure("engine.pair_block=fail*1").ok());
-  const auto windows = RandomWindows(20, 21, 15);
-  const auto prepared = SimilarityEngine::PrepareVectors(windows);
-  const SimilarityMatrix checked = SimilarityEngine().Pairwise(prepared);
-  Failpoints::Global().Reset();
-  // Single-threaded (190 pairs), so exactly the first 64-pair block is lost.
-  EXPECT_FALSE(checked.complete());
-  EXPECT_EQ(checked.invalid_count(), 64u);
-  const SimilarityMatrix reference = SimilarityEngine().Pairwise(prepared);
-  const std::vector<double> distances = checked.CondensedDistances();
-  for (size_t k = 0; k < checked.pair_count(); ++k) {
-    if (k < 64) {
-      EXPECT_FALSE(checked.IsValidIndex(k));
-      EXPECT_DOUBLE_EQ(distances[k], 1.0);  // invalid -> maximum distance
-    } else {
-      EXPECT_TRUE(checked.IsValidIndex(k));
-      EXPECT_TRUE(
-          SameBits(checked.cells()[k].value, reference.cells()[k].value));
-    }
-  }
-  const auto [i, j] = SimilarityMatrix::PairAt(prepared.size(), 0);
-  EXPECT_FALSE(checked.IsValid(i, j));
-  EXPECT_TRUE(checked.IsValid(i, i));  // diagonal is always valid
 }
 
 TEST(SimilarityEngineTest, RecordsPhaseSpans) {

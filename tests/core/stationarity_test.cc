@@ -4,9 +4,7 @@
 
 #include <cmath>
 
-#include "common/failpoint.h"
 #include "common/random.h"
-#include "common/status.h"
 
 namespace homets::core {
 namespace {
@@ -90,27 +88,6 @@ TEST(StrongStationarityTest, MinPairSimilarityIsTheWeakestLink) {
   std::reverse(bad.begin(), bad.end());
   const auto result = CheckStrongStationarity(windows).value();
   EXPECT_LT(result.min_pair_similarity, 0.5);
-}
-
-// 12 windows are 66 pairs, run inline as two engine blocks (64 + 2 pairs).
-TEST(StrongStationarityTest, FailedBlockIsSkippedAndCounted) {
-  const auto windows = RegularWindows(12, 24, 3.0, 8);
-  Failpoints::Global().Reset();
-  ASSERT_TRUE(Failpoints::Global().Configure("engine.pair_block=fail*1").ok());
-  const auto result = CheckStrongStationarity(windows);
-  Failpoints::Global().Reset();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->pairs_skipped, 64u);
-  EXPECT_EQ(result->window_pairs, 2u);
-}
-
-TEST(StrongStationarityTest, AllBlocksFailedIsAComputeError) {
-  const auto windows = RegularWindows(12, 24, 3.0, 8);
-  Failpoints::Global().Reset();
-  ASSERT_TRUE(Failpoints::Global().Configure("engine.pair_block=fail").ok());
-  const auto result = CheckStrongStationarity(windows);
-  Failpoints::Global().Reset();
-  EXPECT_EQ(result.status().code(), StatusCode::kComputeError);
 }
 
 TEST(WeekdayStationarityTest, GroupsByWeekday) {

@@ -353,27 +353,36 @@ TEST(FleetOrchestratorTest, ReportIsIdenticalAcrossShardAndThreadCounts) {
   const std::string dir = MakeTestDir("merge");
   const std::string path = WriteSmallFleet(dir);
   std::string baseline;
-  for (const int shards : {1, 3, 4}) {
+  // 8 shards over 6 gateways leaves two shards empty.
+  for (const int shards : {1, 3, 4, 8}) {
     for (const int threads : {1, 4}) {
-      fleet::FleetOptions options;
-      options.n_shards = shards;
-      options.threads = threads;
-      fleet::FleetOrchestrator orchestrator({path}, options);
-      const auto report = orchestrator.Analyze();
-      ASSERT_TRUE(report.ok()) << report.status().ToString();
-      EXPECT_FALSE(report->degraded);
-      const std::string formatted = fleet::FormatFleetReport(*report);
-      // Only the shard-count line may differ; the figures must not.
-      const std::string figures = formatted.substr(formatted.find('\n') + 1);
-      if (baseline.empty()) {
-        baseline = figures;
-      } else {
-        EXPECT_EQ(figures, baseline)
-            << "shards=" << shards << " threads=" << threads;
+      for (const bool checkpointed : {false, true}) {
+        fleet::FleetOptions options;
+        options.n_shards = shards;
+        options.threads = threads;
+        if (checkpointed) {
+          options.checkpoint_dir = dir + "/ckpt_" + std::to_string(shards) +
+                                   "_" + std::to_string(threads);
+        }
+        fleet::FleetOrchestrator orchestrator({path}, options);
+        const auto report = orchestrator.Analyze();
+        ASSERT_TRUE(report.ok()) << report.status().ToString();
+        EXPECT_FALSE(report->degraded);
+        const std::string formatted = fleet::FormatFleetReport(*report);
+        // Only the shard-count line may differ; the figures must not.
+        const std::string figures =
+            formatted.substr(formatted.find('\n') + 1);
+        if (baseline.empty()) {
+          baseline = figures;
+        } else {
+          EXPECT_EQ(figures, baseline)
+              << "shards=" << shards << " threads=" << threads
+              << " checkpointed=" << checkpointed;
+        }
       }
     }
   }
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FleetOrchestratorTest, ResumeLoadsCheckpointsWithoutRecomputation) {

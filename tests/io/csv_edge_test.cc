@@ -110,6 +110,58 @@ TEST_F(GatewayCsvEdgeTest, LineLongerThanReadBlock) {
   EXPECT_DOUBLE_EQ(loaded->devices[1].incoming[0], 5.0);
 }
 
+// 2 MiB with no '\n', twice the line cap: a malformed row under both
+// policies, read past rather than buffered whole.
+TEST_F(GatewayCsvEdgeTest, NewlineFreeLineOverCapIsMalformed) {
+  const std::string long_line(size_t{2} << 20, 'x');
+  const std::string path =
+      WriteFile("overlong.csv", std::string(kHeader) +
+                                    "cam,fixed,unlabeled,0,1,2\n" + long_line +
+                                    "\ncam,fixed,unlabeled,1,3,4\n");
+  const auto strict = ReadGatewayCsv(path);
+  EXPECT_EQ(strict.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(strict.status().message().find("line 3 "), std::string::npos)
+      << strict.status().message();
+  // A parse error, so a retry budget is never spent on it.
+  ReadOptions retrying;
+  retrying.max_retries = 2;
+  IngestReport strict_report;
+  EXPECT_EQ(ReadGatewayCsv(path, retrying, &strict_report).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(strict_report.retries, 0u);
+
+  IngestReport report;
+  const auto loaded = ReadGatewayCsv(path, Skip(), &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(report.rows_malformed, 1u);
+  EXPECT_EQ(report.rows_parsed, 2u);
+  ASSERT_EQ(report.quarantine.size(), 1u);
+  EXPECT_EQ(report.quarantine[0].line, 3u);
+  EXPECT_EQ(report.quarantine[0].reason, "line too long");
+  EXPECT_LT(report.quarantine[0].text.size(), size_t{1024});
+  EXPECT_DOUBLE_EQ(loaded->devices[0].incoming[1], 3.0);
+}
+
+// A whole file of 2 MiB with no '\n' at all: its one line, cut to its
+// first bytes, is a bad header under both policies.
+TEST_F(GatewayCsvEdgeTest, NewlineFreeFileOverCapIsBadHeader) {
+  const std::string path =
+      WriteFile("overlong_file.csv", std::string(size_t{2} << 20, 'x'));
+  const auto strict = ReadGatewayCsv(path);
+  EXPECT_EQ(strict.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(strict.status().message().find("bad header"), std::string::npos);
+  EXPECT_LT(strict.status().message().size(), size_t{1024});
+  IngestReport report;
+  const auto skipped = ReadGatewayCsv(path, Skip(), &report);
+  EXPECT_EQ(skipped.status().code(), StatusCode::kIoError);
+  EXPECT_NE(skipped.status().message().find("no data rows"),
+            std::string::npos);
+  EXPECT_EQ(report.rows_malformed, 1u);
+  ASSERT_EQ(report.quarantine.size(), 1u);
+  EXPECT_EQ(report.quarantine[0].reason, "bad header");
+  EXPECT_LT(report.quarantine[0].text.size(), size_t{1024});
+}
+
 // About 1.3 MB of rows of varying length, so lines straddle the boundaries
 // of every read block; every value must come back.
 TEST_F(GatewayCsvEdgeTest, FileOfSeveralReadBlocks) {

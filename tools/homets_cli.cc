@@ -609,7 +609,7 @@ int RunAnalyze(const ParsedArgs& args,
   }
   if (g_manifest != nullptr) {
     // The shard pool runs min(threads, shards) workers; each gateway's
-    // engine stays serial (fewer weeks than min_parallel_pairs).
+    // engine stays serial (too few weekly window pairs to go parallel).
     g_manifest->SetThreads(
         static_cast<int>(std::thread::hardware_concurrency()),
         std::min(ResolveThreadCount(options.threads), options.n_shards));
