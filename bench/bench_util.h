@@ -155,7 +155,7 @@ inline WindowSet WeeklyMotifWindows(FleetCache* fleet, int weeks) {
     auto sliced = active.Slice(0, weeks * ts::kMinutesPerWeek);
     if (sliced.ok()) active = std::move(sliced).value();
     for (auto& window :
-         ts::AggregateWindows(active, 480, ts::kMinutesPerWeek, 120)) {
+         core::MotifWindows(active, core::kWeeklyMotifWindowing)) {
       set.provenance.push_back({id, window.start_minute()});
       set.windows.push_back(std::move(window));
     }
@@ -180,7 +180,7 @@ inline WindowSet DailyMotifWindows(FleetCache* fleet, int days) {
     auto sliced = active.Slice(0, days * ts::kMinutesPerDay);
     if (sliced.ok()) active = std::move(sliced).value();
     for (auto& window :
-         ts::AggregateWindows(active, 180, ts::kMinutesPerDay, 0)) {
+         core::MotifWindows(active, core::kDailyMotifWindowing)) {
       set.provenance.push_back({id, window.start_minute()});
       set.windows.push_back(std::move(window));
     }

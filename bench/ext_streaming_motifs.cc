@@ -25,8 +25,12 @@ void Run() {
             << set.windows.size() << " windows\n";
 
   // Stream replay: per-minute active traffic through the assembler.
+  constexpr core::MotifWindowing kDaily = core::kDailyMotifWindowing;
   auto assembler =
-      core::WindowAssembler::Make(ts::kMinutesPerDay, 180, 0).value();
+      core::WindowAssembler::Make(kDaily.window_minutes,
+                                  kDaily.granularity_minutes,
+                                  kDaily.anchor_offset_minutes)
+          .value();
   core::StreamingMotifMiner miner(core::MotifOptions{}, 10000);
   size_t minutes_processed = 0;
   size_t windows_streamed = 0;

@@ -296,7 +296,7 @@ void RunSize(const SizeSpec& spec, std::vector<Entry>* entries) {
   // Daily windows at 3 h bins: the Section 7.2.2 motif workload shape.
   std::vector<ts::TimeSeries> daily;
   for (const auto& active : actives) {
-    for (auto& w : ts::AggregateWindows(active, 180, ts::kMinutesPerDay, 0)) {
+    for (auto& w : core::MotifWindows(active, core::kDailyMotifWindowing)) {
       daily.push_back(std::move(w));
     }
   }
@@ -331,8 +331,12 @@ void RunSize(const SizeSpec& spec, std::vector<Entry>* entries) {
   }
 
   bench.Stage("streaming", "observations", [&] {
+    constexpr core::MotifWindowing kDaily = core::kDailyMotifWindowing;
     auto assembler =
-        core::WindowAssembler::Make(ts::kMinutesPerDay, 180, 0).value();
+        core::WindowAssembler::Make(kDaily.window_minutes,
+                                    kDaily.granularity_minutes,
+                                    kDaily.anchor_offset_minutes)
+            .value();
     core::StreamingMotifMiner miner(core::MotifOptions{}, 10000);
     size_t observations = 0;
     for (size_t g = 0; g < actives.size(); ++g) {

@@ -56,16 +56,6 @@ Result<double> MeanPairCorrelation(const std::vector<ts::TimeSeries>& windows,
 
 }  // namespace
 
-Result<double> AverageWindowCorrelation(const ts::TimeSeries& series,
-                                        int64_t granularity_minutes,
-                                        int64_t anchor_offset_minutes,
-                                        PatternPeriod period) {
-  HOMETS_ASSIGN_OR_RETURN(
-      const std::vector<ts::TimeSeries> windows,
-      MakeWindows(series, granularity_minutes, anchor_offset_minutes, period));
-  return MeanPairCorrelation(windows, period);
-}
-
 Result<std::vector<AggregationPoint>> SweepAggregations(
     const std::vector<ts::TimeSeries>& gateways,
     const std::vector<int64_t>& granularities_minutes,

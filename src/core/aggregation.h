@@ -16,19 +16,6 @@ enum class PatternPeriod {
   kDaily,   ///< same-weekday regularity (Section 7.1.2)
 };
 
-/// \brief Average pairwise correlation similarity of a gateway's windows
-/// after re-binning at `granularity_minutes` anchored at
-/// `anchor_offset_minutes` past midnight.
-///
-/// For kWeekly every pair of weekly windows is compared; for kDaily only
-/// same-weekday pairs are (Mondays with Mondays, ...). Requires at least one
-/// comparable pair. Insignificant pairs contribute cor = 0, per
-/// Definition 1.
-Result<double> AverageWindowCorrelation(const ts::TimeSeries& series,
-                                        int64_t granularity_minutes,
-                                        int64_t anchor_offset_minutes,
-                                        PatternPeriod period);
-
 /// \brief One point of an aggregation sweep (Figures 6 and 8).
 struct AggregationPoint {
   int64_t granularity_minutes = 0;
@@ -48,8 +35,15 @@ struct AggregationSweepOptions {
 };
 
 /// \brief Runs Definition 3's optimization over candidate granularities for
-/// a set of per-gateway (background-removed) traffic series. Gateways whose
-/// windows cannot be formed at a granularity are skipped for that point.
+/// a set of per-gateway (background-removed) traffic series.
+///
+/// A gateway's value at a granularity is the mean correlation similarity of
+/// its windows, re-binned and anchored at `anchor_offset_minutes` past
+/// midnight: for kWeekly every pair of weekly windows is compared, for
+/// kDaily only same-weekday pairs (Mondays with Mondays, ...). Insignificant
+/// pairs contribute cor = 0, per Definition 1. Gateways with fewer than 2
+/// windows or no comparable pair (a granularity that does not divide the
+/// window yields none) are skipped for that point.
 Result<std::vector<AggregationPoint>> SweepAggregations(
     const std::vector<ts::TimeSeries>& gateways,
     const std::vector<int64_t>& granularities_minutes,

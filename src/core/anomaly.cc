@@ -53,7 +53,7 @@ Result<std::vector<WindowAnomaly>> FindPatternAnomalies(
         if (member != w) ++pattern_windows;
       }
     }
-    if (pattern_windows < options.min_pattern_windows) {
+    if (pattern_windows < kMinPatternWindows) {
       continue;  // no established pattern
     }
     double best = -1.0;

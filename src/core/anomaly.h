@@ -26,15 +26,17 @@ struct WindowAnomaly {
   double window_volume = 0.0;
 };
 
+/// Gateways must participate in at least this many motif member windows
+/// (besides the window under test) to have an established pattern worth
+/// deviating from.
+inline constexpr size_t kMinPatternWindows = 3;
+
 /// \brief Options for pattern-deviation scoring.
 struct AnomalyOptions {
   /// A window is anomalous when its best similarity to its gateway's motif
   /// shapes stays below this.
   double similarity_floor = 0.4;
   double alpha = 0.05;  ///< significance level inside cor(·,·)
-  /// Gateways must participate in at least this many motif member windows
-  /// to have an established pattern worth deviating from.
-  size_t min_pattern_windows = 3;
 };
 
 /// \brief Scores every window against the motif shapes of its own gateway

@@ -139,9 +139,15 @@ std::vector<DominantDevice> FindDominantDevicesInWindow(
     auto aggregated = ts::Aggregate(series, granularity_minutes,
                                     anchor_offset_minutes, ts::AggKind::kSum);
     if (!aggregated.ok()) return ts::TimeSeries();
-    const int64_t begin = std::max(begin_minute, aggregated->start_minute());
-    const int64_t end = std::min(end_minute, aggregated->EndMinute());
+    // Whole bins only: the window shrinks inward to the anchored bin grid
+    // (begin rounds up, end down), as ts::AggregateWindows cuts windows.
+    const int64_t first = aggregated->start_minute();
+    const int64_t step = aggregated->step_minutes();
+    int64_t begin = std::max(begin_minute, first);
+    begin += (step - (begin - first) % step) % step;
+    int64_t end = std::min(end_minute, aggregated->EndMinute());
     if (begin >= end) return ts::TimeSeries();
+    end -= (end - first) % step;  // still >= begin, which is on the grid
     auto slice = aggregated->Slice(begin, end);
     return slice.ok() ? std::move(slice).value() : ts::TimeSeries();
   };

@@ -44,7 +44,8 @@ std::vector<DominantDevice> FindDominantDevices(
 
 /// \brief Window variant used for per-motif dominance (Section 7.2): device
 /// and gateway traffic are aggregated to `granularity_minutes`
-/// (anchor-aligned) and compared only within [begin_minute, end_minute).
+/// (anchor-aligned) and compared only within [begin_minute, end_minute),
+/// clipped inward to whole bins of that grid.
 std::vector<DominantDevice> FindDominantDevicesInWindow(
     const simgen::GatewayTrace& gateway, int64_t begin_minute,
     int64_t end_minute, int64_t granularity_minutes,

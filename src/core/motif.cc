@@ -59,10 +59,17 @@ class SimilarityCache {
 
 }  // namespace
 
+std::vector<ts::TimeSeries> MotifWindows(const ts::TimeSeries& series,
+                                         const MotifWindowing& windowing) {
+  return ts::AggregateWindows(series, windowing.granularity_minutes,
+                              windowing.window_minutes,
+                              windowing.anchor_offset_minutes);
+}
+
 int BestAdmissibleMotif(const std::vector<MotifCandidate>& motifs,
                         const MotifOptions& options,
                         const std::function<double(size_t)>& cor_with_new) {
-  const double group_threshold = options.group_factor * options.phi;
+  const double group_threshold = kMotifGroupFactor * options.phi;
   int best_motif = -1;
   double best_score = -2.0;
   for (size_t m = 0; m < motifs.size(); ++m) {
@@ -89,13 +96,12 @@ int BestAdmissibleMotif(const std::vector<MotifCandidate>& motifs,
 }
 
 size_t MergeMotifs(std::vector<MotifCandidate>* motifs,
-                   const MotifOptions& options,
                    const std::function<double(size_t, size_t)>& pair_cor) {
   auto all_cross_pairs_high = [&](const MotifCandidate& a,
                                   const MotifCandidate& b) {
     for (size_t ma : a.members) {
       for (size_t mb : b.members) {
-        if (pair_cor(ma, mb) < options.merge_threshold) return false;
+        if (pair_cor(ma, mb) < kMotifMergeThreshold) return false;
       }
     }
     return true;
@@ -166,11 +172,11 @@ Result<std::vector<Motif>> MotifDiscovery::Discover(
     }
   }
   motifs_merged->Increment(MergeMotifs(
-      &motifs, options_, [&](size_t a, size_t b) { return cache.Get(a, b); }));
+      &motifs, [&](size_t a, size_t b) { return cache.Get(a, b); }));
 
   std::vector<Motif> reported;
   for (auto& motif : motifs) {
-    if (motif.members.size() >= options_.min_support) {
+    if (motif.members.size() >= kMotifMinSupport) {
       std::sort(motif.members.begin(), motif.members.end());
       reported.push_back({std::move(motif.members)});
     }

@@ -24,20 +24,42 @@ struct Motif {
   size_t support() const { return members.size(); }
 };
 
+/// \brief How motif mining cuts a series into windows: bins of
+/// `granularity_minutes`, windows of `window_minutes`, both anchored
+/// `anchor_offset_minutes` past midnight (ts::AggregateWindows,
+/// WindowAssembler).
+struct MotifWindowing {
+  int64_t granularity_minutes;
+  int64_t window_minutes;
+  int64_t anchor_offset_minutes;
+};
+
+/// The paper's daily motifs: 3-hour bins over one day from midnight.
+inline constexpr MotifWindowing kDailyMotifWindowing{180, ts::kMinutesPerDay,
+                                                     0};
+/// The paper's weekly motifs: 8-hour bins over one week, anchored at 2am.
+inline constexpr MotifWindowing kWeeklyMotifWindowing{480, ts::kMinutesPerWeek,
+                                                      120};
+
+/// \brief `series` cut into `windowing`'s windows by ts::AggregateWindows.
+std::vector<ts::TimeSeries> MotifWindows(const ts::TimeSeries& series,
+                                         const MotifWindowing& windowing);
+
+/// Group similarity: every member pair must reach cor >= kMotifGroupFactor · φ
+/// (¾ in the paper).
+inline constexpr double kMotifGroupFactor = 0.75;
+/// Motifs are merged when all cross pairs reach this correlation.
+inline constexpr double kMotifMergeThreshold = 0.6;
+/// Minimum support for a reported motif; support-1 "motifs" are not
+/// recurring patterns.
+inline constexpr size_t kMotifMinSupport = 2;
+
 /// \brief Options for Definition 5.
 struct MotifOptions {
   /// Individual-similarity threshold φ: a new window must reach cor >= φ
   /// with at least one member of the motif it joins.
   double phi = 0.8;
-  /// Group similarity: every member pair must reach cor >= group_factor · φ
-  /// (¾ in the paper).
-  double group_factor = 0.75;
-  /// Motifs are merged when all cross pairs reach this correlation.
-  double merge_threshold = 0.6;
   double alpha = 0.05;  ///< significance level inside cor(·,·)
-  /// Minimum support for a reported motif; support-1 "motifs" are not
-  /// recurring patterns.
-  size_t min_support = 2;
 };
 
 /// \brief Motif miner over fixed-length, time-aligned windows.

@@ -21,19 +21,19 @@ struct MotifCandidate {
 
 /// \brief Definition 5 assignment: the position of the motif with the
 /// highest mean cor(new window, member) among those where some member
-/// reaches φ and every member reaches group_factor · φ (earliest wins ties),
-/// or -1 when none is admissible.
+/// reaches φ and every member reaches kMotifGroupFactor · φ (earliest wins
+/// ties), or -1 when none is admissible.
 int BestAdmissibleMotif(const std::vector<MotifCandidate>& motifs,
                         const MotifOptions& options,
                         const std::function<double(size_t)>& cor_with_new);
 
 /// \brief Definition 5 merge rule to a fixed point: the first pair (a, b),
-/// a < b, whose cross pairs all reach merge_threshold merges (b's members
-/// are appended to a's, a keeps its id, b is erased) and the scan restarts.
+/// a < b, whose cross pairs all reach kMotifMergeThreshold merges (b's
+/// members are appended to a's, a keeps its id, b is erased) and the scan
+/// restarts.
 /// Pairs where neither side changed since the last pass that found no merge
 /// are skipped; the final pass clears every flag. Returns the merge count.
 size_t MergeMotifs(std::vector<MotifCandidate>* motifs,
-                   const MotifOptions& options,
                    const std::function<double(size_t, size_t)>& pair_cor);
 
 }  // namespace homets::core

@@ -145,7 +145,7 @@ Result<size_t> StreamingMotifMiner::AddWindow(int gateway_id,
       obs::kStreamingMotifsMerged);
   // motifs_ stays in id order (appended on creation, erased in place), so
   // the surviving side of a merge holds the older id.
-  const size_t merged = MergeMotifs(&motifs_, options_, cor);
+  const size_t merged = MergeMotifs(&motifs_, cor);
   if (merged > 0) {
     merges->Increment(merged);
     // Assignment sums member correlations in arrival order.
@@ -183,7 +183,7 @@ void StreamingMotifMiner::Evict() {
 std::vector<Motif> StreamingMotifMiner::CurrentMotifs() const {
   std::vector<Motif> out;
   for (const auto& state : motifs_) {
-    if (state.members.size() >= options_.min_support) {
+    if (state.members.size() >= kMotifMinSupport) {
       out.push_back({state.members});
     }
   }

@@ -79,7 +79,7 @@ class StreamingMotifMiner {
   /// where ids are stable across the stream. Windows must share one length.
   Result<size_t> AddWindow(int gateway_id, const ts::TimeSeries& window);
 
-  /// Motifs with support >= options.min_support among the retained horizon,
+  /// Motifs with support >= kMotifMinSupport among the retained horizon,
   /// sorted by descending support. Provenance indices refer to AddWindow
   /// arrival order.
   std::vector<Motif> CurrentMotifs() const;

@@ -7,28 +7,6 @@
 
 namespace homets::correlation {
 
-Strength ClassifyStrength(double coefficient) {
-  const double a = std::fabs(coefficient);
-  if (a < 0.1) return Strength::kNone;
-  if (a < 0.3) return Strength::kLow;
-  if (a < 0.5) return Strength::kMedium;
-  return Strength::kStrong;
-}
-
-std::string StrengthName(Strength s) {
-  switch (s) {
-    case Strength::kNone:
-      return "none";
-    case Strength::kLow:
-      return "low";
-    case Strength::kMedium:
-      return "medium";
-    case Strength::kStrong:
-      return "strong";
-  }
-  return "none";
-}
-
 void CompletePairs(const std::vector<double>& x, const std::vector<double>& y,
                    std::vector<double>* xc, std::vector<double>* yc) {
   const size_t n = std::min(x.size(), y.size());

@@ -1,7 +1,6 @@
 #ifndef HOMETS_CORRELATION_COEFFICIENTS_H_
 #define HOMETS_CORRELATION_COEFFICIENTS_H_
 
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -21,16 +20,6 @@ struct CorrelationTest {
   /// True when the null is rejected at level `alpha`.
   bool Significant(double alpha = 0.05) const { return p_value < alpha; }
 };
-
-/// \brief Strength bands used throughout the paper
-/// ([0,0.1) none, [0.1,0.3) low, [0.3,0.5) medium, [0.5,1] strong).
-enum class Strength { kNone, kLow, kMedium, kStrong };
-
-/// \brief Classifies |coefficient| into the paper's strength bands.
-Strength ClassifyStrength(double coefficient);
-
-/// \brief Human-readable band name.
-std::string StrengthName(Strength s);
 
 /// \brief Drops index pairs where either input is NaN (pairwise-complete
 /// observations). Outputs are parallel vectors.

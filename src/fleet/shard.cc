@@ -15,15 +15,6 @@
 
 namespace homets::fleet {
 
-namespace {
-
-/// Daily motif mining parameters — the paper's daily analysis: 3 h bins,
-/// midnight-anchored daily windows (matches the CLI `motifs --period daily`).
-constexpr int64_t kDailyGranularityMinutes = 180;
-constexpr int64_t kDailyAnchorMinutes = 0;
-
-}  // namespace
-
 GatewaySummary SummarizeGateway(int32_t gateway_id,
                                 const simgen::GatewayTrace& trace,
                                 const core::GatewayPipeline& pipeline,
@@ -54,11 +45,11 @@ GatewaySummary SummarizeGateway(int32_t gateway_id,
       }
     }
   }
-  // Daily motifs per gateway: background-free aggregate, 3 h bins, daily
-  // windows. A gateway too short to mine simply reports zero motifs.
+  // Daily motifs per gateway on the background-free aggregate, cut as the CLI
+  // `motifs --period daily` cuts them. A gateway too short to mine simply
+  // reports zero motifs.
   const auto windows =
-      ts::AggregateWindows(pipeline.active, kDailyGranularityMinutes,
-                           ts::kMinutesPerDay, kDailyAnchorMinutes);
+      core::MotifWindows(pipeline.active, core::kDailyMotifWindowing);
   summary.daily_windows = static_cast<uint32_t>(windows.size());
   if (windows.size() >= 2) {
     const auto motifs = core::MotifDiscovery().Discover(windows);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -13,7 +12,6 @@
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
@@ -114,9 +112,8 @@ Result<double> ParseValue(std::string_view field) {
 /// Per-file quarantine bookkeeping.
 class RowQuarantine {
  public:
-  RowQuarantine(const ReadOptions& options, const std::string& path,
-                IngestReport* report)
-      : options_(options), path_(path), report_(report) {}
+  RowQuarantine(const std::string& path, IngestReport* report)
+      : path_(path), report_(report) {}
 
   /// Records one unusable row against `counter` (a field of the report);
   /// fails the read once the per-file cap is exhausted.
@@ -127,16 +124,15 @@ class RowQuarantine {
       report_->quarantine.push_back(
           QuarantinedRow{line_no, std::string(text), reason});
     }
-    if (report_->SkippedTotal() > options_.max_errors) {
+    if (report_->SkippedTotal() > kMaxQuarantinedRows) {
       return Status::InvalidArgument(
           StrFormat("too many bad rows in %s (cap %zu)", path_.c_str(),
-                    options_.max_errors));
+                    kMaxQuarantinedRows));
     }
     return Status::OK();
   }
 
  private:
-  const ReadOptions& options_;
   const std::string& path_;
   IngestReport* report_;
 };
@@ -352,7 +348,7 @@ Result<simgen::GatewayTrace> ReadGatewayCsvOnce(const std::string& path,
   if (!file) return Status::IoError("cannot open for read: " + path);
   Metrics().files_read->Increment();
   const bool strict = options.policy == ErrorPolicy::kStrict;
-  RowQuarantine quarantine(options, path, report);
+  RowQuarantine quarantine(path, report);
   AttemptCounts counts(report);
   LineReader lines(file.get());
   std::string_view line;
@@ -531,9 +527,9 @@ Status WriteGatewayCsv(const std::string& path,
   return Status::OK();
 }
 
-/// Transient failures (kIoError) are retried with deterministic exponential
-/// backoff, each attempt on a fresh report; parse/content failures are never
-/// retried. Publishes the ingest metrics exactly once per call.
+/// Transient failures (kIoError) are retried at once, each attempt on a fresh
+/// report; parse/content failures are never retried. Publishes the ingest
+/// metrics exactly once per call.
 Result<simgen::GatewayTrace> ReadGatewayCsv(const std::string& path,
                                             const ReadOptions& options,
                                             IngestReport* report) {
@@ -554,10 +550,6 @@ Result<simgen::GatewayTrace> ReadGatewayCsv(const std::string& path,
                  {obs::LogField::Str("path", path),
                   obs::LogField::Int("attempt", attempt_no + 1),
                   obs::LogField::Str("error", result.status().message())});
-    if (options.backoff_ms > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          options.backoff_ms * static_cast<double>(int64_t{1} << attempt_no)));
-    }
   }
   const bool quarantined_file =
       !result.ok() && options.policy != ErrorPolicy::kStrict;
@@ -571,10 +563,6 @@ Result<simgen::GatewayTrace> ReadGatewayCsv(const std::string& path,
   PublishIngest(local, quarantined_file);
   if (report != nullptr) *report = std::move(local);
   return result;
-}
-
-Result<simgen::GatewayTrace> ReadGatewayCsv(const std::string& path) {
-  return ReadGatewayCsv(path, ReadOptions{}, nullptr);
 }
 
 }  // namespace homets::io

@@ -22,6 +22,11 @@ inline constexpr int64_t kMaxMinuteSpan = int64_t{4} * 366 * 24 * 60;
 /// holding more than this much of it in memory.
 inline constexpr size_t kMaxLineBytes = size_t{1} << 20;
 
+/// \brief The most rows a gateway CSV may quarantine (malformed + duplicate);
+/// one more fails the read even under kSkipAndReport, so a thoroughly corrupt
+/// file cannot silently dwindle to three usable rows.
+inline constexpr size_t kMaxQuarantinedRows = 256;
+
 /// \brief What the reader does with a row it cannot use as-is (malformed,
 /// unknown device type, repeated (device, minute) observation).
 enum class ErrorPolicy : uint8_t {
@@ -37,16 +42,9 @@ enum class ErrorPolicy : uint8_t {
 /// historical behavior exactly.
 struct ReadOptions {
   ErrorPolicy policy = ErrorPolicy::kStrict;
-  /// Per-file cap on quarantined rows (malformed + duplicate); exceeding it
-  /// fails the read even under kSkipAndReport, so a thoroughly corrupt file
-  /// cannot silently dwindle to three usable rows.
-  size_t max_errors = 256;
   /// Transient-IO retry budget: a read failing with kIoError is retried up
-  /// to this many times (parse errors are never retried).
+  /// to this many times, at once (parse errors are never retried).
   int max_retries = 0;
-  /// Deterministic exponential backoff between retries: attempt k sleeps
-  /// `backoff_ms * 2^k` milliseconds. 0 retries immediately.
-  double backoff_ms = 0.0;
 };
 
 /// \brief One quarantined row, sampled into the IngestReport.
@@ -68,7 +66,7 @@ struct IngestReport {
   /// exact even when this sample is not exhaustive).
   std::vector<QuarantinedRow> quarantine;
 
-  /// Total quarantined rows, the quantity capped by ReadOptions::max_errors.
+  /// Total quarantined rows, the quantity capped by kMaxQuarantinedRows.
   size_t SkippedTotal() const {
     return rows_malformed + rows_duplicate;
   }
@@ -82,7 +80,8 @@ struct IngestReport {
 Status WriteGatewayCsv(const std::string& path,
                        const simgen::GatewayTrace& gateway);
 
-/// \brief Reads a gateway trace written by WriteGatewayCsv under `options`.
+/// \brief Reads a gateway trace written by WriteGatewayCsv under `options`
+/// (strict by default).
 ///
 /// The long format names minutes explicitly, so a minute with no row reads
 /// as Missing and rows may come in any order; the policies differ on
@@ -96,11 +95,8 @@ Status WriteGatewayCsv(const std::string& path,
 /// what happened; the `homets.ingest.*` metrics aggregate the same counts
 /// across files.
 Result<simgen::GatewayTrace> ReadGatewayCsv(const std::string& path,
-                                            const ReadOptions& options,
+                                            const ReadOptions& options = {},
                                             IngestReport* report = nullptr);
-
-/// \brief Strict read — `ReadOptions{}` semantics, kept for existing callers.
-Result<simgen::GatewayTrace> ReadGatewayCsv(const std::string& path);
 
 }  // namespace homets::io
 

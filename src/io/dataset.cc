@@ -122,23 +122,4 @@ Result<ConvertStats> CompactCsvToHomets(const std::string& csv_path,
   return stats;
 }
 
-Result<ConvertStats> ExportHometsToCsv(const std::string& homets_path,
-                                       const std::string& csv_path) {
-  HOMETS_ASSIGN_OR_RETURN(const storage::HometsReader reader,
-                          storage::HometsReader::Open(homets_path));
-  if (reader.gateway_count() != 1) {
-    return Status::InvalidArgument(
-        StrFormat("%s holds %zu gateways; export each to its own CSV",
-                  homets_path.c_str(), reader.gateway_count()));
-  }
-  HOMETS_ASSIGN_OR_RETURN(const simgen::GatewayTrace gateway,
-                          reader.ReadGateway(0));
-  HOMETS_RETURN_IF_ERROR(WriteGatewayCsv(csv_path, gateway));
-  ConvertStats stats;
-  stats.gateways = 1;
-  stats.devices = gateway.devices.size();
-  stats.rows = ObservedRows(gateway);
-  return stats;
-}
-
 }  // namespace homets::io

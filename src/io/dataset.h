@@ -103,12 +103,6 @@ Result<ConvertStats> CompactCsvToHomets(const std::string& csv_path,
                                         const ReadOptions& options = {},
                                         IngestReport* report = nullptr);
 
-/// \brief Exports a single-gateway .homets file back to CSV (lossless: the
-/// columnar format stores exactly what the CSV round trip preserves).
-/// Multi-gateway files are rejected — export each gateway to its own file.
-Result<ConvertStats> ExportHometsToCsv(const std::string& homets_path,
-                                       const std::string& csv_path);
-
 }  // namespace homets::io
 
 #endif  // HOMETS_IO_DATASET_H_

@@ -198,8 +198,7 @@ Status Logger::Configure(LoggerOptions options) {
   MutexLock lock(&mu_);
   std::FILE* file = nullptr;
   if (!options.file_path.empty()) {
-    file = std::fopen(options.file_path.c_str(),
-                      options.truncate ? "w" : "a");
+    file = std::fopen(options.file_path.c_str(), "w");
     if (file == nullptr) {
       return Status::IoError("cannot open log file: " + options.file_path);
     }

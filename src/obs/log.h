@@ -118,11 +118,8 @@ struct LoggerOptions {
   LogLevel min_level = LogLevel::kWarn;
   /// Human-readable sink threshold; kOff silences stderr entirely.
   LogLevel stderr_level = LogLevel::kWarn;
-  /// JSONL sink path; empty disables the file sink. Opened for append by
-  /// Configure (truncate controls first-open semantics).
+  /// JSONL sink path; empty disables the file sink. Configure truncates it.
   std::string file_path;
-  /// Truncate file_path when (re)configuring instead of appending.
-  bool truncate = true;
   /// Token-bucket burst size per (component, severity) key.
   double rate_capacity = 20.0;
   /// Steady-state records/sec per key once the burst is spent.

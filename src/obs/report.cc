@@ -159,11 +159,6 @@ void RunManifestBuilder::AddQuarantinedShard(int shard_index,
   degraded_ = true;
 }
 
-void RunManifestBuilder::SetDegraded() {
-  MutexLock lock(&mu_);
-  degraded_ = true;
-}
-
 void RunManifestBuilder::SetExitCode(int exit_code) {
   MutexLock lock(&mu_);
   exit_code_ = exit_code;

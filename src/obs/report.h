@@ -173,9 +173,6 @@ class RunManifestBuilder {
   void AddQuarantinedShard(int shard_index, const Status& status,
                            int attempts) HOMETS_EXCLUDES(mu_);
 
-  /// Marks outputs degraded without a shard entry (e.g. partial inputs).
-  void SetDegraded() HOMETS_EXCLUDES(mu_);
-
   void SetExitCode(int exit_code) HOMETS_EXCLUDES(mu_);
 
   /// The manifest as pretty-enough JSON (stable key order, one stage per

@@ -144,13 +144,6 @@ Status ValidateSimConfig(const SimConfig& config) {
 FleetGenerator::FleetGenerator(SimConfig config)
     : config_(config), master_(config.seed) {}
 
-std::vector<GatewayTrace> FleetGenerator::GenerateAll() const {
-  std::vector<GatewayTrace> fleet;
-  fleet.reserve(static_cast<size_t>(config_.n_gateways));
-  for (int id = 0; id < config_.n_gateways; ++id) fleet.push_back(Generate(id));
-  return fleet;
-}
-
 GatewayTrace FleetGenerator::Generate(int gateway_id) const {
   Rng rng = master_.Fork(static_cast<uint64_t>(gateway_id) + 1);
   const int64_t horizon = config_.HorizonMinutes();

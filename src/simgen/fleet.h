@@ -58,9 +58,6 @@ class FleetGenerator {
   /// Generates gateway `gateway_id` in [0, n_gateways).
   GatewayTrace Generate(int gateway_id) const;
 
-  /// Convenience: generates every gateway (small configs/tests only).
-  std::vector<GatewayTrace> GenerateAll() const;
-
  private:
   SimConfig config_;
   Rng master_;

@@ -24,8 +24,6 @@ struct AdfTest {
   /// True when the unit-root null is rejected (series looks stationary) at
   /// the 5% level.
   bool StationaryAt5pct() const { return statistic < crit_5pct; }
-  bool StationaryAt1pct() const { return statistic < crit_1pct; }
-  bool StationaryAt10pct() const { return statistic < crit_10pct; }
 };
 
 /// \brief Runs ADF. `lags < 0` selects the Schwert rule

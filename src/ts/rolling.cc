@@ -75,58 +75,4 @@ Result<RollingMoments> ComputeRollingMoments(const TimeSeries& series,
   return out;
 }
 
-Result<std::vector<double>> RollingCorrelation(const TimeSeries& x,
-                                               const TimeSeries& y,
-                                               size_t window) {
-  if (window < 3) {
-    return Status::InvalidArgument("RollingCorrelation: window must be >= 3");
-  }
-  if (x.step_minutes() != y.step_minutes() ||
-      (x.start_minute() - y.start_minute()) % x.step_minutes() != 0) {
-    return Status::InvalidArgument("RollingCorrelation: grid mismatch");
-  }
-  const int64_t begin = std::max(x.start_minute(), y.start_minute());
-  const int64_t end = std::min(x.EndMinute(), y.EndMinute());
-  if (begin >= end) {
-    return Status::InvalidArgument("RollingCorrelation: no overlap");
-  }
-  HOMETS_ASSIGN_OR_RETURN(const TimeSeries xs, x.Slice(begin, end));
-  HOMETS_ASSIGN_OR_RETURN(const TimeSeries ys, y.Slice(begin, end));
-  if (xs.size() < window) {
-    return Status::InvalidArgument(
-        "RollingCorrelation: overlap shorter than window");
-  }
-  std::vector<double> out;
-  out.reserve(xs.size() - window + 1);
-  for (size_t start = 0; start + window <= xs.size(); ++start) {
-    double sx = 0.0, sy = 0.0, sxx = 0.0, syy = 0.0, sxy = 0.0;
-    size_t n = 0;
-    for (size_t i = start; i < start + window; ++i) {
-      const double a = xs[i];
-      const double b = ys[i];
-      if (TimeSeries::IsMissing(a) || TimeSeries::IsMissing(b)) continue;
-      sx += a;
-      sy += b;
-      sxx += a * a;
-      syy += b * b;
-      sxy += a * b;
-      ++n;
-    }
-    if (n < 3) {
-      out.push_back(TimeSeries::Missing());
-      continue;
-    }
-    const double nf = static_cast<double>(n);
-    const double cov = sxy - sx * sy / nf;
-    const double vx = sxx - sx * sx / nf;
-    const double vy = syy - sy * sy / nf;
-    if (vx <= 0.0 || vy <= 0.0) {
-      out.push_back(TimeSeries::Missing());
-      continue;
-    }
-    out.push_back(std::clamp(cov / std::sqrt(vx * vy), -1.0, 1.0));
-  }
-  return out;
-}
-
 }  // namespace homets::ts

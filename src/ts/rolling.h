@@ -37,14 +37,6 @@ struct RollingMoments {
 Result<RollingMoments> ComputeRollingMoments(const TimeSeries& series,
                                              size_t window);
 
-/// \brief Rolling correlation between two aligned series: Pearson over each
-/// trailing window of `window` bins. The series must share step, phase and
-/// overlap; outputs are missing where a window has < 3 complete pairs or a
-/// constant side.
-Result<std::vector<double>> RollingCorrelation(const TimeSeries& x,
-                                               const TimeSeries& y,
-                                               size_t window);
-
 }  // namespace homets::ts
 
 #endif  // HOMETS_TS_ROLLING_H_

@@ -8,12 +8,6 @@
 
 namespace homets::ts {
 
-std::string DayOfWeekName(DayOfWeek day) {
-  static constexpr const char* kNames[] = {"Mon", "Tue", "Wed", "Thu",
-                                           "Fri", "Sat", "Sun"};
-  return kNames[static_cast<int>(day)];
-}
-
 size_t TimeSeries::CountObserved() const {
   size_t count = 0;
   for (double v : values_) {

@@ -29,9 +29,6 @@ enum class DayOfWeek : int {
   kSunday = 6,
 };
 
-/// \brief Returns the short English name of a weekday ("Mon".."Sun").
-std::string DayOfWeekName(DayOfWeek day);
-
 /// \brief True for Saturday and Sunday.
 inline bool IsWeekend(DayOfWeek day) {
   return day == DayOfWeek::kSaturday || day == DayOfWeek::kSunday;

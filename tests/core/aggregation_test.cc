@@ -26,35 +26,51 @@ ts::TimeSeries TemplateGateway(int weeks, double session_prob, uint64_t seed) {
   return ts::TimeSeries(0, 1, std::move(v));
 }
 
+// The average window correlation of one gateway: SweepAggregations over a
+// one-gateway fleet at a single granularity. A gateway it cannot evaluate
+// is skipped, so the point counts no gateway.
+AggregationPoint OneGatewayPoint(const ts::TimeSeries& gateway,
+                                 int64_t granularity_minutes,
+                                 int64_t anchor_offset_minutes,
+                                 PatternPeriod period) {
+  AggregationSweepOptions options;
+  options.anchor_offset_minutes = anchor_offset_minutes;
+  options.period = period;
+  const auto sweep =
+      SweepAggregations({gateway}, {granularity_minutes}, options).value();
+  EXPECT_EQ(sweep.size(), 1u);
+  return sweep.front();
+}
+
 TEST(AverageWindowCorrelationTest, WeeklyRegularGatewayHighAtCoarseBins) {
   const auto gw = TemplateGateway(4, 0.30, 1);
-  const double coarse =
-      AverageWindowCorrelation(gw, 480, 120, PatternPeriod::kWeekly).value();
-  const double fine =
-      AverageWindowCorrelation(gw, 5, 0, PatternPeriod::kWeekly).value();
-  EXPECT_GT(coarse, 0.6);
-  EXPECT_GT(coarse, fine);
+  const auto coarse = OneGatewayPoint(gw, 480, 120, PatternPeriod::kWeekly);
+  const auto fine = OneGatewayPoint(gw, 5, 0, PatternPeriod::kWeekly);
+  ASSERT_EQ(coarse.gateways_all, 1u);
+  ASSERT_EQ(fine.gateways_all, 1u);
+  EXPECT_GT(coarse.mean_correlation_all, 0.6);
+  EXPECT_GT(coarse.mean_correlation_all, fine.mean_correlation_all);
 }
 
 TEST(AverageWindowCorrelationTest, DailyComparesSameWeekdayOnly) {
   const auto gw = TemplateGateway(2, 0.30, 2);
   // At 180-minute bins the evening block repeats day over day.
-  const double cor =
-      AverageWindowCorrelation(gw, 180, 0, PatternPeriod::kDaily).value();
-  EXPECT_GT(cor, 0.5);
+  const auto point = OneGatewayPoint(gw, 180, 0, PatternPeriod::kDaily);
+  ASSERT_EQ(point.gateways_all, 1u);
+  EXPECT_GT(point.mean_correlation_all, 0.5);
 }
 
 TEST(AverageWindowCorrelationTest, ErrorsWhenTooFewWindows) {
   const auto gw = TemplateGateway(1, 0.3, 3);
-  EXPECT_FALSE(
-      AverageWindowCorrelation(gw, 480, 0, PatternPeriod::kWeekly).ok());
+  EXPECT_EQ(OneGatewayPoint(gw, 480, 0, PatternPeriod::kWeekly).gateways_all,
+            0u);
 }
 
 TEST(AverageWindowCorrelationTest, GranularityMustDivideWindow) {
   const auto gw = TemplateGateway(2, 0.3, 4);
   // 7 hours does not divide a day/week evenly.
-  EXPECT_FALSE(
-      AverageWindowCorrelation(gw, 7 * 60, 0, PatternPeriod::kDaily).ok());
+  EXPECT_EQ(OneGatewayPoint(gw, 7 * 60, 0, PatternPeriod::kDaily).gateways_all,
+            0u);
 }
 
 TEST(SweepAggregationsTest, CurveRisesWithGranularityForRegularFleet) {

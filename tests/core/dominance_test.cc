@@ -233,6 +233,37 @@ TEST(DominanceInWindowTest, WindowRestrictedDominance) {
   EXPECT_EQ(dominants[0].device_index, 0u);
 }
 
+// A window off the anchored bin grid is clipped inward to whole bins:
+// [3 d, 4 d) at 60-minute bins anchored at 15 ranks exactly like
+// [3 d + 15 min, 4 d - 45 min), bit for bit.
+TEST(DominanceInWindowTest, OffGridWindowClipsToWholeBins) {
+  simgen::SimConfig config;
+  config.n_gateways = 4;
+  config.weeks = 2;
+  config.seed = 777;
+  simgen::FleetGenerator gen(config);
+  DominanceOptions options;
+  options.phi = -std::numeric_limits<double>::infinity();
+  options.max_devices = std::numeric_limits<size_t>::max();
+  const int64_t day = ts::kMinutesPerDay;
+  for (int id = 0; id < config.n_gateways; ++id) {
+    SCOPED_TRACE(id);
+    const auto gw = gen.Generate(id);
+    const auto off_grid =
+        FindDominantDevicesInWindow(gw, 3 * day, 4 * day, 60, 15, options);
+    const auto on_grid = FindDominantDevicesInWindow(
+        gw, 3 * day + 15, 4 * day - 45, 60, 15, options);
+    ASSERT_FALSE(off_grid.empty());
+    ASSERT_EQ(off_grid.size(), on_grid.size());
+    for (size_t i = 0; i < off_grid.size(); ++i) {
+      EXPECT_EQ(off_grid[i].device_index, on_grid[i].device_index);
+      EXPECT_EQ(std::memcmp(&off_grid[i].similarity, &on_grid[i].similarity,
+                            sizeof(double)),
+                0);
+    }
+  }
+}
+
 TEST(DominanceInWindowTest, EmptyWindowYieldsNothing) {
   const auto gw = PlantedGateway(6, 1440);
   const auto dominants = FindDominantDevicesInWindow(

@@ -133,10 +133,11 @@ TEST(MotifDiscoveryTest, GroupSimilarityEnforced) {
                 planted.windows[motif.members[i]].values(),
                 planted.windows[motif.members[j]].values())
                 .value;
-        // Members were admitted under group_factor·phi, and the merge phase
-        // under merge_threshold; the weaker bound must hold for all pairs.
-        EXPECT_GE(cor, std::min(options.group_factor * options.phi,
-                                options.merge_threshold) -
+        // Members were admitted under kMotifGroupFactor·phi, and the merge
+        // phase under kMotifMergeThreshold; the weaker bound must hold for
+        // all pairs.
+        EXPECT_GE(cor, std::min(kMotifGroupFactor * options.phi,
+                                kMotifMergeThreshold) -
                            1e-9);
       }
     }

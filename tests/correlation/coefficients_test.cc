@@ -16,18 +16,6 @@ std::vector<double> Ramp(size_t n) {
   return v;
 }
 
-TEST(StrengthTest, PaperBands) {
-  EXPECT_EQ(ClassifyStrength(0.05), Strength::kNone);
-  EXPECT_EQ(ClassifyStrength(0.1), Strength::kLow);
-  EXPECT_EQ(ClassifyStrength(0.29), Strength::kLow);
-  EXPECT_EQ(ClassifyStrength(0.3), Strength::kMedium);
-  EXPECT_EQ(ClassifyStrength(0.49), Strength::kMedium);
-  EXPECT_EQ(ClassifyStrength(0.5), Strength::kStrong);
-  EXPECT_EQ(ClassifyStrength(1.0), Strength::kStrong);
-  EXPECT_EQ(ClassifyStrength(-0.7), Strength::kStrong);  // uses |r|
-  EXPECT_EQ(StrengthName(Strength::kMedium), "medium");
-}
-
 TEST(CompletePairsTest, DropsNanPairs) {
   std::vector<double> xc, yc;
   CompletePairs({1.0, std::nan(""), 3.0}, {4.0, 5.0, std::nan("")}, &xc, &yc);

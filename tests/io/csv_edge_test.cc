@@ -420,17 +420,15 @@ TEST_F(GatewayCsvEdgeTest, RowsParsedCounterMatchesReportOnCapExceededRead) {
   std::string contents = std::string(kHeader) +
                          "a,fixed,fixed,0,1,1\n"
                          "a,fixed,fixed,1,1,1\n";
-  for (int i = 0; i < 4; ++i) contents += "junk\n";
+  for (size_t i = 0; i < kMaxQuarantinedRows + 1; ++i) contents += "junk\n";
   contents += "a,fixed,fixed,2,1,1\n";
   const std::string path = WriteFile("count_cap.csv", contents);
-  ReadOptions options = Skip();
-  options.max_errors = 2;
   const uint64_t before = CounterValue(obs::kIoRowsParsed);
   IngestReport report;
-  const auto loaded = ReadGatewayCsv(path, options, &report);
+  const auto loaded = ReadGatewayCsv(path, Skip(), &report);
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(report.rows_parsed, 2u);
-  EXPECT_EQ(report.rows_malformed, 3u);
+  EXPECT_EQ(report.rows_malformed, kMaxQuarantinedRows + 1);
   EXPECT_EQ(CounterValue(obs::kIoRowsParsed) - before, report.rows_parsed);
 }
 

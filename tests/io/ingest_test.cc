@@ -112,12 +112,13 @@ TEST(IngestSeriesTest, ErrorCapFailsThoroughlyCorruptFile) {
     ASSERT_NE(f, nullptr);
     std::fputs("device,true_type,reported_type,minute,incoming,outgoing\n",
                f);
-    for (int i = 0; i < 8; ++i) std::fputs("garbage\n", f);
+    for (size_t i = 0; i < kMaxQuarantinedRows + 1; ++i) {
+      std::fputs("garbage\n", f);
+    }
     std::fclose(f);
   }
-  ReadOptions options = Policy(ErrorPolicy::kSkipAndReport);
-  options.max_errors = 3;
-  const auto loaded = ReadGatewayCsv(path, options);
+  const auto loaded =
+      ReadGatewayCsv(path, Policy(ErrorPolicy::kSkipAndReport));
   // InvalidArgument, not IoError: a content problem must never be retried.
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find("too many bad rows"),
@@ -247,8 +248,8 @@ TEST(IngestGatewayTest, LastAcceptedRowTypesWin) {
 }
 
 TEST(IngestGatewayTest, StrictOverloadMatchesDefaultOptions) {
-  // The one-argument overload is exactly ReadOptions{} — same failure, same
-  // code — so existing call sites kept their behavior through the refactor.
+  // A path-only call defaults to exactly ReadOptions{}: same failure, same
+  // code, so the default options are the strict ones.
   const auto wrapper = ReadGatewayCsv(Fixture("gateway_dup.csv"));
   const auto explicit_strict =
       ReadGatewayCsv(Fixture("gateway_dup.csv"), ReadOptions{});

@@ -9,7 +9,6 @@
 #include "correlation/coefficients.h"
 #include "distance/distance.h"
 #include "stattests/ks_test.h"
-#include "stattests/mann_whitney.h"
 #include "ts/time_series.h"
 
 namespace homets {
@@ -112,16 +111,6 @@ TEST_P(SeededSweep, KsStatisticWithinUnitInterval) {
   EXPECT_LE(test.statistic, 1.0);
   EXPECT_GE(test.p_value, 0.0);
   EXPECT_LE(test.p_value, 1.0);
-}
-
-TEST_P(SeededSweep, MannWhitneyPValueSymmetricUnderSwap) {
-  Rng rng(GetParam() + 8000);
-  const auto a = RandomTraffic(&rng, 60);
-  const auto b = RandomTraffic(&rng, 80);
-  const auto ab = stattests::MannWhitneyU(a, b).value();
-  const auto ba = stattests::MannWhitneyU(b, a).value();
-  EXPECT_NEAR(ab.p_value, ba.p_value, 1e-9);
-  EXPECT_NEAR(ab.z, -ba.z, 1e-9);
 }
 
 TEST_P(SeededSweep, DtwNeverExceedsEuclideanForEqualLengths) {

@@ -226,19 +226,6 @@ TEST(FleetGeneratorTest, DropoutProducesIneligibleGateways) {
   EXPECT_LE(daily_ok, weekly_ok);
 }
 
-TEST(FleetGeneratorTest, GenerateAllMatchesIndividualGeneration) {
-  SimConfig config = SmallConfig();
-  config.n_gateways = 3;
-  FleetGenerator gen(config);
-  const auto fleet = gen.GenerateAll();
-  ASSERT_EQ(fleet.size(), 3u);
-  for (int id = 0; id < 3; ++id) {
-    EXPECT_EQ(fleet[static_cast<size_t>(id)].id, id);
-    EXPECT_DOUBLE_EQ(fleet[static_cast<size_t>(id)].AggregateTraffic().Sum(),
-                     gen.Generate(id).AggregateTraffic().Sum());
-  }
-}
-
 TEST(FleetGeneratorTest, EveningActivityExceedsNightQuietHours) {
   // Aggregate fleet activity at 20:00 should exceed 04:00 — the circadian
   // pattern every behavior profile encodes.

@@ -72,64 +72,5 @@ TEST(RollingMomentsTest, InvalidArguments) {
   EXPECT_FALSE(ComputeRollingMoments(s, 5).ok());
 }
 
-TEST(RollingCorrelationTest, TracksChangingRelationship) {
-  // First half: y follows x; second half: independent. Rolling correlation
-  // must be high early and near zero late.
-  Rng rng(3);
-  const size_t n = 2000;
-  std::vector<double> x(n), y(n);
-  for (size_t i = 0; i < n; ++i) {
-    x[i] = rng.Normal();
-    y[i] = i < n / 2 ? x[i] + 0.2 * rng.Normal() : rng.Normal();
-  }
-  TimeSeries xs(0, 1, std::move(x));
-  TimeSeries ys(0, 1, std::move(y));
-  const auto rolling = RollingCorrelation(xs, ys, 200).value();
-  EXPECT_GT(rolling.front(), 0.9);
-  EXPECT_LT(std::fabs(rolling.back()), 0.3);
-}
-
-TEST(RollingCorrelationTest, PerfectRelationIsOneEverywhere) {
-  std::vector<double> x(100), y(100);
-  Rng rng(4);
-  for (size_t i = 0; i < 100; ++i) {
-    x[i] = rng.Normal();
-    y[i] = 3.0 * x[i] + 1.0;
-  }
-  TimeSeries xs(0, 1, std::move(x));
-  TimeSeries ys(0, 1, std::move(y));
-  const auto rolling = RollingCorrelation(xs, ys, 10).value();
-  for (double r : rolling) {
-    EXPECT_NEAR(r, 1.0, 1e-9);
-  }
-}
-
-TEST(RollingCorrelationTest, ConstantWindowIsMissing) {
-  TimeSeries xs(0, 1, {1.0, 1.0, 1.0, 1.0, 2.0});
-  TimeSeries ys(0, 1, {1.0, 2.0, 3.0, 4.0, 5.0});
-  const auto rolling = RollingCorrelation(xs, ys, 4).value();
-  EXPECT_TRUE(TimeSeries::IsMissing(rolling[0]));  // constant x window
-  EXPECT_FALSE(TimeSeries::IsMissing(rolling[1]));
-}
-
-TEST(RollingCorrelationTest, UsesOverlapOfOffsetSeries) {
-  std::vector<double> base(50);
-  Rng rng(5);
-  for (auto& v : base) v = rng.Normal();
-  TimeSeries xs(0, 1, base);
-  TimeSeries ys(10, 1, std::vector<double>(base.begin() + 10, base.end()));
-  const auto overlap_rolling = RollingCorrelation(xs, ys, 10).value();
-  for (double r : overlap_rolling) EXPECT_NEAR(r, 1.0, 1e-9);
-}
-
-TEST(RollingCorrelationTest, InvalidArguments) {
-  TimeSeries a(0, 1, std::vector<double>(20, 1.0));
-  TimeSeries b(0, 2, std::vector<double>(20, 1.0));
-  EXPECT_FALSE(RollingCorrelation(a, b, 5).ok());       // step mismatch
-  EXPECT_FALSE(RollingCorrelation(a, a, 2).ok());       // window too small
-  TimeSeries far(1000, 1, std::vector<double>(20, 1.0));
-  EXPECT_FALSE(RollingCorrelation(a, far, 5).ok());     // no overlap
-}
-
 }  // namespace
 }  // namespace homets::ts

@@ -37,11 +37,6 @@ TEST(CalendarTest, WeekendPredicate) {
   EXPECT_TRUE(IsWeekend(DayOfWeek::kSunday));
 }
 
-TEST(CalendarTest, DayNames) {
-  EXPECT_EQ(DayOfWeekName(DayOfWeek::kMonday), "Mon");
-  EXPECT_EQ(DayOfWeekName(DayOfWeek::kSunday), "Sun");
-}
-
 TEST(TimeSeriesTest, BasicAccessors) {
   TimeSeries s(100, 5, {1.0, 2.0, 3.0});
   EXPECT_EQ(s.start_minute(), 100);

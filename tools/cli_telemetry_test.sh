@@ -10,7 +10,8 @@
 #   4. stdout is byte-identical with the telemetry flags off — observability
 #      must never leak into the analysis output contract.
 #   5. The manifest's threads.used is the thread count that ran: 1 for
-#      generate, min(--threads, --shards) for analyze.
+#      generate, min(--threads, --shards) for analyze; the analyze stage's
+#      units are the report's "gateways analyzed", not the shard count.
 #
 # Usage: cli_telemetry_test.sh /path/to/homets_cli
 set -eu
@@ -122,7 +123,7 @@ assert doc["status"]["code"] != "OK"
 assert doc["exit_code"] == int(sys.argv[2])
 EOF
 
-# --- threads.used -----------------------------------------------------------
+# --- threads.used and analyze units -----------------------------------------
 "$cli" analyze --threads 3 --shards 2 \
     --run-manifest-out "$workdir/analyze_manifest.json" \
     "$workdir"/gateway_*.csv >"$workdir/out" 2>"$workdir/err"
@@ -134,6 +135,18 @@ generate = json.load(open(sys.argv[1]))["threads"]
 assert generate["used"] == 1, generate
 analyze = json.load(open(sys.argv[2]))["threads"]
 assert analyze["used"] == 2, analyze
+EOF
+# gateway_001 of this fleet has no rows, so its shard is quarantined and one
+# gateway is analyzed: neither the 2 shards nor the 3 inputs.
+check "analyze units are the gateways analyzed" \
+    python3 - "$workdir"/analyze_manifest.json "$workdir/out" <<'EOF'
+import json, re, sys
+stages = json.load(open(sys.argv[1]))["stages"]
+units = [s["units"] for s in stages if s["stage"] == "analyze"]
+analyzed = int(re.search(r"^gateways analyzed: (\d+)", open(sys.argv[2]).read(),
+                         re.M).group(1))
+assert analyzed == 1, analyzed
+assert units == [analyzed], units
 EOF
 
 # --log-level validation stays a strict-flag error.

@@ -361,9 +361,8 @@ int RunMotifs(const ParsedArgs& args,
     std::cerr << "motifs: --period must be daily or weekly\n";
     return 2;
   }
-  const int64_t granularity = weekly ? 480 : 180;
-  const int64_t anchor = weekly ? 120 : 0;
-  const int64_t window = weekly ? ts::kMinutesPerWeek : ts::kMinutesPerDay;
+  const core::MotifWindowing windowing =
+      weekly ? core::kWeeklyMotifWindowing : core::kDailyMotifWindowing;
 
   std::vector<ts::TimeSeries> windows;
   std::vector<core::WindowProvenance> provenance;
@@ -386,8 +385,8 @@ int RunMotifs(const ParsedArgs& args,
         }
         NarrateIngest(reader->report());
         const int id = next_id++;
-        for (auto& w : ts::AggregateWindows(core::ActiveAggregate(*gw),
-                                            granularity, window, anchor)) {
+        for (auto& w :
+             core::MotifWindows(core::ActiveAggregate(*gw), windowing)) {
           provenance.push_back({id, w.start_minute()});
           windows.push_back(std::move(w));
         }
@@ -421,7 +420,8 @@ int RunMotifs(const ParsedArgs& args,
     }
     std::cout << "stationarity: " << stationary << "/" << checked
               << " gateways strongly stationary over " << period
-              << " windows at " << granularity << " min bins\n";
+              << " windows at " << windowing.granularity_minutes
+              << " min bins\n";
   }
 
   const auto motifs = [&] {
@@ -470,12 +470,13 @@ int RunStream(const ParsedArgs& args,
     std::cerr << "stream: --horizon must be positive\n";
     return 2;
   }
-  const int64_t granularity = weekly ? 480 : 180;
-  const int64_t anchor = weekly ? 120 : 0;
-  const int64_t window = weekly ? ts::kMinutesPerWeek : ts::kMinutesPerDay;
+  const core::MotifWindowing windowing =
+      weekly ? core::kWeeklyMotifWindowing : core::kDailyMotifWindowing;
 
   obs::StageTimer stage("stream", g_manifest);
-  auto assembler = core::WindowAssembler::Make(window, granularity, anchor);
+  auto assembler = core::WindowAssembler::Make(windowing.window_minutes,
+                                               windowing.granularity_minutes,
+                                               windowing.anchor_offset_minutes);
   if (!assembler.ok()) return FailWith("stream", assembler.status());
   core::StreamingMotifMiner miner(core::MotifOptions{},
                                   static_cast<size_t>(horizon));
@@ -615,10 +616,10 @@ int RunAnalyze(const ParsedArgs& args,
         std::min(ResolveThreadCount(options.threads), options.n_shards));
   }
   obs::StageTimer stage("analyze", g_manifest);
-  stage.set_units(static_cast<uint64_t>(shards));
   fleet::FleetOrchestrator orchestrator(args.positional, options);
   const auto report = orchestrator.Analyze();
   if (!report.ok()) return FailWith("analyze failed", report.status());
+  stage.set_units(report->gateways.size());
   if (g_manifest != nullptr) {
     for (const auto& shard : report->quarantined) {
       g_manifest->AddQuarantinedShard(shard.shard_index, shard.status,

@@ -1,10 +1,10 @@
 #!/bin/sh
-# One-command CI gate: configure, build, then run the lint, lint-arch,
-# threads, chaos, chaos-fleet, storage, telemetry and bench-smoke ctest
-# tiers — the exact sequence a pre-merge check should run. The lint tier
-# runs the linter over the tree (homets_lint_tree). The telemetry tier
-# includes the run-manifest schema check (cli_telemetry), so a manifest
-# field drift fails the gate.
+# One-command CI gate: configure with -Werror, build, then run the whole
+# ctest suite (every labelled tier and every unlabelled module suite), then
+# rerun the concurrency tiers under ThreadSanitizer — the exact sequence a
+# pre-merge check should run. The suite includes the linter over the tree
+# (homets_lint_tree) and the run-manifest schema check (cli_telemetry), so a
+# lint finding or a manifest field drift fails the gate.
 # Smoke-tested by the `run_all_gates_smoke` ctest via --dry-run, which prints
 # the commands without executing them.
 #
@@ -54,7 +54,7 @@ fi
 
 jobs=$( (nproc || sysctl -n hw.ncpu || echo 2) 2>/dev/null | head -n1 )
 run cmake --build "$build" -j "$jobs"
-run ctest --test-dir "$build" --output-on-failure -L "lint|lint-arch|threads|chaos|chaos-fleet|storage|telemetry|bench-smoke"
+run ctest --test-dir "$build" --output-on-failure -j "$jobs"
 
 # Concurrency under TSan: the `threads` label (thread pool, similarity
 # engine, and the obs registry, trace and logger tests) and the
