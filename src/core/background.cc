@@ -10,21 +10,6 @@
 
 namespace homets::core {
 
-namespace {
-
-// Observed values ClipBelow(threshold) will zero: strictly below τ_back and
-// not already zero. Counted up front so thresholding itself stays untouched.
-uint64_t CountValuesToZero(const ts::TimeSeries& series, double threshold) {
-  uint64_t zeroed = 0;
-  for (size_t i = 0; i < series.size(); ++i) {
-    const double v = series[i];
-    if (!ts::TimeSeries::IsMissing(v) && v != 0.0 && v < threshold) ++zeroed;
-  }
-  return zeroed;
-}
-
-}  // namespace
-
 std::string TauGroupName(TauGroup group) {
   switch (group) {
     case TauGroup::kSmall:
@@ -87,14 +72,43 @@ Result<ts::TimeSeries> ActiveTraffic(const simgen::DeviceTrace& device,
                                      const DeviceBackground& background) {
   static obs::Counter* const values_zeroed =
       obs::MetricsRegistry::Global().GetCounter(obs::kBackgroundValuesZeroed);
-  values_zeroed->Increment(
-      CountValuesToZero(device.incoming, background.incoming.tau_back) +
-      CountValuesToZero(device.outgoing, background.outgoing.tau_back));
-  const ts::TimeSeries in_active =
-      device.incoming.ClipBelow(background.incoming.tau_back);
-  const ts::TimeSeries out_active =
-      device.outgoing.ClipBelow(background.outgoing.tau_back);
-  return ts::TimeSeries::Add(in_active, out_active);
+  const ts::TimeSeries& in = device.incoming;
+  const ts::TimeSeries& out = device.outgoing;
+  HOMETS_RETURN_IF_ERROR(ts::TimeSeries::CheckSameGrid(in, out));
+  // One pass over the union of both spans, on TimeSeries::Add's grid: each
+  // side's values below its τ_back become zero (counted when not already
+  // zero), then the sides add by Add's missing-value rule.
+  const int64_t step = in.step_minutes();
+  const int64_t begin = std::min(in.start_minute(), out.start_minute());
+  const int64_t end = std::max(in.EndMinute(), out.EndMinute());
+  const int64_t in_offset = (in.start_minute() - begin) / step;
+  const int64_t out_offset = (out.start_minute() - begin) / step;
+  const double in_tau = background.incoming.tau_back;
+  const double out_tau = background.outgoing.tau_back;
+  uint64_t zeroed = 0;
+  const auto clipped = [&zeroed](const ts::TimeSeries& side, int64_t j,
+                                 double tau) {
+    if (j < 0 || static_cast<size_t>(j) >= side.size()) {
+      return ts::TimeSeries::Missing();
+    }
+    const double v = side[static_cast<size_t>(j)];
+    if (!(v < tau)) return v;  // missing stays missing
+    if (v != 0.0) ++zeroed;
+    return 0.0;
+  };
+  std::vector<double> sum(static_cast<size_t>((end - begin) / step));
+  for (size_t j = 0; j < sum.size(); ++j) {
+    const int64_t at = static_cast<int64_t>(j);
+    const double a = clipped(in, at - in_offset, in_tau);
+    const double b = clipped(out, at - out_offset, out_tau);
+    if (ts::TimeSeries::IsMissing(a)) {
+      sum[j] = ts::TimeSeries::IsMissing(b) ? ts::TimeSeries::Missing() : b;
+    } else {
+      sum[j] = ts::TimeSeries::IsMissing(b) ? a : a + b;
+    }
+  }
+  values_zeroed->Increment(zeroed);
+  return ts::TimeSeries(begin, step, std::move(sum));
 }
 
 ts::TimeSeries ActiveAggregate(

@@ -45,8 +45,12 @@ struct DeviceBackground {
 Result<DeviceBackground> EstimateDeviceBackground(
     const simgen::DeviceTrace& device);
 
-/// \brief Zeroes values below `background`'s τ_back (per direction) and
-/// returns the active-only total traffic of the device.
+/// \brief Zeroes values below `background`'s τ_back (per direction; missing
+/// values stay missing), the paper's background removal (Section 6.1), and
+/// returns the active-only total traffic of the device: the sum of the two
+/// clipped directions by TimeSeries::Add's rule, or Add's error for a step
+/// or phase mismatch. Counts the values it zeroes in
+/// homets.background.values_zeroed.
 Result<ts::TimeSeries> ActiveTraffic(const simgen::DeviceTrace& device,
                                      const DeviceBackground& background);
 

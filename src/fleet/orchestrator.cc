@@ -25,6 +25,7 @@ struct FleetMetrics {
   obs::Counter* shard_retries;
   obs::Counter* checkpoints_loaded;
   obs::Counter* checkpoints_discarded;
+  obs::Counter* gateways_analyzed;
 };
 
 const FleetMetrics& Metrics() {
@@ -37,7 +38,8 @@ const FleetMetrics& Metrics() {
         registry.GetCounter(obs::kFleetShardsQuarantined),
         registry.GetCounter(obs::kFleetShardRetries),
         registry.GetCounter(obs::kFleetCheckpointsLoaded),
-        registry.GetCounter(obs::kFleetCheckpointsDiscarded)};
+        registry.GetCounter(obs::kFleetCheckpointsDiscarded),
+        registry.GetCounter(obs::kFleetGatewaysAnalyzed)};
   }();
   return metrics;
 }
@@ -179,6 +181,9 @@ Result<FleetReport> FleetOrchestrator::Analyze() {
                                            static_cast<uint64_t>(attempt));
         }
         if (persisted.ok()) {
+          // Counted once, here: a failed or unpersisted attempt's gateways
+          // are not, and neither are a resumed checkpoint's.
+          Metrics().gateways_analyzed->Increment(result->gateways.size());
           results[slot] = std::move(*result);
           done[slot] = 1;
           Metrics().shards_run->Increment();

@@ -8,8 +8,6 @@
 
 #include "common/failpoint.h"
 #include "core/motif.h"
-#include "obs/metric_names.h"
-#include "obs/metrics.h"
 #include "simgen/types.h"
 #include "ts/time_series.h"
 
@@ -133,8 +131,6 @@ Result<ShardResult> ShardRunner::RunShard(
     const ShardPlan& plan,
     const std::chrono::steady_clock::time_point* deadline,
     uint64_t attempt) const {
-  static obs::Counter* const gateways_analyzed =
-      obs::MetricsRegistry::Global().GetCounter(obs::kFleetGatewaysAnalyzed);
   if (Failpoints::Global().armed()) {
     HOMETS_RETURN_IF_ERROR(Failpoints::Global().InjectedErrorAt(
         kFailpointFleetShardRun,
@@ -174,7 +170,6 @@ Result<ShardResult> ShardRunner::RunShard(
       ++result.zipf_bins[ZipfBinIndex(v)];
       ++result.values_binned;
     }
-    gateways_analyzed->Increment();
   }
   return result;
 }

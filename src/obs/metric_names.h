@@ -126,8 +126,10 @@ inline constexpr std::string_view kLogSuppressed = "homets.log.suppressed";
 // fleet — shard orchestration funnel: plan → run/resume → checkpoint →
 // quarantine. shards_resumed counts shards satisfied from valid checkpoints;
 // checkpoints_discarded counts files that existed but failed validation
-// (torn CRC, stale fingerprint, old schema); locks_reclaimed counts stale
-// LOCK sentinels taken over with a warning.
+// (torn CRC, stale fingerprint, old schema); gateways_analyzed counts the
+// gateways analyzed in accepted shard results of this run (a retried
+// attempt's and a resumed checkpoint's are not counted); locks_reclaimed
+// counts stale LOCK sentinels taken over with a warning.
 inline constexpr std::string_view kFleetShardsPlanned =
     "homets.fleet.shards_planned";
 inline constexpr std::string_view kFleetShardsRun =

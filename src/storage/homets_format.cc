@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -120,9 +121,29 @@ std::string EncodeChunkPayload(const double* values, uint32_t count) {
   return payload;
 }
 
-Result<std::vector<double>> DecodeChunkPayload(const uint8_t* payload,
-                                               size_t size, uint32_t count,
-                                               const std::string& context) {
+/// Calls `fn(i)` for each set bit `i` < `count` of a presence bitmap, in
+/// increasing order, stopping at the first `false`. Each byte is walked by
+/// its set bits only, so an all-missing byte costs one test; padding bits
+/// past `count` are never visited. Returns false if `fn` stopped the walk.
+template <typename Fn>
+bool ForEachPresent(const uint8_t* bitmap, uint32_t count, Fn fn) {
+  const uint32_t bytes = (count + 7) / 8;
+  for (uint32_t b = 0; b < bytes; ++b) {
+    unsigned bits = bitmap[b];
+    if (b + 1 == bytes && count % 8 != 0) bits &= (1u << (count % 8)) - 1u;
+    for (; bits != 0; bits &= bits - 1u) {
+      if (!fn(b * 8 + static_cast<uint32_t>(std::countr_zero(bits)))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// Decodes a payload of `count` bins into `out[0, count)`, which the caller
+/// has filled with Missing(): only present bins are written.
+Status DecodeChunkPayload(const uint8_t* payload, size_t size, uint32_t count,
+                          double* out, const std::string& context) {
   ByteReader reader(payload, size);
   uint8_t encoding = 0;
   if (!reader.ReadU8(&encoding) ||
@@ -133,31 +154,30 @@ Result<std::vector<double>> DecodeChunkPayload(const uint8_t* payload,
   if (bitmap == nullptr) {
     return Status::IoError("corrupt chunk bitmap in " + context);
   }
-  std::vector<double> values(count, ts::TimeSeries::Missing());
   if (encoding == static_cast<uint8_t>(ChunkEncoding::kFixedE3)) {
     int64_t prev = 0;
-    for (uint32_t i = 0; i < count; ++i) {
-      if ((bitmap[i / 8] & (1 << (i % 8))) == 0) continue;
+    const bool complete = ForEachPresent(bitmap, count, [&](uint32_t i) {
       int64_t delta = 0;
-      if (!reader.ReadZigzag(&delta)) {
-        return Status::IoError("corrupt chunk varint stream in " + context);
-      }
+      if (!reader.ReadZigzag(&delta)) return false;
       prev += delta;
-      values[i] = static_cast<double>(prev) / 1000.0;
+      out[i] = static_cast<double>(prev) / 1000.0;
+      return true;
+    });
+    if (!complete) {
+      return Status::IoError("corrupt chunk varint stream in " + context);
     }
   } else {
-    for (uint32_t i = 0; i < count; ++i) {
-      if ((bitmap[i / 8] & (1 << (i % 8))) == 0) continue;
+    const bool complete = ForEachPresent(bitmap, count, [&](uint32_t i) {
       uint64_t bits = 0;
-      if (!reader.ReadU64(&bits)) {
-        return Status::IoError("corrupt chunk value stream in " + context);
-      }
-      double v = 0.0;
-      std::memcpy(&v, &bits, sizeof(v));
-      values[i] = v;
+      if (!reader.ReadU64(&bits)) return false;
+      std::memcpy(&out[i], &bits, sizeof(double));
+      return true;
+    });
+    if (!complete) {
+      return Status::IoError("corrupt chunk value stream in " + context);
     }
   }
-  return values;
+  return Status::OK();
 }
 
 uint64_t SeriesKey(uint32_t gateway, uint32_t device, uint8_t direction) {
@@ -544,10 +564,11 @@ Status ParseFooter(const uint8_t* footer, size_t footer_size,
   return Status::OK();
 }
 
-/// Decodes one chunk, applying the io.col.chunk failpoint and verifying the
-/// CRC before touching the payload structure.
-Result<std::vector<double>> DecodeChunk(const HometsReader::Rep& rep,
-                                        const ChunkRef& ref) {
+/// Decodes one chunk into `out[0, ref.value_count)` (pre-filled with
+/// Missing()), applying the io.col.chunk failpoint and verifying the CRC
+/// before touching the payload structure.
+Status DecodeChunk(const HometsReader::Rep& rep, const ChunkRef& ref,
+                   double* out) {
   const uint8_t* payload = rep.data + ref.offset;
   size_t size = ref.payload_size;
   std::string mangled;
@@ -574,31 +595,36 @@ Result<std::vector<double>> DecodeChunk(const HometsReader::Rep& rep,
         StrFormat("chunk crc mismatch in %s at offset %llu", rep.path.c_str(),
                   static_cast<unsigned long long>(ref.offset)));
   }
-  auto values = DecodeChunkPayload(payload, size, ref.value_count, rep.path);
-  if (values.ok()) {
-    Metrics().chunks_read->Increment();
-    Metrics().bytes_read->Increment(ref.payload_size);
-  }
-  return values;
+  HOMETS_RETURN_IF_ERROR(
+      DecodeChunkPayload(payload, size, ref.value_count, out, rep.path));
+  Metrics().chunks_read->Increment();
+  Metrics().bytes_read->Increment(ref.payload_size);
+  return Status::OK();
 }
 
 /// Decodes the chunk run `refs[first, last)` of one series into a single
-/// contiguous TimeSeries (chunks must be adjacent on the minute grid).
+/// contiguous TimeSeries. The run must be adjacent on the minute grid; that
+/// is checked first, so the series is allocated once, sized by the
+/// footer-validated value counts, and each chunk decodes into its slice.
 Result<ts::TimeSeries> AssembleSeries(const HometsReader::Rep& rep,
                                       const std::vector<size_t>& refs,
                                       size_t first, size_t last) {
   const int64_t start = rep.chunks[refs[first]].start_minute;
-  std::vector<double> values;
   int64_t expected = start;
   for (size_t i = first; i < last; ++i) {
     const ChunkRef& ref = rep.chunks[refs[i]];
     if (ref.start_minute != expected) {
       return Status::IoError("non-contiguous chunk run in " + rep.path);
     }
-    HOMETS_ASSIGN_OR_RETURN(const std::vector<double> chunk,
-                            DecodeChunk(rep, ref));
-    values.insert(values.end(), chunk.begin(), chunk.end());
     expected += static_cast<int64_t>(ref.value_count);
+  }
+  std::vector<double> values(static_cast<size_t>(expected - start),
+                             ts::TimeSeries::Missing());
+  double* out = values.data();
+  for (size_t i = first; i < last; ++i) {
+    const ChunkRef& ref = rep.chunks[refs[i]];
+    HOMETS_RETURN_IF_ERROR(DecodeChunk(rep, ref, out));
+    out += ref.value_count;
   }
   return ts::TimeSeries(start, 1, std::move(values));
 }

@@ -14,22 +14,45 @@
 // never "almost" parse a chunk and vice versa.
 namespace homets::storage {
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320), table-driven.
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320), slice-by-8 (Kounavis & Berry,
+/// ISCC 2005): eight bytes per step through eight 256-entry tables, where
+/// table k advances a byte's CRC by k further zero bytes. The value equals
+/// the bytewise table algorithm's for every input; tails under eight bytes
+/// take that bytewise step.
 inline uint32_t Crc32(const uint8_t* data, size_t size) {
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
+  static const auto tables = [] {
+    std::array<std::array<uint32_t, 256>, 8> t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (size_t k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
+  // Little-endian word from four bytes, whatever the host's byte order.
+  const auto load32 = [](const uint8_t* p) {
+    return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+           static_cast<uint32_t>(p[2]) << 16 |
+           static_cast<uint32_t>(p[3]) << 24;
+  };
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const uint32_t lo = crc ^ load32(data);
+    const uint32_t hi = load32(data + 4);
+    crc = tables[7][lo & 0xFFu] ^ tables[6][(lo >> 8) & 0xFFu] ^
+          tables[5][(lo >> 16) & 0xFFu] ^ tables[4][lo >> 24] ^
+          tables[3][hi & 0xFFu] ^ tables[2][(hi >> 8) & 0xFFu] ^
+          tables[1][(hi >> 16) & 0xFFu] ^ tables[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = tables[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -33,41 +33,45 @@ double TimeSeries::Sum() const {
   return total;
 }
 
-Result<TimeSeries> TimeSeries::Add(const TimeSeries& a, const TimeSeries& b) {
+namespace {
+
+/// Adds `s` into `out[0, s.size())` by Add's missing-value rule: a missing
+/// value of `s` leaves its slot as it is, a missing slot takes the value.
+void BlendInto(double* out, const TimeSeries& s) {
+  for (size_t i = 0; i < s.size(); ++i) {
+    const double v = s[i];
+    if (TimeSeries::IsMissing(v)) continue;
+    double& slot = out[i];
+    slot = TimeSeries::IsMissing(slot) ? v : slot + v;
+  }
+}
+
+}  // namespace
+
+Status TimeSeries::CheckSameGrid(const TimeSeries& a, const TimeSeries& b) {
   if (a.step_minutes() != b.step_minutes()) {
     return Status::InvalidArgument(StrFormat(
         "Add: step mismatch (%lld vs %lld)",
         static_cast<long long>(a.step_minutes()),
         static_cast<long long>(b.step_minutes())));
   }
-  const int64_t step = a.step_minutes();
-  if ((a.start_minute() - b.start_minute()) % step != 0) {
+  if ((a.start_minute() - b.start_minute()) % a.step_minutes() != 0) {
     return Status::InvalidArgument("Add: bin phase mismatch");
   }
+  return Status::OK();
+}
+
+Result<TimeSeries> TimeSeries::Add(const TimeSeries& a, const TimeSeries& b) {
+  HOMETS_RETURN_IF_ERROR(CheckSameGrid(a, b));
+  const int64_t step = a.step_minutes();
   const int64_t begin = std::min(a.start_minute(), b.start_minute());
   const int64_t end = std::max(a.EndMinute(), b.EndMinute());
   const size_t n = static_cast<size_t>((end - begin) / step);
   std::vector<double> out(n, TimeSeries::Missing());
-  auto blend = [&](const TimeSeries& s) {
-    const size_t offset = static_cast<size_t>((s.start_minute() - begin) / step);
-    for (size_t i = 0; i < s.size(); ++i) {
-      const double v = s[i];
-      if (TimeSeries::IsMissing(v)) continue;
-      double& slot = out[offset + i];
-      slot = TimeSeries::IsMissing(slot) ? v : slot + v;
-    }
-  };
-  blend(a);
-  blend(b);
-  return TimeSeries(begin, step, std::move(out));
-}
-
-TimeSeries TimeSeries::ClipBelow(double threshold) const {
-  TimeSeries out = *this;
-  for (double& v : out.values_) {
-    if (!IsMissing(v) && v < threshold) v = 0.0;
+  for (const TimeSeries* s : {&a, &b}) {
+    BlendInto(out.data() + (s->start_minute() - begin) / step, *s);
   }
-  return out;
+  return TimeSeries(begin, step, std::move(out));
 }
 
 TimeSeries TimeSeries::FillMissing(double fill) const {
@@ -224,6 +228,15 @@ void AddInto(TimeSeries* total, const TimeSeries& part) {
   if (part.empty()) return;
   if (total->empty()) {
     *total = part;
+    return;
+  }
+  const bool inside = part.start_minute() >= total->start_minute() &&
+                      part.EndMinute() <= total->EndMinute();
+  if (inside && TimeSeries::CheckSameGrid(*total, part).ok()) {
+    BlendInto(total->mutable_values().data() +
+                  (part.start_minute() - total->start_minute()) /
+                      total->step_minutes(),
+              part);
     return;
   }
   auto sum = TimeSeries::Add(*total, part);

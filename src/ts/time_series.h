@@ -106,10 +106,8 @@ class TimeSeries {
   /// both inputs (a device that is absent contributes zero traffic).
   static Result<TimeSeries> Add(const TimeSeries& a, const TimeSeries& b);
 
-  /// Returns a copy with every value below `threshold` replaced by zero;
-  /// missing values stay missing. This is the paper's background-traffic
-  /// removal primitive (Section 6.1).
-  TimeSeries ClipBelow(double threshold) const;
+  /// OK when `a` and `b` share step and bin phase; otherwise Add's error.
+  static Status CheckSameGrid(const TimeSeries& a, const TimeSeries& b);
 
   /// Returns a copy with missing values replaced by `fill`.
   TimeSeries FillMissing(double fill) const;
@@ -165,7 +163,9 @@ std::vector<TimeSeries> AggregateWindows(const TimeSeries& series,
                                          int64_t window_minutes,
                                          int64_t anchor_offset_minutes);
 
-/// \brief Adds `part` into the running sum `*total` by TimeSeries::Add. An
+/// \brief Adds `part` into the running sum `*total` by TimeSeries::Add's
+/// rule. A part inside `*total`'s span is added in place (no allocation);
+/// one that overhangs either end grows `*total` to the union by Add. An
 /// empty part is skipped, an empty total becomes a copy of `part`, and a
 /// part Add rejects (step or phase mismatch) is left out.
 void AddInto(TimeSeries* total, const TimeSeries& part);

@@ -4,9 +4,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "core/similarity.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "simgen/fleet.h"
 #include "stats/boxplot.h"
 
@@ -234,6 +238,122 @@ TEST(ActiveTrafficTest, ActiveNeverExceedsRaw) {
   for (size_t i = 0; i < active.size(); ++i) {
     if (ts::TimeSeries::IsMissing(active[i])) continue;
     EXPECT_LE(active[i], raw[i] + 1e-9);
+  }
+}
+
+// The two-step definition ActiveTraffic computes in one pass: each
+// direction clipped below its τ_back (missing stays missing), then Add.
+ts::TimeSeries ClipBelow(const ts::TimeSeries& series, double tau_back) {
+  std::vector<double> values = series.values();
+  for (double& v : values) {
+    if (!ts::TimeSeries::IsMissing(v) && v < tau_back) v = 0.0;
+  }
+  return ts::TimeSeries(series.start_minute(), series.step_minutes(),
+                        std::move(values));
+}
+
+/// Observed values the clip changes: below τ_back and not already zero.
+uint64_t ValuesClipped(const ts::TimeSeries& series, double tau_back) {
+  uint64_t n = 0;
+  for (const double v : series.values()) {
+    if (!ts::TimeSeries::IsMissing(v) && v != 0.0 && v < tau_back) ++n;
+  }
+  return n;
+}
+
+uint64_t ValuesZeroedCounter() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter(obs::kBackgroundValuesZeroed)
+      ->Value();
+}
+
+/// ActiveTraffic equals ClipBelow + Add bit for bit (missing matches
+/// missing), and the values_zeroed delta equals the values clipped.
+void ExpectActiveMatchesReference(const simgen::DeviceTrace& dev,
+                                  const DeviceBackground& bg) {
+  const auto want =
+      ts::TimeSeries::Add(ClipBelow(dev.incoming, bg.incoming.tau_back),
+                          ClipBelow(dev.outgoing, bg.outgoing.tau_back));
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  const uint64_t before = ValuesZeroedCounter();
+  const auto got = ActiveTraffic(dev, bg);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(ValuesZeroedCounter() - before,
+            ValuesClipped(dev.incoming, bg.incoming.tau_back) +
+                ValuesClipped(dev.outgoing, bg.outgoing.tau_back));
+  ASSERT_EQ(got->start_minute(), want->start_minute());
+  ASSERT_EQ(got->step_minutes(), want->step_minutes());
+  ASSERT_EQ(got->size(), want->size());
+  for (size_t i = 0; i < want->size(); ++i) {
+    if (ts::TimeSeries::IsMissing((*want)[i])) {
+      EXPECT_TRUE(ts::TimeSeries::IsMissing((*got)[i])) << "bin " << i;
+    } else {
+      EXPECT_EQ(std::memcmp(&got->values()[i], &want->values()[i],
+                            sizeof(double)),
+                0)
+          << "bin " << i << ": " << (*got)[i] << " vs " << (*want)[i];
+    }
+  }
+}
+
+DeviceBackground Taus(double in_tau_back, double out_tau_back) {
+  DeviceBackground bg;
+  bg.incoming.tau_back = in_tau_back;
+  bg.outgoing.tau_back = out_tau_back;
+  return bg;
+}
+
+TEST(ActiveTrafficTest, MatchesClipThenAddOnDifferingSpans) {
+  const double nan = ts::TimeSeries::Missing();
+  simgen::DeviceTrace dev;
+  // Values equal to τ_back stay; zeros and -0.0 are zeroed without counting.
+  dev.incoming = ts::TimeSeries(
+      0, 1, {100.0, 4999.0, 5000.0, nan, 0.0, -0.0, 7000.0, nan});
+  dev.outgoing = ts::TimeSeries(3, 1, {nan, 20.0, 30.0, 6000.0, 1.0, nan,
+                                       29.999, 30.0, nan});
+  ExpectActiveMatchesReference(dev, Taus(5000.0, 30.0));
+  // Outgoing first, with a gap between the two spans.
+  std::swap(dev.incoming, dev.outgoing);
+  dev.outgoing = ts::TimeSeries(20, 1, {5.0, nan, 5000.0});
+  ExpectActiveMatchesReference(dev, Taus(30.0, 5000.0));
+  // Coarser step, outgoing inside incoming.
+  dev.incoming = ts::TimeSeries(60, 15, {1.0, 50.0, nan, 49.0, 51.0});
+  dev.outgoing = ts::TimeSeries(75, 15, {nan, 60.0});
+  ExpectActiveMatchesReference(dev, Taus(50.0, 60.0));
+  // An empty direction still sits on Add's grid (its start counts).
+  dev.outgoing = ts::TimeSeries(15, 15, {});
+  ExpectActiveMatchesReference(dev, Taus(50.0, 60.0));
+}
+
+TEST(ActiveTrafficTest, MatchesClipThenAddOnFleetDevices) {
+  simgen::SimConfig config;
+  config.n_gateways = 3;
+  config.weeks = 2;
+  config.seed = 4242;
+  const simgen::FleetGenerator gen(config);
+  for (int id = 0; id < config.n_gateways; ++id) {
+    const auto gw = gen.Generate(id);
+    for (const simgen::DeviceTrace& dev : gw.devices) {
+      const auto bg = EstimateDeviceBackground(dev);
+      if (!bg.ok()) continue;
+      SCOPED_TRACE(dev.name);
+      ExpectActiveMatchesReference(dev, *bg);
+    }
+  }
+}
+
+TEST(ActiveTrafficTest, StepOrPhaseMismatchReturnsAddsError) {
+  simgen::DeviceTrace dev;
+  dev.incoming = ts::TimeSeries(0, 2, {1.0, 2.0});
+  for (const ts::TimeSeries& outgoing :
+       {ts::TimeSeries(0, 1, {1.0}), ts::TimeSeries(1, 2, {1.0})}) {
+    dev.outgoing = outgoing;
+    const auto want = ts::TimeSeries::Add(dev.incoming, dev.outgoing);
+    const uint64_t before = ValuesZeroedCounter();
+    const auto got = ActiveTraffic(dev, Taus(10.0, 10.0));
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(got.status().message(), want.status().message());
+    EXPECT_EQ(ValuesZeroedCounter(), before);
   }
 }
 

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/status.h"
 #include "common/strings.h"
 #include "core/background.h"
@@ -22,6 +23,7 @@
 #include "fleet/checkpoint.h"
 #include "fleet/orchestrator.h"
 #include "fleet/shard.h"
+#include "io/csv.h"
 #include "io/dataset.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -455,6 +457,79 @@ TEST(FleetOrchestratorTest, GenerousShardDeadlineLeavesTheReportUnchanged) {
   EXPECT_EQ(fleet::FormatFleetReport(*report),
             fleet::FormatFleetReport(*baseline));
   std::remove(path.c_str());
+}
+
+uint64_t GatewaysAnalyzedCounter() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter(obs::kFleetGatewaysAnalyzed)
+      ->Value();
+}
+
+// homets.fleet.gateways_analyzed counts the gateways of accepted shard
+// results only. Gateway 1 is a header-only CSV, which no reader accepts, so
+// shard 0 (gateways 0 and 1) analyzes gateway 0 on each of its 3 attempts,
+// fails each time and is quarantined; only shard 1's gateway counts.
+TEST(FleetOrchestratorTest, GatewaysAnalyzedSkipsRetriedThenQuarantinedShard) {
+  const std::string dir = MakeTestDir("gateways_analyzed");
+  simgen::SimConfig config;
+  config.n_gateways = 3;
+  config.weeks = 2;
+  config.seed = 7;  // gateways 0 and 2 observe traffic
+  const simgen::FleetGenerator generator(config);
+  std::vector<std::string> paths;
+  for (int g = 0; g < config.n_gateways; ++g) {
+    paths.push_back(dir + "/gateway_" + std::to_string(g) + ".csv");
+    ASSERT_TRUE(io::WriteGatewayCsv(paths.back(), generator.Generate(g)).ok());
+  }
+  std::ofstream(paths[1], std::ios::trunc)
+      << "device,true_type,reported_type,minute,incoming,outgoing\n";
+  fleet::FleetOptions options;
+  options.n_shards = 2;
+  options.threads = 2;
+  options.max_attempts = 3;
+  fleet::FleetOrchestrator orchestrator(paths, options);
+  const uint64_t before = GatewaysAnalyzedCounter();
+  const auto report = orchestrator.Analyze();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->quarantined.size(), 1u);
+  EXPECT_EQ(report->quarantined[0].shard_index, 0);
+  EXPECT_EQ(report->quarantined[0].attempts, 3);
+  EXPECT_EQ(report->gateways.size(), 1u);
+  EXPECT_EQ(GatewaysAnalyzedCounter() - before, report->gateways.size());
+  std::filesystem::remove_all(dir);
+}
+
+// A shard whose checkpoint write fails is retried and counted once (the
+// failpoint fails each shard's first write); a shard loaded from its
+// checkpoint on resume is not counted at all.
+TEST(FleetOrchestratorTest, GatewaysAnalyzedCountsEachAcceptedShardOnce) {
+  const std::string dir = MakeTestDir("gateways_analyzed_ckpt");
+  const std::string path = WriteSmallFleet(dir);
+  fleet::FleetOptions options;
+  options.n_shards = 3;
+  options.checkpoint_dir = dir + "/ckpt";
+  ASSERT_TRUE(Failpoints::Global().Configure("io.ckpt.write=error@1*1").ok());
+  fleet::FleetOrchestrator first({path}, options);
+  obs::Counter* const retries =
+      obs::MetricsRegistry::Global().GetCounter(obs::kFleetShardRetries);
+  const uint64_t retries_before = retries->Value();
+  uint64_t before = GatewaysAnalyzedCounter();
+  const auto report = first.Analyze();
+  Failpoints::Global().Reset();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report->degraded);
+  EXPECT_EQ(retries->Value() - retries_before, 3u);
+  EXPECT_EQ(report->gateways.size(), static_cast<size_t>(report->n_gateways));
+  EXPECT_EQ(GatewaysAnalyzedCounter() - before, report->gateways.size());
+
+  options.resume = true;
+  fleet::FleetOrchestrator resumed({path}, options);
+  before = GatewaysAnalyzedCounter();
+  const auto again = resumed.Analyze();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->shards_resumed, 3u);
+  EXPECT_EQ(GatewaysAnalyzedCounter() - before, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FleetOrchestratorTest, EnumerateRejectsMissingAndEmptyInputs) {

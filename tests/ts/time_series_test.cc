@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 namespace homets::ts {
@@ -103,13 +105,100 @@ TEST(TimeSeriesTest, AddRejectsPhaseMismatch) {
   EXPECT_FALSE(TimeSeries::Add(a, b).ok());
 }
 
-TEST(TimeSeriesTest, ClipBelowZeroesSmallValuesKeepsMissing) {
-  TimeSeries s(0, 1, {100.0, 4999.0, 5000.0, kNaN});
-  const TimeSeries clipped = s.ClipBelow(5000.0);
-  EXPECT_DOUBLE_EQ(clipped[0], 0.0);
-  EXPECT_DOUBLE_EQ(clipped[1], 0.0);
-  EXPECT_DOUBLE_EQ(clipped[2], 5000.0);
-  EXPECT_TRUE(TimeSeries::IsMissing(clipped[3]));
+/// Same grid and every bit equal; missing matches missing.
+void ExpectSameSeries(const TimeSeries& got, const TimeSeries& want) {
+  ASSERT_EQ(got.start_minute(), want.start_minute());
+  ASSERT_EQ(got.step_minutes(), want.step_minutes());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (TimeSeries::IsMissing(want[i])) {
+      EXPECT_TRUE(TimeSeries::IsMissing(got[i])) << "bin " << i;
+    } else {
+      EXPECT_EQ(std::memcmp(&got.values()[i], &want.values()[i],
+                            sizeof(double)),
+                0)
+          << "bin " << i << ": " << got[i] << " vs " << want[i];
+    }
+  }
+}
+
+/// AddInto(&total, part) must leave exactly TimeSeries::Add(total, part).
+void ExpectAddIntoMatchesAdd(TimeSeries total, const TimeSeries& part) {
+  const auto want = TimeSeries::Add(total, part);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  AddInto(&total, part);
+  ExpectSameSeries(total, *want);
+}
+
+const TimeSeries kTotal(10, 2, {1.0, kNaN, 3.5, -0.0, kNaN, 1e300, 0.25});
+
+TEST(AddIntoTest, PartInsideTotalAddsInPlace) {
+  TimeSeries total = kTotal;
+  const double* storage = total.values().data();
+  const TimeSeries part(12, 2, {kNaN, 4.0, kNaN, -2.5, 1e300});
+  ExpectAddIntoMatchesAdd(kTotal, part);
+  ExpectAddIntoMatchesAdd(kTotal, kTotal);  // the whole span
+  ExpectAddIntoMatchesAdd(kTotal, TimeSeries(22, 2, {kNaN}));  // last bin
+  AddInto(&total, part);
+  EXPECT_EQ(total.values().data(), storage);  // no reallocation
+  EXPECT_EQ(total.size(), kTotal.size());
+  EXPECT_DOUBLE_EQ(total[2], 7.5);
+}
+
+TEST(AddIntoTest, PartOverhangingEitherEndGrowsToTheUnion) {
+  ExpectAddIntoMatchesAdd(kTotal, TimeSeries(6, 2, {2.0, kNaN, 5.0}));
+  ExpectAddIntoMatchesAdd(kTotal, TimeSeries(20, 2, {1.0, kNaN, 7.0, 8.0}));
+  ExpectAddIntoMatchesAdd(kTotal, TimeSeries(4, 2, std::vector<double>(14,
+                                                                       1.5)));
+}
+
+TEST(AddIntoTest, DisjointPartLeavesAMissingGap) {
+  ExpectAddIntoMatchesAdd(kTotal, TimeSeries(40, 2, {9.0, kNaN}));
+  ExpectAddIntoMatchesAdd(kTotal, TimeSeries(-10, 2, {kNaN, 9.0}));
+  TimeSeries total = kTotal;
+  AddInto(&total, TimeSeries(40, 2, {9.0}));
+  EXPECT_TRUE(TimeSeries::IsMissing(total[kTotal.size()]));
+}
+
+TEST(AddIntoTest, StepOrPhaseMismatchIsLeftOut) {
+  for (const TimeSeries& part :
+       {TimeSeries(12, 1, {5.0, 6.0}), TimeSeries(11, 2, {5.0, 6.0}),
+        TimeSeries(0, 4, {5.0})}) {
+    EXPECT_FALSE(TimeSeries::Add(kTotal, part).ok());
+    TimeSeries total = kTotal;
+    AddInto(&total, part);
+    ExpectSameSeries(total, kTotal);
+  }
+}
+
+TEST(AddIntoTest, EmptyPartOrTotal) {
+  // An empty part is skipped: Add with an empty series at total's start.
+  ExpectAddIntoMatchesAdd(kTotal, TimeSeries(10, 2, {}));
+  TimeSeries total = kTotal;
+  AddInto(&total, TimeSeries());
+  ExpectSameSeries(total, kTotal);
+  // An empty total becomes the part: Add with an empty series at its start.
+  ExpectAddIntoMatchesAdd(TimeSeries(10, 2, {}), kTotal);
+  TimeSeries empty;
+  AddInto(&empty, kTotal);
+  ExpectSameSeries(empty, kTotal);
+}
+
+// A gateway-style running sum: every part inside the first one's span, as
+// device totals are on one gateway-wide grid, equals the chained Add.
+TEST(AddIntoTest, RunningSumEqualsChainedAdd) {
+  TimeSeries running;
+  TimeSeries chained;
+  for (int d = 0; d < 6; ++d) {
+    std::vector<double> v(d == 0 ? 60 : 50);
+    for (size_t i = 0; i < v.size(); ++i) {
+      v[i] = (i + d) % 7 == 0 ? kNaN : 0.1 * static_cast<double>(i * (d + 1));
+    }
+    const TimeSeries part(100 + d, 1, std::move(v));
+    chained = d == 0 ? part : TimeSeries::Add(chained, part).value();
+    AddInto(&running, part);
+  }
+  ExpectSameSeries(running, chained);
 }
 
 TEST(TimeSeriesTest, FillMissing) {

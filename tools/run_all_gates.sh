@@ -1,7 +1,8 @@
 #!/bin/sh
 # One-command CI gate: configure with -Werror, build, then run the whole
 # ctest suite (every labelled tier and every unlabelled module suite), then
-# rerun the concurrency tiers under ThreadSanitizer — the exact sequence a
+# rerun the concurrency tiers under ThreadSanitizer and the decoders of
+# untrusted bytes under AddressSanitizer+UBSan — the exact sequence a
 # pre-merge check should run. The suite includes the linter over the tree
 # (homets_lint_tree) and the run-manifest schema check (cli_telemetry), so a
 # lint finding or a manifest field drift fails the gate.
@@ -68,6 +69,18 @@ run cmake --build "$tsan_build" -j "$jobs" \
     --target obs_test threading_test fleet_chaos_test
 run ctest --test-dir "$tsan_build" --output-on-failure \
     -L "threads|chaos-fleet"
+
+# Memory errors and undefined behaviour under ASan+UBSan in the decoders of
+# untrusted bytes: .homets chunks and footers (storage_test), CSV rows
+# (io_test) and shard checkpoints (fleet_test).
+asan_build="$root/build-gates-asan"
+run cmake -S "$root" -B "$asan_build" -DHOMETS_SANITIZE="address;undefined"
+run cmake --build "$asan_build" -j "$jobs" \
+    --target storage_test io_test fleet_test
+for suite in storage_test io_test fleet_test; do
+    run env UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+        "$asan_build/tests/$suite"
+done
 
 if [ "$dry_run" -eq 1 ]; then
     echo "DRY RUN: no commands executed"
