@@ -3,7 +3,9 @@
 // serves time-range slices without decoding unrelated chunks (asserted via
 // the homets.storage.chunks_read/chunks_skipped counters), and every
 // corruption mode — bad magic, torn trailer, flipped payload byte — surfaces
-// as a clean Status, never a crash.
+// as a clean Status, never a crash. Hand-assembled files cover the chunk
+// payloads the writer never emits, and a multi-chunk series must decode bit
+// for bit equal to the CSV read of the same gateway.
 #include "storage/homets_format.h"
 
 #include <gtest/gtest.h>
@@ -18,10 +20,12 @@
 #include <vector>
 
 #include "common/status.h"
+#include "io/csv.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "simgen/fleet.h"
 #include "simgen/types.h"
+#include "storage/wire.h"
 #include "ts/time_series.h"
 
 namespace homets::storage {
@@ -321,6 +325,248 @@ TEST_F(HometsCorruptionTest, FlippedPayloadByteFailsCrcOnRead) {
   EXPECT_EQ(gw.status().code(), StatusCode::kIoError);
   EXPECT_NE(gw.status().message().find("crc mismatch"), std::string::npos);
   EXPECT_GT(CounterValue(obs::kStorageCrcFailures), failures_before);
+}
+
+// --- chunk decoding on hostile and edge payloads --------------------------
+// Payloads the writer never emits: bitmap padding bits set, all-missing and
+// all-present bitmap bytes, raw IEEE chunks, a stream that ends early and a
+// chunk run with a hole. The files are assembled byte by byte, with valid
+// CRCs, so each case reaches the payload decoder.
+
+const double kMiss = ts::TimeSeries::Missing();
+
+struct RawChunk {
+  uint8_t direction = 0;
+  int64_t start_minute = 0;
+  uint32_t value_count = 0;
+  std::string payload;
+};
+
+/// kFixedE3 payload: encoding byte, the given bitmap bytes, then each
+/// milli-unit delta as a zigzag varint.
+std::string E3Payload(const std::vector<uint8_t>& bitmap,
+                      const std::vector<int64_t>& deltas) {
+  std::string payload(1, static_cast<char>(ChunkEncoding::kFixedE3));
+  payload.append(bitmap.begin(), bitmap.end());
+  for (const int64_t d : deltas) PutZigzag(&payload, d);
+  return payload;
+}
+
+/// kRaw64 payload: encoding byte, the bitmap bytes, then raw IEEE bits.
+std::string Raw64Payload(const std::vector<uint8_t>& bitmap,
+                         const std::vector<double>& values) {
+  std::string payload(1, static_cast<char>(ChunkEncoding::kRaw64));
+  payload.append(bitmap.begin(), bitmap.end());
+  for (const double v : values) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    PutU64(&payload, bits);
+  }
+  return payload;
+}
+
+/// Writes a one-gateway, one-device .homets file holding `chunks` in the
+/// documented layout: magic, payloads, footer, trailer. Every CRC is valid.
+std::string WriteRawHomets(const std::string& name,
+                           const std::vector<RawChunk>& chunks) {
+  std::string file = "HOMETSC1";
+  std::string index;
+  PutVarint(&index, chunks.size());
+  for (const RawChunk& chunk : chunks) {
+    PutVarint(&index, 0);  // gateway
+    PutVarint(&index, 0);  // device
+    index.push_back(static_cast<char>(chunk.direction));
+    PutZigzag(&index, chunk.start_minute);
+    PutVarint(&index, chunk.value_count);
+    PutVarint(&index, file.size());
+    PutVarint(&index, chunk.payload.size());
+    PutU32(&index, Crc32(reinterpret_cast<const uint8_t*>(
+                             chunk.payload.data()),
+                         chunk.payload.size()));
+    file += chunk.payload;
+  }
+  std::string footer;
+  PutVarint(&footer, 1);   // footer version
+  PutVarint(&footer, 1);   // gateways
+  PutZigzag(&footer, 7);   // gateway id
+  footer.push_back('\0');  // no survey
+  footer.push_back('\0');  // not a regular home
+  PutVarint(&footer, 1);   // devices
+  PutVarint(&footer, 3);
+  footer += "dev";
+  footer.push_back(static_cast<char>(simgen::DeviceType::kPortable));
+  footer.push_back(static_cast<char>(simgen::DeviceType::kPortable));
+  footer += index;
+  const uint64_t footer_offset = file.size();
+  file += footer;
+  PutU64(&file, footer_offset);
+  PutU32(&file, Crc32(reinterpret_cast<const uint8_t*>(footer.data()),
+                      footer.size()));
+  file += "HTSF";
+  const std::string path = TempPath(name);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(file.data(), static_cast<std::streamsize>(file.size()));
+  return path;
+}
+
+/// An outgoing column for files whose test is about the incoming one.
+RawChunk PlainOutgoing(int64_t start_minute, uint32_t value_count) {
+  std::vector<uint8_t> bitmap((value_count + 7) / 8, 0);
+  return RawChunk{1, start_minute, value_count, E3Payload(bitmap, {})};
+}
+
+Result<simgen::GatewayTrace> ReadOnlyGateway(const std::string& path) {
+  HOMETS_ASSIGN_OR_RETURN(const HometsReader reader, HometsReader::Open(path));
+  return reader.ReadGateway(0);
+}
+
+// 13 bins: the last bitmap byte's five low bits are bins 8..12 and its three
+// high (padding) bits are set. Visiting them would read past the stream.
+TEST(ChunkDecodeTest, PaddingBitsPastTheCountAreIgnored) {
+  const std::string path = WriteRawHomets(
+      "padding.homets",
+      {RawChunk{0, 100, 13,
+                E3Payload({0xFF, 0b11101010}, {1000, 1000, 1000, 1000, 1000,
+                                               1000, 1000, 1000, -500, 250})},
+       PlainOutgoing(100, 13)});
+  const auto gw = ReadOnlyGateway(path);
+  ASSERT_TRUE(gw.ok()) << gw.status().ToString();
+  ExpectSeriesIdentical(
+      gw->devices[0].incoming,
+      ts::TimeSeries(100, 1,
+                     {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, kMiss, 7.5,
+                      kMiss, 7.75, kMiss}));
+  std::remove(path.c_str());
+}
+
+TEST(ChunkDecodeTest, AllMissingAndAllPresentBitmapBytes) {
+  std::vector<int64_t> deltas(8, 125);  // 0.125, 0.25, ..., 1.0
+  const std::string path = WriteRawHomets(
+      "bytes.homets", {RawChunk{0, 0, 24, E3Payload({0x00, 0xFF, 0x00},
+                                                    deltas)},
+                       PlainOutgoing(0, 24)});
+  const auto gw = ReadOnlyGateway(path);
+  ASSERT_TRUE(gw.ok()) << gw.status().ToString();
+  std::vector<double> want(24, kMiss);
+  for (size_t i = 0; i < 8; ++i) {
+    want[8 + i] = 0.125 * static_cast<double>(i + 1);
+  }
+  ExpectSeriesIdentical(gw->devices[0].incoming,
+                        ts::TimeSeries(0, 1, want));
+  // The all-missing outgoing column decodes to all Missing().
+  ExpectSeriesIdentical(gw->devices[0].outgoing,
+                        ts::TimeSeries(0, 1, std::vector<double>(24, kMiss)));
+  std::remove(path.c_str());
+}
+
+TEST(ChunkDecodeTest, Raw64ChunkKeepsEveryBit) {
+  const std::vector<double> present = {M_PI,   -0.0,   1e-300,
+                                       -1.0 / 3.0, 9.5e18, 42.0};
+  const std::string path = WriteRawHomets(
+      "raw64.homets", {RawChunk{0, 40, 9, Raw64Payload({0b01011101, 0x01},
+                                                       present)},
+                       PlainOutgoing(40, 9)});
+  const auto gw = ReadOnlyGateway(path);
+  ASSERT_TRUE(gw.ok()) << gw.status().ToString();
+  ExpectSeriesIdentical(
+      gw->devices[0].incoming,
+      ts::TimeSeries(40, 1, {M_PI, kMiss, -0.0, 1e-300, -1.0 / 3.0, kMiss,
+                             9.5e18, kMiss, 42.0}));
+  std::remove(path.c_str());
+}
+
+// Chunks after the first decode into their slice of the one allocation.
+TEST(ChunkDecodeTest, ContiguousRunDecodesEachChunkIntoItsSlice) {
+  const std::string path = WriteRawHomets(
+      "run.homets", {RawChunk{0, 10, 3, E3Payload({0b101}, {2000, 1000})},
+                     RawChunk{0, 13, 2, Raw64Payload({0b10}, {0.1})},
+                     RawChunk{0, 15, 4, E3Payload({0b1001}, {-3000, 3500})},
+                     PlainOutgoing(10, 9)});
+  const auto gw = ReadOnlyGateway(path);
+  ASSERT_TRUE(gw.ok()) << gw.status().ToString();
+  ExpectSeriesIdentical(
+      gw->devices[0].incoming,
+      ts::TimeSeries(10, 1, {2.0, kMiss, 3.0, kMiss, 0.1, -3.0, kMiss, kMiss,
+                             0.5}));
+  std::remove(path.c_str());
+}
+
+TEST(ChunkDecodeTest, VarintStreamEndingEarlyIsIoError) {
+  // Five present bins but two whole deltas and a dangling continuation byte.
+  std::string payload = E3Payload({0b00011111}, {1000, 1000});
+  payload.push_back(static_cast<char>(0x80));
+  const std::string path = WriteRawHomets(
+      "short_varint.homets",
+      {RawChunk{0, 0, 8, payload}, PlainOutgoing(0, 8)});
+  const auto gw = ReadOnlyGateway(path);
+  EXPECT_EQ(gw.status().code(), StatusCode::kIoError);
+  EXPECT_NE(gw.status().message().find("varint stream"), std::string::npos)
+      << gw.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(ChunkDecodeTest, Raw64StreamEndingEarlyIsIoError) {
+  std::string payload = Raw64Payload({0b11}, {1.0});
+  payload += "abc";  // three bytes of the second double
+  const std::string path = WriteRawHomets(
+      "short_raw.homets", {RawChunk{0, 0, 2, payload}, PlainOutgoing(0, 2)});
+  const auto gw = ReadOnlyGateway(path);
+  EXPECT_EQ(gw.status().code(), StatusCode::kIoError);
+  EXPECT_NE(gw.status().message().find("value stream"), std::string::npos)
+      << gw.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(ChunkDecodeTest, NonContiguousChunkRunIsIoError) {
+  const std::string path = WriteRawHomets(
+      "hole.homets", {RawChunk{0, 0, 4, E3Payload({0x0F}, {1, 1, 1, 1})},
+                      RawChunk{0, 10, 4, E3Payload({0x0F}, {1, 1, 1, 1})},
+                      PlainOutgoing(0, 14)});
+  const auto gw = ReadOnlyGateway(path);
+  EXPECT_EQ(gw.status().code(), StatusCode::kIoError);
+  EXPECT_NE(gw.status().message().find("non-contiguous"), std::string::npos)
+      << gw.status().ToString();
+  auto reader = HometsReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader->ReadSeries(0, 0, 0, 0, 14).status().code(),
+            StatusCode::kIoError);
+  std::remove(path.c_str());
+}
+
+// A two-week simgen gateway spans several 4096-bin chunks per column; its
+// .homets decode equals its CSV read bit for bit, and so does a slice that
+// straddles chunk boundaries.
+TEST(ChunkDecodeTest, MultiChunkSeriesMatchesTheCsvRead) {
+  simgen::SimConfig config;
+  config.n_gateways = 2;
+  config.weeks = 2;
+  config.surveyed_gateways = 1;
+  const simgen::FleetGenerator fleet(config);
+  const std::string csv = TempPath("multi_chunk.csv");
+  const std::string homets = TempPath("multi_chunk.homets");
+  ASSERT_TRUE(io::WriteGatewayCsv(csv, fleet.Generate(0)).ok());
+  const auto from_csv = io::ReadGatewayCsv(csv);
+  ASSERT_TRUE(from_csv.ok()) << from_csv.status().ToString();
+  ASSERT_TRUE(WriteGatewayHomets(homets, *from_csv).ok());
+  auto reader = HometsReader::Open(homets);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_GE(reader->chunk_count(), 2 * from_csv->devices.size() * 3);
+  const auto from_homets = reader->ReadGateway(0);
+  ASSERT_TRUE(from_homets.ok()) << from_homets.status().ToString();
+  ASSERT_EQ(from_homets->devices.size(), from_csv->devices.size());
+  for (size_t d = 0; d < from_csv->devices.size(); ++d) {
+    const simgen::DeviceTrace& want = from_csv->devices[d];
+    ASSERT_GT(want.incoming.size(), 2 * kChunkValues);
+    ExpectSeriesIdentical(from_homets->devices[d].incoming, want.incoming);
+    ExpectSeriesIdentical(from_homets->devices[d].outgoing, want.outgoing);
+    const int64_t begin = want.outgoing.start_minute() + kChunkValues - 7;
+    const int64_t end = begin + kChunkValues + 20;
+    const auto slice = reader->ReadSeries(0, d, 1, begin, end);
+    ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+    ExpectSeriesIdentical(*slice, want.outgoing.Slice(begin, end).value());
+  }
+  std::remove(csv.c_str());
+  std::remove(homets.c_str());
 }
 
 }  // namespace
