@@ -83,9 +83,9 @@ void BM_Spearman(benchmark::State& state) {
 }
 BENCHMARK(BM_Spearman)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 15);
 
-void BM_KendallKnight(benchmark::State& state) {
-  // O(n log n) Kendall is the load-bearing kernel: the naive O(n²) version
-  // would make minute-level dominance analysis infeasible.
+void BM_Kendall(benchmark::State& state) {
+  // The vector API: both sort profiles plus the O(n log n) pair count. The
+  // naive O(n²) count would make minute-level dominance analysis infeasible.
   const size_t n = static_cast<size_t>(state.range(0));
   const auto x = RandomSeries(n, 5);
   const auto y = RandomSeries(n, 6);
@@ -94,7 +94,7 @@ void BM_KendallKnight(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_KendallKnight)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 15);
+BENCHMARK(BM_Kendall)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 15);
 
 void BM_CorrelationSimilarity(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

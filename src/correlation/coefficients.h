@@ -38,8 +38,9 @@ Result<CorrelationTest> Pearson(const std::vector<double>& x,
 Result<CorrelationTest> Spearman(const std::vector<double>& x,
                                  const std::vector<double>& y);
 
-/// \brief Kendall's τ-b with tie corrections, computed in O(n log n)
-/// (Knight's algorithm); p-value by the tie-adjusted normal approximation.
+/// \brief Kendall's τ-b with tie corrections, computed in O(n log n) (both
+/// sort profiles, then a Fenwick-tree pair count); p-value by the
+/// tie-adjusted normal approximation.
 Result<CorrelationTest> Kendall(const std::vector<double>& x,
                                 const std::vector<double>& y);
 

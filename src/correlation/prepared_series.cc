@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <numeric>
 #include <utility>
 
 #include "obs/metric_names.h"
@@ -41,33 +40,6 @@ double PearsonPValue(double r, size_t n) {
   if (std::fabs(r) >= 1.0) return 0.0;
   const double t = r * std::sqrt(dof / (1.0 - r * r));
   return stats::StudentTTwoSidedPValue(t, dof);
-}
-
-// Merge-sort inversion counter used by Knight's algorithm: sorts `y` in
-// place and returns the number of exchanges (discordant pairs).
-uint64_t CountSwaps(std::vector<double>* y, std::vector<double>* buffer) {
-  const size_t n = y->size();
-  buffer->resize(n);
-  uint64_t swaps = 0;
-  for (size_t width = 1; width < n; width *= 2) {
-    for (size_t lo = 0; lo + width < n; lo += 2 * width) {
-      const size_t mid = lo + width;
-      const size_t hi = std::min(lo + 2 * width, n);
-      size_t i = lo, j = mid, k = lo;
-      while (i < mid && j < hi) {
-        if ((*y)[j] < (*y)[i]) {
-          swaps += mid - i;  // element jumps over the rest of the left run
-          (*buffer)[k++] = (*y)[j++];
-        } else {
-          (*buffer)[k++] = (*y)[i++];
-        }
-      }
-      while (i < mid) (*buffer)[k++] = (*y)[i++];
-      while (j < hi) (*buffer)[k++] = (*y)[j++];
-      std::copy(buffer->begin() + lo, buffer->begin() + hi, y->begin() + lo);
-    }
-  }
-  return swaps;
 }
 
 void AddTieGroup(size_t size, TieSums* s) {
@@ -126,12 +98,6 @@ void RadixSortByKey(std::vector<KeyedIndex>* items) {
   if (src != items->data()) items->swap(scratch);
 }
 
-TieSums TieSumsFromGroups(const std::vector<size_t>& groups) {
-  TieSums s;
-  for (size_t g : groups) AddTieGroup(g, &s);
-  return s;
-}
-
 // Pearson over NaN-free equal-length vectors given each side's moments.
 Result<CorrelationTest> PearsonFromMoments(const std::vector<double>& x,
                                            const std::vector<double>& y,
@@ -183,83 +149,88 @@ Result<CorrelationTest> SpearmanGathered(const std::vector<double>& xc,
   return test;
 }
 
-// Kendall's τ-b over n pairs given the discordant pair count `swaps`, the
-// joint-tie pair count, and the tie sums of x and of y.
-Result<CorrelationTest> KendallFromProfiles(size_t n, uint64_t swaps,
-                                            double joint_pairs,
-                                            const TieSums& tx,
-                                            const TieSums& ty) {
-  const double nf = static_cast<double>(n);
-  const double n0 = nf * (nf - 1.0) / 2.0;
-  const double denom_x = n0 - tx.pairs;
-  const double denom_y = n0 - ty.pairs;
-  if (denom_x <= 0.0 || denom_y <= 0.0) {
-    return Status::ComputeError("Kendall: constant input series");
-  }
-  const double concordant_minus_discordant =
-      n0 - tx.pairs - ty.pairs + joint_pairs -
-      2.0 * static_cast<double>(swaps);
-  double tau = concordant_minus_discordant / std::sqrt(denom_x * denom_y);
-  tau = std::clamp(tau, -1.0, 1.0);
-
-  // Tie-adjusted normal approximation for the null variance of (nc − nd)
-  // (the form used by standard statistical packages).
-  const double v0 = nf * (nf - 1.0) * (2.0 * nf + 5.0);
-  double var = (v0 - tx.weighted - ty.weighted) / 18.0;
-  var += tx.pair_raw * ty.pair_raw / (2.0 * nf * (nf - 1.0));
-  if (n > 2) {
-    var += tx.triple * ty.triple / (9.0 * nf * (nf - 1.0) * (nf - 2.0));
-  }
-  CorrelationTest test;
-  test.coefficient = tau;
-  test.n = n;
-  if (var <= 0.0) {
-    test.p_value = 1.0;
-  } else {
-    const double z = concordant_minus_discordant / std::sqrt(var);
-    test.p_value = 2.0 * (1.0 - stats::NormalCdf(std::fabs(z)));
-  }
-  return test;
-}
-
-Result<CorrelationTest> KendallGathered(const std::vector<double>& xc,
-                                        const std::vector<double>& yc,
+// Kendall over two profiled series of one length n >= 3. Discordant and
+// joint-tie pairs are symmetric in x and y, so the pairs are walked in the
+// sort order of the side with more tie groups (the lead), and the other side
+// (the partner) enters only through its tie-group ids. In dominance the lead
+// is the aggregate and the partner the device, whose zero minutes are id 0.
+// The x and y tie sums keep their labels in the τ-b formula.
+Result<CorrelationTest> KendallProfiled(const PreparedSeries& x,
+                                        const PreparedSeries& y,
                                         PairWorkspace* ws) {
-  const size_t n = xc.size();
-  if (n < 3) {
-    return Status::InvalidArgument("Kendall: need >= 3 complete pairs");
-  }
+  const bool by_x = x.group_offsets().size() >= y.group_offsets().size();
+  const PreparedSeries& lead = by_x ? x : y;
+  const PreparedSeries& partner = by_x ? y : x;
 
-  // Knight's algorithm: sort by (x, y), count y-inversions.
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (xc[a] != xc[b]) return xc[a] < xc[b];
-    return yc[a] < yc[b];
-  });
-  ws->ys.resize(n);
-  for (size_t i = 0; i < n; ++i) ws->ys[i] = yc[order[i]];
-
-  // Joint ties: consecutive equal (x, y) pairs in the sorted order.
-  double joint_pairs = 0.0;
-  {
-    size_t i = 0;
-    while (i < n) {
-      size_t j = i;
-      while (j + 1 < n && xc[order[j + 1]] == xc[order[i]] &&
-             yc[order[j + 1]] == yc[order[i]]) {
-        ++j;
-      }
-      const double t = static_cast<double>(j - i + 1);
-      joint_pairs += t * (t - 1.0) / 2.0;
-      i = j + 1;
+  // Partner group g in sort order gets id g: ids order like the values, and
+  // id 0 is the minimum.
+  const std::vector<uint32_t>& partner_order = partner.sort_order();
+  const std::vector<uint32_t>& partner_offsets = partner.group_offsets();
+  const uint32_t groups = static_cast<uint32_t>(partner_offsets.size() - 1);
+  ws->ids.resize(x.size());
+  uint32_t* const ids = ws->ids.data();
+  for (uint32_t g = 0; g < groups; ++g) {
+    for (uint32_t k = partner_offsets[g]; k < partner_offsets[g + 1]; ++k) {
+      ids[partner_order[k]] = g;
     }
   }
 
-  const uint64_t swaps = CountSwaps(&ws->ys, &ws->buffer);
-  const TieSums tx = TieSumsFromGroups(stats::TieGroupSizes(xc));
-  const TieSums ty = TieSumsFromGroups(stats::TieGroupSizes(yc));
-  return KendallFromProfiles(n, swaps, joint_pairs, tx, ty);
+  // Fenwick tree over ids 1..groups-1, stored reversed: id p sits at position
+  // groups - p, so the prefix up to position groups-1-p counts the inserted
+  // ids above p. Nothing is below id 0, so it needs no tree, only the count
+  // of inserted ids above it.
+  ws->tree.assign(groups, 0);
+  ws->tie_counts.assign(groups, 0);
+  uint32_t* const tree = ws->tree.data();
+  uint32_t* const tie_counts = ws->tie_counts.data();
+  uint64_t discordant = 0;
+  uint64_t joint_ties = 0;
+  uint32_t above_zero = 0;
+  const auto count_above = [&](uint32_t id) {
+    if (id == 0) return static_cast<uint64_t>(above_zero);
+    uint64_t above = 0;
+    for (uint32_t pos = groups - 1 - id; pos > 0; pos &= pos - 1) {
+      above += tree[pos];
+    }
+    return above;
+  };
+  const auto insert = [&](uint32_t id) {
+    if (id == 0) return;
+    ++above_zero;
+    for (uint32_t pos = groups - id; pos < groups; pos += pos & (0u - pos)) {
+      ++tree[pos];
+    }
+  };
+  const uint32_t* const order = lead.sort_order().data();
+  const std::vector<uint32_t>& lead_offsets = lead.group_offsets();
+  for (size_t g = 0; g + 1 < lead_offsets.size(); ++g) {
+    const uint32_t begin = lead_offsets[g];
+    const uint32_t end = lead_offsets[g + 1];
+    // Every inserted pair member lies strictly below this lead group, so a
+    // larger partner id is a discordant pair. A group of one has no lead
+    // ties and no joint ties, so it is queried and inserted in one step.
+    if (end - begin == 1) {
+      const uint32_t id = ids[order[begin]];
+      discordant += count_above(id);
+      insert(id);
+      continue;
+    }
+    // A lead tie group is queried whole before any of it is inserted, so
+    // pairs tied on the lead never count. Its joint ties are the pairs with
+    // equal partner ids.
+    for (uint32_t k = begin; k < end; ++k) {
+      const uint32_t id = ids[order[k]];
+      discordant += count_above(id);
+      joint_ties += tie_counts[id]++;
+    }
+    for (uint32_t k = begin; k < end; ++k) {
+      const uint32_t id = ids[order[k]];
+      tie_counts[id] = 0;
+      insert(id);
+    }
+  }
+  return KendallFromCounts(x.size(), discordant, joint_ties, x.tie_sums(),
+                           y.tie_sums());
 }
 
 }  // namespace
@@ -426,6 +397,47 @@ Result<CorrelationTest> Spearman(const PreparedSeries& x,
   return SpearmanGathered(ws->xc, ws->yc);
 }
 
+double KendallNullVariance(size_t n, const TieSums& tx, const TieSums& ty) {
+  const double nf = static_cast<double>(n);
+  const double v0 = nf * (nf - 1.0) * (2.0 * nf + 5.0);
+  double var = (v0 - tx.weighted - ty.weighted) / 18.0;
+  var += tx.pair_raw * ty.pair_raw / (2.0 * nf * (nf - 1.0));
+  if (n > 2) {
+    var += tx.triple * ty.triple / (9.0 * nf * (nf - 1.0) * (nf - 2.0));
+  }
+  return var;
+}
+
+Result<CorrelationTest> KendallFromCounts(size_t n, uint64_t discordant,
+                                          uint64_t joint_ties,
+                                          const TieSums& tx,
+                                          const TieSums& ty) {
+  const double nf = static_cast<double>(n);
+  const double n0 = nf * (nf - 1.0) / 2.0;
+  const double denom_x = n0 - tx.pairs;
+  const double denom_y = n0 - ty.pairs;
+  if (denom_x <= 0.0 || denom_y <= 0.0) {
+    return Status::ComputeError("Kendall: constant input series");
+  }
+  const double concordant_minus_discordant =
+      n0 - tx.pairs - ty.pairs + static_cast<double>(joint_ties) -
+      2.0 * static_cast<double>(discordant);
+  double tau = concordant_minus_discordant / std::sqrt(denom_x * denom_y);
+  tau = std::clamp(tau, -1.0, 1.0);
+
+  const double var = KendallNullVariance(n, tx, ty);
+  CorrelationTest test;
+  test.coefficient = tau;
+  test.n = n;
+  if (var <= 0.0) {
+    test.p_value = 1.0;
+  } else {
+    const double z = concordant_minus_discordant / std::sqrt(var);
+    test.p_value = 2.0 * (1.0 - stats::NormalCdf(std::fabs(z)));
+  }
+  return test;
+}
+
 Result<CorrelationTest> Kendall(const PreparedSeries& x,
                                 const PreparedSeries& y,
                                 PairWorkspace* workspace) {
@@ -433,85 +445,16 @@ Result<CorrelationTest> Kendall(const PreparedSeries& x,
   PairWorkspace* ws = workspace != nullptr ? workspace : &local;
   if (!(x.PairableWith(y) && (x.profiles() & kSortProfile) &&
         (y.profiles() & kSortProfile))) {
+    // The complete pairs depend on both sides, so they are profiled here
+    // and counted by the same kernel.
     CompletePairs(x.values(), y.values(), &ws->xc, &ws->yc);
-    return KendallGathered(ws->xc, ws->yc, ws);
-  }
-
-  // The discordant and joint-tie counts are symmetric in x and y, so order
-  // the pairs by the side with more tie groups. Its groups are small, which
-  // keeps the in-group sorts cheap, and the partner's big tie group (the
-  // zero minutes of a dominance device grid) is split off below.
-  const bool by_x = x.group_offsets().size() >= y.group_offsets().size();
-  const PreparedSeries& lead = by_x ? x : y;
-  const PreparedSeries& partner = by_x ? y : x;
-  const size_t n = x.size();
-  const std::vector<uint32_t>& order = lead.sort_order();
-  const std::vector<double>& pv = partner.values();
-
-  // Partner values in lead-sorted order; sorting each lead-tie group
-  // ascending reproduces the (lead, partner) lexicographic order.
-  ws->ys.resize(n);
-  for (size_t i = 0; i < n; ++i) ws->ys[i] = pv[order[i]];
-  const std::vector<uint32_t>& groups = lead.group_offsets();
-  for (size_t g = 0; g + 1 < groups.size(); ++g) {
-    if (groups[g + 1] - groups[g] > 1) {
-      std::sort(ws->ys.begin() + groups[g], ws->ys.begin() + groups[g + 1]);
+    if (ws->xc.size() < 3) {
+      return Status::InvalidArgument("Kendall: need >= 3 complete pairs");
     }
+    return KendallProfiled(PreparedSeries::Make(ws->xc, kSortProfile),
+                           PreparedSeries::Make(ws->yc, kSortProfile), ws);
   }
-
-  // Joint ties: equal-partner runs never cross a lead-group boundary, so
-  // scanning per group visits exactly the runs of consecutive equal pairs.
-  double joint_pairs = 0.0;
-  for (size_t g = 0; g + 1 < groups.size(); ++g) {
-    size_t i = groups[g];
-    const size_t end = groups[g + 1];
-    while (i < end) {
-      size_t j = i;
-      while (j + 1 < end && ws->ys[j + 1] == ws->ys[i]) ++j;
-      const double t = static_cast<double>(j - i + 1);
-      joint_pairs += t * (t - 1.0) / 2.0;
-      i = j + 1;
-    }
-  }
-
-  // Discordant pairs are the inversions of ws->ys. Those that involve the
-  // partner's most frequent value m are counted in one pass: an m at i
-  // inverts with every earlier value above m, a value below m with every
-  // earlier m. Only the remaining values go through the merge count, and a
-  // partner without ties skips the search and split altogether.
-  uint64_t swaps = 0;
-  if (partner.tie_sums().pairs > 0.0) {
-    const std::vector<uint32_t>& pg = partner.group_offsets();
-    size_t mode_group = 0;
-    for (size_t g = 1; g + 1 < pg.size(); ++g) {
-      if (pg[g + 1] - pg[g] > pg[mode_group + 1] - pg[mode_group]) {
-        mode_group = g;
-      }
-    }
-    const double mode = pv[partner.sort_order()[pg[mode_group]]];
-    uint64_t above_seen = 0;
-    uint64_t mode_seen = 0;
-    size_t kept = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const double v = ws->ys[i];
-      if (v == mode) {
-        swaps += above_seen;
-        ++mode_seen;
-        continue;
-      }
-      if (v < mode) {
-        swaps += mode_seen;
-      } else {
-        ++above_seen;
-      }
-      ws->ys[kept++] = v;
-    }
-    ws->ys.resize(kept);
-  }
-  swaps += CountSwaps(&ws->ys, &ws->buffer);
-
-  return KendallFromProfiles(n, swaps, joint_pairs, x.tie_sums(),
-                             y.tie_sums());
+  return KendallProfiled(x, y, ws);
 }
 
 }  // namespace homets::correlation

@@ -36,8 +36,8 @@ struct TieSums {
 /// Every pairwise workload in the paper (stationarity pairs, granularity
 /// search, dominance, motifs, the Figure 3 distance matrix) compares the
 /// same windows against many partners; profiling each window once turns the
-/// per-pair cost of Definition 1 from "re-sort everything" into O(n) merge
-/// work for Pearson/Spearman and O(n log n) inversion counting for Kendall.
+/// per-pair cost of Definition 1 from "re-sort everything" into O(n) product
+/// passes for Pearson/Spearman and an O(n log g) tree count for Kendall.
 ///
 /// Profiles are only materialized for NaN-free series with >= 3 values;
 /// kernels fall back to the pairwise-complete gather path otherwise (the
@@ -110,11 +110,13 @@ class PreparedSeries {
 
 /// \brief Reusable per-pair scratch space. Kernels allocate locally when
 /// `nullptr` is passed; parallel callers keep one workspace per worker so
-/// the hot loop never touches the allocator.
+/// the hot loop never touches the allocator. Kendall resets every buffer it
+/// uses at the start of each pair.
 struct PairWorkspace {
-  std::vector<double> ys;      ///< partner values in sort order (Kendall)
-  std::vector<double> buffer;  ///< merge buffer for inversion counting
-  std::vector<double> xc, yc;  ///< gather space for the NaN fallback path
+  std::vector<uint32_t> ids;         ///< partner tie-group id per index
+  std::vector<uint32_t> tree;        ///< Fenwick tree over partner ids >= 1
+  std::vector<uint32_t> tie_counts;  ///< partner ids seen in one lead group
+  std::vector<double> xc, yc;        ///< gather space for the NaN fallback
 };
 
 /// \brief Pearson's r over two prepared series; O(n) when the fast path
@@ -129,14 +131,27 @@ Result<CorrelationTest> Spearman(const PreparedSeries& x,
                                  const PreparedSeries& y,
                                  PairWorkspace* workspace = nullptr);
 
-/// \brief Kendall's τ-b over two prepared series; the per-pair work is the
-/// O(n log n) inversion count only — the sort permutation and all tie sums
-/// come from the profiles. Pairs are ordered by the side with more tie
-/// groups, and pairs involving the other side's most frequent value are
-/// counted in one linear pass. Bit-identical to Kendall(x, y).
+/// \brief Kendall's τ-b over two prepared series. The per-pair work is one
+/// walk over the sort order of the side with more tie groups (the lead),
+/// counting discordant pairs in a Fenwick tree over the other side's dense
+/// tie-group ids: O(n log g) for g partner groups. The permutations and tie
+/// sums come from the profiles. The gather fallback profiles the complete
+/// pairs and runs the same count. Bit-identical to Kendall(x, y).
 Result<CorrelationTest> Kendall(const PreparedSeries& x,
                                 const PreparedSeries& y,
                                 PairWorkspace* workspace = nullptr);
+
+/// \brief Kendall's τ-b and its p-value over n pairs, from the discordant
+/// pair count, the count of pairs tied on both sides, and each side's tie
+/// sums. Constant input (no untied pair on a side) is ComputeError.
+Result<CorrelationTest> KendallFromCounts(size_t n, uint64_t discordant,
+                                          uint64_t joint_ties,
+                                          const TieSums& tx, const TieSums& ty);
+
+/// \brief Null variance of S = n_c − n_d over n pairs with the given ties:
+/// the tie-adjusted form of standard statistical packages, which
+/// KendallFromCounts turns into a normal-approximation p-value.
+double KendallNullVariance(size_t n, const TieSums& tx, const TieSums& ty);
 
 }  // namespace homets::correlation
 

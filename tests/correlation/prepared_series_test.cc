@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -23,10 +24,111 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-// Golden parity check: the profiled fast path, the gather fallback (the
-// legacy algorithm verbatim, forced via profiles = 0) and the public vector
-// API must agree bit-for-bit — same coefficient/p-value/n bits on success,
-// same status code and message on failure.
+// The rank and sort profiles as the comparison sort makes them: a stable
+// sort of (value, index) pairs, then one scan over its runs of equal values.
+struct ReferenceProfiles {
+  std::vector<uint32_t> sort_order;
+  std::vector<uint32_t> group_offsets;
+  std::vector<double> ranks;
+  TieSums tie_sums;
+  double rank_mean = 0.0;
+  double rank_centered_ss = 0.0;
+};
+
+ReferenceProfiles ReferenceProfilesOf(const std::vector<double>& values) {
+  const size_t n = values.size();
+  std::vector<std::pair<double, uint32_t>> keyed(n);
+  for (uint32_t i = 0; i < n; ++i) keyed[i] = {values[i], i};
+  std::stable_sort(
+      keyed.begin(), keyed.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  ReferenceProfiles ref;
+  ref.ranks.resize(n);
+  for (const auto& [value, index] : keyed) ref.sort_order.push_back(index);
+  for (size_t i = 0; i < n;) {
+    size_t j = i + 1;
+    while (j < n && keyed[j].first == keyed[i].first) ++j;
+    const double avg =
+        (static_cast<double>(i) + static_cast<double>(j - 1)) / 2.0 + 1.0;
+    for (size_t k = i; k < j; ++k) ref.ranks[keyed[k].second] = avg;
+    ref.group_offsets.push_back(static_cast<uint32_t>(i));
+    if (j - i >= 2) {
+      const double t = static_cast<double>(j - i);
+      ref.tie_sums.pairs += t * (t - 1.0) / 2.0;
+      ref.tie_sums.triple += t * (t - 1.0) * (t - 2.0);
+      ref.tie_sums.weighted += t * (t - 1.0) * (2.0 * t + 5.0);
+      ref.tie_sums.pair_raw += t * (t - 1.0);
+    }
+    i = j;
+  }
+  ref.group_offsets.push_back(static_cast<uint32_t>(n));
+  for (const double r : ref.ranks) ref.rank_mean += r;
+  ref.rank_mean /= static_cast<double>(n);
+  for (const double r : ref.ranks) {
+    const double d = r - ref.rank_mean;
+    ref.rank_centered_ss += d * d;
+  }
+  return ref;
+}
+
+// Knight's algorithm, the Kendall count the prepared kernel replaced, kept
+// here as an independent reference: sort the complete pairs by (x, y), count
+// the runs of equal pairs as joint ties, and count the discordant pairs as
+// the exchanges a bottom-up merge sort of the y sequence makes.
+Result<CorrelationTest> KnightKendall(const std::vector<double>& x,
+                                      const std::vector<double>& y) {
+  std::vector<double> xc, yc;
+  CompletePairs(x, y, &xc, &yc);
+  const size_t n = xc.size();
+  if (n < 3) {
+    return Status::InvalidArgument("Kendall: need >= 3 complete pairs");
+  }
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (xc[a] != xc[b]) return xc[a] < xc[b];
+    return yc[a] < yc[b];
+  });
+  uint64_t joint_ties = 0;
+  for (size_t i = 0; i < n;) {
+    size_t j = i + 1;
+    while (j < n && xc[order[j]] == xc[order[i]] &&
+           yc[order[j]] == yc[order[i]]) {
+      ++j;
+    }
+    joint_ties += (j - i) * (j - i - 1) / 2;
+    i = j;
+  }
+  std::vector<double> ys(n), buffer(n);
+  for (size_t i = 0; i < n; ++i) ys[i] = yc[order[i]];
+  uint64_t swaps = 0;
+  for (size_t width = 1; width < n; width *= 2) {
+    for (size_t lo = 0; lo + width < n; lo += 2 * width) {
+      const size_t mid = lo + width;
+      const size_t hi = std::min(lo + 2 * width, n);
+      size_t i = lo, j = mid, k = lo;
+      while (i < mid && j < hi) {
+        if (ys[j] < ys[i]) {
+          swaps += mid - i;  // ys[j] jumps over the rest of the left run
+          buffer[k++] = ys[j++];
+        } else {
+          buffer[k++] = ys[i++];
+        }
+      }
+      while (i < mid) buffer[k++] = ys[i++];
+      while (j < hi) buffer[k++] = ys[j++];
+      std::copy(buffer.begin() + lo, buffer.begin() + hi, ys.begin() + lo);
+    }
+  }
+  return KendallFromCounts(n, swaps, joint_ties,
+                           ReferenceProfilesOf(xc).tie_sums,
+                           ReferenceProfilesOf(yc).tie_sums);
+}
+
+// Golden parity check: the profiled fast path, the gather fallback (forced
+// via profiles = 0) and the public vector API must agree bit-for-bit — same
+// coefficient/p-value/n bits on success, same status code and message on
+// failure. Kendall's fast path is also held to Knight's algorithm.
 void ExpectParity(const std::vector<double>& x, const std::vector<double>& y) {
   const PreparedSeries px = PreparedSeries::Make(x);
   const PreparedSeries py = PreparedSeries::Make(y);
@@ -59,6 +161,8 @@ void ExpectParity(const std::vector<double>& x, const std::vector<double>& y) {
   check("spearman", Spearman(px, py, &ws), Spearman(lx, ly, &ws),
         Spearman(x, y));
   check("kendall", Kendall(px, py, &ws), Kendall(lx, ly, &ws), Kendall(x, y));
+  check("kendall_knight", Kendall(px, py, &ws), KnightKendall(x, y),
+        Kendall(x, y));
 }
 
 std::vector<double> Ramp(size_t n) {
@@ -182,19 +286,49 @@ TEST(PreparedSeriesParity, SimgenFleetWindows) {
   }
 }
 
+double ZeroShare(const std::vector<double>& v) {
+  size_t zeros = 0;
+  for (const double x : v) zeros += x == 0.0 ? 1 : 0;
+  return static_cast<double>(zeros) / static_cast<double>(v.size());
+}
+
+// The pair FindDominantDevices hands to Definition 1 for the most zero-heavy
+// device of a simgen gateway: the device's total traffic on the aggregate's
+// observed week-scale grid, non-reporting minutes as 0, and the aggregate.
+struct DeviceGridPair {
+  std::vector<double> device;
+  std::vector<double> aggregate;
+};
+
+DeviceGridPair ZeroHeavyDeviceGridPair() {
+  simgen::SimConfig config;
+  config.n_gateways = 2;
+  config.weeks = 2;
+  config.seed = 31337;
+  const simgen::GatewayTrace gateway =
+      simgen::FleetGenerator(config).Generate(0);
+  const core::AggregateGrid grid =
+      core::MakeAggregateGrid(gateway.AggregateTraffic());
+  DeviceGridPair pair;
+  pair.aggregate = grid.values;
+  for (const auto& device : gateway.devices) {
+    std::vector<double> on_grid;
+    core::DeviceOnGrid(device.TotalTraffic(), grid, &on_grid);
+    const double share = ZeroShare(on_grid);
+    if (share < 1.0 &&
+        (pair.device.empty() || share > ZeroShare(pair.device))) {
+      pair.device = std::move(on_grid);
+    }
+  }
+  return pair;
+}
+
 TEST(PreparedSeriesParity, WorkspaceReuseDoesNotLeakState) {
   // One workspace across pairs of very different sizes and tie structure
   // must give the same bits as fresh allocations each time.
-  Rng rng(104);
   PairWorkspace shared;
-  for (const size_t n : {100u, 5u, 64u, 3u, 31u}) {
-    std::vector<double> x(n), y(n);
-    for (size_t i = 0; i < n; ++i) {
-      x[i] = std::floor(rng.Uniform(0.0, 6.0));
-      y[i] = rng.Normal();
-    }
-    const PreparedSeries px = PreparedSeries::Make(x);
-    const PreparedSeries py = PreparedSeries::Make(y);
+  const auto expect_same_as_fresh = [&shared](const PreparedSeries& px,
+                                              const PreparedSeries& py) {
     using KernelFn = Result<CorrelationTest> (*)(
         const PreparedSeries&, const PreparedSeries&, PairWorkspace*);
     for (const KernelFn kernel :
@@ -209,13 +343,33 @@ TEST(PreparedSeriesParity, WorkspaceReuseDoesNotLeakState) {
         EXPECT_TRUE(SameBits(with_shared->p_value, with_fresh->p_value));
       }
     }
+  };
+  Rng rng(104);
+  for (const size_t n : {100u, 5u, 64u, 3u, 31u}) {
+    std::vector<double> x(n), y(n);
+    for (size_t i = 0; i < n; ++i) {
+      x[i] = std::floor(rng.Uniform(0.0, 6.0));
+      y[i] = rng.Normal();
+    }
+    SCOPED_TRACE(n);
+    expect_same_as_fresh(PreparedSeries::Make(x), PreparedSeries::Make(y));
   }
-}
-
-double ZeroShare(const std::vector<double>& v) {
-  size_t zeros = 0;
-  for (const double x : v) zeros += x == 0.0 ? 1 : 0;
-  return static_cast<double>(zeros) / static_cast<double>(v.size());
+  // A week-scale device pair, an n = 8 pair, then the week-scale pair again:
+  // Kendall's id buffer and Fenwick tree shrink to the short pair and grow
+  // back, and must hold nothing over from either.
+  const DeviceGridPair week = ZeroHeavyDeviceGridPair();
+  const PreparedSeries device = PreparedSeries::Make(week.device);
+  const PreparedSeries aggregate = PreparedSeries::Make(week.aggregate);
+  const PreparedSeries short_x =
+      PreparedSeries::Make({0.0, 3.0, 0.0, 1.0, 5.0, 0.0, 2.0, 2.0});
+  const PreparedSeries short_y =
+      PreparedSeries::Make({4.0, 1.0, 1.0, 0.0, 9.0, 3.0, 0.0, 7.0});
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    expect_same_as_fresh(aggregate, device);
+    expect_same_as_fresh(device, aggregate);
+    if (round == 0) expect_same_as_fresh(short_x, short_y);
+  }
 }
 
 TEST(PreparedSeriesParity, DominanceGridSeries) {
@@ -223,28 +377,10 @@ TEST(PreparedSeriesParity, DominanceGridSeries) {
   // the device side is mostly tied zeros, the aggregate has many distinct
   // values. Each case runs in both argument orders, so both the "x has more
   // tie groups" and the "y has more tie groups" orderings are covered.
-  simgen::SimConfig config;
-  config.n_gateways = 2;
-  config.weeks = 2;
-  config.seed = 31337;
-  simgen::FleetGenerator gen(config);
-  const simgen::GatewayTrace gateway = gen.Generate(0);
-  // The pairs FindDominantDevices hands to Definition 1: each device's total
-  // traffic on the aggregate's observed grid, non-reporting minutes as 0.
-  const core::AggregateGrid grid =
-      core::MakeAggregateGrid(gateway.AggregateTraffic());
-  const std::vector<double>& agg = grid.values;
+  const DeviceGridPair pair = ZeroHeavyDeviceGridPair();
+  const std::vector<double>& agg = pair.aggregate;
+  const std::vector<double>& zero_heavy = pair.device;
   ASSERT_GE(agg.size(), static_cast<size_t>(ts::kMinutesPerWeek));
-
-  std::vector<double> zero_heavy;
-  for (const auto& device : gateway.devices) {
-    std::vector<double> on_grid;
-    core::DeviceOnGrid(device.TotalTraffic(), grid, &on_grid);
-    const double share = ZeroShare(on_grid);
-    if (share < 1.0 && (zero_heavy.empty() || share > ZeroShare(zero_heavy))) {
-      zero_heavy = std::move(on_grid);
-    }
-  }
   ASSERT_EQ(zero_heavy.size(), agg.size());
   ASSERT_GT(ZeroShare(zero_heavy), 0.5);
   ASSERT_GT(PreparedSeries::Make(agg).group_offsets().size(),
@@ -279,53 +415,6 @@ TEST(PreparedSeriesParity, DominanceGridSeries) {
   // Two zero-heavy devices against each other: big tie groups on both sides.
   ExpectParity(zero_heavy, signed_zeros);
   ExpectParity(mode_not_zero, zero_heavy);
-}
-
-// The rank and sort profiles as the comparison sort makes them: a stable
-// sort of (value, index) pairs, then one scan over its runs of equal values.
-struct ReferenceProfiles {
-  std::vector<uint32_t> sort_order;
-  std::vector<uint32_t> group_offsets;
-  std::vector<double> ranks;
-  TieSums tie_sums;
-  double rank_mean = 0.0;
-  double rank_centered_ss = 0.0;
-};
-
-ReferenceProfiles ReferenceProfilesOf(const std::vector<double>& values) {
-  const size_t n = values.size();
-  std::vector<std::pair<double, uint32_t>> keyed(n);
-  for (uint32_t i = 0; i < n; ++i) keyed[i] = {values[i], i};
-  std::stable_sort(
-      keyed.begin(), keyed.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-  ReferenceProfiles ref;
-  ref.ranks.resize(n);
-  for (const auto& [value, index] : keyed) ref.sort_order.push_back(index);
-  for (size_t i = 0; i < n;) {
-    size_t j = i + 1;
-    while (j < n && keyed[j].first == keyed[i].first) ++j;
-    const double avg =
-        (static_cast<double>(i) + static_cast<double>(j - 1)) / 2.0 + 1.0;
-    for (size_t k = i; k < j; ++k) ref.ranks[keyed[k].second] = avg;
-    ref.group_offsets.push_back(static_cast<uint32_t>(i));
-    if (j - i >= 2) {
-      const double t = static_cast<double>(j - i);
-      ref.tie_sums.pairs += t * (t - 1.0) / 2.0;
-      ref.tie_sums.triple += t * (t - 1.0) * (t - 2.0);
-      ref.tie_sums.weighted += t * (t - 1.0) * (2.0 * t + 5.0);
-      ref.tie_sums.pair_raw += t * (t - 1.0);
-    }
-    i = j;
-  }
-  ref.group_offsets.push_back(static_cast<uint32_t>(n));
-  for (const double r : ref.ranks) ref.rank_mean += r;
-  ref.rank_mean /= static_cast<double>(n);
-  for (const double r : ref.ranks) {
-    const double d = r - ref.rank_mean;
-    ref.rank_centered_ss += d * d;
-  }
-  return ref;
 }
 
 bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
@@ -477,32 +566,43 @@ TEST(PreparedSeriesParity, ProfilesOfZeroInflatedDeviceGrids) {
   }
 }
 
-// Kendall's τ-b from its definition, by visiting all n(n−1)/2 pairs.
-double BruteForceKendallTau(const std::vector<double>& x,
-                            const std::vector<double>& y) {
-  const size_t n = x.size();
+// Kendall's pair counts from their definition, by visiting all n(n−1)/2
+// pairs: S = n_c − n_d and the pairs tied on each side.
+struct PairCounts {
   int64_t concordant_minus_discordant = 0;
   int64_t tied_x = 0;
   int64_t tied_y = 0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
+};
+
+PairCounts BruteForcePairCounts(const std::vector<double>& x,
+                                const std::vector<double>& y) {
+  PairCounts c;
+  for (size_t i = 0; i < x.size(); ++i) {
+    for (size_t j = i + 1; j < x.size(); ++j) {
       const double dx = x[i] - x[j];
       const double dy = y[i] - y[j];
-      if (dx == 0.0) ++tied_x;
-      if (dy == 0.0) ++tied_y;
-      if (dx * dy > 0.0) ++concordant_minus_discordant;
-      if (dx * dy < 0.0) --concordant_minus_discordant;
+      if (dx == 0.0) ++c.tied_x;
+      if (dy == 0.0) ++c.tied_y;
+      if (dx * dy > 0.0) ++c.concordant_minus_discordant;
+      if (dx * dy < 0.0) --c.concordant_minus_discordant;
     }
   }
-  const double n0 = static_cast<double>(n) * static_cast<double>(n - 1) / 2.0;
-  return static_cast<double>(concordant_minus_discordant) /
-         std::sqrt((n0 - static_cast<double>(tied_x)) *
-                   (n0 - static_cast<double>(tied_y)));
+  return c;
+}
+
+double BruteForceKendallTau(const std::vector<double>& x,
+                            const std::vector<double>& y) {
+  const PairCounts c = BruteForcePairCounts(x, y);
+  const double n = static_cast<double>(x.size());
+  const double n0 = n * (n - 1.0) / 2.0;
+  return static_cast<double>(c.concordant_minus_discordant) /
+         std::sqrt((n0 - static_cast<double>(c.tied_x)) *
+                   (n0 - static_cast<double>(c.tied_y)));
 }
 
 TEST(PreparedSeriesKernels, KendallMatchesBruteForcePairCount) {
-  // Small samples with ties on both sides, a dominant value (the mode the
-  // prepared kernel splits off) on one side or both, and signed zeros.
+  // Small samples with ties on both sides, a dominant value (a device's zero
+  // minutes) on one side or both, and signed zeros.
   Rng rng(105);
   for (int round = 0; round < 400; ++round) {
     const size_t n = 3 + static_cast<size_t>(round) % 38;
@@ -532,6 +632,170 @@ TEST(PreparedSeriesKernels, KendallMatchesBruteForcePairCount) {
     EXPECT_DOUBLE_EQ(prepared->coefficient, expected);
     EXPECT_DOUBLE_EQ(swapped->coefficient, expected);
     EXPECT_EQ(prepared->n, n);
+  }
+}
+
+// The prepared τ-b equals the O(n²) definition in both argument orders.
+void ExpectKendallMatchesBruteForce(const std::vector<double>& x,
+                                    const std::vector<double>& y) {
+  const double expected = BruteForceKendallTau(x, y);
+  const PreparedSeries px = PreparedSeries::Make(x);
+  const PreparedSeries py = PreparedSeries::Make(y);
+  const auto xy = Kendall(px, py);
+  const auto yx = Kendall(py, px);
+  ASSERT_TRUE(xy.ok()) << xy.status().message();
+  ASSERT_TRUE(yx.ok()) << yx.status().message();
+  EXPECT_DOUBLE_EQ(xy->coefficient, expected);
+  EXPECT_DOUBLE_EQ(yx->coefficient, expected);
+  EXPECT_EQ(xy->n, x.size());
+}
+
+size_t TieGroups(const std::vector<double>& v) {
+  return PreparedSeries::Make(v).group_offsets().size() - 1;
+}
+
+TEST(PreparedSeriesKernels, KendallAtDefinitionEdges) {
+  Rng rng(109);
+  const size_t n = 200;
+  std::vector<double> noise(n), negative(n), positive(n), one_big_group(n),
+      small_alphabet(n), correlated(n);
+  for (size_t i = 0; i < n; ++i) {
+    noise[i] = rng.Normal();
+    const double level = std::floor(rng.Uniform(0.0, 6.0));
+    negative[i] = -1.0 - level;  // smallest group -6, no zero
+    positive[i] = 1.0 + level;   // smallest group 1, no zero
+    one_big_group[i] = rng.Bernoulli(0.9) ? 7.0 : rng.Normal();
+    small_alphabet[i] = std::floor(rng.Uniform(0.0, 4.0));
+    correlated[i] = 0.3 * noise[i] + rng.Normal();
+  }
+  {
+    SCOPED_TRACE("partner minimum not zero");
+    ASSERT_GT(TieGroups(noise), TieGroups(negative));
+    ExpectKendallMatchesBruteForce(noise, negative);
+    ExpectKendallMatchesBruteForce(noise, positive);
+    ExpectKendallMatchesBruteForce(negative, positive);
+  }
+  {
+    SCOPED_TRACE("lead with one tie group holding most of n");
+    ASSERT_GT(TieGroups(one_big_group), TieGroups(small_alphabet));
+    ExpectKendallMatchesBruteForce(one_big_group, small_alphabet);
+    ExpectKendallMatchesBruteForce(one_big_group, negative);
+  }
+  {
+    SCOPED_TRACE("no ties on either side");
+    ASSERT_EQ(TieGroups(noise), n);
+    ASSERT_EQ(TieGroups(correlated), n);
+    ExpectKendallMatchesBruteForce(noise, correlated);
+  }
+  {
+    SCOPED_TRACE("n = 3");
+    ExpectKendallMatchesBruteForce({1.0, 2.0, 3.0}, {3.0, 1.0, 2.0});
+    ExpectKendallMatchesBruteForce({0.0, 0.0, 1.0}, {2.0, 1.0, 1.0});
+    ExpectKendallMatchesBruteForce({-1.0, 5.0, 2.0}, {0.0, 0.0, 4.0});
+    ExpectKendallMatchesBruteForce({-2.0, -2.0, -1.0}, {-5.0, -4.0, -4.0});
+  }
+  for (const size_t m : {1000u, 1500u, 2000u}) {
+    SCOPED_TRACE(testing::Message() << "zero-inflated device, n " << m);
+    std::vector<double> device(m), other(m), aggregate(m);
+    for (size_t i = 0; i < m; ++i) {
+      device[i] = rng.Bernoulli(0.65)
+                      ? 0.0
+                      : std::floor(rng.LogNormal(std::log(2000.0), 1.5));
+      other[i] = rng.Bernoulli(0.8)
+                     ? 0.0
+                     : std::floor(rng.LogNormal(std::log(300.0), 1.0));
+      aggregate[i] = device[i] + other[i] +
+                     (rng.Bernoulli(0.3)
+                          ? 0.0
+                          : std::floor(rng.LogNormal(std::log(50.0), 1.0)));
+    }
+    ExpectKendallMatchesBruteForce(device, aggregate);
+    ExpectKendallMatchesBruteForce(other, aggregate);
+    ExpectKendallMatchesBruteForce(device, other);
+  }
+}
+
+TEST(PreparedSeriesKernels, KendallErrorsAtEdges) {
+  const std::vector<double> constant(5, 3.0);
+  const std::vector<double> nan = {std::nan("")};
+  const struct {
+    std::vector<double> x, y;
+    StatusCode code;
+    const char* message;
+  } cases[] = {
+      {constant, Ramp(5), StatusCode::kComputeError,
+       "Kendall: constant input series"},
+      {Ramp(5), constant, StatusCode::kComputeError,
+       "Kendall: constant input series"},
+      // Constant once the NaN pair is dropped: the gather path.
+      {{1.0, nan[0], 1.0, 1.0}, Ramp(4), StatusCode::kComputeError,
+       "Kendall: constant input series"},
+      {{1.0, 2.0}, {3.0, 4.0}, StatusCode::kInvalidArgument,
+       "Kendall: need >= 3 complete pairs"},
+      {{1.0, nan[0], 2.0, nan[0]}, Ramp(4), StatusCode::kInvalidArgument,
+       "Kendall: need >= 3 complete pairs"},
+      {{}, {}, StatusCode::kInvalidArgument,
+       "Kendall: need >= 3 complete pairs"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.message);
+    for (const auto& result :
+         {Kendall(PreparedSeries::Make(c.x), PreparedSeries::Make(c.y)),
+          Kendall(PreparedSeries::Make(c.y), PreparedSeries::Make(c.x)),
+          Kendall(c.x, c.y)}) {
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), c.code);
+      EXPECT_EQ(result.status().message(), c.message);
+    }
+  }
+}
+
+TEST(PreparedSeriesKernels, KendallNullVarianceMatchesPermutations) {
+  // Under the null every arrangement of y against a fixed x is equally
+  // likely. Each distinct arrangement of y's values stands for the same
+  // number of index permutations, so enumerating the distinct ones gives
+  // the exact distribution of S = n_c − n_d: mean 0, and a variance the
+  // tie-adjusted formula must match.
+  const struct {
+    std::vector<double> x, y;
+  } cases[] = {
+      {{1.0, 2.0, 3.0}, {0.0, 0.0, 1.0}},
+      {{0.0, 0.0, 1.0, 2.0}, {5.0, 5.0, 5.0, 6.0}},
+      {{1.0, 1.0, 2.0, 2.0, 3.0}, {0.0, 1.0, 1.0, 2.0, 2.0}},
+      {{0.0, 0.0, 0.0, 1.0, 2.0, 3.0}, {4.0, 4.0, 5.0, 5.0, 6.0, 7.0}},
+      {{0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0},
+       {1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 4.0}},
+      {{1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0},
+       {0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0}},
+  };
+  for (const auto& c : cases) {
+    const size_t n = c.x.size();
+    SCOPED_TRACE(n);
+    const PreparedSeries px = PreparedSeries::Make(c.x);
+    std::vector<double> y = c.y;
+    std::sort(y.begin(), y.end());
+    int64_t sum = 0;
+    int64_t sum_of_squares = 0;
+    int64_t arrangements = 0;
+    int tau_mismatches = 0;
+    do {
+      const int64_t s =
+          BruteForcePairCounts(c.x, y).concordant_minus_discordant;
+      sum += s;
+      sum_of_squares += s * s;
+      ++arrangements;
+      const auto tau = Kendall(px, PreparedSeries::Make(y));
+      if (!tau.ok() || tau->coefficient != BruteForceKendallTau(c.x, y)) {
+        ++tau_mismatches;
+      }
+    } while (std::next_permutation(y.begin(), y.end()));
+    EXPECT_EQ(sum, 0);
+    EXPECT_EQ(tau_mismatches, 0);
+    const double variance = static_cast<double>(sum_of_squares) /
+                            static_cast<double>(arrangements);
+    const double expected = KendallNullVariance(
+        n, px.tie_sums(), PreparedSeries::Make(y).tie_sums());
+    EXPECT_NEAR(variance, expected, 1e-12 * expected);
   }
 }
 

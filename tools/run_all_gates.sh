@@ -72,12 +72,14 @@ run ctest --test-dir "$tsan_build" --output-on-failure \
 
 # Memory errors and undefined behaviour under ASan+UBSan in the decoders of
 # untrusted bytes: .homets chunks and footers (storage_test), CSV rows
-# (io_test) and shard checkpoints (fleet_test).
+# (io_test) and shard checkpoints (fleet_test); and in the correlation
+# kernels, which index raw arrays by tie-group id, with the Definition 1-5
+# code that calls them (correlation_test, core_test).
 asan_build="$root/build-gates-asan"
 run cmake -S "$root" -B "$asan_build" -DHOMETS_SANITIZE="address;undefined"
 run cmake --build "$asan_build" -j "$jobs" \
-    --target storage_test io_test fleet_test
-for suite in storage_test io_test fleet_test; do
+    --target storage_test io_test fleet_test correlation_test core_test
+for suite in storage_test io_test fleet_test correlation_test core_test; do
     run env UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
         "$asan_build/tests/$suite"
 done
