@@ -2,13 +2,14 @@
 // streaming setting. Replays the synthetic fleet minute by minute through
 // WindowAssembler → StreamingMotifMiner and verifies the stream recovers
 // the same motif structure as the batch miner, reporting throughput.
-#include <chrono>
+#include <cstdint>
 #include <iostream>
 
 #include "bench_util.h"
 #include "core/motif.h"
 #include "core/streaming.h"
 #include "io/table.h"
+#include "obs/report.h"
 
 namespace {
 
@@ -34,41 +35,43 @@ void Run() {
   core::StreamingMotifMiner miner(core::MotifOptions{}, 10000);
   size_t minutes_processed = 0;
   size_t windows_streamed = 0;
-  const auto start = std::chrono::steady_clock::now();
-  for (int id = 0; id < fleet.config().n_gateways; ++id) {
-    const auto& gw = fleet.Get(id);
-    if (!gw.HasObservationEveryDay(0, days)) {
+  obs::RunManifestBuilder run;
+  {
+    obs::StageTimer stage("stream_replay", &run);
+    for (int id = 0; id < fleet.config().n_gateways; ++id) {
+      const auto& gw = fleet.Get(id);
+      if (!gw.HasObservationEveryDay(0, days)) {
+        fleet.Evict(id);
+        continue;
+      }
+      const auto active = core::ActiveAggregate(gw);
       fleet.Evict(id);
-      continue;
-    }
-    const auto active = core::ActiveAggregate(gw);
-    fleet.Evict(id);
-    const int64_t end =
-        std::min<int64_t>(active.EndMinute(), days * ts::kMinutesPerDay);
-    for (int64_t m = active.start_minute(); m < end; ++m) {
-      const size_t idx = static_cast<size_t>(m - active.start_minute());
-      const auto completed = assembler.Ingest(id, m, active[idx]);
-      if (!completed.ok()) continue;
-      ++minutes_processed;
-      for (const auto& window : completed.value()) {
-        if (miner.AddWindow(id, window).ok()) ++windows_streamed;
+      const int64_t end =
+          std::min<int64_t>(active.EndMinute(), days * ts::kMinutesPerDay);
+      for (int64_t m = active.start_minute(); m < end; ++m) {
+        const size_t idx = static_cast<size_t>(m - active.start_minute());
+        const auto completed = assembler.Ingest(id, m, active[idx]);
+        if (!completed.ok()) continue;
+        ++minutes_processed;
+        for (const auto& window : completed.value()) {
+          if (miner.AddWindow(id, window).ok()) ++windows_streamed;
+        }
+      }
+      // Close the final day of this gateway.
+      const auto closed =
+          assembler.Ingest(id, end, ts::TimeSeries::Missing());
+      if (closed.ok()) {
+        for (const auto& window : *closed) {
+          if (miner.AddWindow(id, window).ok()) ++windows_streamed;
+        }
       }
     }
-    // Close the final day of this gateway.
-    const auto closed =
-        assembler.Ingest(id, end, ts::TimeSeries::Missing());
-    if (closed.ok()) {
-      for (const auto& window : *closed) {
-        if (miner.AddWindow(id, window).ok()) ++windows_streamed;
-      }
+    for (auto& [id, window] : assembler.Flush()) {
+      if (miner.AddWindow(id, window).ok()) ++windows_streamed;
     }
   }
-  for (auto& [id, window] : assembler.Flush()) {
-    if (miner.AddWindow(id, window).ok()) ++windows_streamed;
-  }
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
+  const auto elapsed =
+      static_cast<int64_t>(run.Stages().front().seconds * 1000.0);
 
   const auto streamed = miner.CurrentMotifs();
   io::PrintSection(std::cout, "Streaming vs batch motif structure");

@@ -10,13 +10,14 @@
 // run manifests carry): wall time, CPU and peak RSS, and the delta of the
 // process metrics registry across the stage (pairs computed, KS rejections,
 // values zeroed, …), so the artifact carries *per-unit* costs (ns/pair,
-// windows/sec), not just seconds. tools/bench_compare diffs two such
-// artifacts and gates regressions.
+// windows/sec), not just seconds. The per-gateway entries (unit "calls")
+// are the library's own stages as they ran inside `fleet_analyze`, with
+// their self time, so they add up to that entry's CPU. tools/bench_compare
+// diffs two such artifacts and gates regressions.
 //
 // Flags:
 //   --pipeline_json=PATH   output path (default BENCH_pipeline.json)
 //   --sizes=a,b,c          subset of small,medium,large (default all)
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -28,9 +29,8 @@
 
 #include "bench_util.h"
 #include "core/aggregation.h"
-#include "core/dominance.h"
+#include "core/background.h"
 #include "core/motif.h"
-#include "core/profiling.h"
 #include "core/similarity_engine.h"
 #include "core/stationarity.h"
 #include "core/streaming.h"
@@ -65,12 +65,6 @@ constexpr SizeSpec kSizes[] = {
     {"large", 48, 6},
 };
 
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
 /// One BENCH_pipeline.json entry: a stage of one fleet size, printed from
 /// the stage's obs::StageRecord.
 struct Entry {
@@ -92,7 +86,7 @@ void EncodeEntry(const Entry& e, int threads_used, obs::JsonEncoder* out) {
     out->Member("ns_per_unit", seconds * 1e9 / static_cast<double>(units))
         .Member("units_per_sec", static_cast<double>(units) / seconds);
   }
-  out->Member("cpu_seconds", e.record.cpu_seconds())
+  out->Member("cpu_seconds", e.record.resources.cpu_seconds())
       .Member("peak_rss_bytes", e.record.resources.max_rss_bytes);
   // bench_compare treats the field as optional (informational when
   // absent).
@@ -106,61 +100,57 @@ void EncodeEntry(const Entry& e, int threads_used, obs::JsonEncoder* out) {
   out->EndObject().EndObject();
 }
 
-/// Collects one fleet size's entries.
-class PipelineBench {
- public:
-  PipelineBench(const std::string& size, std::vector<Entry>* entries)
-      : size_(size), entries_(entries) {}
-
-  /// Times `fn` as one contiguous stage; `fn` returns the unit count
-  /// (windows, pairs, rows, …) it processed.
-  template <typename Fn>
-  void Stage(const std::string& stage, const std::string& unit, Fn&& fn) {
-    obs::StageRecord record;
-    {
-      obs::StageTimer timer(stage, &record);
-      timer.set_units(fn());
-    }
-    AddEntry(unit, record);
-  }
-
-  /// Adds the entry of a finished stage. A stage interleaved with untimed
-  /// setup (trace regeneration) times each piece with an obs::StageTimer
-  /// into one record and adds it here.
-  void AddEntry(const std::string& unit, const obs::StageRecord& record) {
-    entries_->push_back(Entry{size_, unit, record});
-    std::cout << "  " << size_ << "/" << record.stage << ": "
-              << bench::Fmt(record.seconds) << " s, " << record.units << " "
-              << unit << "\n";
-  }
-
- private:
-  std::string size_;
-  std::vector<Entry>* entries_;
-};
-
 void RunSize(const SizeSpec& spec, std::vector<Entry>* entries) {
   simgen::SimConfig config = bench::PaperConfig();
   config.n_gateways = spec.gateways;
   config.weeks = spec.weeks;
   bench::ApplySmokeClamps(&config);
   simgen::FleetGenerator generator(config);
-  PipelineBench bench(spec.name, entries);
   std::cout << spec.name << ": " << config.n_gateways << " gateways x "
             << config.weeks << " weeks\n";
+  const auto add = [&](const std::string& unit,
+                       const obs::StageRecord& record) {
+    entries->push_back(Entry{spec.name, unit, record});
+    std::cout << "  " << spec.name << "/" << record.stage << ": "
+              << bench::Fmt(record.seconds) << " s, " << record.units << " "
+              << unit << "\n";
+  };
+  // Times `fn` as one stage; `fn` returns the unit count (windows, pairs,
+  // rows, …) it processed. With `library_stages`, also adds one entry per
+  // library stage that ran inside it, from its self time.
+  const auto stage = [&](const std::string& name, const std::string& unit,
+                         const auto& fn, bool library_stages = false) {
+    obs::RunManifestBuilder manifest;
+    if (library_stages) obs::InstallStageCollector(&manifest);
+    {
+      obs::StageTimer timer(name, &manifest);
+      timer.set_units(fn());
+    }
+    obs::InstallStageCollector(nullptr);
+    const obs::StageRecord whole = manifest.Stages().front();
+    add(unit, whole);
+    for (const auto& [library, sum] : manifest.StageSums()) {
+      obs::StageRecord record{library, sum.self_seconds, sum.calls, {},
+                              sum.self};
+      record.resources.max_rss_bytes = whole.resources.max_rss_bytes;
+      add("calls", record);
+    }
+  };
 
-  // Setup pass (untimed): write the fleet's CSVs for the ingest stage. Raw
-  // traces are regenerated per stage rather than held — a full fleet of
-  // them would be GBs (see FleetGenerator's contract).
+  // Setup pass (untimed): write the fleet's CSVs for the ingest stage and
+  // keep each gateway's active aggregate (τ-filtered, Section 6.1), the
+  // series the window stages below consume. Raw traces are not held — a
+  // full fleet of them would be GBs (see FleetGenerator's contract).
   char tmpl[] = "/tmp/homets_pipeline_XXXXXX";
   const char* tmpdir = mkdtemp(tmpl);
   std::vector<std::string> csv_paths;
+  std::vector<ts::TimeSeries> actives;
   for (int id = 0; id < config.n_gateways; ++id) {
-    if (tmpdir == nullptr) break;
+    const simgen::GatewayTrace gw = generator.Generate(id);
+    actives.push_back(core::ActiveAggregate(gw));
+    if (tmpdir == nullptr) continue;
     const std::string path = StrFormat("%s/gateway_%03d.csv", tmpdir, id);
-    if (io::WriteGatewayCsv(path, generator.Generate(id)).ok()) {
-      csv_paths.push_back(path);
-    }
+    if (io::WriteGatewayCsv(path, gw).ok()) csv_paths.push_back(path);
   }
 
   // Both ingest stages count the same unit — observed incoming
@@ -178,7 +168,7 @@ void RunSize(const SizeSpec& spec, std::vector<Entry>* entries) {
     return rows;
   };
 
-  bench.Stage("csv_ingest", "rows", [&] {
+  stage("csv_ingest", "rows", [&] {
     size_t rows = 0;
     for (const auto& path : csv_paths) {
       auto reader = io::DatasetReader::Open(path);
@@ -191,7 +181,7 @@ void RunSize(const SizeSpec& spec, std::vector<Entry>* entries) {
   // csv→homets compaction: the one-time cost of moving a fleet off the CSV
   // edge onto the columnar hot path.
   std::vector<std::string> homets_paths;
-  bench.Stage("convert", "rows", [&] {
+  stage("convert", "rows", [&] {
     size_t rows = 0;
     for (const auto& path : csv_paths) {
       const std::string out = path.substr(0, path.size() - 4) + ".homets";
@@ -203,7 +193,7 @@ void RunSize(const SizeSpec& spec, std::vector<Entry>* entries) {
     return rows;
   });
 
-  bench.Stage("col_ingest", "rows", [&] {
+  stage("col_ingest", "rows", [&] {
     size_t rows = 0;
     for (const auto& path : homets_paths) {
       auto reader = io::DatasetReader::Open(path);
@@ -216,31 +206,6 @@ void RunSize(const SizeSpec& spec, std::vector<Entry>* entries) {
   for (const auto& path : csv_paths) std::remove(path.c_str());
   for (const auto& path : homets_paths) std::remove(path.c_str());
   if (tmpdir != nullptr) rmdir(tmpdir);
-
-  // The per-gateway dataflow (core::GatewayPipeline): τ estimation per
-  // device (Section 6.1), device totals, the raw aggregate and the active
-  // aggregate — the series every later stage consumes.
-  std::vector<ts::TimeSeries> actives;
-  obs::StageRecord background;
-  for (int id = 0; id < config.n_gateways; ++id) {
-    const simgen::GatewayTrace gw = generator.Generate(id);
-    obs::StageTimer timer("background", &background);
-    core::GatewayPipeline pipeline = core::BuildGatewayPipeline(gw);
-    timer.set_units(pipeline.active.size());
-    actives.push_back(std::move(pipeline.active));
-  }
-  bench.AddEntry("trace_minutes", background);
-
-  // φ-dominance (Definition 4) over the raw per-minute traces.
-  obs::StageRecord dominance;
-  for (int id = 0; id < config.n_gateways; ++id) {
-    const simgen::GatewayTrace gw = generator.Generate(id);
-    obs::StageTimer timer("dominance", &dominance);
-    const auto dominant = core::FindDominantDevices(gw);
-    timer.set_units(gw.devices.size());
-    (void)dominant;
-  }
-  bench.AddEntry("devices", dominance);
 
   // Weekly windows at 3 h bins (56 per window): the Figure 3 / stationarity
   // workload shape.
@@ -256,17 +221,17 @@ void RunSize(const SizeSpec& spec, std::vector<Entry>* entries) {
 
   core::SimilarityEngine engine;
   std::vector<correlation::PreparedSeries> prepared;
-  bench.Stage("prepare", "windows", [&] {
+  stage("prepare", "windows", [&] {
     prepared = core::SimilarityEngine::PrepareWindows(weekly);
     return prepared.size();
   });
 
-  bench.Stage("pairwise", "pairs", [&] {
+  stage("pairwise", "pairs", [&] {
     const core::SimilarityMatrix matrix = engine.Pairwise(prepared);
     return matrix.pair_count();
   });
 
-  bench.Stage("stationarity", "window_pairs", [&] {
+  stage("stationarity", "window_pairs", [&] {
     size_t pairs = 0;
     for (const auto& [id, range] : weekly_by_gateway) {
       const std::vector<ts::TimeSeries> windows(
@@ -279,7 +244,7 @@ void RunSize(const SizeSpec& spec, std::vector<Entry>* entries) {
     return pairs;
   });
 
-  bench.Stage("aggregation_search", "sweep_points", [&] {
+  stage("aggregation_search", "sweep_points", [&] {
     const std::vector<int64_t> granularities = {60, 180, 480, 720};
     core::AggregationSweepOptions options;
     options.period = core::PatternPeriod::kWeekly;
@@ -300,15 +265,16 @@ void RunSize(const SizeSpec& spec, std::vector<Entry>* entries) {
       daily.push_back(std::move(w));
     }
   }
-  bench.Stage("motif_mining", "windows", [&] {
+  stage("motif_mining", "windows", [&] {
     const auto motifs = core::MotifDiscovery().Discover(daily);
     (void)motifs;
     return daily.size();
   });
 
   // Sharded fleet execution (DESIGN.md §15): the whole per-gateway pipeline
-  // again, but through the shard orchestrator over one out-of-core .homets
-  // fleet — units are shards, so units_per_sec is the shards/sec figure.
+  // through the shard orchestrator over one out-of-core .homets fleet —
+  // units are shards, so units_per_sec is the shards/sec figure — plus one
+  // entry per library stage inside it.
   {
     char fleet_tmpl[] = "/tmp/homets_pipeline_fleet_XXXXXX";
     const char* fleet_tmpdir = mkdtemp(fleet_tmpl);
@@ -316,21 +282,21 @@ void RunSize(const SizeSpec& spec, std::vector<Entry>* entries) {
       const std::string fleet_path =
           std::string(fleet_tmpdir) + "/fleet.homets";
       if (storage::WriteFleetHomets(generator, fleet_path).ok()) {
-        bench.Stage("fleet_analyze", "shards", [&] {
+        stage("fleet_analyze", "shards", [&] {
           fleet::FleetOptions options;
           options.n_shards = std::min(8, config.n_gateways);
           fleet::FleetOrchestrator orchestrator({fleet_path}, options);
           const auto report = orchestrator.Analyze();
           return report.ok() ? static_cast<size_t>(report->n_shards)
                              : size_t{0};
-        });
+        }, /*library_stages=*/true);
       }
       std::remove(fleet_path.c_str());
       rmdir(fleet_tmpdir);
     }
   }
 
-  bench.Stage("streaming", "observations", [&] {
+  stage("streaming", "observations", [&] {
     constexpr core::MotifWindowing kDaily = core::kDailyMotifWindowing;
     auto assembler =
         core::WindowAssembler::Make(kDaily.window_minutes,
@@ -383,13 +349,16 @@ int main(int argc, char** argv) {
   const std::vector<std::string> wanted = StrSplit(sizes_csv, ',');
   std::vector<Entry> entries;
   std::vector<std::string> size_names;
-  const auto start = Clock::now();
-  for (const SizeSpec& spec : kSizes) {
-    bool selected = false;
-    for (const auto& w : wanted) selected = selected || w == spec.name;
-    if (!selected) continue;
-    size_names.push_back(spec.name);
-    RunSize(spec, &entries);
+  obs::RunManifestBuilder run;
+  {
+    obs::StageTimer total("total", &run);
+    for (const SizeSpec& spec : kSizes) {
+      bool selected = false;
+      for (const auto& w : wanted) selected = selected || w == spec.name;
+      if (!selected) continue;
+      size_names.push_back(spec.name);
+      RunSize(spec, &entries);
+    }
   }
   if (entries.empty()) {
     std::cerr << "no sizes selected from --sizes=" << sizes_csv << "\n";
@@ -407,7 +376,7 @@ int main(int argc, char** argv) {
       .BeginArray();
   for (const std::string& name : size_names) json.Value(name);
   json.EndArray()
-      .Member("total_seconds", SecondsSince(start))
+      .Member("total_seconds", run.Stages().front().seconds)
       .Key("entries")
       .BeginArray();
   for (const Entry& entry : entries) EncodeEntry(entry, threads_used, &json);

@@ -60,6 +60,7 @@ Result<BackgroundThreshold> EstimateBackgroundThreshold(
 
 Result<DeviceBackground> EstimateDeviceBackground(
     const simgen::DeviceTrace& device) {
+  obs::StageTimer stage("background.tau");
   DeviceBackground bg;
   HOMETS_ASSIGN_OR_RETURN(bg.incoming,
                           EstimateBackgroundThreshold(device.incoming));
@@ -114,7 +115,7 @@ Result<ts::TimeSeries> ActiveTraffic(const simgen::DeviceTrace& device,
 ts::TimeSeries ActiveAggregate(
     const simgen::GatewayTrace& gateway,
     const std::vector<Result<DeviceBackground>>& backgrounds) {
-  obs::ScopedSpan span("background.active_aggregate");
+  obs::StageTimer stage("background.active_aggregate");
   ts::TimeSeries total;
   for (size_t d = 0; d < gateway.devices.size(); ++d) {
     const simgen::DeviceTrace& device = gateway.devices[d];

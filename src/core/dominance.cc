@@ -113,7 +113,7 @@ std::vector<DominantDevice> FindDominantDevices(
     const simgen::GatewayTrace& gateway, const ts::TimeSeries& aggregate,
     const std::vector<ts::TimeSeries>& device_totals,
     const DominanceOptions& options) {
-  obs::ScopedSpan span("dominance.find");
+  obs::StageTimer stage("dominance.find");
   return ScanDevices(
       gateway, aggregate, [&](size_t d) { return &device_totals[d]; },
       options);
@@ -134,7 +134,7 @@ std::vector<DominantDevice> FindDominantDevicesInWindow(
     const simgen::GatewayTrace& gateway, int64_t begin_minute,
     int64_t end_minute, int64_t granularity_minutes,
     int64_t anchor_offset_minutes, const DominanceOptions& options) {
-  obs::ScopedSpan span("dominance.find_in_window");
+  obs::StageTimer stage("dominance.find_in_window");
   auto window_of = [&](const ts::TimeSeries& series) -> ts::TimeSeries {
     auto aggregated = ts::Aggregate(series, granularity_minutes,
                                     anchor_offset_minutes, ts::AggKind::kSum);

@@ -61,6 +61,7 @@ class SimilarityCache {
 
 std::vector<ts::TimeSeries> MotifWindows(const ts::TimeSeries& series,
                                          const MotifWindowing& windowing) {
+  obs::StageTimer stage("motif.windows");
   return ts::AggregateWindows(series, windowing.granularity_minutes,
                               windowing.window_minutes,
                               windowing.anchor_offset_minutes);
@@ -155,7 +156,7 @@ Result<std::vector<Motif>> MotifDiscovery::Discover(
       registry.GetCounter(obs::kMotifCacheHits);
   static obs::Counter* const cache_misses =
       registry.GetCounter(obs::kMotifCacheMisses);
-  obs::ScopedSpan span("motif.discover");
+  obs::StageTimer stage("motif.discover");
   windows_mined->Increment(windows.size());
 
   SimilarityCache cache(windows, options_.alpha);

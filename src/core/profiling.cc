@@ -9,12 +9,13 @@
 namespace homets::core {
 
 GatewayPipeline BuildGatewayPipeline(const simgen::GatewayTrace& gateway) {
-  obs::ScopedSpan span("core.gateway_pipeline");
+  obs::StageTimer stage("core.gateway_pipeline");
   GatewayPipeline pipeline;
   pipeline.backgrounds.reserve(gateway.devices.size());
   pipeline.device_totals.reserve(gateway.devices.size());
   for (const auto& device : gateway.devices) {
     pipeline.backgrounds.push_back(EstimateDeviceBackground(device));
+    obs::StageTimer totals("core.totals_and_aggregate");
     pipeline.device_totals.push_back(device.TotalTraffic());
     ts::AddInto(&pipeline.aggregate, pipeline.device_totals.back());
   }

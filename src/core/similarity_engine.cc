@@ -55,12 +55,6 @@ std::vector<correlation::PreparedSeries> SimilarityEngine::PrepareVectors(
   return prepared;
 }
 
-std::vector<correlation::PreparedSeries> SimilarityEngine::Prepare(
-    const std::vector<ts::TimeSeries>& windows) const {
-  obs::ScopedSpan span("similarity_engine.prepare");
-  return PrepareWindows(windows);
-}
-
 namespace {
 
 // ~64 pairs per dispatch block: coarse enough to amortize the atomic
@@ -80,7 +74,7 @@ void ForEachPairBlock(
   if (pairs == 0) return;
   static obs::Counter* const pairs_computed =
       obs::MetricsRegistry::Global().GetCounter(obs::kEnginePairsComputed);
-  obs::ScopedSpan span("similarity_engine.pairwise");
+  obs::StageTimer stage("similarity_engine.pairwise");
   const int threads = pairs < kMinParallelPairs ? 1 : options.threads;
   std::vector<correlation::PairWorkspace> workspaces(
       static_cast<size_t>(ResolveThreadCount(threads)));

@@ -82,10 +82,6 @@ class SimilarityEngine {
   static std::vector<correlation::PreparedSeries> PrepareVectors(
       const std::vector<std::vector<double>>& series);
 
-  /// PrepareWindows under a "similarity_engine.prepare" span.
-  std::vector<correlation::PreparedSeries> Prepare(
-      const std::vector<ts::TimeSeries>& windows) const;
-
   /// Full condensed pairwise matrix over the prepared windows, every cell
   /// computed; bit-identical for every thread count.
   SimilarityMatrix Pairwise(

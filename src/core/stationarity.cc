@@ -26,7 +26,7 @@ Result<StationarityResult> CheckStrongStationarity(
       registry.GetCounter(obs::kStationarityKsRejections);
   static obs::Counter* const pairs_below_phi =
       registry.GetCounter(obs::kStationarityPairsBelowPhi);
-  obs::ScopedSpan span("stationarity.check");
+  obs::StageTimer stage("stationarity.check");
   windows_tested->Increment(windows.size());
   StationarityResult result;
   result.min_pair_similarity = 1.0;

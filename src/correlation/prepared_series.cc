@@ -328,9 +328,9 @@ PreparedSeries PreparedSeries::Make(std::vector<double> values,
   } else if (profiles & (kRankProfile | kSortProfile)) {
     // One sort serves both profiles. Sorting (value, index) pairs yields the
     // stable ascending permutation, and its runs of equal values are the tie
-    // groups in ascending order: exactly the groups AverageRanks and
-    // TieGroupSizes find with their own sorts (-0.0 and 0.0 compare equal
-    // everywhere), so ranks and tie sums come out bit-identical.
+    // groups in ascending order: exactly the groups AverageRanks finds with
+    // its own sort (-0.0 and 0.0 compare equal everywhere), so the ranks
+    // come out bit-identical.
     std::vector<std::pair<double, uint32_t>> keyed(n);
     for (uint32_t i = 0; i < n; ++i) keyed[i] = {p.values_[i], i};
     std::stable_sort(

@@ -8,6 +8,7 @@
 
 #include "common/failpoint.h"
 #include "core/motif.h"
+#include "obs/trace.h"
 #include "simgen/types.h"
 #include "ts/time_series.h"
 
@@ -153,6 +154,7 @@ Result<ShardResult> ShardRunner::RunShard(
     if (deadline != nullptr && std::chrono::steady_clock::now() >= *deadline) {
       return Status::DeadlineExceeded("fleet: shard deadline passed");
     }
+    obs::StageTimer stage("fleet.gateway");
     const GatewaySourceRef& ref = inputs_->gateways[static_cast<size_t>(g)];
     auto it = readers.find(ref.input_index);
     if (it == readers.end()) {
@@ -165,6 +167,7 @@ Result<ShardResult> ShardRunner::RunShard(
                             it->second.ReadGateway(ref.gateway_index));
     const core::GatewayPipeline pipeline = core::BuildGatewayPipeline(trace);
     result.gateways.push_back(SummarizeGateway(g, trace, pipeline, profiling_));
+    obs::StageTimer zipf("fleet.zipf_bins");
     for (const double v : pipeline.aggregate.values()) {
       if (!(v > 0.0) || std::isnan(v)) continue;
       ++result.zipf_bins[ZipfBinIndex(v)];

@@ -341,7 +341,7 @@ struct FileCloser {
 Result<simgen::GatewayTrace> ReadGatewayCsvOnce(const std::string& path,
                                                 const ReadOptions& options,
                                                 IngestReport* report) {
-  obs::ScopedSpan span("io.read_gateway_csv");
+  obs::StageTimer stage("io.read_gateway_csv");
   HOMETS_FAILPOINT(kFailpointCsvOpen);
   const std::unique_ptr<std::FILE, FileCloser> file(
       std::fopen(path.c_str(), "rb"));

@@ -1,17 +1,8 @@
 #include "obs/report.h"
 
-#include <algorithm>
-#include <cstring>
 #include <fstream>
 
 #include "obs/json_encoder.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#define HOMETS_OBS_HAS_RUSAGE 1
-#else
-#define HOMETS_OBS_HAS_RUSAGE 0
-#endif
 
 namespace homets::obs {
 
@@ -49,33 +40,7 @@ std::string_view CodeName(StatusCode code) {
   return "Unknown";
 }
 
-uint64_t DeltaSince(uint64_t before, uint64_t after) {
-  return after > before ? after - before : 0;
-}
-
 }  // namespace
-
-ResourceUsage CaptureRusage() {
-  ResourceUsage out;
-#if HOMETS_OBS_HAS_RUSAGE
-  struct rusage ru;
-  std::memset(&ru, 0, sizeof(ru));
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return out;
-  out.user_seconds = static_cast<double>(ru.ru_utime.tv_sec) +
-                     static_cast<double>(ru.ru_utime.tv_usec) / 1e6;
-  out.sys_seconds = static_cast<double>(ru.ru_stime.tv_sec) +
-                    static_cast<double>(ru.ru_stime.tv_usec) / 1e6;
-#if defined(__APPLE__)
-  out.max_rss_bytes = static_cast<uint64_t>(ru.ru_maxrss);
-#else
-  // Linux reports ru_maxrss in kilobytes.
-  out.max_rss_bytes = static_cast<uint64_t>(ru.ru_maxrss) * 1024;
-#endif
-  out.minor_faults = static_cast<uint64_t>(ru.ru_minflt);
-  out.major_faults = static_cast<uint64_t>(ru.ru_majflt);
-#endif
-  return out;
-}
 
 RunManifestBuilder::RunManifestBuilder()
     : run_start_(std::chrono::steady_clock::now()) {}
@@ -140,6 +105,26 @@ void RunManifestBuilder::RecordIngest(
 void RunManifestBuilder::AddStage(StageRecord record) {
   MutexLock lock(&mu_);
   stages_.push_back(std::move(record));
+}
+
+std::vector<StageRecord> RunManifestBuilder::Stages() const {
+  MutexLock lock(&mu_);
+  return stages_;
+}
+
+void RunManifestBuilder::AddStageCall(const std::string& stage,
+                                      const StageSum& call) {
+  MutexLock lock(&mu_);
+  StageSum& sum = stage_sums_[stage];
+  sum.calls += call.calls;
+  sum.seconds += call.seconds;
+  sum.self_seconds += call.self_seconds;
+  sum.self += call.self;
+}
+
+std::map<std::string, StageSum> RunManifestBuilder::StageSums() const {
+  MutexLock lock(&mu_);
+  return stage_sums_;
 }
 
 void RunManifestBuilder::MarkFailed(std::string_view stage,
@@ -242,7 +227,7 @@ std::string RunManifestBuilder::ToJson() const {
         .BeginObject()
         .Member("cpu_user_seconds", s.resources.cpu_user_seconds)
         .Member("cpu_sys_seconds", s.resources.cpu_sys_seconds)
-        .Member("cpu_seconds", s.cpu_seconds())
+        .Member("cpu_seconds", s.resources.cpu_seconds())
         .Member("max_rss_bytes", s.resources.max_rss_bytes)
         .Member("minor_faults", s.resources.minor_faults)
         .Member("major_faults", s.resources.major_faults);
@@ -252,6 +237,21 @@ std::string RunManifestBuilder::ToJson() const {
     out.EndObject().EndObject();
   }
   out.EndArray();
+  if (!stage_sums_.empty()) {
+    out.Key("stage_sums").BeginArray();
+    for (const auto& [stage, sum] : stage_sums_) {
+      out.BeginObject()
+          .Member("stage", stage)
+          .Member("calls", sum.calls)
+          .Member("seconds", sum.seconds)
+          .Member("self_seconds", sum.self_seconds)
+          .Member("self_cpu_seconds", sum.self.cpu_seconds())
+          .Member("self_cpu_sys_seconds", sum.self.cpu_sys_seconds)
+          .Member("self_minor_faults", sum.self.minor_faults)
+          .EndObject();
+    }
+    out.EndArray();
+  }
   // Degraded runs list every quarantined fleet shard with its final Status,
   // so an operator can audit exactly which slices of the fleet are missing
   // from the (still-written) outputs.
@@ -311,84 +311,6 @@ Status RunManifestBuilder::WriteJson(const std::string& path) const {
     return Status::IoError("manifest write failed: " + path);
   }
   return Status::OK();
-}
-
-StageRecord& StageRecord::operator+=(const StageRecord& piece) {
-  if (stage.empty()) stage = piece.stage;
-  seconds += piece.seconds;
-  units += piece.units;
-  for (const auto& [name, delta] : piece.metric_deltas) {
-    metric_deltas[name] += delta;
-  }
-  resources.cpu_user_seconds += piece.resources.cpu_user_seconds;
-  resources.cpu_sys_seconds += piece.resources.cpu_sys_seconds;
-  resources.max_rss_bytes =
-      std::max(resources.max_rss_bytes, piece.resources.max_rss_bytes);
-  resources.minor_faults += piece.resources.minor_faults;
-  resources.major_faults += piece.resources.major_faults;
-  return *this;
-}
-
-std::optional<double> StageRecord::parallel_efficiency(
-    int threads_used) const {
-  constexpr double kEfficiencyWallFloorSeconds = 0.01;
-  if (threads_used <= 0 || seconds < kEfficiencyWallFloorSeconds) {
-    return std::nullopt;
-  }
-  return cpu_seconds() / (seconds * threads_used);
-}
-
-StageTimer::StageTimer(std::string_view stage, RunManifestBuilder* manifest)
-    : span_(stage), manifest_(manifest) {
-  if (manifest_ != nullptr) Start(stage);
-}
-
-StageTimer::StageTimer(std::string_view stage, StageRecord* into)
-    : span_(stage), into_(into) {
-  if (into_ != nullptr) Start(stage);
-}
-
-void StageTimer::Start(std::string_view stage) {
-  record_.stage = stage;
-  before_ = MetricsRegistry::Global().Snapshot();
-  rusage_before_ = CaptureRusage();
-  start_ = std::chrono::steady_clock::now();
-}
-
-StageTimer::~StageTimer() {
-  if (manifest_ == nullptr && into_ == nullptr) return;
-  record_.seconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-  const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
-  for (const auto& [name, value] : after.counters) {
-    const auto it = before_.counters.find(name);
-    const uint64_t delta =
-        DeltaSince(it == before_.counters.end() ? 0 : it->second, value);
-    if (delta > 0) record_.metric_deltas[name] = delta;
-  }
-  for (const auto& [name, h] : after.histograms) {
-    const auto it = before_.histograms.find(name);
-    const uint64_t delta = DeltaSince(
-        it == before_.histograms.end() ? 0 : it->second.count, h.count);
-    if (delta > 0) record_.metric_deltas[name + ".count"] = delta;
-  }
-  const ResourceUsage now = CaptureRusage();
-  StageResources& resources = record_.resources;
-  resources.cpu_user_seconds =
-      std::max(0.0, now.user_seconds - rusage_before_.user_seconds);
-  resources.cpu_sys_seconds =
-      std::max(0.0, now.sys_seconds - rusage_before_.sys_seconds);
-  resources.max_rss_bytes = now.max_rss_bytes;
-  resources.minor_faults =
-      DeltaSince(rusage_before_.minor_faults, now.minor_faults);
-  resources.major_faults =
-      DeltaSince(rusage_before_.major_faults, now.major_faults);
-  if (manifest_ != nullptr) {
-    manifest_->AddStage(std::move(record_));
-  } else {
-    *into_ += record_;
-  }
 }
 
 }  // namespace homets::obs

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -18,13 +17,13 @@
 
 // Run manifests: a schema-versioned machine-readable record of what a run
 // was (config, inputs, failpoint schedule, read policy), what it did
-// (per-stage wall times + metric deltas, ingest counters, thread counts) and
-// how it ended (success / failure / cancelled, failing stage, Status) —
-// written as RUN_MANIFEST.json on success AND on failure, so a fleet
-// orchestrator can audit every shard afterwards. Run-manifest stage entries
-// and BENCH_pipeline.json entries are printed from the same StageRecord
-// ({"stage", "seconds", "units", "metrics": {deltas}}), so the same tooling
-// reads both.
+// (per-stage wall times + metric deltas, the library's per-stage sums,
+// ingest counters, thread counts) and how it ended (success / failure /
+// cancelled, failing stage, Status) — written as RUN_MANIFEST.json on
+// success AND on failure, so a fleet orchestrator can audit every shard
+// afterwards. Run-manifest stage entries and BENCH_pipeline.json entries are
+// printed from the same StageRecord ({"stage", "seconds", "units",
+// "metrics": {deltas}}), so the same tooling reads both.
 //
 // Layering: homets_obs links only the standard library, so the builder takes
 // plain counters (the CLI copies them out of io::IngestReport) and maps
@@ -41,90 +40,6 @@ struct ManifestIngestCounters {
   uint64_t files_quarantined = 0;
 };
 
-/// \brief Point-in-time getrusage(RUSAGE_SELF) reading. Zeroes on platforms
-/// without <sys/resource.h>.
-struct ResourceUsage {
-  double user_seconds = 0.0;
-  double sys_seconds = 0.0;
-  uint64_t max_rss_bytes = 0;  ///< peak RSS of the process so far
-  uint64_t minor_faults = 0;
-  uint64_t major_faults = 0;
-};
-
-ResourceUsage CaptureRusage();
-
-/// \brief Per-stage OS resource accounting: CPU and fault figures are deltas
-/// over the stage; max_rss_bytes is the process peak as of stage end (RSS
-/// peaks never come back down).
-struct StageResources {
-  double cpu_user_seconds = 0.0;
-  double cpu_sys_seconds = 0.0;
-  uint64_t max_rss_bytes = 0;
-  uint64_t minor_faults = 0;
-  uint64_t major_faults = 0;
-};
-
-/// \brief What one stage did: the run manifest's stage entry and the
-/// BENCH_pipeline.json entry are both printed from it.
-struct StageRecord {
-  std::string stage;
-  double seconds = 0.0;  ///< wall time
-  uint64_t units = 0;
-  /// Counters that grew during the stage, plus "<histogram>.count" for
-  /// histograms that took observations.
-  std::map<std::string, uint64_t> metric_deltas;
-  StageResources resources;
-
-  /// Folds in another piece of the same stage (a stage timed around untimed
-  /// setup): sums time, units, CPU, faults and metric deltas, and keeps the
-  /// larger peak RSS.
-  StageRecord& operator+=(const StageRecord& piece);
-
-  double cpu_seconds() const {
-    return resources.cpu_user_seconds + resources.cpu_sys_seconds;
-  }
-
-  /// cpu_seconds / (seconds * threads_used), or nothing when no threads are
-  /// recorded or the stage ran under 10 ms: getrusage CPU time advances in
-  /// scheduler ticks (1-4 ms), so on shorter stages the ratio flips between
-  /// 0 and >1 on tick luck and would poison the bench-compare gate.
-  std::optional<double> parallel_efficiency(int threads_used) const;
-};
-
-class RunManifestBuilder;
-
-/// \brief The one stage clock. It opens a ScopedSpan named after the stage
-/// (so log lines inside carry its span id), and when a destination is given
-/// it also reads the metrics registry and getrusage at both edges and, on
-/// destruction, hands the stage's StageRecord over.
-class StageTimer {
- public:
-  /// Appends the record to `manifest`. A null manifest leaves only the span,
-  /// one relaxed load when no TraceSession is installed, so call sites stay
-  /// unconditional.
-  StageTimer(std::string_view stage, RunManifestBuilder* manifest);
-  /// Adds the record into `*into` with `+=`, so a stage timed in pieces
-  /// sums up in one record.
-  StageTimer(std::string_view stage, StageRecord* into);
-  StageTimer(const StageTimer&) = delete;
-  StageTimer& operator=(const StageTimer&) = delete;
-  ~StageTimer();
-
-  /// The stage's unit count, once known.
-  void set_units(uint64_t units) { record_.units = units; }
-
- private:
-  void Start(std::string_view stage);
-
-  ScopedSpan span_;  // first member: opens first, closes last
-  RunManifestBuilder* manifest_ = nullptr;
-  StageRecord* into_ = nullptr;
-  StageRecord record_;
-  std::chrono::steady_clock::time_point start_;
-  MetricsSnapshot before_;
-  ResourceUsage rusage_before_;
-};
-
 /// \brief Accumulates one run's manifest; thread-safe, write-mostly.
 ///
 /// The CLI owns one instance for the whole run and calls WriteJson from
@@ -136,7 +51,8 @@ class RunManifestBuilder {
   /// (versioning policy in DESIGN.md §12). v2 added per-stage "resources"
   /// (CPU/RSS/faults + parallel_efficiency) and the top-level "histograms"
   /// percentile digest; v3 drops "resources.alloc_bytes"; v4 drops
-  /// "ingest.rows_out_of_order" and "ingest.gaps_repaired".
+  /// "ingest.rows_out_of_order" and "ingest.gaps_repaired". "stage_sums"
+  /// is an additive key, so it kept v4.
   static constexpr int kSchemaVersion = 4;
 
   RunManifestBuilder();
@@ -161,6 +77,13 @@ class RunManifestBuilder {
 
   /// Appends a completed stage (StageTimer calls this when it closes).
   void AddStage(StageRecord record) HOMETS_EXCLUDES(mu_);
+  std::vector<StageRecord> Stages() const HOMETS_EXCLUDES(mu_);
+
+  /// Adds one call of a library stage to its name's "stage_sums" row
+  /// (StageTimer does, while this manifest is the installed collector).
+  void AddStageCall(const std::string& stage, const StageSum& call)
+      HOMETS_EXCLUDES(mu_);
+  std::map<std::string, StageSum> StageSums() const HOMETS_EXCLUDES(mu_);
 
   /// Records the failing stage and Status; flips the outcome to "failure"
   /// (or "cancelled" for kCancelled/kDeadlineExceeded). First failure wins.
@@ -213,6 +136,7 @@ class RunManifestBuilder {
   };
 
   std::vector<StageRecord> stages_ HOMETS_GUARDED_BY(mu_);
+  std::map<std::string, StageSum> stage_sums_ HOMETS_GUARDED_BY(mu_);
   std::vector<QuarantineEntry> quarantine_ HOMETS_GUARDED_BY(mu_);
   bool degraded_ HOMETS_GUARDED_BY(mu_) = false;
   bool failed_ HOMETS_GUARDED_BY(mu_) = false;

@@ -4,28 +4,30 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "obs/metrics.h"
 
-// Structured run tracing: RAII spans collected into a TraceSession that
-// serializes to Chrome trace_event JSON, so a run opens directly in
-// about:tracing or https://ui.perfetto.dev.
-//
-// Spans nest naturally: a span that opens and closes while another span on
-// the same thread is open renders as its child (the Chrome "X" complete-event
-// convention), and each event also carries its explicit nesting depth. When
-// no session is installed, ScopedSpan without a sink is a single relaxed
-// atomic load — cheap enough to leave instrumentation compiled in everywhere.
+// The one stage clock, StageTimer, and the sinks it reports to: a
+// TraceSession of spans that serializes to Chrome trace_event JSON (open a
+// run in about:tracing or https://ui.perfetto.dev), and run manifests
+// (obs/report.h), which take a stage's record or its per-name sums. A stage that opens and
+// closes while another is open on the same thread is its child: the span
+// renders nested (the Chrome "X" complete-event convention) and carries its
+// depth, and the parent's self time leaves the child out. With no sink
+// installed and no manifest, a StageTimer is a single relaxed atomic load —
+// cheap enough to leave compiled in everywhere.
 namespace homets::obs {
 
 /// \brief One completed span ("ph": "X" in the Chrome trace format).
 struct TraceEvent {
   std::string name;
-  std::string category;
   int64_t ts_us = 0;   ///< span start, µs since the session started
   int64_t dur_us = 0;  ///< span duration in µs
   uint32_t tid = 0;    ///< small dense thread id (see CurrentThreadTraceId)
@@ -62,9 +64,9 @@ class TraceSession {
 
 /// \brief Installs `session` (not owned) as the process-wide span
 /// destination; nullptr uninstalls. Install before the traced work starts
-/// and uninstall after it finishes — spans capture the session pointer at
-/// construction, so the session must outlive every span opened while it was
-/// installed.
+/// and uninstall after it finishes — stages capture the session pointer at
+/// construction, so the session must outlive every stage opened while it
+/// was installed.
 void InstallGlobalTraceSession(TraceSession* session);
 TraceSession* GlobalTraceSession();
 
@@ -82,24 +84,99 @@ uint32_t CurrentThreadTraceId();
 /// trace) join on `span_id`.
 uint64_t CurrentSpanId();
 
-/// \brief RAII span: measures from construction to destruction and reports
-/// to the installed TraceSession (if any). Without one, construction is one
-/// atomic load: no clock reads, and the name and category are not copied.
-class ScopedSpan {
+/// \brief OS resource figures: running totals from CaptureRusage, what a
+/// stage spent in a StageRecord or StageSum. max_rss_bytes is always the
+/// process peak so far (RSS peaks never come back down).
+struct StageResources {
+  double cpu_user_seconds = 0.0;
+  double cpu_sys_seconds = 0.0;
+  uint64_t max_rss_bytes = 0;
+  uint64_t minor_faults = 0;
+  uint64_t major_faults = 0;
+
+  double cpu_seconds() const { return cpu_user_seconds + cpu_sys_seconds; }
+  /// What was spent from the earlier reading `before` to this one.
+  StageResources Since(const StageResources& before) const;
+  StageResources& operator+=(const StageResources& other);
+};
+
+/// \brief The process's getrusage(RUSAGE_SELF) totals.
+StageResources CaptureRusage();
+
+/// \brief What one manifest stage did: the run manifest's stage entry and
+/// the BENCH_pipeline.json entry are both printed from it.
+struct StageRecord {
+  std::string stage;
+  double seconds = 0.0;  ///< wall time
+  uint64_t units = 0;
+  /// Counters that grew during the stage, plus "<histogram>.count" for
+  /// histograms that took observations.
+  std::map<std::string, uint64_t> metric_deltas;
+  StageResources resources;
+
+  /// cpu_seconds / (seconds * threads_used), or nothing when no threads are
+  /// recorded or the stage ran under 10 ms: getrusage CPU time advances in
+  /// scheduler ticks (1-4 ms), so on shorter stages the ratio flips between
+  /// 0 and >1 on tick luck and would poison the bench-compare gate.
+  std::optional<double> parallel_efficiency(int threads_used) const;
+};
+
+/// \brief One stage name's calls, summed over gateways and threads. Self
+/// figures leave out the stages nested in it on the same thread, so the
+/// self figures of all names add up with nothing counted twice. CPU and
+/// faults are the running thread's own (DESIGN.md §6).
+struct StageSum {
+  uint64_t calls = 0;
+  double seconds = 0.0;  ///< wall, nested stages included
+  double self_seconds = 0.0;
+  StageResources self;  ///< CPU and faults; no RSS
+};
+
+class RunManifestBuilder;
+
+/// \brief Installs `collector` (not owned) process-wide as the manifest that
+/// sums every library stage closing while it is installed, by stage name
+/// (RunManifestBuilder::AddStageCall); nullptr uninstalls. The lifetime
+/// rule of InstallGlobalTraceSession holds.
+void InstallStageCollector(RunManifestBuilder* collector);
+
+/// \brief The one stage clock, RAII from construction to destruction. It
+/// is a span under an installed TraceSession (code inside sees its id, see
+/// CurrentSpanId). With a manifest it reads the metrics registry and the
+/// process getrusage at both edges and appends one StageRecord: the CLI's
+/// whole-command stages, which span every thread. Without one it adds a
+/// call to the installed collector: the library's stages, on the thread
+/// that runs them. With neither sink nor manifest it is one relaxed
+/// atomic load: no clock read, no copy of the name.
+class StageTimer {
  public:
-  explicit ScopedSpan(std::string_view name,
-                      std::string_view category = "homets");
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  ~ScopedSpan();
+  explicit StageTimer(std::string_view stage,
+                      RunManifestBuilder* manifest = nullptr);
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+  ~StageTimer();
+
+  /// The stage's unit count, once known (recorded for manifest stages).
+  void set_units(uint64_t units) { record_.units = units; }
 
  private:
-  TraceSession* session_;  ///< captured once at construction
-  std::string name_;       ///< copied only while a session is installed
-  std::string category_;
+  friend uint64_t CurrentSpanId();
+
+  bool active() const {
+    return manifest_ != nullptr || session_ != nullptr || collector_ != nullptr;
+  }
+
+  TraceSession* session_ = nullptr;  ///< sinks captured at construction
+  RunManifestBuilder* collector_ = nullptr;
+  RunManifestBuilder* manifest_;
+  StageTimer* parent_ = nullptr;  ///< the active stage this one opened in
+  uint64_t id_ = 0;  ///< process-unique span id, assigned under a session
   std::chrono::steady_clock::time_point start_;
-  uint32_t depth_ = 0;
-  uint64_t id_ = 0;  ///< process-unique span id, assigned when active
+  StageResources usage_before_;  ///< the process's, or the thread's
+  double nested_seconds_ = 0.0;  ///< what closed child stages spent
+  StageResources nested_;
+  StageRecord record_;  ///< the name, and for a manifest stage the record
+  MetricsSnapshot metrics_before_;
 };
 
 }  // namespace homets::obs

@@ -25,19 +25,4 @@ std::vector<double> AverageRanks(const std::vector<double>& xs) {
   return ranks;
 }
 
-std::vector<size_t> TieGroupSizes(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  std::vector<size_t> groups;
-  size_t i = 0;
-  const size_t n = xs.size();
-  while (i < n) {
-    size_t j = i;
-    while (j + 1 < n && xs[j + 1] == xs[i]) ++j;
-    const size_t size = j - i + 1;
-    if (size >= 2) groups.push_back(size);
-    i = j + 1;
-  }
-  return groups;
-}
-
 }  // namespace homets::stats

@@ -12,10 +12,6 @@ namespace homets::stats {
 /// Example: {10, 20, 20, 30} → {1, 2.5, 2.5, 4}.
 std::vector<double> AverageRanks(const std::vector<double>& xs);
 
-/// \brief Tie-group sizes of the sample (groups of size >= 2 only), needed
-/// by tie-corrected variance formulas (Kendall, Spearman).
-std::vector<size_t> TieGroupSizes(std::vector<double> xs);
-
 }  // namespace homets::stats
 
 #endif  // HOMETS_STATS_RANKS_H_

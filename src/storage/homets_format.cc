@@ -256,7 +256,7 @@ Result<simgen::GatewayTrace> NormalizeToObservedSpan(
 // --- writer ----------------------------------------------------------------
 
 Result<HometsWriter> HometsWriter::Create(const std::string& path) {
-  obs::ScopedSpan span("storage.create");
+  obs::StageTimer stage("storage.create");
   HOMETS_FAILPOINT(kFailpointColOpen);
   HometsWriter writer;
   writer.path_ = path;
@@ -301,7 +301,7 @@ Status HometsWriter::Append(const simgen::GatewayTrace& gateway) {
   if (finished_) {
     return Status::FailedPrecondition("Append after Finish: " + path_);
   }
-  obs::ScopedSpan span("storage.append_gateway");
+  obs::StageTimer stage("storage.append_gateway");
   HOMETS_FAILPOINT(kFailpointColWrite);
   HOMETS_ASSIGN_OR_RETURN(const simgen::GatewayTrace normalized,
                           NormalizeToObservedSpan(gateway));
@@ -331,7 +331,7 @@ Status HometsWriter::Finish() {
   if (finished_) {
     return Status::FailedPrecondition("Finish called twice: " + path_);
   }
-  obs::ScopedSpan span("storage.finish");
+  obs::StageTimer stage("storage.finish");
   HOMETS_FAILPOINT(kFailpointColWrite);
   finished_ = true;
 
@@ -389,7 +389,7 @@ Status WriteGatewayHomets(const std::string& path,
 
 Result<FleetWriteStats> WriteFleetHomets(const simgen::FleetGenerator& fleet,
                                          const std::string& path) {
-  obs::ScopedSpan span("storage.write_fleet");
+  obs::StageTimer stage("storage.write_fleet");
   HOMETS_ASSIGN_OR_RETURN(HometsWriter writer, HometsWriter::Create(path));
   FleetWriteStats stats;
   for (int id = 0; id < fleet.config().n_gateways; ++id) {
@@ -636,7 +636,7 @@ HometsReader& HometsReader::operator=(HometsReader&&) noexcept = default;
 HometsReader::~HometsReader() = default;
 
 Result<HometsReader> HometsReader::Open(const std::string& path) {
-  obs::ScopedSpan span("storage.open");
+  obs::StageTimer stage("storage.open");
   HOMETS_FAILPOINT(kFailpointColOpen);
   HometsReader reader;
   reader.rep_ = std::make_unique<Rep>();
@@ -693,7 +693,7 @@ size_t HometsReader::chunk_count() const { return rep_->chunks.size(); }
 bool HometsReader::mmap_backed() const { return rep_->mmapped; }
 
 Result<simgen::GatewayTrace> HometsReader::ReadGateway(size_t gateway) const {
-  obs::ScopedSpan span("storage.read_gateway");
+  obs::StageTimer stage("storage.read_gateway");
   const Rep& rep = *rep_;
   if (gateway >= rep.gateways.size()) {
     return Status::OutOfRange(
@@ -731,7 +731,7 @@ Result<ts::TimeSeries> HometsReader::ReadSeries(size_t gateway, size_t device,
                                                 uint8_t direction,
                                                 int64_t begin_minute,
                                                 int64_t end_minute) const {
-  obs::ScopedSpan span("storage.read_series");
+  obs::StageTimer stage("storage.read_series");
   const Rep& rep = *rep_;
   if (begin_minute >= end_minute) {
     return Status::InvalidArgument("empty minute range");

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "core/background.h"
+#include "obs/report.h"
 #include "simgen/fleet.h"
 #include "ts/time_series.h"
 
@@ -144,6 +147,31 @@ TEST(GatewayPipelineTest, SilentGatewayHasWindowsButNoProfile) {
   EXPECT_EQ(ts::AggregateWindows(pipeline.active, 180, ts::kMinutesPerDay, 0)
                 .size(),
             2u);
+}
+
+// The pipeline's own stage boundaries: τ and the totals per device, the
+// active aggregate once, all nested in one core.gateway_pipeline call.
+TEST(GatewayPipelineTest, TimesEachBoundaryUnderACollector) {
+  const simgen::GatewayTrace gw = MakeGateway();
+  obs::RunManifestBuilder collector;
+  obs::InstallStageCollector(&collector);
+  const GatewayPipeline pipeline = BuildGatewayPipeline(gw);
+  obs::InstallStageCollector(nullptr);
+  const std::map<std::string, obs::StageSum> sums = collector.StageSums();
+  const std::map<std::string, uint64_t> expected = {
+      {"background.active_aggregate", 1},
+      {"background.tau", gw.devices.size()},
+      {"core.gateway_pipeline", 1},
+      {"core.totals_and_aggregate", gw.devices.size()}};
+  std::map<std::string, uint64_t> calls;
+  double nested_seconds = 0.0;
+  for (const auto& [stage, sum] : sums) {
+    calls[stage] = sum.calls;
+    if (stage != "core.gateway_pipeline") nested_seconds += sum.seconds;
+  }
+  EXPECT_EQ(calls, expected);
+  const obs::StageSum& whole = sums.at("core.gateway_pipeline");
+  EXPECT_NEAR(whole.self_seconds, whole.seconds - nested_seconds, 1e-9);
 }
 
 }  // namespace

@@ -270,7 +270,7 @@ TEST(LoggerTest, RecordsCarryTheCurrentSpanId) {
   TraceSession session;
   InstallGlobalTraceSession(&session);
   {
-    ScopedSpan span("log_test.outer");
+    StageTimer stage("log_test.outer");
     logger.Log(LogLevel::kInfo, "test", "inside");
   }
   InstallGlobalTraceSession(nullptr);

@@ -3,10 +3,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <ctime>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -198,13 +200,9 @@ TEST(RunManifestTest, StageTimerRecordsPositiveCounterDeltas) {
 }
 
 TEST(RunManifestTest, CaptureRusageReportsLiveFigures) {
-  const ResourceUsage usage = CaptureRusage();
-#if defined(__unix__) || defined(__APPLE__)
+  const StageResources usage = CaptureRusage();
   EXPECT_GT(usage.max_rss_bytes, 0u);
-  EXPECT_GE(usage.user_seconds + usage.sys_seconds, 0.0);
-#else
-  EXPECT_EQ(usage.max_rss_bytes, 0u);
-#endif
+  EXPECT_GE(usage.cpu_seconds(), 0.0);
 }
 
 TEST(RunManifestTest, StageTimerRecordsResourcesIntoTheManifest) {
@@ -262,37 +260,96 @@ TEST(StageTimerTest, OpensOneSpanNamedAfterTheStage) {
   EXPECT_EQ(CurrentSpanId(), 0u);
 }
 
-// A stage timed in pieces: `+=` sums the additive fields and keeps the
-// larger peak RSS (a process peak, not a per-piece amount).
-TEST(StageRecordTest, PiecesSumAndKeepTheLargerPeakRss) {
-  StageRecord first;
-  first.stage = "dominance";
-  first.seconds = 0.5;
-  first.units = 3;
-  first.metric_deltas = {{"homets.a", 2}, {"homets.b", 1}};
-  first.resources = {1.0, 0.25, 4096, 10, 1};
-  StageRecord second;
-  second.stage = "dominance";
-  second.seconds = 0.25;
-  second.units = 4;
-  second.metric_deltas = {{"homets.a", 5}, {"homets.c", 7}};
-  second.resources = {0.5, 0.125, 2048, 5, 2};
+// Spins until the calling thread has spent `ms` more milliseconds of CPU.
+void Burn(int ms) {
+  const auto thread_cpu_ms = [] {
+    timespec t = {};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t);
+    return static_cast<double>(t.tv_sec) * 1e3 +
+           static_cast<double>(t.tv_nsec) / 1e6;
+  };
+  volatile double x = 1.0;
+  const double until = thread_cpu_ms() + ms;
+  while (thread_cpu_ms() < until) x = x * 1.0000001;
+}
 
-  StageRecord total;
-  total += first;
-  total += second;
-  EXPECT_EQ(total.stage, "dominance");
-  EXPECT_DOUBLE_EQ(total.seconds, 0.75);
-  EXPECT_EQ(total.units, 7u);
-  const std::map<std::string, uint64_t> expected = {
-      {"homets.a", 7}, {"homets.b", 1}, {"homets.c", 7}};
-  EXPECT_EQ(total.metric_deltas, expected);
-  EXPECT_DOUBLE_EQ(total.resources.cpu_user_seconds, 1.5);
-  EXPECT_DOUBLE_EQ(total.resources.cpu_sys_seconds, 0.375);
-  EXPECT_DOUBLE_EQ(total.cpu_seconds(), 1.875);
-  EXPECT_EQ(total.resources.max_rss_bytes, 4096u);
-  EXPECT_EQ(total.resources.minor_faults, 15u);
-  EXPECT_EQ(total.resources.major_faults, 3u);
+// A nested stage's time counts once: the outer stage's self figures leave
+// the inner stage out, so the two self figures add up to the outer total.
+TEST(StageCollectorTest, NestedStageCountsOnceInSelfTime) {
+  RunManifestBuilder collector;
+  InstallStageCollector(&collector);
+  {
+    StageTimer outer("outer");
+    Burn(5);
+    StageTimer inner("inner");
+    Burn(10);
+  }
+  InstallStageCollector(nullptr);
+  const std::map<std::string, StageSum> sums = collector.StageSums();
+  ASSERT_EQ(sums.size(), 2u);
+  const StageSum& outer = sums.at("outer");
+  const StageSum& inner = sums.at("inner");
+  EXPECT_EQ(outer.calls, 1u);
+  EXPECT_EQ(inner.calls, 1u);
+  EXPECT_GE(inner.seconds, 0.010);
+  EXPECT_DOUBLE_EQ(inner.self_seconds, inner.seconds);
+  EXPECT_GE(outer.self_seconds, 0.005);
+  EXPECT_NEAR(outer.self_seconds + inner.self_seconds, outer.seconds, 1e-9);
+  // The spins are CPU: each is in its own stage's self CPU, and the inner
+  // 10 ms are not in the outer's, whose own spin is 5 ms.
+  EXPECT_GE(inner.self.cpu_seconds(), 0.010);
+  EXPECT_GE(outer.self.cpu_seconds(), 0.005);
+  EXPECT_LT(outer.self.cpu_seconds(), 0.010);
+}
+
+// Nesting is per thread: a stage on a worker thread is a root there, so the
+// stage that waits for the worker keeps its whole wall time as self time.
+TEST(StageCollectorTest, StagesOnOtherThreadsAreNotNested) {
+  RunManifestBuilder collector;
+  InstallStageCollector(&collector);
+  {
+    StageTimer waiting("waiting");
+    std::thread worker([] {
+      StageTimer work("work");
+      Burn(10);
+    });
+    worker.join();
+  }
+  InstallStageCollector(nullptr);
+  const std::map<std::string, StageSum> sums = collector.StageSums();
+  ASSERT_EQ(sums.size(), 2u);
+  EXPECT_DOUBLE_EQ(sums.at("waiting").self_seconds, sums.at("waiting").seconds);
+  EXPECT_GE(sums.at("work").self.cpu_seconds(), 0.010);
+  // The worker's CPU is its own: the waiting thread barely ran.
+  EXPECT_LT(sums.at("waiting").self.cpu_seconds(), 0.010);
+}
+
+// Library stages land in "stage_sums", one row per name; a stage with a
+// manifest is a manifest stage only.
+TEST(RunManifestTest, PrintsLibraryStageSums) {
+  RunManifestBuilder builder;
+  InstallStageCollector(&builder);
+  {
+    StageTimer cli("analyze", &builder);
+    for (int i = 0; i < 3; ++i) StageTimer library("dominance.find");
+  }
+  InstallStageCollector(nullptr);
+  const JsonValue doc = Parse(builder);
+  const JsonValue* stages = doc.Find("stages");
+  ASSERT_NE(stages, nullptr);
+  ASSERT_EQ(stages->array_items().size(), 1u);
+  const JsonValue* sums = doc.Find("stage_sums");
+  ASSERT_NE(sums, nullptr);
+  ASSERT_EQ(sums->array_items().size(), 1u);
+  const JsonValue& row = sums->array_items()[0];
+  EXPECT_EQ(row.StringOr("stage", ""), "dominance.find");
+  EXPECT_EQ(row.NumberOr("calls", -1), 3);
+  for (const char* key :
+       {"seconds", "self_seconds", "self_cpu_seconds", "self_cpu_sys_seconds",
+        "self_minor_faults"}) {
+    EXPECT_NE(row.Find(key), nullptr) << "missing " << key;
+  }
+  EXPECT_EQ(Parse(RunManifestBuilder()).Find("stage_sums"), nullptr);
 }
 
 // parallel_efficiency needs 10 ms of wall time (getrusage ticks are 1-4 ms)

@@ -58,7 +58,7 @@ class SessionGuard {
 
 TEST(ScopedSpanTest, NoSessionNoSinkIsANoOp) {
   InstallGlobalTraceSession(nullptr);
-  ScopedSpan span("orphan");  // must not crash or record anywhere
+  StageTimer stage("orphan");  // must not crash or record anywhere
   EXPECT_EQ(GlobalTraceSession(), nullptr);
 }
 
@@ -66,12 +66,11 @@ TEST(ScopedSpanTest, RecordsIntoInstalledSession) {
   TraceSession session;
   {
     SessionGuard guard(&session);
-    ScopedSpan span("unit.work");
+    StageTimer stage("unit.work");
   }
   ASSERT_EQ(session.size(), 1u);
   const TraceEvent event = session.Events()[0];
   EXPECT_EQ(event.name, "unit.work");
-  EXPECT_EQ(event.category, "homets");
   EXPECT_GE(event.ts_us, 0);
   EXPECT_GE(event.dur_us, 0);
   EXPECT_EQ(event.depth, 0u);
@@ -81,12 +80,12 @@ TEST(ScopedSpanTest, NestedSpansCarryIncreasingDepth) {
   TraceSession session;
   {
     SessionGuard guard(&session);
-    ScopedSpan outer("outer");
+    StageTimer outer("outer");
     {
-      ScopedSpan middle("middle");
-      ScopedSpan inner("inner");
+      StageTimer middle("middle");
+      StageTimer inner("inner");
     }
-    ScopedSpan sibling("sibling");
+    StageTimer sibling("sibling");
   }
   ASSERT_EQ(session.size(), 4u);
   const auto events = session.Events();
@@ -109,7 +108,7 @@ TEST(ScopedSpanTest, ThreadsGetDistinctDenseIds) {
     SessionGuard guard(&session);
     std::vector<std::thread> threads;
     for (int t = 0; t < 3; ++t) {
-      threads.emplace_back([] { ScopedSpan span("worker.step"); });
+      threads.emplace_back([] { StageTimer stage("worker.step"); });
     }
     for (auto& t : threads) t.join();
   }
@@ -121,14 +120,14 @@ TEST(ScopedSpanTest, ThreadsGetDistinctDenseIds) {
       << "each thread must get its own trace id";
 }
 
-// An inactive span is one relaxed load: with no TraceSession installed it
-// copies neither its name nor its category, however long they are.
+// An inactive stage is one relaxed load: with no TraceSession, collector or
+// manifest it does not copy its name, however long it is.
 TEST(ScopedSpanTest, InactiveSpansDoNotAllocate) {
 #if HOMETS_TEST_COUNT_NEW
   ASSERT_EQ(GlobalTraceSession(), nullptr);
   const uint64_t before = g_new_bytes.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
-    ScopedSpan span("similarity_engine.pairwise", "a_category_past_sso_size");
+    StageTimer stage("similarity_engine.pairwise_past_the_sso_size");
   }
   EXPECT_EQ(g_new_bytes.load(std::memory_order_relaxed) - before, 0u);
 #else
@@ -140,8 +139,8 @@ TEST(TraceSessionTest, ChromeJsonIsWellFormed) {
   TraceSession session;
   {
     SessionGuard guard(&session);
-    ScopedSpan outer("outer \"quoted\"\\");
-    ScopedSpan inner("inner");
+    StageTimer outer("outer \"quoted\"\\");
+    StageTimer inner("inner");
   }
   const std::string json = session.ToChromeJson();
   // Chrome's object form: the document's first member is traceEvents.
@@ -189,7 +188,7 @@ TEST(TraceSessionTest, ConcurrentAddsAllArrive) {
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([] {
-        for (int i = 0; i < kPerThread; ++i) ScopedSpan span("burst");
+        for (int i = 0; i < kPerThread; ++i) StageTimer stage("burst");
       });
     }
     for (auto& t : threads) t.join();

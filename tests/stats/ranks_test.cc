@@ -47,29 +47,5 @@ TEST(AverageRanksTest, SingleElement) {
   EXPECT_DOUBLE_EQ(ranks[0], 1.0);
 }
 
-TEST(TieGroupSizesTest, FindsGroups) {
-  const auto groups = TieGroupSizes({1, 2, 2, 3, 3, 3, 4});
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0], 2u);
-  EXPECT_EQ(groups[1], 3u);
-}
-
-TEST(TieGroupSizesTest, NoTies) {
-  EXPECT_TRUE(TieGroupSizes({1, 2, 3}).empty());
-}
-
-TEST(TieGroupSizesTest, AllSame) {
-  const auto groups = TieGroupSizes({5, 5, 5, 5});
-  ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(groups[0], 4u);
-}
-
-TEST(TieGroupSizesTest, UnsortedInput) {
-  const auto groups = TieGroupSizes({3, 1, 3, 2, 1});
-  ASSERT_EQ(groups.size(), 2u);  // two groups of size 2 (1s and 3s)
-  EXPECT_EQ(groups[0], 2u);
-  EXPECT_EQ(groups[1], 2u);
-}
-
 }  // namespace
 }  // namespace homets::stats

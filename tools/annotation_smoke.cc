@@ -67,7 +67,7 @@ int main() {
   homets::obs::TraceSession session;
   {
     homets::obs::InstallGlobalTraceSession(&session);
-    homets::obs::ScopedSpan span("smoke.phase");
+    homets::obs::StageTimer stage("smoke.phase");
   }
   homets::obs::InstallGlobalTraceSession(nullptr);
   if (session.size() != 1) {

@@ -102,6 +102,11 @@ for stage in doc["stages"]:
         assert key in res, f"resources missing {key!r}"
 names = [s["stage"] for s in doc["stages"]]
 assert "mine_motifs" in names, names
+# The library's own stages, summed by name.
+sums = {s["stage"]: s for s in doc["stage_sums"]}
+assert sums["motif.discover"]["calls"] == 1, sums.keys()
+for key in ("seconds", "self_seconds", "self_cpu_seconds", "self_minor_faults"):
+    assert key in sums["motif.discover"], f"stage_sums row missing {key!r}"
 EOF
 
 # --- manifest on failure --------------------------------------------------

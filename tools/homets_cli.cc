@@ -192,6 +192,32 @@ std::string InputFormatLabel(const std::string& path,
       io::InputFormatName(io::GuessFormat(path, options.format)));
 }
 
+// Reads every gateway of the TRACE arguments in order and hands each
+// readable one to `use` with its id (0, 1, 2, … in reading order), noting
+// on stderr what it skips; returns how many it handed over.
+template <typename Use>
+int ForEachGateway(const std::vector<std::string>& paths,
+                   const io::DatasetOptions& dataset_options, const Use& use) {
+  const auto skip = [](const std::string& path, const Status& status) {
+    std::cerr << "skipping " << path << ": " << status.ToString() << "\n";
+  };
+  int next_id = 0;
+  for (const std::string& path : paths) {
+    auto reader = io::DatasetReader::Open(path, dataset_options);
+    if (!reader.ok()) skip(path, reader.status());
+    for (size_t g = 0; reader.ok() && g < reader->gateway_count(); ++g) {
+      const auto gw = reader->ReadGateway(g);
+      if (!gw.ok()) {
+        skip(path, gw.status());
+        continue;
+      }
+      NarrateIngest(reader->report());
+      use(next_id++, *gw);
+    }
+  }
+  return next_id;
+}
+
 int FlagIntOr(const ParsedArgs& args, const std::string& flag,
               int64_t fallback, int64_t* out) {
   const auto value = args.GetInt(flag, fallback);
@@ -366,32 +392,18 @@ int RunMotifs(const ParsedArgs& args,
 
   std::vector<ts::TimeSeries> windows;
   std::vector<core::WindowProvenance> provenance;
-  int next_id = 0;
+  int gateways = 0;
   {
     obs::StageTimer stage("read_traces", g_manifest);
-    for (const std::string& path : args.positional) {
-      auto reader = io::DatasetReader::Open(path, dataset_options);
-      if (!reader.ok()) {
-        std::cerr << "skipping " << path << ": "
-                  << reader.status().ToString() << "\n";
-        continue;
-      }
-      for (size_t g = 0; g < reader->gateway_count(); ++g) {
-        const auto gw = reader->ReadGateway(g);
-        if (!gw.ok()) {
-          std::cerr << "skipping " << path << ": " << gw.status().ToString()
-                    << "\n";
-          continue;
-        }
-        NarrateIngest(reader->report());
-        const int id = next_id++;
-        for (auto& w :
-             core::MotifWindows(core::ActiveAggregate(*gw), windowing)) {
-          provenance.push_back({id, w.start_minute()});
-          windows.push_back(std::move(w));
-        }
-      }
-    }
+    gateways = ForEachGateway(
+        args.positional, dataset_options,
+        [&](int id, const simgen::GatewayTrace& gw) {
+          for (auto& w :
+               core::MotifWindows(core::ActiveAggregate(gw), windowing)) {
+            provenance.push_back({id, w.start_minute()});
+            windows.push_back(std::move(w));
+          }
+        });
     stage.set_units(windows.size());
   }
   if (windows.empty()) {
@@ -431,7 +443,7 @@ int RunMotifs(const ParsedArgs& args,
   }();
   if (!motifs.ok()) return FailWith("mining failed", motifs.status());
   std::cout << motifs->size() << " " << period << " motifs from "
-            << windows.size() << " windows of " << next_id << " gateways\n";
+            << windows.size() << " windows of " << gateways << " gateways\n";
   io::TextTable table({"motif", "support", "gateways", "recurrence_%"});
   for (size_t m = 0; m < motifs->size() && m < 20; ++m) {
     const auto& motif = (*motifs)[m];
@@ -481,39 +493,24 @@ int RunStream(const ParsedArgs& args,
   core::StreamingMotifMiner miner(core::MotifOptions{},
                                   static_cast<size_t>(horizon));
   size_t minutes = 0, windows_streamed = 0;
-  int next_id = 0;
-  for (const std::string& path : args.positional) {
-    auto reader = io::DatasetReader::Open(path, dataset_options);
-    if (!reader.ok()) {
-      std::cerr << "skipping " << path << ": " << reader.status().ToString()
-                << "\n";
-      continue;
-    }
-    for (size_t g = 0; g < reader->gateway_count(); ++g) {
-      const auto gw = reader->ReadGateway(g);
-      if (!gw.ok()) {
-        std::cerr << "skipping " << path << ": " << gw.status().ToString()
-                  << "\n";
-        continue;
-      }
-      NarrateIngest(reader->report());
-      const int id = next_id++;
-      const auto active = core::ActiveAggregate(*gw);
-      const auto feed = [&](int64_t minute, double value) {
-        const auto completed = assembler->Ingest(id, minute, value);
-        if (!completed.ok()) return;
-        for (const auto& w : *completed) {
-          if (miner.AddWindow(id, w).ok()) ++windows_streamed;
+  const int gateways = ForEachGateway(
+      args.positional, dataset_options,
+      [&](int id, const simgen::GatewayTrace& gw) {
+        const auto active = core::ActiveAggregate(gw);
+        const auto feed = [&](int64_t minute, double value) {
+          const auto completed = assembler->Ingest(id, minute, value);
+          if (!completed.ok()) return;
+          for (const auto& w : *completed) {
+            if (miner.AddWindow(id, w).ok()) ++windows_streamed;
+          }
+        };
+        for (int64_t m = active.start_minute(); m < active.EndMinute(); ++m) {
+          feed(m, active[static_cast<size_t>(m - active.start_minute())]);
+          ++minutes;
         }
-      };
-      for (int64_t m = active.start_minute(); m < active.EndMinute(); ++m) {
-        feed(m, active[static_cast<size_t>(m - active.start_minute())]);
-        ++minutes;
-      }
-      // Close this gateway's final window before moving to the next trace.
-      feed(active.EndMinute(), ts::TimeSeries::Missing());
-    }
-  }
+        // Close this gateway's final window before moving to the next one.
+        feed(active.EndMinute(), ts::TimeSeries::Missing());
+      });
   for (auto& [id, w] : assembler->Flush()) {
     if (miner.AddWindow(id, w).ok()) ++windows_streamed;
   }
@@ -524,7 +521,7 @@ int RunStream(const ParsedArgs& args,
   }
 
   const auto motifs = miner.CurrentMotifs();
-  std::cout << "streamed " << minutes << " minutes of " << next_id
+  std::cout << "streamed " << minutes << " minutes of " << gateways
             << " gateways into " << windows_streamed << " " << period
             << " windows (" << miner.windows_retained() << " retained)\n";
   std::cout << motifs.size() << " motifs with support >= 2\n";
@@ -748,10 +745,12 @@ int main(int argc, char** argv) {
   }
 
   // Install the trace session before any work so every span of the run is
-  // captured; uninstall before writing so the write itself is not traced.
+  // captured, and the manifest's stage sums so its library stages are;
+  // uninstall both before writing so the writes themselves are not timed.
   obs::TraceSession session;
   const std::string trace_path = args.GetString("trace-out");
   if (!trace_path.empty()) obs::InstallGlobalTraceSession(&session);
+  if (!manifest_path.empty()) obs::InstallStageCollector(&manifest);
 
   int rc = 1;
   if (command == "generate") rc = RunGenerate(args);
@@ -762,6 +761,7 @@ int main(int argc, char** argv) {
   if (command == "analyze") rc = RunAnalyze(args, *dataset_options);
 
   obs::InstallGlobalTraceSession(nullptr);
+  obs::InstallStageCollector(nullptr);
   if (!trace_path.empty() && rc == 0) {
     const Status status = WriteFile(trace_path, session.ToChromeJson());
     if (!status.ok()) rc = FailWith("trace-out", status);

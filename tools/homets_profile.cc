@@ -3,7 +3,7 @@
 //
 //   homets_profile RUN_MANIFEST.json [--metrics METRICS.json]
 //
-// For every stage recorded by StageTimer it prints wall seconds, cpu
+// For every entry of "stages" (the CLI's stages) it prints wall seconds, cpu
 // seconds (user+sys from getrusage deltas), peak RSS and the manifest's own
 // parallel_efficiency = cpu_seconds / (wall_seconds * threads_used). The
 // manifest omits that figure for stages under 10 ms (getrusage ticks are too

@@ -58,7 +58,7 @@ run cmake --build "$build" -j "$jobs"
 run ctest --test-dir "$build" --output-on-failure -j "$jobs"
 
 # Concurrency under TSan: the `threads` label (thread pool, similarity
-# engine, and the obs registry, trace and logger tests) and the
+# engine, obs registry/trace/logger tests, fleet stage sums) and the
 # `chaos-fleet` label (the orchestrator's threaded shard loop, with retries,
 # checkpoints and quarantine) get their own ThreadSanitizer pass (the
 # inactive-span allocation test self-skips there — its operator-new counter
@@ -66,7 +66,7 @@ run ctest --test-dir "$build" --output-on-failure -j "$jobs"
 tsan_build="$root/build-gates-tsan"
 run cmake -S "$root" -B "$tsan_build" -DHOMETS_SANITIZE=thread
 run cmake --build "$tsan_build" -j "$jobs" \
-    --target obs_test threading_test fleet_chaos_test
+    --target obs_test threading_test fleet_stages_test fleet_chaos_test
 run ctest --test-dir "$tsan_build" --output-on-failure \
     -L "threads|chaos-fleet"
 
