@@ -18,8 +18,8 @@
 //   --similarity_manifest=PATH write a run manifest with one StageTimer per
 //                              engine thread count (pairwise_threads_N) —
 //                              the input tools/homets_profile diagnoses
-//   --similarity_metrics=PATH  write the final metrics registry as JSON
-//                              (histogram percentiles for homets_profile)
+//   --similarity_metrics=PATH  write the final metrics registry (its
+//                              counters) as JSON
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -33,7 +33,6 @@
 
 #include "bench_util.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/motif.h"
 #include "core/dominance_grid.h"
 #include "core/similarity.h"

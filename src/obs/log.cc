@@ -13,6 +13,11 @@ namespace homets::obs {
 
 namespace {
 
+// Per-(component, severity) token bucket: a burst of 20 records, then 5 a
+// second.
+constexpr double kRateCapacity = 20.0;
+constexpr double kRatePerSec = 5.0;
+
 void EncodeFieldValue(const LogField& f, JsonEncoder* out) {
   switch (f.kind) {
     case LogField::Kind::kInt:
@@ -209,8 +214,6 @@ Status Logger::Configure(LoggerOptions options) {
                    std::memory_order_relaxed);
   stderr_level_.store(static_cast<int>(options.stderr_level),
                       std::memory_order_relaxed);
-  rate_capacity_ = options.rate_capacity;
-  rate_per_sec_ = options.rate_per_sec;
   buckets_.clear();
   return Status::OK();
 }
@@ -231,7 +234,7 @@ void Logger::LogAt(int64_t ts_us, LogLevel level, std::string_view component,
   MutexLock lock(&mu_);
   auto [it, inserted] = buckets_.try_emplace(
       RateKey{std::string(component), static_cast<int>(level)},
-      rate_capacity_, rate_per_sec_);
+      kRateCapacity, kRatePerSec);
   if (!it->second.Allow(ts_us)) {
     suppressed_.fetch_add(1, std::memory_order_relaxed);
     static Counter* suppressed_metric =

@@ -120,10 +120,6 @@ struct LoggerOptions {
   LogLevel stderr_level = LogLevel::kWarn;
   /// JSONL sink path; empty disables the file sink. Configure truncates it.
   std::string file_path;
-  /// Token-bucket burst size per (component, severity) key.
-  double rate_capacity = 20.0;
-  /// Steady-state records/sec per key once the burst is spent.
-  double rate_per_sec = 5.0;
 };
 
 /// \brief Thread-safe structured logger (see file comment for the path a
@@ -138,8 +134,9 @@ class Logger {
 
   static Logger& Global();
 
-  /// Applies `options`: swaps levels/sinks/rate parameters. IoError when
-  /// file_path cannot be opened (sinks are left as before on failure).
+  /// Applies `options`: swaps levels and sinks and refills every rate
+  /// bucket. IoError when file_path cannot be opened (sinks are left as
+  /// before on failure).
   Status Configure(LoggerOptions options) HOMETS_EXCLUDES(mu_);
 
   /// Stamps the monotonic clock, current span id and thread id, applies the
@@ -204,8 +201,6 @@ class Logger {
   Mutex mu_;  ///< serializes the rate limiter, Configure, Close and sinks
   std::unordered_map<RateKey, TokenBucket, RateKeyHash> buckets_
       HOMETS_GUARDED_BY(mu_);
-  double rate_capacity_ HOMETS_GUARDED_BY(mu_) = 20.0;
-  double rate_per_sec_ HOMETS_GUARDED_BY(mu_) = 5.0;
   std::FILE* file_ HOMETS_GUARDED_BY(mu_) = nullptr;
 
   std::atomic<uint64_t> records_{0};

@@ -7,21 +7,13 @@
 //
 // Naming scheme (enforced by the homets_lint metric rules, which the
 // `homets_lint_tree` ctest runs): `homets.<layer>.<name>` where `<layer>` is
-// the source module (threadpool, engine, correlation, stationarity,
-// dominance, motif, background, streaming, io, ingest, storage, log,
-// fleet, failpoint) and both segments are lower_snake_case.
+// the source module (engine, correlation, stationarity, dominance, motif,
+// background, streaming, io, ingest, storage, log, fleet, failpoint) and
+// both segments are lower_snake_case.
 // Instrumentation sites must use these constants — raw "homets.*" literals
 // at registration sites fail the lint — so the full metric surface is
 // readable in one file.
 namespace homets::obs {
-
-// common/thread_pool.h — ParallelFor dispatch.
-inline constexpr std::string_view kThreadPoolLoops =
-    "homets.threadpool.parallel_loops";
-inline constexpr std::string_view kThreadPoolTasks =
-    "homets.threadpool.tasks";
-inline constexpr std::string_view kThreadPoolTaskLatencyUs =
-    "homets.threadpool.task_latency_us";
 
 // core/similarity_engine — parallel pairwise Definition 1.
 inline constexpr std::string_view kEnginePairsComputed =

@@ -99,7 +99,7 @@ void RunManifestBuilder::RecordIngest(
   ingest_.rows_malformed += counters.rows_malformed;
   ingest_.rows_duplicate += counters.rows_duplicate;
   ingest_.retries += counters.retries;
-  ingest_.files_quarantined += counters.files_quarantined;
+  ingest_.files_truncated += counters.files_truncated;
 }
 
 void RunManifestBuilder::AddStage(StageRecord record) {
@@ -154,12 +154,6 @@ std::string RunManifestBuilder::ToJson() const {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     run_start_)
           .count();
-  // Snapshot the global registry before taking mu_ (the registry has its own
-  // lock); only non-empty histograms enter the percentile digest.
-  std::map<std::string, HistogramSnapshot> histograms;
-  for (auto& [name, h] : MetricsRegistry::Global().Snapshot().histograms) {
-    if (h.count > 0) histograms.emplace(name, std::move(h));
-  }
   MutexLock lock(&mu_);
   const auto status_object = [](const Status& status, JsonEncoder* out) {
     out->BeginObject()
@@ -210,7 +204,7 @@ std::string RunManifestBuilder::ToJson() const {
         .Member("rows_malformed", ingest_.rows_malformed)
         .Member("rows_duplicate", ingest_.rows_duplicate)
         .Member("retries", ingest_.retries)
-        .Member("files_quarantined", ingest_.files_quarantined)
+        .Member("files_truncated", ingest_.files_truncated)
         .EndObject();
   }
   out.Key("stages").BeginArray();
@@ -246,7 +240,6 @@ std::string RunManifestBuilder::ToJson() const {
           .Member("seconds", sum.seconds)
           .Member("self_seconds", sum.self_seconds)
           .Member("self_cpu_seconds", sum.self.cpu_seconds())
-          .Member("self_cpu_sys_seconds", sum.self.cpu_sys_seconds)
           .Member("self_minor_faults", sum.self.minor_faults)
           .EndObject();
     }
@@ -266,23 +259,6 @@ std::string RunManifestBuilder::ToJson() const {
       out.EndObject();
     }
     out.EndArray();
-  }
-  // Percentile digest of every non-empty histogram: manifests carry the
-  // latency distribution shape, not just count/sum, without inlining full
-  // bucket arrays.
-  if (!histograms.empty()) {
-    out.Key("histograms").BeginObject();
-    for (const auto& [name, h] : histograms) {
-      out.Key(name)
-          .BeginObject()
-          .Member("count", h.count)
-          .Member("sum", h.sum)
-          .Member("p50", HistogramPercentile(h, 0.50))
-          .Member("p95", HistogramPercentile(h, 0.95))
-          .Member("p99", HistogramPercentile(h, 0.99))
-          .EndObject();
-    }
-    out.EndObject();
   }
   const std::string_view outcome =
       !failed_ ? "success"

@@ -12,7 +12,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 // Run manifests: a schema-versioned machine-readable record of what a run
@@ -37,7 +36,7 @@ struct ManifestIngestCounters {
   uint64_t rows_malformed = 0;
   uint64_t rows_duplicate = 0;
   uint64_t retries = 0;
-  uint64_t files_quarantined = 0;
+  uint64_t files_truncated = 0;  ///< files that ended mid-stream
 };
 
 /// \brief Accumulates one run's manifest; thread-safe, write-mostly.
@@ -51,9 +50,11 @@ class RunManifestBuilder {
   /// (versioning policy in DESIGN.md §12). v2 added per-stage "resources"
   /// (CPU/RSS/faults + parallel_efficiency) and the top-level "histograms"
   /// percentile digest; v3 drops "resources.alloc_bytes"; v4 drops
-  /// "ingest.rows_out_of_order" and "ingest.gaps_repaired". "stage_sums"
-  /// is an additive key, so it kept v4.
-  static constexpr int kSchemaVersion = 4;
+  /// "ingest.rows_out_of_order" and "ingest.gaps_repaired" ("stage_sums"
+  /// came in additively); v5 drops "histograms" and
+  /// "stage_sums[].self_cpu_sys_seconds" and renames
+  /// "ingest.files_quarantined" to "ingest.files_truncated".
+  static constexpr int kSchemaVersion = 5;
 
   RunManifestBuilder();
   RunManifestBuilder(const RunManifestBuilder&) = delete;

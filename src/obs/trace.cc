@@ -215,13 +215,6 @@ StageTimer::~StageTimer() {
         it == metrics_before_.counters.end() ? 0 : it->second, value);
     if (delta > 0) record_.metric_deltas[name] = delta;
   }
-  for (const auto& [name, h] : after.histograms) {
-    const auto it = metrics_before_.histograms.find(name);
-    const uint64_t delta = DeltaSince(
-        it == metrics_before_.histograms.end() ? 0 : it->second.count,
-        h.count);
-    if (delta > 0) record_.metric_deltas[name + ".count"] = delta;
-  }
   record_.resources = CaptureRusage().Since(usage_before_);
   manifest_->AddStage(std::move(record_));
 }

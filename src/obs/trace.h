@@ -109,8 +109,7 @@ struct StageRecord {
   std::string stage;
   double seconds = 0.0;  ///< wall time
   uint64_t units = 0;
-  /// Counters that grew during the stage, plus "<histogram>.count" for
-  /// histograms that took observations.
+  /// Counters that grew during the stage, by how much.
   std::map<std::string, uint64_t> metric_deltas;
   StageResources resources;
 

@@ -50,6 +50,19 @@ check "layer_violation names the resolved header" \
 check "layer_violation: waived edge is silent" \
     sh -c "! grep -q waived.cc '$workdir/out'"
 
+# --- stale edge waivers --------------------------------------------------
+run_case stale_waiver
+check "stale_waiver exits 1" test "$rc" -eq 1
+check "stale_waiver: 2 layer-dag hits" test "$(hits layer-dag)" -eq 2
+check "stale_waiver flags the waiver no include uses" \
+    grep -q 'src/common/unused.cc:1: layer-dag: edge_waivers grants common -> core' \
+    "$workdir/out"
+check "stale_waiver flags the waiver of a missing file" \
+    grep -q "tools/lint/layers.json:1: layer-dag: edge_waivers names 'src/common/gone.cc'" \
+    "$workdir/out"
+check "stale_waiver: a used waiver is silent" \
+    sh -c "! grep -q src/common/used.cc '$workdir/out'"
+
 # --- include-cycle --------------------------------------------------------
 run_case include_cycle
 check "include_cycle exits 1" test "$rc" -eq 1

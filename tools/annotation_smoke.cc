@@ -56,10 +56,8 @@ int main() {
   homets::obs::MetricsRegistry registry;
   registry.GetCounter("homets.lint.smoke_counter")  // homets-lint: allow(metric-raw-literal)
       ->Increment();
-  registry.GetHistogram("homets.lint.smoke_hist")  // homets-lint: allow(metric-raw-literal)
-      ->Observe(1.0);
   const homets::obs::MetricsSnapshot snapshot = registry.Snapshot();
-  if (snapshot.counters.size() != 1 || snapshot.histograms.size() != 1) {
+  if (snapshot.counters.size() != 1) {
     std::fprintf(stderr, "FAIL: registry snapshot incomplete\n");
     return 1;
   }

@@ -12,6 +12,8 @@
 #   5. The manifest's threads.used is the thread count that ran: 1 for
 #      generate, min(--threads, --shards) for analyze; the analyze stage's
 #      units are the report's "gateways analyzed", not the shard count.
+#   6. A lenient read cut short by a truncating failpoint is counted as
+#      ingest.files_truncated, not as a quarantined file.
 #
 # Usage: cli_telemetry_test.sh /path/to/homets_cli
 set -eu
@@ -86,7 +88,7 @@ for key in ("schema_version", "tool", "command", "config", "inputs",
             "threads", "stages", "outcome", "status", "exit_code",
             "wall_seconds"):
     assert key in doc, f"missing {key!r}"
-assert doc["schema_version"] == 4
+assert doc["schema_version"] == 5
 assert doc["tool"] == "homets_cli"
 assert doc["outcome"] == "success" and doc["exit_code"] == 0
 assert doc["inputs"] and all(
@@ -102,11 +104,14 @@ for stage in doc["stages"]:
         assert key in res, f"resources missing {key!r}"
 names = [s["stage"] for s in doc["stages"]]
 assert "mine_motifs" in names, names
-# The library's own stages, summed by name.
+# The library's own stages, summed by name, each row with exactly these keys.
 sums = {s["stage"]: s for s in doc["stage_sums"]}
 assert sums["motif.discover"]["calls"] == 1, sums.keys()
-for key in ("seconds", "self_seconds", "self_cpu_seconds", "self_minor_faults"):
-    assert key in sums["motif.discover"], f"stage_sums row missing {key!r}"
+row_keys = {"stage", "calls", "seconds", "self_seconds", "self_cpu_seconds",
+            "self_minor_faults"}
+for row in doc["stage_sums"]:
+    assert set(row) == row_keys, (row["stage"], sorted(row))
+assert "histograms" not in doc
 EOF
 
 # --- manifest on failure --------------------------------------------------
@@ -152,6 +157,26 @@ analyzed = int(re.search(r"^gateways analyzed: (\d+)", open(sys.argv[2]).read(),
                          re.M).group(1))
 assert analyzed == 1, analyzed
 assert units == [analyzed], units
+EOF
+
+# --- truncated files ------------------------------------------------------
+# The failpoint cuts gateway_000's stream at its 5th row; the skip policy
+# keeps the 4 rows before it. The file is truncated, not quarantined: the
+# counter of that name counts lenient reads that failed.
+"$cli" profile --read-policy skip --failpoints 'io.csv.row=truncate@5' \
+    --run-manifest-out "$workdir/trunc_manifest.json" \
+    --metrics-out "$workdir/trunc_metrics.json" \
+    "$workdir/gateway_000.csv" >"$workdir/out" 2>"$workdir/err"
+check "a truncated file is ingest.files_truncated" \
+    python3 - "$workdir/trunc_manifest.json" "$workdir/trunc_metrics.json" \
+    <<'EOF'
+import json, sys
+ingest = json.load(open(sys.argv[1]))["ingest"]
+assert ingest["files_truncated"] == 1, ingest
+assert ingest["rows_parsed"] == 4, ingest
+assert "files_quarantined" not in ingest, ingest
+metrics = json.load(open(sys.argv[2]))
+assert metrics["homets.ingest.files_quarantined"] == 0, metrics
 EOF
 
 # --log-level validation stays a strict-flag error.

@@ -177,7 +177,7 @@ void NarrateIngest(const io::IngestReport& report) {
     counters.rows_malformed = report.rows_malformed;
     counters.rows_duplicate = report.rows_duplicate;
     counters.retries = report.retries;
-    counters.files_quarantined = report.truncated ? 1 : 0;
+    counters.files_truncated = report.truncated ? 1 : 0;
     g_manifest->RecordIngest(counters);
   }
   if (report.SkippedTotal() > 0 || report.retries > 0 || report.truncated) {
@@ -540,19 +540,12 @@ int RunStream(const ParsedArgs& args,
   return 0;
 }
 
-// Nonzero counters plus histogram count/mean — the at-a-glance
-// per-stage funnel for the run.
+// Nonzero counters — the at-a-glance per-stage funnel for the run.
 void PrintMetricsSummary(std::ostream& out) {
-  const obs::MetricsSnapshot snapshot =
-      obs::MetricsRegistry::Global().Snapshot();
   out << "metrics summary:\n";
-  for (const auto& [name, value] : snapshot.counters) {
+  for (const auto& [name, value] :
+       obs::MetricsRegistry::Global().Snapshot().counters) {
     if (value != 0) out << "  " << name << " = " << value << "\n";
-  }
-  for (const auto& [name, h] : snapshot.histograms) {
-    if (h.count == 0) continue;
-    out << "  " << name << " count=" << h.count << " mean="
-        << StrFormat("%.1f", h.sum / static_cast<double>(h.count)) << "\n";
   }
 }
 

@@ -1,7 +1,6 @@
-// homets_profile: turn a run manifest (+ optional metrics export) into a
-// per-stage scaling diagnosis.
+// homets_profile: turn a run manifest into a per-stage scaling diagnosis.
 //
-//   homets_profile RUN_MANIFEST.json [--metrics METRICS.json]
+//   homets_profile RUN_MANIFEST.json
 //
 // For every entry of "stages" (the CLI's stages) it prints wall seconds, cpu
 // seconds (user+sys from getrusage deltas), peak RSS and the manifest's own
@@ -9,8 +8,13 @@
 // manifest omits that figure for stages under 10 ms (getrusage ticks are too
 // coarse there); such a stage reads "n/a" and the verdict too-short. The
 // other verdicts are scales / partial / core-bound / under-utilized, or
-// no-data for a manifest without per-stage resources. With --metrics it adds
-// p50/p95/p99 for the thread-pool task-latency histogram.
+// no-data for a manifest without per-stage resources.
+//
+// Then, for every entry of "stage_sums" (the library's stages summed by
+// name over gateways and threads), it prints the calls, self wall seconds,
+// self CPU seconds of the running threads, that CPU's share of the summed
+// self CPU of all rows, and self minor faults; the diagnosis names the
+// stage with the largest self CPU.
 //
 // Exit codes: 0 report printed, 2 usage or artifact error.
 #include <cstdint>
@@ -47,36 +51,45 @@ const char* Verdict(const StageRow& row, int threads) {
   return efficiency >= 0.75 ? "scales" : "partial";
 }
 
-// Percentile from an ExportJson histogram node ({"count", "sum",
-// "buckets": [{"le": bound|"+inf", "count": n}, ...]}), mirroring
-// obs::HistogramPercentile (linear interpolation, overflow clamps to the
-// highest finite bound).
-double JsonHistogramPercentile(const JsonValue& hist, double quantile) {
-  const double count = hist.NumberOr("count", 0);
-  const JsonValue* buckets = hist.Find("buckets");
-  if (count <= 0 || buckets == nullptr || !buckets->is_array()) return 0.0;
-  const double target = quantile * count;
-  double cumulative = 0.0;
-  double last_finite = 0.0;
-  double lower = 0.0;
-  for (const JsonValue& bucket : buckets->array_items()) {
-    const JsonValue* le = bucket.Find("le");
-    const double in_bucket = bucket.NumberOr("count", 0);
-    const bool finite = le != nullptr && le->is_number();
-    const double upper = finite ? le->number_value() : last_finite;
-    if (finite) last_finite = upper;
-    if (in_bucket > 0 && cumulative + in_bucket >= target) {
-      if (!finite) return last_finite;
-      return lower + (upper - lower) * (target - cumulative) / in_bucket;
-    }
-    cumulative += in_bucket;
-    if (finite) lower = upper;
+struct SumRow {
+  std::string stage;
+  double calls = 0.0;
+  double self_wall = 0.0;
+  double self_cpu = 0.0;
+  double self_minor_faults = 0.0;
+};
+
+// The "stage_sums" table and its totals line, in manifest order. Returns the
+// row with the largest self CPU (the first of equals), or null for no rows.
+const SumRow* PrintStageSums(const std::vector<SumRow>& sums) {
+  double total_wall = 0.0;
+  double total_cpu = 0.0;
+  for (const SumRow& row : sums) {
+    total_wall += row.self_wall;
+    total_cpu += row.self_cpu;
   }
-  return last_finite;
+  std::printf("%-28s %8s %11s %10s %6s %12s\n", "library_stage", "calls",
+              "self_wall_s", "self_cpu_s", "share", "self_minflt");
+  const SumRow* top = nullptr;
+  for (const SumRow& row : sums) {
+    if (top == nullptr || row.self_cpu > top->self_cpu) top = &row;
+    char share[16];
+    if (total_cpu > 0.0) {
+      std::snprintf(share, sizeof(share), "%5.1f%%",
+                    100.0 * row.self_cpu / total_cpu);
+    } else {
+      std::snprintf(share, sizeof(share), "%6s", "n/a");
+    }
+    std::printf("%-28s %8.0f %11.3f %10.3f %s %12.0f\n", row.stage.c_str(),
+                row.calls, row.self_wall, row.self_cpu, share,
+                row.self_minor_faults);
+  }
+  std::printf("library totals: self_wall=%.3fs self_cpu=%.3fs\n", total_wall,
+              total_cpu);
+  return top;
 }
 
-int Run(const ParsedArgs& args) {
-  const std::string& manifest_path = args.positional[0];
+int Run(const std::string& manifest_path) {
   auto parsed = ReadJsonFile(manifest_path);
   if (!parsed.ok()) {
     std::fprintf(stderr, "homets_profile: %s\n",
@@ -112,6 +125,18 @@ int Run(const ParsedArgs& args) {
   if (schema_version < 2) {
     std::printf("note: manifest schema v%g predates per-stage resources; "
                 "cpu/efficiency columns will read n/a\n", schema_version);
+  }
+
+  std::vector<SumRow> sums;
+  if (const JsonValue* node = root.Find("stage_sums");
+      node != nullptr && node->is_array()) {
+    for (const JsonValue& entry : node->array_items()) {
+      sums.push_back(SumRow{entry.StringOr("stage", "?"),
+                            entry.NumberOr("calls", 0),
+                            entry.NumberOr("self_seconds", 0),
+                            entry.NumberOr("self_cpu_seconds", 0),
+                            entry.NumberOr("self_minor_faults", 0)});
+    }
   }
 
   std::vector<StageRow> rows;
@@ -166,6 +191,7 @@ int Run(const ParsedArgs& args) {
       any_efficiency ? weighted_efficiency / timed_wall : 0.0;
   std::printf("totals: wall=%.3fs cpu=%.3fs efficiency=%.2f\n", total_wall,
               total_cpu, overall_eff);
+  const SumRow* top = sums.empty() ? nullptr : PrintStageSums(sums);
 
   // The headline diagnosis: what bounds this run's scaling.
   if (used > hardware && hardware > 0) {
@@ -187,24 +213,9 @@ int Run(const ParsedArgs& args) {
                 "resources)\n");
   }
 
-  if (args.Has("metrics")) {
-    const std::string metrics_path = args.GetString("metrics");
-    auto metrics_parsed = ReadJsonFile(metrics_path);
-    if (!metrics_parsed.ok()) {
-      std::fprintf(stderr, "homets_profile: %s\n",
-                   metrics_parsed.status().message().c_str());
-      return 2;
-    }
-    const JsonValue metrics = std::move(metrics_parsed).value();
-    const char* name = "homets.threadpool.task_latency_us";
-    const JsonValue* hist = metrics.Find(name);
-    if (hist != nullptr && hist->is_object()) {
-      std::printf("%s: count=%.0f p50=%.1fus p95=%.1fus p99=%.1fus\n", name,
-                  hist->NumberOr("count", 0),
-                  JsonHistogramPercentile(*hist, 0.50),
-                  JsonHistogramPercentile(*hist, 0.95),
-                  JsonHistogramPercentile(*hist, 0.99));
-    }
+  if (top != nullptr) {
+    std::printf("diagnosis: %s has the largest self CPU, %.3fs over %.0f "
+                "calls\n", top->stage.c_str(), top->self_cpu, top->calls);
   }
   return 0;
 }
@@ -214,17 +225,15 @@ int Run(const ParsedArgs& args) {
 
 int main(int argc, char** argv) {
   std::vector<std::string> raw(argv + 1, argv + argc);
-  auto parsed = homets::ParseFlags(raw, {"metrics"});
+  auto parsed = homets::ParseFlags(raw, {});
   if (!parsed.ok()) {
     std::fprintf(stderr, "homets_profile: %s\n",
                  parsed.status().message().c_str());
     return 2;
   }
   if (parsed.value().positional.size() != 1) {
-    std::fprintf(stderr,
-                 "usage: homets_profile RUN_MANIFEST.json "
-                 "[--metrics METRICS.json]\n");
+    std::fprintf(stderr, "usage: homets_profile RUN_MANIFEST.json\n");
     return 2;
   }
-  return homets::Run(parsed.value());
+  return homets::Run(parsed.value().positional[0]);
 }

@@ -1,5 +1,7 @@
 #include "arch_pass.h"
 
+#include <algorithm>
+
 #include "text_pass.h"
 
 #include "common/strings.h"
@@ -44,6 +46,42 @@ void RunArchPass(const std::vector<SourceFile>& files,
                  StrJoin(layers->layers.at(from).deps, ", ") +
                  "} per tools/lint/layers.json; invert the dependency or "
                  "add a waiver with a rationale"});
+      }
+    }
+    // A waiver no include uses is stale: it would silently admit the edge
+    // again if the file ever regrows it.
+    for (const auto& [rel_path, targets] : layers->waivers) {
+      const SourceFile* waived = nullptr;
+      for (const SourceFile& file : files) {
+        if (file.rel_path == rel_path) waived = &file;
+      }
+      const std::string anchor =
+          waived != nullptr ? rel_path : "tools/lint/layers.json";
+      if (!TextPass::RuleEnabled(config, enabled, "layer-dag", anchor)) {
+        continue;
+      }
+      if (waived == nullptr) {
+        out->push_back({anchor, 1, "layer-dag",
+                        "edge_waivers names '" + rel_path +
+                            "', which is not in the scanned tree — delete "
+                            "the stale waiver"});
+        continue;
+      }
+      const std::string from = LayerOf(rel_path);
+      const std::vector<Include>& includes = graph.IncludesOf(rel_path);
+      for (const std::string& to : targets) {
+        const bool used =
+            !layers->Allows(from, to) &&
+            std::any_of(includes.begin(), includes.end(),
+                        [&](const Include& inc) {
+                          return LayerOf(inc.resolved) == to;
+                        });
+        if (used) continue;
+        out->push_back({anchor, 1, "layer-dag",
+                        "edge_waivers grants " + from + " -> " + to +
+                            " to this file, but none of its includes needs "
+                            "it — delete the stale waiver from "
+                            "tools/lint/layers.json"});
       }
     }
   }

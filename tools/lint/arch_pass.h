@@ -1,6 +1,7 @@
 // Architecture pass: checks the observed include graph against the declared
-// layer DAG (rule layer-dag) and rejects include cycles (rule
-// include-cycle). The layer contract lives in tools/lint/layers.json; when
+// layer DAG (rule layer-dag, which also flags edge_waivers entries that no
+// include uses or whose file is not in the tree) and rejects include cycles
+// (rule include-cycle). The layer contract lives in tools/lint/layers.json; when
 // no layer graph is supplied (e.g. fixture trees that predate it) the
 // layer-dag rule is skipped and only cycle detection runs.
 
