@@ -15,11 +15,6 @@
 //   --similarity_json=PATH     output path (default BENCH_similarity.json)
 //   --similarity_windows=N     scenario size (default 1000 windows)
 //   --similarity_only          skip the google-benchmark suite
-//   --similarity_manifest=PATH write a run manifest with one StageTimer per
-//                              engine thread count (pairwise_threads_N) —
-//                              the input tools/homets_profile diagnoses
-//   --similarity_metrics=PATH  write the final metrics registry (its
-//                              counters) as JSON
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -41,8 +36,6 @@
 #include "correlation/prepared_series.h"
 #include "distance/distance.h"
 #include "obs/json_encoder.h"
-#include "obs/metrics.h"
-#include "obs/report.h"
 #include "sax/sax.h"
 #include "simgen/fleet.h"
 #include "stats/kde.h"
@@ -337,8 +330,7 @@ void RunDominanceKernelScenario(obs::JsonEncoder* out) {
 // SimilarityEngine at several thread counts, verifies the engine output is
 // bit-identical to the legacy path and across thread counts, and writes the
 // numbers to `path` as JSON.
-void RunSimilarityScenario(const std::string& path, size_t n_windows,
-                           obs::RunManifestBuilder* manifest) {
+void RunSimilarityScenario(const std::string& path, size_t n_windows) {
   constexpr size_t kBins = 56;
   std::vector<std::vector<double>> windows;
   windows.reserve(n_windows);
@@ -358,17 +350,11 @@ void RunSimilarityScenario(const std::string& path, size_t n_windows,
   // Legacy path: every pair re-ranks and re-sorts both windows from scratch.
   std::vector<double> legacy(n_pairs);
   const auto legacy_start = Clock::now();
-  {
-    // A null manifest makes the timer a no-op, so the un-instrumented run
-    // pays nothing here.
-    obs::StageTimer stage("legacy_pairwise", manifest);
-    stage.set_units(n_pairs);
-    size_t k = 0;
-    for (size_t i = 0; i < n_windows; ++i) {
-      for (size_t j = i + 1; j < n_windows; ++j) {
-        legacy[k++] =
-            core::CorrelationSimilarity(windows[i], windows[j]).value;
-      }
+  size_t pair = 0;
+  for (size_t i = 0; i < n_windows; ++i) {
+    for (size_t j = i + 1; j < n_windows; ++j) {
+      legacy[pair++] =
+          core::CorrelationSimilarity(windows[i], windows[j]).value;
     }
   }
   const double legacy_seconds = seconds_since(legacy_start);
@@ -406,32 +392,23 @@ void RunSimilarityScenario(const std::string& path, size_t n_windows,
     double prepare_seconds = 0.0;
     double pairwise_seconds = 0.0;
     core::SimilarityMatrix matrix;
-    {
-      // One stage per thread count (warm-up + all trials, excluding the
-      // bit-compare verification below): the manifest's per-stage
-      // cpu/lock/queue deltas are what homets_profile turns into the
-      // thread-scaling diagnosis.
-      obs::StageTimer stage(StrFormat("pairwise_threads_%d", threads),
-                            manifest);
-      stage.set_units(n_pairs * static_cast<size_t>(kTrials + 1));
-      for (int trial = -1; trial < kTrials; ++trial) {
-        const core::SimilarityEngine engine(options);
-        // Prepare is inside the timed region: the legacy path pays its
-        // profiling per pair, so the engine must pay its one-time profiling
-        // here too.
-        const auto start = Clock::now();
-        const std::vector<correlation::PreparedSeries> prepared =
-            core::SimilarityEngine::PrepareVectors(windows);
-        const double trial_prepare_seconds = seconds_since(start);
-        core::SimilarityMatrix trial_matrix = engine.Pairwise(prepared);
-        const double trial_seconds = seconds_since(start);
-        if (trial < 0) continue;  // warm-up, discard
-        if (trial == 0 || trial_seconds < engine_seconds) {
-          engine_seconds = trial_seconds;
-          prepare_seconds = trial_prepare_seconds;
-          pairwise_seconds = trial_seconds - trial_prepare_seconds;
-          matrix = std::move(trial_matrix);
-        }
+    for (int trial = -1; trial < kTrials; ++trial) {
+      const core::SimilarityEngine engine(options);
+      // Prepare is inside the timed region: the legacy path pays its
+      // profiling per pair, so the engine must pay its one-time profiling
+      // here too.
+      const auto start = Clock::now();
+      const std::vector<correlation::PreparedSeries> prepared =
+          core::SimilarityEngine::PrepareVectors(windows);
+      const double trial_prepare_seconds = seconds_since(start);
+      core::SimilarityMatrix trial_matrix = engine.Pairwise(prepared);
+      const double trial_seconds = seconds_since(start);
+      if (trial < 0) continue;  // warm-up, discard
+      if (trial == 0 || trial_seconds < engine_seconds) {
+        engine_seconds = trial_seconds;
+        prepare_seconds = trial_prepare_seconds;
+        pairwise_seconds = trial_seconds - trial_prepare_seconds;
+        matrix = std::move(trial_matrix);
       }
     }
 
@@ -486,8 +463,6 @@ void RunSimilarityScenario(const std::string& path, size_t n_windows,
 
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_similarity.json";
-  std::string manifest_path;
-  std::string metrics_path;
   size_t n_windows = 1000;
   bool similarity_only = false;
   std::vector<char*> passthrough;
@@ -496,11 +471,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--similarity_json=", 0) == 0) {
       json_path = arg.substr(std::string("--similarity_json=").size());
-    } else if (arg.rfind("--similarity_manifest=", 0) == 0) {
-      manifest_path =
-          arg.substr(std::string("--similarity_manifest=").size());
-    } else if (arg.rfind("--similarity_metrics=", 0) == 0) {
-      metrics_path = arg.substr(std::string("--similarity_metrics=").size());
     } else if (arg.rfind("--similarity_windows=", 0) == 0) {
       const long parsed =
           std::atol(arg.c_str() + std::string("--similarity_windows=").size());
@@ -523,46 +493,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  obs::RunManifestBuilder manifest;
-  const bool want_manifest = !manifest_path.empty();
-  if (want_manifest) {
-    manifest.SetTool("perf_microbench");
-    std::string command = argv[0];
-    for (int i = 1; i < argc; ++i) {
-      command += ' ';
-      command += argv[i];
-    }
-    manifest.SetCommand(std::move(command));
-    manifest.SetConfig("similarity_windows",
-                       StrFormat("%zu", n_windows));
-    // "used" is the widest thread count the scenario exercises: on a box
-    // with fewer hardware threads, homets_profile's efficiency ceiling
-    // diagnosis keys off exactly this pair of numbers.
-    const int hardware = bench::HardwareThreads();
-    manifest.SetThreads(hardware, std::max(4, hardware));
-  }
-
-  RunSimilarityScenario(json_path, n_windows,
-                        want_manifest ? &manifest : nullptr);
-
-  if (want_manifest) {
-    manifest.SetExitCode(0);
-    const Status status = manifest.WriteJson(manifest_path);
-    if (!status.ok()) {
-      std::cerr << "manifest write failed: " << status.message() << "\n";
-      return 1;
-    }
-    std::cout << "run manifest -> " << manifest_path << "\n";
-  }
-  if (!metrics_path.empty()) {
-    std::ofstream metrics_out(metrics_path);
-    metrics_out << obs::MetricsRegistry::Global().ExportJson();
-    if (!metrics_out) {
-      std::cerr << "metrics write failed: " << metrics_path << "\n";
-      return 1;
-    }
-    std::cout << "metrics -> " << metrics_path << "\n";
-  }
+  RunSimilarityScenario(json_path, n_windows);
   if (similarity_only) return 0;
 
   benchmark::RunSpecifiedBenchmarks();

@@ -1,13 +1,12 @@
 #include "fleet/checkpoint.h"
 
 #include <fcntl.h>
-#include <signal.h>
+#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -15,7 +14,6 @@
 
 #include "common/failpoint.h"
 #include "common/strings.h"
-#include "obs/log.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "storage/wire.h"
@@ -285,119 +283,51 @@ Result<ShardResult> ReadShardCheckpoint(const std::string& dir,
   return result;
 }
 
-// --- checkpoint-directory hygiene -----------------------------------------
+// --- checkpoint-directory lock --------------------------------------------
 
 std::string FleetLockPath(const std::string& dir) { return dir + "/LOCK"; }
 
-std::string FleetManifestPath(const std::string& dir) {
-  return dir + "/fleet_manifest.json";
-}
+FleetLock::FleetLock(FleetLock&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)) {}
 
-namespace {
-
-/// Start time of `pid` in clock ticks since boot (field 22 of
-/// /proc/<pid>/stat), or 0 when unavailable (non-Linux, proc gone). Two
-/// processes that reuse a pid get different start ticks, so recording this
-/// beside the pid in the LOCK detects pid recycling.
-uint64_t ProcStartTicks(long long pid) {
-  const auto content =
-      ReadFileBytes(StrFormat("/proc/%lld/stat", pid));
-  if (!content.ok()) return 0;
-  // comm (field 2) may hold spaces; everything after its closing paren is
-  // plain space-separated fields, starting at field 3.
-  const size_t close = content->rfind(')');
-  if (close == std::string::npos) return 0;
-  std::istringstream fields(content->substr(close + 1));
-  std::string token;
-  for (int field = 3; field <= 22; ++field) {
-    if (!(fields >> token)) return 0;
+FleetLock& FleetLock::operator=(FleetLock&& other) noexcept {
+  if (this != &other) {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = std::exchange(other.fd_, -1);
   }
-  return std::strtoull(token.c_str(), nullptr, 10);
+  return *this;
 }
 
-}  // namespace
+FleetLock::~FleetLock() {
+  if (fd_ >= 0) ::close(fd_);
+}
 
-Status AcquireFleetLock(const std::string& dir, uint64_t fingerprint) {
-  static obs::Counter* const reclaimed =
-      obs::MetricsRegistry::Global().GetCounter(obs::kFleetLocksReclaimed);
+Result<FleetLock> AcquireFleetLock(const std::string& dir) {
   if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
     return Status::IoError("fleet: cannot create checkpoint dir '" + dir +
                            "'");
   }
   const std::string lock_path = FleetLockPath(dir);
-  // O_CREAT|O_EXCL makes creation atomic: two racing runs cannot both pass
-  // a read-then-write staleness check, only one open() can win. The loop
-  // allows exactly one reclaim of a lock judged stale; if someone else
-  // recreates the lock in that window, the second O_EXCL loses and we
-  // refuse rather than spin.
-  for (int acquire_attempt = 0; acquire_attempt < 2; ++acquire_attempt) {
-    const int fd =
-        ::open(lock_path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-    if (fd >= 0) {
-      const long long self = static_cast<long long>(::getpid());
-      const std::string body = StrFormat(
-          "%lld %016llx %llu\n", self,
-          static_cast<unsigned long long>(fingerprint),
-          static_cast<unsigned long long>(ProcStartTicks(self)));
-      const ssize_t written = ::write(fd, body.data(), body.size());
-      ::close(fd);
-      if (written != static_cast<ssize_t>(body.size())) {
-        std::remove(lock_path.c_str());
-        return Status::IoError("fleet: short write to '" + lock_path + "'");
-      }
-      return Status::OK();
-    }
-    if (errno != EEXIST) {
-      return Status::IoError("fleet: cannot create '" + lock_path + "'");
-    }
-    const auto existing = ReadFileBytes(lock_path);
-    if (!existing.ok()) continue;  // vanished under us — retry the open
-    long long pid = 0;
-    unsigned long long start_ticks = 0;  // absent in pre-token locks
-    std::sscanf(existing->c_str(), "%lld %*s %llu", &pid, &start_ticks);
-    bool pid_alive =
-        pid > 0 && (::kill(static_cast<pid_t>(pid), 0) == 0 ||
-                    errno == EPERM);
-    if (pid_alive && start_ticks != 0) {
-      const uint64_t current = ProcStartTicks(pid);
-      // A live process with a different start time recycled the pid; the
-      // lock's owner is gone. Unknown (0) stays conservative: alive.
-      if (current != 0 && current != start_ticks) pid_alive = false;
-    }
-    struct stat st = {};
-    const bool has_manifest = ::stat(FleetManifestPath(dir).c_str(), &st) == 0;
-    if (pid_alive && has_manifest &&
-        static_cast<pid_t>(pid) != ::getpid()) {
-      return Status::FailedPrecondition(
-          StrFormat("fleet: checkpoint dir '%s' is owned by live run "
-                    "(pid %lld); refusing to resume",
-                    dir.c_str(), pid));
-    }
-    obs::LogWarn("fleet", "reclaiming stale checkpoint-dir lock",
-                 {obs::LogField::Str("dir", dir),
-                  obs::LogField::Int("pid", static_cast<int64_t>(pid)),
-                  obs::LogField::Bool("pid_alive", pid_alive),
-                  obs::LogField::Bool("has_manifest", has_manifest)});
-    reclaimed->Increment();
-    std::remove(lock_path.c_str());
+  // The lock is per open file description, so a second acquire in this
+  // process is refused just like one from another process.
+  const int fd = ::open(lock_path.c_str(),
+                        O_RDWR | O_CREAT | O_CLOEXEC | O_NOFOLLOW, 0644);
+  if (fd < 0) {
+    const int err = errno;
+    return Status::IoError("fleet: cannot open '" + lock_path +
+                           "': " + std::strerror(err));
   }
-  return Status::FailedPrecondition(
-      "fleet: lost the race for '" + lock_path + "'; another run took it");
-}
-
-void ReleaseFleetLock(const std::string& dir) {
-  std::remove(FleetLockPath(dir).c_str());
-}
-
-Status WriteFleetManifest(const std::string& dir, uint64_t fingerprint,
-                          int n_shards, int n_gateways) {
-  const std::string json = StrFormat(
-      "{\n  \"schema_version\": 1,\n  \"fingerprint\": \"%016llx\",\n"
-      "  \"shards\": %d,\n  \"gateways\": %d,\n"
-      "  \"checkpoint_schema\": %llu\n}\n",
-      static_cast<unsigned long long>(fingerprint), n_shards, n_gateways,
-      static_cast<unsigned long long>(kCheckpointSchemaVersion));
-  return WriteFileBytes(FleetManifestPath(dir), json);
+  FleetLock lock(fd);
+  if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+    const int err = errno;
+    if (err == EWOULDBLOCK) {
+      return Status::FailedPrecondition(
+          "fleet: checkpoint dir '" + dir + "' is held by another run");
+    }
+    return Status::IoError("fleet: cannot lock '" + lock_path +
+                           "': " + std::strerror(err));
+  }
+  return lock;
 }
 
 }  // namespace homets::fleet

@@ -60,31 +60,34 @@ Status WriteShardCheckpoint(const std::string& dir, const ShardResult& result,
 Result<ShardResult> ReadShardCheckpoint(const std::string& dir,
                                         int shard_index, uint64_t fingerprint);
 
-// --- checkpoint-directory hygiene -----------------------------------------
+// --- checkpoint-directory lock --------------------------------------------
 
 std::string FleetLockPath(const std::string& dir);
-std::string FleetManifestPath(const std::string& dir);
 
-/// \brief Creates `dir` (one level) if needed and takes its LOCK sentinel
-/// atomically (open with O_CREAT|O_EXCL, so two racing runs cannot both
-/// win; the loser inspects the existing lock instead).
-///
-/// An existing LOCK is honoured only when it plausibly belongs to a live
-/// run: its pid is alive (with the recorded /proc start-time token, when
-/// present, ruling out a recycled pid) AND the directory still carries a
-/// fleet manifest. Anything else (dead pid, no manifest — e.g. a SIGKILLed
-/// run) is a stale lock, reclaimed with a logged warning. Refusal is
-/// FailedPrecondition.
-Status AcquireFleetLock(const std::string& dir, uint64_t fingerprint);
+/// \brief Exclusive hold on a checkpoint directory: an open descriptor of
+/// `dir/LOCK` carrying flock(LOCK_EX). The kernel drops the lock when the
+/// descriptor closes, on destruction or when the process dies (SIGKILL
+/// included), so a killed run never leaves the directory wedged. The LOCK
+/// file itself stays: unlinking it would let two runs lock different inodes.
+class FleetLock {
+ public:
+  FleetLock() = default;
+  explicit FleetLock(int fd) : fd_(fd) {}
+  FleetLock(FleetLock&& other) noexcept;
+  FleetLock& operator=(FleetLock&& other) noexcept;
+  FleetLock(const FleetLock&) = delete;
+  FleetLock& operator=(const FleetLock&) = delete;
+  ~FleetLock();
 
-/// Removes the LOCK sentinel (no-op if missing).
-void ReleaseFleetLock(const std::string& dir);
+ private:
+  int fd_ = -1;
+};
 
-/// \brief Writes the small fleet manifest recording the fingerprint and the
-/// shard layout, so operators (and the lock-staleness check) can see what
-/// run owns the directory.
-Status WriteFleetManifest(const std::string& dir, uint64_t fingerprint,
-                          int n_shards, int n_gateways);
+/// \brief Creates `dir` (one level) if needed and locks `dir/LOCK`
+/// without waiting. FailedPrecondition when another holder, in this or any
+/// other process (flock(1) included), has it; IoError when the file cannot
+/// be opened or locked, e.g. when LOCK is a symlink (O_NOFOLLOW).
+Result<FleetLock> AcquireFleetLock(const std::string& dir);
 
 }  // namespace homets::fleet
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "common/strings.h"
@@ -23,7 +22,6 @@ struct FleetMetrics {
   obs::Counter* shards_resumed;
   obs::Counter* shards_quarantined;
   obs::Counter* shard_retries;
-  obs::Counter* checkpoints_loaded;
   obs::Counter* checkpoints_discarded;
   obs::Counter* gateways_analyzed;
 };
@@ -37,28 +35,11 @@ const FleetMetrics& Metrics() {
         registry.GetCounter(obs::kFleetShardsResumed),
         registry.GetCounter(obs::kFleetShardsQuarantined),
         registry.GetCounter(obs::kFleetShardRetries),
-        registry.GetCounter(obs::kFleetCheckpointsLoaded),
         registry.GetCounter(obs::kFleetCheckpointsDiscarded),
         registry.GetCounter(obs::kFleetGatewaysAnalyzed)};
   }();
   return metrics;
 }
-
-/// Removes the LOCK sentinel when the run leaves the directory, however it
-/// leaves (success or fail-fast abort). A SIGKILL skips this —
-/// that is the stale-lock reclaim path in AcquireFleetLock.
-class FleetLockGuard {
- public:
-  explicit FleetLockGuard(std::string dir) : dir_(std::move(dir)) {}
-  FleetLockGuard(const FleetLockGuard&) = delete;
-  FleetLockGuard& operator=(const FleetLockGuard&) = delete;
-  ~FleetLockGuard() {
-    if (!dir_.empty()) ReleaseFleetLock(dir_);
-  }
-
- private:
-  std::string dir_;
-};
 
 }  // namespace
 
@@ -92,19 +73,10 @@ Result<FleetReport> FleetOrchestrator::Analyze() {
   report.zipf_bins.assign(kZipfBins, 0);
 
   const bool checkpointing = !options_.checkpoint_dir.empty();
-  std::string locked_dir;
+  // Held until Analyze returns, whichever way it returns.
+  FleetLock lock;
   if (checkpointing) {
-    HOMETS_RETURN_IF_ERROR(
-        AcquireFleetLock(options_.checkpoint_dir, fingerprint));
-    locked_dir = options_.checkpoint_dir;
-  }
-  // The guard exists from the instant the lock is held, so every exit path
-  // below — including a failed manifest write — releases the LOCK.
-  FleetLockGuard lock_guard(locked_dir);
-  if (checkpointing) {
-    HOMETS_RETURN_IF_ERROR(WriteFleetManifest(
-        options_.checkpoint_dir, fingerprint, options_.n_shards,
-        report.n_gateways));
+    HOMETS_ASSIGN_OR_RETURN(lock, AcquireFleetLock(options_.checkpoint_dir));
   }
 
   // Phase 1: load whatever valid checkpoints the directory holds.
@@ -120,7 +92,6 @@ Result<FleetReport> FleetOrchestrator::Analyze() {
       if (loaded.ok()) {
         results[s] = std::move(*loaded);
         done[s] = 1;
-        Metrics().checkpoints_loaded->Increment();
         Metrics().shards_resumed->Increment();
         ++report.shards_resumed;
         continue;
@@ -151,18 +122,7 @@ Result<FleetReport> FleetOrchestrator::Analyze() {
     outcome.shard_index = plan.shard_index;
     for (int attempt = 1; attempt <= options_.max_attempts; ++attempt) {
       outcome.attempts = attempt;
-      if (attempt > 1) {
-        Metrics().shard_retries->Increment();
-        if (options_.retry_backoff_ms > 0.0) {
-          // Cap the doubling exponent: --shard-attempts is unbounded and a
-          // shift past 63 would be UB (and the sleep absurd).
-          const double factor =
-              static_cast<double>(1ull << std::min(attempt - 2, 20));
-          std::this_thread::sleep_for(
-              std::chrono::duration<double, std::milli>(
-                  options_.retry_backoff_ms * factor));
-        }
-      }
+      if (attempt > 1) Metrics().shard_retries->Increment();
       // The per-attempt deadline is checked inline at each gateway
       // boundary; no thread watches the clock.
       const auto deadline =

@@ -20,16 +20,16 @@ namespace homets::fleet {
 struct FleetOptions {
   int n_shards = 1;
   int threads = 0;  ///< 0 = hardware concurrency
-  /// Directory for shard checkpoints + LOCK + fleet manifest; empty
-  /// disables checkpointing (and resume).
+  /// Directory for shard checkpoints and their LOCK; empty disables
+  /// checkpointing (and resume).
   std::string checkpoint_dir;
   /// Load valid checkpoints from `checkpoint_dir` and re-run only the rest.
   bool resume = false;
   /// Failed shards are quarantined and the report marked degraded; when
   /// false the first shard failure aborts the whole run (fail-fast).
   bool quarantine = true;
-  int max_attempts = 3;          ///< per-shard attempts (1 = no retry)
-  double retry_backoff_ms = 0.0; ///< base backoff, doubled per attempt
+  /// Per-shard attempts (1 = no retry); a failed attempt is retried at once.
+  int max_attempts = 3;
   double shard_deadline_ms = 0.0;  ///< per-attempt deadline; 0 = none
   io::DatasetOptions dataset;
   core::ProfilingOptions profiling;

@@ -44,7 +44,7 @@ constexpr size_t kGatewayFields = 6;
 
 struct IoMetrics {
   obs::Counter* rows_parsed;
-  obs::Counter* rows_skipped;
+  obs::Counter* blank_lines;
   obs::Counter* files_read;
   obs::Counter* rows_malformed;
   obs::Counter* rows_duplicate;
@@ -56,7 +56,7 @@ const IoMetrics& Metrics() {
   static const IoMetrics metrics = [] {
     auto& registry = obs::MetricsRegistry::Global();
     return IoMetrics{registry.GetCounter(obs::kIoRowsParsed),
-                     registry.GetCounter(obs::kIoRowsSkipped),
+                     registry.GetCounter(obs::kIoBlankLines),
                      registry.GetCounter(obs::kIoFilesRead),
                      registry.GetCounter(obs::kIngestRowsMalformed),
                      registry.GetCounter(obs::kIngestRowsDuplicate),
@@ -323,11 +323,11 @@ class AttemptCounts {
   ~AttemptCounts() {
     report_->rows_parsed = parsed;
     if (parsed > 0) Metrics().rows_parsed->Increment(parsed);
-    if (skipped > 0) Metrics().rows_skipped->Increment(skipped);
+    if (blank_lines > 0) Metrics().blank_lines->Increment(blank_lines);
   }
 
-  size_t parsed = 0;   ///< rows accepted into the result
-  size_t skipped = 0;  ///< blank lines
+  size_t parsed = 0;  ///< rows accepted into the result
+  size_t blank_lines = 0;
 
  private:
   IngestReport* report_;
@@ -397,7 +397,7 @@ Result<simgen::GatewayTrace> ReadGatewayCsvOnce(const std::string& path,
       line = owned;
     }
     if (StrTrim(line).empty()) {
-      ++counts.skipped;
+      ++counts.blank_lines;
       continue;
     }
     if (!SplitGatewayRow(line, &fields)) {

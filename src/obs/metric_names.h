@@ -69,9 +69,10 @@ inline constexpr std::string_view kStreamingWindowsEvicted =
 inline constexpr std::string_view kStreamingMotifsMerged =
     "homets.streaming.motifs_merged";
 
-// io/csv — trace ingestion.
+// io/csv — trace ingestion. blank_lines counts empty and whitespace-only
+// lines passed over; rejected rows are the homets.ingest.* counters below.
 inline constexpr std::string_view kIoRowsParsed = "homets.io.rows_parsed";
-inline constexpr std::string_view kIoRowsSkipped = "homets.io.rows_skipped";
+inline constexpr std::string_view kIoBlankLines = "homets.io.blank_lines";
 inline constexpr std::string_view kIoFilesRead = "homets.io.files_read";
 
 // io/csv resilient ingestion — ReadOptions error-policy funnel (rows
@@ -120,8 +121,7 @@ inline constexpr std::string_view kLogSuppressed = "homets.log.suppressed";
 // checkpoints_discarded counts files that existed but failed validation
 // (torn CRC, stale fingerprint, old schema); gateways_analyzed counts the
 // gateways analyzed in accepted shard results of this run (a retried
-// attempt's and a resumed checkpoint's are not counted); locks_reclaimed
-// counts stale LOCK sentinels taken over with a warning.
+// attempt's and a resumed checkpoint's are not counted).
 inline constexpr std::string_view kFleetShardsPlanned =
     "homets.fleet.shards_planned";
 inline constexpr std::string_view kFleetShardsRun =
@@ -134,14 +134,10 @@ inline constexpr std::string_view kFleetShardRetries =
     "homets.fleet.shard_retries";
 inline constexpr std::string_view kFleetCheckpointsWritten =
     "homets.fleet.checkpoints_written";
-inline constexpr std::string_view kFleetCheckpointsLoaded =
-    "homets.fleet.checkpoints_loaded";
 inline constexpr std::string_view kFleetCheckpointsDiscarded =
     "homets.fleet.checkpoints_discarded";
 inline constexpr std::string_view kFleetGatewaysAnalyzed =
     "homets.fleet.gateways_analyzed";
-inline constexpr std::string_view kFleetLocksReclaimed =
-    "homets.fleet.locks_reclaimed";
 
 // common/failpoint — fault-injection registry (counts only while armed, so
 // both stay zero in production runs).

@@ -282,71 +282,66 @@ TEST(CheckpointTest, InPlaceEditWithSameSizeInvalidatesResume) {
   EXPECT_EQ(reloaded.status().code(), StatusCode::kFailedPrecondition);
 }
 
-// --- LOCK hygiene ----------------------------------------------------------
-
-void WriteLock(const std::string& dir, long long pid) {
-  std::ofstream out(fleet::FleetLockPath(dir), std::ios::trunc);
-  out << pid << " 0000000000000000\n";
-}
+// --- checkpoint-dir lock ----------------------------------------------------
 
 TEST(FleetLockTest, RefusesDirectoryOwnedByLiveRun) {
   const std::string dir = MakeTestDir("lock_live");
-  // pid 1 is always alive; a manifest marks the dir as a real run's.
-  ASSERT_TRUE(fleet::WriteFleetManifest(dir, 7ull, 2, 4).ok());
-  WriteLock(dir, 1);
-  const Status refused = fleet::AcquireFleetLock(dir, 7ull);
-  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(refused.message().find("live run"), std::string::npos);
-  fleet::ReleaseFleetLock(dir);
+  const std::string path = WriteSmallFleet(dir);
+  const std::string ckpt = dir + "/ckpt";
+  const auto held = fleet::AcquireFleetLock(ckpt);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+
+  // The lock belongs to the open file description, so this process's own
+  // second acquire is refused like another run's.
+  const auto second = fleet::AcquireFleetLock(ckpt);
+  EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(second.status().message().find(ckpt), std::string::npos);
+
+  fleet::FleetOptions options;
+  options.n_shards = 2;
+  options.threads = 1;
+  options.checkpoint_dir = ckpt;
+  const auto report = fleet::FleetOrchestrator({path}, options).Analyze();
+  EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(std::filesystem::exists(fleet::ShardCheckpointPath(ckpt, 0)));
 }
 
-TEST(FleetLockTest, ReclaimsLockOfDeadProcess) {
-  const std::string dir = MakeTestDir("lock_dead");
-  ASSERT_TRUE(fleet::WriteFleetManifest(dir, 7ull, 2, 4).ok());
-  WriteLock(dir, 999999999);  // far past pid_max: certainly dead
-  EXPECT_TRUE(fleet::AcquireFleetLock(dir, 7ull).ok());
-  fleet::ReleaseFleetLock(dir);
+TEST(FleetLockTest, ReacquireRefusedUntilHolderIsDestroyed) {
+  const std::string dir = MakeTestDir("lock_release");
+  {
+    auto held = fleet::AcquireFleetLock(dir);
+    ASSERT_TRUE(held.ok()) << held.status().ToString();
+    // Moving the lock keeps it held; the moved-from shell releases nothing.
+    fleet::FleetLock lock;
+    lock = std::move(held).value();
+    EXPECT_EQ(fleet::AcquireFleetLock(dir).status().code(),
+              StatusCode::kFailedPrecondition);
+  }
+  EXPECT_TRUE(fleet::AcquireFleetLock(dir).ok());
+  // LOCK is never unlinked: every run locks the same inode.
+  EXPECT_TRUE(std::filesystem::exists(fleet::FleetLockPath(dir)));
 }
 
-TEST(FleetLockTest, ReclaimsLockWithoutManifest) {
-  // A SIGKILL between LOCK creation and the manifest write leaves exactly
-  // this state; it must never wedge the directory.
-  const std::string dir = MakeTestDir("lock_orphan");
-  std::remove(fleet::FleetManifestPath(dir).c_str());
-  WriteLock(dir, 1);
-  EXPECT_TRUE(fleet::AcquireFleetLock(dir, 7ull).ok());
-  fleet::ReleaseFleetLock(dir);
+TEST(FleetLockTest, LeftoverLockFileDoesNotBlock) {
+  // Whatever a finished or killed run left in LOCK (the retired pid
+  // sentinel formats included) is just a file to lock.
+  const std::string dir = MakeTestDir("lock_leftover");
+  for (const std::string body :
+       {"", "1 0000000000000000\n", "999999999 0000000000000000\n",
+        "1 0000000000000000 18446744073709551615\n", "not a lock"}) {
+    std::ofstream(fleet::FleetLockPath(dir), std::ios::trunc) << body;
+    EXPECT_TRUE(fleet::AcquireFleetLock(dir).ok()) << body;
+  }
 }
 
-TEST(FleetLockTest, OwnPidMayReacquire) {
-  const std::string dir = MakeTestDir("lock_self");
-  ASSERT_TRUE(fleet::WriteFleetManifest(dir, 7ull, 2, 4).ok());
-  ASSERT_TRUE(fleet::AcquireFleetLock(dir, 7ull).ok());
-  EXPECT_TRUE(fleet::AcquireFleetLock(dir, 7ull).ok());
-  fleet::ReleaseFleetLock(dir);
-}
-
-TEST(FleetLockTest, ReclaimsLockOfRecycledPid) {
-  // pid 1 is alive, but the recorded start-time token cannot match any real
-  // process: the original lock owner died and the pid was recycled, so the
-  // lock is stale despite the live pid.
-  const std::string dir = MakeTestDir("lock_recycled");
-  ASSERT_TRUE(fleet::WriteFleetManifest(dir, 7ull, 2, 4).ok());
-  std::ofstream(fleet::FleetLockPath(dir), std::ios::trunc)
-      << "1 0000000000000000 18446744073709551615\n";
-  EXPECT_TRUE(fleet::AcquireFleetLock(dir, 7ull).ok());
-  fleet::ReleaseFleetLock(dir);
-}
-
-TEST(FleetLockTest, BoundedAcquireLoopRefusesPersistentRacer) {
-  // A dangling symlink makes every O_CREAT|O_EXCL fail with EEXIST while
-  // the read-back finds nothing — the shape of a racer that keeps
-  // recreating the LOCK. The bounded loop must refuse, not spin or clobber.
-  const std::string dir = MakeTestDir("lock_race");
-  ASSERT_EQ(::symlink("nonexistent", fleet::FleetLockPath(dir).c_str()), 0);
-  const Status lost = fleet::AcquireFleetLock(dir, 7ull);
-  EXPECT_EQ(lost.code(), StatusCode::kFailedPrecondition);
-  std::remove(fleet::FleetLockPath(dir).c_str());
+TEST(FleetLockTest, RefusesDanglingSymlinkLock) {
+  // O_NOFOLLOW: a LOCK symlink is refused, never followed, so the run
+  // neither creates its target nor locks a file outside the directory.
+  const std::string dir = MakeTestDir("lock_symlink");
+  ASSERT_EQ(::symlink("target", fleet::FleetLockPath(dir).c_str()), 0);
+  const auto refused = fleet::AcquireFleetLock(dir);
+  EXPECT_EQ(refused.status().code(), StatusCode::kIoError);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/target"));
 }
 
 // --- orchestrator determinism ---------------------------------------------

@@ -199,13 +199,13 @@ TEST_F(GatewayCsvEdgeTest, BlankAndWhitespaceLinesSkipped) {
                                  "\t\r\n"
                                  "cam,fixed,unlabeled,1,3,4\n"
                                  "\n");
-  const uint64_t skipped_before = CounterValue(obs::kIoRowsSkipped);
+  const uint64_t blank_before = CounterValue(obs::kIoBlankLines);
   IngestReport report;
   const auto loaded = ReadGatewayCsv(path, ReadOptions{}, &report);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(report.rows_parsed, 2u);
   EXPECT_EQ(report.SkippedTotal(), 0u);
-  EXPECT_EQ(CounterValue(obs::kIoRowsSkipped), skipped_before + 4);
+  EXPECT_EQ(CounterValue(obs::kIoBlankLines), blank_before + 4);
 }
 
 TEST_F(GatewayCsvEdgeTest, SpacesAroundNumericFields) {

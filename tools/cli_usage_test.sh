@@ -13,13 +13,18 @@
 #      and stream stdout is byte-identical with and without --metrics-out.
 #   5. No execution profiler: --prof and --prof-out are unknown flags, and a
 #      metrics export carries no homets.prof.* key.
+#   6. Checkpoint-dir lock: while a flock(1) holder has DIR/LOCK, analyze
+#      --checkpoint-dir DIR exits 15 and writes no checkpoint; once the
+#      holder is SIGKILLed the same run succeeds with the stdout of a run
+#      without checkpoints. The removed --shard-backoff-ms exits 2.
 #
 # Usage: cli_usage_test.sh /path/to/homets_cli
 set -eu
 
 cli="${1:?usage: cli_usage_test.sh /path/to/homets_cli}"
 workdir=$(mktemp -d)
-trap 'rm -rf "$workdir"' EXIT
+holder=
+trap '[ -z "$holder" ] || kill -KILL "$holder" 2>/dev/null; rm -rf "$workdir"' EXIT
 fail=0
 
 check() {
@@ -155,5 +160,52 @@ check "stream metrics carry streaming counters" \
     "$workdir/stream_metrics.json"
 check "stdout identical with and without telemetry" \
     cmp -s "$workdir/stream_plain.out" "$workdir/stream_metrics.out"
+
+# --- checkpoint-dir lock ----------------------------------------------------
+"$cli" analyze --shards 2 "$workdir"/gateway_*.csv \
+    >"$workdir/analyze_plain.out" 2>"$workdir/analyze_plain.err"
+check "analyze prints a fleet report" \
+    grep -q '^fleet report: 3 gateways in 2 shards' "$workdir/analyze_plain.out"
+
+no_checkpoints() {
+    for f in "$1"/shard-*.ckpt; do
+        if [ -e "$f" ]; then return 1; fi
+    done
+}
+
+# The subshell takes the lock on fd 9 with flock(1), then becomes `sleep`:
+# one process holds the lock, so one SIGKILL frees it.
+ckpt="$workdir/ckpt"
+mkdir -p "$ckpt"
+(flock 9 && exec sleep 30) 9>"$ckpt/LOCK" >/dev/null 2>&1 &
+holder=$!
+tries=0
+while flock -n "$ckpt/LOCK" true && [ "$tries" -lt 100 ]; do
+    sleep 0.1
+    tries=$((tries + 1))
+done
+rc=0
+"$cli" analyze --shards 2 --checkpoint-dir "$ckpt" "$workdir"/gateway_*.csv \
+    >"$workdir/out" 2>"$workdir/err" || rc=$?
+check "analyze under a flock(1) holder exits 15" test "$rc" -eq 15
+check "analyze under a flock(1) holder names the held dir" \
+    grep -q 'is held by another run' "$workdir/err"
+check "analyze under a flock(1) holder writes no checkpoint" \
+    no_checkpoints "$ckpt"
+
+kill -KILL "$holder"
+wait "$holder" 2>/dev/null || true
+holder=
+rc=0
+"$cli" analyze --shards 2 --checkpoint-dir "$ckpt" "$workdir"/gateway_*.csv \
+    >"$workdir/analyze_ckpt.out" 2>"$workdir/err" || rc=$?
+check "analyze after the holder's SIGKILL exits 0" test "$rc" -eq 0
+check "analyze stdout identical with and without --checkpoint-dir" \
+    cmp -s "$workdir/analyze_plain.out" "$workdir/analyze_ckpt.out"
+
+rc=0
+"$cli" analyze --shard-backoff-ms 5 "$workdir"/gateway_*.csv \
+    >"$workdir/out" 2>"$workdir/err" || rc=$?
+check "removed flag --shard-backoff-ms exits 2" test "$rc" -eq 2
 
 exit "$fail"

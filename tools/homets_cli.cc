@@ -9,8 +9,8 @@
 //   homets_cli stream [--period daily|weekly] [--horizon N] TRACE [...]
 //   homets_cli analyze [--shards N] [--threads N] [--checkpoint-dir DIR]
 //                      [--resume] [--shard-attempts N]
-//                      [--shard-backoff-ms MS] [--shard-deadline-ms MS]
-//                      [--fail-fast] TRACE [TRACE ...]
+//                      [--shard-deadline-ms MS] [--fail-fast]
+//                      TRACE [TRACE ...]
 //
 // TRACE arguments are read through DatasetReader: `.homets` files decode as
 // the binary columnar format (DESIGN.md §11), anything else as the
@@ -99,9 +99,8 @@ int Usage() {
          "  homets_cli analyze [--shards N] [--threads N] "
          "[--checkpoint-dir DIR]\n"
          "                     [--resume] [--shard-attempts N] "
-         "[--shard-backoff-ms MS]\n"
-         "                     [--shard-deadline-ms MS] [--fail-fast] "
-         "TRACE [...]\n"
+         "[--shard-deadline-ms MS]\n"
+         "                     [--fail-fast] TRACE [...]\n"
          "common flags (all subcommands):\n"
          "  --metrics-out FILE   write end-of-run metrics as JSON\n"
          "  --trace-out FILE     write a Chrome/Perfetto trace of the run\n"
@@ -561,26 +560,23 @@ Status WriteFile(const std::string& path, const std::string& content) {
 // TRACE arguments into --shards contiguous shards, runs each shard's
 // per-gateway pipeline on the thread pool under retry/deadline machinery,
 // checkpoints completed shards under --checkpoint-dir (resumable with
-// --resume after a crash or kill), quarantines poison shards, and merges
-// everything into one deterministic fleet report on stdout.
+// --resume after a crash or kill; a directory another run holds is refused
+// with exit 15), quarantines poison shards, and merges everything into one
+// deterministic fleet report on stdout.
 int RunAnalyze(const ParsedArgs& args,
                const io::DatasetOptions& dataset_options) {
   if (args.positional.empty()) {
     std::cerr << "analyze: at least one TRACE expected\n";
     return 2;
   }
-  int64_t shards = 0, threads = 0, attempts = 0, backoff_ms = 0,
-          deadline_ms = 0;
+  int64_t shards = 0, threads = 0, attempts = 0, deadline_ms = 0;
   if (FlagIntOr(args, "shards", 1, &shards) != 0) return 2;
   if (FlagIntOr(args, "threads", 0, &threads) != 0) return 2;
   if (FlagIntOr(args, "shard-attempts", 3, &attempts) != 0) return 2;
-  if (FlagIntOr(args, "shard-backoff-ms", 0, &backoff_ms) != 0) return 2;
   if (FlagIntOr(args, "shard-deadline-ms", 0, &deadline_ms) != 0) return 2;
-  if (shards < 1 || attempts < 1 || threads < 0 || backoff_ms < 0 ||
-      deadline_ms < 0) {
+  if (shards < 1 || attempts < 1 || threads < 0 || deadline_ms < 0) {
     std::cerr << "analyze: --shards and --shard-attempts must be >= 1; "
-                 "--threads, --shard-backoff-ms and --shard-deadline-ms "
-                 "must be >= 0\n";
+                 "--threads and --shard-deadline-ms must be >= 0\n";
     return 2;
   }
   fleet::FleetOptions options;
@@ -588,7 +584,6 @@ int RunAnalyze(const ParsedArgs& args,
   options.n_shards = static_cast<int>(shards);
   options.threads = static_cast<int>(threads);
   options.max_attempts = static_cast<int>(attempts);
-  options.retry_backoff_ms = static_cast<double>(backoff_ms);
   options.shard_deadline_ms = static_cast<double>(deadline_ms);
   options.checkpoint_dir = args.GetString("checkpoint-dir");
   options.resume = args.Has("resume") && args.GetString("resume") != "0";
@@ -642,8 +637,7 @@ int main(int argc, char** argv) {
   } else if (command == "analyze") {
     known_flags = WithObsFlags({"shards", "threads", "checkpoint-dir",
                                 "resume", "shard-attempts",
-                                "shard-backoff-ms", "shard-deadline-ms",
-                                "fail-fast"});
+                                "shard-deadline-ms", "fail-fast"});
   } else {
     return Usage();
   }
