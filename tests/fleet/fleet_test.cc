@@ -322,16 +322,34 @@ TEST(FleetLockTest, ReacquireRefusedUntilHolderIsDestroyed) {
   EXPECT_TRUE(std::filesystem::exists(fleet::FleetLockPath(dir)));
 }
 
-TEST(FleetLockTest, LeftoverLockFileDoesNotBlock) {
-  // Whatever a finished or killed run left in LOCK (the retired pid
-  // sentinel formats included) is just a file to lock.
-  const std::string dir = MakeTestDir("lock_leftover");
-  for (const std::string body :
-       {"", "1 0000000000000000\n", "999999999 0000000000000000\n",
-        "1 0000000000000000 18446744073709551615\n", "not a lock"}) {
-    std::ofstream(fleet::FleetLockPath(dir), std::ios::trunc) << body;
-    EXPECT_TRUE(fleet::AcquireFleetLock(dir).ok()) << body;
+// Whatever a finished or killed run left in LOCK (the retired pid sentinel
+// formats included) is just a file to lock: no holder, no refusal.
+void ExpectLeftoverLockDoesNotBlock(const std::string& dir,
+                                    const std::string& body) {
+  std::ofstream(fleet::FleetLockPath(dir), std::ios::trunc) << body;
+  const auto lock = fleet::AcquireFleetLock(dir);
+  EXPECT_TRUE(lock.ok()) << body << ": " << lock.status().ToString();
+}
+
+TEST(FleetLockTest, ReclaimsLockOfDeadProcess) {
+  const std::string dir = MakeTestDir("lock_dead");
+  ExpectLeftoverLockDoesNotBlock(dir, "999999999 0000000000000000\n");
+}
+
+TEST(FleetLockTest, ReclaimsLockWithoutManifest) {
+  // No manifest is written any more; a LOCK naming live pid 1, an empty
+  // LOCK and one holding garbage are all free to take.
+  const std::string dir = MakeTestDir("lock_orphan");
+  for (const std::string body : {"1 0000000000000000\n", "", "not a lock"}) {
+    ExpectLeftoverLockDoesNotBlock(dir, body);
   }
+}
+
+TEST(FleetLockTest, ReclaimsLockOfRecycledPid) {
+  // pid 1 is alive, but liveness of a recorded pid no longer matters.
+  const std::string dir = MakeTestDir("lock_recycled");
+  ExpectLeftoverLockDoesNotBlock(dir,
+                                 "1 0000000000000000 18446744073709551615\n");
 }
 
 TEST(FleetLockTest, RefusesDanglingSymlinkLock) {
