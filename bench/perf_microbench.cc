@@ -249,8 +249,8 @@ void RunDominanceKernelScenario(obs::JsonEncoder* out) {
   config.unreliable_daily_prob = 0.0;
   const simgen::GatewayTrace gateway =
       simgen::FleetGenerator(config).Generate(0);
-  const core::AggregateGrid grid =
-      core::MakeAggregateGrid(gateway.AggregateTraffic());
+  core::AggregateGrid grid;
+  core::MakeAggregateGrid(gateway.AggregateTraffic(), &grid);
   const std::vector<double>& agg = grid.values;
   std::vector<double> device;
   size_t device_zeros = 0;

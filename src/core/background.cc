@@ -29,16 +29,19 @@ TauGroup ClassifyTau(double tau) {
 }
 
 Result<BackgroundThreshold> EstimateBackgroundThreshold(
-    const ts::TimeSeries& traffic) {
-  std::vector<double> observed = traffic.ObservedValues();
-  if (observed.size() < 8) {
+    const ts::TimeSeries& traffic, std::vector<double>* scratch) {
+  scratch->clear();
+  scratch->reserve(traffic.size());
+  for (const double v : traffic.values()) {
+    if (!ts::TimeSeries::IsMissing(v)) scratch->push_back(v);
+  }
+  if (scratch->size() < 8) {
     return Status::InvalidArgument(
         "EstimateBackgroundThreshold: need >= 8 observations");
   }
   BackgroundThreshold result;
-  result.observations = observed.size();
-  HOMETS_ASSIGN_OR_RETURN(result.tau,
-                          stats::UpperWhisker(std::move(observed)));
+  result.observations = scratch->size();
+  HOMETS_ASSIGN_OR_RETURN(result.tau, stats::UpperWhisker(*scratch));
   result.tau_back = std::min(result.tau, kBackgroundCapBytes);
   result.group = ClassifyTau(result.tau);
   auto& registry = obs::MetricsRegistry::Global();
@@ -59,18 +62,25 @@ Result<BackgroundThreshold> EstimateBackgroundThreshold(
 }
 
 Result<DeviceBackground> EstimateDeviceBackground(
-    const simgen::DeviceTrace& device) {
+    const simgen::DeviceTrace& device, std::vector<double>* scratch) {
   obs::StageTimer stage("background.tau");
   DeviceBackground bg;
-  HOMETS_ASSIGN_OR_RETURN(bg.incoming,
-                          EstimateBackgroundThreshold(device.incoming));
-  HOMETS_ASSIGN_OR_RETURN(bg.outgoing,
-                          EstimateBackgroundThreshold(device.outgoing));
+  HOMETS_ASSIGN_OR_RETURN(
+      bg.incoming, EstimateBackgroundThreshold(device.incoming, scratch));
+  HOMETS_ASSIGN_OR_RETURN(
+      bg.outgoing, EstimateBackgroundThreshold(device.outgoing, scratch));
   return bg;
 }
 
-Result<ts::TimeSeries> ActiveTraffic(const simgen::DeviceTrace& device,
-                                     const DeviceBackground& background) {
+Result<DeviceBackground> EstimateDeviceBackground(
+    const simgen::DeviceTrace& device) {
+  std::vector<double> scratch;
+  return EstimateDeviceBackground(device, &scratch);
+}
+
+Status ActiveTraffic(const simgen::DeviceTrace& device,
+                     const DeviceBackground& background,
+                     ts::TimeSeries* active) {
   static obs::Counter* const values_zeroed =
       obs::MetricsRegistry::Global().GetCounter(obs::kBackgroundValuesZeroed);
   const ts::TimeSeries& in = device.incoming;
@@ -97,7 +107,9 @@ Result<ts::TimeSeries> ActiveTraffic(const simgen::DeviceTrace& device,
     if (v != 0.0) ++zeroed;
     return 0.0;
   };
-  std::vector<double> sum(static_cast<size_t>((end - begin) / step));
+  // Every slot is written below, so the reused buffer needs no fill.
+  std::vector<double> sum = std::move(active->mutable_values());
+  sum.resize(static_cast<size_t>((end - begin) / step));
   for (size_t j = 0; j < sum.size(); ++j) {
     const int64_t at = static_cast<int64_t>(j);
     const double a = clipped(in, at - in_offset, in_tau);
@@ -109,35 +121,60 @@ Result<ts::TimeSeries> ActiveTraffic(const simgen::DeviceTrace& device,
     }
   }
   values_zeroed->Increment(zeroed);
-  return ts::TimeSeries(begin, step, std::move(sum));
+  *active = ts::TimeSeries(begin, step, std::move(sum));
+  return Status::OK();
 }
 
-ts::TimeSeries ActiveAggregate(
-    const simgen::GatewayTrace& gateway,
-    const std::vector<Result<DeviceBackground>>& backgrounds) {
+namespace {
+
+// The one active-aggregate sum: `total_of(d)` is device d's TotalTraffic(),
+// asked for only where the device enters unfiltered.
+template <typename TotalOf>
+void SumActive(const simgen::GatewayTrace& gateway,
+               const std::vector<Result<DeviceBackground>>& backgrounds,
+               const TotalOf& total_of, ts::TimeSeries* device_active,
+               ts::TimeSeries* active) {
   obs::StageTimer stage("background.active_aggregate");
-  ts::TimeSeries total;
+  ts::ClearKeepingBuffer(active);
   for (size_t d = 0; d < gateway.devices.size(); ++d) {
-    const simgen::DeviceTrace& device = gateway.devices[d];
-    const Result<ts::TimeSeries> active =
-        backgrounds[d].ok() ? ActiveTraffic(device, *backgrounds[d])
-                            : backgrounds[d].status();
-    if (active.ok()) {
-      ts::AddInto(&total, *active);
+    const Status filtered =
+        backgrounds[d].ok()
+            ? ActiveTraffic(gateway.devices[d], *backgrounds[d], device_active)
+            : backgrounds[d].status();
+    if (filtered.ok()) {
+      ts::AddInto(active, *device_active);
     } else {
-      ts::AddInto(&total, device.TotalTraffic());
+      ts::AddInto(active, total_of(d));
     }
   }
-  return total;
+}
+
+}  // namespace
+
+void ActiveAggregate(const simgen::GatewayTrace& gateway,
+                     const std::vector<Result<DeviceBackground>>& backgrounds,
+                     const std::vector<ts::TimeSeries>& device_totals,
+                     ts::TimeSeries* device_active, ts::TimeSeries* active) {
+  SumActive(
+      gateway, backgrounds,
+      [&](size_t d) -> const ts::TimeSeries& { return device_totals[d]; },
+      device_active, active);
 }
 
 ts::TimeSeries ActiveAggregate(const simgen::GatewayTrace& gateway) {
   std::vector<Result<DeviceBackground>> backgrounds;
   backgrounds.reserve(gateway.devices.size());
+  std::vector<double> scratch;
   for (const auto& device : gateway.devices) {
-    backgrounds.push_back(EstimateDeviceBackground(device));
+    backgrounds.push_back(EstimateDeviceBackground(device, &scratch));
   }
-  return ActiveAggregate(gateway, backgrounds);
+  ts::TimeSeries device_active;
+  ts::TimeSeries active;
+  SumActive(
+      gateway, backgrounds,
+      [&](size_t d) { return gateway.devices[d].TotalTraffic(); },
+      &device_active, &active);
+  return active;
 }
 
 }  // namespace homets::core

@@ -32,8 +32,11 @@ struct BackgroundThreshold {
 
 /// \brief Estimates τ for a traffic series (Section 6.1): the upper whisker
 /// of the boxplot of observed values. Requires at least 8 observations.
+/// The observed values are gathered into `*scratch` and selected there, so
+/// a caller that passes one buffer for every series allocates nothing once
+/// it has grown.
 Result<BackgroundThreshold> EstimateBackgroundThreshold(
-    const ts::TimeSeries& traffic);
+    const ts::TimeSeries& traffic, std::vector<double>* scratch);
 
 /// \brief Per-device, per-direction thresholds (the paper estimates τ for
 /// incoming and outgoing separately).
@@ -42,30 +45,41 @@ struct DeviceBackground {
   BackgroundThreshold outgoing;
 };
 
+/// \brief Both directions' τ, each by EstimateBackgroundThreshold on
+/// `*scratch`.
+Result<DeviceBackground> EstimateDeviceBackground(
+    const simgen::DeviceTrace& device, std::vector<double>* scratch);
+
+/// \brief EstimateDeviceBackground with a buffer of its own.
 Result<DeviceBackground> EstimateDeviceBackground(
     const simgen::DeviceTrace& device);
 
 /// \brief Zeroes values below `background`'s τ_back (per direction; missing
 /// values stay missing), the paper's background removal (Section 6.1), and
-/// returns the active-only total traffic of the device: the sum of the two
-/// clipped directions by TimeSeries::Add's rule, or Add's error for a step
-/// or phase mismatch. Counts the values it zeroes in
+/// writes the active-only total traffic of the device into `*active`,
+/// reusing its buffer: the sum of the two clipped directions by
+/// TimeSeries::Add's rule. Returns Add's error for a step or phase mismatch,
+/// leaving `*active` unchanged. Counts the values it zeroes in
 /// homets.background.values_zeroed.
-Result<ts::TimeSeries> ActiveTraffic(const simgen::DeviceTrace& device,
-                                     const DeviceBackground& background);
+Status ActiveTraffic(const simgen::DeviceTrace& device,
+                     const DeviceBackground& background,
+                     ts::TimeSeries* active);
 
-/// \brief Active-only aggregate of a gateway: each device's ActiveTraffic
-/// under its entry of `backgrounds` (indexed like GatewayTrace::devices),
-/// summed. Falls back to including a device unfiltered, as its
-/// TotalTraffic(), when its τ cannot be estimated (too few observations —
-/// e.g. brief guests).
-ts::TimeSeries ActiveAggregate(
-    const simgen::GatewayTrace& gateway,
-    const std::vector<Result<DeviceBackground>>& backgrounds);
+/// \brief Active-only aggregate of a gateway into `*active`, reusing its
+/// buffer: each device's ActiveTraffic under its entry of `backgrounds`
+/// (indexed like GatewayTrace::devices), built in `*device_active` and
+/// summed. A device whose τ cannot be estimated (too few observations —
+/// e.g. brief guests) or whose directions are on different grids enters
+/// unfiltered, as its entry of `device_totals` (its TotalTraffic()).
+void ActiveAggregate(const simgen::GatewayTrace& gateway,
+                     const std::vector<Result<DeviceBackground>>& backgrounds,
+                     const std::vector<ts::TimeSeries>& device_totals,
+                     ts::TimeSeries* device_active, ts::TimeSeries* active);
 
-/// \brief ActiveAggregate under each device's EstimateDeviceBackground: the
-/// same series as BuildGatewayPipeline(gateway).active, without the
-/// pipeline's device totals and raw aggregate.
+/// \brief The active aggregate under each device's EstimateDeviceBackground:
+/// the same series as a GatewayPipeline's `active`, without the pipeline's
+/// device totals and raw aggregate (a device enters by its TotalTraffic()
+/// only where it falls back to it).
 ts::TimeSeries ActiveAggregate(const simgen::GatewayTrace& gateway);
 
 }  // namespace homets::core

@@ -4,9 +4,7 @@
 #include <functional>
 #include <limits>
 
-#include "core/dominance_grid.h"
 #include "core/similarity.h"
-#include "correlation/prepared_series.h"
 #include "distance/distance.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -18,18 +16,18 @@ namespace homets::core {
 // (Section 6.2 uses one n for all devices of a gateway). The grid — and with
 // it the aggregate side's similarity profile — is identical for every device
 // of a gateway, so it is built (and prepared) once and reused across devices.
-AggregateGrid MakeAggregateGrid(const ts::TimeSeries& aggregate) {
-  AggregateGrid grid;
-  grid.step = aggregate.step_minutes();
-  grid.minutes.reserve(aggregate.size());
-  grid.values.reserve(aggregate.size());
+void MakeAggregateGrid(const ts::TimeSeries& aggregate, AggregateGrid* grid) {
+  grid->step = aggregate.step_minutes();
+  grid->minutes.clear();
+  grid->values.clear();
+  grid->minutes.reserve(aggregate.size());
+  grid->values.reserve(aggregate.size());
   for (size_t i = 0; i < aggregate.size(); ++i) {
     const double agg = aggregate[i];
     if (ts::TimeSeries::IsMissing(agg)) continue;
-    grid.minutes.push_back(aggregate.MinuteAt(i));
-    grid.values.push_back(agg);
+    grid->minutes.push_back(aggregate.MinuteAt(i));
+    grid->values.push_back(agg);
   }
-  return grid;
 }
 
 void DeviceOnGrid(const ts::TimeSeries& device_total,
@@ -77,27 +75,38 @@ std::vector<DominantDevice> RankAndFilter(
 
 // The one Definition 4 device scan: every device's series (from
 // `device_series`, null to skip the device) on `aggregate`'s grid against
-// the aggregate, prepared once.
+// the aggregate, prepared once. Each series is profiled in place in `*ws`.
 std::vector<DominantDevice> ScanDevices(
     const simgen::GatewayTrace& gateway, const ts::TimeSeries& aggregate,
     const std::function<const ts::TimeSeries*(size_t)>& device_series,
-    const DominanceOptions& options) {
+    const DominanceOptions& options, DominanceWorkspace* ws) {
   if (aggregate.empty()) return {};
   SimilarityOptions sim_options;
   sim_options.alpha = options.alpha;
-  const AggregateGrid grid = MakeAggregateGrid(aggregate);
-  const correlation::PreparedSeries prepared_aggregate =
-      correlation::PreparedSeries::Make(grid.values);
+  // Every buffer gets room for the whole aggregate, so a reused workspace
+  // grows with the gateways' length only, never with one device's grid,
+  // zeros or tie groups.
+  const size_t n = aggregate.size();
+  MakeAggregateGrid(aggregate, &ws->grid);
+  ws->device_values.reserve(n);
+  ws->aggregate.Reserve(n);
+  ws->device.Reserve(n);
+  ws->sort.items.reserve(n);
+  ws->sort.spare.reserve(n);
+  ws->pair.ids.reserve(n);
+  ws->pair.tree.reserve(n);
+  ws->pair.tie_counts.reserve(n);
+  ws->aggregate.Profile(&ws->grid.values, correlation::kAllProfiles,
+                        &ws->sort);
   std::vector<DominantDevice> candidates;
-  std::vector<double> device_values;
-  correlation::PairWorkspace workspace;
   for (size_t d = 0; d < gateway.devices.size(); ++d) {
     const ts::TimeSeries* series = device_series(d);
     if (series == nullptr) continue;
-    DeviceOnGrid(*series, grid, &device_values);
+    DeviceOnGrid(*series, ws->grid, &ws->device_values);
+    ws->device.Profile(&ws->device_values, correlation::kAllProfiles,
+                       &ws->sort);
     const SimilarityResult sim = CorrelationSimilarity(
-        correlation::PreparedSeries::Make(device_values), prepared_aggregate,
-        sim_options, &workspace);
+        ws->device, ws->aggregate, sim_options, &ws->pair);
     DominantDevice candidate;
     candidate.device_index = d;
     candidate.similarity = sim.value;
@@ -112,11 +121,11 @@ std::vector<DominantDevice> ScanDevices(
 std::vector<DominantDevice> FindDominantDevices(
     const simgen::GatewayTrace& gateway, const ts::TimeSeries& aggregate,
     const std::vector<ts::TimeSeries>& device_totals,
-    const DominanceOptions& options) {
+    const DominanceOptions& options, DominanceWorkspace* workspace) {
   obs::StageTimer stage("dominance.find");
   return ScanDevices(
       gateway, aggregate, [&](size_t d) { return &device_totals[d]; },
-      options);
+      options, workspace);
 }
 
 std::vector<DominantDevice> FindDominantDevices(
@@ -127,7 +136,8 @@ std::vector<DominantDevice> FindDominantDevices(
     totals.push_back(device.TotalTraffic());
     ts::AddInto(&aggregate, totals.back());
   }
-  return FindDominantDevices(gateway, aggregate, totals, options);
+  DominanceWorkspace workspace;
+  return FindDominantDevices(gateway, aggregate, totals, options, &workspace);
 }
 
 std::vector<DominantDevice> FindDominantDevicesInWindow(
@@ -153,19 +163,21 @@ std::vector<DominantDevice> FindDominantDevicesInWindow(
   };
   // A device whose series does not reach into the window is not ranked.
   ts::TimeSeries device_window;
+  DominanceWorkspace workspace;
   return ScanDevices(
       gateway, window_of(gateway.AggregateTraffic()),
       [&](size_t d) -> const ts::TimeSeries* {
         device_window = window_of(gateway.devices[d].TotalTraffic());
         return device_window.empty() ? nullptr : &device_window;
       },
-      options);
+      options, &workspace);
 }
 
 std::vector<size_t> RankDevicesByEuclidean(
     const simgen::GatewayTrace& gateway) {
   const ts::TimeSeries aggregate = gateway.AggregateTraffic();
-  const AggregateGrid grid = MakeAggregateGrid(aggregate);
+  AggregateGrid grid;
+  MakeAggregateGrid(aggregate, &grid);
   std::vector<std::pair<double, size_t>> keyed;
   std::vector<double> device_values;
   for (size_t d = 0; d < gateway.devices.size(); ++d) {

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/dominance_grid.h"
+#include "correlation/prepared_series.h"
 #include "simgen/types.h"
 #include "ts/time_series.h"
 
@@ -25,17 +27,33 @@ struct DominanceOptions {
   size_t max_devices = 3;
 };
 
+/// \brief The week-long buffers of one Definition 4 scan. A caller that
+/// scans many gateways keeps one and passes it to every scan, so that once
+/// the first gateway has sized the buffers no scan allocates week-sized
+/// memory. Each scan rewrites every buffer before it reads it; nothing
+/// carries over from one scan to the next.
+struct DominanceWorkspace {
+  /// The aggregate's grid. Its `values` are handed to `aggregate` by
+  /// PreparedSeries::Profile, so after a scan they hold a spare buffer.
+  AggregateGrid grid;
+  std::vector<double> device_values;      ///< one device on the grid
+  correlation::PreparedSeries aggregate;  ///< the aggregate, profiled
+  correlation::PreparedSeries device;     ///< one device, profiled
+  correlation::ProfileScratch sort;       ///< the radix sort's buffers
+  correlation::PairWorkspace pair;        ///< the kernels' per-pair buffers
+};
+
 /// \brief Definition 4: devices whose correlation similarity with the
 /// gateway's aggregate traffic exceeds φ, ranked by descending similarity.
 ///
 /// Uses the raw per-minute counters over the gateway's whole trace, like the
 /// paper's 4-week dominance analysis: `aggregate` is the gateway's
 /// AggregateTraffic() and `device_totals[d]` is device d's TotalTraffic(),
-/// as a GatewayPipeline holds them.
+/// as a GatewayPipeline holds them. The scan runs in `*workspace`.
 std::vector<DominantDevice> FindDominantDevices(
     const simgen::GatewayTrace& gateway, const ts::TimeSeries& aggregate,
     const std::vector<ts::TimeSeries>& device_totals,
-    const DominanceOptions& options = {});
+    const DominanceOptions& options, DominanceWorkspace* workspace);
 
 /// \brief FindDominantDevices on totals and aggregate computed from
 /// `gateway`.

@@ -17,8 +17,9 @@ struct AggregateGrid {
   int64_t step = 1;
 };
 
-/// \brief The observed bins of `aggregate`, with their minutes and values.
-AggregateGrid MakeAggregateGrid(const ts::TimeSeries& aggregate);
+/// \brief The observed bins of `aggregate`, with their minutes and values,
+/// into `*grid`, reusing its buffers.
+void MakeAggregateGrid(const ts::TimeSeries& aggregate, AggregateGrid* grid);
 
 /// \brief `device_total` on `grid` into `*device_values`: minutes where the
 /// gateway reported but the device did not (outside its span, off the grid

@@ -3,29 +3,37 @@
 #include <algorithm>
 #include <array>
 
+#include "common/reuse.h"
 #include "common/strings.h"
 #include "obs/trace.h"
 
 namespace homets::core {
 
-GatewayPipeline BuildGatewayPipeline(const simgen::GatewayTrace& gateway) {
+void BuildGatewayPipeline(const simgen::GatewayTrace& gateway,
+                          GatewayWorkspace* workspace) {
   obs::StageTimer stage("core.gateway_pipeline");
-  GatewayPipeline pipeline;
-  pipeline.backgrounds.reserve(gateway.devices.size());
-  pipeline.device_totals.reserve(gateway.devices.size());
-  for (const auto& device : gateway.devices) {
-    pipeline.backgrounds.push_back(EstimateDeviceBackground(device));
+  GatewayPipeline& pipeline = workspace->pipeline;
+  const size_t n = gateway.devices.size();
+  pipeline.backgrounds.clear();
+  pipeline.backgrounds.reserve(n);
+  ResizeKeepingElements(&pipeline.device_totals, n, &workspace->spare_totals);
+  ts::ClearKeepingBuffer(&pipeline.aggregate);
+  for (size_t d = 0; d < n; ++d) {
+    const simgen::DeviceTrace& device = gateway.devices[d];
+    pipeline.backgrounds.push_back(
+        EstimateDeviceBackground(device, &workspace->observed));
     obs::StageTimer totals("core.totals_and_aggregate");
-    pipeline.device_totals.push_back(device.TotalTraffic());
-    ts::AddInto(&pipeline.aggregate, pipeline.device_totals.back());
+    device.TotalTraffic(&pipeline.device_totals[d]);
+    ts::AddInto(&pipeline.aggregate, pipeline.device_totals[d]);
   }
-  pipeline.active = ActiveAggregate(gateway, pipeline.backgrounds);
-  return pipeline;
+  ActiveAggregate(gateway, pipeline.backgrounds, pipeline.device_totals,
+                  &workspace->device_active, &pipeline.active);
 }
 
 Result<GatewayProfile> ProfileGateway(const simgen::GatewayTrace& gateway,
                                       const GatewayPipeline& pipeline,
-                                      const ProfilingOptions& options) {
+                                      const ProfilingOptions& options,
+                                      DominanceWorkspace* dominance) {
   GatewayProfile profile;
   profile.gateway_id = gateway.id;
 
@@ -40,7 +48,7 @@ Result<GatewayProfile> ProfileGateway(const simgen::GatewayTrace& gateway,
   // Dominance + resident lower bound (Section 6.2).
   profile.dominant_devices =
       FindDominantDevices(gateway, pipeline.aggregate, pipeline.device_totals,
-                          options.dominance);
+                          options.dominance, dominance);
   profile.min_residents = std::max<size_t>(1, profile.dominant_devices.size());
 
   // Weekly strong stationarity on aggregated active traffic.
@@ -96,7 +104,10 @@ Result<GatewayProfile> ProfileGateway(const simgen::GatewayTrace& gateway,
 
 Result<GatewayProfile> ProfileGateway(const simgen::GatewayTrace& gateway,
                                       const ProfilingOptions& options) {
-  return ProfileGateway(gateway, BuildGatewayPipeline(gateway), options);
+  GatewayWorkspace workspace;
+  BuildGatewayPipeline(gateway, &workspace);
+  return ProfileGateway(gateway, workspace.pipeline, options,
+                        &workspace.dominance);
 }
 
 std::string FormatProfile(const GatewayProfile& profile) {

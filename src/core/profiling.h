@@ -26,13 +26,35 @@ struct GatewayPipeline {
   std::vector<ts::TimeSeries> device_totals;
   /// GatewayTrace::AggregateTraffic(): the raw sum of `device_totals`.
   ts::TimeSeries aggregate;
-  /// ActiveAggregate(gateway, backgrounds): the background-free aggregate.
+  /// The background-free aggregate: ActiveAggregate under `backgrounds`,
+  /// with `device_totals` for the devices whose τ failed.
   ts::TimeSeries active;
 };
 
+/// \brief The week-long buffers of one gateway's pass: its decoded columns,
+/// its GatewayPipeline and the scratch of τ, the active aggregate and
+/// Definition 4. One fleet worker keeps one and reuses it for every gateway
+/// it analyzes, so that once the first gateway has sized the buffers later
+/// gateways allocate nothing week-sized (DESIGN.md §15.1). Every buffer is
+/// fully rewritten before it is read; nothing carries over between
+/// gateways.
+struct GatewayWorkspace {
+  simgen::GatewayTrace trace;  ///< the gateway, decoded in place
+  /// Devices and device totals beyond the current gateway's count, kept
+  /// with their buffers for a later gateway with more devices.
+  std::vector<simgen::DeviceTrace> spare_devices;
+  std::vector<ts::TimeSeries> spare_totals;
+  GatewayPipeline pipeline;      ///< built by BuildGatewayPipeline
+  std::vector<double> observed;  ///< one direction's observed values (τ)
+  ts::TimeSeries device_active;  ///< one device's active traffic
+  DominanceWorkspace dominance;  ///< Definition 4's scan
+};
+
 /// \brief Computes every GatewayPipeline field from `gateway`, device by
-/// device.
-GatewayPipeline BuildGatewayPipeline(const simgen::GatewayTrace& gateway);
+/// device, into `workspace->pipeline`, reusing the workspace's buffers.
+/// `gateway` may be `workspace->trace`.
+void BuildGatewayPipeline(const simgen::GatewayTrace& gateway,
+                          GatewayWorkspace* workspace);
 
 /// \brief High-level profile of one gateway — the "high level profiling of
 /// gateways" the paper says dominant-device knowledge enables for ISPs
@@ -69,14 +91,17 @@ struct ProfilingOptions {
 };
 
 /// \brief Computes the full profile of a gateway from its trace and the
-/// trace's GatewayPipeline. Fails only when the active aggregate holds no
-/// observation; a trace shorter than two weekly windows still profiles, as
-/// not weekly stationary with a weakest week pair cor of 0.
+/// trace's GatewayPipeline, with Definition 4 scanned in `*dominance`.
+/// Fails only when the active aggregate holds no observation; a trace
+/// shorter than two weekly windows still profiles, as not weekly stationary
+/// with a weakest week pair cor of 0.
 Result<GatewayProfile> ProfileGateway(const simgen::GatewayTrace& gateway,
                                       const GatewayPipeline& pipeline,
-                                      const ProfilingOptions& options = {});
+                                      const ProfilingOptions& options,
+                                      DominanceWorkspace* dominance);
 
-/// \brief ProfileGateway on BuildGatewayPipeline(gateway).
+/// \brief ProfileGateway on the pipeline of `gateway`, built in a
+/// workspace of its own.
 Result<GatewayProfile> ProfileGateway(const simgen::GatewayTrace& gateway,
                                       const ProfilingOptions& options = {});
 

@@ -50,35 +50,34 @@ void AddTieGroup(size_t size, TieSums* s) {
   s->pair_raw += t * (t - 1.0);
 }
 
-// A non-zero, non-NaN value and its index. The key orders like the value:
-// a negative value's bits are flipped (larger magnitude, smaller key), a
-// positive value gets its sign bit set (above every negative). Equal keys
-// are equal doubles, since only the two zeros share a value across bit
-// patterns and zeros never get a key.
-struct KeyedIndex {
-  uint64_t key;
-  uint32_t index;
-};
+using KeyedIndex = ProfileScratch::KeyedIndex;
 
+// A non-zero, non-NaN value's key orders like the value: a negative value's
+// bits are flipped (larger magnitude, smaller key), a positive value gets its
+// sign bit set (above every negative). Equal keys are equal doubles, since
+// only the two zeros share a value across bit patterns and zeros never get a
+// key.
 uint64_t RadixKey(double v) {
   const uint64_t bits = std::bit_cast<uint64_t>(v);
   return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
 }
 
-// Stable LSD radix sort of `items` by key, one byte per pass. A pass whose
-// byte is the same in every key would keep the order, so it is skipped:
-// integer byte counts leave the low mantissa bytes all zero. The scratch
-// buffer is freed on return, before the caller allocates the profiles.
-void RadixSortByKey(std::vector<KeyedIndex>* items) {
-  const size_t m = items->size();
+// Stable LSD radix sort of `scratch->items` by key, one byte per pass. A
+// pass whose byte is the same in every key would keep the order, so it is
+// skipped: integer byte counts leave the low mantissa bytes all zero. The
+// passes alternate between `items` and `spare`; the sorted run ends in
+// `items`, and both buffers keep their capacity for the next sort.
+void RadixSortByKey(ProfileScratch* scratch) {
+  std::vector<KeyedIndex>& items = scratch->items;
+  const size_t m = items.size();
   if (m < 2) return;
   std::array<std::array<uint32_t, 256>, 8> counts{};
-  for (const KeyedIndex& item : *items) {
+  for (const KeyedIndex& item : items) {
     for (size_t d = 0; d < 8; ++d) ++counts[d][(item.key >> (8 * d)) & 0xFF];
   }
-  std::vector<KeyedIndex> scratch(m);
-  KeyedIndex* src = items->data();
-  KeyedIndex* dst = scratch.data();
+  scratch->spare.resize(m);
+  KeyedIndex* src = items.data();
+  KeyedIndex* dst = scratch->spare.data();
   for (size_t d = 0; d < 8; ++d) {
     const size_t shift = 8 * d;
     std::array<uint32_t, 256>& next = counts[d];
@@ -95,7 +94,7 @@ void RadixSortByKey(std::vector<KeyedIndex>* items) {
     }
     std::swap(src, dst);
   }
-  if (src != items->data()) items->swap(scratch);
+  if (src != items.data()) items.swap(scratch->spare);
 }
 
 // Pearson over NaN-free equal-length vectors given each side's moments.
@@ -238,29 +237,53 @@ Result<CorrelationTest> KendallProfiled(const PreparedSeries& x,
 PreparedSeries PreparedSeries::Make(std::vector<double> values,
                                     uint32_t profiles) {
   PreparedSeries p;
-  p.values_ = std::move(values);
-  for (double v : p.values_) {
+  p.Profile(&values, profiles);
+  return p;
+}
+
+void PreparedSeries::Reserve(size_t n) {
+  values_.reserve(n);
+  ranks_.reserve(n);
+  sort_order_.reserve(n);
+  group_offsets_.reserve(n + 1);
+}
+
+void PreparedSeries::Profile(std::vector<double>* values, uint32_t profiles,
+                             ProfileScratch* scratch) {
+  values_.swap(*values);
+  has_nan_ = false;
+  profiles_ = 0;
+  mean_ = 0.0;
+  centered_ss_ = 0.0;
+  constant_ = true;
+  ranks_.clear();
+  rank_mean_ = 0.0;
+  rank_centered_ss_ = 0.0;
+  sort_order_.clear();
+  group_offsets_.clear();
+  tie_sums_ = TieSums{};
+  for (double v : values_) {
     if (std::isnan(v)) {
-      p.has_nan_ = true;
+      has_nan_ = true;
       break;
     }
   }
   // Profiles only pay off on the NaN-free fast path; degenerate series take
   // the gather fallback anyway. profiles() stays 0 so it always reports what
   // was actually materialized.
-  if (p.has_nan_ || p.values_.size() < 3) {
+  if (has_nan_ || values_.size() < 3) {
     static obs::Counter* const degenerate_fallbacks =
         obs::MetricsRegistry::Global().GetCounter(
             obs::kCorrelationDegenerateFallbacks);
     degenerate_fallbacks->Increment();
-    return p;
+    return;
   }
-  p.profiles_ = profiles;
-  const size_t n = p.values_.size();
+  profiles_ = profiles;
+  const size_t n = values_.size();
 
   if (profiles & kMomentProfile) {
-    MomentsOf(p.values_, &p.mean_, &p.centered_ss_);
-    p.constant_ = p.centered_ss_ <= 0.0;
+    MomentsOf(values_, &mean_, &centered_ss_);
+    constant_ = centered_ss_ <= 0.0;
   }
   if ((profiles & (kRankProfile | kSortProfile)) && n >= kRadixMinSize) {
     // The permutation, groups, ranks and tie sums of the comparison sort
@@ -268,43 +291,48 @@ PreparedSeries PreparedSeries::Make(std::vector<double> values,
     // already in index order, so they are placed without sorting; the other
     // values are radix sorted by key. LSD radix is stable and equal keys are
     // equal values, so the order and its runs are the stable sort's own.
+    ProfileScratch local;
+    if (scratch == nullptr) scratch = &local;
     size_t negatives = 0;
     size_t zeros = 0;
-    for (const double v : p.values_) {
+    for (const double v : values_) {
       negatives += v < 0.0 ? 1 : 0;
       zeros += v == 0.0 ? 1 : 0;
     }
     // Sort positions: negatives [0, negatives), then the zeros, then the
-    // positives. Negative keys sort below positive ones.
-    std::vector<uint32_t> order(n);
-    std::vector<KeyedIndex> items(n - zeros);
+    // positives. Negative keys sort below positive ones. The permutation is
+    // built in sort_order_, which a rank-only profile clears at the end.
+    std::vector<uint32_t>& order = sort_order_;
+    order.resize(n);
+    std::vector<KeyedIndex>& items = scratch->items;
+    items.resize(n - zeros);
     size_t zero_pos = negatives;
     size_t item = 0;
     for (uint32_t i = 0; i < n; ++i) {
-      const double v = p.values_[i];
+      const double v = values_[i];
       if (v == 0.0) {
         order[zero_pos++] = i;
       } else {
         items[item++] = {RadixKey(v), i};
       }
     }
-    RadixSortByKey(&items);
+    RadixSortByKey(scratch);
     for (size_t k = 0; k < items.size(); ++k) {
       order[k < negatives ? k : k + zeros] = items[k].index;
     }
 
     const bool ranks = profiles & kRankProfile;
     const bool sorted = profiles & kSortProfile;
-    if (ranks) p.ranks_.resize(n);
+    if (ranks) ranks_.resize(n);
     const auto tie_group = [&](size_t i, size_t j) {  // sort positions [i, j)
       if (ranks) {
         const double avg =
             (static_cast<double>(i) + static_cast<double>(j - 1)) / 2.0 + 1.0;
-        for (size_t k = i; k < j; ++k) p.ranks_[order[k]] = avg;
+        for (size_t k = i; k < j; ++k) ranks_[order[k]] = avg;
       }
       if (sorted) {
-        p.group_offsets_.push_back(static_cast<uint32_t>(i));
-        if (j - i >= 2) AddTieGroup(j - i, &p.tie_sums_);
+        group_offsets_.push_back(static_cast<uint32_t>(i));
+        if (j - i >= 2) AddTieGroup(j - i, &tie_sums_);
       }
     };
     // The runs of equal keys in items [begin, end), at sort position
@@ -320,10 +348,11 @@ PreparedSeries PreparedSeries::Make(std::vector<double> values,
     key_runs(0, negatives, 0);
     if (zeros > 0) tie_group(negatives, negatives + zeros);
     key_runs(negatives, items.size(), zeros);
-    if (ranks) MomentsOf(p.ranks_, &p.rank_mean_, &p.rank_centered_ss_);
+    if (ranks) MomentsOf(ranks_, &rank_mean_, &rank_centered_ss_);
     if (sorted) {
-      p.group_offsets_.push_back(static_cast<uint32_t>(n));
-      p.sort_order_ = std::move(order);
+      group_offsets_.push_back(static_cast<uint32_t>(n));
+    } else {
+      sort_order_.clear();
     }
   } else if (profiles & (kRankProfile | kSortProfile)) {
     // One sort serves both profiles. Sorting (value, index) pairs yields the
@@ -332,16 +361,16 @@ PreparedSeries PreparedSeries::Make(std::vector<double> values,
     // its own sort (-0.0 and 0.0 compare equal everywhere), so the ranks
     // come out bit-identical.
     std::vector<std::pair<double, uint32_t>> keyed(n);
-    for (uint32_t i = 0; i < n; ++i) keyed[i] = {p.values_[i], i};
+    for (uint32_t i = 0; i < n; ++i) keyed[i] = {values_[i], i};
     std::stable_sort(
         keyed.begin(), keyed.end(),
         [](const auto& a, const auto& b) { return a.first < b.first; });
     const bool ranks = profiles & kRankProfile;
     const bool sorted = profiles & kSortProfile;
-    if (ranks) p.ranks_.resize(n);
+    if (ranks) ranks_.resize(n);
     if (sorted) {
-      p.sort_order_.resize(n);
-      for (size_t i = 0; i < n; ++i) p.sort_order_[i] = keyed[i].second;
+      sort_order_.resize(n);
+      for (size_t i = 0; i < n; ++i) sort_order_[i] = keyed[i].second;
     }
     for (size_t i = 0; i < n;) {
       size_t j = i + 1;
@@ -350,18 +379,17 @@ PreparedSeries PreparedSeries::Make(std::vector<double> values,
       if (ranks) {
         const double avg =
             (static_cast<double>(i) + static_cast<double>(j - 1)) / 2.0 + 1.0;
-        for (size_t k = i; k < j; ++k) p.ranks_[keyed[k].second] = avg;
+        for (size_t k = i; k < j; ++k) ranks_[keyed[k].second] = avg;
       }
       if (sorted) {
-        p.group_offsets_.push_back(static_cast<uint32_t>(i));
-        if (j - i >= 2) AddTieGroup(j - i, &p.tie_sums_);
+        group_offsets_.push_back(static_cast<uint32_t>(i));
+        if (j - i >= 2) AddTieGroup(j - i, &tie_sums_);
       }
       i = j;
     }
-    if (ranks) MomentsOf(p.ranks_, &p.rank_mean_, &p.rank_centered_ss_);
-    if (sorted) p.group_offsets_.push_back(static_cast<uint32_t>(n));
+    if (ranks) MomentsOf(ranks_, &rank_mean_, &rank_centered_ss_);
+    if (sorted) group_offsets_.push_back(static_cast<uint32_t>(n));
   }
-  return p;
 }
 
 Result<CorrelationTest> Pearson(const PreparedSeries& x,

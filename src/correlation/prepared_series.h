@@ -30,6 +30,20 @@ struct TieSums {
   double pair_raw = 0.0;  ///< Σ t(t−1)
 };
 
+/// \brief The radix sort's buffers for profiling series of
+/// PreparedSeries::kRadixMinSize values or more. A caller that profiles many
+/// long series keeps one and passes it to every PreparedSeries::Profile, so
+/// the sort allocates nothing once the buffers have grown.
+struct ProfileScratch {
+  /// A non-zero, non-NaN value's order key and its index.
+  struct KeyedIndex {
+    uint64_t key;
+    uint32_t index;
+  };
+  std::vector<KeyedIndex> items;  ///< the values to sort, then sorted
+  std::vector<KeyedIndex> spare;  ///< the other buffer of each radix pass
+};
+
 /// \brief One-time O(n log n) profile of a window, reusable across every
 /// pairwise comparison the window participates in.
 ///
@@ -53,11 +67,26 @@ class PreparedSeries {
   /// windows keep the comparison sort.
   static constexpr size_t kRadixMinSize = 160;
 
-  /// Profiles `values`: one O(n) pass for the moments, one sort shared by
-  /// the rank and sort profiles (O(n log n) below kRadixMinSize values,
-  /// near-linear from there).
+  /// Profiles `values`: Profile on a fresh series with its own scratch.
   static PreparedSeries Make(std::vector<double> values,
                              uint32_t profiles = kAllProfiles);
+
+  /// Profiles this series again in place: one O(n) pass for the moments,
+  /// one sort shared by the rank and sort profiles (O(n log n) below
+  /// kRadixMinSize values, near-linear from there). The new values are
+  /// swapped in from `*values`, which gets the old values' buffer back, so
+  /// a caller that refills `*values` each time ping-pongs two buffers. Every
+  /// field is reset first, and every buffer keeps its capacity, so the
+  /// result equals Make's bit for bit and a steady-state caller allocates
+  /// nothing. `scratch` (may be null: a local one) holds the radix sort's
+  /// buffers.
+  void Profile(std::vector<double>* values, uint32_t profiles = kAllProfiles,
+               ProfileScratch* scratch = nullptr);
+
+  /// Gives every buffer room for a series of `n` values, so that profiling
+  /// series of up to `n` values in place never grows one, whatever their
+  /// tie groups.
+  void Reserve(size_t n);
 
   const std::vector<double>& values() const { return values_; }
   size_t size() const { return values_.size(); }

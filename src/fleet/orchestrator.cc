@@ -114,9 +114,13 @@ Result<FleetReport> FleetOrchestrator::Analyze() {
   // Phase 2: run the remainder on the pool, one shard per block. Each shard
   // retries locally and leaves its final Status and attempt count in its own
   // slot of `outcomes`; workers write only their own shards' slots.
+  // One gateway workspace per pool worker, reused for every gateway the
+  // worker analyzes, so the week-long buffers are sized once per worker.
   const ShardRunner runner(&inputs, options_.dataset, options_.profiling);
   std::vector<QuarantinedShard> outcomes(plans.size());
-  const auto run_shard = [&](size_t slot) {
+  std::vector<core::GatewayWorkspace> workspaces(
+      static_cast<size_t>(ResolveThreadCount(options_.threads)));
+  const auto run_shard = [&](size_t slot, core::GatewayWorkspace* workspace) {
     const ShardPlan& plan = plans[slot];
     QuarantinedShard& outcome = outcomes[slot];
     outcome.shard_index = plan.shard_index;
@@ -132,7 +136,7 @@ Result<FleetReport> FleetOrchestrator::Analyze() {
                   options_.shard_deadline_ms));
       auto result = runner.RunShard(
           plan, options_.shard_deadline_ms > 0.0 ? &deadline : nullptr,
-          static_cast<uint64_t>(attempt));
+          static_cast<uint64_t>(attempt), workspace);
       if (result.ok()) {
         Status persisted = Status::OK();
         if (checkpointing) {
@@ -161,8 +165,11 @@ Result<FleetReport> FleetOrchestrator::Analyze() {
     }
   };
   ParallelFor(pending.size(), options_.threads, 1,
-              [&](size_t begin, size_t end, int) {
-                for (size_t p = begin; p < end; ++p) run_shard(pending[p]);
+              [&](size_t begin, size_t end, int worker) {
+                for (size_t p = begin; p < end; ++p) {
+                  run_shard(pending[p],
+                            &workspaces[static_cast<size_t>(worker)]);
+                }
               });
 
   // Phase 3: merge strictly by shard index — never completion order — so

@@ -17,11 +17,13 @@ namespace homets::fleet {
 GatewaySummary SummarizeGateway(int32_t gateway_id,
                                 const simgen::GatewayTrace& trace,
                                 const core::GatewayPipeline& pipeline,
-                                const core::ProfilingOptions& profiling) {
+                                const core::ProfilingOptions& profiling,
+                                core::DominanceWorkspace* dominance) {
   GatewaySummary summary;
   summary.gateway_id = gateway_id;
   summary.devices_observed = static_cast<uint32_t>(trace.devices.size());
-  const auto profile = core::ProfileGateway(trace, pipeline, profiling);
+  const auto profile =
+      core::ProfileGateway(trace, pipeline, profiling, dominance);
   if (profile.ok()) {
     summary.eligible = true;
     summary.dominant_count =
@@ -131,7 +133,7 @@ ShardRunner::ShardRunner(const FleetInputs* inputs,
 Result<ShardResult> ShardRunner::RunShard(
     const ShardPlan& plan,
     const std::chrono::steady_clock::time_point* deadline,
-    uint64_t attempt) const {
+    uint64_t attempt, core::GatewayWorkspace* workspace) const {
   if (Failpoints::Global().armed()) {
     HOMETS_RETURN_IF_ERROR(Failpoints::Global().InjectedErrorAt(
         kFailpointFleetShardRun,
@@ -150,6 +152,8 @@ Result<ShardResult> ShardRunner::RunShard(
   // a retry starts from a clean slate and a poisoned file only fails the
   // shards that actually read it.
   std::map<size_t, io::DatasetReader> readers;
+  core::GatewayWorkspace local;
+  core::GatewayWorkspace& ws = workspace != nullptr ? *workspace : local;
   for (int g = plan.begin_gateway; g < plan.end_gateway; ++g) {
     if (deadline != nullptr && std::chrono::steady_clock::now() >= *deadline) {
       return Status::DeadlineExceeded("fleet: shard deadline passed");
@@ -163,12 +167,14 @@ Result<ShardResult> ShardRunner::RunShard(
           io::DatasetReader::Open(inputs_->paths[ref.input_index], options_));
       it = readers.emplace(ref.input_index, std::move(reader)).first;
     }
-    HOMETS_ASSIGN_OR_RETURN(const auto trace,
-                            it->second.ReadGateway(ref.gateway_index));
-    const core::GatewayPipeline pipeline = core::BuildGatewayPipeline(trace);
-    result.gateways.push_back(SummarizeGateway(g, trace, pipeline, profiling_));
+    HOMETS_RETURN_IF_ERROR(
+        it->second.ReadGateway(ref.gateway_index, &ws.trace,
+                               &ws.spare_devices));
+    core::BuildGatewayPipeline(ws.trace, &ws);
+    result.gateways.push_back(SummarizeGateway(g, ws.trace, ws.pipeline,
+                                               profiling_, &ws.dominance));
     obs::StageTimer zipf("fleet.zipf_bins");
-    for (const double v : pipeline.aggregate.values()) {
+    for (const double v : ws.pipeline.aggregate.values()) {
       if (!(v > 0.0) || std::isnan(v)) continue;
       ++result.zipf_bins[ZipfBinIndex(v)];
       ++result.values_binned;

@@ -85,13 +85,15 @@ struct GatewaySummary {
 };
 
 /// \brief The summary of one gateway: ProfileGateway's figures (when it
-/// succeeds) plus daily motifs mined from `pipeline.active`, which is
-/// reported even for an ineligible gateway. `pipeline` must be
-/// core::BuildGatewayPipeline(trace).
+/// succeeds, with Definition 4 scanned in `*dominance`) plus daily motifs
+/// mined from `pipeline.active`, which is reported even for an ineligible
+/// gateway. `pipeline` must be the one core::BuildGatewayPipeline built
+/// from `trace`.
 GatewaySummary SummarizeGateway(int32_t gateway_id,
                                 const simgen::GatewayTrace& trace,
                                 const core::GatewayPipeline& pipeline,
-                                const core::ProfilingOptions& profiling);
+                                const core::ProfilingOptions& profiling,
+                                core::DominanceWorkspace* dominance);
 
 /// Number of absolute logarithmic traffic-value bins kept per shard for the
 /// fleet-wide Zipf rank-frequency fit. Bins are fixed (half-log2 steps over
@@ -125,11 +127,13 @@ class ShardRunner {
   /// Runs the shard. `deadline` (may be nullptr) is compared with the
   /// steady clock before each gateway; once it has passed the run stops
   /// with kDeadlineExceeded. `attempt` is the 1-based retry attempt,
-  /// forwarded to the failpoint.
+  /// forwarded to the failpoint. Each gateway is decoded and analyzed in
+  /// `*workspace`, which the caller may reuse across shards (one per
+  /// worker); when it is null the shard uses a workspace of its own.
   Result<ShardResult> RunShard(
       const ShardPlan& plan,
       const std::chrono::steady_clock::time_point* deadline,
-      uint64_t attempt = 1) const;
+      uint64_t attempt = 1, core::GatewayWorkspace* workspace = nullptr) const;
 
  private:
   const FleetInputs* inputs_;

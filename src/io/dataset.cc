@@ -89,14 +89,27 @@ size_t DatasetReader::gateway_count() const {
 }
 
 Result<simgen::GatewayTrace> DatasetReader::ReadGateway(size_t index) {
+  simgen::GatewayTrace trace;
+  std::vector<simgen::DeviceTrace> spare_devices;
+  HOMETS_RETURN_IF_ERROR(ReadGateway(index, &trace, &spare_devices));
+  return trace;
+}
+
+Status DatasetReader::ReadGateway(
+    size_t index, simgen::GatewayTrace* trace,
+    std::vector<simgen::DeviceTrace>* spare_devices) {
   if (index >= gateway_count()) {
     return Status::OutOfRange(
         StrFormat("gateway %zu out of range in %s (%zu gateways)", index,
                   path_.c_str(), gateway_count()));
   }
-  if (homets_.has_value()) return homets_->ReadGateway(index);
+  if (homets_.has_value()) {
+    return homets_->ReadGateway(index, trace, spare_devices);
+  }
   report_ = IngestReport{};
-  return ReadGatewayCsv(path_, read_options_, &report_);
+  HOMETS_ASSIGN_OR_RETURN(*trace,
+                          ReadGatewayCsv(path_, read_options_, &report_));
+  return Status::OK();
 }
 
 Status WriteGatewayFile(const std::string& path,

@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "io/csv.h"
@@ -67,6 +68,13 @@ class DatasetReader {
   /// Decodes gateway `index`. Non-const because the CSV edge reads lazily
   /// and records its IngestReport here.
   Result<simgen::GatewayTrace> ReadGateway(size_t index);
+
+  /// ReadGateway into `*trace`. A .homets gateway decodes into the buffers
+  /// of the trace's device series, with `*spare_devices` as in
+  /// HometsReader::ReadGateway; a CSV one is parsed as ReadGateway does and
+  /// assigned. On error `*trace` must not be used as a gateway.
+  Status ReadGateway(size_t index, simgen::GatewayTrace* trace,
+                     std::vector<simgen::DeviceTrace>* spare_devices);
 
   /// The resilient-ingest report of the last CSV ReadGateway (empty for
   /// columnar files, which fail hard on corruption instead of skipping).

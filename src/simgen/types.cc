@@ -19,9 +19,14 @@ std::string DeviceTypeName(DeviceType type) {
 }
 
 ts::TimeSeries DeviceTrace::TotalTraffic() const {
-  auto sum = ts::TimeSeries::Add(incoming, outgoing);
+  ts::TimeSeries total;
+  TotalTraffic(&total);
+  return total;
+}
+
+void DeviceTrace::TotalTraffic(ts::TimeSeries* total) const {
   // incoming/outgoing are generated on one grid; Add cannot fail here.
-  return sum.ok() ? std::move(sum).value() : incoming;
+  if (!ts::TimeSeries::Add(incoming, outgoing, total).ok()) *total = incoming;
 }
 
 ts::TimeSeries GatewayTrace::AggregateTraffic() const {

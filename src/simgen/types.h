@@ -36,6 +36,9 @@ struct DeviceTrace {
 
   /// Total (incoming + outgoing) traffic series.
   ts::TimeSeries TotalTraffic() const;
+
+  /// TotalTraffic() into `*total`, reusing its buffer.
+  void TotalTraffic(ts::TimeSeries* total) const;
 };
 
 /// \brief One residential gateway's full trace.

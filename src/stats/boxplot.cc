@@ -42,7 +42,7 @@ Result<Boxplot> ComputeBoxplot(std::vector<double> xs, double whisker_factor) {
   return box;
 }
 
-Result<double> UpperWhisker(std::vector<double> xs, double whisker_factor) {
+Result<double> UpperWhisker(std::span<double> xs, double whisker_factor) {
   if (xs.empty()) return Status::InvalidArgument("UpperWhisker: empty input");
   if (whisker_factor < 0.0) {
     return Status::InvalidArgument("UpperWhisker: negative whisker factor");
@@ -56,7 +56,7 @@ Result<double> UpperWhisker(std::vector<double> xs, double whisker_factor) {
   // one is the minimum of what lies above it. xs[first, n) always holds the
   // n - first largest values, so q3 only selects within q1's upper part.
   size_t first = 0;
-  const auto quantile = [&xs, &first, n](double q) {
+  const auto quantile = [xs, &first, n](double q) {
     const double pos = q * static_cast<double>(n - 1);
     const size_t lo = static_cast<size_t>(pos);
     const size_t hi = std::min(lo + 1, n - 1);

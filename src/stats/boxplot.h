@@ -1,6 +1,7 @@
 #ifndef HOMETS_STATS_BOXPLOT_H_
 #define HOMETS_STATS_BOXPLOT_H_
 
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -38,9 +39,9 @@ Result<Boxplot> ComputeBoxplot(std::vector<double> xs,
 
 /// \brief ComputeBoxplot(xs, whisker_factor).upper_whisker, bit for bit, by
 /// selection instead of a full sort: O(n) expected, for callers (the paper's
-/// per-device τ) that need nothing else from the boxplot.
-Result<double> UpperWhisker(std::vector<double> xs,
-                            double whisker_factor = 1.5);
+/// per-device τ) that need nothing else from the boxplot. Selects in the
+/// caller's buffer, so `xs` comes back reordered.
+Result<double> UpperWhisker(std::span<double> xs, double whisker_factor = 1.5);
 
 }  // namespace homets::stats
 

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "common/failpoint.h"
+#include "common/reuse.h"
 #include "common/strings.h"
 #include "obs/log.h"
 #include "obs/metric_names.h"
@@ -602,13 +603,15 @@ Status DecodeChunk(const HometsReader::Rep& rep, const ChunkRef& ref,
   return Status::OK();
 }
 
-/// Decodes the chunk run `refs[first, last)` of one series into a single
-/// contiguous TimeSeries. The run must be adjacent on the minute grid; that
-/// is checked first, so the series is allocated once, sized by the
-/// footer-validated value counts, and each chunk decodes into its slice.
-Result<ts::TimeSeries> AssembleSeries(const HometsReader::Rep& rep,
-                                      const std::vector<size_t>& refs,
-                                      size_t first, size_t last) {
+/// Decodes the chunk run `refs[first, last)` of one series into `*series`,
+/// reusing its buffer. The run must be adjacent on the minute grid; that is
+/// checked first, so the buffer is sized once, by the footer-validated value
+/// counts, and each chunk decodes into its slice. A chunk that fails to
+/// decode leaves `*series` holding the run's grid with the bins decoded so
+/// far (the rest Missing), never a buffer of another series.
+Status AssembleSeries(const HometsReader::Rep& rep,
+                      const std::vector<size_t>& refs, size_t first,
+                      size_t last, ts::TimeSeries* series) {
   const int64_t start = rep.chunks[refs[first]].start_minute;
   int64_t expected = start;
   for (size_t i = first; i < last; ++i) {
@@ -618,15 +621,18 @@ Result<ts::TimeSeries> AssembleSeries(const HometsReader::Rep& rep,
     }
     expected += static_cast<int64_t>(ref.value_count);
   }
-  std::vector<double> values(static_cast<size_t>(expected - start),
-                             ts::TimeSeries::Missing());
+  std::vector<double> values = std::move(series->mutable_values());
+  values.assign(static_cast<size_t>(expected - start),
+                ts::TimeSeries::Missing());
+  Status status = Status::OK();
   double* out = values.data();
-  for (size_t i = first; i < last; ++i) {
+  for (size_t i = first; i < last && status.ok(); ++i) {
     const ChunkRef& ref = rep.chunks[refs[i]];
-    HOMETS_RETURN_IF_ERROR(DecodeChunk(rep, ref, out));
+    status = DecodeChunk(rep, ref, out);
     out += ref.value_count;
   }
-  return ts::TimeSeries(start, 1, std::move(values));
+  *series = ts::TimeSeries(start, 1, std::move(values));
+  return status;
 }
 
 }  // namespace
@@ -693,6 +699,15 @@ size_t HometsReader::chunk_count() const { return rep_->chunks.size(); }
 bool HometsReader::mmap_backed() const { return rep_->mmapped; }
 
 Result<simgen::GatewayTrace> HometsReader::ReadGateway(size_t gateway) const {
+  simgen::GatewayTrace trace;
+  std::vector<simgen::DeviceTrace> spare_devices;
+  HOMETS_RETURN_IF_ERROR(ReadGateway(gateway, &trace, &spare_devices));
+  return trace;
+}
+
+Status HometsReader::ReadGateway(
+    size_t gateway, simgen::GatewayTrace* trace,
+    std::vector<simgen::DeviceTrace>* spare_devices) const {
   obs::StageTimer stage("storage.read_gateway");
   const Rep& rep = *rep_;
   if (gateway >= rep.gateways.size()) {
@@ -701,12 +716,12 @@ Result<simgen::GatewayTrace> HometsReader::ReadGateway(size_t gateway) const {
                   rep.path.c_str(), rep.gateways.size()));
   }
   const GatewayMeta& meta = rep.gateways[gateway];
-  simgen::GatewayTrace trace;
-  trace.id = meta.id;
-  trace.surveyed_residents = meta.surveyed_residents;
-  trace.regular_home = meta.regular_home;
+  trace->id = meta.id;
+  trace->surveyed_residents = meta.surveyed_residents;
+  trace->regular_home = meta.regular_home;
+  ResizeKeepingElements(&trace->devices, meta.devices.size(), spare_devices);
   for (uint32_t d = 0; d < meta.devices.size(); ++d) {
-    simgen::DeviceTrace dev;
+    simgen::DeviceTrace& dev = trace->devices[d];
     dev.name = meta.devices[d].name;
     dev.true_type = meta.devices[d].true_type;
     dev.reported_type = meta.devices[d].reported_type;
@@ -717,14 +732,12 @@ Result<simgen::GatewayTrace> HometsReader::ReadGateway(size_t gateway) const {
         return Status::IoError(StrFormat("missing column for device %s in %s",
                                          dev.name.c_str(), rep.path.c_str()));
       }
-      HOMETS_ASSIGN_OR_RETURN(
-          ts::TimeSeries series,
-          AssembleSeries(rep, it->second, 0, it->second.size()));
-      (direction == 0 ? dev.incoming : dev.outgoing) = std::move(series);
+      HOMETS_RETURN_IF_ERROR(
+          AssembleSeries(rep, it->second, 0, it->second.size(),
+                         direction == 0 ? &dev.incoming : &dev.outgoing));
     }
-    trace.devices.push_back(std::move(dev));
   }
-  return trace;
+  return Status::OK();
 }
 
 Result<ts::TimeSeries> HometsReader::ReadSeries(size_t gateway, size_t device,
@@ -760,8 +773,8 @@ Result<ts::TimeSeries> HometsReader::ReadSeries(size_t gateway, size_t device,
     Metrics().chunks_skipped->Increment(refs.size());
     return ts::TimeSeries();  // no overlap: an empty series, not an error
   }
-  HOMETS_ASSIGN_OR_RETURN(const ts::TimeSeries assembled,
-                          AssembleSeries(rep, refs, first, last));
+  ts::TimeSeries assembled;
+  HOMETS_RETURN_IF_ERROR(AssembleSeries(rep, refs, first, last, &assembled));
   Metrics().chunks_skipped->Increment(refs.size() - (last - first));
   const int64_t clip_begin = std::max(begin_minute, assembled.start_minute());
   const int64_t clip_end = std::min(end_minute, assembled.EndMinute());

@@ -166,6 +166,15 @@ class HometsReader {
   /// (devices in stored — name-sorted — order, bit-exact values).
   Result<simgen::GatewayTrace> ReadGateway(size_t gateway) const;
 
+  /// ReadGateway into `*trace`, reusing the buffers of its devices' series:
+  /// every field is rewritten, so nothing of the trace it held before
+  /// survives a successful read. A gateway with fewer devices than `*trace`
+  /// parks the surplus in `*spare_devices`, and one with more takes them
+  /// back first (ResizeKeepingElements). On error `*trace` is partly
+  /// rewritten and must not be used as a gateway.
+  Status ReadGateway(size_t gateway, simgen::GatewayTrace* trace,
+                     std::vector<simgen::DeviceTrace>* spare_devices) const;
+
   /// Decodes only the chunks of (gateway, device, direction) overlapping
   /// [begin_minute, end_minute) and returns that range clipped to the
   /// series' coverage; bounds must be minute-aligned ints.

@@ -62,16 +62,25 @@ Status TimeSeries::CheckSameGrid(const TimeSeries& a, const TimeSeries& b) {
 }
 
 Result<TimeSeries> TimeSeries::Add(const TimeSeries& a, const TimeSeries& b) {
+  TimeSeries sum;
+  HOMETS_RETURN_IF_ERROR(Add(a, b, &sum));
+  return sum;
+}
+
+Status TimeSeries::Add(const TimeSeries& a, const TimeSeries& b,
+                       TimeSeries* sum) {
   HOMETS_RETURN_IF_ERROR(CheckSameGrid(a, b));
   const int64_t step = a.step_minutes();
   const int64_t begin = std::min(a.start_minute(), b.start_minute());
   const int64_t end = std::max(a.EndMinute(), b.EndMinute());
   const size_t n = static_cast<size_t>((end - begin) / step);
-  std::vector<double> out(n, TimeSeries::Missing());
+  std::vector<double> out = std::move(sum->values_);
+  out.assign(n, TimeSeries::Missing());
   for (const TimeSeries* s : {&a, &b}) {
     BlendInto(out.data() + (s->start_minute() - begin) / step, *s);
   }
-  return TimeSeries(begin, step, std::move(out));
+  *sum = TimeSeries(begin, step, std::move(out));
+  return Status::OK();
 }
 
 TimeSeries TimeSeries::FillMissing(double fill) const {
@@ -222,6 +231,12 @@ std::vector<TimeSeries> AggregateWindows(const TimeSeries& series,
                                     anchor_offset_minutes, AggKind::kSum);
   if (!aggregated.ok()) return {};
   return SliceWindows(*aggregated, window_minutes, anchor_offset_minutes);
+}
+
+void ClearKeepingBuffer(TimeSeries* series) {
+  std::vector<double> buffer = std::move(series->mutable_values());
+  buffer.clear();
+  *series = TimeSeries(0, 1, std::move(buffer));
 }
 
 void AddInto(TimeSeries* total, const TimeSeries& part) {

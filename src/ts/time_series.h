@@ -106,6 +106,10 @@ class TimeSeries {
   /// both inputs (a device that is absent contributes zero traffic).
   static Result<TimeSeries> Add(const TimeSeries& a, const TimeSeries& b);
 
+  /// Add(a, b) into `*sum`, reusing its buffer; `sum` must not be `a` or
+  /// `b`. Left unchanged on error.
+  static Status Add(const TimeSeries& a, const TimeSeries& b, TimeSeries* sum);
+
   /// OK when `a` and `b` share step and bin phase; otherwise Add's error.
   static Status CheckSameGrid(const TimeSeries& a, const TimeSeries& b);
 
@@ -162,6 +166,11 @@ std::vector<TimeSeries> AggregateWindows(const TimeSeries& series,
                                          int64_t granularity_minutes,
                                          int64_t window_minutes,
                                          int64_t anchor_offset_minutes);
+
+/// \brief Makes `*series` equal to a default TimeSeries (empty, start 0,
+/// step 1) but keeps its buffer's capacity: the start of a running sum that
+/// AddInto then builds without allocating.
+void ClearKeepingBuffer(TimeSeries* series);
 
 /// \brief Adds `part` into the running sum `*total` by TimeSeries::Add's
 /// rule. A part inside `*total`'s span is added in place (no allocation);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/profiling.h"
 #include "core/similarity.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -28,6 +29,20 @@ ts::TimeSeries BackgroundWithBursts(double base, double burst, size_t n,
   return ts::TimeSeries(0, 1, std::move(v));
 }
 
+// τ of one series, gathered in a buffer of its own.
+Result<BackgroundThreshold> Tau(const ts::TimeSeries& traffic) {
+  std::vector<double> scratch;
+  return EstimateBackgroundThreshold(traffic, &scratch);
+}
+
+// ActiveTraffic into a fresh series.
+Result<ts::TimeSeries> Active(const simgen::DeviceTrace& device,
+                              const DeviceBackground& background) {
+  ts::TimeSeries active;
+  HOMETS_RETURN_IF_ERROR(ActiveTraffic(device, background, &active));
+  return active;
+}
+
 TEST(TauGroupTest, PaperBoundaries) {
   EXPECT_EQ(ClassifyTau(100.0), TauGroup::kSmall);
   EXPECT_EQ(ClassifyTau(5000.0), TauGroup::kSmall);
@@ -41,7 +56,7 @@ TEST(TauGroupTest, PaperBoundaries) {
 
 TEST(BackgroundThresholdTest, TauSeparatesBackgroundFromBursts) {
   const auto traffic = BackgroundWithBursts(300.0, 1e6, 5000, 1);
-  const auto bg = EstimateBackgroundThreshold(traffic).value();
+  const auto bg = Tau(traffic).value();
   EXPECT_GT(bg.tau, 300.0);   // above the background median
   EXPECT_LT(bg.tau, 1e5);     // far below burst scale
 }
@@ -49,27 +64,23 @@ TEST(BackgroundThresholdTest, TauSeparatesBackgroundFromBursts) {
 TEST(BackgroundThresholdTest, TauBackCappedAt5000) {
   // A chatty fixed device with high background: τ_back caps at 5000.
   const auto traffic = BackgroundWithBursts(30000.0, 1e7, 5000, 2);
-  const auto bg = EstimateBackgroundThreshold(traffic).value();
+  const auto bg = Tau(traffic).value();
   EXPECT_GT(bg.tau, kBackgroundCapBytes);
   EXPECT_DOUBLE_EQ(bg.tau_back, kBackgroundCapBytes);
 }
 
 TEST(BackgroundThresholdTest, LowBackgroundTauBackIsTau) {
   const auto traffic = BackgroundWithBursts(100.0, 1e6, 5000, 3);
-  const auto bg = EstimateBackgroundThreshold(traffic).value();
+  const auto bg = Tau(traffic).value();
   if (bg.tau < kBackgroundCapBytes) {
     EXPECT_DOUBLE_EQ(bg.tau_back, bg.tau);
   }
 }
 
 TEST(BackgroundThresholdTest, GroupAssignedFromTau) {
-  const auto low = EstimateBackgroundThreshold(
-                       BackgroundWithBursts(100.0, 1e6, 3000, 4))
-                       .value();
+  const auto low = Tau(BackgroundWithBursts(100.0, 1e6, 3000, 4)).value();
   EXPECT_EQ(low.group, TauGroup::kSmall);
-  const auto high = EstimateBackgroundThreshold(
-                        BackgroundWithBursts(50000.0, 1e7, 3000, 5))
-                        .value();
+  const auto high = Tau(BackgroundWithBursts(50000.0, 1e7, 3000, 5)).value();
   EXPECT_EQ(high.group, TauGroup::kLarge);
 }
 
@@ -78,14 +89,14 @@ TEST(BackgroundThresholdTest, MissingValuesIgnored) {
   for (size_t i = 0; i < traffic.size(); i += 7) {
     traffic[i] = ts::TimeSeries::Missing();
   }
-  const auto bg = EstimateBackgroundThreshold(traffic).value();
+  const auto bg = Tau(traffic).value();
   EXPECT_LT(bg.observations, 1000u);
   EXPECT_GT(bg.tau, 0.0);
 }
 
 TEST(BackgroundThresholdTest, TooFewObservationsError) {
   ts::TimeSeries tiny(0, 1, {1, 2, 3});
-  EXPECT_FALSE(EstimateBackgroundThreshold(tiny).ok());
+  EXPECT_FALSE(Tau(tiny).ok());
 }
 
 TEST(BackgroundThresholdTest, TauMatchesFullBoxplotOnFleet) {
@@ -102,7 +113,7 @@ TEST(BackgroundThresholdTest, TauMatchesFullBoxplotOnFleet) {
     for (const auto& device : gw.devices) {
       for (const ts::TimeSeries* series :
            {&device.incoming, &device.outgoing}) {
-        const std::vector<double> observed = series->ObservedValues();
+        std::vector<double> observed = series->ObservedValues();
         if (observed.empty()) continue;
         const double boxplot =
             stats::ComputeBoxplot(observed).value().upper_whisker;
@@ -186,9 +197,9 @@ TEST(BackgroundThresholdTest, PinnedFleetThresholds) {
         ASSERT_EQ(pin.gateway, id);
         ASSERT_EQ(pin.device, d);
         ASSERT_EQ(pin.direction, direction);
-        const auto bg = EstimateBackgroundThreshold(
-            direction == kIn ? gw.devices[d].incoming
-                             : gw.devices[d].outgoing).value();
+        const auto bg = Tau(direction == kIn ? gw.devices[d].incoming
+                                             : gw.devices[d].outgoing)
+                            .value();
         SCOPED_TRACE(next);
         EXPECT_EQ(std::memcmp(&bg.tau, &pin.tau, sizeof(double)), 0)
             << bg.tau << " vs " << pin.tau;
@@ -215,7 +226,7 @@ TEST(ActiveTrafficTest, RemovesBackgroundKeepsBursts) {
   dev.incoming = BackgroundWithBursts(300.0, 1e6, 5000, 9);
   dev.outgoing = BackgroundWithBursts(50.0, 1e5, 5000, 10);
   const auto active =
-      ActiveTraffic(dev, EstimateDeviceBackground(dev).value()).value();
+      Active(dev, EstimateDeviceBackground(dev).value()).value();
   size_t zeros = 0, bursts = 0, observed = 0;
   for (double v : active.values()) {
     if (ts::TimeSeries::IsMissing(v)) continue;
@@ -233,7 +244,7 @@ TEST(ActiveTrafficTest, ActiveNeverExceedsRaw) {
   dev.incoming = BackgroundWithBursts(300.0, 1e6, 2000, 11);
   dev.outgoing = BackgroundWithBursts(60.0, 1e5, 2000, 12);
   const auto active =
-      ActiveTraffic(dev, EstimateDeviceBackground(dev).value()).value();
+      Active(dev, EstimateDeviceBackground(dev).value()).value();
   const auto raw = dev.TotalTraffic();
   for (size_t i = 0; i < active.size(); ++i) {
     if (ts::TimeSeries::IsMissing(active[i])) continue;
@@ -276,7 +287,7 @@ void ExpectActiveMatchesReference(const simgen::DeviceTrace& dev,
                           ClipBelow(dev.outgoing, bg.outgoing.tau_back));
   ASSERT_TRUE(want.ok()) << want.status().ToString();
   const uint64_t before = ValuesZeroedCounter();
-  const auto got = ActiveTraffic(dev, bg);
+  const auto got = Active(dev, bg);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(ValuesZeroedCounter() - before,
             ValuesClipped(dev.incoming, bg.incoming.tau_back) +
@@ -350,7 +361,7 @@ TEST(ActiveTrafficTest, StepOrPhaseMismatchReturnsAddsError) {
     dev.outgoing = outgoing;
     const auto want = ts::TimeSeries::Add(dev.incoming, dev.outgoing);
     const uint64_t before = ValuesZeroedCounter();
-    const auto got = ActiveTraffic(dev, Taus(10.0, 10.0));
+    const auto got = Active(dev, Taus(10.0, 10.0));
     EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(got.status().message(), want.status().message());
     EXPECT_EQ(ValuesZeroedCounter(), before);
@@ -368,6 +379,51 @@ TEST(ActiveAggregateTest, FleetGatewayProducesActiveSeries) {
   // Active mass is a strict subset of raw mass.
   EXPECT_LT(active.Sum(), gw.AggregateTraffic().Sum());
   EXPECT_GT(active.Sum(), 0.0);
+}
+
+// A device with fewer than 8 outgoing observations has no τ, so it enters
+// the active aggregate as its whole TotalTraffic(). ActiveAggregate(trace)
+// computes that total itself; the pipeline takes it from its device_totals.
+// Both must give the clip-then-Add sum of the other devices plus that total,
+// bit for bit.
+TEST(ActiveAggregateTest, ShortDirectionDeviceEntersAsItsTotal) {
+  simgen::SimConfig config;
+  config.n_gateways = 2;
+  config.weeks = 2;
+  config.seed = 23;
+  simgen::GatewayTrace gw = simgen::FleetGenerator(config).Generate(0);
+  ASSERT_GE(gw.devices.size(), 2u);
+  size_t kept = 0;
+  for (double& v : gw.devices[0].outgoing.mutable_values()) {
+    if (ts::TimeSeries::IsMissing(v)) continue;
+    if (++kept > 5) v = ts::TimeSeries::Missing();
+  }
+  ASSERT_FALSE(EstimateDeviceBackground(gw.devices[0]).ok());
+
+  ts::TimeSeries want;
+  for (const simgen::DeviceTrace& dev : gw.devices) {
+    const auto bg = EstimateDeviceBackground(dev);
+    if (!bg.ok()) {
+      ts::AddInto(&want, dev.TotalTraffic());
+      continue;
+    }
+    const auto part =
+        ts::TimeSeries::Add(ClipBelow(dev.incoming, bg->incoming.tau_back),
+                            ClipBelow(dev.outgoing, bg->outgoing.tau_back));
+    ASSERT_TRUE(part.ok());
+    ts::AddInto(&want, *part);
+  }
+  const auto same_bits = [](const ts::TimeSeries& a, const ts::TimeSeries& b) {
+    return a.start_minute() == b.start_minute() &&
+           a.step_minutes() == b.step_minutes() && a.size() == b.size() &&
+           std::memcmp(a.values().data(), b.values().data(),
+                       a.size() * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(same_bits(ActiveAggregate(gw), want));
+  GatewayWorkspace workspace;
+  BuildGatewayPipeline(gw, &workspace);
+  EXPECT_FALSE(workspace.pipeline.backgrounds[0].ok());
+  EXPECT_TRUE(same_bits(workspace.pipeline.active, want));
 }
 
 TEST(ActiveAggregateTest, RevealsMoreRegularity) {

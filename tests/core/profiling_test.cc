@@ -104,7 +104,9 @@ TEST(GatewayPipelineTest, FieldsMatchTheirDefinitions) {
   guest.outgoing = ts::TimeSeries(start, 1, {100.0, 200.0, 300.0});
   gw.devices.push_back(guest);
 
-  const GatewayPipeline pipeline = BuildGatewayPipeline(gw);
+  GatewayWorkspace workspace;
+  BuildGatewayPipeline(gw, &workspace);
+  const GatewayPipeline& pipeline = workspace.pipeline;
   ASSERT_EQ(pipeline.backgrounds.size(), gw.devices.size());
   ASSERT_EQ(pipeline.device_totals.size(), gw.devices.size());
   for (size_t d = 0; d < residents.devices.size(); ++d) {
@@ -139,11 +141,14 @@ TEST(GatewayPipelineTest, SilentGatewayHasWindowsButNoProfile) {
                                 ts::TimeSeries::Missing()));
   ghost.outgoing = ghost.incoming;
   silent.devices.push_back(ghost);
-  const GatewayPipeline pipeline = BuildGatewayPipeline(silent);
+  GatewayWorkspace workspace;
+  BuildGatewayPipeline(silent, &workspace);
+  const GatewayPipeline& pipeline = workspace.pipeline;
   EXPECT_FALSE(pipeline.backgrounds[0].ok());
   EXPECT_EQ(pipeline.active.size(), 2u * ts::kMinutesPerDay);
   EXPECT_EQ(pipeline.active.CountObserved(), 0u);
-  EXPECT_FALSE(ProfileGateway(silent, pipeline).ok());
+  EXPECT_FALSE(
+      ProfileGateway(silent, pipeline, {}, &workspace.dominance).ok());
   EXPECT_EQ(ts::AggregateWindows(pipeline.active, 180, ts::kMinutesPerDay, 0)
                 .size(),
             2u);
@@ -155,7 +160,8 @@ TEST(GatewayPipelineTest, TimesEachBoundaryUnderACollector) {
   const simgen::GatewayTrace gw = MakeGateway();
   obs::RunManifestBuilder collector;
   obs::InstallStageCollector(&collector);
-  const GatewayPipeline pipeline = BuildGatewayPipeline(gw);
+  GatewayWorkspace workspace;
+  BuildGatewayPipeline(gw, &workspace);
   obs::InstallStageCollector(nullptr);
   const std::map<std::string, obs::StageSum> sums = collector.StageSums();
   const std::map<std::string, uint64_t> expected = {

@@ -208,6 +208,89 @@ TEST(PreparedSeriesTest, ProfileContents) {
   EXPECT_DOUBLE_EQ(p.tie_sums().pairs, 1.0);
 }
 
+// Every field of two prepared series, bit for bit: the values, the flags
+// and every profile, filled or empty.
+void ExpectSameProfile(const PreparedSeries& got, const PreparedSeries& want) {
+  const auto same_doubles = [](const std::vector<double>& a,
+                               const std::vector<double>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (!SameBits(a[i], b[i])) return false;
+    }
+    return true;
+  };
+  EXPECT_TRUE(same_doubles(got.values(), want.values()));
+  EXPECT_EQ(got.has_nan(), want.has_nan());
+  EXPECT_EQ(got.profiles(), want.profiles());
+  EXPECT_TRUE(SameBits(got.mean(), want.mean()));
+  EXPECT_TRUE(SameBits(got.centered_ss(), want.centered_ss()));
+  EXPECT_EQ(got.constant(), want.constant());
+  EXPECT_TRUE(same_doubles(got.ranks(), want.ranks()));
+  EXPECT_TRUE(SameBits(got.rank_mean(), want.rank_mean()));
+  EXPECT_TRUE(SameBits(got.rank_centered_ss(), want.rank_centered_ss()));
+  EXPECT_EQ(got.sort_order(), want.sort_order());
+  EXPECT_EQ(got.group_offsets(), want.group_offsets());
+  EXPECT_TRUE(SameBits(got.tie_sums().pairs, want.tie_sums().pairs));
+  EXPECT_TRUE(SameBits(got.tie_sums().triple, want.tie_sums().triple));
+  EXPECT_TRUE(SameBits(got.tie_sums().weighted, want.tie_sums().weighted));
+  EXPECT_TRUE(SameBits(got.tie_sums().pair_raw, want.tie_sums().pair_raw));
+}
+
+// One series profiled in place again and again, with one scratch, over
+// lengths on both sides of the radix cutoff, both orders, ties, zeros of
+// both signs and a NaN, under every profile mask: each result must equal a
+// fresh Make field for field, so nothing of an earlier, longer or
+// differently masked profile survives.
+TEST(PreparedSeriesParity, ProfileInPlaceMatchesMake) {
+  Rng rng(2718);
+  const auto series_of = [&rng](size_t n, int shape) {
+    std::vector<double> v(n);
+    for (size_t i = 0; i < n; ++i) {
+      const double x = static_cast<double>(i % 7);  // ties
+      switch (shape) {
+        case 0:  // rising
+          v[i] = static_cast<double>(i) + (i % 3 == 0 ? 0.5 : 0.0);
+          break;
+        case 1:  // falling, with ties
+          v[i] = static_cast<double>(n - i) - x / 7.0 - x / 7.0;
+          break;
+        default:  // zero-inflated, both zeros, negatives
+          v[i] = rng.Bernoulli(0.6) ? (i % 2 == 0 ? 0.0 : -0.0)
+                                    : std::floor(rng.Normal() * 4.0);
+          break;
+      }
+    }
+    return v;
+  };
+  PreparedSeries reused;
+  ProfileScratch scratch;
+  std::vector<double> buffer;
+  const uint32_t masks[] = {kAllProfiles, kMomentProfile, kRankProfile,
+                            kSortProfile, kRankProfile | kSortProfile};
+  size_t step = 0;
+  for (const size_t n : {60480u, 2u, 160u, 3u, 159u, 8u, 60480u, 160u}) {
+    for (int shape = 0; shape < 3; ++shape) {
+      for (const bool with_nan : {false, true}) {
+        std::vector<double> values = series_of(n, shape);
+        if (with_nan) values[n / 2] = std::nan("");
+        const uint32_t mask = masks[step++ % 5];
+        SCOPED_TRACE(testing::Message() << "n=" << n << " shape=" << shape
+                                        << " nan=" << with_nan
+                                        << " mask=" << mask);
+        const PreparedSeries fresh = PreparedSeries::Make(values, mask);
+        buffer = values;
+        if (shape == 1) reused.Reserve(n + 1);  // room changes no contents
+        reused.Profile(&buffer, mask, &scratch);
+        ExpectSameProfile(reused, fresh);
+        if (with_nan) {
+          EXPECT_TRUE(reused.has_nan());
+          EXPECT_EQ(reused.profiles(), 0u);
+        }
+      }
+    }
+  }
+}
+
 TEST(PreparedSeriesParity, RandomSeries) {
   Rng rng(101);
   for (const size_t n : {3u, 4u, 7u, 21u, 56u, 200u}) {
@@ -307,8 +390,8 @@ DeviceGridPair ZeroHeavyDeviceGridPair() {
   config.seed = 31337;
   const simgen::GatewayTrace gateway =
       simgen::FleetGenerator(config).Generate(0);
-  const core::AggregateGrid grid =
-      core::MakeAggregateGrid(gateway.AggregateTraffic());
+  core::AggregateGrid grid;
+  core::MakeAggregateGrid(gateway.AggregateTraffic(), &grid);
   DeviceGridPair pair;
   pair.aggregate = grid.values;
   for (const auto& device : gateway.devices) {
@@ -545,8 +628,8 @@ TEST(PreparedSeriesParity, ProfilesOfZeroInflatedDeviceGrids) {
   config.seed = 4242;
   const simgen::GatewayTrace gateway =
       simgen::FleetGenerator(config).Generate(0);
-  const core::AggregateGrid grid =
-      core::MakeAggregateGrid(gateway.AggregateTraffic());
+  core::AggregateGrid grid;
+  core::MakeAggregateGrid(gateway.AggregateTraffic(), &grid);
   std::vector<std::vector<double>> series = {grid.values};
   for (const auto& device : gateway.devices) {
     std::vector<double> on_grid;

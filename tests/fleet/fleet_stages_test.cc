@@ -2,8 +2,11 @@
 // under ThreadSanitizer by tools/run_all_gates.sh): every stage closes into
 // the one installed collector from whichever worker thread ran it.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -22,9 +25,10 @@ struct FleetRun {
   std::map<std::string, obs::StageSum> sums;
 };
 
-FleetRun AnalyzeWithCollector(const std::string& fleet_path, int threads) {
+FleetRun AnalyzeWithCollector(const std::string& fleet_path, int threads,
+                              int shards = 4) {
   fleet::FleetOptions options;
-  options.n_shards = 4;
+  options.n_shards = shards;
   options.threads = threads;
   fleet::FleetOrchestrator orchestrator({fleet_path}, options);
   obs::RunManifestBuilder collector;
@@ -41,11 +45,8 @@ FleetRun AnalyzeWithCollector(const std::string& fleet_path, int threads) {
   return run;
 }
 
-// The same stages run the same number of times at 1 and 4 threads; the
-// per-gateway stages run once per gateway; and the self CPU of all stages,
-// each counted once, fits in the CPU the process spent.
-TEST(FleetStageSumsTest, SameStagesAndCallsAtOneAndFourThreads) {
-  const std::string dir = testing::TempDir() + "/fleet_stages";
+// The 6-gateway, 2-week simgen fleet both tests analyze, as .homets.
+std::string WriteFleet(const std::string& dir) {
   std::filesystem::create_directories(dir);
   const std::string fleet_path = dir + "/fleet.homets";
   simgen::SimConfig config;
@@ -54,7 +55,69 @@ TEST(FleetStageSumsTest, SameStagesAndCallsAtOneAndFourThreads) {
   config.surveyed_gateways =
       std::min(config.surveyed_gateways, config.n_gateways);
   const simgen::FleetGenerator generator(config);
-  ASSERT_TRUE(storage::WriteFleetHomets(generator, fleet_path).ok());
+  EXPECT_TRUE(storage::WriteFleetHomets(generator, fleet_path).ok());
+  return fleet_path;
+}
+
+// Sanitizer runtimes own the allocator and quarantine freed memory, so
+// page faults there say nothing about the program's reuse of its buffers.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define HOMETS_TEST_COUNT_FAULTS 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define HOMETS_TEST_COUNT_FAULTS 0
+#endif
+#endif
+#ifndef HOMETS_TEST_COUNT_FAULTS
+#define HOMETS_TEST_COUNT_FAULTS 1
+#endif
+
+// One worker reuses one gateway workspace for the whole fleet, so decode,
+// τ and dominance fault in their week-long buffers for the first gateways
+// only. Measured from a clean heap (this test's own process under ctest;
+// it is also the first test of the file): 1 140 self minor faults over the
+// fleet with the reused workspace, 2 977 with fresh buffers per gateway
+// (the code before the workspace).
+constexpr uint64_t kFaultBound = 1800;
+
+TEST(FleetStageSumsTest, OneWorkerFaultsInItsBuffersOnce) {
+#if HOMETS_TEST_COUNT_FAULTS
+  const std::string dir = testing::TempDir() + "/fleet_stage_faults";
+  // The fleet is written by a child process: generating it here would
+  // leave this process's allocator holding freed pages, and Analyze would
+  // start from a heap unlike a fresh process's.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    WriteFleet(dir);
+    std::_Exit(testing::Test::HasFailure() ? 1 : 0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  const std::string fleet_path = dir + "/fleet.homets";
+  const FleetRun run = AnalyzeWithCollector(fleet_path, 1, 1);
+  ASSERT_GT(run.gateways, 0u);
+  uint64_t faults = 0;
+  for (const char* stage :
+       {"dominance.find", "background.tau", "storage.read_gateway"}) {
+    ASSERT_EQ(run.sums.count(stage), 1u) << stage;
+    faults += run.sums.at(stage).self.minor_faults;
+  }
+  EXPECT_LE(faults, kFaultBound) << "self minor faults over "
+                                 << run.gateways << " gateways";
+  std::filesystem::remove_all(dir);
+#else
+  GTEST_SKIP() << "page faults under a sanitizer's allocator say nothing";
+#endif
+}
+
+// The same stages run the same number of times at 1 and 4 threads; the
+// per-gateway stages run once per gateway; and the self CPU of all stages,
+// each counted once, fits in the CPU the process spent.
+TEST(FleetStageSumsTest, SameStagesAndCallsAtOneAndFourThreads) {
+  const std::string dir = testing::TempDir() + "/fleet_stages";
+  const std::string fleet_path = WriteFleet(dir);
 
   const FleetRun serial = AnalyzeWithCollector(fleet_path, 1);
   const FleetRun parallel = AnalyzeWithCollector(fleet_path, 4);

@@ -8,6 +8,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -691,9 +692,13 @@ TEST(PinnedOutputTest, IneligibleGatewayStillReportsDailyWindows) {
                                 ts::TimeSeries::Missing()));
   ghost.outgoing = ghost.incoming;
   silent.devices.push_back(ghost);
-  const core::GatewayPipeline pipeline = core::BuildGatewayPipeline(silent);
-  EXPECT_FALSE(core::ProfileGateway(silent, pipeline).ok());
-  EXPECT_EQ(SummaryLine(fleet::SummarizeGateway(7, silent, pipeline, {})),
+  core::GatewayWorkspace workspace;
+  core::BuildGatewayPipeline(silent, &workspace);
+  const core::GatewayPipeline& pipeline = workspace.pipeline;
+  EXPECT_FALSE(
+      core::ProfileGateway(silent, pipeline, {}, &workspace.dominance).ok());
+  EXPECT_EQ(SummaryLine(fleet::SummarizeGateway(7, silent, pipeline, {},
+                                                &workspace.dominance)),
             "7 eligible=0 devices=1 dominant=0 residents=0 stationary=0 quiet=0 evening=0x0p+0 tau=0/0/0 daily=3/0\n");
 }
 
@@ -720,6 +725,212 @@ TEST(PinnedOutputTest, AnalyzeEstimatesEachDeviceBackgroundOnce) {
   before = estimated->Value();
   ASSERT_TRUE(orchestrator.Analyze().ok());
   EXPECT_EQ(estimated->Value() - before, per_pass);
+  std::remove(path.c_str());
+}
+
+// ---- One gateway workspace reused across gateways --------------------------
+
+// Gateways built to leave leftovers in a reused workspace, in the order the
+// test reads them: a 6-week gateway, then a 2-week one with fewer devices,
+// one whose first device has fewer than 8 outgoing observations (τ fails,
+// so the active aggregate takes that device's total), one with a week-long
+// gap in every device (a shorter dominance grid), and one with an all-zero
+// device (constant series, so every coefficient is incomputable).
+std::vector<simgen::GatewayTrace> LeftoverGateways() {
+  simgen::SimConfig long_config;
+  long_config.n_gateways = 2;
+  long_config.weeks = 6;
+  long_config.seed = 9090;
+  long_config.surveyed_gateways = 2;
+  simgen::SimConfig short_config = long_config;
+  short_config.weeks = 2;
+  const simgen::FleetGenerator long_fleet(long_config);
+  const simgen::FleetGenerator short_fleet(short_config);
+  std::vector<simgen::GatewayTrace> gateways;
+
+  simgen::GatewayTrace many = long_fleet.Generate(0);
+  while (many.devices.size() < 5) {
+    simgen::DeviceTrace copy = many.devices.front();
+    copy.name += "-twin" + std::to_string(many.devices.size());
+    many.devices.push_back(std::move(copy));
+  }
+  gateways.push_back(many);
+
+  simgen::GatewayTrace few = short_fleet.Generate(1);
+  few.devices.resize(2);
+  gateways.push_back(few);
+
+  simgen::GatewayTrace short_direction = short_fleet.Generate(0);
+  std::vector<double>& out = short_direction.devices[0].outgoing.mutable_values();
+  size_t kept = 0;
+  for (double& v : out) {
+    if (ts::TimeSeries::IsMissing(v)) continue;
+    if (++kept > 5) v = ts::TimeSeries::Missing();
+  }
+  gateways.push_back(short_direction);
+
+  simgen::GatewayTrace gapped = long_fleet.Generate(1);
+  for (simgen::DeviceTrace& device : gapped.devices) {
+    for (ts::TimeSeries* series : {&device.incoming, &device.outgoing}) {
+      for (size_t i = 2 * ts::kMinutesPerWeek;
+           i < 3 * ts::kMinutesPerWeek && i < series->size(); ++i) {
+        (*series)[i] = ts::TimeSeries::Missing();
+      }
+    }
+  }
+  gateways.push_back(gapped);
+
+  simgen::GatewayTrace with_zero = short_fleet.Generate(1);
+  simgen::DeviceTrace zero = with_zero.devices.front();
+  zero.name = "all-zero";
+  for (ts::TimeSeries* series : {&zero.incoming, &zero.outgoing}) {
+    for (double& v : series->mutable_values()) v = 0.0;
+  }
+  with_zero.devices.push_back(std::move(zero));
+  gateways.push_back(with_zero);
+  return gateways;
+}
+
+bool SameSeriesBits(const ts::TimeSeries& a, const ts::TimeSeries& b) {
+  return a.start_minute() == b.start_minute() &&
+         a.step_minutes() == b.step_minutes() && a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.values().data(), b.values().data(),
+                                   a.size() * sizeof(double)) == 0);
+}
+
+// Gateway `g` of `reader` analyzed in `*reused` must match a fresh read
+// into a fresh workspace: the summary field for field, the pipeline's series
+// bit for bit and the ranked dominant devices with their similarity bits.
+void ExpectReuseMatchesFresh(io::DatasetReader* reader, size_t g,
+                             core::GatewayWorkspace* reused) {
+  SCOPED_TRACE(testing::Message() << "gateway " << g);
+  ASSERT_TRUE(
+      reader->ReadGateway(g, &reused->trace, &reused->spare_devices).ok());
+  core::BuildGatewayPipeline(reused->trace, reused);
+  const GatewaySummary got =
+      fleet::SummarizeGateway(static_cast<int32_t>(g), reused->trace,
+                              reused->pipeline, {}, &reused->dominance);
+
+  const auto trace = reader->ReadGateway(g);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  core::GatewayWorkspace fresh;
+  core::BuildGatewayPipeline(*trace, &fresh);
+  const GatewaySummary want = fleet::SummarizeGateway(
+      static_cast<int32_t>(g), *trace, fresh.pipeline, {}, &fresh.dominance);
+  EXPECT_EQ(SummaryLine(got), SummaryLine(want));
+
+  ASSERT_EQ(reused->trace.devices.size(), trace->devices.size());
+  for (size_t d = 0; d < trace->devices.size(); ++d) {
+    EXPECT_EQ(reused->trace.devices[d].name, trace->devices[d].name);
+    EXPECT_TRUE(SameSeriesBits(reused->trace.devices[d].incoming,
+                               trace->devices[d].incoming));
+    EXPECT_TRUE(SameSeriesBits(reused->trace.devices[d].outgoing,
+                               trace->devices[d].outgoing));
+    EXPECT_TRUE(SameSeriesBits(reused->pipeline.device_totals[d],
+                               fresh.pipeline.device_totals[d]));
+    ASSERT_EQ(reused->pipeline.backgrounds[d].ok(),
+              fresh.pipeline.backgrounds[d].ok());
+    if (fresh.pipeline.backgrounds[d].ok()) {
+      EXPECT_EQ(reused->pipeline.backgrounds[d]->incoming.tau,
+                fresh.pipeline.backgrounds[d]->incoming.tau);
+      EXPECT_EQ(reused->pipeline.backgrounds[d]->outgoing.tau,
+                fresh.pipeline.backgrounds[d]->outgoing.tau);
+    }
+  }
+  EXPECT_TRUE(
+      SameSeriesBits(reused->pipeline.aggregate, fresh.pipeline.aggregate));
+  EXPECT_TRUE(SameSeriesBits(reused->pipeline.active, fresh.pipeline.active));
+
+  const auto got_profile = core::ProfileGateway(
+      reused->trace, reused->pipeline, {}, &reused->dominance);
+  const auto want_profile = core::ProfileGateway(*trace);
+  ASSERT_EQ(got_profile.ok(), want_profile.ok());
+  if (!want_profile.ok()) return;
+  ASSERT_EQ(got_profile->dominant_devices.size(),
+            want_profile->dominant_devices.size());
+  for (size_t r = 0; r < want_profile->dominant_devices.size(); ++r) {
+    const core::DominantDevice& a = got_profile->dominant_devices[r];
+    const core::DominantDevice& b = want_profile->dominant_devices[r];
+    EXPECT_EQ(a.device_index, b.device_index);
+    EXPECT_EQ(std::memcmp(&a.similarity, &b.similarity, sizeof(double)), 0);
+  }
+}
+
+TEST(GatewayWorkspaceTest, ReusedWorkspaceMatchesAFreshOne) {
+  const std::string dir = MakeTestDir("workspace_reuse");
+  const std::string path = dir + "/leftovers.homets";
+  {
+    auto writer = storage::HometsWriter::Create(path);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (const simgen::GatewayTrace& gateway : LeftoverGateways()) {
+      ASSERT_TRUE(writer->Append(gateway).ok());
+    }
+    ASSERT_TRUE(writer->Finish().ok());
+  }
+  auto reader = io::DatasetReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_EQ(reader->gateway_count(), 5u);
+  auto corrupt = io::DatasetReader::Open(std::string(HOMETS_IO_FIXTURES_DIR) +
+                                         "/corrupt_chunk.homets");
+  ASSERT_TRUE(corrupt.ok()) << corrupt.status().ToString();
+
+  core::GatewayWorkspace reused;
+  size_t previous_devices = 0;
+  for (size_t g = 0; g < reader->gateway_count(); ++g) {
+    ExpectReuseMatchesFresh(&*reader, g, &reused);
+    const std::vector<Result<core::DeviceBackground>>& backgrounds =
+        reused.pipeline.backgrounds;
+    switch (g) {
+      case 1:  // fewer devices and a shorter grid than gateway 0
+        EXPECT_LT(reused.trace.devices.size(), previous_devices);
+        break;
+      case 2:  // one device takes the τ-failure fallback
+        EXPECT_EQ(std::count_if(backgrounds.begin(), backgrounds.end(),
+                                [](const auto& bg) { return !bg.ok(); }),
+                  1);
+        break;
+      case 4:  // the all-zero device is there and its τ is 0
+        EXPECT_TRUE(std::any_of(
+            backgrounds.begin(), backgrounds.end(),
+            [](const auto& bg) { return bg.ok() && bg->incoming.tau == 0.0; }));
+        break;
+    }
+    previous_devices = reused.trace.devices.size();
+  }
+  // A decode that fails on its first chunk, then one that fails halfway
+  // through the 6-week gateway: each leaves the trace partly rewritten.
+  EXPECT_EQ(corrupt->ReadGateway(0, &reused.trace, &reused.spare_devices)
+                .code(),
+            StatusCode::kIoError);
+  ASSERT_TRUE(Failpoints::Global().Configure("io.col.chunk=corrupt*1@40").ok());
+  EXPECT_EQ(
+      reader->ReadGateway(0, &reused.trace, &reused.spare_devices).code(),
+      StatusCode::kIoError);
+  Failpoints::Global().Reset();
+  for (const size_t g : {1u, 0u, 4u, 2u, 3u}) {
+    ExpectReuseMatchesFresh(&*reader, g, &reused);
+  }
+
+  // The shard runner: one workspace across every shard of the file gives
+  // the shards a workspace of their own would.
+  fleet::FleetOptions options;
+  const auto inputs = fleet::EnumerateFleetInputs({path}, options.dataset);
+  ASSERT_TRUE(inputs.ok()) << inputs.status().ToString();
+  const auto plans = fleet::ShardPlanner::Plan(5, 3);
+  ASSERT_TRUE(plans.ok());
+  const fleet::ShardRunner runner(&*inputs, options.dataset);
+  for (const ShardPlan& plan : *plans) {
+    const auto shared = runner.RunShard(plan, nullptr, 1, &reused);
+    const auto own = runner.RunShard(plan, nullptr);
+    ASSERT_TRUE(shared.ok() && own.ok());
+    ASSERT_EQ(shared->gateways.size(), own->gateways.size());
+    for (size_t i = 0; i < own->gateways.size(); ++i) {
+      EXPECT_EQ(SummaryLine(shared->gateways[i]),
+                SummaryLine(own->gateways[i]));
+    }
+    EXPECT_EQ(shared->zipf_bins, own->zipf_bins);
+    EXPECT_EQ(shared->values_binned, own->values_binned);
+  }
   std::remove(path.c_str());
 }
 

@@ -104,7 +104,8 @@ bool SameBits(double a, double b) {
 void ExpectWhiskerParity(const std::vector<double>& xs,
                          double whisker_factor = 1.5) {
   const double expected = ComputeBoxplot(xs, whisker_factor)->upper_whisker;
-  const double selected = UpperWhisker(xs, whisker_factor).value();
+  std::vector<double> scratch = xs;
+  const double selected = UpperWhisker(scratch, whisker_factor).value();
   EXPECT_TRUE(SameBits(selected, expected)) << selected << " vs " << expected;
 }
 
@@ -164,8 +165,9 @@ TEST(UpperWhiskerTest, MatchesBoxplotWithZeroWhiskerFactor) {
 }
 
 TEST(UpperWhiskerTest, ErrorsOnBadInput) {
+  std::vector<double> one = {1.0};
   EXPECT_FALSE(UpperWhisker({}).ok());
-  EXPECT_FALSE(UpperWhisker({1.0}, -1.0).ok());
+  EXPECT_FALSE(UpperWhisker(one, -1.0).ok());
 }
 
 }  // namespace
