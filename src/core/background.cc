@@ -83,82 +83,49 @@ Status ActiveTraffic(const simgen::DeviceTrace& device,
                      ts::TimeSeries* active) {
   static obs::Counter* const values_zeroed =
       obs::MetricsRegistry::Global().GetCounter(obs::kBackgroundValuesZeroed);
-  const ts::TimeSeries& in = device.incoming;
-  const ts::TimeSeries& out = device.outgoing;
-  HOMETS_RETURN_IF_ERROR(ts::TimeSeries::CheckSameGrid(in, out));
-  // One pass over the union of both spans, on TimeSeries::Add's grid: each
+  HOMETS_RETURN_IF_ERROR(
+      ts::TimeSeries::CheckSameGrid(device.incoming, device.outgoing));
+  // One pass over TotalTraffic()'s grid (the union of both spans): each
   // side's values below its τ_back become zero (counted when not already
   // zero), then the sides add by Add's missing-value rule.
-  const int64_t step = in.step_minutes();
-  const int64_t begin = std::min(in.start_minute(), out.start_minute());
-  const int64_t end = std::max(in.EndMinute(), out.EndMinute());
-  const int64_t in_offset = (in.start_minute() - begin) / step;
-  const int64_t out_offset = (out.start_minute() - begin) / step;
-  const double in_tau = background.incoming.tau_back;
-  const double out_tau = background.outgoing.tau_back;
+  const simgen::TotalTrafficView view(device);
   uint64_t zeroed = 0;
-  const auto clipped = [&zeroed](const ts::TimeSeries& side, int64_t j,
-                                 double tau) {
-    if (j < 0 || static_cast<size_t>(j) >= side.size()) {
-      return ts::TimeSeries::Missing();
-    }
-    const double v = side[static_cast<size_t>(j)];
+  const auto clipped = [&zeroed](double v, double tau) {
     if (!(v < tau)) return v;  // missing stays missing
     if (v != 0.0) ++zeroed;
     return 0.0;
   };
   // Every slot is written below, so the reused buffer needs no fill.
   std::vector<double> sum = std::move(active->mutable_values());
-  sum.resize(static_cast<size_t>((end - begin) / step));
+  sum.resize(view.size());
   for (size_t j = 0; j < sum.size(); ++j) {
-    const int64_t at = static_cast<int64_t>(j);
-    const double a = clipped(in, at - in_offset, in_tau);
-    const double b = clipped(out, at - out_offset, out_tau);
-    if (ts::TimeSeries::IsMissing(a)) {
-      sum[j] = ts::TimeSeries::IsMissing(b) ? ts::TimeSeries::Missing() : b;
-    } else {
-      sum[j] = ts::TimeSeries::IsMissing(b) ? a : a + b;
-    }
+    sum[j] = simgen::TotalTrafficView::AddBins(
+        clipped(view.incoming(j), background.incoming.tau_back),
+        clipped(view.outgoing(j), background.outgoing.tau_back));
   }
   values_zeroed->Increment(zeroed);
-  *active = ts::TimeSeries(begin, step, std::move(sum));
+  *active =
+      ts::TimeSeries(view.start_minute(), view.step_minutes(), std::move(sum));
   return Status::OK();
 }
 
-namespace {
-
-// The one active-aggregate sum: `total_of(d)` is device d's TotalTraffic(),
-// asked for only where the device enters unfiltered.
-template <typename TotalOf>
-void SumActive(const simgen::GatewayTrace& gateway,
-               const std::vector<Result<DeviceBackground>>& backgrounds,
-               const TotalOf& total_of, ts::TimeSeries* device_active,
-               ts::TimeSeries* active) {
+void ActiveAggregate(const simgen::GatewayTrace& gateway,
+                     const std::vector<Result<DeviceBackground>>& backgrounds,
+                     ts::TimeSeries* device_active, ts::TimeSeries* active) {
   obs::StageTimer stage("background.active_aggregate");
   ts::ClearKeepingBuffer(active);
   for (size_t d = 0; d < gateway.devices.size(); ++d) {
+    const simgen::DeviceTrace& device = gateway.devices[d];
     const Status filtered =
         backgrounds[d].ok()
-            ? ActiveTraffic(gateway.devices[d], *backgrounds[d], device_active)
+            ? ActiveTraffic(device, *backgrounds[d], device_active)
             : backgrounds[d].status();
     if (filtered.ok()) {
       ts::AddInto(active, *device_active);
     } else {
-      ts::AddInto(active, total_of(d));
+      ts::AddInto(active, simgen::TotalTrafficView(device));
     }
   }
-}
-
-}  // namespace
-
-void ActiveAggregate(const simgen::GatewayTrace& gateway,
-                     const std::vector<Result<DeviceBackground>>& backgrounds,
-                     const std::vector<ts::TimeSeries>& device_totals,
-                     ts::TimeSeries* device_active, ts::TimeSeries* active) {
-  SumActive(
-      gateway, backgrounds,
-      [&](size_t d) -> const ts::TimeSeries& { return device_totals[d]; },
-      device_active, active);
 }
 
 ts::TimeSeries ActiveAggregate(const simgen::GatewayTrace& gateway) {
@@ -170,10 +137,7 @@ ts::TimeSeries ActiveAggregate(const simgen::GatewayTrace& gateway) {
   }
   ts::TimeSeries device_active;
   ts::TimeSeries active;
-  SumActive(
-      gateway, backgrounds,
-      [&](size_t d) { return gateway.devices[d].TotalTraffic(); },
-      &device_active, &active);
+  ActiveAggregate(gateway, backgrounds, &device_active, &active);
   return active;
 }
 

@@ -70,16 +70,14 @@ Status ActiveTraffic(const simgen::DeviceTrace& device,
 /// (indexed like GatewayTrace::devices), built in `*device_active` and
 /// summed. A device whose τ cannot be estimated (too few observations —
 /// e.g. brief guests) or whose directions are on different grids enters
-/// unfiltered, as its entry of `device_totals` (its TotalTraffic()).
+/// unfiltered, as its TotalTraffic() (added through simgen::TotalTrafficView).
 void ActiveAggregate(const simgen::GatewayTrace& gateway,
                      const std::vector<Result<DeviceBackground>>& backgrounds,
-                     const std::vector<ts::TimeSeries>& device_totals,
                      ts::TimeSeries* device_active, ts::TimeSeries* active);
 
 /// \brief The active aggregate under each device's EstimateDeviceBackground:
 /// the same series as a GatewayPipeline's `active`, without the pipeline's
-/// device totals and raw aggregate (a device enters by its TotalTraffic()
-/// only where it falls back to it).
+/// raw aggregate.
 ts::TimeSeries ActiveAggregate(const simgen::GatewayTrace& gateway);
 
 }  // namespace homets::core

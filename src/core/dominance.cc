@@ -1,7 +1,6 @@
 #include "core/dominance.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 
 #include "core/similarity.h"
@@ -30,25 +29,6 @@ void MakeAggregateGrid(const ts::TimeSeries& aggregate, AggregateGrid* grid) {
   }
 }
 
-void DeviceOnGrid(const ts::TimeSeries& device_total,
-                  const AggregateGrid& grid,
-                  std::vector<double>* device_values) {
-  device_values->clear();
-  device_values->reserve(grid.minutes.size());
-  for (const int64_t minute : grid.minutes) {
-    double dev = 0.0;
-    if (minute >= device_total.start_minute() &&
-        minute < device_total.EndMinute() &&
-        (minute - device_total.start_minute()) % grid.step == 0) {
-      const size_t idx = static_cast<size_t>(
-          (minute - device_total.start_minute()) / grid.step);
-      const double v = device_total[idx];
-      if (!ts::TimeSeries::IsMissing(v)) dev = v;
-    }
-    device_values->push_back(dev);
-  }
-}
-
 namespace {
 
 std::vector<DominantDevice> RankAndFilter(
@@ -73,13 +53,14 @@ std::vector<DominantDevice> RankAndFilter(
   return dominants;
 }
 
-// The one Definition 4 device scan: every device's series (from
-// `device_series`, null to skip the device) on `aggregate`'s grid against
-// the aggregate, prepared once. Each series is profiled in place in `*ws`.
+// The one Definition 4 device scan: each device `on_grid(d, grid, &values)`
+// puts on `aggregate`'s grid (false skips it) against the aggregate,
+// prepared once. Each series is profiled in place in `*ws`.
+template <typename OnGrid>
 std::vector<DominantDevice> ScanDevices(
     const simgen::GatewayTrace& gateway, const ts::TimeSeries& aggregate,
-    const std::function<const ts::TimeSeries*(size_t)>& device_series,
-    const DominanceOptions& options, DominanceWorkspace* ws) {
+    const OnGrid& on_grid, const DominanceOptions& options,
+    DominanceWorkspace* ws) {
   if (aggregate.empty()) return {};
   SimilarityOptions sim_options;
   sim_options.alpha = options.alpha;
@@ -100,9 +81,7 @@ std::vector<DominantDevice> ScanDevices(
                         &ws->sort);
   std::vector<DominantDevice> candidates;
   for (size_t d = 0; d < gateway.devices.size(); ++d) {
-    const ts::TimeSeries* series = device_series(d);
-    if (series == nullptr) continue;
-    DeviceOnGrid(*series, ws->grid, &ws->device_values);
+    if (!on_grid(d, ws->grid, &ws->device_values)) continue;
     ws->device.Profile(&ws->device_values, correlation::kAllProfiles,
                        &ws->sort);
     const SimilarityResult sim = CorrelationSimilarity(
@@ -120,24 +99,23 @@ std::vector<DominantDevice> ScanDevices(
 
 std::vector<DominantDevice> FindDominantDevices(
     const simgen::GatewayTrace& gateway, const ts::TimeSeries& aggregate,
-    const std::vector<ts::TimeSeries>& device_totals,
     const DominanceOptions& options, DominanceWorkspace* workspace) {
   obs::StageTimer stage("dominance.find");
   return ScanDevices(
-      gateway, aggregate, [&](size_t d) { return &device_totals[d]; },
+      gateway, aggregate,
+      [&](size_t d, const AggregateGrid& grid, std::vector<double>* values) {
+        DeviceOnGrid(simgen::TotalTrafficView(gateway.devices[d]), grid,
+                     values);
+        return true;
+      },
       options, workspace);
 }
 
 std::vector<DominantDevice> FindDominantDevices(
     const simgen::GatewayTrace& gateway, const DominanceOptions& options) {
-  std::vector<ts::TimeSeries> totals;
-  ts::TimeSeries aggregate;
-  for (const auto& device : gateway.devices) {
-    totals.push_back(device.TotalTraffic());
-    ts::AddInto(&aggregate, totals.back());
-  }
   DominanceWorkspace workspace;
-  return FindDominantDevices(gateway, aggregate, totals, options, &workspace);
+  return FindDominantDevices(gateway, gateway.AggregateTraffic(), options,
+                             &workspace);
 }
 
 std::vector<DominantDevice> FindDominantDevicesInWindow(
@@ -162,13 +140,15 @@ std::vector<DominantDevice> FindDominantDevicesInWindow(
     return slice.ok() ? std::move(slice).value() : ts::TimeSeries();
   };
   // A device whose series does not reach into the window is not ranked.
-  ts::TimeSeries device_window;
   DominanceWorkspace workspace;
   return ScanDevices(
       gateway, window_of(gateway.AggregateTraffic()),
-      [&](size_t d) -> const ts::TimeSeries* {
-        device_window = window_of(gateway.devices[d].TotalTraffic());
-        return device_window.empty() ? nullptr : &device_window;
+      [&](size_t d, const AggregateGrid& grid, std::vector<double>* values) {
+        const ts::TimeSeries window =
+            window_of(gateway.devices[d].TotalTraffic());
+        if (window.empty()) return false;
+        DeviceOnGrid(window, grid, values);
+        return true;
       },
       options, &workspace);
 }

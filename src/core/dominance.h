@@ -48,15 +48,13 @@ struct DominanceWorkspace {
 ///
 /// Uses the raw per-minute counters over the gateway's whole trace, like the
 /// paper's 4-week dominance analysis: `aggregate` is the gateway's
-/// AggregateTraffic() and `device_totals[d]` is device d's TotalTraffic(),
-/// as a GatewayPipeline holds them. The scan runs in `*workspace`.
+/// AggregateTraffic() and each device enters as its TotalTraffic(), read in
+/// place (simgen::TotalTrafficView). The scan runs in `*workspace`.
 std::vector<DominantDevice> FindDominantDevices(
     const simgen::GatewayTrace& gateway, const ts::TimeSeries& aggregate,
-    const std::vector<ts::TimeSeries>& device_totals,
     const DominanceOptions& options, DominanceWorkspace* workspace);
 
-/// \brief FindDominantDevices on totals and aggregate computed from
-/// `gateway`.
+/// \brief FindDominantDevices on the aggregate computed from `gateway`.
 std::vector<DominantDevice> FindDominantDevices(
     const simgen::GatewayTrace& gateway, const DominanceOptions& options = {});
 

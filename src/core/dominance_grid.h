@@ -23,9 +23,25 @@ void MakeAggregateGrid(const ts::TimeSeries& aggregate, AggregateGrid* grid);
 
 /// \brief `device_total` on `grid` into `*device_values`: minutes where the
 /// gateway reported but the device did not (outside its span, off the grid
-/// step, or missing) are zero traffic, not missing.
-void DeviceOnGrid(const ts::TimeSeries& device_total, const AggregateGrid& grid,
-                  std::vector<double>* device_values);
+/// step, or missing) are zero traffic, not missing. `Series` is a
+/// ts::TimeSeries or a simgen::TotalTrafficView.
+template <typename Series>
+void DeviceOnGrid(const Series& device_total, const AggregateGrid& grid,
+                  std::vector<double>* device_values) {
+  device_values->clear();
+  device_values->reserve(grid.minutes.size());
+  const int64_t start = device_total.start_minute();
+  const int64_t end = device_total.EndMinute();
+  for (const int64_t minute : grid.minutes) {
+    double dev = 0.0;
+    if (minute >= start && minute < end && (minute - start) % grid.step == 0) {
+      const double v =
+          device_total[static_cast<size_t>((minute - start) / grid.step)];
+      if (!ts::TimeSeries::IsMissing(v)) dev = v;
+    }
+    device_values->push_back(dev);
+  }
+}
 
 }  // namespace homets::core
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "common/reuse.h"
 #include "common/strings.h"
 #include "obs/trace.h"
 
@@ -16,18 +15,16 @@ void BuildGatewayPipeline(const simgen::GatewayTrace& gateway,
   const size_t n = gateway.devices.size();
   pipeline.backgrounds.clear();
   pipeline.backgrounds.reserve(n);
-  ResizeKeepingElements(&pipeline.device_totals, n, &workspace->spare_totals);
   ts::ClearKeepingBuffer(&pipeline.aggregate);
   for (size_t d = 0; d < n; ++d) {
     const simgen::DeviceTrace& device = gateway.devices[d];
     pipeline.backgrounds.push_back(
         EstimateDeviceBackground(device, &workspace->observed));
     obs::StageTimer totals("core.totals_and_aggregate");
-    device.TotalTraffic(&pipeline.device_totals[d]);
-    ts::AddInto(&pipeline.aggregate, pipeline.device_totals[d]);
+    ts::AddInto(&pipeline.aggregate, simgen::TotalTrafficView(device));
   }
-  ActiveAggregate(gateway, pipeline.backgrounds, pipeline.device_totals,
-                  &workspace->device_active, &pipeline.active);
+  ActiveAggregate(gateway, pipeline.backgrounds, &workspace->device_active,
+                  &pipeline.active);
 }
 
 Result<GatewayProfile> ProfileGateway(const simgen::GatewayTrace& gateway,
@@ -41,14 +38,16 @@ Result<GatewayProfile> ProfileGateway(const simgen::GatewayTrace& gateway,
   if (active.empty() || active.CountObserved() == 0) {
     return Status::InvalidArgument("ProfileGateway: no observations");
   }
-  for (const auto& total : pipeline.device_totals) {
-    if (total.CountObserved() > 0) ++profile.devices_observed;
+  for (const simgen::DeviceTrace& device : gateway.devices) {
+    const simgen::TotalTrafficView total(device);
+    size_t i = 0;
+    while (i < total.size() && ts::TimeSeries::IsMissing(total[i])) ++i;
+    if (i < total.size()) ++profile.devices_observed;
   }
 
   // Dominance + resident lower bound (Section 6.2).
-  profile.dominant_devices =
-      FindDominantDevices(gateway, pipeline.aggregate, pipeline.device_totals,
-                          options.dominance, dominance);
+  profile.dominant_devices = FindDominantDevices(
+      gateway, pipeline.aggregate, options.dominance, dominance);
   profile.min_residents = std::max<size_t>(1, profile.dominant_devices.size());
 
   // Weekly strong stationarity on aggregated active traffic.

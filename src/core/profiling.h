@@ -17,17 +17,15 @@ namespace homets::core {
 
 /// \brief The per-gateway intermediates every analysis of a gateway reads,
 /// each computed exactly once by BuildGatewayPipeline (DESIGN.md §15).
-/// `backgrounds` and `device_totals` are indexed like GatewayTrace::devices.
+/// Device totals are read in place (simgen::TotalTrafficView), not stored.
 struct GatewayPipeline {
-  /// τ per device and direction (Section 6.1); an error when a direction
-  /// has fewer than 8 observations.
+  /// τ per device and direction (Section 6.1), indexed like
+  /// GatewayTrace::devices; an error when a direction has < 8 observations.
   std::vector<Result<DeviceBackground>> backgrounds;
-  /// DeviceTrace::TotalTraffic() per device.
-  std::vector<ts::TimeSeries> device_totals;
-  /// GatewayTrace::AggregateTraffic(): the raw sum of `device_totals`.
+  /// GatewayTrace::AggregateTraffic(): the raw sum of the devices' totals.
   ts::TimeSeries aggregate;
   /// The background-free aggregate: ActiveAggregate under `backgrounds`,
-  /// with `device_totals` for the devices whose τ failed.
+  /// with the whole total for the devices whose τ failed.
   ts::TimeSeries active;
 };
 
@@ -40,10 +38,9 @@ struct GatewayPipeline {
 /// gateways.
 struct GatewayWorkspace {
   simgen::GatewayTrace trace;  ///< the gateway, decoded in place
-  /// Devices and device totals beyond the current gateway's count, kept
-  /// with their buffers for a later gateway with more devices.
+  /// Devices beyond the current gateway's count, kept with their buffers
+  /// for a later gateway with more devices.
   std::vector<simgen::DeviceTrace> spare_devices;
-  std::vector<ts::TimeSeries> spare_totals;
   GatewayPipeline pipeline;      ///< built by BuildGatewayPipeline
   std::vector<double> observed;  ///< one direction's observed values (τ)
   ts::TimeSeries device_active;  ///< one device's active traffic

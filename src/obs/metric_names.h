@@ -90,7 +90,7 @@ inline constexpr std::string_view kIngestFilesQuarantined =
 // size of what chunks_written encoded (8 bytes/bin), so
 // raw_bytes / bytes_written is the compression ratio; chunks_skipped counts
 // the chunks of a ReadSeries request's series that fall outside its minute
-// range (time-range pruning; their mmap pages are never faulted in).
+// range (time-range pruning; their bytes are never read).
 // ReadGateway decodes whole series and skips nothing.
 inline constexpr std::string_view kStorageChunksWritten =
     "homets.storage.chunks_written";

@@ -1,5 +1,7 @@
 #include "simgen/types.h"
 
+#include <algorithm>
+
 namespace homets::simgen {
 
 std::string DeviceTypeName(DeviceType type) {
@@ -19,19 +21,30 @@ std::string DeviceTypeName(DeviceType type) {
 }
 
 ts::TimeSeries DeviceTrace::TotalTraffic() const {
-  ts::TimeSeries total;
-  TotalTraffic(&total);
-  return total;
+  // incoming/outgoing are generated on one grid; Add cannot fail here.
+  auto total = ts::TimeSeries::Add(incoming, outgoing);
+  return total.ok() ? std::move(total).value() : incoming;
 }
 
-void DeviceTrace::TotalTraffic(ts::TimeSeries* total) const {
-  // incoming/outgoing are generated on one grid; Add cannot fail here.
-  if (!ts::TimeSeries::Add(incoming, outgoing, total).ok()) *total = incoming;
+TotalTrafficView::TotalTrafficView(const DeviceTrace& device)
+    : in_(&device.incoming),
+      start_(device.incoming.start_minute()),
+      step_(device.incoming.step_minutes()) {
+  int64_t end = in_->EndMinute();
+  // TotalTraffic() is Add(incoming, outgoing), or incoming where Add fails.
+  if (ts::TimeSeries::CheckSameGrid(device.incoming, device.outgoing).ok()) {
+    out_ = &device.outgoing;
+    start_ = std::min(start_, out_->start_minute());
+    end = std::max(end, out_->EndMinute());
+    out_offset_ = static_cast<size_t>((out_->start_minute() - start_) / step_);
+  }
+  in_offset_ = static_cast<size_t>((in_->start_minute() - start_) / step_);
+  size_ = static_cast<size_t>((end - start_) / step_);
 }
 
 ts::TimeSeries GatewayTrace::AggregateTraffic() const {
   ts::TimeSeries total;
-  for (const auto& dev : devices) ts::AddInto(&total, dev.TotalTraffic());
+  for (const auto& dev : devices) ts::AddInto(&total, TotalTrafficView(dev));
   return total;
 }
 

@@ -36,9 +36,52 @@ struct DeviceTrace {
 
   /// Total (incoming + outgoing) traffic series.
   ts::TimeSeries TotalTraffic() const;
+};
 
-  /// TotalTraffic() into `*total`, reusing its buffer.
-  void TotalTraffic(ts::TimeSeries* total) const;
+/// \brief DeviceTrace::TotalTraffic() read bin by bin from the two
+/// directions without building it: the same span and the same bits, by
+/// TimeSeries::Add's rule. ts::AddInto(&sum, view) adds the total in place.
+/// The device must outlive the view.
+class TotalTrafficView {
+ public:
+  explicit TotalTrafficView(const DeviceTrace& device);
+
+  int64_t start_minute() const { return start_; }
+  int64_t step_minutes() const { return step_; }
+  size_t size() const { return size_; }
+  int64_t EndMinute() const {
+    return start_ + static_cast<int64_t>(size_) * step_;
+  }
+  /// Bin `i` of each direction on the view's grid, Missing outside the
+  /// direction's span (outgoing throughout when the grids differ).
+  double incoming(size_t i) const { return Bin(in_, i - in_offset_); }
+  double outgoing(size_t i) const { return Bin(out_, i - out_offset_); }
+  /// Bin `i` of TotalTraffic(); `i` < size().
+  double operator[](size_t i) const {
+    return out_ == nullptr ? (*in_)[i] : AddBins(incoming(i), outgoing(i));
+  }
+  /// TimeSeries::Add's rule for one bin: missing only when both are.
+  static double AddBins(double a, double b) {
+    if (ts::TimeSeries::IsMissing(a)) {
+      return ts::TimeSeries::IsMissing(b) ? ts::TimeSeries::Missing() : b;
+    }
+    return ts::TimeSeries::IsMissing(b) ? a : a + b;
+  }
+
+ private:
+  /// Bin `j` of `side` (`j` may have wrapped below zero), else Missing.
+  static double Bin(const ts::TimeSeries* side, size_t j) {
+    return side != nullptr && j < side->size() ? (*side)[j]
+                                               : ts::TimeSeries::Missing();
+  }
+
+  const ts::TimeSeries* in_;
+  const ts::TimeSeries* out_ = nullptr;  ///< null when the grids differ
+  size_t in_offset_ = 0;  ///< incoming's first bin, in view bins
+  size_t out_offset_ = 0;
+  int64_t start_ = 0;
+  int64_t step_ = 1;
+  size_t size_ = 0;
 };
 
 /// \brief One residential gateway's full trace.

@@ -1,7 +1,6 @@
 #include "storage/homets_format.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -35,6 +34,10 @@ constexpr size_t kTrailerSize = 8 + 4 + 4;
 constexpr uint64_t kFooterVersion = 1;
 /// |v| bound under which llround(v * 1000.0) cannot overflow int64.
 constexpr double kFixedE3Bound = 9.0e15;
+/// Most bytes one pread reads, unless one chunk is larger: below the 128 KiB
+/// from which glibc's malloc gives a block pages of its own, so read buffers
+/// are reused heap memory, not pages faulted in anew for every series.
+constexpr uint64_t kReadBytes = 64 << 10;
 
 struct StorageMetrics {
   obs::Counter* chunks_written;
@@ -418,53 +421,31 @@ Result<FleetWriteStats> WriteFleetHomets(const simgen::FleetGenerator& fleet,
 struct HometsReader::Rep {
   std::string path;
   int fd = -1;
-  const uint8_t* data = nullptr;
-  size_t size = 0;
-  bool mmapped = false;
-  std::string buffer;  ///< fallback storage when mmap is unavailable
   std::vector<GatewayMeta> gateways;
   std::vector<ChunkRef> chunks;
   /// (gateway, device, direction) -> indices into `chunks`, time-sorted.
   std::map<uint64_t, std::vector<size_t>> series_index;
 
-  ~Rep() {
-    if (mmapped && data != nullptr) {
-      munmap(const_cast<uint8_t*>(data), size);
-    }
-    if (fd >= 0) close(fd);
-  }
+  ~Rep() { if (fd >= 0) close(fd); }
 };
 
 namespace {
 
-/// Maps (or, failing that, reads) the file into rep. Size and magic are
-/// validated by the caller.
-Status LoadFile(const std::string& path, HometsReader::Rep* rep) {
-  rep->fd = open(path.c_str(), O_RDONLY);
-  if (rep->fd < 0) return Status::IoError("cannot open for read: " + path);
-  struct stat st {};
-  if (fstat(rep->fd, &st) != 0 || st.st_size < 0) {
-    return Status::IoError("cannot stat: " + path);
-  }
-  rep->size = static_cast<size_t>(st.st_size);
-  if (rep->size == 0) return Status::IoError("empty file: " + path);
-  void* mapped = mmap(nullptr, rep->size, PROT_READ, MAP_PRIVATE, rep->fd, 0);
-  if (mapped != MAP_FAILED) {
-    rep->data = static_cast<const uint8_t*>(mapped);
-    rep->mmapped = true;
-    return Status::OK();
-  }
-  // Buffered fallback (e.g. filesystems without mmap support).
-  rep->buffer.resize(rep->size);
+/// Reads exactly `size` bytes at file offset `offset` into `out`. A file
+/// that ends first (it shrank after Open) is an IoError.
+Status ReadExact(const HometsReader::Rep& rep, uint64_t offset, size_t size,
+                 uint8_t* out) {
   size_t done = 0;
-  while (done < rep->size) {
-    const ssize_t got =
-        pread(rep->fd, rep->buffer.data() + done, rep->size - done,
-              static_cast<off_t>(done));
-    if (got <= 0) return Status::IoError("read failed: " + path);
+  while (done < size) {
+    const ssize_t got = pread(rep.fd, out + done, size - done,
+                              static_cast<off_t>(offset + done));
+    if (got <= 0) {
+      return Status::IoError(StrFormat(
+          "%s in %s at offset %llu", got == 0 ? "short read" : "read failed",
+          rep.path.c_str(), static_cast<unsigned long long>(offset + done)));
+    }
     done += static_cast<size_t>(got);
   }
-  rep->data = reinterpret_cast<const uint8_t*>(rep->buffer.data());
   return Status::OK();
 }
 
@@ -565,21 +546,18 @@ Status ParseFooter(const uint8_t* footer, size_t footer_size,
   return Status::OK();
 }
 
-/// Decodes one chunk into `out[0, ref.value_count)` (pre-filled with
-/// Missing()), applying the io.col.chunk failpoint and verifying the CRC
-/// before touching the payload structure.
+/// Decodes one chunk from `payload`, its bytes in a private read buffer, into
+/// `out[0, ref.value_count)` (pre-filled with Missing()), applying the
+/// io.col.chunk failpoint and verifying the CRC before touching the payload
+/// structure.
 Status DecodeChunk(const HometsReader::Rep& rep, const ChunkRef& ref,
-                   double* out) {
-  const uint8_t* payload = rep.data + ref.offset;
+                   uint8_t* payload, double* out) {
   size_t size = ref.payload_size;
-  std::string mangled;
   switch (EvaluateFailpoint(kFailpointColChunk)) {
     case FailpointAction::kError:
       return Status::IoError("injected by failpoint 'io.col.chunk'");
     case FailpointAction::kCorrupt:
-      mangled.assign(reinterpret_cast<const char*>(payload), size);
-      if (!mangled.empty()) mangled[0] = static_cast<char>(~mangled[0]);
-      payload = reinterpret_cast<const uint8_t*>(mangled.data());
+      if (size != 0) payload[0] = static_cast<uint8_t>(~payload[0]);
       break;
     case FailpointAction::kTruncate:
       size /= 2;
@@ -605,10 +583,12 @@ Status DecodeChunk(const HometsReader::Rep& rep, const ChunkRef& ref,
 
 /// Decodes the chunk run `refs[first, last)` of one series into `*series`,
 /// reusing its buffer. The run must be adjacent on the minute grid; that is
-/// checked first, so the buffer is sized once, by the footer-validated value
-/// counts, and each chunk decodes into its slice. A chunk that fails to
-/// decode leaves `*series` holding the run's grid with the bins decoded so
-/// far (the rest Missing), never a buffer of another series.
+/// checked first, so the series is sized once, by the footer-validated value
+/// counts, and each chunk decodes into its slice. Payloads are read into a
+/// private buffer, one pread per stretch of file-adjacent chunks (the writer
+/// puts a series' chunks back to back) of up to kReadBytes. A chunk that
+/// fails to read or decode leaves `*series` holding the run's grid with the
+/// bins decoded so far (the rest Missing).
 Status AssembleSeries(const HometsReader::Rep& rep,
                       const std::vector<size_t>& refs, size_t first,
                       size_t last, ts::TimeSeries* series) {
@@ -626,10 +606,26 @@ Status AssembleSeries(const HometsReader::Rep& rep,
                 ts::TimeSeries::Missing());
   Status status = Status::OK();
   double* out = values.data();
-  for (size_t i = first; i < last && status.ok(); ++i) {
-    const ChunkRef& ref = rep.chunks[refs[i]];
-    status = DecodeChunk(rep, ref, out);
-    out += ref.value_count;
+  std::vector<uint8_t> bytes;
+  for (size_t i = first; i < last && status.ok();) {
+    const uint64_t offset = rep.chunks[refs[i]].offset;
+    uint64_t end = offset;
+    size_t stop = i;
+    for (; stop < last && rep.chunks[refs[stop]].offset == end &&
+           (stop == i ||
+            end - offset + rep.chunks[refs[stop]].payload_size <= kReadBytes);
+         ++stop) {
+      end += rep.chunks[refs[stop]].payload_size;
+    }
+    const size_t size = static_cast<size_t>(end - offset);
+    if (bytes.size() < size) bytes.resize(size);
+    status = ReadExact(rep, offset, size, bytes.data());
+    for (uint8_t* payload = bytes.data(); i < stop && status.ok(); ++i) {
+      const ChunkRef& ref = rep.chunks[refs[i]];
+      status = DecodeChunk(rep, ref, payload, out);
+      payload += ref.payload_size;
+      out += ref.value_count;
+    }
   }
   *series = ts::TimeSeries(start, 1, std::move(values));
   return status;
@@ -648,43 +644,57 @@ Result<HometsReader> HometsReader::Open(const std::string& path) {
   reader.rep_ = std::make_unique<Rep>();
   Rep* rep = reader.rep_.get();
   rep->path = path;
-  HOMETS_RETURN_IF_ERROR(LoadFile(path, rep));
+  rep->fd = open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (rep->fd < 0) return Status::IoError("cannot open for read: " + path);
+  struct stat st {};
+  if (fstat(rep->fd, &st) != 0 || st.st_size < 0) {
+    return Status::IoError("cannot stat: " + path);
+  }
+  const uint64_t size = static_cast<uint64_t>(st.st_size);
+  if (size == 0) return Status::IoError("empty file: " + path);
   Metrics().files_opened->Increment();
-  if (rep->size < sizeof(kFileMagic) ||
-      std::memcmp(rep->data, kFileMagic, sizeof(kFileMagic)) != 0) {
+  uint8_t magic[sizeof(kFileMagic)] = {};
+  if (size >= sizeof(magic)) {
+    HOMETS_RETURN_IF_ERROR(ReadExact(*rep, 0, sizeof(magic), magic));
+  }
+  if (std::memcmp(magic, kFileMagic, sizeof(kFileMagic)) != 0) {
     return Status::InvalidArgument("not a homets file (bad magic): " + path);
   }
-  if (rep->size < sizeof(kFileMagic) + kTrailerSize) {
-    // Good magic but no room for a trailer: a write died before Finish.
-    obs::LogWarn("storage", "torn homets file",
-                 {obs::LogField::Str("path", path)});
-    return Status::IoError("torn homets file (missing trailer): " + path);
+  uint8_t trailer_bytes[kTrailerSize] = {};
+  if (size >= sizeof(kFileMagic) + kTrailerSize) {
+    HOMETS_RETURN_IF_ERROR(
+        ReadExact(*rep, size - kTrailerSize, kTrailerSize, trailer_bytes));
   }
-  ByteReader trailer(rep->data + rep->size - kTrailerSize, kTrailerSize);
+  ByteReader trailer(trailer_bytes, kTrailerSize);
   uint64_t footer_offset = 0;
   uint32_t footer_crc = 0;
-  bool trailer_ok = trailer.ReadU64(&footer_offset);
-  trailer_ok = trailer_ok && trailer.ReadU32(&footer_crc);
-  const uint8_t* magic = trailer.Skip(sizeof(kTrailerMagic));
-  if (!trailer_ok || magic == nullptr ||
-      std::memcmp(magic, kTrailerMagic, sizeof(kTrailerMagic)) != 0) {
+  (void)trailer.ReadU64(&footer_offset);
+  (void)trailer.ReadU32(&footer_crc);
+  if (std::memcmp(trailer.Skip(sizeof(kTrailerMagic)), kTrailerMagic,
+                  sizeof(kTrailerMagic)) != 0) {
+    // Good magic but no trailer (no room for one, or not its magic): a
+    // write died before Finish.
     obs::LogWarn("storage", "torn homets file",
                  {obs::LogField::Str("path", path)});
     return Status::IoError("torn homets file (missing trailer): " + path);
   }
   if (footer_offset < sizeof(kFileMagic) ||
-      footer_offset > rep->size - kTrailerSize) {
+      footer_offset > size - kTrailerSize) {
     return Status::IoError("corrupt homets trailer in " + path);
   }
-  const uint8_t* footer = rep->data + footer_offset;
-  const size_t footer_size = rep->size - kTrailerSize - footer_offset;
-  if (Crc32(footer, footer_size) != footer_crc) {
+  // The footer is parsed from a buffer of its own, freed on return.
+  std::vector<uint8_t> footer(
+      static_cast<size_t>(size - kTrailerSize - footer_offset));
+  HOMETS_RETURN_IF_ERROR(
+      ReadExact(*rep, footer_offset, footer.size(), footer.data()));
+  if (Crc32(footer.data(), footer.size()) != footer_crc) {
     Metrics().crc_failures->Increment();
     obs::LogError("storage", "footer crc mismatch",
                   {obs::LogField::Str("path", path)});
     return Status::IoError("footer crc mismatch in " + path);
   }
-  HOMETS_RETURN_IF_ERROR(ParseFooter(footer, footer_size, footer_offset, rep));
+  HOMETS_RETURN_IF_ERROR(
+      ParseFooter(footer.data(), footer.size(), footer_offset, rep));
   return reader;
 }
 
@@ -695,8 +705,6 @@ const GatewayMeta& HometsReader::gateway_meta(size_t gateway) const {
 }
 
 size_t HometsReader::chunk_count() const { return rep_->chunks.size(); }
-
-bool HometsReader::mmap_backed() const { return rep_->mmapped; }
 
 Result<simgen::GatewayTrace> HometsReader::ReadGateway(size_t gateway) const {
   simgen::GatewayTrace trace;

@@ -31,8 +31,8 @@
 //
 // The file ends with a varint-encoded index footer (gateway/device metadata
 // plus one entry per chunk) and a fixed 16-byte trailer locating it, so
-// readers can mmap the file and decode exactly the chunks a
-// (gateway, device, time-range) request overlaps — nothing else is touched.
+// readers read and decode exactly the chunks a (gateway, device,
+// time-range) request overlaps — nothing else of the file is read.
 namespace homets::storage {
 
 /// Bins per column chunk; the random-access granularity (~2.8 days of
@@ -144,10 +144,12 @@ struct FleetWriteStats {
 Result<FleetWriteStats> WriteFleetHomets(const simgen::FleetGenerator& fleet,
                                          const std::string& path);
 
-/// \brief mmap-backed reader. Open parses and validates only the footer;
-/// chunk payloads are faulted in on demand by ReadGateway/ReadSeries, so a
-/// time-range slice never touches unrelated pages. Falls back to a buffered
-/// whole-file read where mmap is unavailable.
+/// \brief pread-based reader. Open reads and validates only the magic,
+/// trailer and footer; ReadGateway/ReadSeries pread the chunks they decode
+/// into a private buffer that is freed once they are decoded, so a
+/// time-range slice reads no unrelated bytes and a file that shrank since
+/// Open is an IoError. The reader has no mutable state after Open: one
+/// const reader may serve many threads.
 class HometsReader {
  public:
   static Result<HometsReader> Open(const std::string& path);
@@ -160,7 +162,6 @@ class HometsReader {
   size_t gateway_count() const;
   const GatewayMeta& gateway_meta(size_t gateway) const;
   size_t chunk_count() const;
-  bool mmap_backed() const;
 
   /// Decodes every chunk of gateway `gateway` into a full GatewayTrace
   /// (devices in stored — name-sorted — order, bit-exact values).

@@ -33,21 +33,6 @@ double TimeSeries::Sum() const {
   return total;
 }
 
-namespace {
-
-/// Adds `s` into `out[0, s.size())` by Add's missing-value rule: a missing
-/// value of `s` leaves its slot as it is, a missing slot takes the value.
-void BlendInto(double* out, const TimeSeries& s) {
-  for (size_t i = 0; i < s.size(); ++i) {
-    const double v = s[i];
-    if (TimeSeries::IsMissing(v)) continue;
-    double& slot = out[i];
-    slot = TimeSeries::IsMissing(slot) ? v : slot + v;
-  }
-}
-
-}  // namespace
-
 Status TimeSeries::CheckSameGrid(const TimeSeries& a, const TimeSeries& b) {
   if (a.step_minutes() != b.step_minutes()) {
     return Status::InvalidArgument(StrFormat(
@@ -62,25 +47,16 @@ Status TimeSeries::CheckSameGrid(const TimeSeries& a, const TimeSeries& b) {
 }
 
 Result<TimeSeries> TimeSeries::Add(const TimeSeries& a, const TimeSeries& b) {
-  TimeSeries sum;
-  HOMETS_RETURN_IF_ERROR(Add(a, b, &sum));
-  return sum;
-}
-
-Status TimeSeries::Add(const TimeSeries& a, const TimeSeries& b,
-                       TimeSeries* sum) {
   HOMETS_RETURN_IF_ERROR(CheckSameGrid(a, b));
   const int64_t step = a.step_minutes();
   const int64_t begin = std::min(a.start_minute(), b.start_minute());
   const int64_t end = std::max(a.EndMinute(), b.EndMinute());
-  const size_t n = static_cast<size_t>((end - begin) / step);
-  std::vector<double> out = std::move(sum->values_);
-  out.assign(n, TimeSeries::Missing());
-  for (const TimeSeries* s : {&a, &b}) {
-    BlendInto(out.data() + (s->start_minute() - begin) / step, *s);
-  }
-  *sum = TimeSeries(begin, step, std::move(out));
-  return Status::OK();
+  TimeSeries sum(begin, step,
+                 std::vector<double>(static_cast<size_t>((end - begin) / step),
+                                     TimeSeries::Missing()));
+  AddInto(&sum, a);  // both lie inside `sum`, so both add in place
+  AddInto(&sum, b);
+  return sum;
 }
 
 TimeSeries TimeSeries::FillMissing(double fill) const {
@@ -237,25 +213,6 @@ void ClearKeepingBuffer(TimeSeries* series) {
   std::vector<double> buffer = std::move(series->mutable_values());
   buffer.clear();
   *series = TimeSeries(0, 1, std::move(buffer));
-}
-
-void AddInto(TimeSeries* total, const TimeSeries& part) {
-  if (part.empty()) return;
-  if (total->empty()) {
-    *total = part;
-    return;
-  }
-  const bool inside = part.start_minute() >= total->start_minute() &&
-                      part.EndMinute() <= total->EndMinute();
-  if (inside && TimeSeries::CheckSameGrid(*total, part).ok()) {
-    BlendInto(total->mutable_values().data() +
-                  (part.start_minute() - total->start_minute()) /
-                      total->step_minutes(),
-              part);
-    return;
-  }
-  auto sum = TimeSeries::Add(*total, part);
-  if (sum.ok()) *total = std::move(sum).value();
 }
 
 }  // namespace homets::ts

@@ -106,10 +106,6 @@ class TimeSeries {
   /// both inputs (a device that is absent contributes zero traffic).
   static Result<TimeSeries> Add(const TimeSeries& a, const TimeSeries& b);
 
-  /// Add(a, b) into `*sum`, reusing its buffer; `sum` must not be `a` or
-  /// `b`. Left unchanged on error.
-  static Status Add(const TimeSeries& a, const TimeSeries& b, TimeSeries* sum);
-
   /// OK when `a` and `b` share step and bin phase; otherwise Add's error.
   static Status CheckSameGrid(const TimeSeries& a, const TimeSeries& b);
 
@@ -173,11 +169,40 @@ std::vector<TimeSeries> AggregateWindows(const TimeSeries& series,
 void ClearKeepingBuffer(TimeSeries* series);
 
 /// \brief Adds `part` into the running sum `*total` by TimeSeries::Add's
-/// rule. A part inside `*total`'s span is added in place (no allocation);
-/// one that overhangs either end grows `*total` to the union by Add. An
-/// empty part is skipped, an empty total becomes a copy of `part`, and a
-/// part Add rejects (step or phase mismatch) is left out.
-void AddInto(TimeSeries* total, const TimeSeries& part);
+/// rule. A part inside `*total`'s span on its grid is added in place (no
+/// allocation); one that overhangs either end grows `*total` to the union by
+/// Add. An empty part is skipped, an empty total becomes a copy of `part` in
+/// its own buffer, and a part Add rejects (step or phase mismatch) is left
+/// out. `Part` is a TimeSeries or a view with its accessors (TotalTrafficView).
+template <typename Part>
+void AddInto(TimeSeries* total, const Part& part) {
+  if (part.size() == 0) return;
+  const int64_t step = total->step_minutes();
+  if (total->empty()) {
+    std::vector<double> values = std::move(total->mutable_values());
+    values.resize(part.size());
+    for (size_t i = 0; i < part.size(); ++i) values[i] = part[i];
+    *total = TimeSeries(part.start_minute(), part.step_minutes(),
+                        std::move(values));
+  } else if (part.step_minutes() == step &&
+             (total->start_minute() - part.start_minute()) % step == 0 &&
+             part.start_minute() >= total->start_minute() &&
+             part.EndMinute() <= total->EndMinute()) {
+    // A missing value of `part` leaves its slot; a missing slot takes it.
+    double* slot = total->mutable_values().data() +
+                   (part.start_minute() - total->start_minute()) / step;
+    for (size_t i = 0; i < part.size(); ++i, ++slot) {
+      const double v = part[i];
+      if (TimeSeries::IsMissing(v)) continue;
+      *slot = TimeSeries::IsMissing(*slot) ? v : *slot + v;
+    }
+  } else {
+    TimeSeries whole;  // `part` as a series (a copy), for Add
+    AddInto(&whole, part);
+    auto sum = TimeSeries::Add(*total, whole);
+    if (sum.ok()) *total = std::move(sum).value();
+  }
+}
 
 }  // namespace homets::ts
 

@@ -225,7 +225,7 @@ TEST_F(ChaosTest, ColumnarOpenErrorPropagatesThenClears) {
 
 // Schedule 7: one corrupted chunk payload. The CRC catches it and the read
 // reports a clean IoError; once the budget is spent the same reader serves
-// the data untouched — corruption injection never poisons the mmap.
+// the data untouched — corruption lands in that read's private buffer only.
 TEST_F(ChaosTest, ColumnarChunkCorruptionCaughtByCrc) {
   const std::string path = testing::TempDir() + "/chaos_col_chunk.homets";
   ASSERT_TRUE(storage::WriteGatewayHomets(path, ColumnarGateway()).ok());

@@ -382,10 +382,9 @@ TEST(ActiveAggregateTest, FleetGatewayProducesActiveSeries) {
 }
 
 // A device with fewer than 8 outgoing observations has no τ, so it enters
-// the active aggregate as its whole TotalTraffic(). ActiveAggregate(trace)
-// computes that total itself; the pipeline takes it from its device_totals.
-// Both must give the clip-then-Add sum of the other devices plus that total,
-// bit for bit.
+// the active aggregate as its whole TotalTraffic(), added in place from its
+// two directions. ActiveAggregate(trace) and the pipeline must both give the
+// clip-then-Add sum of the other devices plus that total, bit for bit.
 TEST(ActiveAggregateTest, ShortDirectionDeviceEntersAsItsTotal) {
   simgen::SimConfig config;
   config.n_gateways = 2;

@@ -108,7 +108,6 @@ TEST(GatewayPipelineTest, FieldsMatchTheirDefinitions) {
   BuildGatewayPipeline(gw, &workspace);
   const GatewayPipeline& pipeline = workspace.pipeline;
   ASSERT_EQ(pipeline.backgrounds.size(), gw.devices.size());
-  ASSERT_EQ(pipeline.device_totals.size(), gw.devices.size());
   for (size_t d = 0; d < residents.devices.size(); ++d) {
     const auto expected = EstimateDeviceBackground(gw.devices[d]).value();
     ASSERT_TRUE(pipeline.backgrounds[d].ok());
@@ -118,10 +117,6 @@ TEST(GatewayPipelineTest, FieldsMatchTheirDefinitions) {
                      expected.outgoing.tau);
   }
   EXPECT_FALSE(pipeline.backgrounds.back().ok());
-  for (size_t d = 0; d < gw.devices.size(); ++d) {
-    EXPECT_TRUE(SameSeries(pipeline.device_totals[d],
-                           gw.devices[d].TotalTraffic()));
-  }
   EXPECT_TRUE(SameSeries(pipeline.aggregate, gw.AggregateTraffic()));
 
   const ts::TimeSeries without_guest = ActiveAggregate(residents);

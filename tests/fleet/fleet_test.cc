@@ -826,8 +826,6 @@ void ExpectReuseMatchesFresh(io::DatasetReader* reader, size_t g,
                                trace->devices[d].incoming));
     EXPECT_TRUE(SameSeriesBits(reused->trace.devices[d].outgoing,
                                trace->devices[d].outgoing));
-    EXPECT_TRUE(SameSeriesBits(reused->pipeline.device_totals[d],
-                               fresh.pipeline.device_totals[d]));
     ASSERT_EQ(reused->pipeline.backgrounds[d].ok(),
               fresh.pipeline.backgrounds[d].ok());
     if (fresh.pipeline.backgrounds[d].ok()) {

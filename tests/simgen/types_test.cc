@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 namespace homets::simgen {
 namespace {
@@ -35,6 +39,71 @@ TEST(DeviceTraceTest, TotalTrafficSumsDirections) {
   const auto total = dev.TotalTraffic();
   EXPECT_DOUBLE_EQ(total[0], 11.0);
   EXPECT_DOUBLE_EQ(total[1], 22.0);
+}
+
+bool SameBits(const ts::TimeSeries& a, const ts::TimeSeries& b) {
+  return a.start_minute() == b.start_minute() &&
+         a.step_minutes() == b.step_minutes() && a.size() == b.size() &&
+         std::memcmp(a.values().data(), b.values().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+DeviceTrace Directions(ts::TimeSeries in, ts::TimeSeries out) {
+  DeviceTrace dev;
+  dev.incoming = std::move(in);
+  dev.outgoing = std::move(out);
+  return dev;
+}
+
+// The devices whose total is read in place: staggered direction spans, a
+// direction that is empty, and directions on different steps or phases
+// (TotalTraffic() falls back to incoming there).
+std::vector<DeviceTrace> InPlaceTotalCases() {
+  return {
+      Directions(ts::TimeSeries(2, 1, {1.5, kNaN, 3.0}),
+                 ts::TimeSeries(0, 1, {0.25, kNaN, kNaN, 4.0, 8.0, 0.1})),
+      Directions(ts::TimeSeries(4, 1, {kNaN, kNaN}),
+                 ts::TimeSeries(1, 1, {7.0})),
+      Directions(ts::TimeSeries(3, 1, {2.0, 5.0}), ts::TimeSeries()),
+      Directions(ts::TimeSeries(0, 2, {1.0, 2.0}),
+                 ts::TimeSeries(0, 1, {3.0, 4.0, 5.0})),
+      Directions(ts::TimeSeries(0, 2, {1.0, 2.0}),
+                 ts::TimeSeries(1, 2, {3.0, 4.0})),
+  };
+}
+
+TEST(DeviceTraceTest, TotalTrafficViewReadsTheTotalInPlace) {
+  for (const DeviceTrace& dev : InPlaceTotalCases()) {
+    const ts::TimeSeries want = dev.TotalTraffic();
+    const TotalTrafficView view(dev);
+    ASSERT_EQ(view.start_minute(), want.start_minute());
+    ASSERT_EQ(view.step_minutes(), want.step_minutes());
+    ASSERT_EQ(view.EndMinute(), want.EndMinute());
+    ASSERT_EQ(view.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      const double got = view[i];
+      EXPECT_EQ(std::memcmp(&got, &want.values()[i], sizeof(double)), 0)
+          << "bin " << i;
+    }
+  }
+}
+
+// AddInto of the view equals AddInto of TotalTraffic() bit for bit into an
+// empty sum, a sum the total lies inside (the in-place path), one it
+// overhangs and one on another step.
+TEST(DeviceTraceTest, AddIntoOfTheViewMatchesAddIntoOfTheTotal) {
+  const std::vector<ts::TimeSeries> sums = {
+      ts::TimeSeries(), ts::TimeSeries(-2, 1, std::vector<double>(12, 0.5)),
+      ts::TimeSeries(3, 1, {1.0, kNaN}), ts::TimeSeries(0, 3, {1.0, 2.0})};
+  for (const DeviceTrace& dev : InPlaceTotalCases()) {
+    for (const ts::TimeSeries& start : sums) {
+      ts::TimeSeries want = start;
+      ts::AddInto(&want, dev.TotalTraffic());
+      ts::TimeSeries got = start;
+      ts::AddInto(&got, TotalTrafficView(dev));
+      EXPECT_TRUE(SameBits(got, want));
+    }
+  }
 }
 
 TEST(GatewayTraceTest, AggregateSumsDevices) {

@@ -2,13 +2,15 @@
 // round trips stay bit-exact across both chunk encodings, the footer index
 // serves time-range slices without decoding unrelated chunks (asserted via
 // the homets.storage.chunks_read/chunks_skipped counters), and every
-// corruption mode — bad magic, torn trailer, flipped payload byte — surfaces
-// as a clean Status, never a crash. Hand-assembled files cover the chunk
-// payloads the writer never emits, and a multi-chunk series must decode bit
-// for bit equal to the CSV read of the same gateway.
+// corruption mode — bad magic, torn trailer, flipped payload byte, a file
+// truncated under an open reader — surfaces as a clean Status, never a
+// crash. Hand-assembled files cover the chunk payloads the writer never
+// emits, and a multi-chunk series must decode bit for bit equal to the CSV
+// read of the same gateway.
 #include "storage/homets_format.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
@@ -189,7 +191,6 @@ TEST(HometsFormatTest, FleetWriterAccountsForEveryGateway) {
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   EXPECT_EQ(reader->gateway_count(), stats->gateways);
   EXPECT_EQ(reader->chunk_count(), stats->chunks);
-  EXPECT_TRUE(reader->mmap_backed());
   for (size_t g = 0; g < reader->gateway_count(); ++g) {
     const auto gw = reader->ReadGateway(g);
     ASSERT_TRUE(gw.ok()) << gw.status().ToString();
@@ -325,6 +326,36 @@ TEST_F(HometsCorruptionTest, FlippedPayloadByteFailsCrcOnRead) {
   EXPECT_EQ(gw.status().code(), StatusCode::kIoError);
   EXPECT_NE(gw.status().message().find("crc mismatch"), std::string::npos);
   EXPECT_GT(CounterValue(obs::kStorageCrcFailures), failures_before);
+}
+
+// A file that shrinks under an open reader: Open read only the footer, so
+// each later request preads chunk bytes that are no longer there. That is
+// a short read, an IoError — never a signal that kills the process.
+TEST(HometsFormatTest, FileTruncatedAfterOpenIsIoError) {
+  simgen::SimConfig config;
+  config.n_gateways = 1;
+  config.weeks = 1;
+  config.seed = 11;
+  const std::string path = TempPath("shrinks.homets");
+  ASSERT_TRUE(
+      WriteGatewayHomets(path, simgen::FleetGenerator(config).Generate(0))
+          .ok());
+  auto reader = HometsReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const auto before = reader->ReadGateway(0);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  const ts::TimeSeries& last = before->devices.back().outgoing;
+
+  ASSERT_EQ(truncate(path.c_str(), 4096), 0);
+  const auto gw = reader->ReadGateway(0);
+  EXPECT_EQ(gw.status().code(), StatusCode::kIoError);
+  EXPECT_NE(gw.status().message().find("short read"), std::string::npos)
+      << gw.status().ToString();
+  const auto series =
+      reader->ReadSeries(0, before->devices.size() - 1, 1,
+                         last.start_minute(), last.EndMinute());
+  EXPECT_EQ(series.status().code(), StatusCode::kIoError);
+  std::remove(path.c_str());
 }
 
 // --- chunk decoding on hostile and edge payloads --------------------------
