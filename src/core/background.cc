@@ -29,19 +29,17 @@ TauGroup ClassifyTau(double tau) {
 }
 
 Result<BackgroundThreshold> EstimateBackgroundThreshold(
-    const ts::TimeSeries& traffic, std::vector<double>* scratch) {
-  scratch->clear();
-  scratch->reserve(traffic.size());
-  for (const double v : traffic.values()) {
-    if (!ts::TimeSeries::IsMissing(v)) scratch->push_back(v);
-  }
-  if (scratch->size() < 8) {
+    const ts::TimeSeries& traffic, std::vector<uint64_t>* keys) {
+  // The whisker factor is the constant 1.5, so UpperWhisker fails only on a
+  // series with no observation, which is too few as well.
+  const auto whisker = stats::UpperWhisker(traffic.values(), keys);
+  if (!whisker.ok() || whisker->observations < 8) {
     return Status::InvalidArgument(
         "EstimateBackgroundThreshold: need >= 8 observations");
   }
   BackgroundThreshold result;
-  result.observations = scratch->size();
-  HOMETS_ASSIGN_OR_RETURN(result.tau, stats::UpperWhisker(*scratch));
+  result.observations = whisker->observations;
+  result.tau = whisker->value;
   result.tau_back = std::min(result.tau, kBackgroundCapBytes);
   result.group = ClassifyTau(result.tau);
   auto& registry = obs::MetricsRegistry::Global();
@@ -62,20 +60,20 @@ Result<BackgroundThreshold> EstimateBackgroundThreshold(
 }
 
 Result<DeviceBackground> EstimateDeviceBackground(
-    const simgen::DeviceTrace& device, std::vector<double>* scratch) {
+    const simgen::DeviceTrace& device, std::vector<uint64_t>* keys) {
   obs::StageTimer stage("background.tau");
   DeviceBackground bg;
   HOMETS_ASSIGN_OR_RETURN(
-      bg.incoming, EstimateBackgroundThreshold(device.incoming, scratch));
+      bg.incoming, EstimateBackgroundThreshold(device.incoming, keys));
   HOMETS_ASSIGN_OR_RETURN(
-      bg.outgoing, EstimateBackgroundThreshold(device.outgoing, scratch));
+      bg.outgoing, EstimateBackgroundThreshold(device.outgoing, keys));
   return bg;
 }
 
 Result<DeviceBackground> EstimateDeviceBackground(
     const simgen::DeviceTrace& device) {
-  std::vector<double> scratch;
-  return EstimateDeviceBackground(device, &scratch);
+  std::vector<uint64_t> keys;
+  return EstimateDeviceBackground(device, &keys);
 }
 
 Status ActiveTraffic(const simgen::DeviceTrace& device,
@@ -128,16 +126,24 @@ void ActiveAggregate(const simgen::GatewayTrace& gateway,
   }
 }
 
-ts::TimeSeries ActiveAggregate(const simgen::GatewayTrace& gateway) {
-  std::vector<Result<DeviceBackground>> backgrounds;
-  backgrounds.reserve(gateway.devices.size());
-  std::vector<double> scratch;
+void ActiveAggregate(const simgen::GatewayTrace& gateway,
+                     std::vector<uint64_t>* keys,
+                     std::vector<Result<DeviceBackground>>* backgrounds,
+                     ts::TimeSeries* device_active, ts::TimeSeries* active) {
+  backgrounds->clear();
+  backgrounds->reserve(gateway.devices.size());
   for (const auto& device : gateway.devices) {
-    backgrounds.push_back(EstimateDeviceBackground(device, &scratch));
+    backgrounds->push_back(EstimateDeviceBackground(device, keys));
   }
+  ActiveAggregate(gateway, *backgrounds, device_active, active);
+}
+
+ts::TimeSeries ActiveAggregate(const simgen::GatewayTrace& gateway) {
+  std::vector<uint64_t> keys;
+  std::vector<Result<DeviceBackground>> backgrounds;
   ts::TimeSeries device_active;
   ts::TimeSeries active;
-  ActiveAggregate(gateway, backgrounds, &device_active, &active);
+  ActiveAggregate(gateway, &keys, &backgrounds, &device_active, &active);
   return active;
 }
 

@@ -1,6 +1,7 @@
 #ifndef HOMETS_CORE_BACKGROUND_H_
 #define HOMETS_CORE_BACKGROUND_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -31,12 +32,11 @@ struct BackgroundThreshold {
 };
 
 /// \brief Estimates τ for a traffic series (Section 6.1): the upper whisker
-/// of the boxplot of observed values. Requires at least 8 observations.
-/// The observed values are gathered into `*scratch` and selected there, so
-/// a caller that passes one buffer for every series allocates nothing once
-/// it has grown.
+/// of the boxplot of observed values, by stats::UpperWhisker with `*keys`
+/// as its key buffer, so a caller that passes one buffer for every series
+/// allocates nothing once it has grown. Requires at least 8 observations.
 Result<BackgroundThreshold> EstimateBackgroundThreshold(
-    const ts::TimeSeries& traffic, std::vector<double>* scratch);
+    const ts::TimeSeries& traffic, std::vector<uint64_t>* keys);
 
 /// \brief Per-device, per-direction thresholds (the paper estimates τ for
 /// incoming and outgoing separately).
@@ -46,9 +46,9 @@ struct DeviceBackground {
 };
 
 /// \brief Both directions' τ, each by EstimateBackgroundThreshold on
-/// `*scratch`.
+/// `*keys`.
 Result<DeviceBackground> EstimateDeviceBackground(
-    const simgen::DeviceTrace& device, std::vector<double>* scratch);
+    const simgen::DeviceTrace& device, std::vector<uint64_t>* keys);
 
 /// \brief EstimateDeviceBackground with a buffer of its own.
 Result<DeviceBackground> EstimateDeviceBackground(
@@ -75,9 +75,17 @@ void ActiveAggregate(const simgen::GatewayTrace& gateway,
                      const std::vector<Result<DeviceBackground>>& backgrounds,
                      ts::TimeSeries* device_active, ts::TimeSeries* active);
 
-/// \brief The active aggregate under each device's EstimateDeviceBackground:
-/// the same series as a GatewayPipeline's `active`, without the pipeline's
-/// raw aggregate.
+/// \brief The active aggregate under each device's EstimateDeviceBackground
+/// into `*active`: the same series as a GatewayPipeline's `active`, without
+/// the pipeline's raw aggregate. τ runs on `*keys` and lands in
+/// `*backgrounds`; every buffer is reused, so a caller that passes the same
+/// ones for every gateway allocates nothing once they have grown.
+void ActiveAggregate(const simgen::GatewayTrace& gateway,
+                     std::vector<uint64_t>* keys,
+                     std::vector<Result<DeviceBackground>>* backgrounds,
+                     ts::TimeSeries* device_active, ts::TimeSeries* active);
+
+/// \brief ActiveAggregate with buffers of its own.
 ts::TimeSeries ActiveAggregate(const simgen::GatewayTrace& gateway);
 
 }  // namespace homets::core

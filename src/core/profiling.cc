@@ -19,8 +19,8 @@ void BuildGatewayPipeline(const simgen::GatewayTrace& gateway,
   for (size_t d = 0; d < n; ++d) {
     const simgen::DeviceTrace& device = gateway.devices[d];
     pipeline.backgrounds.push_back(
-        EstimateDeviceBackground(device, &workspace->observed));
-    obs::StageTimer totals("core.totals_and_aggregate");
+        EstimateDeviceBackground(device, &workspace->tau_keys));
+    obs::StageTimer aggregate("core.aggregate");
     ts::AddInto(&pipeline.aggregate, simgen::TotalTrafficView(device));
   }
   ActiveAggregate(gateway, pipeline.backgrounds, &workspace->device_active,

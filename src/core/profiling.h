@@ -41,10 +41,10 @@ struct GatewayWorkspace {
   /// Devices beyond the current gateway's count, kept with their buffers
   /// for a later gateway with more devices.
   std::vector<simgen::DeviceTrace> spare_devices;
-  GatewayPipeline pipeline;      ///< built by BuildGatewayPipeline
-  std::vector<double> observed;  ///< one direction's observed values (τ)
-  ts::TimeSeries device_active;  ///< one device's active traffic
-  DominanceWorkspace dominance;  ///< Definition 4's scan
+  GatewayPipeline pipeline;        ///< built by BuildGatewayPipeline
+  std::vector<uint64_t> tau_keys;  ///< one direction's order keys (τ)
+  ts::TimeSeries device_active;    ///< one device's active traffic
+  DominanceWorkspace dominance;    ///< Definition 4's scan
 };
 
 /// \brief Computes every GatewayPipeline field from `gateway`, device by

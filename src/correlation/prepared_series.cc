@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -51,16 +50,6 @@ void AddTieGroup(size_t size, TieSums* s) {
 }
 
 using KeyedIndex = ProfileScratch::KeyedIndex;
-
-// A non-zero, non-NaN value's key orders like the value: a negative value's
-// bits are flipped (larger magnitude, smaller key), a positive value gets its
-// sign bit set (above every negative). Equal keys are equal doubles, since
-// only the two zeros share a value across bit patterns and zeros never get a
-// key.
-uint64_t RadixKey(double v) {
-  const uint64_t bits = std::bit_cast<uint64_t>(v);
-  return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
-}
 
 // Stable LSD radix sort of `scratch->items` by key, one byte per pass. A
 // pass whose byte is the same in every key would keep the order, so it is
@@ -313,7 +302,7 @@ void PreparedSeries::Profile(std::vector<double>* values, uint32_t profiles,
       if (v == 0.0) {
         order[zero_pos++] = i;
       } else {
-        items[item++] = {RadixKey(v), i};
+        items[item++] = {stats::OrderKey(v), i};
       }
     }
     RadixSortByKey(scratch);

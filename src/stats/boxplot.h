@@ -1,6 +1,8 @@
 #ifndef HOMETS_STATS_BOXPLOT_H_
 #define HOMETS_STATS_BOXPLOT_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -37,11 +39,23 @@ struct Boxplot {
 Result<Boxplot> ComputeBoxplot(std::vector<double> xs,
                                double whisker_factor = 1.5);
 
-/// \brief ComputeBoxplot(xs, whisker_factor).upper_whisker, bit for bit, by
-/// selection instead of a full sort: O(n) expected, for callers (the paper's
-/// per-device τ) that need nothing else from the boxplot. Selects in the
-/// caller's buffer, so `xs` comes back reordered.
-Result<double> UpperWhisker(std::span<double> xs, double whisker_factor = 1.5);
+/// \brief What UpperWhisker reports about a series.
+struct UpperWhiskerResult {
+  double value = 0.0;       ///< the upper whisker of the observed values
+  size_t observations = 0;  ///< how many values are observed (not NaN)
+};
+
+/// \brief ComputeBoxplot(observed, whisker_factor).upper_whisker, where
+/// `observed` is `values` without its NaNs (Missing), by an exact select over
+/// order keys (OrderKey, stats/ranks.h) instead of a sort: O(n). Every zero
+/// counts as +0.0, so a sample that mixes -0.0 and 0.0 gets the whisker of
+/// the sample with its zeros made +0.0 (a sort may put either zero last).
+/// `*keys` is scratch: a caller that passes one buffer for every series
+/// allocates nothing once it has grown. InvalidArgument for a negative
+/// `whisker_factor` or no observed value.
+Result<UpperWhiskerResult> UpperWhisker(std::span<const double> values,
+                                        std::vector<uint64_t>* keys,
+                                        double whisker_factor = 1.5);
 
 }  // namespace homets::stats
 

@@ -29,10 +29,10 @@ ts::TimeSeries BackgroundWithBursts(double base, double burst, size_t n,
   return ts::TimeSeries(0, 1, std::move(v));
 }
 
-// τ of one series, gathered in a buffer of its own.
+// τ of one series, with a key buffer of its own.
 Result<BackgroundThreshold> Tau(const ts::TimeSeries& traffic) {
-  std::vector<double> scratch;
-  return EstimateBackgroundThreshold(traffic, &scratch);
+  std::vector<uint64_t> keys;
+  return EstimateBackgroundThreshold(traffic, &keys);
 }
 
 // ActiveTraffic into a fresh series.
@@ -99,6 +99,21 @@ TEST(BackgroundThresholdTest, TooFewObservationsError) {
   EXPECT_FALSE(Tau(tiny).ok());
 }
 
+TEST(BackgroundThresholdTest, EightObservationsAreTheMinimum) {
+  // Zeros are observations; Missing values are not.
+  const double missing = ts::TimeSeries::Missing();
+  std::vector<double> values = {0.0, missing, 2.0, 3.0, missing,
+                                0.0, 5.0,     6.0, 7.0};
+  EXPECT_FALSE(Tau(ts::TimeSeries(0, 1, values)).ok());
+  values.push_back(8.0);
+  const auto bg = Tau(ts::TimeSeries(0, 1, values)).value();
+  EXPECT_EQ(bg.observations, 8u);
+  const double whisker =
+      stats::ComputeBoxplot({0.0, 2.0, 3.0, 0.0, 5.0, 6.0, 7.0, 8.0})
+          ->upper_whisker;
+  EXPECT_EQ(std::memcmp(&bg.tau, &whisker, sizeof(double)), 0);
+}
+
 TEST(BackgroundThresholdTest, TauMatchesFullBoxplotOnFleet) {
   // τ comes from stats::UpperWhisker (selection, no sort); on every device
   // direction of a simgen fleet it must be the full boxplot's whisker bits.
@@ -107,6 +122,7 @@ TEST(BackgroundThresholdTest, TauMatchesFullBoxplotOnFleet) {
   config.weeks = 2;
   config.seed = 4243;
   simgen::FleetGenerator gen(config);
+  std::vector<uint64_t> keys;
   size_t checked = 0;
   for (int id = 0; id < config.n_gateways; ++id) {
     const auto gw = gen.Generate(id);
@@ -117,7 +133,8 @@ TEST(BackgroundThresholdTest, TauMatchesFullBoxplotOnFleet) {
         if (observed.empty()) continue;
         const double boxplot =
             stats::ComputeBoxplot(observed).value().upper_whisker;
-        const double tau = stats::UpperWhisker(observed).value();
+        const double tau =
+            stats::UpperWhisker(series->values(), &keys).value().value;
         EXPECT_EQ(std::memcmp(&tau, &boxplot, sizeof(double)), 0)
             << device.name << ": " << tau << " vs " << boxplot;
         ++checked;

@@ -149,7 +149,7 @@ TEST(GatewayPipelineTest, SilentGatewayHasWindowsButNoProfile) {
             2u);
 }
 
-// The pipeline's own stage boundaries: τ and the totals per device, the
+// The pipeline's own stage boundaries: τ and the aggregate per device, the
 // active aggregate once, all nested in one core.gateway_pipeline call.
 TEST(GatewayPipelineTest, TimesEachBoundaryUnderACollector) {
   const simgen::GatewayTrace gw = MakeGateway();
@@ -163,7 +163,7 @@ TEST(GatewayPipelineTest, TimesEachBoundaryUnderACollector) {
       {"background.active_aggregate", 1},
       {"background.tau", gw.devices.size()},
       {"core.gateway_pipeline", 1},
-      {"core.totals_and_aggregate", gw.devices.size()}};
+      {"core.aggregate", gw.devices.size()}};
   std::map<std::string, uint64_t> calls;
   double nested_seconds = 0.0;
   for (const auto& [stage, sum] : sums) {

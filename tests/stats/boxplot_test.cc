@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/random.h"
@@ -99,14 +100,38 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// The full boxplot's whisker over the observed (non-NaN) values of `xs`, with
+// every zero made +0.0: UpperWhisker's documented result.
+double ReferenceWhisker(const std::vector<double>& xs, double whisker_factor) {
+  std::vector<double> observed;
+  for (const double x : xs) {
+    if (!std::isnan(x)) observed.push_back(x == 0.0 ? 0.0 : x);
+  }
+  return ComputeBoxplot(observed, whisker_factor)->upper_whisker;
+}
+
 // UpperWhisker selects instead of sorting; it must return the very bits of
-// the full boxplot's whisker.
+// the full boxplot's whisker. `keys` may hold an earlier sample's keys.
+void ExpectWhiskerParity(const std::vector<double>& xs,
+                         double whisker_factor, std::vector<uint64_t>* keys) {
+  const UpperWhiskerResult selected =
+      UpperWhisker(xs, keys, whisker_factor).value();
+  const double expected = ReferenceWhisker(xs, whisker_factor);
+  EXPECT_TRUE(SameBits(selected.value, expected))
+      << selected.value << " vs " << expected;
+  const auto is_nan = [](double x) { return std::isnan(x); };
+  EXPECT_EQ(selected.observations,
+            xs.size() - static_cast<size_t>(
+                            std::count_if(xs.begin(), xs.end(), is_nan)));
+}
+
 void ExpectWhiskerParity(const std::vector<double>& xs,
                          double whisker_factor = 1.5) {
-  const double expected = ComputeBoxplot(xs, whisker_factor)->upper_whisker;
-  std::vector<double> scratch = xs;
-  const double selected = UpperWhisker(scratch, whisker_factor).value();
-  EXPECT_TRUE(SameBits(selected, expected)) << selected << " vs " << expected;
+  std::vector<uint64_t> keys;
+  ExpectWhiskerParity(xs, whisker_factor, &keys);
 }
 
 TEST(UpperWhiskerTest, MatchesBoxplotOnSmallSamples) {
@@ -164,10 +189,93 @@ TEST(UpperWhiskerTest, MatchesBoxplotWithZeroWhiskerFactor) {
   ExpectWhiskerParity(xs, 0.0);
 }
 
+// One value of a kind a direction may hold or a whisker must survive.
+double DrawValue(size_t kind, Rng* rng) {
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  switch (kind) {
+    case 0:
+      return 0.0;
+    case 1:
+      return -0.0;
+    case 2:  // fractional byte counts
+      return rng->LogNormal(std::log(300.0), 1.5);
+    case 3:
+      return -rng->LogNormal(std::log(300.0), 1.5);
+    case 4:  // subnormals of either sign
+      return (rng->Bernoulli(0.5) ? kTiny : -kTiny) *
+             static_cast<double>(1 + rng->UniformInt(1000));
+    case 5:  // a handful of tied values
+      return static_cast<double>(rng->UniformInt(4));
+    case 6:
+      return rng->Bernoulli(0.5) ? kInf : -kInf;
+    default:  // Missing
+      return kNaN;
+  }
+}
+
+// Seeded random samples over every mix of value kinds, at n = 1…64 and at
+// the length of a six-week direction, at whisker factors 0 and 1.5. One key
+// buffer serves every sample, longer and shorter ones in turn.
+TEST(UpperWhiskerTest, PropertyMatchesBoxplotOnEdgeSamples) {
+  Rng rng(2016);
+  std::vector<uint64_t> keys;
+  size_t samples = 0;
+  const auto check = [&](size_t n) {
+    // Each sample draws from its own weights: some kinds absent, some rare.
+    std::vector<double> weights(8);
+    for (auto& w : weights) {
+      w = rng.Bernoulli(0.4) ? 0.0 : rng.Uniform(0.02, 1.0);
+    }
+    weights[rng.UniformInt(7)] += 1.0;  // at least one observed kind
+    std::vector<double> xs(n);
+    for (auto& x : xs) x = DrawValue(rng.Categorical(weights), &rng);
+    if (std::all_of(xs.begin(), xs.end(),
+                    [](double x) { return std::isnan(x); })) {
+      xs[0] = rng.LogNormal(0.0, 1.0);
+    }
+    for (const double factor : {0.0, 1.5}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " factor=" << factor
+                                      << " sample " << samples);
+      ExpectWhiskerParity(xs, factor, &keys);
+    }
+    ++samples;
+  };
+  for (size_t n = 1; n <= 64; ++n) {
+    for (int rep = 0; rep < 40; ++rep) check(n);
+  }
+  for (int rep = 0; rep < 12; ++rep) check(60480);
+  EXPECT_EQ(samples, 64u * 40u + 12u);
+}
+
+// DESIGN.md §5: a sort may put either zero last, so every zero reads as
+// +0.0. This sample's quartiles and whisker all fall in the zero block.
+TEST(UpperWhiskerTest, MixedSignedZerosReadAsPositiveZero) {
+  const std::vector<double> xs = {-0.0, 0.0, -0.0, 0.0, -0.0,
+                                  0.0,  -0.0, 0.0, 5e6};
+  std::vector<uint64_t> keys;
+  const double whisker = UpperWhisker(xs, &keys).value().value;
+  EXPECT_EQ(whisker, 0.0);
+  EXPECT_FALSE(std::signbit(whisker));
+  const double only = UpperWhisker(std::vector<double>{-0.0}, &keys)->value;
+  EXPECT_FALSE(std::signbit(only));
+}
+
+TEST(UpperWhiskerTest, NaNIsNotAnObservation) {
+  std::vector<uint64_t> keys;
+  const auto whisker =
+      UpperWhisker(std::vector<double>{kNaN, 1, 2, kNaN, 3, 4, kNaN}, &keys)
+          .value();
+  EXPECT_EQ(whisker.observations, 4u);
+  EXPECT_TRUE(
+      SameBits(whisker.value, ComputeBoxplot({1, 2, 3, 4})->upper_whisker));
+  EXPECT_FALSE(UpperWhisker(std::vector<double>{kNaN, kNaN}, &keys).ok());
+}
+
 TEST(UpperWhiskerTest, ErrorsOnBadInput) {
+  std::vector<uint64_t> keys;
   std::vector<double> one = {1.0};
-  EXPECT_FALSE(UpperWhisker({}).ok());
-  EXPECT_FALSE(UpperWhisker(one, -1.0).ok());
+  EXPECT_FALSE(UpperWhisker({}, &keys).ok());
+  EXPECT_FALSE(UpperWhisker(one, &keys, -1.0).ok());
 }
 
 }  // namespace

@@ -192,8 +192,10 @@ std::string InputFormatLabel(const std::string& path,
 }
 
 // Reads every gateway of the TRACE arguments in order and hands each
-// readable one to `use` with its id (0, 1, 2, … in reading order), noting
-// on stderr what it skips; returns how many it handed over.
+// readable one's active aggregate (core::ActiveAggregate) to `use` with its
+// id (0, 1, 2, … in reading order), noting on stderr what it skips; returns
+// how many it handed over. Every gateway is decoded and aggregated in the
+// same buffers, so `use` keeps no reference to the series.
 template <typename Use>
 int ForEachGateway(const std::vector<std::string>& paths,
                    const io::DatasetOptions& dataset_options, const Use& use) {
@@ -201,17 +203,25 @@ int ForEachGateway(const std::vector<std::string>& paths,
     std::cerr << "skipping " << path << ": " << status.ToString() << "\n";
   };
   int next_id = 0;
+  // One workspace for every gateway: the decoded trace, τ's keys and the
+  // active aggregate keep their buffers.
+  core::GatewayWorkspace workspace;
   for (const std::string& path : paths) {
     auto reader = io::DatasetReader::Open(path, dataset_options);
     if (!reader.ok()) skip(path, reader.status());
     for (size_t g = 0; reader.ok() && g < reader->gateway_count(); ++g) {
-      const auto gw = reader->ReadGateway(g);
-      if (!gw.ok()) {
-        skip(path, gw.status());
+      const Status read =
+          reader->ReadGateway(g, &workspace.trace, &workspace.spare_devices);
+      if (!read.ok()) {
+        skip(path, read);
         continue;
       }
       NarrateIngest(reader->report());
-      use(next_id++, *gw);
+      core::ActiveAggregate(workspace.trace, &workspace.tau_keys,
+                            &workspace.pipeline.backgrounds,
+                            &workspace.device_active,
+                            &workspace.pipeline.active);
+      use(next_id++, workspace.pipeline.active);
     }
   }
   return next_id;
@@ -396,9 +406,8 @@ int RunMotifs(const ParsedArgs& args,
     obs::StageTimer stage("read_traces", g_manifest);
     gateways = ForEachGateway(
         args.positional, dataset_options,
-        [&](int id, const simgen::GatewayTrace& gw) {
-          for (auto& w :
-               core::MotifWindows(core::ActiveAggregate(gw), windowing)) {
+        [&](int id, const ts::TimeSeries& active) {
+          for (auto& w : core::MotifWindows(active, windowing)) {
             provenance.push_back({id, w.start_minute()});
             windows.push_back(std::move(w));
           }
@@ -494,8 +503,7 @@ int RunStream(const ParsedArgs& args,
   size_t minutes = 0, windows_streamed = 0;
   const int gateways = ForEachGateway(
       args.positional, dataset_options,
-      [&](int id, const simgen::GatewayTrace& gw) {
-        const auto active = core::ActiveAggregate(gw);
+      [&](int id, const ts::TimeSeries& active) {
         const auto feed = [&](int64_t minute, double value) {
           const auto completed = assembler->Ingest(id, minute, value);
           if (!completed.ok()) return;
