@@ -9,7 +9,8 @@
 // a warm-up run, so the first thread count measured is not penalized for
 // spinning up the pool and faulting in the prepared vectors. The same JSON
 // carries the dominance-length kernel case ("dominance_kernels"): prepare,
-// Pearson, Spearman, Kendall and the whole Definition 1 similarity, per call,
+// Pearson, Spearman, Kendall (in full and at φ = 0.6, where Definition 4
+// stops it) and the whole Definition 1 similarity, per call,
 // on a zero-heavy simgen device grid against its gateway aggregate over a
 // 6-week (60 480-minute) horizon. Flags:
 //   --similarity_json=PATH     output path (default BENCH_similarity.json)
@@ -317,6 +318,10 @@ void RunDominanceKernelScenario(obs::JsonEncoder* out) {
   });
   time_kernel("kendall", [&] {
     benchmark::DoNotOptimize(correlation::Kendall(px, py, &workspace));
+  });
+  // The count Definition 4 makes at φ = 0.6: it stops once τ-b ≤ φ is proven.
+  time_kernel("kendall_at_phi", [&] {
+    benchmark::DoNotOptimize(correlation::Kendall(px, py, &workspace, 0.6));
   });
   time_kernel("similarity", [&] {
     benchmark::DoNotOptimize(core::CorrelationSimilarity(

@@ -31,24 +31,28 @@ void MakeAggregateGrid(const ts::TimeSeries& aggregate, AggregateGrid* grid) {
 
 namespace {
 
+// The candidates above φ, by descending similarity; equal similarities keep
+// device order, so the order never depends on the candidates below φ.
 std::vector<DominantDevice> RankAndFilter(
-    std::vector<DominantDevice> candidates, const DominanceOptions& options) {
+    const std::vector<DominantDevice>& candidates,
+    const DominanceOptions& options) {
   auto& registry = obs::MetricsRegistry::Global();
   static obs::Counter* const devices_tested =
       registry.GetCounter(obs::kDominanceDevicesTested);
   static obs::Counter* const devices_above_phi =
       registry.GetCounter(obs::kDominanceDevicesAbovePhi);
   devices_tested->Increment(candidates.size());
-  std::sort(candidates.begin(), candidates.end(),
-            [](const DominantDevice& a, const DominantDevice& b) {
-              return a.similarity > b.similarity;
-            });
   std::vector<DominantDevice> dominants;
-  for (const auto& c : candidates) {
-    if (c.similarity > options.phi) devices_above_phi->Increment();
-    if (c.similarity > options.phi && dominants.size() < options.max_devices) {
-      dominants.push_back(c);
-    }
+  for (const DominantDevice& c : candidates) {
+    if (c.similarity > options.phi) dominants.push_back(c);
+  }
+  devices_above_phi->Increment(dominants.size());
+  std::stable_sort(dominants.begin(), dominants.end(),
+                   [](const DominantDevice& a, const DominantDevice& b) {
+                     return a.similarity > b.similarity;
+                   });
+  if (dominants.size() > options.max_devices) {
+    dominants.resize(options.max_devices);
   }
   return dominants;
 }
@@ -62,8 +66,15 @@ std::vector<DominantDevice> ScanDevices(
     const OnGrid& on_grid, const DominanceOptions& options,
     DominanceWorkspace* ws) {
   if (aggregate.empty()) return {};
+  static obs::Counter* const kendall_bounded =
+      obs::MetricsRegistry::Global().GetCounter(obs::kDominanceKendallBounded);
   SimilarityOptions sim_options;
   sim_options.alpha = options.alpha;
+  // Only "cor > φ" matters, so Kendall may stop at φ. Below 0 it may not:
+  // "no coefficient significant" scores 0, which is above such a φ.
+  const double floor = options.phi >= 0.0
+                           ? options.phi
+                           : -std::numeric_limits<double>::infinity();
   // Every buffer gets room for the whole aggregate, so a reused workspace
   // grows with the gateways' length only, never with one device's grid,
   // zeros or tie groups.
@@ -77,22 +88,32 @@ std::vector<DominantDevice> ScanDevices(
   ws->pair.ids.reserve(n);
   ws->pair.tree.reserve(n);
   ws->pair.tie_counts.reserve(n);
-  ws->aggregate.Profile(&ws->grid.values, correlation::kAllProfiles,
-                        &ws->sort);
+  {
+    obs::StageTimer stage("dominance.prepare");
+    ws->aggregate.Profile(&ws->grid.values, correlation::kAllProfiles,
+                          &ws->sort);
+  }
   std::vector<DominantDevice> candidates;
   for (size_t d = 0; d < gateway.devices.size(); ++d) {
     if (!on_grid(d, ws->grid, &ws->device_values)) continue;
-    ws->device.Profile(&ws->device_values, correlation::kAllProfiles,
-                       &ws->sort);
+    {
+      obs::StageTimer stage("dominance.prepare");
+      ws->device.Profile(&ws->device_values, correlation::kAllProfiles,
+                         &ws->sort);
+    }
+    // Definition 1 against the aggregate; Kendall's count is nearly all of
+    // it (Pearson and Spearman are one product pass each).
+    obs::StageTimer stage("dominance.kendall");
     const SimilarityResult sim = CorrelationSimilarity(
-        ws->device, ws->aggregate, sim_options, &ws->pair);
+        ws->device, ws->aggregate, sim_options, &ws->pair, floor);
+    if (sim.kendall_bounded) kendall_bounded->Increment();
     DominantDevice candidate;
     candidate.device_index = d;
     candidate.similarity = sim.value;
     candidate.reported_type = gateway.devices[d].reported_type;
     candidates.push_back(candidate);
   }
-  return RankAndFilter(std::move(candidates), options);
+  return RankAndFilter(candidates, options);
 }
 
 }  // namespace

@@ -28,12 +28,17 @@ SimilarityResult CorrelationSimilarity(const std::vector<double>& x,
 SimilarityResult CorrelationSimilarity(const correlation::PreparedSeries& x,
                                        const correlation::PreparedSeries& y,
                                        const SimilarityOptions& options,
-                                       correlation::PairWorkspace* workspace) {
+                                       correlation::PairWorkspace* workspace,
+                                       double floor) {
   SimilarityResult result;
   const auto consider = [&](Result<correlation::CorrelationTest> test,
                             SimilaritySource source) {
     if (!test.ok()) return;  // degenerate inputs: treated as not significant
     result.n = std::max(result.n, test->n);
+    if (test->bounded) {  // at most the floor: it cannot lift value above it
+      result.kendall_bounded = true;
+      return;
+    }
     if (!test->Significant(options.alpha)) return;
     // Definition 1 takes the maximum of the significant coefficients.
     if (!result.significant || test->coefficient > result.value) {
@@ -45,7 +50,8 @@ SimilarityResult CorrelationSimilarity(const correlation::PreparedSeries& x,
   consider(correlation::Pearson(x, y, workspace), SimilaritySource::kPearson);
   consider(correlation::Spearman(x, y, workspace),
            SimilaritySource::kSpearman);
-  consider(correlation::Kendall(x, y, workspace), SimilaritySource::kKendall);
+  consider(correlation::Kendall(x, y, workspace, floor),
+           SimilaritySource::kKendall);
   return result;
 }
 

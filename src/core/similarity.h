@@ -1,6 +1,7 @@
 #ifndef HOMETS_CORE_SIMILARITY_H_
 #define HOMETS_CORE_SIMILARITY_H_
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,9 @@ struct SimilarityResult {
   SimilaritySource source = SimilaritySource::kNone;
   bool significant = false;
   size_t n = 0;  ///< complete pairs used
+  /// Kendall's count stopped at the floor (prepared form only): τ-b was
+  /// proven ≤ the floor and took no part in `value`.
+  bool kendall_bounded = false;
 };
 
 /// \brief Options for the correlation similarity measure.
@@ -46,10 +50,18 @@ SimilarityResult CorrelationSimilarity(const std::vector<double>& x,
 /// (correlation::PreparedSeries) so a window compared against many partners
 /// is never re-ranked or re-sorted. `workspace` (optional) avoids per-pair
 /// allocations in batch loops; see correlation::PairWorkspace.
+///
+/// `floor` is for callers that only ask whether cor(X, Y) > floor: Kendall's
+/// count stops once τ-b ≤ floor is proven (correlation::Kendall). The
+/// answer to "value > floor" is then Definition 1's, and a value above the
+/// floor is exact. A value at or below it may be lower than Definition 1's,
+/// and for a floor below 0 even "none significant" (0) would be above it,
+/// so such callers pass a floor of at least 0. The default cuts nothing.
 SimilarityResult CorrelationSimilarity(
     const correlation::PreparedSeries& x, const correlation::PreparedSeries& y,
     const SimilarityOptions& options = {},
-    correlation::PairWorkspace* workspace = nullptr);
+    correlation::PairWorkspace* workspace = nullptr,
+    double floor = -std::numeric_limits<double>::infinity());
 
 /// \brief TimeSeries overload; compares the overlapping aligned bins.
 ///

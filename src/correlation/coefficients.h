@@ -16,6 +16,10 @@ struct CorrelationTest {
   double coefficient = 0.0;
   double p_value = 1.0;
   size_t n = 0;  ///< number of complete pairs used
+  /// Kendall only: the count stopped once τ-b ≤ its floor was proven (see
+  /// the prepared-series Kendall). `coefficient` is then an upper bound of
+  /// τ-b at or below the floor, and no p-value was computed.
+  bool bounded = false;
 
   /// True when the null is rejected at level `alpha`.
   bool Significant(double alpha = 0.05) const { return p_value < alpha; }

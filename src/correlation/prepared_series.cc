@@ -137,45 +137,118 @@ Result<CorrelationTest> SpearmanGathered(const std::vector<double>& xc,
   return test;
 }
 
+// τ-b's numerator n_c − n_d from the pair counts and the tie sums, and τ-b
+// from it and sqrt(denom_x · denom_y). KendallFromCounts and the floor's
+// bound both compute through these two, so they round alike.
+double TauNumerator(double n0, const TieSums& tx, const TieSums& ty,
+                    double joint_ties, uint64_t discordant) {
+  return n0 - tx.pairs - ty.pairs + joint_ties -
+         2.0 * static_cast<double>(discordant);
+}
+
+double TauB(double numerator, double norm) {
+  return std::clamp(numerator / norm, -1.0, 1.0);
+}
+
+// The walk checks the bound again after this many lead positions.
+constexpr uint32_t kBoundCheckStride = 1024;
+
 // Kendall over two profiled series of one length n >= 3. Discordant and
 // joint-tie pairs are symmetric in x and y, so the pairs are walked in the
 // sort order of the side with more tie groups (the lead), and the other side
 // (the partner) enters only through its tie-group ids. In dominance the lead
 // is the aggregate and the partner the device, whose zero minutes are id 0.
 // The x and y tie sums keep their labels in the τ-b formula.
+//
+// The discordant pairs with a member in the partner's minimum group (id 0)
+// are counted first, in one pass with no tree; the rest follow in a walk
+// with a Fenwick tree. The count stops once τ-b ≤ `floor` is proven, checked
+// after the first pass and every kBoundCheckStride lead positions of the
+// walk: the joint ties J are at most min(tx.pairs, ty.pairs) and the
+// discordant pairs D at least those counted so far, so τ-b's own expression
+// with those two in place of J and D bounds it from above, as every rounded
+// operation in it is monotone in each operand.
 Result<CorrelationTest> KendallProfiled(const PreparedSeries& x,
                                         const PreparedSeries& y,
-                                        PairWorkspace* ws) {
+                                        PairWorkspace* ws, double floor) {
+  const size_t n = x.size();
+  const double nf = static_cast<double>(n);
+  const double n0 = nf * (nf - 1.0) / 2.0;
+  const TieSums& tx = x.tie_sums();
+  const TieSums& ty = y.tie_sums();
+  if (n0 - tx.pairs <= 0.0 || n0 - ty.pairs <= 0.0) {
+    // A constant side has no τ-b, whatever the counts.
+    return KendallFromCounts(n, 0, 0, tx, ty);
+  }
+  const double norm = std::sqrt((n0 - tx.pairs) * (n0 - ty.pairs));
+  const double max_joint_ties = std::min(tx.pairs, ty.pairs);
+  CorrelationTest bound;
+  bound.n = n;
+  bound.bounded = true;
+  // The bound is at least −1, so a floor below it (the default −∞) needs
+  // no check.
+  const auto proven = [&](uint64_t discordant) {
+    if (!(floor >= -1.0)) return false;
+    bound.coefficient =
+        TauB(TauNumerator(n0, tx, ty, max_joint_ties, discordant), norm);
+    return bound.coefficient <= floor;
+  };
+
   const bool by_x = x.group_offsets().size() >= y.group_offsets().size();
   const PreparedSeries& lead = by_x ? x : y;
   const PreparedSeries& partner = by_x ? y : x;
+  const uint32_t* const order = lead.sort_order().data();
+  const std::vector<uint32_t>& lead_offsets = lead.group_offsets();
+  const size_t lead_groups = lead_offsets.size() - 1;
 
   // Partner group g in sort order gets id g: ids order like the values, and
-  // id 0 is the minimum.
+  // id 0 is the minimum group. Tie groups are runs of equal values, so a
+  // value equal to the minimum is in it: one sequential pass gives the
+  // minimum group id 0 and the rest id 1, and groups 2 and up get their
+  // own ids only if the count goes on.
+  const double* const partner_values = partner.values().data();
   const std::vector<uint32_t>& partner_order = partner.sort_order();
+  const double partner_min = partner_values[partner_order[0]];
+  ws->ids.resize(n);
+  uint32_t* const ids = ws->ids.data();
+  for (size_t i = 0; i < n; ++i) {
+    ids[i] = partner_values[i] == partner_min ? 0 : 1;
+  }
+
+  // One pass over the lead order counts the discordant pairs with a member
+  // in the minimum group: that member lies in a later lead group than the
+  // other, whose partner value is larger.
+  uint64_t discordant = 0;
+  uint64_t above_min = 0;  // members above the minimum in earlier lead groups
+  for (size_t g = 0; g < lead_groups; ++g) {
+    uint64_t above = 0;
+    for (uint32_t k = lead_offsets[g]; k < lead_offsets[g + 1]; ++k) {
+      above += ids[order[k]];
+    }
+    discordant += (lead_offsets[g + 1] - lead_offsets[g] - above) * above_min;
+    above_min += above;
+  }
+  if (proven(discordant)) return bound;
+
   const std::vector<uint32_t>& partner_offsets = partner.group_offsets();
   const uint32_t groups = static_cast<uint32_t>(partner_offsets.size() - 1);
-  ws->ids.resize(x.size());
-  uint32_t* const ids = ws->ids.data();
-  for (uint32_t g = 0; g < groups; ++g) {
+  for (uint32_t g = 2; g < groups; ++g) {
     for (uint32_t k = partner_offsets[g]; k < partner_offsets[g + 1]; ++k) {
       ids[partner_order[k]] = g;
     }
   }
 
-  // Fenwick tree over ids 1..groups-1, stored reversed: id p sits at position
-  // groups - p, so the prefix up to position groups-1-p counts the inserted
-  // ids above p. Nothing is below id 0, so it needs no tree, only the count
-  // of inserted ids above it.
+  // The rest of the discordant pairs, and the joint ties, in a walk over the
+  // lead order with a Fenwick tree over ids 1..groups-1, stored reversed: id
+  // p sits at position groups - p, so the prefix up to position groups-1-p
+  // counts the inserted ids above p. Id 0 is not queried (its pairs are
+  // counted) and not inserted (it is above no id).
   ws->tree.assign(groups, 0);
   ws->tie_counts.assign(groups, 0);
   uint32_t* const tree = ws->tree.data();
   uint32_t* const tie_counts = ws->tie_counts.data();
-  uint64_t discordant = 0;
   uint64_t joint_ties = 0;
-  uint32_t above_zero = 0;
   const auto count_above = [&](uint32_t id) {
-    if (id == 0) return static_cast<uint64_t>(above_zero);
     uint64_t above = 0;
     for (uint32_t pos = groups - 1 - id; pos > 0; pos &= pos - 1) {
       above += tree[pos];
@@ -183,24 +256,27 @@ Result<CorrelationTest> KendallProfiled(const PreparedSeries& x,
     return above;
   };
   const auto insert = [&](uint32_t id) {
-    if (id == 0) return;
-    ++above_zero;
     for (uint32_t pos = groups - id; pos < groups; pos += pos & (0u - pos)) {
       ++tree[pos];
     }
   };
-  const uint32_t* const order = lead.sort_order().data();
-  const std::vector<uint32_t>& lead_offsets = lead.group_offsets();
-  for (size_t g = 0; g + 1 < lead_offsets.size(); ++g) {
+  uint32_t next_check = kBoundCheckStride;
+  for (size_t g = 0; g < lead_groups; ++g) {
     const uint32_t begin = lead_offsets[g];
     const uint32_t end = lead_offsets[g + 1];
+    if (begin >= next_check) {
+      if (proven(discordant)) return bound;
+      next_check = begin + kBoundCheckStride;
+    }
     // Every inserted pair member lies strictly below this lead group, so a
     // larger partner id is a discordant pair. A group of one has no lead
     // ties and no joint ties, so it is queried and inserted in one step.
     if (end - begin == 1) {
       const uint32_t id = ids[order[begin]];
-      discordant += count_above(id);
-      insert(id);
+      if (id != 0) {
+        discordant += count_above(id);
+        insert(id);
+      }
       continue;
     }
     // A lead tie group is queried whole before any of it is inserted, so
@@ -208,17 +284,16 @@ Result<CorrelationTest> KendallProfiled(const PreparedSeries& x,
     // equal partner ids.
     for (uint32_t k = begin; k < end; ++k) {
       const uint32_t id = ids[order[k]];
-      discordant += count_above(id);
+      if (id != 0) discordant += count_above(id);
       joint_ties += tie_counts[id]++;
     }
     for (uint32_t k = begin; k < end; ++k) {
       const uint32_t id = ids[order[k]];
       tie_counts[id] = 0;
-      insert(id);
+      if (id != 0) insert(id);
     }
   }
-  return KendallFromCounts(x.size(), discordant, joint_ties, x.tie_sums(),
-                           y.tie_sums());
+  return KendallFromCounts(n, discordant, joint_ties, tx, ty);
 }
 
 }  // namespace
@@ -437,10 +512,9 @@ Result<CorrelationTest> KendallFromCounts(size_t n, uint64_t discordant,
     return Status::ComputeError("Kendall: constant input series");
   }
   const double concordant_minus_discordant =
-      n0 - tx.pairs - ty.pairs + static_cast<double>(joint_ties) -
-      2.0 * static_cast<double>(discordant);
-  double tau = concordant_minus_discordant / std::sqrt(denom_x * denom_y);
-  tau = std::clamp(tau, -1.0, 1.0);
+      TauNumerator(n0, tx, ty, static_cast<double>(joint_ties), discordant);
+  const double tau =
+      TauB(concordant_minus_discordant, std::sqrt(denom_x * denom_y));
 
   const double var = KendallNullVariance(n, tx, ty);
   CorrelationTest test;
@@ -457,7 +531,7 @@ Result<CorrelationTest> KendallFromCounts(size_t n, uint64_t discordant,
 
 Result<CorrelationTest> Kendall(const PreparedSeries& x,
                                 const PreparedSeries& y,
-                                PairWorkspace* workspace) {
+                                PairWorkspace* workspace, double floor) {
   PairWorkspace local;
   PairWorkspace* ws = workspace != nullptr ? workspace : &local;
   if (!(x.PairableWith(y) && (x.profiles() & kSortProfile) &&
@@ -469,9 +543,10 @@ Result<CorrelationTest> Kendall(const PreparedSeries& x,
       return Status::InvalidArgument("Kendall: need >= 3 complete pairs");
     }
     return KendallProfiled(PreparedSeries::Make(ws->xc, kSortProfile),
-                           PreparedSeries::Make(ws->yc, kSortProfile), ws);
+                           PreparedSeries::Make(ws->yc, kSortProfile), ws,
+                           floor);
   }
-  return KendallProfiled(x, y, ws);
+  return KendallProfiled(x, y, ws, floor);
 }
 
 }  // namespace homets::correlation

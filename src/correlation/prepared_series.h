@@ -2,6 +2,7 @@
 #define HOMETS_CORRELATION_PREPARED_SERIES_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/status.h"
@@ -163,12 +164,23 @@ Result<CorrelationTest> Spearman(const PreparedSeries& x,
 /// \brief Kendall's τ-b over two prepared series. The per-pair work is one
 /// walk over the sort order of the side with more tie groups (the lead),
 /// counting discordant pairs in a Fenwick tree over the other side's dense
-/// tie-group ids: O(n log g) for g partner groups. The permutations and tie
-/// sums come from the profiles. The gather fallback profiles the complete
-/// pairs and runs the same count. Bit-identical to Kendall(x, y).
-Result<CorrelationTest> Kendall(const PreparedSeries& x,
-                                const PreparedSeries& y,
-                                PairWorkspace* workspace = nullptr);
+/// tie-group ids: O(n log g) for g partner groups. The pairs with a member
+/// in the partner's minimum tie group are counted first, in one O(n) pass
+/// with no tree. The permutations and tie sums come from the profiles. The
+/// gather fallback profiles the complete pairs and runs the same count.
+/// Bit-identical to Kendall(x, y).
+///
+/// `floor` turns the count into a decision: once the discordant pairs
+/// counted so far prove τ-b ≤ `floor`, the count stops and the result is
+/// `bounded`, its coefficient an upper bound of τ-b at or below `floor`
+/// (DESIGN.md §5, "Definition 4 as a threshold decision"). The bound is
+/// τ-b's own expression with the joint ties at their maximum, so it is never
+/// below the τ-b the full count returns, bit for bit. At the default floor
+/// nothing is cut.
+Result<CorrelationTest> Kendall(
+    const PreparedSeries& x, const PreparedSeries& y,
+    PairWorkspace* workspace = nullptr,
+    double floor = -std::numeric_limits<double>::infinity());
 
 /// \brief Kendall's τ-b and its p-value over n pairs, from the discordant
 /// pair count, the count of pairs tied on both sides, and each side's tie

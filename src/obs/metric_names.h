@@ -39,6 +39,9 @@ inline constexpr std::string_view kDominanceDevicesTested =
     "homets.dominance.devices_tested";
 inline constexpr std::string_view kDominanceDevicesAbovePhi =
     "homets.dominance.devices_above_phi";
+// Kendall counts stopped once τ-b ≤ φ was proven (φ ≥ 0 only).
+inline constexpr std::string_view kDominanceKendallBounded =
+    "homets.dominance.kendall_bounded";
 
 // core/motif — Definition 5 funnel.
 inline constexpr std::string_view kMotifWindowsMined =

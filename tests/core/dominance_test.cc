@@ -2,15 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 
 #include "common/random.h"
+#include "core/similarity.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "simgen/fleet.h"
 
 namespace homets::core {
 namespace {
+
+// A device whose outgoing traffic is a tenth of `in`, from minute 0.
+simgen::DeviceTrace MakeDevice(const std::string& name, std::vector<double> in,
+                               simgen::DeviceType type) {
+  simgen::DeviceTrace dev;
+  dev.name = name;
+  dev.true_type = type;
+  dev.reported_type = type;
+  std::vector<double> out(in.size());
+  for (size_t i = 0; i < in.size(); ++i) out[i] = 0.1 * in[i];
+  dev.incoming = ts::TimeSeries(0, 1, std::move(in));
+  dev.outgoing = ts::TimeSeries(0, 1, std::move(out));
+  return dev;
+}
 
 // Builds a gateway with one heavy driver device, one light follower and one
 // idle device.
@@ -25,25 +43,95 @@ simgen::GatewayTrace PlantedGateway(uint64_t seed, size_t minutes = 4000) {
     light[m] = rng.LogNormal(std::log(300), 0.6);
     idle[m] = rng.LogNormal(std::log(50), 0.3);
   }
-  auto make_dev = [&](const std::string& name, std::vector<double> in,
-                      simgen::DeviceType type) {
-    simgen::DeviceTrace dev;
-    dev.name = name;
-    dev.true_type = type;
-    dev.reported_type = type;
-    std::vector<double> out(in.size());
-    for (size_t i = 0; i < in.size(); ++i) out[i] = 0.1 * in[i];
-    dev.incoming = ts::TimeSeries(0, 1, std::move(in));
-    dev.outgoing = ts::TimeSeries(0, 1, std::move(out));
-    return dev;
-  };
   gw.devices.push_back(
-      make_dev("heavy", heavy, simgen::DeviceType::kFixed));
+      MakeDevice("heavy", heavy, simgen::DeviceType::kFixed));
   gw.devices.push_back(
-      make_dev("light", light, simgen::DeviceType::kPortable));
+      MakeDevice("light", light, simgen::DeviceType::kPortable));
   gw.devices.push_back(
-      make_dev("idle", idle, simgen::DeviceType::kPortable));
+      MakeDevice("idle", idle, simgen::DeviceType::kPortable));
   return gw;
+}
+
+// A heavy device and one that falls as it rises: the aggregate rises with
+// the heavy device, so the second device's τ-b with it is −1. It is long
+// enough for Kendall's count to prove τ-b ≤ −0.2 before it ends.
+simgen::GatewayTrace AntiCorrelatedGateway(uint64_t seed,
+                                           size_t minutes = 10000) {
+  Rng rng(seed);
+  std::vector<double> heavy(minutes), falling(minutes);
+  for (size_t m = 0; m < minutes; ++m) {
+    heavy[m] = std::floor(rng.Uniform(1e5, 1e6));
+    falling[m] = 2000.0 - heavy[m] / 1000.0;
+  }
+  simgen::GatewayTrace gw;
+  gw.devices.push_back(MakeDevice("heavy", heavy, simgen::DeviceType::kFixed));
+  gw.devices.push_back(
+      MakeDevice("falling", falling, simgen::DeviceType::kPortable));
+  return gw;
+}
+
+// The seed-777 4-gateway x 2-week fleet of the pinned tests.
+std::vector<simgen::GatewayTrace> PinnedFleet() {
+  simgen::SimConfig config;
+  config.n_gateways = 4;
+  config.weeks = 2;
+  config.seed = 777;
+  simgen::FleetGenerator gen(config);
+  std::vector<simgen::GatewayTrace> fleet;
+  for (int id = 0; id < config.n_gateways; ++id) {
+    fleet.push_back(gen.Generate(id));
+  }
+  return fleet;
+}
+
+uint64_t KendallBounded() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter(obs::kDominanceKendallBounded)
+      ->Value();
+}
+
+// Definition 4 from full Definition 1: each device's similarity from the
+// vector form, which never cuts Kendall's count, kept above φ in descending
+// order, equal similarities in device order.
+std::vector<DominantDevice> FullDefinitionDominants(
+    const simgen::GatewayTrace& gw, const DominanceOptions& options) {
+  AggregateGrid grid;
+  MakeAggregateGrid(gw.AggregateTraffic(), &grid);
+  SimilarityOptions sim_options;
+  sim_options.alpha = options.alpha;
+  std::vector<DominantDevice> dominants;
+  std::vector<double> values;
+  for (size_t d = 0; d < gw.devices.size(); ++d) {
+    DeviceOnGrid(gw.devices[d].TotalTraffic(), grid, &values);
+    DominantDevice device;
+    device.device_index = d;
+    device.similarity =
+        CorrelationSimilarity(values, grid.values, sim_options).value;
+    device.reported_type = gw.devices[d].reported_type;
+    if (device.similarity > options.phi) dominants.push_back(device);
+  }
+  std::stable_sort(dominants.begin(), dominants.end(),
+                   [](const DominantDevice& a, const DominantDevice& b) {
+                     return a.similarity > b.similarity;
+                   });
+  if (dominants.size() > options.max_devices) {
+    dominants.resize(options.max_devices);
+  }
+  return dominants;
+}
+
+void ExpectSameDominants(const std::vector<DominantDevice>& got,
+                         const std::vector<DominantDevice>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got[i].device_index, want[i].device_index);
+    EXPECT_EQ(std::memcmp(&got[i].similarity, &want[i].similarity,
+                          sizeof(double)),
+              0)
+        << got[i].similarity << " vs " << want[i].similarity;
+    EXPECT_EQ(got[i].reported_type, want[i].reported_type);
+  }
 }
 
 TEST(DominanceTest, HeavyDeviceDominates) {
@@ -133,6 +221,124 @@ TEST(DominanceTest, PinnedFleetSimilaritiesAndRanking) {
     }
   }
   EXPECT_EQ(next, pins.size());
+}
+
+TEST(DominanceTest, ThresholdDecisionMatchesFullDefinitionOne) {
+  // Kendall's count may stop at φ; the dominant devices, their order and
+  // their similarity bits must not move.
+  std::vector<simgen::GatewayTrace> gateways = PinnedFleet();
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    gateways.push_back(PlantedGateway(seed));
+  }
+  gateways.push_back(AntiCorrelatedGateway(4));
+  for (const double phi : {0.0, 0.6, 0.8}) {
+    for (const size_t max_devices :
+         {size_t{3}, std::numeric_limits<size_t>::max()}) {
+      DominanceOptions options;
+      options.phi = phi;
+      options.max_devices = max_devices;
+      for (size_t g = 0; g < gateways.size(); ++g) {
+        SCOPED_TRACE(testing::Message()
+                     << "phi " << phi << ", gateway " << g << ", max "
+                     << max_devices);
+        ExpectSameDominants(FindDominantDevices(gateways[g], options),
+                            FullDefinitionDominants(gateways[g], options));
+      }
+    }
+  }
+}
+
+TEST(DominanceTest, KendallBoundedCountIsPinned) {
+  // At φ = 0.6, 12 of the pinned fleet's 15 devices are decided below φ
+  // before Kendall's count ends.
+  const std::vector<simgen::GatewayTrace> fleet = PinnedFleet();
+  DominanceOptions options;
+  options.phi = 0.6;
+  const uint64_t before = KendallBounded();
+  for (const simgen::GatewayTrace& gw : fleet) {
+    (void)FindDominantDevices(gw, options);
+  }
+  EXPECT_EQ(KendallBounded() - before, 12u);
+}
+
+TEST(DominanceTest, NegativePhiCutsNothing) {
+  // Below 0, "no coefficient significant" (0) is above φ, so a cut count
+  // could lift a device over it: nothing may be cut. The falling device's
+  // τ-b is −1, at or below every such φ.
+  std::vector<simgen::GatewayTrace> gateways = PinnedFleet();
+  gateways.push_back(AntiCorrelatedGateway(5));
+  for (const double phi :
+       {-0.2, -0.9, -std::numeric_limits<double>::infinity()}) {
+    DominanceOptions options;
+    options.phi = phi;
+    options.max_devices = std::numeric_limits<size_t>::max();
+    const uint64_t before = KendallBounded();
+    for (size_t g = 0; g < gateways.size(); ++g) {
+      SCOPED_TRACE(testing::Message() << "phi " << phi << ", gateway " << g);
+      ExpectSameDominants(FindDominantDevices(gateways[g], options),
+                          FullDefinitionDominants(gateways[g], options));
+    }
+    EXPECT_EQ(KendallBounded(), before) << "phi " << phi;
+  }
+}
+
+TEST(DominanceTest, EqualSimilaritiesKeepDeviceOrder) {
+  // 20 devices, 14 of them copies of one heavy device: the copies tie on
+  // similarity and must rank in device order, whatever the others score.
+  const simgen::GatewayTrace planted = PlantedGateway(9);
+  simgen::GatewayTrace gw;
+  std::vector<size_t> copies;
+  for (size_t d = 0; d < 20; ++d) {
+    if (d % 3 == 2) {
+      gw.devices.push_back(planted.devices[1 + (d / 3) % 2]);
+    } else {
+      copies.push_back(d);
+      gw.devices.push_back(planted.devices[0]);
+    }
+  }
+  DominanceOptions options;
+  options.max_devices = std::numeric_limits<size_t>::max();
+  const auto ranked = FindDominantDevices(gw, options);
+  ASSERT_GE(ranked.size(), copies.size());
+  for (size_t i = 0; i < copies.size(); ++i) {
+    EXPECT_EQ(ranked[i].device_index, copies[i]);
+    EXPECT_EQ(std::memcmp(&ranked[i].similarity, &ranked[0].similarity,
+                          sizeof(double)),
+              0);
+  }
+  ExpectSameDominants(ranked, FullDefinitionDominants(gw, options));
+}
+
+TEST(DominanceInWindowTest, ThresholdDecisionMatchesFullDefinitionOne) {
+  // The window scan at φ against its own full ranking (φ = −∞ cuts
+  // nothing), kept above φ.
+  const std::vector<simgen::GatewayTrace> fleet = PinnedFleet();
+  DominanceOptions all;
+  all.phi = -std::numeric_limits<double>::infinity();
+  all.max_devices = std::numeric_limits<size_t>::max();
+  const int64_t day = ts::kMinutesPerDay;
+  for (const double phi : {0.0, 0.6, 0.8}) {
+    DominanceOptions options;
+    options.phi = phi;
+    for (size_t g = 0; g < fleet.size(); ++g) {
+      for (const int64_t granularity : {int64_t{1}, int64_t{30}}) {
+        SCOPED_TRACE(testing::Message() << "phi " << phi << ", gateway " << g
+                                        << ", bins " << granularity);
+        const auto ranked = FindDominantDevicesInWindow(
+            fleet[g], 2 * day, 6 * day, granularity, 0, all);
+        std::vector<DominantDevice> want;
+        for (const DominantDevice& device : ranked) {
+          if (device.similarity > phi && want.size() < options.max_devices) {
+            want.push_back(device);
+          }
+        }
+        ExpectSameDominants(FindDominantDevicesInWindow(
+                                fleet[g], 2 * day, 6 * day, granularity, 0,
+                                options),
+                            want);
+      }
+    }
+  }
 }
 
 TEST(DominanceTest, EmptyGatewayHasNoDominants) {

@@ -414,9 +414,12 @@ TEST(PreparedSeriesParity, WorkspaceReuseDoesNotLeakState) {
                                               const PreparedSeries& py) {
     using KernelFn = Result<CorrelationTest> (*)(
         const PreparedSeries&, const PreparedSeries&, PairWorkspace*);
-    for (const KernelFn kernel :
-         {static_cast<KernelFn>(&Pearson), static_cast<KernelFn>(&Spearman),
-          static_cast<KernelFn>(&Kendall)}) {
+    const KernelFn kendall = [](const PreparedSeries& a,
+                                const PreparedSeries& b, PairWorkspace* w) {
+      return Kendall(a, b, w);
+    };
+    for (const KernelFn kernel : {static_cast<KernelFn>(&Pearson),
+                                  static_cast<KernelFn>(&Spearman), kendall}) {
       const auto with_shared = (*kernel)(px, py, &shared);
       const auto with_fresh = (*kernel)(px, py, nullptr);
       ASSERT_EQ(with_shared.ok(), with_fresh.ok());
@@ -880,6 +883,96 @@ TEST(PreparedSeriesKernels, KendallNullVarianceMatchesPermutations) {
         n, px.tie_sums(), PreparedSeries::Make(y).tie_sums());
     EXPECT_NEAR(variance, expected, 1e-12 * expected);
   }
+}
+
+// Kendall at `floor` against the full count (floor −∞) on one pair: an
+// uncut result equals the full one bit for bit; a cut one is bounded, its
+// bound at or below the floor and at or above the full τ-b, which is then at
+// or below the floor too. Returns whether the count was cut.
+bool ExpectExactAtFloor(const PreparedSeries& x, const PreparedSeries& y,
+                        double floor, PairWorkspace* ws) {
+  const auto full = Kendall(x, y, ws);
+  const auto cut = Kendall(x, y, ws, floor);
+  EXPECT_EQ(cut.ok(), full.ok());
+  if (!full.ok() || !cut.ok()) {
+    EXPECT_EQ(cut.status().message(), full.status().message());
+    return false;
+  }
+  EXPECT_FALSE(full->bounded);
+  EXPECT_EQ(cut->n, full->n);
+  if (!cut->bounded) {
+    EXPECT_TRUE(SameBits(cut->coefficient, full->coefficient));
+    EXPECT_TRUE(SameBits(cut->p_value, full->p_value));
+    return false;
+  }
+  EXPECT_LE(full->coefficient, floor) << "cut at a floor below τ-b";
+  EXPECT_LE(cut->coefficient, floor);
+  EXPECT_GE(cut->coefficient, full->coefficient);
+  return true;
+}
+
+TEST(PreparedSeriesKernels, KendallAtFloorIsExact) {
+  // Zero-inflated device/aggregate pairs (shared zeros make many joint
+  // ties), small alphabets, no ties, all-tied and constant sides, n < 3 and
+  // NaN gaps (the gather fallback), each at every floor.
+  Rng rng(113);
+  std::vector<std::pair<std::vector<double>, std::vector<double>>> pairs;
+  for (const size_t n : {3u, 8u, 40u, 300u, 5000u, 12000u}) {
+    for (const double zero_share : {0.3, 0.6, 0.9}) {
+      std::vector<double> device(n), other(n), aggregate(n), noise(n);
+      for (size_t i = 0; i < n; ++i) {
+        device[i] = rng.Bernoulli(zero_share)
+                        ? 0.0
+                        : std::floor(rng.LogNormal(std::log(2000.0), 1.5));
+        other[i] = rng.Bernoulli(0.8)
+                       ? 0.0
+                       : std::floor(rng.LogNormal(std::log(300.0), 1.0));
+        aggregate[i] = device[i] + other[i];
+        noise[i] = rng.Bernoulli(zero_share) ? 0.0 : rng.Normal();
+      }
+      pairs.emplace_back(device, aggregate);
+      pairs.emplace_back(other, aggregate);
+      pairs.emplace_back(device, other);
+      pairs.emplace_back(noise, aggregate);
+      std::vector<double> alphabet(n), gapped = device, smooth(n), jittered(n);
+      for (size_t i = 0; i < n; ++i) {
+        alphabet[i] = std::floor(rng.Uniform(0.0, 4.0));
+        if (rng.Bernoulli(0.1)) gapped[i] = std::nan("");
+        smooth[i] = rng.Normal();
+        jittered[i] = smooth[i] + zero_share * rng.Normal();
+      }
+      pairs.emplace_back(alphabet, aggregate);
+      pairs.emplace_back(smooth, jittered);  // no ties
+      pairs.emplace_back(gapped, aggregate);
+      pairs.emplace_back(device, device);  // τ-b = 1 exactly
+      pairs.emplace_back(std::vector<double>(n, 5.0), aggregate);
+    }
+  }
+  pairs.push_back({{1.0, 2.0}, {2.0, 1.0}});
+  pairs.push_back({{0.0, 0.0, 0.0, 0.0}, {0.0, 0.0, 0.0, 0.0}});
+  PairWorkspace ws;
+  size_t cut = 0;
+  size_t kept = 0;
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    const PreparedSeries x = PreparedSeries::Make(pairs[p].first);
+    const PreparedSeries y = PreparedSeries::Make(pairs[p].second);
+    for (const double floor : {0.0, 0.3, 0.6, 0.8, 1.0}) {
+      SCOPED_TRACE(testing::Message() << "pair " << p << ", floor " << floor);
+      for (const bool swap : {false, true}) {
+        const bool was_cut =
+            ExpectExactAtFloor(swap ? y : x, swap ? x : y, floor, &ws);
+        cut += was_cut ? 1 : 0;
+        const auto full = Kendall(x, y, &ws);
+        kept += full.ok() && !was_cut ? 1 : 0;
+        // τ-b ≤ 1 always, so at floor 1 every computable count is cut.
+        if (floor >= 1.0) {
+          EXPECT_EQ(was_cut, full.ok());
+        }
+      }
+    }
+  }
+  EXPECT_GT(cut, 0u);
+  EXPECT_GT(kept, 0u);
 }
 
 TEST(PreparedSeriesKernels, ErrorMessagesMatchLegacy) {
